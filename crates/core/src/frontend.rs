@@ -8,7 +8,9 @@
 //! trainer, and write the model back into the database so it can be applied
 //! to new data with the matching `*_predict` function.
 
-use bismarck_storage::{Column, DataType, Database, Schema, StorageError, Table, TupleScan, Value};
+use bismarck_storage::{
+    Column, DataType, Database, Schema, StorageError, StoredTable, Table, TupleScan, Value,
+};
 use bismarck_uda::TrainingHistory;
 
 use crate::error::TrainError;
@@ -105,18 +107,21 @@ pub fn persist_model(
 
 /// Load a model previously persisted with [`persist_model`].
 pub fn load_model(db: &Database, model_name: &str) -> Result<Vec<f64>, FrontendError> {
-    let table = db.table(model_name)?;
+    let table = db.stored(model_name)?;
     let idx_col = table.column_index("idx")?;
     let weight_col = table.column_index("weight")?;
     let mut pairs: Vec<(usize, f64)> = Vec::with_capacity(table.len());
-    for tuple in table.scan() {
-        let idx = tuple
-            .get_int(idx_col)
-            .ok_or_else(|| FrontendError::InvalidInput("model idx is not an integer".into()))?;
-        let weight = tuple
-            .get_double(weight_col)
-            .ok_or_else(|| FrontendError::InvalidInput("model weight is not a double".into()))?;
-        pairs.push((idx as usize, weight));
+    let mut malformed = None;
+    table.scan_tuples_while(&mut |tuple| {
+        match (tuple.get_int(idx_col), tuple.get_double(weight_col)) {
+            (Some(idx), Some(weight)) => pairs.push((idx as usize, weight)),
+            (None, _) => malformed = Some("model idx is not an integer"),
+            (_, None) => malformed = Some("model weight is not a double"),
+        }
+        malformed.is_none()
+    });
+    if let Some(msg) = malformed {
+        return Err(FrontendError::InvalidInput(msg.into()));
     }
     let dim = pairs.iter().map(|&(i, _)| i + 1).max().unwrap_or(0);
     let mut model = vec![0.0; dim];
@@ -126,23 +131,31 @@ pub fn load_model(db: &Database, model_name: &str) -> Result<Vec<f64>, FrontendE
     Ok(model)
 }
 
-/// Resolve feature/label columns and infer the model dimension for any
-/// tuple source with an explicit schema.
-fn resolve_training_source<S: TupleScan + ?Sized>(
-    source: &S,
-    schema: &Schema,
-    source_name: &str,
+/// The stored table named `table_name`, which must hold at least one row.
+fn training_table<'a>(
+    db: &'a Database,
+    table_name: &str,
+) -> Result<&'a StoredTable, FrontendError> {
+    let table = db.stored(table_name)?;
+    if table.is_empty() {
+        return Err(FrontendError::InvalidInput(format!(
+            "training table '{table_name}' is empty"
+        )));
+    }
+    Ok(table)
+}
+
+/// Resolve feature/label columns and infer the model dimension.
+fn resolve_training_table(
+    db: &Database,
+    table_name: &str,
     features_col: &str,
     label_col: &str,
 ) -> Result<(usize, usize, usize), FrontendError> {
-    if source.tuple_count() == 0 {
-        return Err(FrontendError::InvalidInput(format!(
-            "training table '{source_name}' is empty"
-        )));
-    }
-    let fcol = schema.index_of(features_col)?;
-    let lcol = schema.index_of(label_col)?;
-    let dim = infer_dimension(source, fcol);
+    let table = training_table(db, table_name)?;
+    let fcol = table.column_index(features_col)?;
+    let lcol = table.column_index(label_col)?;
+    let dim = infer_dimension(table, fcol);
     if dim == 0 {
         return Err(FrontendError::InvalidInput(format!(
             "column '{features_col}' holds no feature vectors"
@@ -151,14 +164,27 @@ fn resolve_training_source<S: TupleScan + ?Sized>(
     Ok((fcol, lcol, dim))
 }
 
-fn resolve_training_table(
-    db: &Database,
+/// The one train body every `*_train` front-end shares: run `task` over the
+/// stored table (whatever its layout), persist the model as `model_name`,
+/// and summarize the run.
+fn train_and_persist<T: IgdTask>(
+    db: &mut Database,
+    model_name: &str,
     table_name: &str,
-    features_col: &str,
-    label_col: &str,
-) -> Result<(usize, usize, usize), FrontendError> {
-    let table = db.table(table_name)?;
-    resolve_training_source(table, table.schema(), table_name, features_col, label_col)
+    task: &T,
+    config: TrainerConfig,
+) -> Result<TrainSummary, FrontendError> {
+    let trained = Trainer::new(task, config).try_train(db.stored(table_name)?)?;
+    persist_model(db, model_name, &trained.model)?;
+    Ok(TrainSummary {
+        task: task.name(),
+        model_table: model_name.to_string(),
+        dimension: task.dimension(),
+        final_loss: trained.final_loss().unwrap_or(f64::NAN),
+        epochs: trained.epochs(),
+        converged: trained.history.converged(),
+        history: trained.history,
+    })
 }
 
 /// `SELECT LogisticRegressionTrain(model, table, features, label)` — train an
@@ -173,17 +199,7 @@ pub fn logistic_regression_train(
 ) -> Result<TrainSummary, FrontendError> {
     let (fcol, lcol, dim) = resolve_training_table(db, table_name, features_col, label_col)?;
     let task = LogisticRegressionTask::new(fcol, lcol, dim);
-    let trained = Trainer::new(&task, config).try_train(db.table(table_name)?)?;
-    persist_model(db, model_name, &trained.model)?;
-    Ok(TrainSummary {
-        task: "LR",
-        model_table: model_name.to_string(),
-        dimension: dim,
-        final_loss: trained.final_loss().unwrap_or(f64::NAN),
-        epochs: trained.epochs(),
-        converged: trained.history.converged(),
-        history: trained.history,
-    })
+    train_and_persist(db, model_name, table_name, &task, config)
 }
 
 /// `SELECT SVMTrain(model, table, features, label)` — train a linear SVM and
@@ -198,77 +214,7 @@ pub fn svm_train(
 ) -> Result<TrainSummary, FrontendError> {
     let (fcol, lcol, dim) = resolve_training_table(db, table_name, features_col, label_col)?;
     let task = SvmTask::new(fcol, lcol, dim);
-    let trained = Trainer::new(&task, config).try_train(db.table(table_name)?)?;
-    persist_model(db, model_name, &trained.model)?;
-    Ok(TrainSummary {
-        task: "SVM",
-        model_table: model_name.to_string(),
-        dimension: dim,
-        final_loss: trained.final_loss().unwrap_or(f64::NAN),
-        epochs: trained.epochs(),
-        converged: trained.history.converged(),
-        history: trained.history,
-    })
-}
-
-/// Like [`logistic_regression_train`], but over an explicit tuple source
-/// (e.g. a columnar table living outside the row-store catalog). The model
-/// is still persisted into `db` under `model_name`.
-#[allow(clippy::too_many_arguments)]
-pub fn logistic_regression_train_source<S: TupleScan + ?Sized>(
-    db: &mut Database,
-    model_name: &str,
-    source: &S,
-    schema: &Schema,
-    source_name: &str,
-    features_col: &str,
-    label_col: &str,
-    config: TrainerConfig,
-) -> Result<TrainSummary, FrontendError> {
-    let (fcol, lcol, dim) =
-        resolve_training_source(source, schema, source_name, features_col, label_col)?;
-    let task = LogisticRegressionTask::new(fcol, lcol, dim);
-    let trained = Trainer::new(&task, config).try_train(source)?;
-    persist_model(db, model_name, &trained.model)?;
-    Ok(TrainSummary {
-        task: "LR",
-        model_table: model_name.to_string(),
-        dimension: dim,
-        final_loss: trained.final_loss().unwrap_or(f64::NAN),
-        epochs: trained.epochs(),
-        converged: trained.history.converged(),
-        history: trained.history,
-    })
-}
-
-/// Like [`svm_train`], but over an explicit tuple source (e.g. a columnar
-/// table living outside the row-store catalog). The model is still persisted
-/// into `db` under `model_name`.
-#[allow(clippy::too_many_arguments)]
-pub fn svm_train_source<S: TupleScan + ?Sized>(
-    db: &mut Database,
-    model_name: &str,
-    source: &S,
-    schema: &Schema,
-    source_name: &str,
-    features_col: &str,
-    label_col: &str,
-    config: TrainerConfig,
-) -> Result<TrainSummary, FrontendError> {
-    let (fcol, lcol, dim) =
-        resolve_training_source(source, schema, source_name, features_col, label_col)?;
-    let task = SvmTask::new(fcol, lcol, dim);
-    let trained = Trainer::new(&task, config).try_train(source)?;
-    persist_model(db, model_name, &trained.model)?;
-    Ok(TrainSummary {
-        task: "SVM",
-        model_table: model_name.to_string(),
-        dimension: dim,
-        final_loss: trained.final_loss().unwrap_or(f64::NAN),
-        epochs: trained.epochs(),
-        converged: trained.history.converged(),
-        history: trained.history,
-    })
+    train_and_persist(db, model_name, table_name, &task, config)
 }
 
 /// `SELECT LMFTrain(model, table, row, col, rating, rows, cols, rank)` —
@@ -286,59 +232,39 @@ pub fn lmf_train(
     rank: usize,
     config: TrainerConfig,
 ) -> Result<TrainSummary, FrontendError> {
-    let table = db.table(table_name)?;
-    if table.is_empty() {
-        return Err(FrontendError::InvalidInput(format!(
-            "training table '{table_name}' is empty"
-        )));
-    }
+    let table = training_table(db, table_name)?;
     let rcol = table.column_index(row_col)?;
     let ccol = table.column_index(col_col)?;
     let vcol = table.column_index(rating_col)?;
     let task = LmfTask::new(rcol, ccol, vcol, rows, cols, rank);
-    let trained = Trainer::new(&task, config).try_train(table)?;
-    persist_model(db, model_name, &trained.model)?;
-    Ok(TrainSummary {
-        task: "LMF",
-        model_table: model_name.to_string(),
-        dimension: task.dimension(),
-        final_loss: trained.final_loss().unwrap_or(f64::NAN),
-        epochs: trained.epochs(),
-        converged: trained.history.converged(),
-        history: trained.history,
-    })
+    train_and_persist(db, model_name, table_name, &task, config)
 }
 
-/// Evaluate the full objective value of a persisted linear-model task
+/// Evaluate the full objective value of a persisted linear model
 /// (`Σ_i f_i(w) + P(w)`) over a data table — the "loss UDA" of Section 3.1
-/// exposed as a front-end call. `task` selects the loss: LR uses the logistic
-/// loss, SVM the hinge loss.
-fn linear_objective_source<T: IgdTask, S: TupleScan + ?Sized>(
-    db: &Database,
-    task: &T,
-    model_name: &str,
-    source: &S,
-) -> Result<f64, FrontendError> {
-    let model = load_model(db, model_name)?;
-    if model.len() != task.dimension() {
-        return Err(FrontendError::InvalidInput(format!(
-            "model '{model_name}' has dimension {}, expected {}",
-            model.len(),
-            task.dimension()
-        )));
-    }
-    let mut total = task.regularizer(&model);
-    source.scan_tuples(&mut |tuple| total += task.example_loss(&model, tuple));
-    Ok(total)
-}
-
+/// exposed as a front-end call. `make_task(features, label, dimension)`
+/// selects the loss: LR uses the logistic loss, SVM the hinge loss.
 fn linear_objective<T: IgdTask>(
     db: &Database,
-    task: &T,
     model_name: &str,
     table_name: &str,
+    features_col: &str,
+    label_col: &str,
+    make_task: fn(usize, usize, usize) -> T,
 ) -> Result<f64, FrontendError> {
-    linear_objective_source(db, task, model_name, db.table(table_name)?)
+    let (fcol, lcol, dim) = resolve_training_table(db, table_name, features_col, label_col)?;
+    let model = load_model(db, model_name)?;
+    if model.len() < dim {
+        return Err(FrontendError::InvalidInput(format!(
+            "model '{model_name}' has dimension {}, expected {dim}",
+            model.len()
+        )));
+    }
+    let task = make_task(fcol, lcol, model.len());
+    let mut total = task.regularizer(&model);
+    db.stored(table_name)?
+        .scan_tuples(&mut |tuple| total += task.example_loss(&model, tuple));
+    Ok(total)
 }
 
 /// Objective value of a persisted logistic-regression model over a table.
@@ -349,10 +275,14 @@ pub fn logistic_regression_loss(
     features_col: &str,
     label_col: &str,
 ) -> Result<f64, FrontendError> {
-    let (fcol, lcol, dim) = resolve_training_table(db, table_name, features_col, label_col)?;
-    let dim = dim.max(load_model(db, model_name)?.len());
-    let task = LogisticRegressionTask::new(fcol, lcol, dim);
-    linear_objective(db, &task, model_name, table_name)
+    linear_objective(
+        db,
+        model_name,
+        table_name,
+        features_col,
+        label_col,
+        LogisticRegressionTask::new,
+    )
 }
 
 /// Objective value of a persisted SVM model over a table.
@@ -363,62 +293,45 @@ pub fn svm_loss(
     features_col: &str,
     label_col: &str,
 ) -> Result<f64, FrontendError> {
-    let (fcol, lcol, dim) = resolve_training_table(db, table_name, features_col, label_col)?;
-    let dim = dim.max(load_model(db, model_name)?.len());
-    let task = SvmTask::new(fcol, lcol, dim);
-    linear_objective(db, &task, model_name, table_name)
-}
-
-/// Like [`logistic_regression_loss`], but over an explicit tuple source.
-pub fn logistic_regression_loss_source<S: TupleScan + ?Sized>(
-    db: &Database,
-    model_name: &str,
-    source: &S,
-    schema: &Schema,
-    source_name: &str,
-    features_col: &str,
-    label_col: &str,
-) -> Result<f64, FrontendError> {
-    let (fcol, lcol, dim) =
-        resolve_training_source(source, schema, source_name, features_col, label_col)?;
-    let dim = dim.max(load_model(db, model_name)?.len());
-    let task = LogisticRegressionTask::new(fcol, lcol, dim);
-    linear_objective_source(db, &task, model_name, source)
-}
-
-/// Like [`svm_loss`], but over an explicit tuple source.
-pub fn svm_loss_source<S: TupleScan + ?Sized>(
-    db: &Database,
-    model_name: &str,
-    source: &S,
-    schema: &Schema,
-    source_name: &str,
-    features_col: &str,
-    label_col: &str,
-) -> Result<f64, FrontendError> {
-    let (fcol, lcol, dim) =
-        resolve_training_source(source, schema, source_name, features_col, label_col)?;
-    let dim = dim.max(load_model(db, model_name)?.len());
-    let task = SvmTask::new(fcol, lcol, dim);
-    linear_objective_source(db, &task, model_name, source)
+    linear_objective(
+        db,
+        model_name,
+        table_name,
+        features_col,
+        label_col,
+        SvmTask::new,
+    )
 }
 
 /// Infer the shape of a sequence-labeling column: `(num_features, num_labels)`
 /// as `max feature index + 1` and `max label + 1` over every position of
 /// every sequence.
-pub fn infer_sequence_shape(table: &Table, sequence_col: usize) -> (usize, usize) {
+pub fn infer_sequence_shape<S: TupleScan + ?Sized>(
+    source: &S,
+    sequence_col: usize,
+) -> (usize, usize) {
     let mut num_features = 0usize;
     let mut num_labels = 0usize;
-    for tuple in table.scan() {
-        let Some(sequence) = tuple.get_sequence(sequence_col) else {
-            continue;
-        };
-        for (features, label) in sequence {
+    source.scan_tuples(&mut |tuple| {
+        for (features, label) in tuple.get_sequence(sequence_col).unwrap_or_default() {
             num_features = num_features.max(features.dimension());
             num_labels = num_labels.max(*label as usize + 1);
         }
-    }
+    });
     (num_features, num_labels)
+}
+
+/// The CRF task whose feature and label alphabets are inferred from the
+/// sequences in `table`.
+fn crf_task_for(table: &StoredTable, sequence_col: &str) -> Result<CrfTask, FrontendError> {
+    let scol = table.column_index(sequence_col)?;
+    let (num_features, num_labels) = infer_sequence_shape(table, scol);
+    if num_features == 0 || num_labels == 0 {
+        return Err(FrontendError::InvalidInput(format!(
+            "column '{sequence_col}' holds no labeled sequences"
+        )));
+    }
+    Ok(CrfTask::new(scol, num_features, num_labels))
 }
 
 /// `SELECT CRFTrain(model, table, sequence)` — train a linear-chain CRF for
@@ -431,31 +344,8 @@ pub fn crf_train(
     sequence_col: &str,
     config: TrainerConfig,
 ) -> Result<TrainSummary, FrontendError> {
-    let table = db.table(table_name)?;
-    if table.is_empty() {
-        return Err(FrontendError::InvalidInput(format!(
-            "training table '{table_name}' is empty"
-        )));
-    }
-    let scol = table.column_index(sequence_col)?;
-    let (num_features, num_labels) = infer_sequence_shape(table, scol);
-    if num_features == 0 || num_labels == 0 {
-        return Err(FrontendError::InvalidInput(format!(
-            "column '{sequence_col}' holds no labeled sequences"
-        )));
-    }
-    let task = CrfTask::new(scol, num_features, num_labels);
-    let trained = Trainer::new(&task, config).try_train(table)?;
-    persist_model(db, model_name, &trained.model)?;
-    Ok(TrainSummary {
-        task: "CRF",
-        model_table: model_name.to_string(),
-        dimension: task.dimension(),
-        final_loss: trained.final_loss().unwrap_or(f64::NAN),
-        epochs: trained.epochs(),
-        converged: trained.history.converged(),
-        history: trained.history,
-    })
+    let task = crf_task_for(training_table(db, table_name)?, sequence_col)?;
+    train_and_persist(db, model_name, table_name, &task, config)
 }
 
 /// Apply a persisted linear model to every row of a data table, returning the
@@ -466,22 +356,11 @@ pub fn linear_predict(
     table_name: &str,
     features_col: &str,
 ) -> Result<Vec<f64>, FrontendError> {
-    let table = db.table(table_name)?;
-    linear_predict_source(db, model_name, table, table.schema(), features_col)
-}
-
-/// Like [`linear_predict`], but over an explicit tuple source.
-pub fn linear_predict_source<S: TupleScan + ?Sized>(
-    db: &Database,
-    model_name: &str,
-    source: &S,
-    schema: &Schema,
-    features_col: &str,
-) -> Result<Vec<f64>, FrontendError> {
+    let table = db.stored(table_name)?;
     let model = load_model(db, model_name)?;
-    let fcol = schema.index_of(features_col)?;
-    let mut out = Vec::with_capacity(source.tuple_count());
-    source.scan_tuples(&mut |tuple| {
+    let fcol = table.column_index(features_col)?;
+    let mut out = Vec::with_capacity(table.len());
+    table.scan_tuples(&mut |tuple| {
         out.push(
             tuple
                 .feature_view(fcol)
@@ -502,15 +381,8 @@ pub fn crf_predict(
     sequence_col: &str,
 ) -> Result<Vec<Vec<usize>>, FrontendError> {
     let model = load_model(db, model_name)?;
-    let table = db.table(table_name)?;
-    let scol = table.column_index(sequence_col)?;
-    let (num_features, num_labels) = infer_sequence_shape(table, scol);
-    if num_features == 0 || num_labels == 0 {
-        return Err(FrontendError::InvalidInput(format!(
-            "column '{sequence_col}' holds no labeled sequences"
-        )));
-    }
-    let task = CrfTask::new(scol, num_features, num_labels);
+    let table = db.stored(table_name)?;
+    let task = crf_task_for(table, sequence_col)?;
     if model.len() != task.dimension() {
         return Err(FrontendError::InvalidInput(format!(
             "model '{model_name}' has dimension {}, expected {} for this table",
@@ -518,56 +390,18 @@ pub fn crf_predict(
             task.dimension()
         )));
     }
-    Ok(table
-        .scan()
-        .map(|tuple| match tuple.get_sequence(scol) {
+    let scol = table.column_index(sequence_col)?;
+    let mut labelings = Vec::with_capacity(table.len());
+    table.scan_tuples(&mut |tuple| {
+        labelings.push(match tuple.get_sequence(scol) {
             Some(sequence) => {
                 let features: Vec<_> = sequence.iter().map(|(f, _)| f.clone()).collect();
                 task.viterbi(&model, &features)
             }
             None => Vec::new(),
-        })
-        .collect())
-}
-
-/// Like [`logistic_predict`], but over an explicit tuple source.
-pub fn logistic_predict_source<S: TupleScan + ?Sized>(
-    db: &Database,
-    model_name: &str,
-    source: &S,
-    schema: &Schema,
-    features_col: &str,
-) -> Result<Vec<f64>, FrontendError> {
-    Ok(
-        linear_predict_source(db, model_name, source, schema, features_col)?
-            .into_iter()
-            .map(bismarck_linalg::ops::sigmoid)
-            .collect(),
-    )
-}
-
-/// Like [`svm_predict`], but over an explicit tuple source.
-pub fn svm_predict_source<S: TupleScan + ?Sized>(
-    db: &Database,
-    model_name: &str,
-    source: &S,
-    schema: &Schema,
-    features_col: &str,
-) -> Result<Vec<f64>, FrontendError> {
-    Ok(
-        linear_predict_source(db, model_name, source, schema, features_col)?
-            .into_iter()
-            .map(|v| {
-                if v > 0.0 {
-                    1.0
-                } else if v < 0.0 {
-                    -1.0
-                } else {
-                    0.0
-                }
-            })
-            .collect(),
-    )
+        });
+    });
+    Ok(labelings)
 }
 
 /// Apply a persisted LR model, returning positive-class probabilities.

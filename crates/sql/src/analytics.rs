@@ -6,13 +6,11 @@
 //! IGD architecture instead of per-task code paths.
 
 use bismarck_core::frontend::{
-    self, crf_predict, crf_train, lmf_train, logistic_predict, logistic_predict_source,
-    logistic_regression_loss, logistic_regression_loss_source, logistic_regression_train,
-    logistic_regression_train_source, svm_loss, svm_loss_source, svm_predict, svm_predict_source,
-    svm_train, svm_train_source, TrainSummary,
+    self, crf_predict, crf_train, lmf_train, logistic_predict, logistic_regression_loss,
+    logistic_regression_train, svm_loss, svm_predict, svm_train, TrainSummary,
 };
 use bismarck_core::{StepSizeSchedule, TrainerConfig};
-use bismarck_storage::{ColumnarTable, Database, Value};
+use bismarck_storage::{Database, Value};
 use bismarck_uda::ConvergenceTest;
 
 use crate::error::{Result, SqlError};
@@ -132,7 +130,8 @@ fn prediction_result(column: &str, scores: Vec<f64>) -> QueryResult {
 /// Execute one analytics function call with already-evaluated arguments.
 ///
 /// Training functions persist the model back into `db` and return a one-row
-/// summary; prediction functions return one row per input tuple.
+/// summary; prediction functions return one row per input tuple. The data
+/// table is resolved by name in `db`, whatever its physical layout.
 pub fn execute_analytics(
     db: &mut Database,
     base_config: TrainerConfig,
@@ -258,118 +257,6 @@ pub fn execute_analytics(
                 rows,
             ))
         }
-        other => Err(SqlError::Analytics(format!(
-            "unknown analytics function {other}()"
-        ))),
-    }
-}
-
-/// [`execute_analytics`] over a columnar table instead of a row-store table.
-///
-/// The linear-model functions (SVM / logistic-regression train, loss and
-/// predict) stream the columnar chunks through the same generic trainers the
-/// row-store uses; trained models are still persisted into `db` as ordinary
-/// model tables. The sequence / factorization tasks (`CRFTrain`,
-/// `CRFPredict`, `LMFTrain`) walk row-store-specific shape-inference paths
-/// and are rejected with a clear error rather than silently misbehaving.
-pub fn execute_analytics_columnar(
-    db: &mut Database,
-    source: &ColumnarTable,
-    base_config: TrainerConfig,
-    name: &str,
-    args: &[Value],
-) -> Result<QueryResult> {
-    let upper = name.to_ascii_uppercase();
-    let schema = source.schema().clone();
-    let source_name = source.name().to_string();
-    match upper.as_str() {
-        "SVMTRAIN" | "LRTRAIN" | "LOGISTICREGRESSIONTRAIN" => {
-            let model = text_arg(args, 0, name, "model name")?;
-            let features = text_arg(args, 2, name, "feature column")?;
-            let label = text_arg(args, 3, name, "label column")?;
-            let config = config_with_overrides(base_config, args, 4, name)?;
-            let summary = if upper == "SVMTRAIN" {
-                svm_train_source(
-                    db,
-                    &model,
-                    source,
-                    &schema,
-                    &source_name,
-                    &features,
-                    &label,
-                    config,
-                )?
-            } else {
-                logistic_regression_train_source(
-                    db,
-                    &model,
-                    source,
-                    &schema,
-                    &source_name,
-                    &features,
-                    &label,
-                    config,
-                )?
-            };
-            Ok(summary_result(summary))
-        }
-        "SVMPREDICT" | "LRPREDICT" | "LOGISTICREGRESSIONPREDICT" | "LINEARPREDICT" => {
-            let model = text_arg(args, 0, name, "model name")?;
-            let features = text_arg(args, 2, name, "feature column")?;
-            if args.len() > 3 {
-                return Err(SqlError::Analytics(format!(
-                    "{name}() takes 3 arguments, got {}",
-                    args.len()
-                )));
-            }
-            let (column, scores) = match upper.as_str() {
-                "SVMPREDICT" => (
-                    "prediction",
-                    svm_predict_source(db, &model, source, &schema, &features)?,
-                ),
-                "LINEARPREDICT" => (
-                    "score",
-                    frontend::linear_predict_source(db, &model, source, &schema, &features)?,
-                ),
-                _ => (
-                    "probability",
-                    logistic_predict_source(db, &model, source, &schema, &features)?,
-                ),
-            };
-            Ok(prediction_result(column, scores))
-        }
-        "SVMLOSS" | "LRLOSS" | "LOGISTICREGRESSIONLOSS" => {
-            let model = text_arg(args, 0, name, "model name")?;
-            let features = text_arg(args, 2, name, "feature column")?;
-            let label = text_arg(args, 3, name, "label column")?;
-            if args.len() > 4 {
-                return Err(SqlError::Analytics(format!(
-                    "{name}() takes 4 arguments, got {}",
-                    args.len()
-                )));
-            }
-            let loss = if upper == "SVMLOSS" {
-                svm_loss_source(db, &model, source, &schema, &source_name, &features, &label)?
-            } else {
-                logistic_regression_loss_source(
-                    db,
-                    &model,
-                    source,
-                    &schema,
-                    &source_name,
-                    &features,
-                    &label,
-                )?
-            };
-            Ok(QueryResult::with_rows(
-                vec!["loss".into()],
-                vec![vec![Value::Double(loss)]],
-            ))
-        }
-        "LMFTRAIN" | "CRFTRAIN" | "CRFPREDICT" => Err(SqlError::Analytics(format!(
-            "{name}() is not supported over columnar table '{source_name}'; \
-             use a row-store table"
-        ))),
         other => Err(SqlError::Analytics(format!(
             "unknown analytics function {other}()"
         ))),

@@ -90,7 +90,7 @@ pub enum Statement {
 /// `STORAGE = ...` clause.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TableStorage {
-    /// Row-store (the default): tuples stored contiguously, WAL-logged.
+    /// Row-store (the default): tuples stored contiguously.
     #[default]
     Row,
     /// Columnar chunked storage: per-column chunks with validity bitmaps,

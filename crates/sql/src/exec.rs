@@ -11,13 +11,14 @@ use bismarck_core::governor::{Governor, QueryGuard, ShutdownReport};
 use bismarck_core::serving::{ModelHandle, ModelSnapshot, ServingTask};
 use bismarck_core::TrainerConfig;
 use bismarck_storage::{
-    Column, ColumnarTable, DataType, Database, RecoveryReport, Schema, Table, TupleScan, Value,
+    Column, ColumnarTable, DataType, Database, RecoveryReport, Schema, StorageError, StoredTable,
+    Table, Tuple, TupleScan, Value,
 };
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
-use crate::analytics::{execute_analytics, execute_analytics_columnar, is_analytics_function};
+use crate::analytics::{execute_analytics, is_analytics_function};
 use crate::ast::{
     CopyDirection, Expr, Literal, OrderKey, SelectItem, SelectStatement, Statement, TableStorage,
 };
@@ -39,13 +40,6 @@ const GUARD_CHECK_ROWS: usize = 256;
 /// serving registry behind `PREDICT()`.
 pub struct SqlSession {
     db: Database,
-    /// Tables created with `STORAGE = COLUMNAR`. They live beside the
-    /// row-store catalog (names are checked against both registries) but are
-    /// session-local: the durable WAL covers row-store tables only, so a
-    /// columnar table created through SQL does not survive a reopen. Paged
-    /// columnar tables built from Rust can be registered with
-    /// [`SqlSession::register_columnar_table`].
-    columnar: HashMap<String, ColumnarTable>,
     trainer_config: TrainerConfig,
     ctx: EvalContext,
     /// Live serving handles addressable by `PREDICT('name', ...)`; resolved
@@ -76,7 +70,6 @@ impl SqlSession {
     pub fn with_seed(seed: u64) -> Self {
         SqlSession {
             db: Database::new(),
-            columnar: HashMap::new(),
             trainer_config: TrainerConfig::default(),
             ctx: EvalContext::with_seed(seed),
             serving: HashMap::new(),
@@ -87,9 +80,10 @@ impl SqlSession {
 
     /// Open a **durable** session bound to directory `dir`: every catalog
     /// mutation (CREATE/DROP TABLE, INSERT, COPY FROM, trained-model
-    /// persistence) is write-ahead logged there, and reopening the same
-    /// directory reconstructs the catalog — so a `train → exit → reopen →
-    /// PREDICT` sequence works across process restarts.
+    /// persistence) on a table of either layout is write-ahead logged there,
+    /// and reopening the same directory reconstructs the catalog — so a
+    /// `train → exit → reopen → PREDICT` sequence works across process
+    /// restarts.
     ///
     /// The recovery diagnostics are logged to stderr and kept available via
     /// [`SqlSession::recovery_report`].
@@ -136,26 +130,18 @@ impl SqlSession {
     /// replacing any table of the same name. On a durable session (see
     /// [`SqlSession::open`]) the table contents are write-ahead logged.
     pub fn register_table(&mut self, table: Table) -> Result<()> {
-        self.db.register_table(table)?;
-        Ok(())
+        Ok(self.db.register_table(table)?)
     }
 
-    /// Register an already-built columnar table (in-memory or paged),
-    /// making it addressable from SQL like any other table. Fails if a
-    /// row-store table of the same name exists.
+    /// [`SqlSession::register_table`] for an already-built columnar table
+    /// (in-memory, or paged — which a durable session logs by reference).
     pub fn register_columnar_table(&mut self, table: ColumnarTable) -> Result<()> {
-        if self.db.contains(table.name()) {
-            return Err(SqlError::Storage(
-                bismarck_storage::StorageError::TableExists(table.name().to_string()),
-            ));
-        }
-        self.columnar.insert(table.name().to_string(), table);
-        Ok(())
+        Ok(self.db.register_table(table)?)
     }
 
-    /// The columnar table registered under `name`, if any.
+    /// The table stored under `name`, if its layout is columnar.
     pub fn columnar_table(&self, name: &str) -> Option<&ColumnarTable> {
-        self.columnar.get(name)
+        self.db.stored(name).ok()?.as_columnar()
     }
 
     /// Register a live serving handle under `name`, making
@@ -303,9 +289,6 @@ impl SqlSession {
                 storage,
             } => self.run_create_table(name, columns, storage),
             Statement::DropTable { name } => {
-                if self.columnar.remove(&name).is_some() {
-                    return Ok(QueryResult::status_only("DROP TABLE"));
-                }
                 self.db.drop_table(&name)?;
                 Ok(QueryResult::status_only("DROP TABLE"))
             }
@@ -345,7 +328,9 @@ impl SqlSession {
         query: SelectStatement,
         storage: TableStorage,
     ) -> Result<QueryResult> {
-        self.check_name_free(&name)?;
+        if self.db.contains(&name) {
+            return Err(StorageError::TableExists(name).into());
+        }
         let result = self.run_select(query)?;
         let arity = result.columns.len();
 
@@ -389,68 +374,30 @@ impl SqlSession {
                 })
                 .collect::<Vec<Value>>()
         });
-        match storage {
-            TableStorage::Row => {
-                let mut table = Table::new(name.clone(), schema);
-                for row in coerced_rows {
-                    table.insert(row)?;
-                }
-                self.db.register_table(table)?;
-            }
-            TableStorage::Columnar => {
-                let mut table = ColumnarTable::new(name.clone(), schema);
-                table.insert_all(coerced_rows)?;
-                self.columnar.insert(name, table);
-            }
-        }
+        let mut table = empty_table(name, schema, storage);
+        table.insert_all(coerced_rows)?;
+        self.db.create_stored(table)?;
         Ok(QueryResult::status_only(format!(
             "CREATE TABLE AS ({count} rows)"
         )))
     }
 
-    /// Error if `name` is taken in either the row-store catalog or the
-    /// columnar registry.
-    fn check_name_free(&self, name: &str) -> Result<()> {
-        if self.db.contains(name) || self.columnar.contains_key(name) {
-            return Err(SqlError::Storage(
-                bismarck_storage::StorageError::TableExists(name.to_string()),
-            ));
-        }
-        Ok(())
-    }
-
-    /// `SHOW TABLES`: table names and row counts (row-store and columnar),
-    /// sorted by name.
+    /// `SHOW TABLES`: table names and row counts, sorted by name.
     fn run_show_tables(&self) -> QueryResult {
-        let mut entries: Vec<(String, usize)> = self
+        let rows = self
             .db
-            .table_names()
-            .into_iter()
-            .map(|name| {
-                let len = self.db.table(&name).map(Table::len).unwrap_or(0);
-                (name, len)
-            })
-            .chain(
-                self.columnar
-                    .iter()
-                    .map(|(name, table)| (name.clone(), table.len())),
-            )
-            .collect();
-        entries.sort();
-        let rows = entries
-            .into_iter()
-            .map(|(name, len)| vec![Value::Text(name), Value::Int(len as i64)])
+            .tables()
+            .map(|t| vec![Value::Text(t.name().into()), Value::Int(t.len() as i64)])
             .collect();
         QueryResult::with_rows(vec!["table".into(), "rows".into()], rows)
     }
 
     /// `DESCRIBE <table>`: column names, types and nullability.
     fn run_describe(&self, name: &str) -> Result<QueryResult> {
-        let schema = match self.columnar.get(name) {
-            Some(table) => table.schema(),
-            None => self.db.table(name)?.schema(),
-        };
-        let rows = schema
+        let rows = self
+            .db
+            .stored(name)?
+            .schema()
             .columns()
             .iter()
             .map(|column| {
@@ -477,36 +424,24 @@ impl SqlSession {
             CopyDirection::FromFile => {
                 let text = std::fs::read_to_string(&path)
                     .map_err(|e| SqlError::Evaluation(format!("cannot read '{path}': {e}")))?;
-                let schema = match self.columnar.get(&table_name) {
-                    Some(table) => table.schema().clone(),
-                    None => self.db.table(&table_name)?.schema().clone(),
-                };
                 // Parse the whole file first so a malformed line never
                 // leaves a half-loaded target behind.
-                let parsed = bismarck_storage::csv::rows_from_str(&schema, &text)?;
+                let schema = self.db.stored(&table_name)?.schema();
+                let parsed = bismarck_storage::csv::rows_from_str(schema, &text)?;
                 for (i, row) in parsed.iter().enumerate() {
                     if i.is_multiple_of(GUARD_CHECK_ROWS) {
                         self.guard.check()?;
                     }
                     self.guard.reserve(approx_row_bytes(row))?;
                 }
-                let count = match self.columnar.get_mut(&table_name) {
-                    Some(table) => table.insert_all(parsed)?,
-                    None => self.db.insert_rows(&table_name, parsed)?,
-                };
+                let count = self.db.insert_rows(&table_name, parsed)?;
                 Ok(QueryResult::status_only(format!("COPY {count}")))
             }
             CopyDirection::ToFile => {
-                let (text, count) = match self.columnar.get(&table_name) {
-                    Some(table) => (bismarck_storage::csv::tuples_to_string(table), table.len()),
-                    None => {
-                        let table = self.db.table(&table_name)?;
-                        (bismarck_storage::csv::table_to_string(table), table.len())
-                    }
-                };
-                std::fs::write(&path, text)
+                let table = self.db.stored(&table_name)?;
+                std::fs::write(&path, bismarck_storage::csv::tuples_to_string(table))
                     .map_err(|e| SqlError::Evaluation(format!("cannot write '{path}': {e}")))?;
-                Ok(QueryResult::status_only(format!("COPY {count}")))
+                Ok(QueryResult::status_only(format!("COPY {}", table.len())))
             }
         }
     }
@@ -515,56 +450,17 @@ impl SqlSession {
     /// `CLUSTER TABLE ... BY`). This is the storage-side knob Section 3.2
     /// studies: the scan order of later training runs follows this layout.
     fn run_reorder(&mut self, table_name: String, reorder: Reorder) -> Result<QueryResult> {
-        // A columnar table is rewritten by rebuilding its chunks from the
-        // reordered rows. Paged tables are excluded: their segments are
-        // immutable on disk, and trainers shuffle them through scan
-        // permutations rather than physical rewrites.
-        let columnar_capacity = match self.columnar.get(&table_name) {
-            Some(table) if table.pager_stats().is_some() => {
-                return Err(SqlError::Analysis(format!(
-                    "cannot physically rewrite paged columnar table '{table_name}'; \
-                     trainers shuffle it via scan permutations instead"
-                )))
-            }
-            Some(table) => Some(table.chunk_capacity()),
-            None => None,
-        };
-        let (schema, mut rows) = if let Some(table) = self.columnar.get(&table_name) {
-            let guard = &self.guard;
-            let mut rows: Vec<Vec<Value>> = Vec::with_capacity(table.len());
-            let mut scan_err: Option<SqlError> = None;
-            let mut i = 0usize;
-            table.scan_tuples_while(&mut |tuple| {
-                if i.is_multiple_of(GUARD_CHECK_ROWS) {
-                    if let Err(e) = guard.check() {
-                        scan_err = Some(e.into());
-                        return false;
-                    }
-                }
-                i += 1;
-                if let Err(e) = guard.reserve(approx_row_bytes(tuple.values())) {
-                    scan_err = Some(e.into());
-                    return false;
-                }
-                rows.push(tuple.values().to_vec());
-                true
-            });
-            if let Some(e) = scan_err {
-                return Err(e);
-            }
-            (table.schema().clone(), rows)
-        } else {
-            let table = self.db.table(&table_name)?;
-            let mut rows: Vec<Vec<Value>> = Vec::with_capacity(table.len());
-            for (i, tuple) in table.scan().enumerate() {
-                if i.is_multiple_of(GUARD_CHECK_ROWS) {
-                    self.guard.check()?;
-                }
-                self.guard.reserve(approx_row_bytes(tuple.values()))?;
-                rows.push(tuple.values().to_vec());
-            }
-            (table.schema().clone(), rows)
-        };
+        let source = self.db.stored(&table_name)?;
+        // The rewrite target keeps the layout; asking for it first refuses a
+        // paged table before any row is read.
+        let mut rebuilt = source.empty_like()?;
+        let schema = source.schema();
+        let mut rows: Vec<Vec<Value>> = Vec::with_capacity(source.len());
+        scan_guarded(source, &self.guard, |tuple| {
+            self.guard.reserve(approx_row_bytes(tuple.values()))?;
+            rows.push(tuple.values().to_vec());
+            Ok(())
+        })?;
         let status = match reorder {
             Reorder::Shuffle(seed) => {
                 match seed {
@@ -586,20 +482,8 @@ impl SqlSession {
                 format!("CLUSTER {}", rows.len())
             }
         };
-        match columnar_capacity {
-            Some(capacity) => {
-                let mut rebuilt = ColumnarTable::with_chunk_capacity(&table_name, schema, capacity);
-                rebuilt.insert_all(rows)?;
-                self.columnar.insert(table_name, rebuilt);
-            }
-            None => {
-                let mut rebuilt = Table::new(table_name, schema);
-                for row in rows {
-                    rebuilt.insert(row)?;
-                }
-                self.db.register_table(rebuilt)?;
-            }
-        }
+        rebuilt.insert_all(rows)?;
+        self.db.register_table(rebuilt)?;
         Ok(QueryResult::status_only(status))
     }
 
@@ -617,16 +501,7 @@ impl SqlSession {
                 .map(|c| Column::nullable(c.name, c.data_type))
                 .collect(),
         )?;
-        self.check_name_free(&name)?;
-        match storage {
-            TableStorage::Row => {
-                self.db.create_table(name, schema)?;
-            }
-            TableStorage::Columnar => {
-                self.columnar
-                    .insert(name.clone(), ColumnarTable::new(name, schema));
-            }
-        }
+        self.db.create_stored(empty_table(name, schema, storage))?;
         Ok(QueryResult::status_only("CREATE TABLE"))
     }
 
@@ -638,10 +513,7 @@ impl SqlSession {
     ) -> Result<QueryResult> {
         // Evaluate all rows before touching the table so a mid-statement
         // error does not leave a partial insert behind.
-        let schema = match self.columnar.get(&table_name) {
-            Some(table) => table.schema().clone(),
-            None => self.db.table(&table_name)?.schema().clone(),
-        };
+        let schema = self.db.stored(&table_name)?.schema().clone();
         let arity = schema.arity();
         let column_indices: Option<Vec<usize>> = match &columns {
             Some(names) => {
@@ -684,10 +556,7 @@ impl SqlSession {
             materialized.push(full_row);
         }
 
-        let count = match self.columnar.get_mut(&table_name) {
-            Some(table) => table.insert_all(materialized)?,
-            None => self.db.insert_rows(&table_name, materialized)?,
-        };
+        let count = self.db.insert_rows(&table_name, materialized)?;
         Ok(QueryResult::status_only(format!("INSERT {count}")))
     }
 
@@ -731,18 +600,7 @@ impl SqlSession {
             // The guard rides into the trainers through the config: deadline
             // or cancellation ends the run at the next epoch boundary.
             let config = self.trainer_config.clone().with_guard(self.guard.clone());
-            // Every analytics function takes the data table as its second
-            // argument; a columnar name routes the call to the columnar
-            // entry point (models still persist into the row-store catalog).
-            let SqlSession { db, columnar, .. } = self;
-            let columnar_source = arg_values
-                .get(1)
-                .and_then(|v| v.as_text())
-                .and_then(|table| columnar.get(table));
-            let result = match columnar_source {
-                Some(source) => execute_analytics_columnar(db, source, config, name, &arg_values),
-                None => execute_analytics(db, config, name, &arg_values),
-            };
+            let result = execute_analytics(&mut self.db, config, name, &arg_values);
             // A run the guard interrupted surfaces as the governance error,
             // not a generic analytics failure.
             return result.map_err(|e| match self.guard.check() {
@@ -777,72 +635,30 @@ impl SqlSession {
         };
         // Split borrows: the table is read-only while the RNG in `ctx` is
         // mutated by RANDOM().
-        let SqlSession {
-            db,
-            columnar,
-            ctx,
-            guard,
-            ..
-        } = self;
+        let SqlSession { db, ctx, guard, .. } = self;
 
         // Filter. Kept rows are the statement's first materialized
         // intermediate, so they are charged against the guard's budget.
-        // Row-store and columnar tables stream through the same TupleScan
-        // surface; the callback-based columnar path threads errors out
-        // through `scan_err` because the closure cannot use `?`.
-        let schema;
+        let source = db.stored(table_name)?;
+        let schema = source.schema().clone();
         let mut rows: Vec<Vec<Value>> = Vec::new();
-        {
-            let source: &dyn TupleScan = match columnar.get(table_name) {
-                Some(table) => {
-                    schema = table.schema().clone();
-                    table
+        scan_guarded(source, guard, |tuple| {
+            let keep = match &select.filter {
+                Some(predicate) => {
+                    let row = RowContext {
+                        schema: &schema,
+                        values: tuple.values(),
+                    };
+                    is_truthy(&evaluate(predicate, Some(row), ctx)?)
                 }
-                None => {
-                    let table = db.table(table_name)?;
-                    schema = table.schema().clone();
-                    table
-                }
+                None => true,
             };
-            let mut scan_err: Option<SqlError> = None;
-            let mut i = 0usize;
-            source.scan_tuples_while(&mut |tuple| {
-                if i.is_multiple_of(GUARD_CHECK_ROWS) {
-                    if let Err(e) = guard.check() {
-                        scan_err = Some(e.into());
-                        return false;
-                    }
-                }
-                i += 1;
-                let keep = match &select.filter {
-                    Some(predicate) => {
-                        let row = RowContext {
-                            schema: &schema,
-                            values: tuple.values(),
-                        };
-                        match evaluate(predicate, Some(row), ctx) {
-                            Ok(value) => is_truthy(&value),
-                            Err(e) => {
-                                scan_err = Some(e);
-                                return false;
-                            }
-                        }
-                    }
-                    None => true,
-                };
-                if keep {
-                    if let Err(e) = guard.reserve(approx_row_bytes(tuple.values())) {
-                        scan_err = Some(e.into());
-                        return false;
-                    }
-                    rows.push(tuple.values().to_vec());
-                }
-                true
-            });
-            if let Some(e) = scan_err {
-                return Err(e);
+            if keep {
+                guard.reserve(approx_row_bytes(tuple.values()))?;
+                rows.push(tuple.values().to_vec());
             }
-        }
+            Ok(())
+        })?;
 
         let has_aggregates = !select.group_by.is_empty()
             || select.items.iter().any(
@@ -1048,6 +864,40 @@ impl SqlSession {
         }
         Ok(keys)
     }
+}
+
+/// An empty table of the layout a `CREATE TABLE [... STORAGE = ...]` asked
+/// for — the one place the executor looks at a layout.
+fn empty_table(name: String, schema: Schema, storage: TableStorage) -> StoredTable {
+    match storage {
+        TableStorage::Row => Table::new(name, schema).into(),
+        TableStorage::Columnar => ColumnarTable::new(name, schema).into(),
+    }
+}
+
+/// Stream `source` in storage order through `visit`, polling `guard` every
+/// [`GUARD_CHECK_ROWS`] rows and stopping at the first error. (`TupleScan`
+/// is callback-based, so the error is threaded out of the closure here,
+/// once, instead of at every call site.)
+fn scan_guarded(
+    source: &StoredTable,
+    guard: &QueryGuard,
+    mut visit: impl FnMut(&Tuple) -> Result<()>,
+) -> Result<()> {
+    let mut outcome = Ok(());
+    let mut i = 0usize;
+    source.scan_tuples_while(&mut |tuple| {
+        if i.is_multiple_of(GUARD_CHECK_ROWS) {
+            if let Err(e) = guard.check() {
+                outcome = Err(e.into());
+                return false;
+            }
+        }
+        i += 1;
+        outcome = visit(tuple);
+        outcome.is_ok()
+    });
+    outcome
 }
 
 /// How `run_reorder` rewrites a table.
@@ -1707,8 +1557,14 @@ mod tests {
             "INSERT INTO points VALUES
                (1, 0.5, 1.0, 'a'), (2, -0.5, -1.0, 'b'), (3, 1.5, 1.0, 'c')",
         );
+        // One catalog: the columnar table is in the database, under its
+        // layout; the typed row accessor refuses it rather than hiding it.
         assert!(session.columnar_table("points").is_some());
-        assert!(!session.database().contains("points"));
+        assert!(session.database().contains("points"));
+        assert!(matches!(
+            session.database().table("points"),
+            Err(StorageError::Unsupported(_))
+        ));
 
         let all = exec(&mut session, "SELECT * FROM points ORDER BY id");
         assert_eq!(all.len(), 3);
@@ -1733,9 +1589,55 @@ mod tests {
             .collect();
         assert_eq!(xs, vec![-0.5, 0.5, 1.5]);
 
+        // The rewrites kept the layout.
+        assert!(session.columnar_table("points").is_some());
+
         exec(&mut session, "DROP TABLE points");
         assert!(session.columnar_table("points").is_none());
+        assert!(!session.database().contains("points"));
         assert!(session.execute("SELECT * FROM points").is_err());
+    }
+
+    #[test]
+    fn registering_over_a_columnar_name_replaces_it() {
+        let mut session = SqlSession::new();
+        exec_script(
+            &mut session,
+            "CREATE TABLE t (x INT) STORAGE = COLUMNAR; INSERT INTO t VALUES (1), (2)",
+        );
+        let schema = Schema::new(vec![Column::nullable("x", DataType::Int)]).unwrap();
+        session.register_table(Table::new("t", schema)).unwrap();
+        // CREATE OR REPLACE: one table named `t`, the row table just registered.
+        assert!(session.columnar_table("t").is_none());
+        assert_eq!(session.database().len(), 1);
+        let n = exec(&mut session, "SELECT COUNT(*) FROM t");
+        assert_eq!(n.single_value(), Some(&Value::Int(0)));
+        exec(&mut session, "DROP TABLE t");
+        assert!(session.execute("SELECT * FROM t").is_err());
+    }
+
+    #[test]
+    fn a_model_named_like_its_columnar_training_table_replaces_it() {
+        let mut session = SqlSession::with_seed(3);
+        exec(
+            &mut session,
+            "CREATE TABLE c (vec DENSE_VEC, label DOUBLE) STORAGE = COLUMNAR",
+        );
+        exec(
+            &mut session,
+            "INSERT INTO c VALUES (ARRAY[2.0, -1.0], 1.0), (ARRAY[-2.0, 1.0], -1.0)",
+        );
+        exec(
+            &mut session,
+            "SELECT LRTrain('c', 'c', 'vec', 'label', 0.2, 3)",
+        );
+        // The model took the name; nothing shadows it and one DROP removes it.
+        assert_eq!(session.database().len(), 1);
+        let model = exec(&mut session, "SELECT * FROM c ORDER BY idx");
+        assert_eq!(model.columns, vec!["idx", "weight"]);
+        assert_eq!(model.len(), 2);
+        exec(&mut session, "DROP TABLE c");
+        assert!(session.database().is_empty());
     }
 
     #[test]
@@ -1835,19 +1737,56 @@ mod tests {
     }
 
     #[test]
-    fn sequence_analytics_over_columnar_is_a_clear_error() {
-        let mut session = SqlSession::new();
-        exec(
-            &mut session,
-            "CREATE TABLE seqs (s SEQUENCE) STORAGE = COLUMNAR",
-        );
-        let err = session
-            .execute("SELECT CRFTrain('m', 'seqs', 's')")
-            .unwrap_err();
-        assert!(
-            err.to_string().contains("not supported over columnar"),
-            "{err}"
-        );
+    fn sequence_and_factorization_analytics_match_across_layouts_bit_for_bit() {
+        use bismarck_linalg::SparseVector;
+        let run = |storage: &str| {
+            let mut session = SqlSession::with_seed(5);
+            let schema = Schema::new(vec![Column::new("s", DataType::Sequence)]).unwrap();
+            let mut seqs = Table::new("seqs", schema);
+            for i in 0..12usize {
+                let sequence = (0..5)
+                    .map(|p| {
+                        let label = (i + p) % 2;
+                        let features = vec![(label, 1.0), (2 + (i + p) % 3, 0.5)];
+                        (SparseVector::from_pairs(features), label as u32)
+                    })
+                    .collect();
+                seqs.insert(vec![Value::Sequence(sequence)]).unwrap();
+            }
+            session.register_table(seqs).unwrap();
+            let ratings: Vec<String> = (0..30)
+                .map(|i| {
+                    format!(
+                        "({}, {}, {})",
+                        i / 5,
+                        i % 5,
+                        (i / 5) as f64 * 0.5 + i as f64
+                    )
+                })
+                .collect();
+            exec_script(
+                &mut session,
+                &format!(
+                    "CREATE TABLE ratings (r INT, c INT, v DOUBLE);
+                     INSERT INTO ratings VALUES {};
+                     CREATE TABLE s2 STORAGE = {storage} AS SELECT * FROM seqs;
+                     CREATE TABLE r2 STORAGE = {storage} AS SELECT * FROM ratings;
+                     SELECT CRFTrain('crf', 's2', 's', 0.3, 4);
+                     SELECT LMFTrain('lmf', 'r2', 'r', 'c', 'v', 6, 5, 2, 0.001, 4)",
+                    ratings.join(", ")
+                ),
+            );
+            assert_eq!(
+                session.columnar_table("s2").is_some(),
+                storage == "COLUMNAR"
+            );
+            let crf = exec(&mut session, "SELECT * FROM crf ORDER BY idx").rows;
+            let lmf = exec(&mut session, "SELECT * FROM lmf ORDER BY idx").rows;
+            let labels = exec(&mut session, "SELECT CRFPredict('crf', 's2', 's')").rows;
+            assert!(crf.len() > 1 && lmf.len() > 1 && labels.len() == 12);
+            (crf, lmf, labels)
+        };
+        assert_eq!(run("ROW"), run("COLUMNAR"));
     }
 
     #[test]

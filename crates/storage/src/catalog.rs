@@ -14,11 +14,12 @@
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
-use crate::codec::{push_row, push_schema, push_string, read_row, read_schema, Reader};
+use crate::codec::{push_row, push_string, read_row, read_schema, Reader};
 use crate::durable;
 use crate::error::StorageError;
 use crate::schema::Schema;
 use crate::snapshot;
+use crate::stored::{Decoded, StoredTable, KIND_ROW};
 use crate::table::Table;
 use crate::value::Value;
 use crate::wal::{self, WalWriter};
@@ -32,10 +33,18 @@ pub const SNAPSHOT_FILE: &str = "catalog.snap";
 /// Default WAL size (bytes) that triggers a compaction into a snapshot.
 pub const DEFAULT_COMPACT_THRESHOLD: u64 = 1 << 20;
 
-const OP_CREATE: u8 = 1;
+/// `CREATE` of an empty row table, as written before tables carried a layout
+/// (replayed, never written).
+const OP_CREATE_ROW: u8 = 1;
 const OP_DROP: u8 = 2;
 const OP_INSERT: u8 = 3;
-const OP_REGISTER: u8 = 4;
+/// `REGISTER` of a row table, as written before tables carried a layout
+/// (replayed, never written).
+const OP_REGISTER_ROW: u8 = 4;
+/// Add a table (layout byte + encoding); the name must be free.
+const OP_CREATE: u8 = 5;
+/// Add or replace a table (layout byte + encoding).
+const OP_REGISTER: u8 = 6;
 
 /// What [`Database::open`] reconstructed from disk — surfaced up through
 /// `SqlSession::open` so operators can see what a restart recovered.
@@ -78,15 +87,22 @@ struct DurabilityState {
     compact_threshold: u64,
 }
 
-/// An in-process database: a catalog of heap tables.
+/// An in-process database: a catalog of stored tables.
 ///
 /// This is the object the Bismarck front-ends (`LogisticRegressionTrain`,
 /// `SvmTrain`, ...) operate on: they read a training table from the catalog
 /// and persist the learned model back into it as a new table, mirroring the
 /// paper's `SELECT SVMTrain('myModel', 'LabeledPapers', 'vec', 'label')`.
+///
+/// Every table, whatever its physical layout, lives in this one map and goes
+/// through the same log: a table's layout is recorded with it, so a columnar
+/// table is logged, compacted and replayed exactly like a row table. A
+/// *paged* columnar table is recorded by reference (name, directory, cache
+/// size) — its segment files are already its durability — so dropping it
+/// detaches it without deleting those files.
 #[derive(Debug, Default)]
 pub struct Database {
-    tables: BTreeMap<String, Table>,
+    tables: BTreeMap<String, StoredTable>,
     durability: Option<DurabilityState>,
 }
 
@@ -155,6 +171,13 @@ impl Database {
             }
         };
 
+        // Paged references are opened only now: one that a later record
+        // dropped or replaced no longer needs its directory.
+        let tables = tables
+            .into_iter()
+            .map(|(name, table)| Ok((name, table.open()?)))
+            .collect::<Result<BTreeMap<_, _>, StorageError>>()?;
+
         let report = RecoveryReport {
             tables_restored: tables.len(),
             records_replayed,
@@ -187,10 +210,14 @@ impl Database {
         }
     }
 
-    /// Append one operation to the WAL (fsynced) before it is applied.
-    fn log_op(&mut self, op: &[u8]) -> Result<(), StorageError> {
+    /// Append one operation to the WAL (fsynced) before it is applied. The
+    /// record is only built when there is a log to append it to.
+    fn log_op(
+        &mut self,
+        encode: impl FnOnce() -> Result<Vec<u8>, StorageError>,
+    ) -> Result<(), StorageError> {
         match self.durability.as_mut() {
-            Some(d) => d.wal.append(op).map(|_lsn| ()),
+            Some(d) => d.wal.append(&encode()?).map(|_lsn| ()),
             None => Ok(()),
         }
     }
@@ -221,87 +248,101 @@ impl Database {
         }
     }
 
-    /// Create a table with the given schema; fails if the name is taken.
-    ///
-    /// On a durable catalog, note that mutating the returned `&mut Table`
-    /// directly bypasses the log — use [`Database::insert_rows`] for logged
-    /// row ingest.
+    /// Create an empty row-store table; fails if the name is taken.
     pub fn create_table(
         &mut self,
         name: impl Into<String>,
         schema: Schema,
-    ) -> Result<&mut Table, StorageError> {
-        let name = name.into();
-        if self.tables.contains_key(&name) {
-            return Err(StorageError::TableExists(name));
-        }
-        self.log_op(&encode_create(&name, &schema))?;
-        let table = Table::new(name.clone(), schema);
-        self.tables.insert(name.clone(), table);
-        self.maybe_compact();
-        Ok(self.tables.get_mut(&name).expect("table was just inserted"))
+    ) -> Result<(), StorageError> {
+        self.create_stored(Table::new(name, schema))
     }
 
-    /// Register an already-built table (e.g. from a dataset generator or a
-    /// trained model); replaces any table of the same name, mirroring
-    /// `CREATE OR REPLACE`. On a durable catalog the full table contents are
-    /// logged, which is how trained models survive restarts.
-    pub fn register_table(&mut self, table: Table) -> Result<(), StorageError> {
-        self.log_op(&encode_register(&table))?;
+    /// Add an already-built table of any layout; fails if the name is taken.
+    pub fn create_stored(&mut self, table: impl Into<StoredTable>) -> Result<(), StorageError> {
+        let table = table.into();
+        if self.tables.contains_key(table.name()) {
+            return Err(StorageError::TableExists(table.name().to_string()));
+        }
+        self.put(OP_CREATE, table)
+    }
+
+    /// Register an already-built table of any layout (e.g. from a dataset
+    /// generator, a trained model, or a paged columnar table built from
+    /// Rust); replaces any table of the same name, mirroring `CREATE OR
+    /// REPLACE`. On a durable catalog the full table contents are logged —
+    /// which is how trained models survive restarts — except for a paged
+    /// table, which is flushed and logged by reference.
+    pub fn register_table(&mut self, table: impl Into<StoredTable>) -> Result<(), StorageError> {
+        self.put(OP_REGISTER, table.into())
+    }
+
+    fn put(&mut self, tag: u8, mut table: StoredTable) -> Result<(), StorageError> {
+        if self.is_durable() {
+            // A by-reference record promises the directory holds every row.
+            table.flush()?;
+        }
+        self.log_op(|| {
+            let mut op = vec![tag];
+            table.encode(&mut op)?;
+            Ok(op)
+        })?;
         self.tables.insert(table.name().to_string(), table);
         self.maybe_compact();
         Ok(())
     }
 
-    /// Validate and append a batch of rows to a table, write-ahead logging
-    /// the batch as one record. Either every row is accepted or none is.
+    /// Validate and append a batch of rows to a table. Either every row is
+    /// accepted or none is. The batch is write-ahead logged as one record —
+    /// except into a paged table, whose own segment files are its
+    /// durability: there the rows are inserted and flushed to its directory.
     pub fn insert_rows(
         &mut self,
         name: &str,
         rows: Vec<Vec<Value>>,
     ) -> Result<usize, StorageError> {
-        let table = self
-            .tables
-            .get(name)
-            .ok_or_else(|| StorageError::UnknownTable(name.to_string()))?;
+        let table = self.stored(name)?;
         for row in &rows {
             table.schema().validate(row)?;
         }
         if rows.is_empty() {
             return Ok(0);
         }
-        self.log_op(&encode_insert(name, &rows))?;
+        let paged = table.paged_location().is_some();
+        if !paged {
+            self.log_op(|| Ok(encode_insert(name, &rows)))?;
+        }
         let table = self.tables.get_mut(name).expect("existence checked above");
-        let count = rows.len();
-        for row in rows {
-            table.insert(row).expect("row was validated above");
+        let count = table.insert_all(rows)?;
+        if paged {
+            table.flush()?;
         }
         self.maybe_compact();
         Ok(count)
     }
 
-    /// Look up a table by name.
-    pub fn table(&self, name: &str) -> Result<&Table, StorageError> {
+    /// Look up a table of any layout by name.
+    pub fn stored(&self, name: &str) -> Result<&StoredTable, StorageError> {
         self.tables
             .get(name)
             .ok_or_else(|| StorageError::UnknownTable(name.to_string()))
     }
 
-    /// Mutable lookup by name. On a durable catalog, mutations made through
-    /// this reference bypass the log; prefer [`Database::insert_rows`] /
-    /// [`Database::register_table`] for changes that must survive a restart.
-    pub fn table_mut(&mut self, name: &str) -> Result<&mut Table, StorageError> {
-        self.tables
-            .get_mut(name)
-            .ok_or_else(|| StorageError::UnknownTable(name.to_string()))
+    /// Look up a **row-store** table by name (the typed accessor for code
+    /// that needs `Table`'s borrowing iterators); a columnar table of that
+    /// name is [`StorageError::Unsupported`] — read it through
+    /// [`Database::stored`].
+    pub fn table(&self, name: &str) -> Result<&Table, StorageError> {
+        self.stored(name)?.as_row().ok_or_else(|| {
+            StorageError::Unsupported(format!("table '{name}' is columnar, not a row-store table"))
+        })
     }
 
     /// Remove a table; returns it if present.
-    pub fn drop_table(&mut self, name: &str) -> Result<Table, StorageError> {
+    pub fn drop_table(&mut self, name: &str) -> Result<StoredTable, StorageError> {
         if !self.tables.contains_key(name) {
             return Err(StorageError::UnknownTable(name.to_string()));
         }
-        self.log_op(&encode_drop(name))?;
+        self.log_op(|| Ok(encode_drop(name)))?;
         let table = self.tables.remove(name).expect("existence checked above");
         self.maybe_compact();
         Ok(table)
@@ -310,6 +351,11 @@ impl Database {
     /// Whether a table exists.
     pub fn contains(&self, name: &str) -> bool {
         self.tables.contains_key(name)
+    }
+
+    /// Every table, in name order.
+    pub fn tables(&self) -> impl Iterator<Item = &StoredTable> {
+        self.tables.values()
     }
 
     /// Names of all tables, sorted.
@@ -330,18 +376,11 @@ impl Database {
 
 fn compact_state(
     d: &mut DurabilityState,
-    tables: &BTreeMap<String, Table>,
+    tables: &BTreeMap<String, StoredTable>,
 ) -> Result<(), StorageError> {
     let last_lsn = d.wal.next_lsn() - 1;
     snapshot::write(&d.snapshot_path, last_lsn, tables.values())?;
     d.wal.reset()
-}
-
-fn encode_create(name: &str, schema: &Schema) -> Vec<u8> {
-    let mut op = vec![OP_CREATE];
-    push_string(&mut op, name);
-    push_schema(&mut op, schema);
-    op
 }
 
 fn encode_drop(name: &str) -> Vec<u8> {
@@ -360,34 +399,34 @@ fn encode_insert(name: &str, rows: &[Vec<Value>]) -> Vec<u8> {
     op
 }
 
-fn encode_register(table: &Table) -> Vec<u8> {
-    let mut op = vec![OP_REGISTER];
-    push_string(&mut op, table.name());
-    push_schema(&mut op, table.schema());
-    op.extend_from_slice(&(table.len() as u64).to_le_bytes());
-    for tuple in table.scan() {
-        push_row(&mut op, tuple.values());
-    }
-    op
-}
-
 /// Apply one replayed WAL operation. Inconsistencies (creating a table that
 /// exists, dropping or inserting into one that does not) mean the log and
 /// the catalog disagree — hard corruption, since the log was the only writer.
-fn apply_op(tables: &mut BTreeMap<String, Table>, op: &[u8]) -> Result<(), StorageError> {
+fn apply_op(tables: &mut BTreeMap<String, Decoded>, op: &[u8]) -> Result<(), StorageError> {
     let corrupt = |msg: String| StorageError::Corrupt(msg);
     let mut r = Reader::new(op);
-    match r.u8()? {
-        OP_CREATE => {
-            let name = r.string()?;
-            let schema = read_schema(&mut r)?;
+    let tag = r.u8()?;
+    match tag {
+        OP_CREATE_ROW | OP_REGISTER_ROW | OP_CREATE | OP_REGISTER => {
+            let table = if tag == OP_CREATE_ROW {
+                // The old CREATE record ends after the schema: an empty table.
+                Decoded::Resident(Table::new(r.string()?, read_schema(&mut r)?).into())
+            } else {
+                let kind = if tag == OP_REGISTER_ROW {
+                    KIND_ROW
+                } else {
+                    r.u8()?
+                };
+                StoredTable::decode(&mut r, kind)?
+            };
             r.finish()?;
-            if tables.contains_key(&name) {
+            if matches!(tag, OP_CREATE_ROW | OP_CREATE) && tables.contains_key(table.name()) {
                 return Err(corrupt(format!(
-                    "replayed CREATE TABLE for already-existing table '{name}'"
+                    "replayed CREATE TABLE for already-existing table '{}'",
+                    table.name()
                 )));
             }
-            tables.insert(name.clone(), Table::new(name, schema));
+            tables.insert(table.name().to_string(), table);
         }
         OP_DROP => {
             let name = r.string()?;
@@ -406,28 +445,15 @@ fn apply_op(tables: &mut BTreeMap<String, Table>, op: &[u8]) -> Result<(), Stora
                 rows.push(read_row(&mut r)?);
             }
             r.finish()?;
-            let table = tables
-                .get_mut(&name)
-                .ok_or_else(|| corrupt(format!("replayed INSERT into unknown table '{name}'")))?;
-            for row in rows {
-                table.insert(row).map_err(|e| {
-                    corrupt(format!("replayed row violates schema of '{name}': {e}"))
-                })?;
-            }
-        }
-        OP_REGISTER => {
-            let name = r.string()?;
-            let schema = read_schema(&mut r)?;
-            let count = r.len_prefix(8)?;
-            let mut table = Table::new(name.clone(), schema);
-            for _ in 0..count {
-                let row = read_row(&mut r)?;
-                table.insert(row).map_err(|e| {
-                    corrupt(format!("replayed row violates schema of '{name}': {e}"))
-                })?;
-            }
-            r.finish()?;
-            tables.insert(name, table);
+            // Inserts into a paged table go to its own files, never the log.
+            let Some(Decoded::Resident(table)) = tables.get_mut(&name) else {
+                return Err(corrupt(format!(
+                    "replayed INSERT into unknown table '{name}'"
+                )));
+            };
+            table
+                .insert_all(rows)
+                .map_err(|e| corrupt(format!("replayed row violates schema of '{name}': {e}")))?;
         }
         tag => return Err(corrupt(format!("unknown WAL operation tag {tag}"))),
     }
@@ -479,10 +505,7 @@ mod tests {
     fn register_replaces() {
         let mut db = Database::new();
         db.create_table("t", schema()).unwrap();
-        db.table_mut("t")
-            .unwrap()
-            .insert(vec![Value::Int(1)])
-            .unwrap();
+        db.insert_rows("t", vec![vec![Value::Int(1)]]).unwrap();
         let replacement = Table::new("t", schema());
         db.register_table(replacement).unwrap();
         assert_eq!(db.table("t").unwrap().len(), 0);
@@ -580,6 +603,18 @@ mod tests {
             Some(41)
         );
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn in_memory_catalog_never_builds_log_records() {
+        let mut db = Database::new();
+        let encoded = std::cell::Cell::new(false);
+        db.log_op(|| {
+            encoded.set(true);
+            Ok(Vec::new())
+        })
+        .unwrap();
+        assert!(!encoded.get());
     }
 
     #[test]

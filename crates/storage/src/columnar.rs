@@ -293,6 +293,15 @@ impl ColumnarTable {
         }
     }
 
+    /// `(directory, cache size in segments)` of the paged backing; `None`
+    /// for in-memory tables.
+    pub fn paged_location(&self) -> Option<(&Path, usize)> {
+        match &self.backing {
+            Backing::Memory(_) => None,
+            Backing::Paged { pager, .. } => Some((pager.dir(), pager.capacity())),
+        }
+    }
+
     fn sealed_count(&self) -> usize {
         match &self.backing {
             Backing::Memory(segments) => segments.len(),

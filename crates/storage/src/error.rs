@@ -45,6 +45,9 @@ pub enum StorageError {
     /// On-disk durability state (WAL or snapshot) is damaged beyond what
     /// crash recovery is allowed to repair silently.
     Corrupt(String),
+    /// The operation does not apply to the table's physical layout (message
+    /// says which and why).
+    Unsupported(String),
 }
 
 impl std::fmt::Display for StorageError {
@@ -75,6 +78,7 @@ impl std::fmt::Display for StorageError {
             StorageError::Parse(msg) => write!(f, "parse error: {msg}"),
             StorageError::Io(msg) => write!(f, "storage I/O error: {msg}"),
             StorageError::Corrupt(msg) => write!(f, "storage corruption: {msg}"),
+            StorageError::Unsupported(msg) => write!(f, "unsupported: {msg}"),
         }
     }
 }

@@ -10,8 +10,9 @@
 //! 3. optional **shared memory** managed in user space so a model can be
 //!    updated concurrently by several workers.
 //!
-//! This crate provides exactly those facilities as a library: a catalog of
-//! paged row-store tables, scan iterators honouring storage order or a random
+//! This crate provides exactly those facilities as a library: one catalog of
+//! stored tables (row-store or columnar — layout is a property of a table,
+//! see [`StoredTable`]), scan iterators honouring storage order or a random
 //! permutation, table segmentation for shared-nothing execution, reservoir
 //! sampling, a strawman NULL aggregate used to measure framework overhead,
 //! and an atomically-updatable shared model region.
@@ -43,6 +44,7 @@ pub mod scan;
 pub mod schema;
 pub mod shared;
 mod snapshot;
+pub mod stored;
 pub mod table;
 pub mod tuple;
 pub mod value;
@@ -59,6 +61,7 @@ pub use crate::reservoir::ReservoirSampler;
 pub use crate::scan::{segment_ranges, ScanOrder, TupleScan};
 pub use crate::schema::{Column, DataType, Schema};
 pub use crate::shared::SharedModel;
+pub use crate::stored::StoredTable;
 pub use crate::table::Table;
 pub use crate::tuple::Tuple;
 pub use crate::value::Value;

@@ -216,6 +216,11 @@ impl Pager {
         &self.dir
     }
 
+    /// Maximum number of segments held in memory.
+    pub fn capacity(&self) -> usize {
+        self.capacity
+    }
+
     fn seg_path(&self, idx: usize) -> PathBuf {
         self.dir.join(format!("seg-{idx:06}.col"))
     }

@@ -12,13 +12,17 @@
 //!
 //! ```text
 //! [0..4)   magic b"BSNP"
-//! [4..8)   format version (u32), currently 1
+//! [4..8)   format version (u32), currently 2
 //! [8..n-8) payload:
 //!            u64 last LSN incorporated
 //!            u64 table count, then per table:
-//!              name (length-prefixed UTF-8), schema, u64 row count, rows
+//!              a layout byte and the table's encoding (`crate::stored`):
+//!              by value for in-memory tables, by reference for paged ones
 //! [n-8..n) FNV-1a 64-bit checksum of the payload
 //! ```
+//!
+//! Version 1 (written before tables carried a layout) has no layout byte:
+//! every table is a row table. It is still read, never written.
 //!
 //! Snapshots are written exclusively through [`crate::durable::atomic_write`],
 //! so the file under the snapshot path is always a complete generation.
@@ -26,40 +30,38 @@
 use std::path::Path;
 
 use crate::checkpoint::fnv1a64;
-use crate::codec::{push_row, push_schema, push_string, read_row, read_schema, Reader};
+use crate::codec::Reader;
 use crate::durable;
 use crate::error::StorageError;
-use crate::table::Table;
+use crate::stored::{Decoded, StoredTable, KIND_ROW};
 
 /// Magic bytes identifying a Bismarck catalog snapshot.
 pub const SNAPSHOT_MAGIC: [u8; 4] = *b"BSNP";
 
 /// Current snapshot format version.
-pub const SNAPSHOT_VERSION: u32 = 1;
+pub const SNAPSHOT_VERSION: u32 = 2;
 
 /// A decoded snapshot: the catalog state as of `last_lsn`.
 #[derive(Debug)]
 pub(crate) struct Snapshot {
     /// LSN of the last WAL record this snapshot incorporates (0 = none).
     pub(crate) last_lsn: u64,
-    /// The tables, in encoding order.
-    pub(crate) tables: Vec<Table>,
+    /// The tables, in encoding order (paged references still unopened).
+    pub(crate) tables: Vec<Decoded>,
 }
 
 /// Serialize the catalog (`last_lsn` plus every table) into snapshot bytes.
-pub(crate) fn encode<'a>(last_lsn: u64, tables: impl Iterator<Item = &'a Table>) -> Vec<u8> {
+pub(crate) fn encode<'a>(
+    last_lsn: u64,
+    tables: impl Iterator<Item = &'a StoredTable>,
+) -> Result<Vec<u8>, StorageError> {
     let mut payload = Vec::new();
     payload.extend_from_slice(&last_lsn.to_le_bytes());
     let count_at = payload.len();
     payload.extend_from_slice(&0u64.to_le_bytes());
     let mut count: u64 = 0;
     for table in tables {
-        push_string(&mut payload, table.name());
-        push_schema(&mut payload, table.schema());
-        payload.extend_from_slice(&(table.len() as u64).to_le_bytes());
-        for tuple in table.scan() {
-            push_row(&mut payload, tuple.values());
-        }
+        table.encode(&mut payload)?;
         count += 1;
     }
     payload[count_at..count_at + 8].copy_from_slice(&count.to_le_bytes());
@@ -69,11 +71,11 @@ pub(crate) fn encode<'a>(last_lsn: u64, tables: impl Iterator<Item = &'a Table>)
     bytes.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
     bytes.extend_from_slice(&payload);
     bytes.extend_from_slice(&fnv1a64(&payload).to_le_bytes());
-    bytes
+    Ok(bytes)
 }
 
-/// Decode and validate snapshot bytes. Any damage — bad magic, version,
-/// checksum, or rows that no longer satisfy their schema — is a hard
+/// Decode and validate snapshot bytes (version 1 or 2). Any damage — bad
+/// magic, version, checksum, or rows that no longer satisfy their schema — is a hard
 /// [`StorageError::Corrupt`]: a snapshot is written atomically, so unlike a
 /// WAL tail there is no benign way for it to be partial.
 pub(crate) fn decode(bytes: &[u8]) -> Result<Snapshot, StorageError> {
@@ -85,7 +87,7 @@ pub(crate) fn decode(bytes: &[u8]) -> Result<Snapshot, StorageError> {
         return Err(corrupt("bad magic"));
     }
     let version = u32::from_le_bytes(bytes[4..8].try_into().expect("4B"));
-    if version != SNAPSHOT_VERSION {
+    if !(1..=SNAPSHOT_VERSION).contains(&version) {
         return Err(StorageError::Corrupt(format!(
             "snapshot: unsupported format version {version}"
         )));
@@ -101,17 +103,8 @@ pub(crate) fn decode(bytes: &[u8]) -> Result<Snapshot, StorageError> {
     let table_count = r.len_prefix(1)?;
     let mut tables = Vec::with_capacity(table_count);
     for _ in 0..table_count {
-        let name = r.string()?;
-        let schema = read_schema(&mut r)?;
-        let row_count = r.len_prefix(1)?;
-        let mut table = Table::new(name, schema);
-        for _ in 0..row_count {
-            let row = read_row(&mut r)?;
-            table.insert(row).map_err(|e| {
-                StorageError::Corrupt(format!("snapshot row violates its schema: {e}"))
-            })?;
-        }
-        tables.push(table);
+        let kind = if version == 1 { KIND_ROW } else { r.u8()? };
+        tables.push(StoredTable::decode(&mut r, kind)?);
     }
     r.finish()?;
     Ok(Snapshot { last_lsn, tables })
@@ -121,9 +114,9 @@ pub(crate) fn decode(bytes: &[u8]) -> Result<Snapshot, StorageError> {
 pub(crate) fn write<'a>(
     path: &Path,
     last_lsn: u64,
-    tables: impl Iterator<Item = &'a Table>,
+    tables: impl Iterator<Item = &'a StoredTable>,
 ) -> Result<(), StorageError> {
-    durable::atomic_write(path, &encode(last_lsn, tables))
+    durable::atomic_write(path, &encode(last_lsn, tables)?)
         .map_err(|e| StorageError::Io(format!("write snapshot {}: {e}", path.display())))
 }
 
@@ -142,10 +135,12 @@ pub(crate) fn read(path: &Path) -> Result<Option<Snapshot>, StorageError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scan::TupleScan;
     use crate::schema::{Column, DataType, Schema};
+    use crate::table::Table;
     use crate::value::Value;
 
-    fn sample_table(name: &str, rows: usize) -> Table {
+    fn sample_table(name: &str, rows: usize) -> StoredTable {
         let schema = Schema::new(vec![
             Column::new("id", DataType::Int),
             Column::nullable("w", DataType::Double),
@@ -156,27 +151,34 @@ mod tests {
             t.insert(vec![Value::Int(i as i64), Value::Double(i as f64 * 0.5)])
                 .unwrap();
         }
-        t
+        t.into()
+    }
+
+    fn opened(snap: Snapshot) -> Vec<StoredTable> {
+        snap.tables.into_iter().map(|t| t.open().unwrap()).collect()
     }
 
     #[test]
     fn encode_decode_roundtrip() {
         let a = sample_table("alpha", 3);
         let b = sample_table("beta", 0);
-        let bytes = encode(42, [&a, &b].into_iter());
+        let bytes = encode(42, [&a, &b].into_iter()).unwrap();
         let snap = decode(&bytes).unwrap();
         assert_eq!(snap.last_lsn, 42);
-        assert_eq!(snap.tables.len(), 2);
-        assert_eq!(snap.tables[0].name(), "alpha");
-        assert_eq!(snap.tables[0].len(), 3);
-        assert_eq!(snap.tables[0].get(2).unwrap().get_double(1), Some(1.0));
-        assert_eq!(snap.tables[1].name(), "beta");
-        assert!(snap.tables[1].is_empty());
+        let tables = opened(snap);
+        assert_eq!(tables.len(), 2);
+        assert_eq!(tables[0].name(), "alpha");
+        assert_eq!(tables[0].len(), 3);
+        let mut last = None;
+        tables[0].scan_tuples_range(2, 3, &mut |t| last = t.get_double(1));
+        assert_eq!(last, Some(1.0));
+        assert_eq!(tables[1].name(), "beta");
+        assert!(tables[1].is_empty());
     }
 
     #[test]
     fn empty_catalog_roundtrips() {
-        let snap = decode(&encode(0, std::iter::empty())).unwrap();
+        let snap = decode(&encode(0, std::iter::empty()).unwrap()).unwrap();
         assert_eq!(snap.last_lsn, 0);
         assert!(snap.tables.is_empty());
     }
@@ -184,7 +186,7 @@ mod tests {
     #[test]
     fn any_bit_flip_is_detected() {
         let t = sample_table("t", 2);
-        let good = encode(7, std::iter::once(&t));
+        let good = encode(7, std::iter::once(&t)).unwrap();
         for pos in [0usize, 5, 9, 20, good.len() - 1] {
             let mut bad = good.clone();
             bad[pos] ^= 0x10;
@@ -198,7 +200,7 @@ mod tests {
     #[test]
     fn truncated_snapshot_is_corrupt() {
         let t = sample_table("t", 2);
-        let good = encode(7, std::iter::once(&t));
+        let good = encode(7, std::iter::once(&t)).unwrap();
         assert!(decode(&good[..good.len() - 3]).is_err());
         assert!(decode(&good[..10]).is_err());
         assert!(decode(&[]).is_err());
@@ -215,7 +217,7 @@ mod tests {
         write(&path, 11, std::iter::once(&t)).unwrap();
         let snap = read(&path).unwrap().unwrap();
         assert_eq!(snap.last_lsn, 11);
-        assert_eq!(snap.tables[0].len(), 4);
+        assert_eq!(opened(snap)[0].len(), 4);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

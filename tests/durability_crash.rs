@@ -17,7 +17,8 @@
 use std::path::PathBuf;
 
 use bismarck_storage::{
-    Column, DataType, Database, Schema, StorageError, Value, SNAPSHOT_FILE, WAL_FILE,
+    Column, ColumnarTable, DataType, Database, Schema, StorageError, StoredTable, TupleScan, Value,
+    SNAPSHOT_FILE, WAL_FILE,
 };
 
 fn temp_dir(name: &str) -> PathBuf {
@@ -37,21 +38,23 @@ fn row(i: i64) -> Vec<Value> {
     vec![Value::Int(i)]
 }
 
+/// Every row of a stored table, in scan order.
+fn rows_of(table: &StoredTable) -> Vec<Vec<Value>> {
+    let mut rows = Vec::new();
+    table.scan_tuples(&mut |tuple| rows.push(tuple.values().to_vec()));
+    rows
+}
+
 /// A comparable description of the full catalog contents: sorted table
-/// names, each with every row in scan order. (Only the fault-injection
-/// crash matrix compares whole states; hence the cfg_attr.)
-#[cfg_attr(not(feature = "fault-injection"), allow(dead_code))]
-fn fingerprint(db: &Database) -> Vec<(String, Vec<Vec<Value>>)> {
-    db.table_names()
-        .into_iter()
-        .map(|name| {
-            let rows = db
-                .table(&name)
-                .unwrap()
-                .scan()
-                .map(|tuple| tuple.values().to_vec())
-                .collect();
-            (name, rows)
+/// names, each with its layout (chunk capacity of a columnar table) and
+/// every row in scan order.
+type Fingerprint = Vec<(String, Option<usize>, Vec<Vec<Value>>)>;
+
+fn fingerprint(db: &Database) -> Fingerprint {
+    db.tables()
+        .map(|table| {
+            let chunk_capacity = table.as_columnar().map(ColumnarTable::chunk_capacity);
+            (table.name().to_string(), chunk_capacity, rows_of(table))
         })
         .collect()
 }
@@ -272,6 +275,191 @@ fn train_restart_predict_roundtrip() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// The unified catalog through the SQL surface: a `STORAGE = COLUMNAR` table
+/// created, filled, copied and shuffled by SQL text — and one built in Rust
+/// and registered — survives `SqlSession::open` — and a forced `compact()` —
+/// with its layout, chunk capacity, its rows tuple-for-tuple, and
+/// bit-identical retrained weights.
+#[test]
+fn sql_created_columnar_tables_survive_reopen_and_compaction() {
+    use bismarck_sql::SqlSession;
+
+    let dir = temp_dir("sql-columnar");
+    let train = "SELECT LRTrain('m', 'dcopy', 'vec', 'label', 0.2, 4)";
+    let weights = |session: &mut SqlSession| {
+        session.execute(train).expect("training");
+        session
+            .execute("SELECT weight FROM m ORDER BY idx")
+            .expect("weights")
+            .rows
+    };
+
+    let (catalog_before, weights_before) = {
+        let mut session = SqlSession::open(&dir).unwrap();
+        session
+            .execute("CREATE TABLE d (id INT, vec DENSE_VEC, label DOUBLE) STORAGE = COLUMNAR")
+            .unwrap();
+        let values: Vec<String> = (0..40)
+            .map(|i| {
+                let y = if i % 2 == 0 { 1.0 } else { -1.0 };
+                format!("({i}, ARRAY[{}, {}], {y})", y * 2.0 + i as f64 * 0.01, -y)
+            })
+            .collect();
+        session
+            .execute(&format!("INSERT INTO d VALUES {}", values.join(", ")))
+            .unwrap();
+        session
+            .execute("CREATE TABLE dcopy STORAGE = COLUMNAR AS SELECT * FROM d WHERE id < 30")
+            .unwrap();
+        session.execute("SHUFFLE TABLE dcopy SEED 9").unwrap();
+        let mut registered = ColumnarTable::with_chunk_capacity("reg", schema(), 4);
+        registered.insert_all((0..10).map(row)).unwrap();
+        session.register_columnar_table(registered).unwrap();
+        let weights = weights(&mut session);
+        (fingerprint(session.database()), weights)
+    };
+    assert_eq!(catalog_before.len(), 4, "d, dcopy, reg and the model m");
+
+    for compact_first in [false, true] {
+        let mut session = SqlSession::open(&dir).unwrap();
+        assert_eq!(
+            session.recovery_report().unwrap().snapshot_loaded,
+            compact_first
+        );
+        for name in ["d", "dcopy", "reg"] {
+            assert!(
+                session.columnar_table(name).is_some(),
+                "'{name}' must still be columnar after reopen"
+            );
+        }
+        let reg = session.columnar_table("reg").unwrap();
+        assert_eq!((reg.chunk_capacity(), reg.segment_count()), (4, 3));
+        assert_eq!(fingerprint(session.database()), catalog_before);
+        assert_eq!(weights(&mut session), weights_before, "retrained weights");
+        session.database_mut().compact().unwrap();
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A paged columnar table is attached to a durable catalog *by reference*:
+/// the log holds its name, directory and cache size, its rows stay in its own
+/// segment files, and `DROP` detaches it without touching them.
+#[test]
+fn paged_tables_attach_by_reference_and_drop_detaches() {
+    let dir = temp_dir("paged-catalog");
+    let seg_dir = temp_dir("paged-segments");
+    let wal_len = || std::fs::metadata(dir.join(WAL_FILE)).unwrap().len();
+    {
+        let (mut db, _) = Database::open(&dir).unwrap();
+        let mut paged = ColumnarTable::create_paged("p", schema(), &seg_dir, 4, 2).unwrap();
+        paged.insert_all((0..6).map(row)).unwrap();
+        // Registration flushes the partial tail, so the reference is whole.
+        db.register_table(paged).unwrap();
+        assert!(wal_len() < 200, "a reference, not the rows");
+        // Inserts go to the table's own files, not the log.
+        let before = wal_len();
+        db.insert_rows("p", vec![row(6)]).unwrap();
+        assert_eq!(wal_len(), before);
+        // Its segments are immutable on disk: no physical rewrite.
+        assert!(matches!(
+            db.stored("p").unwrap().empty_like(),
+            Err(StorageError::Unsupported(_))
+        ));
+    }
+    // First from the log, then — after compacting — from the snapshot.
+    for from_snapshot in [false, true] {
+        let (mut db, report) = Database::open(&dir).unwrap();
+        assert_eq!(report.snapshot_loaded, from_snapshot);
+        let p = db.stored("p").unwrap();
+        assert_eq!(
+            p.as_columnar().and_then(ColumnarTable::paged_location),
+            Some((seg_dir.as_path(), 2))
+        );
+        assert_eq!(rows_of(p), (0..7).map(row).collect::<Vec<_>>());
+        db.compact().unwrap();
+    }
+    // DROP detaches: the files stay, and a log that still mentions the
+    // table replays even after they are gone.
+    {
+        let (mut db, _) = Database::open(&dir).unwrap();
+        db.register_table(ColumnarTable::open_paged(&seg_dir, 2).unwrap())
+            .unwrap();
+        db.drop_table("p").unwrap();
+        assert!(ColumnarTable::open_paged(&seg_dir, 2).is_ok());
+    }
+    std::fs::remove_dir_all(&seg_dir).unwrap();
+    let (db, report) = Database::open(&dir).unwrap();
+    assert!(report.records_replayed >= 2);
+    assert!(db.is_empty());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A directory written by the commit *before* tables carried a layout —
+/// snapshot version 1, WAL tags 1–4, bytes embedded below — must still open,
+/// with every table a row table.
+#[test]
+fn directory_written_before_layouts_still_opens() {
+    // Written by: create `snapped`, insert 2 rows, compact; then (WAL only)
+    // create `t`, insert 1 row, register `model` (1 row), create + drop `gone`.
+    const SNAP_V1: &str = "42534e5001000000020000000000000001000000000000000700000000000000\
+        736e6170706564020000000000000002000000000000006964000001000000000000007701010200\
+        000000000000020000000000000001010000000000000002000000000000e03f0200000000000000\
+        01020000000000000000d1f1a10e7b19d181";
+    const WAL_TAGS_1_TO_4: &str = "4257414c0100000031000000030000000000000001010000000000\
+        00007402000000000000000200000000000000696400000100000000000000770101eba54fc7f548\
+        68f9340000000400000000000000030100000000000000740100000000000000020000000000000001\
+        070000000000000002000000000000f4bfa5deaa1191fb3c795700000005000000000000000405000000\
+        000000006d6f64656c02000000000000000200000000000000696400000100000000000000770101\
+        01000000000000000200000000000000010000000000000000020000000000000840e16322cf640b\
+        a308340000000600000000000000010400000000000000676f6e65020000000000000002000000000000\
+        00696400000100000000000000770101f083f88c820242a415000000070000000000000002040000\
+        0000000000676f6e651340a822f1f04de1";
+    fn unhex(text: &str) -> Vec<u8> {
+        let digits: Vec<u8> = text.bytes().filter(u8::is_ascii_hexdigit).collect();
+        digits
+            .chunks(2)
+            .map(|pair| u8::from_str_radix(std::str::from_utf8(pair).unwrap(), 16).unwrap())
+            .collect()
+    }
+
+    let dir = temp_dir("pre-layout");
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(dir.join(SNAPSHOT_FILE), unhex(SNAP_V1)).unwrap();
+    std::fs::write(dir.join(WAL_FILE), unhex(WAL_TAGS_1_TO_4)).unwrap();
+
+    let (mut db, report) = Database::open(&dir).unwrap();
+    assert!(report.snapshot_loaded);
+    assert_eq!(report.records_replayed, 5);
+    assert_eq!(report.bytes_truncated, 0);
+    assert_eq!(db.table_names(), vec!["model", "snapped", "t"]);
+    assert!(db.tables().all(|t| t.as_row().is_some()));
+    assert_eq!(
+        rows_of(db.stored("snapped").unwrap()),
+        vec![
+            vec![Value::Int(1), Value::Double(0.5)],
+            vec![Value::Int(2), Value::Null],
+        ]
+    );
+    assert_eq!(
+        rows_of(db.stored("t").unwrap()),
+        vec![vec![Value::Int(7), Value::Double(-1.25)]]
+    );
+    assert_eq!(
+        rows_of(db.stored("model").unwrap()),
+        vec![vec![Value::Int(0), Value::Double(3.0)]]
+    );
+
+    // The old log keeps accepting appends, and compaction rewrites the
+    // snapshot in the current version without losing anything.
+    db.insert_rows("t", vec![vec![Value::Int(8), Value::Null]])
+        .unwrap();
+    let before = fingerprint(&db);
+    db.compact().unwrap();
+    drop(db);
+    assert_eq!(fingerprint(&Database::open(&dir).unwrap().0), before);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// Byte-granular crash injection: only compiled with `--features
 /// fault-injection` (forwarded to `bismarck-storage`).
 #[cfg(feature = "fault-injection")]
@@ -306,12 +494,23 @@ mod crash_matrix {
             |db| db.insert_rows("t", vec![row(3)]).map(|_| ()),
             |db| db.drop_table("model").map(|_| ()),
             |db| db.create_table("u", schema()).map(|_| ()),
+            // The same three logged operations over the columnar layout.
+            |db| db.create_stored(ColumnarTable::with_chunk_capacity("c", schema(), 2)),
+            |db| {
+                db.insert_rows("c", vec![row(4), row(5), row(6)])
+                    .map(|_| ())
+            },
+            |db| {
+                let mut registered = ColumnarTable::new("cr", schema());
+                registered.insert(row(11)).unwrap();
+                db.register_table(registered)
+            },
         ]
     }
 
     /// Every catalog state some prefix of the scenario's operations
     /// explains, computed against a plain in-memory database.
-    fn prefix_states() -> Vec<Vec<(String, Vec<Vec<Value>>)>> {
+    fn prefix_states() -> Vec<Fingerprint> {
         let mut db = Database::new();
         let mut states = vec![fingerprint(&db)];
         for op in ops() {
