@@ -28,6 +28,33 @@ fn corrupt(msg: impl Into<String>) -> StorageError {
     StorageError::Corrupt(msg.into())
 }
 
+/// Append `xs` as a u64 count, then every element's `W` little-endian bytes.
+fn push_le_array<T: Copy, const W: usize>(
+    out: &mut Vec<u8>,
+    xs: &[T],
+    to_le: impl Fn(T) -> [u8; W],
+) {
+    out.extend_from_slice(&(xs.len() as u64).to_le_bytes());
+    let start = out.len();
+    out.resize(start + xs.len() * W, 0);
+    for (bytes, &x) in out[start..].chunks_exact_mut(W).zip(xs) {
+        bytes.copy_from_slice(&to_le(x));
+    }
+}
+
+/// Inverse of [`push_le_array`]: one bounds check and one bulk conversion
+/// per array instead of one of each per value.
+fn read_le_array<T, const W: usize>(
+    r: &mut Reader<'_>,
+    from_le: impl Fn([u8; W]) -> T,
+) -> Result<Vec<T>, StorageError> {
+    let n = r.len_prefix(W)?;
+    let elements = r.take(n * W)?.chunks_exact(W);
+    Ok(elements
+        .map(|bytes| from_le(bytes.try_into().expect("chunks_exact yields W bytes")))
+        .collect())
+}
+
 /// One bit per row: set when the slot holds a real value, clear for NULL.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ValidityBitmap {
@@ -76,9 +103,7 @@ impl ValidityBitmap {
 
     fn encode(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&(self.len as u64).to_le_bytes());
-        for word in &self.words {
-            out.extend_from_slice(&word.to_le_bytes());
-        }
+        out.extend(self.words.iter().flat_map(|word| word.to_le_bytes()));
     }
 
     fn decode(r: &mut Reader<'_>) -> Result<Self, StorageError> {
@@ -87,10 +112,10 @@ impl ValidityBitmap {
         if words_needed > r.remaining() / 8 {
             return Err(corrupt("validity bitmap longer than its record"));
         }
-        let mut words = Vec::with_capacity(words_needed);
-        for _ in 0..words_needed {
-            words.push(r.u64()?);
-        }
+        let words = r.take(words_needed * 8)?.chunks_exact(8);
+        let words = words
+            .map(|w| u64::from_le_bytes(w.try_into().expect("8B")))
+            .collect();
         Ok(ValidityBitmap { words, len })
     }
 }
@@ -460,25 +485,10 @@ impl ColumnChunk {
 
     /// Append this chunk's binary encoding (tag, row count, layout payload).
     pub(crate) fn encode(&self, out: &mut Vec<u8>) {
-        let push_u32s = |out: &mut Vec<u8>, xs: &[u32]| {
-            out.extend_from_slice(&(xs.len() as u64).to_le_bytes());
-            for x in xs {
-                out.extend_from_slice(&x.to_le_bytes());
-            }
-        };
-        let push_f64s = |out: &mut Vec<u8>, xs: &[f64]| {
-            out.extend_from_slice(&(xs.len() as u64).to_le_bytes());
-            for x in xs {
-                out.extend_from_slice(&x.to_bits().to_le_bytes());
-            }
-        };
         match self {
             ColumnChunk::Int { data, validity } => {
                 out.push(CHUNK_TAG_INT);
-                out.extend_from_slice(&(data.len() as u64).to_le_bytes());
-                for v in data {
-                    out.extend_from_slice(&v.to_le_bytes());
-                }
+                push_le_array(out, data, i64::to_le_bytes);
                 validity.encode(out);
             }
             ColumnChunk::Double {
@@ -487,13 +497,14 @@ impl ColumnChunk {
                 int_rows,
             } => {
                 out.push(CHUNK_TAG_DOUBLE);
-                push_f64s(out, data);
+                push_le_array(out, data, f64::to_le_bytes);
                 validity.encode(out);
-                out.extend_from_slice(&(int_rows.len() as u64).to_le_bytes());
-                for (slot, v) in int_rows {
-                    out.extend_from_slice(&slot.to_le_bytes());
-                    out.extend_from_slice(&v.to_le_bytes());
-                }
+                push_le_array(out, int_rows, |(slot, v)| {
+                    let mut pair = [0u8; 12];
+                    pair[..4].copy_from_slice(&slot.to_le_bytes());
+                    pair[4..].copy_from_slice(&v.to_le_bytes());
+                    pair
+                });
             }
             ColumnChunk::Text {
                 bytes,
@@ -503,7 +514,7 @@ impl ColumnChunk {
                 out.push(CHUNK_TAG_TEXT);
                 out.extend_from_slice(&(bytes.len() as u64).to_le_bytes());
                 out.extend_from_slice(bytes);
-                push_u32s(out, offsets);
+                push_le_array(out, offsets, u32::to_le_bytes);
                 validity.encode(out);
             }
             ColumnChunk::Dense {
@@ -512,8 +523,8 @@ impl ColumnChunk {
                 validity,
             } => {
                 out.push(CHUNK_TAG_DENSE);
-                push_f64s(out, data);
-                push_u32s(out, offsets);
+                push_le_array(out, data, f64::to_le_bytes);
+                push_le_array(out, offsets, u32::to_le_bytes);
                 validity.encode(out);
             }
             ColumnChunk::Sparse {
@@ -523,9 +534,9 @@ impl ColumnChunk {
                 validity,
             } => {
                 out.push(CHUNK_TAG_SPARSE);
-                push_u32s(out, indices);
-                push_f64s(out, values);
-                push_u32s(out, offsets);
+                push_le_array(out, indices, u32::to_le_bytes);
+                push_le_array(out, values, f64::to_le_bytes);
+                push_le_array(out, offsets, u32::to_le_bytes);
                 validity.encode(out);
             }
             ColumnChunk::Sequence { rows } => {
@@ -541,22 +552,6 @@ impl ColumnChunk {
     /// Decode one chunk (inverse of [`ColumnChunk::encode`]), validating
     /// offsets so a corrupt file can never cause out-of-bounds reads later.
     pub(crate) fn decode(r: &mut Reader<'_>) -> Result<Self, StorageError> {
-        let read_u32s = |r: &mut Reader<'_>| -> Result<Vec<u32>, StorageError> {
-            let n = r.len_prefix(4)?;
-            let mut xs = Vec::with_capacity(n);
-            for _ in 0..n {
-                xs.push(r.u32()?);
-            }
-            Ok(xs)
-        };
-        let read_f64s = |r: &mut Reader<'_>| -> Result<Vec<f64>, StorageError> {
-            let n = r.len_prefix(8)?;
-            let mut xs = Vec::with_capacity(n);
-            for _ in 0..n {
-                xs.push(r.f64()?);
-            }
-            Ok(xs)
-        };
         let check_offsets = |offsets: &[u32], rows: usize, payload: usize| {
             if offsets.len() != rows + 1
                 || offsets.first() != Some(&0)
@@ -569,11 +564,7 @@ impl ColumnChunk {
         };
         match r.u8()? {
             CHUNK_TAG_INT => {
-                let n = r.len_prefix(8)?;
-                let mut data = Vec::with_capacity(n);
-                for _ in 0..n {
-                    data.push(r.i64()?);
-                }
+                let data = read_le_array(r, i64::from_le_bytes)?;
                 let validity = ValidityBitmap::decode(r)?;
                 if validity.len() != data.len() {
                     return Err(corrupt("int chunk validity length mismatch"));
@@ -581,20 +572,23 @@ impl ColumnChunk {
                 Ok(ColumnChunk::Int { data, validity })
             }
             CHUNK_TAG_DOUBLE => {
-                let data = read_f64s(r)?;
+                let data = read_le_array(r, f64::from_le_bytes)?;
                 let validity = ValidityBitmap::decode(r)?;
                 if validity.len() != data.len() {
                     return Err(corrupt("double chunk validity length mismatch"));
                 }
-                let n = r.len_prefix(12)?;
-                let mut int_rows = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let slot = r.u32()?;
-                    let v = r.i64()?;
-                    if slot as usize >= data.len() {
-                        return Err(corrupt("double chunk int-row slot out of range"));
-                    }
-                    int_rows.push((slot, v));
+                let int_rows = read_le_array(r, |pair: [u8; 12]| {
+                    let (slot, v) = pair.split_at(4);
+                    (
+                        u32::from_le_bytes(slot.try_into().expect("4B")),
+                        i64::from_le_bytes(v.try_into().expect("8B")),
+                    )
+                })?;
+                if int_rows
+                    .iter()
+                    .any(|&(slot, _)| slot as usize >= data.len())
+                {
+                    return Err(corrupt("double chunk int-row slot out of range"));
                 }
                 if int_rows.windows(2).any(|w| w[0].0 >= w[1].0) {
                     return Err(corrupt("double chunk int-rows are not sorted"));
@@ -608,7 +602,7 @@ impl ColumnChunk {
             CHUNK_TAG_TEXT => {
                 let len = r.len_prefix(1)?;
                 let bytes = r.take(len)?.to_vec();
-                let offsets = read_u32s(r)?;
+                let offsets = read_le_array(r, u32::from_le_bytes)?;
                 let validity = ValidityBitmap::decode(r)?;
                 check_offsets(&offsets, validity.len(), bytes.len())?;
                 Ok(ColumnChunk::Text {
@@ -618,8 +612,8 @@ impl ColumnChunk {
                 })
             }
             CHUNK_TAG_DENSE => {
-                let data = read_f64s(r)?;
-                let offsets = read_u32s(r)?;
+                let data = read_le_array(r, f64::from_le_bytes)?;
+                let offsets = read_le_array(r, u32::from_le_bytes)?;
                 let validity = ValidityBitmap::decode(r)?;
                 check_offsets(&offsets, validity.len(), data.len())?;
                 Ok(ColumnChunk::Dense {
@@ -629,9 +623,9 @@ impl ColumnChunk {
                 })
             }
             CHUNK_TAG_SPARSE => {
-                let indices = read_u32s(r)?;
-                let values = read_f64s(r)?;
-                let offsets = read_u32s(r)?;
+                let indices = read_le_array(r, u32::from_le_bytes)?;
+                let values = read_le_array(r, f64::from_le_bytes)?;
+                let offsets = read_le_array(r, u32::from_le_bytes)?;
                 if indices.len() != values.len() {
                     return Err(corrupt("sparse chunk index/value length mismatch"));
                 }

@@ -100,6 +100,20 @@ impl Segment {
         }
     }
 
+    /// A copy of the first `rows` rows (all of them when `rows == len`).
+    fn prefix(&self, rows: usize, schema: &Schema) -> Result<Self, StorageError> {
+        if rows == self.rows {
+            return Ok(self.clone());
+        }
+        let mut prefix = Segment::empty(schema);
+        let mut scratch = Tuple::default();
+        for row in 0..rows {
+            self.read_row_into(row, &mut scratch);
+            prefix.push_row(scratch.values())?;
+        }
+        Ok(prefix)
+    }
+
     /// Approximate in-memory footprint in bytes.
     pub fn approx_bytes(&self) -> usize {
         self.columns.iter().map(ColumnChunk::approx_bytes).sum()
@@ -210,6 +224,14 @@ impl ColumnarTable {
 
     /// Re-open a paged columnar table previously created (and flushed) at
     /// `dir`.
+    ///
+    /// The manifest is the commit point of every multi-file write: a seal or
+    /// flush renames its segment file first and the manifest second, and a
+    /// segment index is only ever rewritten with a superset that keeps its
+    /// rows as a prefix. So after a crash between the two renames the tail
+    /// file may hold *more* rows than the manifest committed — those are cut
+    /// off here — and segment files past the manifest's count are never read.
+    /// A tail file holding *fewer* rows than the manifest is corruption.
     pub fn open_paged(dir: &Path, cache_segments: usize) -> Result<Self, StorageError> {
         let manifest = Manifest::read(dir)?;
         let pager = Pager::create(dir, cache_segments)?;
@@ -223,13 +245,13 @@ impl ColumnarTable {
             // The tail segment is partial: pull it back into the builder so
             // inserts can keep filling it.
             let seg = pager.fetch(segments - 1, segments)?;
-            if seg.len() != tail {
+            if seg.len() < tail {
                 return Err(corrupt(format!(
                     "tail segment holds {} rows, manifest expects {tail}",
                     seg.len()
                 )));
             }
-            (segments - 1, Segment::clone(&seg))
+            (segments - 1, seg.prefix(tail, &manifest.schema)?)
         };
         Ok(ColumnarTable {
             name: manifest.name,
@@ -346,11 +368,14 @@ impl ColumnarTable {
     }
 
     fn seal_open(&mut self) -> Result<(), StorageError> {
-        let full = std::mem::replace(&mut self.open, Segment::empty(&self.schema));
+        let full = Arc::new(std::mem::replace(
+            &mut self.open,
+            Segment::empty(&self.schema),
+        ));
         match &mut self.backing {
-            Backing::Memory(segments) => segments.push(Arc::new(full)),
+            Backing::Memory(segments) => segments.push(full),
             Backing::Paged { pager, sealed } => {
-                pager.write_segment(*sealed, &full)?;
+                pager.write_segment(*sealed, full)?;
                 *sealed += 1;
             }
         }
@@ -382,7 +407,7 @@ impl ColumnarTable {
             return Ok(());
         };
         if !self.open.is_empty() {
-            pager.write_segment(*sealed, &self.open)?;
+            pager.write_file(*sealed, &self.open)?;
         }
         self.write_manifest()
     }
@@ -696,6 +721,67 @@ mod tests {
         for i in 0..n + 10 {
             assert_eq!(t.get(i).unwrap().get_int(0), Some(i as i64), "row {i}");
         }
+    }
+
+    /// The manifest is the commit point of a two-file write: a crash after a
+    /// segment file's rename but before the manifest's leaves a tail file
+    /// holding *more* rows than the manifest committed (and possibly whole
+    /// segment files past it). Opening must land on the manifest's rows, and
+    /// later writes must replace — not resurrect — the uncommitted ones.
+    #[test]
+    fn crash_between_segment_and_manifest_rename_opens_at_the_manifest() {
+        let dir = std::env::temp_dir().join(format!(
+            "bismarck-columnar-test-{}-commit-point",
+            std::process::id()
+        ));
+        std::fs::remove_dir_all(&dir).ok();
+        let (manifest, tail) = (dir.join("columnar.meta"), dir.join("seg-000001.col"));
+        let ids_at = |cache| {
+            let mut ids = Vec::new();
+            let table = ColumnarTable::open_paged(&dir, cache).unwrap();
+            table.scan_tuples(&mut |tuple| ids.push(tuple.get_int(0).unwrap()));
+            ids
+        };
+        let mut t = ColumnarTable::create_paged("t", schema(), &dir, 4, 2).unwrap();
+        t.insert_all((0..6).map(row)).unwrap();
+        t.flush().unwrap();
+        let manifest_of_6 = std::fs::read(&manifest).unwrap();
+        let tail_of_2 = std::fs::read(&tail).unwrap();
+
+        // One more row flushed, then the manifest rename "never happened":
+        // the tail file holds 3 rows, the manifest commits 2 of them.
+        t.insert(row(6)).unwrap();
+        t.flush().unwrap();
+        let manifest_of_7 = std::fs::read(&manifest).unwrap();
+        let tail_of_3 = std::fs::read(&tail).unwrap();
+        std::fs::write(&manifest, &manifest_of_6).unwrap();
+        assert_eq!(ids_at(2), (0..6).collect::<Vec<i64>>());
+
+        // The other direction is no crash state — segment first, manifest
+        // second — so a tail file with fewer rows than committed is corrupt.
+        std::fs::write(&manifest, &manifest_of_7).unwrap();
+        std::fs::write(&tail, &tail_of_2).unwrap();
+        assert!(matches!(
+            ColumnarTable::open_paged(&dir, 2),
+            Err(StorageError::Corrupt(_))
+        ));
+        std::fs::write(&tail, &tail_of_3).unwrap();
+
+        // Two more rows: segment 1 seals and a third file appears. Back at
+        // the 6-row manifest, segment 1 is cut to 2 rows, segment 2 ignored.
+        t.insert_all((7..9).map(row)).unwrap();
+        t.flush().unwrap();
+        drop(t);
+        assert!(dir.join("seg-000002.col").exists());
+        std::fs::write(&manifest, &manifest_of_6).unwrap();
+        let mut t = ColumnarTable::open_paged(&dir, 2).unwrap();
+        assert_eq!(t.len(), 6);
+        // Rows 6..9 were never committed: new rows take their slots.
+        t.insert_all((100..104).map(row)).unwrap();
+        t.flush().unwrap();
+        drop(t);
+        assert_eq!(ids_at(1), (0..6).chain(100..104).collect::<Vec<i64>>());
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //! and then prove that recovery restores a consistent state.
 
 use std::fs::{self, File, OpenOptions};
-use std::io::{self, Read as _, Seek as _, SeekFrom, Write as _};
+use std::io::{self, Read as _, Write as _};
 use std::path::Path;
 
 /// Fault-injection hooks for the durability layer.
@@ -236,14 +236,75 @@ pub fn atomic_write(path: &Path, bytes: &[u8]) -> io::Result<()> {
     Ok(())
 }
 
-/// Read a whole file, routed through the durable layer for symmetry (reads
-/// are not fault points: recovery code must see whatever is on disk).
+/// Read a whole file with one exact-size read, routed through the durable
+/// layer for symmetry (reads are not fault points: recovery code must see
+/// whatever is on disk). Every file read here is either replaced atomically
+/// or owned by this process, so its length cannot change under the read.
 pub fn read_file(path: &Path) -> io::Result<Vec<u8>> {
     let mut file = File::open(path)?;
-    let mut bytes = Vec::new();
-    file.seek(SeekFrom::Start(0))?;
-    file.read_to_end(&mut bytes)?;
+    let len = usize::try_from(file.metadata()?.len())
+        .map_err(|_| io::Error::other("file does not fit in memory"))?;
+    let mut bytes = vec![0; len];
+    file.read_exact(&mut bytes)?;
     Ok(bytes)
+}
+
+const CHECKSUM_SEEDS: [u64; 4] = [
+    0x243F_6A88_85A3_08D3,
+    0x1319_8A2E_0370_7344,
+    0xA409_3822_299F_31D0,
+    0x082E_FA98_EC4E_6C89,
+];
+const CHECKSUM_MUL: u64 = 0x9E37_79B1_85EB_CA87;
+const CHECKSUM_FINAL_MUL: u64 = 0xC2B2_AE3D_27D4_EB4F;
+
+/// One checksum step: absorb `word` into `state`. For a fixed `word` it is a
+/// bijection of `state`, and for a fixed `state` a bijection of `word` (xor,
+/// multiplication by an odd constant and rotation are each invertible).
+#[inline(always)]
+fn checksum_mix(state: u64, word: u64) -> u64 {
+    (state ^ word).wrapping_mul(CHECKSUM_MUL).rotate_left(31)
+}
+
+fn le_word(bytes: &[u8]) -> u64 {
+    let mut word = [0u8; 8];
+    word[..bytes.len()].copy_from_slice(bytes);
+    u64::from_le_bytes(word)
+}
+
+/// 64-bit checksum of `bytes` at memory bandwidth: the checksum of every
+/// paged-table file (frame version 2, see `docs/disk-format.md`).
+///
+/// The input is read as little-endian 8-byte words. Whole 32-byte stripes
+/// feed four independent lanes (word `i` of a stripe goes to lane `i`), so
+/// four multiplies are in flight at once instead of FNV-1a's one byte per
+/// dependent multiply. The lanes are then folded into one state, which
+/// absorbs the remaining whole words, the last partial word (zero-padded)
+/// and finally the input length, and is avalanched.
+///
+/// Guarantee (the one FNV-1a gave, kept): two inputs of equal length that
+/// differ only inside one aligned 8-byte word never share a checksum — the
+/// differing word enters through `checksum_mix`, and every later step is a
+/// bijection of the state it entered. Inputs of different length differ in
+/// the length word; the frame around the payload also checks the exact file
+/// size, so truncation and extension are always detected.
+pub fn checksum64(bytes: &[u8]) -> u64 {
+    let mut lanes = CHECKSUM_SEEDS;
+    let mut stripes = bytes.chunks_exact(32);
+    for stripe in &mut stripes {
+        for (lane, word) in lanes.iter_mut().zip(stripe.chunks_exact(8)) {
+            *lane = checksum_mix(*lane, le_word(word));
+        }
+    }
+    let [first, rest @ ..] = lanes;
+    let mut state = rest.into_iter().fold(first, checksum_mix);
+    for word in stripes.remainder().chunks(8) {
+        state = checksum_mix(state, le_word(word));
+    }
+    state = checksum_mix(state, bytes.len() as u64);
+    state ^= state >> 29;
+    state = state.wrapping_mul(CHECKSUM_FINAL_MUL);
+    state ^ (state >> 32)
 }
 
 #[cfg(test)]
@@ -290,5 +351,54 @@ mod tests {
         atomic_write(&path, b"next").unwrap();
         assert_eq!(read_file(&path).unwrap(), b"next");
         fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Byte `i` of the test pattern is `31 * i + 7 (mod 256)`; the expected
+    /// values were computed by an independent implementation of the
+    /// definition in `docs/disk-format.md`.
+    fn pattern(len: usize) -> Vec<u8> {
+        (0..len).map(|i| (i * 31 + 7) as u8).collect()
+    }
+
+    #[test]
+    fn checksum64_known_answers() {
+        assert_eq!(checksum64(b""), 0x76D7_14F3_5337_2C9D);
+        assert_eq!(checksum64(&[0]), 0xAA98_4B71_FF14_C09D);
+        assert_eq!(checksum64(b"a"), 0xB0DD_642B_3B29_B541);
+        assert_eq!(checksum64(&pattern(31)), 0x7DB4_5014_B869_58C0);
+        assert_eq!(checksum64(&pattern(32)), 0x7FA1_5384_FD30_B06C);
+        assert_eq!(checksum64(&pattern(33)), 0x0B80_468D_9217_F8EA);
+        assert_eq!(checksum64(&pattern(1 << 20)), 0x34EF_EBF3_D1BB_90C9);
+    }
+
+    /// The guarantee the frame relies on: damage confined to one aligned
+    /// 8-byte word (here: every single-bit flip and every whole-word rewrite
+    /// in a buffer covering stripes, tail words and a partial last word)
+    /// always changes the checksum, as does any change of length.
+    #[test]
+    fn checksum64_detects_any_single_word_damage_and_any_resize() {
+        let clean = pattern(32 * 3 + 8 * 2 + 5);
+        let expected = checksum64(&clean);
+        for bit in 0..clean.len() * 8 {
+            let mut damaged = clean.clone();
+            damaged[bit / 8] ^= 1 << (bit % 8);
+            assert_ne!(checksum64(&damaged), expected, "bit {bit}");
+        }
+        for start in (0..clean.len()).step_by(8) {
+            let word = start..clean.len().min(start + 8);
+            for fill in [0x00, 0xFF, 0x5A] {
+                let mut damaged = clean.clone();
+                damaged[word.clone()].fill(fill);
+                if damaged != clean {
+                    assert_ne!(checksum64(&damaged), expected, "word {word:?} = {fill:#x}");
+                }
+            }
+        }
+        for len in 0..clean.len() {
+            assert_ne!(checksum64(&clean[..len]), expected, "truncated to {len}");
+        }
+        let mut extended = clean.clone();
+        extended.push(0);
+        assert_ne!(checksum64(&extended), expected, "zero-extended");
     }
 }

@@ -14,21 +14,27 @@
 //!
 //! ```text
 //! [0..4)   magic  (`BSEG` / `BCOL`)
-//! [4..5)   format version (1)
+//! [4..5)   format version (2; version 1 is still read)
 //! [5..13)  payload length (u64 LE)
 //! [13..n)  payload
-//! [n..n+8) FNV-1a 64-bit checksum of the payload
+//! [n..n+8) checksum of the payload: `checksum64` (version 2) or FNV-1a 64
+//!          (version 1)
 //! ```
 //!
 //! and every write goes through [`crate::durable::atomic_write`], so a crash
-//! leaves the previous complete file, never a torn one.
+//! leaves the previous complete file, never a torn one. A write that spans
+//! two files (a segment, then the manifest) commits at the manifest's
+//! rename: see [`crate::columnar::ColumnarTable::open_paged`].
 //!
 //! Reads go through a small **pinned-segment LRU cache**: fetching returns
 //! an `Arc<Segment>`, so a segment a scan is mid-way through stays alive
 //! (pinned by the outstanding `Arc`) even if the cache evicts it — eviction
-//! only drops the cache's own reference. Sequential fetch patterns trigger
-//! read-ahead of the next segment, the access shape every clustered epoch
-//! scan produces.
+//! only drops the cache's own reference. A miss is one exact-size read, one
+//! [`checksum64`] pass over the whole payload, and a bulk copy of each
+//! column array. Sequential fetch patterns also load the next segment, the
+//! access shape every clustered epoch scan produces; that read-ahead runs
+//! synchronously inside `fetch`, under the pager lock — it batches two loads
+//! into one call and overlaps nothing with the scan.
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -38,13 +44,18 @@ use std::sync::{Arc, Mutex};
 use crate::checkpoint::fnv1a64;
 use crate::codec::{push_schema, push_string, read_schema, Reader};
 use crate::columnar::Segment;
-use crate::durable::{atomic_write, read_file};
+use crate::durable::{atomic_write, checksum64, read_file};
 use crate::error::StorageError;
 use crate::schema::Schema;
 
 const SEGMENT_MAGIC: &[u8; 4] = b"BSEG";
 const MANIFEST_MAGIC: &[u8; 4] = b"BCOL";
-const FORMAT_VERSION: u8 = 1;
+/// Frames are written at this version: payload checksummed by [`checksum64`].
+const FORMAT_VERSION: u8 = 2;
+/// The first frame version (payload checksummed by FNV-1a 64), still read.
+const FORMAT_VERSION_FNV: u8 = 1;
+/// Bytes a frame adds around its payload: magic, version, length, checksum.
+const FRAME_BYTES: usize = 4 + 1 + 8 + 8;
 
 /// Manifest file name inside a paged table directory.
 pub const MANIFEST_FILE: &str = "columnar.meta";
@@ -59,36 +70,40 @@ fn io_err(path: &Path, e: std::io::Error) -> StorageError {
 
 /// Frame `payload` with magic, version, length and checksum.
 fn frame(magic: &[u8; 4], payload: &[u8]) -> Vec<u8> {
-    let mut bytes = Vec::with_capacity(payload.len() + 21);
+    let mut bytes = Vec::with_capacity(payload.len() + FRAME_BYTES);
     bytes.extend_from_slice(magic);
     bytes.push(FORMAT_VERSION);
     bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
     bytes.extend_from_slice(payload);
-    bytes.extend_from_slice(&fnv1a64(payload).to_le_bytes());
+    bytes.extend_from_slice(&checksum64(payload).to_le_bytes());
     bytes
 }
 
-/// Validate a frame and return the payload slice.
+/// Validate a frame — magic, version, exact length, then the checksum of the
+/// whole payload — and return the payload slice.
 fn unframe<'a>(magic: &[u8; 4], bytes: &'a [u8], what: &str) -> Result<&'a [u8], StorageError> {
-    if bytes.len() < 21 || &bytes[0..4] != magic {
+    if bytes.len() < FRAME_BYTES || &bytes[0..4] != magic {
         return Err(corrupt(format!("{what}: bad or missing header")));
     }
-    if bytes[4] != FORMAT_VERSION {
-        return Err(corrupt(format!(
-            "{what}: unsupported format version {}",
-            bytes[4]
-        )));
-    }
-    let len = u64::from_le_bytes(bytes[5..13].try_into().expect("8B")) as usize;
-    if bytes.len() != 13 + len + 8 {
+    let checksum: fn(&[u8]) -> u64 = match bytes[4] {
+        FORMAT_VERSION => checksum64,
+        FORMAT_VERSION_FNV => fnv1a64,
+        other => {
+            return Err(corrupt(format!(
+                "{what}: unsupported format version {other}"
+            )))
+        }
+    };
+    let len = u64::from_le_bytes(bytes[5..13].try_into().expect("8B"));
+    // The length field is unchecked input: compare without adding to it.
+    if u64::try_from(bytes.len() - FRAME_BYTES) != Ok(len) {
         return Err(corrupt(format!(
             "{what}: payload length {len} does not match file size {}",
             bytes.len()
         )));
     }
-    let payload = &bytes[13..13 + len];
-    let stored = u64::from_le_bytes(bytes[13 + len..].try_into().expect("8B"));
-    if fnv1a64(payload) != stored {
+    let (payload, stored) = bytes[13..].split_at(bytes.len() - FRAME_BYTES);
+    if checksum(payload) != u64::from_le_bytes(stored.try_into().expect("8B")) {
         return Err(corrupt(format!("{what}: checksum mismatch")));
     }
     Ok(payload)
@@ -225,19 +240,26 @@ impl Pager {
         self.dir.join(format!("seg-{idx:06}.col"))
     }
 
-    /// Durably write segment `idx` and (re)cache it.
-    pub fn write_segment(&self, idx: usize, segment: &Segment) -> Result<(), StorageError> {
+    /// Durably write the file of segment `idx` without caching it: all that
+    /// `flush` needs for the still-open tail, which no fetch asks for until
+    /// it seals.
+    pub fn write_file(&self, idx: usize, segment: &Segment) -> Result<(), StorageError> {
         let mut payload = Vec::new();
         segment.encode(&mut payload);
         let path = self.seg_path(idx);
-        atomic_write(&path, &frame(SEGMENT_MAGIC, &payload)).map_err(|e| io_err(&path, e))?;
+        atomic_write(&path, &frame(SEGMENT_MAGIC, &payload)).map_err(|e| io_err(&path, e))
+    }
+
+    /// Durably write sealed segment `idx` and (re)cache it.
+    pub fn write_segment(&self, idx: usize, segment: Arc<Segment>) -> Result<(), StorageError> {
+        self.write_file(idx, &segment)?;
         let mut inner = self.lock();
         inner.tick += 1;
         let tick = inner.tick;
         inner.cache.insert(
             idx,
             CacheEntry {
-                segment: Arc::new(segment.clone()),
+                segment,
                 last_used: tick,
             },
         );
@@ -346,12 +368,12 @@ mod tests {
         Schema::new(vec![Column::new("x", DataType::Double)]).unwrap()
     }
 
-    fn segment(base: f64, rows: usize) -> Segment {
+    fn segment(base: f64, rows: usize) -> Arc<Segment> {
         let mut seg = Segment::empty(&schema());
         for i in 0..rows {
             seg.push_row(&[Value::Double(base + i as f64)]).unwrap();
         }
-        seg
+        Arc::new(seg)
     }
 
     #[test]
@@ -398,7 +420,7 @@ mod tests {
         let pager = Pager::create(&dir, 2).unwrap();
         for idx in 0..4 {
             pager
-                .write_segment(idx, &segment(idx as f64 * 100.0, 3))
+                .write_segment(idx, segment(idx as f64 * 100.0, 3))
                 .unwrap();
         }
         // Writing 4 segments through a 2-slot cache already evicted some.
@@ -430,7 +452,7 @@ mod tests {
     fn corrupt_segment_is_detected() {
         let dir = temp_dir("seg-corrupt");
         let pager = Pager::create(&dir, 1).unwrap();
-        pager.write_segment(0, &segment(0.0, 5)).unwrap();
+        pager.write_segment(0, segment(0.0, 5)).unwrap();
         let path = dir.join("seg-000000.col");
         let mut bytes = std::fs::read(&path).unwrap();
         let mid = bytes.len() / 2;
@@ -438,6 +460,69 @@ mod tests {
         std::fs::write(&path, &bytes).unwrap();
         let pager = Pager::create(&dir, 1).unwrap();
         assert!(matches!(pager.fetch(0, 1), Err(StorageError::Corrupt(_))));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn absurd_length_field_is_corruption_not_overflow() {
+        let mut bytes = frame(SEGMENT_MAGIC, b"payload");
+        bytes[5..13].copy_from_slice(&u64::MAX.to_le_bytes());
+        assert!(matches!(
+            unframe(SEGMENT_MAGIC, &bytes, "segment"),
+            Err(StorageError::Corrupt(_))
+        ));
+    }
+
+    /// Every way of damaging one byte of a file, truncating it or extending
+    /// it must be reported as corruption by `read`: never accepted, never a
+    /// panic. `0x03` turns the version byte 2 into 1, the other supported
+    /// version, whose checksum must then fail.
+    fn assert_every_damage_is_corrupt<T: std::fmt::Debug>(
+        path: &Path,
+        read: impl Fn() -> Result<T, StorageError>,
+    ) {
+        let clean = std::fs::read(path).unwrap();
+        read().expect("the undamaged file reads");
+        let check = |damaged: &[u8], what: String| {
+            std::fs::write(path, damaged).unwrap();
+            match read() {
+                Err(StorageError::Corrupt(_)) => {}
+                other => panic!("{what}: expected Corrupt, got {other:?}"),
+            }
+        };
+        for at in 0..clean.len() {
+            for mask in [0x01, 0x03, 0x80, 0xFF] {
+                let mut damaged = clean.clone();
+                damaged[at] ^= mask;
+                check(&damaged, format!("byte {at} ^ {mask:#04x}"));
+            }
+            check(&clean[..at], format!("truncated to {at} bytes"));
+        }
+        let mut extended = clean.clone();
+        extended.push(0);
+        check(&extended, "extended by one byte".into());
+        std::fs::write(path, &clean).unwrap();
+        read().expect("the restored file reads");
+    }
+
+    #[test]
+    fn every_byte_flip_and_truncation_of_a_segment_or_manifest_is_detected() {
+        let dir = temp_dir("damage");
+        let pager = Pager::create(&dir, 1).unwrap();
+        pager.write_segment(0, segment(0.5, 5)).unwrap();
+        // A fresh pager per read: nothing may be served from the cache.
+        assert_every_damage_is_corrupt(&dir.join("seg-000000.col"), || {
+            Pager::create(&dir, 1).unwrap().fetch(0, 1)
+        });
+        Manifest {
+            name: "t".into(),
+            schema: schema(),
+            chunk_capacity: 4,
+            row_count: 5,
+        }
+        .write(&dir)
+        .unwrap();
+        assert_every_damage_is_corrupt(&dir.join(MANIFEST_FILE), || Manifest::read(&dir));
         std::fs::remove_dir_all(&dir).ok();
     }
 }
