@@ -18,10 +18,14 @@
 //!   fields, least squares / Kalman smoothing, and portfolio optimization;
 //! * [`igd::IgdAggregate`] — IGD packaged as a UDA (initialize / transition /
 //!   terminate / merge);
-//! * [`trainer::Trainer`] — the epoch loop with data-ordering policies
-//!   (clustered, shuffle-once, shuffle-always) from Section 3.2;
+//! * [`trainer`] — the one epoch loop of Figure 2 (stop check, reorder,
+//!   gradient pass, loss, divergence backoff, serving publish, checkpoint)
+//!   with the data-ordering policies (clustered, shuffle-once,
+//!   shuffle-always) of Section 3.2; [`trainer::Trainer`] runs it with the
+//!   sequential pass;
 //! * [`parallel`] — the pure-UDA (model averaging) and shared-memory (Lock /
-//!   AIG / NoLock a.k.a. Hogwild) parallelization schemes of Section 3.3;
+//!   AIG / NoLock a.k.a. Hogwild) gradient passes of Section 3.3, which
+//!   [`ParallelTrainer`] plugs into that same loop;
 //! * [`mrs`] — multiplexed reservoir sampling for data that cannot be
 //!   shuffled (Section 3.4);
 //! * [`frontend`] — `SVMTrain`-style entry points that read a training table

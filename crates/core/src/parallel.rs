@@ -12,24 +12,29 @@
 //!   whole-model **Lock**, per-component **AIG** (compare-and-swap), or
 //!   **NoLock** (Hogwild!). The paper adopts NoLock for Bismarck because it
 //!   converges like Lock but scales like the lock-free scheme.
+//!
+//! A scheme changes how one aggregate pass is executed and nothing else, so
+//! beside the strategy types this module holds only the two pass functions.
+//! The epoch protocol around them — stop check, reorder, loss, divergence
+//! backoff, serving publish, checkpoint — is `run_epochs` in
+//! [`crate::trainer`], the one loop [`ParallelTrainer`] and
+//! [`crate::Trainer`] both enter; the seven steps are listed there.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use bismarck_storage::{segment_ranges, ScanOrder, SharedModel, Tuple, TupleScan};
-use bismarck_uda::{panic_message, try_run_segmented_parallel, EpochOutcome, EpochRunner};
+use bismarck_storage::{segment_ranges, SharedModel, Tuple, TupleScan};
+use bismarck_uda::{panic_message, try_run_segmented_parallel};
 use parking_lot::Mutex;
 
-use crate::checkpoint::TrainingCheckpoint;
 use crate::error::TrainError;
 use crate::igd::IgdAggregate;
 use crate::model::{AigStore, NoLockStore, SliceModelStore};
 use crate::task::{IgdTask, ProximalPolicy};
 use crate::trainer::{
-    maybe_write_checkpoint, prior_records, publish_serving, stop_requested, unwrap_trained,
-    validate_checkpoint, validate_serving, write_interrupt_checkpoint, EpochAbort, ResumeState,
-    TrainedModel, TrainerConfig,
+    fresh_start, load_checkpoint, run_epochs, unwrap_trained, EpochAbort, TrainedModel,
+    TrainerConfig,
 };
 
 /// How shared-memory workers update the model.
@@ -121,9 +126,10 @@ pub struct ParallelEpochStats {
 /// Trainer that runs each epoch's gradient pass in parallel.
 ///
 /// A drop-in parallel counterpart to [`crate::Trainer`]: same
-/// [`TrainerConfig`], same epoch loop, but each epoch's gradient pass is
-/// spread across worker threads according to the chosen
-/// [`ParallelStrategy`]:
+/// [`TrainerConfig`] and literally the same epoch loop (see
+/// [`crate::trainer`]), so every fault-tolerance, serving and checkpoint
+/// behavior is shared; only each epoch's gradient pass differs, spread
+/// across worker threads according to the chosen [`ParallelStrategy`]:
 ///
 /// ```
 /// use bismarck_core::tasks::LogisticRegressionTask;
@@ -192,7 +198,8 @@ impl<'a, T: IgdTask> ParallelTrainer<'a, T> {
         data: &S,
         initial_model: Vec<f64>,
     ) -> (TrainedModel, Vec<ParallelEpochStats>) {
-        let (result, stats) = self.try_train_impl(data, initial_model, None);
+        let start = fresh_start(self.task, &self.config, initial_model);
+        let (result, stats) = run_epochs(self.task, &self.config, Some(self.strategy), data, start);
         (unwrap_trained(result), stats)
     }
 
@@ -215,7 +222,8 @@ impl<'a, T: IgdTask> ParallelTrainer<'a, T> {
         data: &S,
         initial_model: Vec<f64>,
     ) -> Result<(TrainedModel, Vec<ParallelEpochStats>), TrainError> {
-        let (result, stats) = self.try_train_impl(data, initial_model, None);
+        let start = fresh_start(self.task, &self.config, initial_model);
+        let (result, stats) = run_epochs(self.task, &self.config, Some(self.strategy), data, start);
         result.map(|trained| (trained, stats))
     }
 
@@ -229,183 +237,9 @@ impl<'a, T: IgdTask> ParallelTrainer<'a, T> {
         data: &S,
         path: impl AsRef<Path>,
     ) -> Result<(TrainedModel, Vec<ParallelEpochStats>), TrainError> {
-        let checkpoint = TrainingCheckpoint::read(path.as_ref())?;
-        validate_checkpoint(&checkpoint, self.task, &self.config)?;
-        let model = checkpoint.model.clone();
-        let resume = ResumeState {
-            next_epoch: checkpoint.next_epoch,
-            alpha_scale: checkpoint.alpha_scale,
-            retries_used: checkpoint.retries_used,
-            losses: checkpoint.losses,
-        };
-        let (result, stats) = self.try_train_impl(data, model, Some(resume));
+        let start = load_checkpoint(self.task, &self.config, path.as_ref())?;
+        let (result, stats) = run_epochs(self.task, &self.config, Some(self.strategy), data, start);
         result.map(|trained| (trained, stats))
-    }
-
-    fn try_train_impl<S: TupleScan + ?Sized>(
-        &self,
-        data: &S,
-        initial_model: Vec<f64>,
-        resume: Option<ResumeState>,
-    ) -> (Result<TrainedModel, TrainError>, Vec<ParallelEpochStats>) {
-        let task = self.task;
-        let config = &self.config;
-        let strategy = self.strategy;
-        let (start_epoch, mut alpha_scale, mut retries_used, prior_losses) = match resume {
-            Some(r) => (r.next_epoch, r.alpha_scale, r.retries_used, r.losses),
-            None => (0, 1.0, 0, Vec::new()),
-        };
-        let mut model = initial_model;
-        if let Err(e) = validate_serving(config, model.len()) {
-            return (Err(e), Vec::new());
-        }
-        let mut last_good = model.clone();
-        let mut losses_so_far = prior_losses.clone();
-        let mut stats = Vec::new();
-        let mut cached_permutation: Option<Vec<usize>> = None;
-        let runner = EpochRunner::new(config.convergence);
-
-        let (history, aborted) =
-            runner.try_run_from(start_epoch, prior_records(&prior_losses), |epoch| {
-                let mut epoch_retries = 0u32;
-                let mut gradient_duration = Duration::ZERO;
-                loop {
-                    if stop_requested(config) {
-                        write_interrupt_checkpoint(
-                            task,
-                            config,
-                            epoch,
-                            &last_good,
-                            alpha_scale,
-                            retries_used,
-                            &losses_so_far,
-                        )?;
-                        return Err(EpochAbort::Interrupted);
-                    }
-
-                    // Reorder if requested (timed, as in the sequential
-                    // trainer).
-                    let shuffle_start = Instant::now();
-                    let permutation: Option<&[usize]> = match config.scan_order {
-                        ScanOrder::Clustered => None,
-                        ScanOrder::ShuffleOnce { .. } => {
-                            if cached_permutation.is_none() {
-                                cached_permutation =
-                                    config.scan_order.permutation(data.tuple_count(), epoch);
-                            }
-                            cached_permutation.as_deref()
-                        }
-                        ScanOrder::ShuffleAlways { .. } => {
-                            cached_permutation =
-                                config.scan_order.permutation(data.tuple_count(), epoch);
-                            cached_permutation.as_deref()
-                        }
-                    };
-                    let shuffle_duration = if config.scan_order.shuffles_at(epoch) {
-                        shuffle_start.elapsed()
-                    } else {
-                        Duration::ZERO
-                    };
-
-                    let alpha = config.step_size.at(epoch) * alpha_scale;
-                    let gradient_start = Instant::now();
-                    let current = std::mem::take(&mut model);
-                    let pass = match strategy {
-                        ParallelStrategy::PureUda { segments } => {
-                            run_pure_uda_epoch(task, data, current, alpha, segments)
-                        }
-                        ParallelStrategy::SharedMemory {
-                            workers,
-                            discipline,
-                        } => run_shared_memory_epoch(
-                            task,
-                            data,
-                            permutation,
-                            current,
-                            alpha,
-                            workers,
-                            discipline,
-                        ),
-                    };
-                    gradient_duration += gradient_start.elapsed();
-                    match pass {
-                        Ok(new_model) => model = new_model,
-                        // A worker panic aborts the run: the epoch's partial
-                        // updates are gone (and under AIG/NoLock the shared
-                        // model may hold a half-applied epoch), so the only
-                        // trustworthy state is the last-good snapshot carried
-                        // by the error.
-                        Err(panic) => return Err(panic),
-                    }
-
-                    let mut loss = task.regularizer(&model);
-                    data.scan_tuples(&mut |tuple| loss += task.example_loss(&model, tuple));
-
-                    let healthy = loss.is_finite() && model.iter().all(|v| v.is_finite());
-                    if !healthy {
-                        if retries_used < config.backoff.max_retries {
-                            retries_used += 1;
-                            epoch_retries += 1;
-                            alpha_scale *= config.backoff.factor;
-                            model.clear();
-                            model.extend_from_slice(&last_good);
-                            // Keep serving the restored finite model while
-                            // the retry runs.
-                            publish_serving(config, &model);
-                            continue;
-                        }
-                        if config.backoff.max_retries > 0 {
-                            return Err(EpochAbort::Diverged {
-                                retries: retries_used,
-                            });
-                        }
-                    } else {
-                        last_good.clear();
-                        last_good.extend_from_slice(&model);
-                        publish_serving(config, &model);
-                    }
-                    losses_so_far.push(loss);
-                    if healthy {
-                        maybe_write_checkpoint(
-                            task,
-                            config,
-                            epoch + 1,
-                            &model,
-                            alpha_scale,
-                            retries_used,
-                            &losses_so_far,
-                        )?;
-                    }
-                    stats.push(ParallelEpochStats {
-                        gradient_duration,
-                        retries: epoch_retries,
-                    });
-                    return Ok(EpochOutcome {
-                        loss,
-                        gradient_norm: None,
-                        shuffle_duration,
-                        retries: epoch_retries,
-                    });
-                }
-            });
-
-        let task_name = task.name();
-        let result = match aborted {
-            None => Ok(TrainedModel {
-                task_name,
-                model,
-                history,
-            }),
-            Some((epoch, abort)) => Err(abort.into_train_error(
-                epoch,
-                TrainedModel {
-                    task_name,
-                    model: last_good,
-                    history,
-                },
-            )),
-        };
-        (result, stats)
     }
 }
 
@@ -413,7 +247,7 @@ impl<'a, T: IgdTask> ParallelTrainer<'a, T> {
 /// model-averaging merge. Segments see their rows in clustered order, which
 /// matches how a parallel engine distributes tuples to segments. A worker
 /// panic is isolated by the segmented executor and surfaced as an abort.
-fn run_pure_uda_epoch<T: IgdTask, S: TupleScan + ?Sized>(
+pub(crate) fn run_pure_uda_epoch<T: IgdTask, S: TupleScan + ?Sized>(
     task: &T,
     data: &S,
     model: Vec<f64>,
@@ -430,34 +264,29 @@ fn run_pure_uda_epoch<T: IgdTask, S: TupleScan + ?Sized>(
     }
 }
 
-/// Collect per-worker `catch_unwind` results, folding any panics into an
-/// [`EpochAbort::WorkerPanic`].
-fn collect_worker_outcomes(outcomes: Vec<std::thread::Result<()>>) -> Result<(), EpochAbort> {
-    let mut failed_workers = 0usize;
-    let mut message = String::new();
-    for outcome in outcomes {
-        if let Err(payload) = outcome {
-            failed_workers += 1;
-            if message.is_empty() {
-                message = panic_message(payload.as_ref());
-            }
+/// Rows one shared-memory worker visits: a slice of the permutation, or a
+/// contiguous range of storage order (scanned natively — no index
+/// materialization).
+enum WorkerRows<'p> {
+    Range(usize, usize),
+    Perm(&'p [usize]),
+}
+
+impl WorkerRows<'_> {
+    fn visit<S: TupleScan + ?Sized>(&self, data: &S, f: &mut dyn FnMut(&Tuple)) {
+        match *self {
+            WorkerRows::Range(start, end) => data.scan_tuples_range(start, end, f),
+            WorkerRows::Perm(perm) => data.scan_tuples_permuted(perm, f),
         }
-    }
-    if failed_workers > 0 {
-        Err(EpochAbort::WorkerPanic {
-            failed_workers,
-            message,
-        })
-    } else {
-        Ok(())
     }
 }
 
-/// One shared-memory epoch with the chosen update discipline.
+/// Run `body` over each worker's rows on its own scoped thread, folding any
+/// panics into an [`EpochAbort::WorkerPanic`].
 ///
-/// Each worker body runs under `catch_unwind` so one panicking
-/// `gradient_step` cannot take down the process; the surviving workers
-/// finish their tuples and the epoch reports the failure instead.
+/// Each body runs under `catch_unwind` so one panicking `gradient_step`
+/// cannot take down the process; the surviving workers finish their tuples
+/// and the epoch reports the failure instead.
 ///
 /// Unwind safety: the state the workers share is plain `f64` data — a
 /// `Vec<f64>` behind a `parking_lot::Mutex` (which does not poison; the
@@ -466,7 +295,46 @@ fn collect_worker_outcomes(outcomes: Vec<std::thread::Result<()>>) -> Result<(),
 /// leave a *partially updated* model, and the caller never uses a failed
 /// epoch's model: it restores the last-good snapshot carried by the error.
 /// That makes `AssertUnwindSafe` sound here.
-fn run_shared_memory_epoch<T: IgdTask, S: TupleScan + ?Sized>(
+fn run_workers(
+    worker_rows: &[WorkerRows<'_>],
+    body: impl Fn(&WorkerRows<'_>) + Sync,
+) -> Result<(), EpochAbort> {
+    let outcomes = std::thread::scope(|scope| {
+        let handles: Vec<_> = worker_rows
+            .iter()
+            .map(|rows| {
+                let body = &body;
+                scope.spawn(move || catch_unwind(AssertUnwindSafe(|| body(rows))))
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| {
+                h.join()
+                    .expect("worker threads only panic inside catch_unwind")
+            })
+            .collect::<Vec<_>>()
+    });
+    let mut failed_workers = 0usize;
+    let mut message = String::new();
+    for payload in outcomes.into_iter().filter_map(Result::err) {
+        failed_workers += 1;
+        if message.is_empty() {
+            message = panic_message(payload.as_ref());
+        }
+    }
+    if failed_workers > 0 {
+        return Err(EpochAbort::WorkerPanic {
+            failed_workers,
+            message,
+        });
+    }
+    Ok(())
+}
+
+/// One shared-memory epoch with the chosen update discipline; the
+/// disciplines differ only in the per-tuple step [`run_workers`] executes.
+pub(crate) fn run_shared_memory_epoch<T: IgdTask, S: TupleScan + ?Sized>(
     task: &T,
     data: &S,
     permutation: Option<&[usize]>,
@@ -475,101 +343,51 @@ fn run_shared_memory_epoch<T: IgdTask, S: TupleScan + ?Sized>(
     workers: usize,
     discipline: UpdateDiscipline,
 ) -> Result<Vec<f64>, EpochAbort> {
-    let workers = workers.max(1);
-    let n = data.tuple_count();
-    let ranges = segment_ranges(permutation.map_or(n, <[usize]>::len), workers);
-
-    // Rows each worker visits: a slice of the permutation, or a contiguous
-    // range of storage order (scanned natively — no index materialization).
-    enum WorkerRows<'p> {
-        Range(usize, usize),
-        Perm(&'p [usize]),
-    }
-    fn visit<S: TupleScan + ?Sized>(data: &S, rows: &WorkerRows<'_>, f: &mut dyn FnMut(&Tuple)) {
-        match rows {
-            WorkerRows::Range(start, end) => data.scan_tuples_range(*start, *end, f),
-            WorkerRows::Perm(perm) => data.scan_tuples_permuted(perm, f),
-        }
-    }
-    let worker_rows: Vec<WorkerRows> = ranges
-        .iter()
-        .map(|&(start, end)| match permutation {
+    let rows = permutation.map_or(data.tuple_count(), <[usize]>::len);
+    let worker_rows: Vec<WorkerRows> = segment_ranges(rows, workers.max(1))
+        .into_iter()
+        .map(|(start, end)| match permutation {
             Some(perm) => WorkerRows::Perm(&perm[start..end]),
             None => WorkerRows::Range(start, end),
         })
         .collect();
 
-    let final_model = match discipline {
+    let mut final_model = match discipline {
         UpdateDiscipline::Lock => {
             let locked = Mutex::new(model);
-            let outcomes = std::thread::scope(|scope| {
-                let handles: Vec<_> = worker_rows
-                    .iter()
-                    .map(|rows| {
-                        let locked = &locked;
-                        scope.spawn(move || {
-                            catch_unwind(AssertUnwindSafe(|| {
-                                visit(data, rows, &mut |tuple| {
-                                    let mut guard = locked.lock();
-                                    let mut store = SliceModelStore::new(guard.as_mut_slice());
-                                    task.gradient_step(&mut store, tuple, alpha);
-                                    if task.proximal_policy() == ProximalPolicy::PerStep {
-                                        task.proximal_step(guard.as_mut_slice(), alpha);
-                                    }
-                                });
-                            }))
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| {
-                        h.join()
-                            .expect("worker threads only panic inside catch_unwind")
-                    })
-                    .collect::<Vec<_>>()
-            });
-            collect_worker_outcomes(outcomes)?;
+            run_workers(&worker_rows, |rows| {
+                rows.visit(data, &mut |tuple| {
+                    let mut guard = locked.lock();
+                    let mut store = SliceModelStore::new(guard.as_mut_slice());
+                    task.gradient_step(&mut store, tuple, alpha);
+                    if task.proximal_policy() == ProximalPolicy::PerStep {
+                        task.proximal_step(guard.as_mut_slice(), alpha);
+                    }
+                });
+            })?;
             locked.into_inner()
         }
-        UpdateDiscipline::Aig | UpdateDiscipline::NoLock => {
+        UpdateDiscipline::Aig => {
             let shared = SharedModel::from_slice(&model);
-            let outcomes = std::thread::scope(|scope| {
-                let handles: Vec<_> = worker_rows
-                    .iter()
-                    .map(|rows| {
-                        let shared = shared.clone();
-                        scope.spawn(move || {
-                            catch_unwind(AssertUnwindSafe(|| match discipline {
-                                UpdateDiscipline::Aig => {
-                                    let mut store = AigStore::new(shared);
-                                    visit(data, rows, &mut |tuple| {
-                                        task.gradient_step(&mut store, tuple, alpha);
-                                    });
-                                }
-                                _ => {
-                                    let mut store = NoLockStore::new(shared);
-                                    visit(data, rows, &mut |tuple| {
-                                        task.gradient_step(&mut store, tuple, alpha);
-                                    });
-                                }
-                            }))
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| {
-                        h.join()
-                            .expect("worker threads only panic inside catch_unwind")
-                    })
-                    .collect::<Vec<_>>()
-            });
-            collect_worker_outcomes(outcomes)?;
+            run_workers(&worker_rows, |rows| {
+                let mut store = AigStore::new(shared.clone());
+                rows.visit(data, &mut |tuple| {
+                    task.gradient_step(&mut store, tuple, alpha)
+                });
+            })?;
+            shared.snapshot()
+        }
+        UpdateDiscipline::NoLock => {
+            let shared = SharedModel::from_slice(&model);
+            run_workers(&worker_rows, |rows| {
+                let mut store = NoLockStore::new(shared.clone());
+                rows.visit(data, &mut |tuple| {
+                    task.gradient_step(&mut store, tuple, alpha)
+                });
+            })?;
             shared.snapshot()
         }
     };
-    let mut final_model = final_model;
 
     // Per-epoch proximal step (and, for the lock-free disciplines, the
     // per-step operator demoted to per-epoch as documented in `task`).
@@ -591,7 +409,7 @@ mod tests {
     use crate::stepsize::StepSizeSchedule;
     use crate::tasks::{LogisticRegressionTask, PortfolioTask, SvmTask};
     use crate::trainer::Trainer;
-    use bismarck_storage::{Column, DataType, Schema, Table, Value};
+    use bismarck_storage::{Column, DataType, ScanOrder, Schema, Table, Value};
     use bismarck_uda::ConvergenceTest;
     use rand::rngs::StdRng;
     use rand::Rng;

@@ -1,23 +1,35 @@
-//! The sequential Bismarck trainer: epochs, data ordering, convergence and
+//! The Bismarck training runtime: epochs, data ordering, convergence and
 //! fault tolerance.
 //!
-//! This is the single-threaded path of Figure 2: each epoch runs the IGD
-//! aggregate over the table in the configured scan order, evaluates the loss,
-//! and consults the convergence test. The three ordering policies of
-//! Section 3.2 (Clustered, ShuffleOnce, ShuffleAlways) differ only in which
-//! permutation — if any — is handed to the scan, and in how often the
-//! (timed) shuffle cost is paid.
+//! Figure 2 of the paper is one loop — run the IGD aggregate, evaluate the
+//! loss, test convergence — and the parallel schemes of Section 3.3 change
+//! only how one aggregate pass is executed. The code says the same thing
+//! once: `run_epochs` is the single owner of the epoch protocol, and
+//! [`Trainer`] and [`crate::ParallelTrainer`] are thin front ends over it
+//! that differ only in the gradient pass they select. Every attempt at an
+//! epoch goes through the same seven steps:
 //!
-//! On top of the epoch loop sits a fault-tolerant runtime in the spirit of
-//! the RDBMS the trainer is meant to live inside: a panicking gradient pass
-//! is isolated ([`TrainError::WorkerPanic`]), a diverged epoch (non-finite
-//! model or loss) restores the last healthy snapshot and retries with a
-//! smaller step size ([`BackoffPolicy`]), progress can be persisted every N
-//! epochs ([`CheckpointPolicy`]) and picked back up with
-//! [`Trainer::resume_from`], and a cooperative stop flag interrupts the run
-//! at an epoch boundary. All of it stays off the per-tuple hot path: the
-//! extra work is one `catch_unwind` frame, one O(d) snapshot and one O(d)
-//! finiteness scan per *epoch*.
+//! 1. **Stop check** — the cooperative stop flag and the [`QueryGuard`] are
+//!    polled (before retries too); a stop persists an interrupt checkpoint
+//!    and ends the run with [`TrainError::Interrupted`].
+//! 2. **Reorder** — the three ordering policies of Section 3.2 (Clustered,
+//!    ShuffleOnce, ShuffleAlways) differ only in which permutation, if any,
+//!    is handed to the scan. One is drawn (and its time billed to the epoch)
+//!    only when a draw actually happens and the pass reads it.
+//! 3. **Gradient pass** — sequential, pure-UDA or shared-memory; always
+//!    isolated from panics ([`TrainError::WorkerPanic`]).
+//! 4. **Loss pass** — the full objective, for the convergence test.
+//! 5. **Divergence scan** — a non-finite model or loss restores the last
+//!    healthy model and retries with a smaller step ([`BackoffPolicy`]).
+//! 6. **Serving publish** — healthy models (and restored ones) go to the
+//!    configured [`ModelHandle`]; readers never observe a non-finite model.
+//! 7. **Checkpoint** — progress is persisted every N healthy epochs
+//!    ([`CheckpointPolicy`]) and picked back up with
+//!    [`Trainer::resume_from`].
+//!
+//! All of it stays off the per-tuple hot path: the extra work is one
+//! `catch_unwind` frame, one O(d) snapshot and one O(d) finiteness scan per
+//! *epoch*.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
@@ -26,6 +38,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bismarck_storage::checkpoint::CheckpointError;
+use bismarck_storage::durable::parent_dir;
 use bismarck_storage::{ScanOrder, TupleScan};
 use bismarck_uda::{
     panic_message, run_sequential, ConvergenceTest, EpochOutcome, EpochRecord, EpochRunner,
@@ -36,6 +49,9 @@ use crate::checkpoint::TrainingCheckpoint;
 use crate::error::TrainError;
 use crate::governor::QueryGuard;
 use crate::igd::IgdAggregate;
+use crate::parallel::{
+    run_pure_uda_epoch, run_shared_memory_epoch, ParallelEpochStats, ParallelStrategy,
+};
 use crate::serving::{ModelHandle, PublishError};
 use crate::stepsize::StepSizeSchedule;
 use crate::task::IgdTask;
@@ -83,6 +99,11 @@ pub struct CheckpointPolicy {
 }
 
 impl CheckpointPolicy {
+    /// Whether the cadence asks for a write once `next_epoch` epochs are done.
+    fn due(&self, next_epoch: usize) -> bool {
+        self.every != 0 && next_epoch.is_multiple_of(self.every)
+    }
+
     /// Write `checkpoint` as the newest checkpoint, then apply retention.
     pub(crate) fn write(&self, checkpoint: &TrainingCheckpoint) -> Result<(), CheckpointError> {
         checkpoint.write(&self.path)?;
@@ -117,7 +138,7 @@ fn generation_epoch(path: &Path, candidate: &Path) -> Option<usize> {
 
 /// Delete all but the newest `keep_generations` epoch-stamped siblings.
 fn prune_generations(path: &Path, keep_generations: usize) {
-    let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) else {
+    let Some(parent) = parent_dir(path) else {
         return;
     };
     let Ok(entries) = std::fs::read_dir(parent) else {
@@ -151,13 +172,8 @@ fn prune_generations(path: &Path, keep_generations: usize) {
 ///     .with_convergence(ConvergenceTest::FixedEpochs(5));
 /// ```
 ///
-/// `TrainerConfig` is `Clone` but — since the fault-tolerance work — **no
-/// longer `Copy`**: the checkpoint policy owns a `PathBuf`, the stop flag is
-/// an `Arc<AtomicBool>`, and the serving handle is an `Arc`-backed
-/// [`ModelHandle`]. Code that used to copy a config implicitly must
-/// `.clone()` it (cheap: the `Arc`s are reference-counted, not deep-copied;
-/// note a cloned config *shares* its stop flag and serving handle with the
-/// original).
+/// Cloning is cheap, and a clone *shares* its stop flag, serving handle and
+/// guard with the original (they are `Arc`-backed).
 #[derive(Debug, Clone)]
 pub struct TrainerConfig {
     /// Step-size schedule indexed by epoch.
@@ -420,9 +436,7 @@ impl<'a, T: IgdTask> Trainer<'a, T> {
 
     /// Full objective (`Σ_i f_i(w) + P(w)`) of a model over a tuple source.
     pub fn objective<S: TupleScan + ?Sized>(&self, model: &[f64], data: &S) -> f64 {
-        let mut total = self.task.regularizer(model);
-        data.scan_tuples(&mut |tuple| total += self.task.example_loss(model, tuple));
-        total
+        objective(self.task, model, data)
     }
 
     /// Train on a table starting from the task's initial model.
@@ -463,7 +477,8 @@ impl<'a, T: IgdTask> Trainer<'a, T> {
         data: &S,
         initial_model: Vec<f64>,
     ) -> Result<TrainedModel, TrainError> {
-        self.try_train_impl(data, initial_model, None)
+        let start = fresh_start(self.task, &self.config, initial_model);
+        run_epochs(self.task, &self.config, None, data, start).0
     }
 
     /// Resume a checkpointed run, continuing bit-compatibly with an
@@ -481,181 +496,221 @@ impl<'a, T: IgdTask> Trainer<'a, T> {
         data: &S,
         path: impl AsRef<Path>,
     ) -> Result<TrainedModel, TrainError> {
-        let checkpoint = TrainingCheckpoint::read(path.as_ref())?;
-        validate_checkpoint(&checkpoint, self.task, &self.config)?;
-        let model = checkpoint.model.clone();
-        let resume = ResumeState {
-            next_epoch: checkpoint.next_epoch,
-            alpha_scale: checkpoint.alpha_scale,
-            retries_used: checkpoint.retries_used,
-            losses: checkpoint.losses,
-        };
-        self.try_train_impl(data, model, Some(resume))
-    }
-
-    fn try_train_impl<S: TupleScan + ?Sized>(
-        &self,
-        data: &S,
-        initial_model: Vec<f64>,
-        resume: Option<ResumeState>,
-    ) -> Result<TrainedModel, TrainError> {
-        let task = self.task;
-        let config = &self.config;
-        let (start_epoch, mut alpha_scale, mut retries_used, prior_losses) = match resume {
-            Some(r) => (r.next_epoch, r.alpha_scale, r.retries_used, r.losses),
-            None => (0, 1.0, 0, Vec::new()),
-        };
-        let mut model = initial_model;
-        validate_serving(config, model.len())?;
-        let mut last_good = model.clone();
-        let mut losses_so_far = prior_losses.clone();
-        // ShuffleOnce reuses one permutation; cache it so its cost is paid
-        // exactly once and counted in the first epoch's shuffle time.
-        let mut cached_permutation: Option<Vec<usize>> = None;
-        let runner = EpochRunner::new(config.convergence);
-
-        let (history, aborted) =
-            runner.try_run_from(start_epoch, prior_records(&prior_losses), |epoch| {
-                let mut epoch_retries = 0u32;
-                loop {
-                    if stop_requested(config) {
-                        write_interrupt_checkpoint(
-                            task,
-                            config,
-                            epoch,
-                            &last_good,
-                            alpha_scale,
-                            retries_used,
-                            &losses_so_far,
-                        )?;
-                        return Err(EpochAbort::Interrupted);
-                    }
-
-                    // 1. Reorder the data if the policy asks for it (timed).
-                    let shuffle_start = Instant::now();
-                    let permutation: Option<&[usize]> = match config.scan_order {
-                        ScanOrder::Clustered => None,
-                        ScanOrder::ShuffleOnce { .. } => {
-                            if cached_permutation.is_none() {
-                                cached_permutation =
-                                    config.scan_order.permutation(data.tuple_count(), epoch);
-                            }
-                            cached_permutation.as_deref()
-                        }
-                        ScanOrder::ShuffleAlways { .. } => {
-                            cached_permutation =
-                                config.scan_order.permutation(data.tuple_count(), epoch);
-                            cached_permutation.as_deref()
-                        }
-                    };
-                    let shuffle_duration = if config.scan_order.shuffles_at(epoch) {
-                        shuffle_start.elapsed()
-                    } else {
-                        Duration::ZERO
-                    };
-
-                    // 2. One epoch of IGD as a UDA, isolated from panics.
-                    // Unwind safety: the closure owns the model it mutates
-                    // (moved in) and only reads `task`/`data`/`permutation`;
-                    // if it panics, the partially-updated model is discarded
-                    // and `last_good` takes its place, so no torn state is
-                    // ever observed afterwards.
-                    let alpha = config.step_size.at(epoch) * alpha_scale;
-                    let pass_model = std::mem::take(&mut model);
-                    let pass = catch_unwind(AssertUnwindSafe(move || {
-                        let aggregate = IgdAggregate::new(task, alpha, pass_model);
-                        let state = run_sequential(&aggregate, data, permutation);
-                        state.model.into_vec()
-                    }));
-                    match pass {
-                        Ok(new_model) => model = new_model,
-                        Err(payload) => {
-                            return Err(EpochAbort::WorkerPanic {
-                                failed_workers: 1,
-                                message: panic_message(payload.as_ref()),
-                            })
-                        }
-                    }
-
-                    // 3. Evaluate the objective for the convergence test.
-                    let mut loss = task.regularizer(&model);
-                    data.scan_tuples(&mut |tuple| loss += task.example_loss(&model, tuple));
-
-                    // 4. Divergence scan + recovery.
-                    let healthy = loss.is_finite() && model.iter().all(|v| v.is_finite());
-                    if !healthy {
-                        if retries_used < config.backoff.max_retries {
-                            retries_used += 1;
-                            epoch_retries += 1;
-                            alpha_scale *= config.backoff.factor;
-                            model.clear();
-                            model.extend_from_slice(&last_good);
-                            // Re-assert the restored model to the serving
-                            // handle: readers keep seeing a finite model
-                            // while the retry runs.
-                            publish_serving(config, &model);
-                            continue;
-                        }
-                        if config.backoff.max_retries > 0 {
-                            return Err(EpochAbort::Diverged {
-                                retries: retries_used,
-                            });
-                        }
-                        // Backoff disabled: record the diverged epoch; the
-                        // convergence test stops the run, un-converged.
-                    } else {
-                        last_good.clear();
-                        last_good.extend_from_slice(&model);
-                        publish_serving(config, &model);
-                    }
-                    losses_so_far.push(loss);
-
-                    // 5. Periodic checkpoint (healthy epochs only).
-                    if healthy {
-                        maybe_write_checkpoint(
-                            task,
-                            config,
-                            epoch + 1,
-                            &model,
-                            alpha_scale,
-                            retries_used,
-                            &losses_so_far,
-                        )?;
-                    }
-                    return Ok(EpochOutcome {
-                        loss,
-                        gradient_norm: None,
-                        shuffle_duration,
-                        retries: epoch_retries,
-                    });
-                }
-            });
-
-        let task_name = task.name();
-        match aborted {
-            None => Ok(TrainedModel {
-                task_name,
-                model,
-                history,
-            }),
-            Some((epoch, abort)) => Err(abort.into_train_error(
-                epoch,
-                TrainedModel {
-                    task_name,
-                    model: last_good,
-                    history,
-                },
-            )),
-        }
+        let start = load_checkpoint(self.task, &self.config, path.as_ref())?;
+        run_epochs(self.task, &self.config, None, data, start).0
     }
 }
 
-/// Resume state threaded from a checkpoint into the epoch loop.
-pub(crate) struct ResumeState {
-    pub(crate) next_epoch: usize,
-    pub(crate) alpha_scale: f64,
-    pub(crate) retries_used: u32,
-    pub(crate) losses: Vec<f64>,
+/// The one epoch loop: every run of [`Trainer`] (`strategy == None`) and of
+/// [`crate::ParallelTrainer`] (`Some`) executes the seven-step protocol of
+/// the module docs here, and the strategy selects nothing but the gradient
+/// pass of step 3. `start` is the state the run picks up from, in the shape
+/// it is checkpointed in: [`fresh_start`] for a new run, [`load_checkpoint`]
+/// for a resumed one. Returns the outcome plus one [`ParallelEpochStats`]
+/// per epoch this call completed.
+pub(crate) fn run_epochs<T: IgdTask, S: TupleScan + ?Sized>(
+    task: &T,
+    config: &TrainerConfig,
+    strategy: Option<ParallelStrategy>,
+    data: &S,
+    start: TrainingCheckpoint,
+) -> (Result<TrainedModel, TrainError>, Vec<ParallelEpochStats>) {
+    if let Err(e) = validate_serving(config, start.model.len()) {
+        return (Err(e), Vec::new());
+    }
+    // `good` is the run as of its last recorded epoch, holding the last
+    // *healthy* model: exactly what a checkpoint persists and what an error
+    // carries. `model` is the working copy each pass consumes.
+    let mut good = start;
+    let mut model = good.model.clone();
+    let prior = prior_records(&good.losses);
+    let mut stats = Vec::new();
+    // Pure UDA segments scan storage order and never read a permutation.
+    let reads_permutation = !matches!(strategy, Some(ParallelStrategy::PureUda { .. }));
+    let mut permutation: Option<Vec<usize>> = None;
+
+    let (history, aborted) =
+        EpochRunner::new(config.convergence).try_run_from(good.next_epoch, prior, |epoch| {
+            let mut epoch_retries = 0u32;
+            let mut shuffle_duration = Duration::ZERO;
+            let mut gradient_duration = Duration::ZERO;
+            loop {
+                // 1. Stop check, before every attempt. The interrupt
+                // checkpoint ignores the cadence so a resume loses no epoch.
+                if stop_requested(config) {
+                    if let Some(policy) = &config.checkpoint {
+                        policy.write(&good)?;
+                    }
+                    return Err(EpochAbort::Interrupted);
+                }
+
+                // 2. Reorder: once per run under ShuffleOnce, once per epoch
+                // under ShuffleAlways (retries replay the epoch's order).
+                let draw = reads_permutation
+                    && match config.scan_order {
+                        ScanOrder::Clustered => false,
+                        ScanOrder::ShuffleOnce { .. } => permutation.is_none(),
+                        ScanOrder::ShuffleAlways { .. } => epoch_retries == 0,
+                    };
+                if draw {
+                    let shuffle_start = Instant::now();
+                    permutation = config.scan_order.permutation(data.tuple_count(), epoch);
+                    shuffle_duration = shuffle_start.elapsed();
+                }
+                let order = permutation.as_deref();
+
+                // 3. One epoch of IGD as a UDA. Every pass isolates panics
+                // and surfaces them as an abort: a failed epoch's partial
+                // updates are discarded and the only state trusted
+                // afterwards is `good`, carried by the error.
+                let alpha = config.step_size.at(epoch) * good.alpha_scale;
+                let current = std::mem::take(&mut model);
+                let gradient_start = Instant::now();
+                let pass = match strategy {
+                    // Unwind safety: the closure owns the model it mutates
+                    // and only reads `task`/`data`/`order`.
+                    None => catch_unwind(AssertUnwindSafe(move || {
+                        let aggregate = IgdAggregate::new(task, alpha, current);
+                        run_sequential(&aggregate, data, order).model.into_vec()
+                    }))
+                    .map_err(|payload| EpochAbort::WorkerPanic {
+                        failed_workers: 1,
+                        message: panic_message(payload.as_ref()),
+                    }),
+                    Some(ParallelStrategy::PureUda { segments }) => {
+                        run_pure_uda_epoch(task, data, current, alpha, segments)
+                    }
+                    Some(ParallelStrategy::SharedMemory {
+                        workers,
+                        discipline,
+                    }) => run_shared_memory_epoch(
+                        task, data, order, current, alpha, workers, discipline,
+                    ),
+                };
+                gradient_duration += gradient_start.elapsed();
+                model = pass?;
+
+                // 4. Evaluate the objective for the convergence test.
+                let loss = objective(task, &model, data);
+
+                // 5. Divergence scan + recovery.
+                let healthy = loss.is_finite() && model.iter().all(|v| v.is_finite());
+                if !healthy && good.retries_used < config.backoff.max_retries {
+                    good.retries_used += 1;
+                    epoch_retries += 1;
+                    good.alpha_scale *= config.backoff.factor;
+                    model.clone_from(&good.model);
+                    // Re-assert the restored model to the serving handle:
+                    // readers keep seeing a finite model while the retry runs.
+                    publish_serving(config, &model);
+                    continue;
+                }
+                if !healthy && config.backoff.max_retries > 0 {
+                    return Err(EpochAbort::Diverged {
+                        retries: good.retries_used,
+                    });
+                }
+                // With backoff disabled a diverged epoch is recorded as-is
+                // and left to the convergence test; it is never published,
+                // checkpointed or kept as the last-good model.
+                good.next_epoch = epoch + 1;
+                good.losses.push(loss);
+                if healthy {
+                    good.model.clone_from(&model);
+                    // 6. Serving publish.
+                    publish_serving(config, &model);
+                    // 7. Periodic checkpoint.
+                    if let Some(policy) = config.checkpoint.as_ref().filter(|p| p.due(epoch + 1)) {
+                        policy.write(&good)?;
+                    }
+                }
+                stats.push(ParallelEpochStats {
+                    gradient_duration,
+                    retries: epoch_retries,
+                });
+                return Ok(EpochOutcome {
+                    loss,
+                    gradient_norm: None,
+                    shuffle_duration,
+                    retries: epoch_retries,
+                });
+            }
+        });
+
+    let trained = |model| TrainedModel {
+        task_name: task.name(),
+        model,
+        history,
+    };
+    let result = match aborted {
+        None => Ok(trained(model)),
+        Some((epoch, abort)) => Err(abort.into_train_error(epoch, trained(good.model))),
+    };
+    (result, stats)
+}
+
+/// Full objective (`Σ_i f_i(w) + P(w)`) of `model` over `data`.
+fn objective<T: IgdTask, S: TupleScan + ?Sized>(task: &T, model: &[f64], data: &S) -> f64 {
+    let mut total = task.regularizer(model);
+    data.scan_tuples(&mut |tuple| total += task.example_loss(model, tuple));
+    total
+}
+
+/// The state of a run that has completed no epoch, from `model`.
+pub(crate) fn fresh_start<T: IgdTask>(
+    task: &T,
+    config: &TrainerConfig,
+    model: Vec<f64>,
+) -> TrainingCheckpoint {
+    TrainingCheckpoint {
+        task_name: task.name().to_string(),
+        next_epoch: 0,
+        model,
+        alpha_scale: 1.0,
+        retries_used: 0,
+        losses: Vec::new(),
+        scan_order: config.scan_order,
+        step_size: config.step_size,
+    }
+}
+
+/// Read the checkpoint at `path` and reject it unless an equivalent run
+/// produced it: resuming under a different task, dimension, scan order or
+/// step-size schedule would silently break bit-compatibility.
+pub(crate) fn load_checkpoint<T: IgdTask>(
+    task: &T,
+    config: &TrainerConfig,
+    path: &Path,
+) -> Result<TrainingCheckpoint, TrainError> {
+    let checkpoint = TrainingCheckpoint::read(path)?;
+    let corrupt = |msg: String| Err(TrainError::Checkpoint(CheckpointError::Corrupt(msg)));
+    if checkpoint.task_name != task.name() {
+        return corrupt(format!(
+            "checkpoint is for task '{}', trainer runs '{}'",
+            checkpoint.task_name,
+            task.name()
+        ));
+    }
+    if checkpoint.model.len() != task.dimension() {
+        return corrupt(format!(
+            "checkpoint model has dimension {}, task expects {}",
+            checkpoint.model.len(),
+            task.dimension()
+        ));
+    }
+    if checkpoint.scan_order != config.scan_order {
+        return corrupt(format!(
+            "checkpoint scan order {:?} differs from the trainer's {:?}",
+            checkpoint.scan_order, config.scan_order
+        ));
+    }
+    if checkpoint.step_size != config.step_size {
+        return corrupt(format!(
+            "checkpoint step-size schedule {:?} differs from the trainer's {:?}",
+            checkpoint.step_size, config.step_size
+        ));
+    }
+    Ok(checkpoint)
 }
 
 /// Internal abort reason raised inside the epoch closure; converted into a
@@ -673,8 +728,14 @@ pub(crate) enum EpochAbort {
     Interrupted,
 }
 
+impl From<CheckpointError> for EpochAbort {
+    fn from(e: CheckpointError) -> Self {
+        EpochAbort::Checkpoint(e)
+    }
+}
+
 impl EpochAbort {
-    pub(crate) fn into_train_error(self, epoch: usize, last_good: TrainedModel) -> TrainError {
+    fn into_train_error(self, epoch: usize, last_good: TrainedModel) -> TrainError {
         match self {
             EpochAbort::WorkerPanic {
                 failed_workers,
@@ -712,7 +773,7 @@ pub(crate) fn unwrap_trained(result: Result<TrainedModel, TrainError>) -> Traine
 
 /// Synthesize zero-duration records for epochs restored from a checkpoint
 /// (only losses are persisted; timings of the original run are not).
-pub(crate) fn prior_records(losses: &[f64]) -> Vec<EpochRecord> {
+fn prior_records(losses: &[f64]) -> Vec<EpochRecord> {
     losses
         .iter()
         .enumerate()
@@ -728,7 +789,7 @@ pub(crate) fn prior_records(losses: &[f64]) -> Vec<EpochRecord> {
         .collect()
 }
 
-pub(crate) fn stop_requested(config: &TrainerConfig) -> bool {
+fn stop_requested(config: &TrainerConfig) -> bool {
     config
         .stop_flag
         .as_ref()
@@ -738,7 +799,7 @@ pub(crate) fn stop_requested(config: &TrainerConfig) -> bool {
 
 /// Reject a run whose serving handle cannot accept the task's models before
 /// any epoch runs, so the in-loop publishes cannot fail.
-pub(crate) fn validate_serving(config: &TrainerConfig, dimension: usize) -> Result<(), TrainError> {
+fn validate_serving(config: &TrainerConfig, dimension: usize) -> Result<(), TrainError> {
     match &config.serving {
         Some(handle) if handle.dimension() != dimension => {
             Err(TrainError::Serving(PublishError::DimensionMismatch {
@@ -752,128 +813,11 @@ pub(crate) fn validate_serving(config: &TrainerConfig, dimension: usize) -> Resu
 
 /// Publish a healthy (finite, dimension-checked) model to the serving
 /// handle, if one is configured.
-pub(crate) fn publish_serving(config: &TrainerConfig, model: &[f64]) {
+fn publish_serving(config: &TrainerConfig, model: &[f64]) {
     if let Some(handle) = &config.serving {
         handle
             .publish(model)
             .expect("dimension validated at run start and only finite models are published");
-    }
-}
-
-/// Reject a checkpoint that was not produced by an equivalent run: resuming
-/// under a different task, dimension, scan order or step-size schedule would
-/// silently break bit-compatibility.
-pub(crate) fn validate_checkpoint<T: IgdTask>(
-    checkpoint: &TrainingCheckpoint,
-    task: &T,
-    config: &TrainerConfig,
-) -> Result<(), TrainError> {
-    let corrupt = |msg: String| TrainError::Checkpoint(CheckpointError::Corrupt(msg));
-    if checkpoint.task_name != task.name() {
-        return Err(corrupt(format!(
-            "checkpoint is for task '{}', trainer runs '{}'",
-            checkpoint.task_name,
-            task.name()
-        )));
-    }
-    if checkpoint.model.len() != task.dimension() {
-        return Err(corrupt(format!(
-            "checkpoint model has dimension {}, task expects {}",
-            checkpoint.model.len(),
-            task.dimension()
-        )));
-    }
-    if checkpoint.scan_order != config.scan_order {
-        return Err(corrupt(format!(
-            "checkpoint scan order {:?} differs from the trainer's {:?}",
-            checkpoint.scan_order, config.scan_order
-        )));
-    }
-    if checkpoint.step_size != config.step_size {
-        return Err(corrupt(format!(
-            "checkpoint step-size schedule {:?} differs from the trainer's {:?}",
-            checkpoint.step_size, config.step_size
-        )));
-    }
-    Ok(())
-}
-
-/// Write a checkpoint if the policy's cadence says this epoch boundary is due.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn maybe_write_checkpoint<T: IgdTask>(
-    task: &T,
-    config: &TrainerConfig,
-    next_epoch: usize,
-    model: &[f64],
-    alpha_scale: f64,
-    retries_used: u32,
-    losses: &[f64],
-) -> Result<(), EpochAbort> {
-    let Some(policy) = &config.checkpoint else {
-        return Ok(());
-    };
-    if policy.every == 0 || !next_epoch.is_multiple_of(policy.every) {
-        return Ok(());
-    }
-    policy
-        .write(&build_checkpoint(
-            task,
-            config,
-            next_epoch,
-            model,
-            alpha_scale,
-            retries_used,
-            losses,
-        ))
-        .map_err(EpochAbort::Checkpoint)
-}
-
-/// Write a checkpoint unconditionally at an interrupt point (if a policy is
-/// configured), so the interrupted run can be resumed without losing the
-/// epochs since the last periodic write.
-pub(crate) fn write_interrupt_checkpoint<T: IgdTask>(
-    task: &T,
-    config: &TrainerConfig,
-    next_epoch: usize,
-    model: &[f64],
-    alpha_scale: f64,
-    retries_used: u32,
-    losses: &[f64],
-) -> Result<(), EpochAbort> {
-    let Some(policy) = &config.checkpoint else {
-        return Ok(());
-    };
-    policy
-        .write(&build_checkpoint(
-            task,
-            config,
-            next_epoch,
-            model,
-            alpha_scale,
-            retries_used,
-            losses,
-        ))
-        .map_err(EpochAbort::Checkpoint)
-}
-
-fn build_checkpoint<T: IgdTask>(
-    task: &T,
-    config: &TrainerConfig,
-    next_epoch: usize,
-    model: &[f64],
-    alpha_scale: f64,
-    retries_used: u32,
-    losses: &[f64],
-) -> TrainingCheckpoint {
-    TrainingCheckpoint {
-        task_name: task.name().to_string(),
-        next_epoch,
-        model: model.to_vec(),
-        alpha_scale,
-        retries_used,
-        losses: losses.to_vec(),
-        scan_order: config.scan_order,
-        step_size: config.step_size,
     }
 }
 

@@ -224,16 +224,24 @@ pub fn atomic_write(path: &Path, bytes: &[u8]) -> io::Result<()> {
         sync_file(&file)?;
     }
     rename(&tmp, path)?;
-    if let Some(parent) = path.parent() {
-        // An empty parent means a bare relative filename: the CWD.
-        let parent = if parent.as_os_str().is_empty() {
-            Path::new(".")
-        } else {
-            parent
-        };
+    if let Some(parent) = parent_dir(path) {
         sync_dir(parent)?;
     }
     Ok(())
+}
+
+/// The directory that holds `path`, for fsyncing it or listing siblings.
+/// `Path::parent` reports a bare relative file name (`model.ckpt`) as the
+/// empty path, which no directory call accepts; that file lives in the
+/// current directory, `.`. `None` only for a root or an empty path.
+pub fn parent_dir(path: &Path) -> Option<&Path> {
+    path.parent().map(|parent| {
+        if parent.as_os_str().is_empty() {
+            Path::new(".")
+        } else {
+            parent
+        }
+    })
 }
 
 /// Read a whole file with one exact-size read, routed through the durable
@@ -329,6 +337,20 @@ mod tests {
         atomic_write(&path, b"second, longer payload").unwrap();
         assert_eq!(read_file(&path).unwrap(), b"second, longer payload");
         fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn parent_dir_resolves_a_bare_file_name_to_the_current_directory() {
+        for (path, parent) in [
+            ("model.ckpt", Some(".")),
+            ("./model.ckpt", Some(".")),
+            ("dir/model.ckpt", Some("dir")),
+            ("/model.ckpt", Some("/")),
+            ("/", None),
+            ("", None),
+        ] {
+            assert_eq!(parent_dir(Path::new(path)), parent.map(Path::new), "{path}");
+        }
     }
 
     #[test]

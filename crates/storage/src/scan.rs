@@ -99,16 +99,6 @@ impl ScanOrder {
         }
     }
 
-    /// Whether this order requires a shuffle before the given epoch (used to
-    /// account for shuffle cost in the runtime experiments).
-    pub fn shuffles_at(&self, epoch: usize) -> bool {
-        match self {
-            ScanOrder::Clustered => false,
-            ScanOrder::ShuffleOnce { .. } => epoch == 0,
-            ScanOrder::ShuffleAlways { .. } => true,
-        }
-    }
-
     /// Human-readable name used in experiment output.
     pub fn label(&self) -> &'static str {
         match self {
@@ -155,7 +145,6 @@ mod tests {
     fn clustered_has_no_permutation_and_never_shuffles() {
         let order = ScanOrder::Clustered;
         assert!(order.permutation(10, 0).is_none());
-        assert!(!order.shuffles_at(0));
         assert_eq!(order.label(), "Clustered");
     }
 
@@ -165,8 +154,6 @@ mod tests {
         let p0 = order.permutation(100, 0).unwrap();
         let p5 = order.permutation(100, 5).unwrap();
         assert_eq!(p0, p5);
-        assert!(order.shuffles_at(0));
-        assert!(!order.shuffles_at(1));
     }
 
     #[test]
@@ -175,7 +162,6 @@ mod tests {
         let p0 = order.permutation(100, 0).unwrap();
         let p1 = order.permutation(100, 1).unwrap();
         assert_ne!(p0, p1);
-        assert!(order.shuffles_at(0) && order.shuffles_at(9));
     }
 
     #[test]

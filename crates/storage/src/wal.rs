@@ -192,7 +192,7 @@ impl WalWriter {
         let mut file = durable::create_file(path).map_err(|e| io_err("create", path, e))?;
         durable::write_all(&mut file, &header_bytes()).map_err(|e| io_err("write", path, e))?;
         durable::sync_file(&file).map_err(|e| io_err("sync", path, e))?;
-        if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
+        if let Some(parent) = durable::parent_dir(path) {
             durable::sync_dir(parent).map_err(|e| io_err("sync dir", path, e))?;
         }
         Ok(WalWriter {

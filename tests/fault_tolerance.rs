@@ -4,22 +4,28 @@
 //! end-to-end: a panicking gradient worker is isolated into a typed error
 //! that carries the last healthy model, an injected NaN gradient is healed
 //! by divergence backoff, and a checkpointed run killed mid-way resumes
-//! bit-compatibly with an uninterrupted one.
+//! bit-compatibly with an uninterrupted one. The `every_pass_*` tests at the
+//! end run one runtime contract over every gradient pass the single epoch
+//! loop can select.
 
 #![cfg(feature = "fault-injection")]
 
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 use bismarck_core::fault::{Fault, FaultyTask};
+use bismarck_core::model::ModelStore;
+use bismarck_core::parallel::ParallelEpochStats;
 use bismarck_core::tasks::LogisticRegressionTask;
 use bismarck_core::{
-    ParallelStrategy, ParallelTrainer, StepSizeSchedule, TrainError, Trainer, TrainerConfig,
+    IgdTask, ModelHandle, ParallelStrategy, ParallelTrainer, ProximalPolicy, ServingTask,
+    StepSizeSchedule, TrainError, TrainedModel, Trainer, TrainerConfig, TrainingCheckpoint,
     UpdateDiscipline,
 };
 use bismarck_datagen::{dense_classification, DenseClassificationConfig};
-use bismarck_storage::{ScanOrder, Table};
+use bismarck_storage::{ScanOrder, Table, Tuple};
 use bismarck_uda::ConvergenceTest;
 
 fn table(n: usize) -> Table {
@@ -329,4 +335,258 @@ fn parallel_lock_single_worker_resumes_bit_compatibly() {
     assert_eq!(stats.len(), 4, "stats cover only the resumed epochs");
     assert_eq!(resumed.model, full.model);
     let _ = std::fs::remove_file(&path);
+}
+
+// ---------------------------------------------------------------------------
+// One runtime contract over every gradient pass.
+//
+// `Trainer` and `ParallelTrainer` run the same epoch loop and differ only in
+// the pass it calls, so every scenario below runs unchanged over the whole
+// table. The shared-memory rows use one worker: that keeps each pass
+// deterministic (models can be compared bitwise) and an injected NaN cannot
+// be overwritten by a racing NoLock update.
+// ---------------------------------------------------------------------------
+
+/// `None` is the sequential pass of `Trainer`.
+const PASSES: [Option<ParallelStrategy>; 5] = [
+    None,
+    Some(ParallelStrategy::PureUda { segments: 3 }),
+    Some(ParallelStrategy::SharedMemory {
+        workers: 1,
+        discipline: UpdateDiscipline::Lock,
+    }),
+    Some(ParallelStrategy::SharedMemory {
+        workers: 1,
+        discipline: UpdateDiscipline::Aig,
+    }),
+    Some(ParallelStrategy::SharedMemory {
+        workers: 1,
+        discipline: UpdateDiscipline::NoLock,
+    }),
+];
+
+fn pass_label(pass: Option<ParallelStrategy>) -> &'static str {
+    pass.map_or("Sequential", |strategy| strategy.label())
+}
+
+/// Whether the pass scans in the configured order (Pure UDA segments always
+/// scan storage order).
+fn reads_permutation(pass: Option<ParallelStrategy>) -> bool {
+    !matches!(pass, Some(ParallelStrategy::PureUda { .. }))
+}
+
+/// Train (or, given a checkpoint path, resume) with the trainer that owns
+/// `pass`; the sequential trainer reports no per-epoch parallel stats.
+fn run_pass<T: IgdTask>(
+    pass: Option<ParallelStrategy>,
+    task: &T,
+    config: TrainerConfig,
+    data: &Table,
+    resume: Option<&Path>,
+) -> Result<(TrainedModel, Option<Vec<ParallelEpochStats>>), TrainError> {
+    match (pass, resume) {
+        (None, None) => Trainer::new(task, config)
+            .try_train(data)
+            .map(|t| (t, None)),
+        (None, Some(path)) => Trainer::new(task, config)
+            .resume_from(data, path)
+            .map(|t| (t, None)),
+        (Some(strategy), None) => ParallelTrainer::new(task, config, strategy)
+            .try_train(data)
+            .map(|(t, stats)| (t, Some(stats))),
+        (Some(strategy), Some(path)) => ParallelTrainer::new(task, config, strategy)
+            .resume_from(data, path)
+            .map(|(t, stats)| (t, Some(stats))),
+    }
+}
+
+/// Raises a stop flag once the objective has been evaluated `after` times,
+/// i.e. deterministically at the end of epoch `after - 1` of a fault-free
+/// run. Everything else is delegated.
+struct StopAfter<T> {
+    inner: T,
+    after: usize,
+    loss_passes: AtomicUsize,
+    flag: Arc<AtomicBool>,
+}
+
+impl<T: IgdTask> IgdTask for StopAfter<T> {
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+    fn dimension(&self) -> usize {
+        self.inner.dimension()
+    }
+    fn initial_model(&self) -> Vec<f64> {
+        self.inner.initial_model()
+    }
+    fn gradient_step(&self, model: &mut dyn ModelStore, tuple: &Tuple, alpha: f64) {
+        self.inner.gradient_step(model, tuple, alpha)
+    }
+    fn example_loss(&self, model: &[f64], tuple: &Tuple) -> f64 {
+        self.inner.example_loss(model, tuple)
+    }
+    fn regularizer(&self, model: &[f64]) -> f64 {
+        if self.loss_passes.fetch_add(1, Ordering::SeqCst) + 1 == self.after {
+            self.flag.store(true, Ordering::SeqCst);
+        }
+        self.inner.regularizer(model)
+    }
+    fn proximal_step(&self, model: &mut [f64], alpha: f64) {
+        self.inner.proximal_step(model, alpha)
+    }
+    fn proximal_policy(&self) -> ProximalPolicy {
+        self.inner.proximal_policy()
+    }
+}
+
+#[test]
+fn every_pass_recovers_a_nan_epoch_and_serves_only_finite_models() {
+    let data = table(150);
+    for pass in PASSES {
+        let label = pass_label(pass);
+        // Every attempt takes exactly 150 gradient steps, so step 340 falls
+        // in the first attempt at epoch 2 under every pass.
+        let task = FaultyTask::new(
+            LogisticRegressionTask::new(1, 2, 4),
+            Fault::NanGradientAtStep(2 * 150 + 40),
+        );
+        let handle = ModelHandle::new(ServingTask::Logistic, 4);
+        let (trained, stats) = run_pass(
+            pass,
+            &task,
+            config(8).with_backoff(2).with_serving(handle.clone()),
+            &data,
+            None,
+        )
+        .unwrap_or_else(|e| panic!("[{label}] backoff should absorb one NaN epoch: {e}"));
+
+        // The recovery is attributed to the epoch that needed it, in both
+        // the history and the per-epoch parallel stats.
+        let expected = [0, 0, 1, 0, 0, 0, 0, 0];
+        let recorded: Vec<u32> = trained
+            .history
+            .records()
+            .iter()
+            .map(|r| r.retries)
+            .collect();
+        assert_eq!(recorded, expected, "[{label}] EpochRecord::retries");
+        if let Some(stats) = stats {
+            let counted: Vec<u32> = stats.iter().map(|s| s.retries).collect();
+            assert_eq!(counted, expected, "[{label}] ParallelEpochStats::retries");
+        }
+        assert!(
+            trained.history.losses().iter().all(|l| l.is_finite()),
+            "[{label}] the diverged attempt must be discarded, not recorded"
+        );
+
+        // One publish per healthy epoch plus one re-assert per recovery; the
+        // diverged model itself never reaches the handle (`publish` rejects
+        // non-finite weights and the loop treats a rejection as a bug).
+        assert_eq!(handle.version(), 8 + 1, "[{label}] publish count");
+        let served = handle.snapshot();
+        assert_eq!(served.weights(), trained.model.as_slice(), "[{label}]");
+        assert!(served.weights().iter().all(|w| w.is_finite()), "[{label}]");
+    }
+}
+
+#[test]
+fn every_pass_interrupts_checkpoints_and_resumes_to_the_full_run() {
+    let data = table(110);
+    for pass in PASSES {
+        let label = pass_label(pass);
+        let path = ckpt_path(&format!("contract_stop_{label}"));
+        let flag = Arc::new(AtomicBool::new(false));
+        let task = StopAfter {
+            inner: LogisticRegressionTask::new(1, 2, 4),
+            after: 3,
+            loss_passes: AtomicUsize::new(0),
+            flag: flag.clone(),
+        };
+        // A cadence of 100 is never due in a 6-epoch run: the only write is
+        // the interrupt's.
+        let err = run_pass(
+            pass,
+            &task,
+            config(6).with_checkpoints(&path, 100).with_stop_flag(flag),
+            &data,
+            None,
+        )
+        .expect_err("the raised flag must interrupt the run");
+        let TrainError::Interrupted { epoch, last_good } = err else {
+            panic!("[{label}] expected Interrupted, got {err:?}");
+        };
+        assert_eq!(epoch, 3, "[{label}]");
+        assert_eq!(last_good.epochs(), 3, "[{label}]");
+        let checkpoint = TrainingCheckpoint::read(&path)
+            .unwrap_or_else(|e| panic!("[{label}] interrupt checkpoint: {e}"));
+        assert_eq!(checkpoint.next_epoch, 3, "[{label}]");
+        assert_eq!(checkpoint.model, last_good.model, "[{label}]");
+
+        let (resumed, stats) = run_pass(pass, &task.inner, config(6), &data, Some(&path))
+            .unwrap_or_else(|e| panic!("[{label}] resume: {e}"));
+        let (uninterrupted, _) = run_pass(pass, &task.inner, config(6), &data, None).unwrap();
+        assert_eq!(resumed.epochs(), 6, "[{label}]");
+        assert_eq!(resumed.model, uninterrupted.model, "[{label}]");
+        assert_eq!(
+            resumed.history.losses(),
+            uninterrupted.history.losses(),
+            "[{label}]"
+        );
+        if let Some(stats) = stats {
+            assert_eq!(
+                stats.len(),
+                3,
+                "[{label}] stats cover only the resumed epochs"
+            );
+        }
+        let _ = std::fs::remove_file(&path);
+    }
+}
+
+fn shuffle_times(trained: &TrainedModel) -> Vec<Duration> {
+    let records = trained.history.records();
+    records.iter().map(|r| r.shuffle_duration).collect()
+}
+
+#[test]
+fn every_pass_bills_shuffle_time_to_the_epoch_that_drew_a_permutation() {
+    let data = table(200);
+    let task = LogisticRegressionTask::new(1, 2, 4);
+    for pass in PASSES {
+        let label = pass_label(pass);
+
+        // ShuffleAlways draws every epoch — unless the pass never reads a
+        // permutation, in which case none is built or billed.
+        let always = config(4).with_scan_order(ScanOrder::ShuffleAlways { seed: 3 });
+        let (trained, _) = run_pass(pass, &task, always, &data, None).unwrap();
+        for (epoch, time) in shuffle_times(&trained).into_iter().enumerate() {
+            assert_eq!(
+                time > Duration::ZERO,
+                reads_permutation(pass),
+                "[{label}] ShuffleAlways epoch {epoch}: {time:?}"
+            );
+        }
+
+        // A resumed ShuffleOnce run draws its one permutation in the first
+        // epoch it runs, and that epoch — not epoch 0 — pays for it.
+        let path = ckpt_path(&format!("contract_shuffle_{label}"));
+        let once = config(5).with_scan_order(ScanOrder::ShuffleOnce { seed: 3 });
+        let partial = once
+            .clone()
+            .with_convergence(ConvergenceTest::FixedEpochs(2))
+            .with_checkpoints(&path, 2);
+        run_pass(pass, &task, partial, &data, None).unwrap();
+        let (resumed, _) = run_pass(pass, &task, once, &data, Some(&path)).unwrap();
+        let times = shuffle_times(&resumed);
+        assert_eq!(times.len(), 5, "[{label}]");
+        for (epoch, time) in times.into_iter().enumerate() {
+            assert_eq!(
+                time > Duration::ZERO,
+                epoch == 2 && reads_permutation(pass),
+                "[{label}] resumed ShuffleOnce epoch {epoch}: {time:?}"
+            );
+        }
+        let _ = std::fs::remove_file(&path);
+    }
 }
