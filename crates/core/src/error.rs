@@ -51,7 +51,7 @@ pub enum TrainError {
     Serving(PublishError),
     /// The run observed its stop flag (see
     /// [`crate::trainer::TrainerConfig::with_stop_flag`]) and exited at an
-    /// epoch boundary.
+    /// epoch boundary, or between two blocks of the epoch it gave up.
     Interrupted {
         /// Epoch (0-based) that would have run next.
         epoch: usize,

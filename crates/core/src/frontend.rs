@@ -8,15 +8,16 @@
 //! trainer, and write the model back into the database so it can be applied
 //! to new data with the matching `*_predict` function.
 
+use bismarck_linalg::FeatureVectorRef;
 use bismarck_storage::{
-    Column, DataType, Database, Schema, StorageError, StoredTable, Table, TupleScan, Value,
+    Column, DataType, Database, Schema, StorageError, StoredTable, Table, Tuple, TupleScan, Value,
 };
 use bismarck_uda::TrainingHistory;
 
 use crate::error::TrainError;
 use crate::task::IgdTask;
 use crate::tasks::{CrfTask, LmfTask, LogisticRegressionTask, SvmTask};
-use crate::trainer::{Trainer, TrainerConfig};
+use crate::trainer::{objective, Trainer, TrainerConfig};
 
 /// Errors surfaced by the front-end functions.
 #[derive(Debug, Clone, PartialEq)]
@@ -75,13 +76,24 @@ pub struct TrainSummary {
 
 /// Infer the feature dimension of a feature-vector column by scanning the
 /// tuple source (sparse rows report `max index + 1`). Works over row-store
-/// and columnar tables alike.
+/// and columnar tables alike; a columnar table answers from its chunks'
+/// offsets without reading a feature value.
 pub fn infer_dimension<S: TupleScan + ?Sized>(source: &S, features_col: usize) -> usize {
     let mut dim = 0usize;
-    source.scan_tuples(&mut |t| {
-        if let Some(fv) = t.feature_view(features_col) {
-            dim = dim.max(fv.dimension());
+    let mut scratch = Tuple::default();
+    source.scan_blocks(0, usize::MAX, &mut |block| {
+        match block.features(features_col) {
+            Some(rows) => dim = dim.max(rows.max_dimension()),
+            None => {
+                block.for_each_tuple(&mut scratch, &mut |t| {
+                    if let Some(fv) = t.feature_view(features_col) {
+                        dim = dim.max(fv.dimension());
+                    }
+                    true
+                });
+            }
         }
+        true
     });
     dim
 }
@@ -261,10 +273,7 @@ fn linear_objective<T: IgdTask>(
         )));
     }
     let task = make_task(fcol, lcol, model.len());
-    let mut total = task.regularizer(&model);
-    db.stored(table_name)?
-        .scan_tuples(&mut |tuple| total += task.example_loss(&model, tuple));
-    Ok(total)
+    Ok(objective(&task, &model, db.stored(table_name)?))
 }
 
 /// Objective value of a persisted logistic-regression model over a table.
@@ -360,13 +369,19 @@ pub fn linear_predict(
     let model = load_model(db, model_name)?;
     let fcol = table.column_index(features_col)?;
     let mut out = Vec::with_capacity(table.len());
-    table.scan_tuples(&mut |tuple| {
-        out.push(
-            tuple
-                .feature_view(fcol)
-                .map(|x| x.dot(&model))
-                .unwrap_or(0.0),
-        );
+    let score = |x: Option<FeatureVectorRef<'_>>| x.map(|x| x.dot(&model)).unwrap_or(0.0);
+    let mut scratch = Tuple::default();
+    table.scan_blocks(0, usize::MAX, &mut |block| {
+        match block.features(fcol) {
+            Some(rows) => out.extend((0..rows.len()).map(|i| score(rows.get(i)))),
+            None => {
+                block.for_each_tuple(&mut scratch, &mut |tuple| {
+                    out.push(score(tuple.feature_view(fcol)));
+                    true
+                });
+            }
+        }
+        true
     });
     Ok(out)
 }

@@ -8,11 +8,11 @@
 //! and therefore usable with the engine's shared-nothing parallel
 //! aggregation.
 
-use bismarck_storage::Tuple;
-use bismarck_uda::Aggregate;
+use bismarck_storage::{ExampleRows, RowBlock, Tuple};
+use bismarck_uda::{transition_tuples, Aggregate};
 
 use crate::model::DenseModelStore;
-use crate::task::{IgdTask, ProximalPolicy};
+use crate::task::{ExampleTask, IgdTask, ProximalPolicy};
 
 /// Aggregation state: the model being learned plus bookkeeping.
 #[derive(Debug, Clone, PartialEq)]
@@ -80,6 +80,32 @@ impl<'a, T: IgdTask> IgdAggregate<'a, T> {
     }
 }
 
+/// The task's example kernel and the (features, label) rows `block` lends
+/// it, to run in place of one per-tuple call per materialized row. `None` —
+/// take the per-tuple path — unless the task declares examples and the block
+/// stores both columns in a layout it can lend out (see
+/// [`RowBlock::examples`]).
+pub(crate) fn block_examples<'t, 'b, T: IgdTask>(
+    task: &'t T,
+    block: RowBlock<'b>,
+) -> Option<(&'t dyn ExampleTask, ExampleRows<'b>)> {
+    let examples = task.examples()?;
+    let (features, label) = examples.columns();
+    Some((examples, block.examples(features, label)?))
+}
+
+/// [`block_examples`] for a gradient pass: additionally `None` when a
+/// proximal operator has to run between the steps.
+pub(crate) fn block_steps<'t, 'b, T: IgdTask>(
+    task: &'t T,
+    block: RowBlock<'b>,
+) -> Option<(&'t dyn ExampleTask, ExampleRows<'b>)> {
+    if task.proximal_policy() == ProximalPolicy::PerStep {
+        return None;
+    }
+    block_examples(task, block)
+}
+
 impl<T: IgdTask> Aggregate for IgdAggregate<'_, T> {
     type State = IgdState;
     type Output = IgdState;
@@ -94,6 +120,19 @@ impl<T: IgdTask> Aggregate for IgdAggregate<'_, T> {
         if self.task.proximal_policy() == ProximalPolicy::PerStep {
             self.task
                 .proximal_step(state.model.as_mut_slice(), self.alpha);
+        }
+    }
+
+    /// A task that declares examples steps on the ones the block lends out
+    /// in place. A row without an example takes no step but is counted like
+    /// any other (the count-weighted merge weighs segments by rows seen).
+    fn transition_block(&self, state: &mut IgdState, block: RowBlock<'_>) {
+        match block_steps(self.task, block) {
+            Some((task, rows)) => {
+                task.step_rows(&mut state.model, &rows, self.alpha);
+                state.steps += rows.len() as u64;
+            }
+            None => transition_tuples(self, state, block),
         }
     }
 

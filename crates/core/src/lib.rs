@@ -72,5 +72,5 @@ pub use crate::mrs::{MrsConfig, MrsTrainer};
 pub use crate::parallel::{ParallelStrategy, ParallelTrainer, UpdateDiscipline};
 pub use crate::serving::{Link, ModelHandle, ModelSnapshot, PublishError, ServingTask};
 pub use crate::stepsize::StepSizeSchedule;
-pub use crate::task::{IgdTask, ProximalPolicy};
+pub use crate::task::{ExampleTask, IgdTask, ProximalPolicy};
 pub use crate::trainer::{BackoffPolicy, CheckpointPolicy, TrainedModel, Trainer, TrainerConfig};

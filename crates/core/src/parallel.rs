@@ -24,14 +24,14 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::time::Duration;
 
-use bismarck_storage::{segment_ranges, SharedModel, Tuple, TupleScan};
+use bismarck_storage::{segment_ranges, ExampleRows, SharedModel, Tuple, TupleScan};
 use bismarck_uda::{panic_message, try_run_segmented_parallel};
 use parking_lot::Mutex;
 
 use crate::error::TrainError;
-use crate::igd::IgdAggregate;
-use crate::model::{AigStore, NoLockStore, SliceModelStore};
-use crate::task::{IgdTask, ProximalPolicy};
+use crate::igd::{block_steps, IgdAggregate};
+use crate::model::{AigStore, ModelStore, NoLockStore, SliceModelStore};
+use crate::task::{ExampleTask, IgdTask, ProximalPolicy};
 use crate::trainer::{
     fresh_start, load_checkpoint, run_epochs, unwrap_trained, EpochAbort, TrainedModel,
     TrainerConfig,
@@ -272,12 +272,50 @@ enum WorkerRows<'p> {
     Perm(&'p [usize]),
 }
 
+/// What a worker is handed at a time: the examples a storage-order block
+/// lends the task's example kernel (see [`block_steps`]), or one tuple.
+enum Work<'a> {
+    Examples(&'a dyn ExampleTask, &'a ExampleRows<'a>),
+    Tuple(&'a Tuple),
+}
+
 impl WorkerRows<'_> {
-    fn visit<S: TupleScan + ?Sized>(&self, data: &S, f: &mut dyn FnMut(&Tuple)) {
+    /// `f` is generic so that the per-tuple paths stay one indirect call
+    /// (the scan's callback) per row.
+    fn visit<T: IgdTask, S: TupleScan + ?Sized>(
+        &self,
+        task: &T,
+        data: &S,
+        mut f: impl FnMut(Work<'_>),
+    ) {
         match *self {
-            WorkerRows::Range(start, end) => data.scan_tuples_range(start, end, f),
-            WorkerRows::Perm(perm) => data.scan_tuples_permuted(perm, f),
+            WorkerRows::Range(start, end) => {
+                let mut scratch = Tuple::default();
+                data.scan_blocks(start, end, &mut |block| {
+                    match block_steps(task, block) {
+                        Some((examples, rows)) => f(Work::Examples(examples, &rows)),
+                        None => {
+                            block.for_each_tuple(&mut scratch, &mut |tuple| {
+                                f(Work::Tuple(tuple));
+                                true
+                            });
+                        }
+                    }
+                    true
+                });
+            }
+            WorkerRows::Perm(perm) => {
+                data.scan_tuples_permuted(perm, &mut |tuple| f(Work::Tuple(tuple)));
+            }
         }
+    }
+}
+
+/// Apply `work` to a worker's own view of the shared model.
+fn step_on<T: IgdTask>(task: &T, store: &mut dyn ModelStore, work: Work<'_>, alpha: f64) {
+    match work {
+        Work::Examples(examples, rows) => examples.step_rows(store, rows, alpha),
+        Work::Tuple(tuple) => task.gradient_step(store, tuple, alpha),
     }
 }
 
@@ -355,13 +393,24 @@ pub(crate) fn run_shared_memory_epoch<T: IgdTask, S: TupleScan + ?Sized>(
     let mut final_model = match discipline {
         UpdateDiscipline::Lock => {
             let locked = Mutex::new(model);
+            // The lock is taken per step, not per block, so the workers
+            // interleave as finely as they always did.
             run_workers(&worker_rows, |rows| {
-                rows.visit(data, &mut |tuple| {
-                    let mut guard = locked.lock();
-                    let mut store = SliceModelStore::new(guard.as_mut_slice());
-                    task.gradient_step(&mut store, tuple, alpha);
-                    if task.proximal_policy() == ProximalPolicy::PerStep {
-                        task.proximal_step(guard.as_mut_slice(), alpha);
+                rows.visit(task, data, |work| match work {
+                    Work::Examples(examples, rows) => {
+                        for i in 0..rows.len() {
+                            let mut guard = locked.lock();
+                            let mut store = SliceModelStore::new(guard.as_mut_slice());
+                            examples.step_rows(&mut store, &rows.row(i), alpha);
+                        }
+                    }
+                    Work::Tuple(tuple) => {
+                        let mut guard = locked.lock();
+                        let mut store = SliceModelStore::new(guard.as_mut_slice());
+                        task.gradient_step(&mut store, tuple, alpha);
+                        if task.proximal_policy() == ProximalPolicy::PerStep {
+                            task.proximal_step(guard.as_mut_slice(), alpha);
+                        }
                     }
                 });
             })?;
@@ -371,9 +420,7 @@ pub(crate) fn run_shared_memory_epoch<T: IgdTask, S: TupleScan + ?Sized>(
             let shared = SharedModel::from_slice(&model);
             run_workers(&worker_rows, |rows| {
                 let mut store = AigStore::new(shared.clone());
-                rows.visit(data, &mut |tuple| {
-                    task.gradient_step(&mut store, tuple, alpha)
-                });
+                rows.visit(task, data, |work| step_on(task, &mut store, work, alpha));
             })?;
             shared.snapshot()
         }
@@ -381,9 +428,7 @@ pub(crate) fn run_shared_memory_epoch<T: IgdTask, S: TupleScan + ?Sized>(
             let shared = SharedModel::from_slice(&model);
             run_workers(&worker_rows, |rows| {
                 let mut store = NoLockStore::new(shared.clone());
-                rows.visit(data, &mut |tuple| {
-                    task.gradient_step(&mut store, tuple, alpha)
-                });
+                rows.visit(task, data, |work| step_on(task, &mut store, work, alpha));
             })?;
             shared.snapshot()
         }

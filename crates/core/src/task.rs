@@ -8,8 +8,15 @@
 //! an optional **regularizer** `P(w)`, and an optional **proximal step**
 //! `Π_{αP}` (Appendix A). Everything else — epochs, ordering, parallelism,
 //! convergence, persistence — is shared infrastructure.
+//!
+//! A task whose step and loss depend on a row only through one (feature
+//! vector, label) pair — LR, SVM, least squares — writes them once as an
+//! [`ExampleTask`] and declares it through [`IgdTask::examples`]; the
+//! storage-order passes over a columnar table then feed it examples borrowed
+//! from the stored columns instead of a tuple rebuilt per row.
 
-use bismarck_storage::Tuple;
+use bismarck_linalg::FeatureVectorRef;
+use bismarck_storage::{ExampleRows, Tuple};
 
 use crate::model::ModelStore;
 
@@ -70,6 +77,17 @@ pub trait IgdTask: Send + Sync {
         ProximalPolicy::None
     }
 
+    /// `Some` when a row enters [`IgdTask::gradient_step`] and
+    /// [`IgdTask::example_loss`] only as one (feature vector, label) example:
+    /// a storage-order pass over a columnar table then runs
+    /// [`ExampleTask::step`] / [`ExampleTask::loss`] on examples borrowed
+    /// from the stored columns instead of on a tuple rebuilt per row. The default `None` keeps every
+    /// row on the per-tuple methods — so a wrapper that intercepts those and
+    /// does not forward this one still sees every step.
+    fn examples(&self) -> Option<&dyn ExampleTask> {
+        None
+    }
+
     /// Full objective value: `Σ_i f_i(w) + P(w)` over a set of tuples.
     fn objective<'a>(&self, model: &[f64], tuples: impl Iterator<Item = &'a Tuple>) -> f64
     where
@@ -78,6 +96,63 @@ pub trait IgdTask: Send + Sync {
         let mut total = self.regularizer(model);
         for tuple in tuples {
             total += self.example_loss(model, tuple);
+        }
+        total
+    }
+}
+
+/// The part of a linear task (LR, SVM, least squares) that differs from its
+/// siblings: the step and the loss on one `(x, y)` example, wherever the
+/// example is borrowed from. The tuple and block forms are provided on top,
+/// so the per-example arithmetic is the same kernel calls in the same order
+/// whichever way a row arrives.
+///
+/// A row whose features or label is NULL (or not a vector / a number) is no
+/// example: it takes no step and contributes exactly `0.0` to the loss.
+pub trait ExampleTask: Sync {
+    /// Ordinal positions of the (features, label) columns.
+    fn columns(&self) -> (usize, usize);
+
+    /// One incremental gradient step on one example.
+    fn step(&self, model: &mut dyn ModelStore, x: FeatureVectorRef<'_>, y: f64, alpha: f64);
+
+    /// The loss term of one example.
+    fn loss(&self, model: &[f64], x: FeatureVectorRef<'_>, y: f64) -> f64;
+
+    /// [`IgdTask::gradient_step`] of a task that declares examples.
+    fn step_tuple(&self, model: &mut dyn ModelStore, tuple: &Tuple, alpha: f64) {
+        let (features, label) = self.columns();
+        if let (Some(x), Some(y)) = (tuple.feature_view(features), tuple.get_double(label)) {
+            self.step(model, x, y, alpha);
+        }
+    }
+
+    /// [`IgdTask::example_loss`] of a task that declares examples.
+    fn loss_tuple(&self, model: &[f64], tuple: &Tuple) -> f64 {
+        let (features, label) = self.columns();
+        match (tuple.feature_view(features), tuple.get_double(label)) {
+            (Some(x), Some(y)) => self.loss(model, x, y),
+            _ => 0.0,
+        }
+    }
+
+    /// One step per example of `rows`, in order.
+    fn step_rows(&self, model: &mut dyn ModelStore, rows: &ExampleRows<'_>, alpha: f64) {
+        for i in 0..rows.len() {
+            if let Some((x, y)) = rows.get(i) {
+                self.step(model, x, y, alpha);
+            }
+        }
+    }
+
+    /// `total` plus the loss of every row of `rows`, added one by one in
+    /// order (the sum the per-tuple loss pass forms, bit for bit).
+    fn add_losses(&self, model: &[f64], rows: &ExampleRows<'_>, mut total: f64) -> f64 {
+        for example in rows.iter() {
+            total += match example {
+                Some((x, y)) => self.loss(model, x, y),
+                None => 0.0,
+            };
         }
         total
     }

@@ -10,7 +10,7 @@ use bismarck_linalg::FeatureVectorRef;
 use bismarck_storage::Tuple;
 
 use crate::model::ModelStore;
-use crate::task::{IgdTask, ProximalPolicy};
+use crate::task::{ExampleTask, IgdTask, ProximalPolicy};
 
 /// Linear least-squares regression over a feature-vector column and a
 /// numeric target column.
@@ -41,16 +41,26 @@ impl LeastSquaresTask {
         self
     }
 
-    /// Borrow the example's feature view and target — zero-copy.
-    fn example<'t>(&self, tuple: &'t Tuple) -> Option<(FeatureVectorRef<'t>, f64)> {
-        let x = tuple.feature_view(self.features_col)?;
-        let y = tuple.get_double(self.label_col)?;
-        Some((x, y))
-    }
-
     /// Predicted value `wᵀx`.
     pub fn predict(model: &[f64], x: FeatureVectorRef<'_>) -> f64 {
         x.dot(model)
+    }
+}
+
+impl ExampleTask for LeastSquaresTask {
+    fn columns(&self) -> (usize, usize) {
+        (self.features_col, self.label_col)
+    }
+
+    #[inline]
+    fn step(&self, model: &mut dyn ModelStore, x: FeatureVectorRef<'_>, y: f64, alpha: f64) {
+        let residual = model.dot_view(x) - y;
+        model.axpy_view(x, -alpha * residual);
+    }
+
+    #[inline]
+    fn loss(&self, model: &[f64], x: FeatureVectorRef<'_>, y: f64) -> f64 {
+        0.5 * (x.dot(model) - y).powi(2)
     }
 }
 
@@ -64,18 +74,15 @@ impl IgdTask for LeastSquaresTask {
     }
 
     fn gradient_step(&self, model: &mut dyn ModelStore, tuple: &Tuple, alpha: f64) {
-        let Some((x, y)) = self.example(tuple) else {
-            return;
-        };
-        let residual = model.dot_view(x) - y;
-        model.axpy_view(x, -alpha * residual);
+        self.step_tuple(model, tuple, alpha);
     }
 
     fn example_loss(&self, model: &[f64], tuple: &Tuple) -> f64 {
-        match self.example(tuple) {
-            Some((x, y)) => 0.5 * (x.dot(model) - y).powi(2),
-            None => 0.0,
-        }
+        self.loss_tuple(model, tuple)
+    }
+
+    fn examples(&self) -> Option<&dyn ExampleTask> {
+        Some(self)
     }
 
     fn regularizer(&self, model: &[f64]) -> f64 {

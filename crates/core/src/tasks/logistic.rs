@@ -17,7 +17,7 @@ use bismarck_linalg::FeatureVectorRef;
 use bismarck_storage::Tuple;
 
 use crate::model::ModelStore;
-use crate::task::{IgdTask, ProximalPolicy};
+use crate::task::{ExampleTask, IgdTask, ProximalPolicy};
 
 /// Binary logistic regression over a feature-vector column and a ±1 label
 /// column.
@@ -57,17 +57,29 @@ impl LogisticRegressionTask {
         self
     }
 
-    /// Borrow the example's feature view and label — zero-copy, so the
-    /// per-tuple transition never touches the heap.
-    fn example<'t>(&self, tuple: &'t Tuple) -> Option<(FeatureVectorRef<'t>, f64)> {
-        let x = tuple.feature_view(self.features_col)?;
-        let y = tuple.get_double(self.label_col)?;
-        Some((x, y))
-    }
-
     /// Predicted probability of the positive class for a feature vector.
     pub fn predict_probability(model: &[f64], x: FeatureVectorRef<'_>) -> f64 {
         sigmoid(x.dot(model))
+    }
+}
+
+impl ExampleTask for LogisticRegressionTask {
+    fn columns(&self) -> (usize, usize) {
+        (self.features_col, self.label_col)
+    }
+
+    #[inline]
+    fn step(&self, model: &mut dyn ModelStore, x: FeatureVectorRef<'_>, y: f64, alpha: f64) {
+        // Figure 4 LR_Transition, as two bulk kernels on the store.
+        let wx = model.dot_view(x);
+        let sig = sigmoid(-wx * y);
+        let c = alpha * y * sig;
+        model.axpy_view(x, c);
+    }
+
+    #[inline]
+    fn loss(&self, model: &[f64], x: FeatureVectorRef<'_>, y: f64) -> f64 {
+        log1p_exp(-y * x.dot(model))
     }
 }
 
@@ -81,21 +93,15 @@ impl IgdTask for LogisticRegressionTask {
     }
 
     fn gradient_step(&self, model: &mut dyn ModelStore, tuple: &Tuple, alpha: f64) {
-        let Some((x, y)) = self.example(tuple) else {
-            return;
-        };
-        // Figure 4 LR_Transition, as two bulk kernels on the store.
-        let wx = model.dot_view(x);
-        let sig = sigmoid(-wx * y);
-        let c = alpha * y * sig;
-        model.axpy_view(x, c);
+        self.step_tuple(model, tuple, alpha);
     }
 
     fn example_loss(&self, model: &[f64], tuple: &Tuple) -> f64 {
-        match self.example(tuple) {
-            Some((x, y)) => log1p_exp(-y * x.dot(model)),
-            None => 0.0,
-        }
+        self.loss_tuple(model, tuple)
+    }
+
+    fn examples(&self) -> Option<&dyn ExampleTask> {
+        Some(self)
     }
 
     fn regularizer(&self, model: &[f64]) -> f64 {

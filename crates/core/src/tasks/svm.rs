@@ -18,7 +18,7 @@ use bismarck_linalg::FeatureVectorRef;
 use bismarck_storage::Tuple;
 
 use crate::model::ModelStore;
-use crate::task::{IgdTask, ProximalPolicy};
+use crate::task::{ExampleTask, IgdTask, ProximalPolicy};
 
 /// Binary linear SVM over a feature-vector column and a ±1 label column.
 #[derive(Debug, Clone)]
@@ -57,17 +57,29 @@ impl SvmTask {
         self
     }
 
-    /// Borrow the example's feature view and label — zero-copy, so the
-    /// per-tuple transition never touches the heap.
-    fn example<'t>(&self, tuple: &'t Tuple) -> Option<(FeatureVectorRef<'t>, f64)> {
-        let x = tuple.feature_view(self.features_col)?;
-        let y = tuple.get_double(self.label_col)?;
-        Some((x, y))
-    }
-
     /// Decision value `wᵀx`; the predicted class is its sign.
     pub fn decision_value(model: &[f64], x: FeatureVectorRef<'_>) -> f64 {
         x.dot(model)
+    }
+}
+
+impl ExampleTask for SvmTask {
+    fn columns(&self) -> (usize, usize) {
+        (self.features_col, self.label_col)
+    }
+
+    #[inline]
+    fn step(&self, model: &mut dyn ModelStore, x: FeatureVectorRef<'_>, y: f64, alpha: f64) {
+        // Figure 4 SVM_Transition: the margin test replaces LR's sigmoid.
+        let wx = model.dot_view(x);
+        if 1.0 - wx * y > 0.0 {
+            model.axpy_view(x, alpha * y);
+        }
+    }
+
+    #[inline]
+    fn loss(&self, model: &[f64], x: FeatureVectorRef<'_>, y: f64) -> f64 {
+        (1.0 - y * x.dot(model)).max(0.0)
     }
 }
 
@@ -81,21 +93,15 @@ impl IgdTask for SvmTask {
     }
 
     fn gradient_step(&self, model: &mut dyn ModelStore, tuple: &Tuple, alpha: f64) {
-        let Some((x, y)) = self.example(tuple) else {
-            return;
-        };
-        // Figure 4 SVM_Transition: the margin test replaces LR's sigmoid.
-        let wx = model.dot_view(x);
-        if 1.0 - wx * y > 0.0 {
-            model.axpy_view(x, alpha * y);
-        }
+        self.step_tuple(model, tuple, alpha);
     }
 
     fn example_loss(&self, model: &[f64], tuple: &Tuple) -> f64 {
-        match self.example(tuple) {
-            Some((x, y)) => (1.0 - y * x.dot(model)).max(0.0),
-            None => 0.0,
-        }
+        self.loss_tuple(model, tuple)
+    }
+
+    fn examples(&self) -> Option<&dyn ExampleTask> {
+        Some(self)
     }
 
     fn regularizer(&self, model: &[f64]) -> f64 {

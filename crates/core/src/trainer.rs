@@ -10,15 +10,21 @@
 //! epoch goes through the same seven steps:
 //!
 //! 1. **Stop check** — the cooperative stop flag and the [`QueryGuard`] are
-//!    polled (before retries too); a stop persists an interrupt checkpoint
-//!    and ends the run with [`TrainError::Interrupted`].
+//!    polled (before retries too, and between the blocks of the sequential
+//!    gradient and loss passes, where a stop discards the attempt); a stop
+//!    persists an interrupt checkpoint of the last recorded epoch and ends
+//!    the run with [`TrainError::Interrupted`].
 //! 2. **Reorder** — the three ordering policies of Section 3.2 (Clustered,
 //!    ShuffleOnce, ShuffleAlways) differ only in which permutation, if any,
 //!    is handed to the scan. One is drawn (and its time billed to the epoch)
 //!    only when a draw actually happens and the pass reads it.
 //! 3. **Gradient pass** — sequential, pure-UDA or shared-memory; always
-//!    isolated from panics ([`TrainError::WorkerPanic`]).
-//! 4. **Loss pass** — the full objective, for the convergence test.
+//!    isolated from panics ([`TrainError::WorkerPanic`]). In storage order
+//!    it consumes the table block by block, and a task that declares
+//!    examples ([`IgdTask::examples`]) steps on them where the block stores
+//!    them; a permuted order goes tuple by tuple.
+//! 4. **Loss pass** — the full objective, for the convergence test; always
+//!    in storage order, block by block in the same way.
 //! 5. **Divergence scan** — a non-finite model or loss restores the last
 //!    healthy model and retries with a smaller step ([`BackoffPolicy`]).
 //! 6. **Serving publish** — healthy models (and restored ones) go to the
@@ -29,7 +35,7 @@
 //!
 //! All of it stays off the per-tuple hot path: the extra work is one
 //! `catch_unwind` frame, one O(d) snapshot and one O(d) finiteness scan per
-//! *epoch*.
+//! *epoch*, and one stop check per *block*.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
@@ -39,16 +45,16 @@ use std::time::{Duration, Instant};
 
 use bismarck_storage::checkpoint::CheckpointError;
 use bismarck_storage::durable::parent_dir;
-use bismarck_storage::{ScanOrder, TupleScan};
+use bismarck_storage::{ScanOrder, Tuple, TupleScan};
 use bismarck_uda::{
-    panic_message, run_sequential, ConvergenceTest, EpochOutcome, EpochRecord, EpochRunner,
-    TrainingHistory,
+    panic_message, run_sequential_while, scan_blocks_while, ConvergenceTest, EpochOutcome,
+    EpochRecord, EpochRunner, TrainingHistory,
 };
 
 use crate::checkpoint::TrainingCheckpoint;
 use crate::error::TrainError;
 use crate::governor::QueryGuard;
-use crate::igd::IgdAggregate;
+use crate::igd::{block_examples, IgdAggregate};
 use crate::parallel::{
     run_pure_uda_epoch, run_shared_memory_epoch, ParallelEpochStats, ParallelStrategy,
 };
@@ -187,16 +193,18 @@ pub struct TrainerConfig {
     /// Periodic checkpointing policy (none by default).
     pub checkpoint: Option<CheckpointPolicy>,
     /// Cooperative interrupt: when the flag becomes `true`, the run stops at
-    /// the next epoch boundary with [`TrainError::Interrupted`] (after
-    /// writing a final checkpoint if a policy is configured).
+    /// the next epoch boundary — or sooner, between two blocks of a
+    /// sequential storage-order pass, discarding the unfinished epoch — with
+    /// [`TrainError::Interrupted`] (after writing a final checkpoint if a
+    /// policy is configured).
     pub stop_flag: Option<Arc<AtomicBool>>,
     /// Serving publication point: when set, the trainer publishes the model
     /// to this handle after every healthy epoch and re-asserts the last-good
     /// model after every divergence recovery, so concurrent readers never
     /// observe a non-finite model (none by default).
     pub serving: Option<ModelHandle>,
-    /// Resource-governance guard: checked at every epoch boundary alongside
-    /// the stop flag; a passed deadline or a cancellation ends the run with
+    /// Resource-governance guard: checked wherever the stop flag is; a
+    /// passed deadline or a cancellation ends the run with
     /// [`TrainError::Interrupted`] carrying the last-good model (none by
     /// default).
     pub guard: Option<QueryGuard>,
@@ -297,7 +305,9 @@ impl TrainerConfig {
         self
     }
 
-    /// Install a cooperative stop flag checked at every epoch boundary.
+    /// Install a cooperative stop flag checked at every epoch boundary and
+    /// between the blocks of the sequential storage-order passes (parallel
+    /// workers finish their pass).
     ///
     /// Setting the flag makes the run stop with [`TrainError::Interrupted`],
     /// which carries the last completed epoch's model:
@@ -340,10 +350,10 @@ impl TrainerConfig {
     }
 
     /// Run under a resource-governance [`QueryGuard`]: the trainers poll the
-    /// guard at every epoch boundary (exactly where the stop flag is
-    /// checked), so a deadline or a cancellation — including one issued by
-    /// [`crate::governor::Governor::shutdown`] — ends the run at the next
-    /// boundary with [`TrainError::Interrupted`] carrying the last completed
+    /// guard exactly where the stop flag is checked (see
+    /// [`Self::with_stop_flag`]), so a deadline or a cancellation — including
+    /// one issued by [`crate::governor::Governor::shutdown`] — ends the run
+    /// there with [`TrainError::Interrupted`] carrying the last completed
     /// epoch's model. Works under all four [`crate::ParallelStrategy`]
     /// disciplines.
     ///
@@ -535,13 +545,12 @@ pub(crate) fn run_epochs<T: IgdTask, S: TupleScan + ?Sized>(
             let mut shuffle_duration = Duration::ZERO;
             let mut gradient_duration = Duration::ZERO;
             loop {
-                // 1. Stop check, before every attempt. The interrupt
-                // checkpoint ignores the cadence so a resume loses no epoch.
+                // 1. Stop check, before every attempt — and again between
+                // the blocks of the sequential passes below, where a stop
+                // discards the attempt. The interrupt checkpoint ignores the
+                // cadence so a resume loses no epoch.
                 if stop_requested(config) {
-                    if let Some(policy) = &config.checkpoint {
-                        policy.write(&good)?;
-                    }
-                    return Err(EpochAbort::Interrupted);
+                    return Err(interrupt(config, &good));
                 }
 
                 // 2. Reorder: once per run under ShuffleOnce, once per epoch
@@ -571,27 +580,36 @@ pub(crate) fn run_epochs<T: IgdTask, S: TupleScan + ?Sized>(
                     // and only reads `task`/`data`/`order`.
                     None => catch_unwind(AssertUnwindSafe(move || {
                         let aggregate = IgdAggregate::new(task, alpha, current);
-                        run_sequential(&aggregate, data, order).model.into_vec()
+                        let mut keep_going = || !stop_requested(config);
+                        run_sequential_while(&aggregate, data, order, &mut keep_going)
+                            .map(|state| state.model.into_vec())
                     }))
                     .map_err(|payload| EpochAbort::WorkerPanic {
                         failed_workers: 1,
                         message: panic_message(payload.as_ref()),
                     }),
                     Some(ParallelStrategy::PureUda { segments }) => {
-                        run_pure_uda_epoch(task, data, current, alpha, segments)
+                        run_pure_uda_epoch(task, data, current, alpha, segments).map(Some)
                     }
                     Some(ParallelStrategy::SharedMemory {
                         workers,
                         discipline,
                     }) => run_shared_memory_epoch(
                         task, data, order, current, alpha, workers, discipline,
-                    ),
+                    )
+                    .map(Some),
                 };
                 gradient_duration += gradient_start.elapsed();
-                model = pass?;
+                let Some(stepped) = pass? else {
+                    return Err(interrupt(config, &good));
+                };
+                model = stepped;
 
                 // 4. Evaluate the objective for the convergence test.
-                let loss = objective(task, &model, data);
+                let mut keep_going = || !stop_requested(config);
+                let Some(loss) = objective_while(task, &model, data, &mut keep_going) else {
+                    return Err(interrupt(config, &good));
+                };
 
                 // 5. Divergence scan + recovery.
                 let healthy = loss.is_finite() && model.iter().all(|v| v.is_finite());
@@ -650,10 +668,53 @@ pub(crate) fn run_epochs<T: IgdTask, S: TupleScan + ?Sized>(
 }
 
 /// Full objective (`Σ_i f_i(w) + P(w)`) of `model` over `data`.
-fn objective<T: IgdTask, S: TupleScan + ?Sized>(task: &T, model: &[f64], data: &S) -> f64 {
+pub(crate) fn objective<T: IgdTask, S: TupleScan + ?Sized>(
+    task: &T,
+    model: &[f64],
+    data: &S,
+) -> f64 {
+    objective_while(task, model, data, &mut || true)
+        .expect("a pass that is never told to stop finishes")
+}
+
+/// [`objective`], polling `keep_going` between blocks: `None` once it says
+/// stop. A task that declares examples evaluates them where the block stores
+/// them; every other row goes through [`IgdTask::example_loss`]. Either way
+/// the terms are added to the regularizer one by one in storage order.
+fn objective_while<T: IgdTask, S: TupleScan + ?Sized>(
+    task: &T,
+    model: &[f64],
+    data: &S,
+    keep_going: &mut dyn FnMut() -> bool,
+) -> Option<f64> {
     let mut total = task.regularizer(model);
-    data.scan_tuples(&mut |tuple| total += task.example_loss(model, tuple));
-    total
+    let mut scratch = Tuple::default();
+    let finished =
+        scan_blocks_while(
+            data,
+            0,
+            usize::MAX,
+            keep_going,
+            &mut |block| match block_examples(task, block) {
+                Some((examples, rows)) => total = examples.add_losses(model, &rows, total),
+                None => {
+                    block.for_each_tuple(&mut scratch, &mut |tuple| {
+                        total += task.example_loss(model, tuple);
+                        true
+                    });
+                }
+            },
+        );
+    finished.then_some(total)
+}
+
+/// Abort an attempt on a stop request: persist `good`, the run as of its
+/// last recorded epoch, if a checkpoint policy is configured.
+fn interrupt(config: &TrainerConfig, good: &TrainingCheckpoint) -> EpochAbort {
+    match config.checkpoint.as_ref().map(|policy| policy.write(good)) {
+        Some(Err(e)) => EpochAbort::Checkpoint(e),
+        _ => EpochAbort::Interrupted,
+    }
 }
 
 /// The state of a run that has completed no epoch, from `model`.

@@ -110,6 +110,19 @@ impl SparseVector {
         Ok(SparseVector { indices, values })
     }
 
+    /// Replace the contents with parallel index/value arrays that are already
+    /// sorted by strictly increasing index, keeping both buffers' allocations.
+    /// Same contract as [`SparseVector::from_sorted`]: checked in debug builds
+    /// only, so this is for re-reading entries that were validated on ingest.
+    pub fn refill_sorted(&mut self, indices: &[u32], values: &[f64]) {
+        debug_assert_eq!(indices.len(), values.len());
+        debug_assert!(indices.windows(2).all(|w| w[0] < w[1]));
+        self.indices.clear();
+        self.indices.extend_from_slice(indices);
+        self.values.clear();
+        self.values.extend_from_slice(values);
+    }
+
     /// Number of stored entries.
     pub fn nnz(&self) -> usize {
         self.indices.len()

@@ -360,8 +360,8 @@ impl ColumnChunk {
 
     /// Materialize row `i` into `slot`, reusing `slot`'s existing allocation
     /// where the variants line up (the scan path calls this once per row per
-    /// column, so a `DENSE_VEC` read is a `memcpy` into the scratch buffer,
-    /// not a fresh heap allocation).
+    /// column, so a `DENSE_VEC` or `SPARSE_VEC` read is a `memcpy` into the
+    /// scratch buffers, not a fresh heap allocation).
     pub(crate) fn read_into(&self, i: usize, slot: &mut Value) {
         match self {
             ColumnChunk::Int { data, validity } => {
@@ -430,12 +430,17 @@ impl ColumnChunk {
                     return;
                 }
                 let range = offsets[i] as usize..offsets[i + 1] as usize;
+                let (indices, values) = (&indices[range.clone()], &values[range]);
                 // The entries were validated (sorted, unique) on insert, so
-                // the unchecked constructor reproduces them as stored.
-                *slot = Value::SparseVec(SparseVector::from_sorted(
-                    indices[range.clone()].to_vec(),
-                    values[range].to_vec(),
-                ));
+                // the unchecked paths reproduce them as stored.
+                if let Value::SparseVec(sv) = slot {
+                    sv.refill_sorted(indices, values);
+                } else {
+                    *slot = Value::SparseVec(SparseVector::from_sorted(
+                        indices.to_vec(),
+                        values.to_vec(),
+                    ));
+                }
             }
             ColumnChunk::Sequence { rows } => {
                 slot.clone_from(&rows[i]);
@@ -776,6 +781,36 @@ mod tests {
             _ => panic!("expected a dense vector"),
         };
         assert_eq!(before, after, "same-size read must reuse the buffer");
+    }
+
+    #[test]
+    fn read_into_reuses_both_sparse_allocations() {
+        let mut chunk = ColumnChunk::empty(DataType::SparseVec);
+        for pairs in [
+            vec![(1, 1.0), (4, 2.0), (9, 3.0)],
+            vec![(0, -1.0), (7, 5.0)],
+        ] {
+            chunk
+                .push(&Value::SparseVec(SparseVector::from_pairs(pairs)))
+                .unwrap();
+        }
+        let buffers = |slot: &Value| match slot {
+            Value::SparseVec(v) => (v.indices().as_ptr(), v.values().as_ptr()),
+            _ => panic!("expected a sparse vector"),
+        };
+        let mut slot = Value::Null;
+        chunk.read_into(0, &mut slot);
+        let warm = buffers(&slot);
+        // A second read into the warm slot (no larger than the first) must
+        // land in the same two buffers.
+        chunk.read_into(1, &mut slot);
+        assert_eq!(buffers(&slot), warm, "both buffers must be reused");
+        assert_eq!(
+            slot,
+            Value::SparseVec(SparseVector::from_pairs(vec![(0, -1.0), (7, 5.0)]))
+        );
+        chunk.read_into(0, &mut slot);
+        assert_eq!(buffers(&slot), warm, "capacity was kept across the refill");
     }
 
     #[test]

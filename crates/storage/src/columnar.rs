@@ -15,12 +15,18 @@
 //!   through a small pinned-segment LRU cache with sequential read-ahead
 //!   (`crate::pager`), so an epoch can stream a dataset larger than memory.
 //!
-//! Scans materialize rows into a reused scratch [`Tuple`], so trainers, the
-//! SQL executor and the NULL-aggregate baseline consume columnar tables
-//! through the exact same [`TupleScan`] surface as the row-store [`Table`] —
-//! and, because materialization copies the same `f64` bit patterns the
-//! row-store holds, training over either backing produces bit-identical
-//! models.
+//! The scan primitive is [`TupleScan::scan_blocks`]: one walk maps a row
+//! range to (segment, row-run) pairs and lends each run out as a
+//! [`RowBlock`] over the segment's chunks, pinned for the duration of the
+//! callback. Consumers that work on slices (the linear tasks' gradient and
+//! loss passes, dimension inference, [`ColumnarTable::scan_dense_column`])
+//! read the chunks in place; the storage-order tuple scans are the trait's
+//! adapters over the same walk, materializing each row into a reused scratch
+//! [`Tuple`] for whoever needs whole rows (the SQL executor, the
+//! NULL-aggregate baseline, the non-linear tasks). Only the permuted scan
+//! looks rows up one by one. Either way a consumer sees the same `f64` bit
+//! patterns the row-store [`Table`] holds, so training over any backing
+//! produces bit-identical models.
 
 use std::path::Path;
 use std::sync::Arc;
@@ -29,7 +35,7 @@ use crate::chunk::ColumnChunk;
 use crate::codec::Reader;
 use crate::error::StorageError;
 use crate::pager::{Manifest, Pager, PagerStats};
-use crate::scan::TupleScan;
+use crate::scan::{materialize_row, RowBlock, TupleScan};
 use crate::schema::{DataType, Schema};
 use crate::table::Table;
 use crate::tuple::Tuple;
@@ -90,14 +96,7 @@ impl Segment {
 
     /// Materialize row `row` into `tuple`, reusing its allocations.
     pub(crate) fn read_row_into(&self, row: usize, tuple: &mut Tuple) {
-        let values = tuple.values_mut();
-        if values.len() != self.columns.len() {
-            values.clear();
-            values.resize(self.columns.len(), Value::Null);
-        }
-        for (chunk, slot) in self.columns.iter().zip(values.iter_mut()) {
-            chunk.read_into(row, slot);
-        }
+        materialize_row(&self.columns, row, tuple);
     }
 
     /// A copy of the first `rows` rows (all of them when `rows == len`).
@@ -444,11 +443,47 @@ impl ColumnarTable {
         sealed + self.open.approx_bytes()
     }
 
+    /// The one segment walk: rows `start..end` (clamped) in storage order as
+    /// (segment, row-run) pairs, each lent to `f` as a block over the
+    /// segment's chunks until `f` returns `false`. A sealed segment stays
+    /// pinned by its `Arc` while `f` runs; one that cannot be paged in ends
+    /// the walk with its index and the error.
+    fn walk_blocks(
+        &self,
+        start: usize,
+        end: usize,
+        f: &mut dyn FnMut(RowBlock<'_>) -> bool,
+    ) -> Result<(), (usize, StorageError)> {
+        let end = end.min(self.row_count);
+        let mut row = start.min(end);
+        while row < end {
+            let seg_idx = row / self.chunk_capacity;
+            let stop = end.min((seg_idx + 1) * self.chunk_capacity);
+            let pinned;
+            let segment = if seg_idx < self.sealed_count() {
+                pinned = self.sealed_segment(seg_idx).map_err(|e| (seg_idx, e))?;
+                &*pinned
+            } else {
+                &self.open
+            };
+            let block = RowBlock::Columns {
+                columns: &segment.columns,
+                first: row % self.chunk_capacity,
+                len: stop - row,
+            };
+            if !f(block) {
+                break;
+            }
+            row = stop;
+        }
+        Ok(())
+    }
+
     /// Stream the contiguous `f64` payload of dense-vector column `col`, one
-    /// callback per segment. This is the columnar fast path: each slice
-    /// holds every row's feature entries back to back in storage order, so
-    /// a dot-product or sum runs at memory bandwidth with no per-tuple
-    /// dispatch. Errors if `col` is not a `DENSE_VEC` column.
+    /// callback per segment. Each slice holds every row's feature entries
+    /// back to back in storage order, so a dot-product or sum runs at memory
+    /// bandwidth with no per-tuple dispatch. Errors if `col` is not a
+    /// `DENSE_VEC` column.
     pub fn scan_dense_column(
         &self,
         col: usize,
@@ -465,18 +500,16 @@ impl ColumnarTable {
                 actual: column.dtype,
             });
         }
-        for idx in 0..self.sealed_count() {
-            let seg = self.sealed_segment(idx)?;
-            if let Some(data) = seg.column(col).and_then(ColumnChunk::dense_data) {
-                f(data);
+        // The whole table is whole segments, so each block is a whole chunk.
+        self.walk_blocks(0, self.row_count, &mut |block| {
+            if let RowBlock::Columns { columns, .. } = block {
+                if let Some(data) = columns.get(col).and_then(ColumnChunk::dense_data) {
+                    f(data);
+                }
             }
-        }
-        if !self.open.is_empty() {
-            if let Some(data) = self.open.column(col).and_then(ColumnChunk::dense_data) {
-                f(data);
-            }
-        }
-        Ok(())
+            true
+        })
+        .map_err(|(_, e)| e)
     }
 
     /// Panic with a descriptive message on a paged read failure mid-scan.
@@ -486,11 +519,13 @@ impl ColumnarTable {
     /// last-good model via `catch_unwind`), so an I/O error surfaces as a
     /// panic rather than silently truncating the scan.
     fn sealed_segment_or_panic(&self, idx: usize) -> Arc<Segment> {
-        match self.sealed_segment(idx) {
-            Ok(seg) => seg,
-            Err(e) => panic!("columnar scan failed to page in segment {idx}: {e}"),
-        }
+        self.sealed_segment(idx)
+            .unwrap_or_else(|e| scan_failed(idx, &e))
     }
+}
+
+fn scan_failed(segment: usize, e: &StorageError) -> ! {
+    panic!("columnar scan failed to page in segment {segment}: {e}")
 }
 
 impl TupleScan for ColumnarTable {
@@ -498,22 +533,9 @@ impl TupleScan for ColumnarTable {
         self.row_count
     }
 
-    fn scan_tuples_while(&self, f: &mut dyn FnMut(&Tuple) -> bool) {
-        let mut scratch = Tuple::default();
-        for idx in 0..self.sealed_count() {
-            let seg = self.sealed_segment_or_panic(idx);
-            for row in 0..seg.len() {
-                seg.read_row_into(row, &mut scratch);
-                if !f(&scratch) {
-                    return;
-                }
-            }
-        }
-        for row in 0..self.open.len() {
-            self.open.read_row_into(row, &mut scratch);
-            if !f(&scratch) {
-                return;
-            }
+    fn scan_blocks(&self, start: usize, end: usize, f: &mut dyn FnMut(RowBlock<'_>) -> bool) {
+        if let Err((segment, e)) = self.walk_blocks(start, end, f) {
+            scan_failed(segment, &e);
         }
     }
 
@@ -538,30 +560,6 @@ impl TupleScan for ColumnarTable {
                 seg.read_row_into(off, &mut scratch);
             }
             f(&scratch);
-        }
-    }
-
-    fn scan_tuples_range(&self, start: usize, end: usize, f: &mut dyn FnMut(&Tuple)) {
-        let end = end.min(self.row_count);
-        let start = start.min(end);
-        let mut scratch = Tuple::default();
-        let mut row = start;
-        while row < end {
-            let seg_idx = row / self.chunk_capacity;
-            let off = row % self.chunk_capacity;
-            if seg_idx >= self.sealed_count() {
-                self.open.read_row_into(off, &mut scratch);
-                f(&scratch);
-                row += 1;
-                continue;
-            }
-            let seg = self.sealed_segment_or_panic(seg_idx);
-            let stop = (seg_idx + 1) * self.chunk_capacity;
-            while row < end.min(stop) {
-                seg.read_row_into(row % self.chunk_capacity, &mut scratch);
-                f(&scratch);
-                row += 1;
-            }
         }
     }
 }

@@ -17,7 +17,7 @@ use std::path::Path;
 use crate::codec::{push_row, push_schema, push_string, read_row, read_schema, Reader};
 use crate::columnar::ColumnarTable;
 use crate::error::StorageError;
-use crate::scan::TupleScan;
+use crate::scan::{RowBlock, TupleScan};
 use crate::schema::Schema;
 use crate::table::Table;
 use crate::tuple::Tuple;
@@ -275,15 +275,11 @@ impl TupleScan for StoredTable {
         self.layout().tuple_count()
     }
 
-    fn scan_tuples_while(&self, f: &mut dyn FnMut(&Tuple) -> bool) {
-        self.layout().scan_tuples_while(f)
+    fn scan_blocks(&self, start: usize, end: usize, f: &mut dyn FnMut(RowBlock<'_>) -> bool) {
+        self.layout().scan_blocks(start, end, f)
     }
 
     fn scan_tuples_permuted(&self, order: &[usize], f: &mut dyn FnMut(&Tuple)) {
         self.layout().scan_tuples_permuted(order, f)
-    }
-
-    fn scan_tuples_range(&self, start: usize, end: usize, f: &mut dyn FnMut(&Tuple)) {
-        self.layout().scan_tuples_range(start, end, f)
     }
 }

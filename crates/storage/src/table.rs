@@ -7,6 +7,7 @@
 //! our stand-in for `ORDER BY RANDOM()`.
 
 use crate::error::StorageError;
+use crate::scan::{RowBlock, TupleScan};
 use crate::schema::Schema;
 use crate::tuple::Tuple;
 use crate::value::Value;
@@ -157,27 +158,29 @@ impl Table {
     }
 }
 
-impl crate::scan::TupleScan for Table {
+impl TupleScan for Table {
     fn tuple_count(&self) -> usize {
         self.row_count
     }
 
-    fn scan_tuples_while(&self, f: &mut dyn FnMut(&Tuple) -> bool) {
-        for tuple in self.scan() {
-            if !f(tuple) {
+    /// One block per page: every page but the last is full, so row `r` is
+    /// slot `r % PAGE_CAPACITY` of page `r / PAGE_CAPACITY`.
+    fn scan_blocks(&self, start: usize, end: usize, f: &mut dyn FnMut(RowBlock<'_>) -> bool) {
+        let end = end.min(self.row_count);
+        let mut row = start.min(end);
+        while row < end {
+            let page = &self.pages[row / PAGE_CAPACITY].tuples;
+            let slot = row % PAGE_CAPACITY;
+            let run = &page[slot..page.len().min(slot + (end - row))];
+            if !f(RowBlock::Tuples(run)) {
                 return;
             }
+            row += run.len();
         }
     }
 
     fn scan_tuples_permuted(&self, order: &[usize], f: &mut dyn FnMut(&Tuple)) {
         for tuple in self.scan_permuted(order) {
-            f(tuple);
-        }
-    }
-
-    fn scan_tuples_range(&self, start: usize, end: usize, f: &mut dyn FnMut(&Tuple)) {
-        for tuple in self.scan_range(start, end) {
             f(tuple);
         }
     }

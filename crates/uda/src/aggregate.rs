@@ -1,6 +1,6 @@
 //! The developer-facing aggregate abstraction (Figure 3).
 
-use bismarck_storage::Tuple;
+use bismarck_storage::{RowBlock, Tuple};
 
 /// A user-defined aggregate in the standard three-phase form, plus `merge`
 /// for shared-nothing parallelism.
@@ -46,6 +46,16 @@ pub trait Aggregate {
     /// the objective on this example and takes one step (Equation 2).
     fn transition(&self, state: &mut Self::State, tuple: &Tuple);
 
+    /// Fold a block of consecutive rows into the state; the executors hand a
+    /// storage-order pass over block by block. Must leave the state exactly
+    /// as [`Aggregate::transition`] on each row in order would — which is
+    /// the default ([`transition_tuples`]). An aggregate that can work on
+    /// the block's column slices in place overrides it to skip the per-row
+    /// tuple a columnar block would otherwise be materialized into.
+    fn transition_block(&self, state: &mut Self::State, block: RowBlock<'_>) {
+        transition_tuples(self, state, block);
+    }
+
     /// Combine two states that were aggregated independently over disjoint
     /// parts of the data. The default panics, so purely sequential
     /// aggregates don't have to provide one.
@@ -55,6 +65,20 @@ pub trait Aggregate {
 
     /// Finish the aggregation and produce the output.
     fn terminate(&self, state: Self::State) -> Self::Output;
+}
+
+/// [`Aggregate::transition`] on every row of `block` in order, each row of a
+/// columnar block materialized into one scratch tuple.
+pub fn transition_tuples<A: Aggregate + ?Sized>(
+    agg: &A,
+    state: &mut A::State,
+    block: RowBlock<'_>,
+) {
+    let mut scratch = Tuple::default();
+    block.for_each_tuple(&mut scratch, &mut |tuple| {
+        agg.transition(state, tuple);
+        true
+    });
 }
 
 /// A simple counting aggregate used in tests and as documentation of the

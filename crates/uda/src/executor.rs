@@ -9,30 +9,87 @@
 //!   `merge`. This is how the paper's "pure UDA" parallelism works on the
 //!   parallel DBMS B (8 segments).
 //! * [`run_segmented_parallel`] — the same plan executed on worker threads.
+//!
+//! Every storage-order pass hands the aggregate one borrowed
+//! [`RowBlock`] at a time ([`Aggregate::transition_block`], whose default is
+//! the per-tuple loop); only a permuted pass goes tuple by tuple.
 
-use bismarck_storage::{segment_ranges, TupleScan};
+use bismarck_storage::{segment_ranges, RowBlock, TupleScan};
 
 use crate::aggregate::Aggregate;
+
+/// Hand rows `start..end` (clamped) to `f` block by block in storage order,
+/// polling `keep_going` between blocks — before every block but the first,
+/// so a pass of one block has no interior point to stop at. Returns whether
+/// every block was handed over (`false`: `keep_going` said stop).
+pub fn scan_blocks_while<S: TupleScan + ?Sized>(
+    data: &S,
+    start: usize,
+    end: usize,
+    keep_going: &mut dyn FnMut() -> bool,
+    f: &mut dyn FnMut(RowBlock<'_>),
+) -> bool {
+    let mut first = true;
+    let mut finished = true;
+    data.scan_blocks(start, end, &mut |block| {
+        finished = std::mem::take(&mut first) || keep_going();
+        if finished {
+            f(block);
+        }
+        finished
+    });
+    finished
+}
 
 /// Run an aggregate over the whole table in one pass.
 ///
 /// If `order` is `Some`, tuples are visited following that row permutation;
-/// otherwise they are visited in storage (clustered) order.
+/// otherwise they are visited in storage (clustered) order, block by block.
 pub fn run_sequential<A: Aggregate, S: TupleScan + ?Sized>(
     agg: &A,
     data: &S,
     order: Option<&[usize]>,
 ) -> A::Output {
+    run_sequential_while(agg, data, order, &mut || true)
+        .expect("a pass that is never told to stop finishes")
+}
+
+/// [`run_sequential`] that can be cut short: a storage-order pass polls
+/// `keep_going` between blocks (see [`scan_blocks_while`]) and returns `None`,
+/// discarding the partial state, once it says stop. A permuted pass has no
+/// blocks and always finishes.
+pub fn run_sequential_while<A: Aggregate, S: TupleScan + ?Sized>(
+    agg: &A,
+    data: &S,
+    order: Option<&[usize]>,
+    keep_going: &mut dyn FnMut() -> bool,
+) -> Option<A::Output> {
     let mut state = agg.initialize();
-    match order {
+    let finished = match order {
         Some(order) => {
             data.scan_tuples_permuted(order, &mut |tuple| agg.transition(&mut state, tuple));
+            true
         }
-        None => {
-            data.scan_tuples(&mut |tuple| agg.transition(&mut state, tuple));
-        }
-    }
-    agg.terminate(state)
+        None => scan_blocks_while(data, 0, usize::MAX, keep_going, &mut |block| {
+            agg.transition_block(&mut state, block)
+        }),
+    };
+    finished.then(|| agg.terminate(state))
+}
+
+/// One segment's partial state: a fresh `initialize()` folded over rows
+/// `start..end` in storage order.
+fn aggregate_range<A: Aggregate, S: TupleScan + ?Sized>(
+    agg: &A,
+    data: &S,
+    (start, end): (usize, usize),
+) -> A::State {
+    let mut state = agg.initialize();
+    data.scan_blocks(start, end, &mut |block| {
+        agg.transition_block(&mut state, block);
+        true
+    });
+    state
 }
 
 /// Shared-nothing execution plan: aggregate each of `segments` contiguous
@@ -46,11 +103,9 @@ pub fn run_segmented<A: Aggregate, S: TupleScan + ?Sized>(
     segments: usize,
 ) -> A::Output {
     let ranges = segment_ranges(data.tuple_count(), segments.max(1));
-    let mut partials = ranges.into_iter().map(|(start, end)| {
-        let mut state = agg.initialize();
-        data.scan_tuples_range(start, end, &mut |tuple| agg.transition(&mut state, tuple));
-        state
-    });
+    let mut partials = ranges
+        .into_iter()
+        .map(|range| aggregate_range(agg, data, range));
     let mut merged = partials.next().unwrap_or_else(|| agg.initialize());
     for partial in partials {
         agg.merge(&mut merged, partial);
@@ -149,13 +204,7 @@ where
             handles.push(scope.spawn(move || {
                 block
                     .iter()
-                    .map(|&(start, end)| {
-                        let mut state = agg.initialize();
-                        data.scan_tuples_range(start, end, &mut |tuple| {
-                            agg.transition(&mut state, tuple);
-                        });
-                        state
-                    })
+                    .map(|&range| aggregate_range(agg, data, range))
                     .collect::<Vec<A::State>>()
             }));
         }

@@ -25,11 +25,11 @@ pub mod epoch;
 pub mod executor;
 pub mod loss;
 
-pub use crate::aggregate::{Aggregate, CountAggregate};
+pub use crate::aggregate::{transition_tuples, Aggregate, CountAggregate};
 pub use crate::convergence::ConvergenceTest;
 pub use crate::epoch::{EpochOutcome, EpochRecord, EpochRunner, TrainingHistory};
 pub use crate::executor::{
-    panic_message, run_segmented, run_segmented_parallel, run_sequential,
-    try_run_segmented_parallel, SegmentPanic,
+    panic_message, run_segmented, run_segmented_parallel, run_sequential, run_sequential_while,
+    scan_blocks_while, try_run_segmented_parallel, SegmentPanic,
 };
 pub use crate::loss::sum_over_table;

@@ -8,21 +8,31 @@
 //!    of delimiters, quotes, newlines and `#` — and renders the *same* bytes
 //!    whether the rows live in a row-store `Table` or a `ColumnarTable`.
 //! 2. Every `TupleScan` order (clustered, permuted, range) over a columnar
-//!    table yields tuple-for-tuple the same sequence as the row-store.
-//! 3. An epoch-based trainer run over a **paged** columnar table whose
-//!    segment cache is far smaller than the dataset produces bit-identical
-//!    models to the same run over the in-memory row-store, for both
-//!    Clustered and ShuffleOnce scan orders.
+//!    table yields tuple-for-tuple the same sequence as the row-store, and
+//!    the examples a block scan lends out in place are, row for row, what
+//!    the tuple scan reads from its materialized rows.
+//! 3. LR, SVM and least squares trained over a columnar table — in memory,
+//!    or **paged** with a segment cache far smaller than the dataset —
+//!    produce bit-identical models and loss histories to the same run over
+//!    the row-store, for every sequential-equivalent pass and both Clustered
+//!    and ShuffleOnce scan orders; the cases the block path does not cover
+//!    fall back to the per-tuple path and a torn segment surfaces as a
+//!    worker fault.
 //! 4. A paged directory written with frame version 1 (FNV-1a, per-value
 //!    codec) still opens, holds byte-for-byte the payloads the current
 //!    codec writes, and trains to the same bits as its version-2 rewrite.
 
-use bismarck_core::tasks::SvmTask;
-use bismarck_core::{Trainer, TrainerConfig};
-use bismarck_linalg::SparseVector;
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+use bismarck_core::tasks::{LeastSquaresTask, LogisticRegressionTask, SvmTask};
+use bismarck_core::{
+    ExampleTask, IgdTask, ModelStore, ParallelStrategy, ParallelTrainer, ProximalPolicy,
+    StepSizeSchedule, TrainError, Trainer, TrainerConfig, UpdateDiscipline,
+};
+use bismarck_linalg::{FeatureVectorRef, SparseVector};
 use bismarck_storage::csv::{table_from_str, tuples_to_string};
 use bismarck_storage::{
-    Column, ColumnarTable, DataType, ScanOrder, Schema, Table, TupleScan, Value,
+    Column, ColumnarTable, DataType, RowBlock, ScanOrder, Schema, Table, Tuple, TupleScan, Value,
 };
 use bismarck_uda::ConvergenceTest;
 use proptest::prelude::*;
@@ -148,69 +158,490 @@ proptest! {
     }
 }
 
-/// Out-of-core acceptance: training an SVM over a paged columnar table whose
-/// chunk cache holds a fraction of the segments produces **bit-identical**
-/// models to the in-memory row-store, under both Clustered and ShuffleOnce.
-#[test]
-fn paged_training_is_bit_identical_to_row_store() {
+proptest! {
+    // Each case writes three paged tables, one of them a file per row.
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// The block entry point lends out, row for row, the examples the tuple
+    /// scan reads from its materialized rows — over every backing, chunk
+    /// capacity and range, the row-store adapter included.
+    #[test]
+    fn block_scan_examples_match_tuple_scan(
+        rows in prop::collection::vec(example_row_strategy(), 1..300),
+        bounds in (0usize..310, 0usize..310),
+    ) {
+        let mut table = Table::new("e", example_schema());
+        table.insert_all(rows.iter().cloned()).unwrap();
+        let (start, end) = bounds;
+        // Whole table; the drawn range (may be empty, inverted or run past
+        // the end); and one that starts and ends inside a 7-row segment.
+        let ranges = [(0, usize::MAX), (start, end), (3, rows.len().saturating_sub(2))];
+        check_block_scan(&table, &table, &ranges)?;
+
+        for chunk in [1, 7, 128] {
+            let mut columnar = ColumnarTable::with_chunk_capacity("e", example_schema(), chunk);
+            columnar.insert_all(rows.iter().cloned()).unwrap();
+            check_block_scan(&table, &columnar, &ranges)?;
+
+            let dir = temp_dir("block_scan");
+            let mut paged =
+                ColumnarTable::create_paged("e", example_schema(), &dir, chunk, 1).unwrap();
+            paged.insert_all(rows.iter().cloned()).unwrap();
+            paged.flush().unwrap();
+            check_block_scan(&table, &paged, &ranges)?;
+            drop(paged);
+            // Reopened: a partial tail segment is pulled back into the builder.
+            let reopened = ColumnarTable::open_paged(&dir, 1).unwrap();
+            prop_assert_eq!(reopened.len(), rows.len());
+            check_block_scan(&table, &reopened, &ranges)?;
+            std::fs::remove_dir_all(&dir).ok();
+        }
+    }
+}
+
+/// Two feature columns and two label columns, all nullable: every
+/// (features, label) pairing is one chunk-layout combination the block path
+/// lends out (`Dense|Sparse` × `Double|Int`).
+fn example_schema() -> Schema {
+    Schema::new(vec![
+        Column::nullable("dense", DataType::DenseVec),
+        Column::nullable("sparse", DataType::SparseVec),
+        Column::nullable("y", DataType::Double),
+        Column::nullable("k", DataType::Int),
+    ])
+    .unwrap()
+}
+
+const EXAMPLE_PAIRS: [(usize, usize); 4] = [(0, 2), (1, 2), (0, 3), (1, 3)];
+
+/// Dense and sparse features (empty ones included), NULL features, NULL
+/// labels, `INT` values in the `DOUBLE` label column — one beyond 2^53, which
+/// must read as the same rounded `f64` either way.
+fn example_row_strategy() -> impl Strategy<Value = Vec<Value>> {
+    let null = || prop::sample::select(vec![Value::Null]);
+    (
+        prop_oneof![
+            null(),
+            prop::collection::vec(-100.0f64..100.0, 0..5).prop_map(Value::from),
+        ],
+        prop_oneof![
+            null(),
+            prop::collection::vec((0usize..40, -100.0f64..100.0), 0..5)
+                .prop_map(|pairs| Value::SparseVec(SparseVector::from_pairs(pairs))),
+        ],
+        prop_oneof![
+            null(),
+            (-10.0f64..10.0).prop_map(Value::Double),
+            prop::sample::select(vec![-1i64, 1, (1 << 53) + 1]).prop_map(Value::Int),
+        ],
+        prop_oneof![null(), (-3i64..4).prop_map(Value::Int)],
+    )
+        .prop_map(|(a, b, c, d)| vec![a, b, c, d])
+}
+
+fn temp_dir(name: &str) -> std::path::PathBuf {
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    let dir = std::env::temp_dir().join(format!(
+        "bismarck_columnar_{name}_{}_{}",
+        std::process::id(),
+        NEXT.fetch_add(1, Ordering::Relaxed)
+    ));
+    std::fs::remove_dir_all(&dir).ok();
+    dir
+}
+
+/// An example with every `f64` as its bit pattern: `(sparse indices, feature
+/// bits, label bits)`, or `None` where a row is no example.
+type ExampleBits = Option<(Option<Vec<u32>>, Vec<u64>, u64)>;
+
+fn example_bits(example: Option<(FeatureVectorRef<'_>, f64)>) -> ExampleBits {
+    let bits = |values: &[f64]| values.iter().map(|v| v.to_bits()).collect();
+    example.map(|(x, y)| match x {
+        FeatureVectorRef::Dense(values) => (None, bits(values), y.to_bits()),
+        FeatureVectorRef::Sparse { indices, values } => {
+            (Some(indices.to_vec()), bits(values), y.to_bits())
+        }
+    })
+}
+
+/// Over each range and column pairing: the examples of `source`'s blocks
+/// equal what `reference`'s tuple scan reads, and so does the width
+/// `infer_dimension` derives from them.
+fn check_block_scan<S: TupleScan + ?Sized>(
+    reference: &Table,
+    source: &S,
+    ranges: &[(usize, usize)],
+) -> Result<(), String> {
+    for &(start, end) in ranges {
+        for (features, label) in EXAMPLE_PAIRS {
+            let mut from_tuples = Vec::new();
+            let mut width = 0;
+            reference.scan_tuples_range(start, end, &mut |t| {
+                let x = t.feature_view(features);
+                width = width.max(x.map_or(0, |x| x.dimension()));
+                from_tuples.push(example_bits(x.zip(t.get_double(label))));
+            });
+            let mut from_blocks = Vec::new();
+            let mut block_width = 0;
+            let mut scratch = Tuple::default();
+            source.scan_blocks(start, end, &mut |block| {
+                assert!(!block.is_empty(), "no block is empty");
+                match block.examples(features, label) {
+                    Some(rows) => {
+                        assert_eq!(rows.len(), block.len());
+                        from_blocks.extend(rows.iter().map(example_bits));
+                        let lent = block.features(features).unwrap();
+                        block_width = block_width.max(lent.max_dimension());
+                    }
+                    // Only the row store lends nothing: its tuples are the view.
+                    None => {
+                        assert!(matches!(block, RowBlock::Tuples(_)));
+                        block.for_each_tuple(&mut scratch, &mut |t| {
+                            let x = t.feature_view(features);
+                            block_width = block_width.max(x.map_or(0, |x| x.dimension()));
+                            from_blocks.push(example_bits(x.zip(t.get_double(label))));
+                            true
+                        });
+                    }
+                }
+                true
+            });
+            prop_assert!(
+                from_tuples == from_blocks,
+                "rows {start}..{end}, columns ({features}, {label}): \
+                 {from_tuples:?} != {from_blocks:?}"
+            );
+            prop_assert_eq!(width, block_width);
+        }
+        // The tuple adapters over the same blocks agree with the row store.
+        let mut from_row = Vec::new();
+        reference.scan_tuples_range(start, end, &mut |t| from_row.push(t.values().to_vec()));
+        let mut from_source = Vec::new();
+        source.scan_tuples_range(start, end, &mut |t| from_source.push(t.values().to_vec()));
+        prop_assert_eq!(from_row, from_source);
+    }
+    Ok(())
+}
+
+/// Training rows `(id, vec, label)`: features dense (d = 3) or sparse
+/// (d = 12), about 2 % of the rows with a NULL `vec` or a NULL `label`, and
+/// some labels stored as `INT` in the `DOUBLE` column.
+fn training_rows(sparse: bool) -> (Schema, Vec<Vec<Value>>) {
+    let features = if sparse {
+        DataType::SparseVec
+    } else {
+        DataType::DenseVec
+    };
     let schema = Schema::new(vec![
         Column::new("id", DataType::Int),
-        Column::new("vec", DataType::DenseVec),
-        Column::new("label", DataType::Double),
+        Column::nullable("vec", features),
+        Column::nullable("label", DataType::Double),
     ])
     .unwrap();
+    let rows = (0..TRAIN_ROWS)
+        .map(|i| {
+            let y = if i % 2 == 0 { 1.0 } else { -1.0 };
+            let noise = ((i * 37) % 101) as f64 / 101.0 - 0.5;
+            let vec = if i % 97 == 5 {
+                Value::Null
+            } else if sparse {
+                let pairs = vec![(i % 5, y * 2.0 + noise), (5 + i % 7, -y + noise)];
+                Value::SparseVec(SparseVector::from_pairs(pairs))
+            } else {
+                Value::from(vec![y * 2.0 + noise, -y + noise, noise])
+            };
+            let label = match i {
+                _ if i % 89 == 11 => Value::Null,
+                _ if i % 53 == 0 => Value::Int(y as i64),
+                _ => Value::Double(y),
+            };
+            vec![Value::Int(i as i64), vec, label]
+        })
+        .collect();
+    (schema, rows)
+}
 
-    const ROWS: usize = 3_000;
-    const CHUNK: usize = 128; // ~24 segments
-    const CACHE: usize = 3; // far fewer than the sealed segment count
+const TRAIN_ROWS: usize = 1_500;
+const TRAIN_CHUNK: usize = 64; // ~24 segments
+const TRAIN_CACHE: usize = 3; // far fewer than the sealed segment count
+const TRAIN_EPOCHS: usize = 4;
 
+/// The same rows as a row-store table, an in-memory columnar table and a
+/// paged one (at `dir`) whose cache dwarfs neither.
+fn three_layouts(
+    schema: &Schema,
+    rows: &[Vec<Value>],
+    dir: &std::path::Path,
+) -> (Table, ColumnarTable, ColumnarTable) {
     let mut table = Table::new("d", schema.clone());
-    for i in 0..ROWS {
-        let y = if i % 2 == 0 { 1.0 } else { -1.0 };
-        let noise = ((i * 37) % 101) as f64 / 101.0 - 0.5;
-        table
-            .insert(vec![
-                Value::Int(i as i64),
-                Value::from(vec![y * 2.0 + noise, -y + noise, noise]),
-                Value::Double(y),
-            ])
-            .unwrap();
-    }
-
-    let dir =
-        std::env::temp_dir().join(format!("bismarck_paged_train_test_{}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
-    let mut paged = ColumnarTable::create_paged("d", schema, &dir, CHUNK, CACHE).unwrap();
-    for tuple in table.scan() {
-        paged.insert(tuple.values().to_vec()).unwrap();
-    }
+    table.insert_all(rows.iter().cloned()).unwrap();
+    let mut columnar = ColumnarTable::with_chunk_capacity("d", schema.clone(), TRAIN_CHUNK);
+    columnar.insert_all(rows.iter().cloned()).unwrap();
+    let mut paged =
+        ColumnarTable::create_paged("d", schema.clone(), dir, TRAIN_CHUNK, TRAIN_CACHE).unwrap();
+    paged.insert_all(rows.iter().cloned()).unwrap();
     paged.flush().unwrap();
     assert!(
-        paged.segment_count() > CACHE * 4,
+        paged.segment_count() > TRAIN_CACHE * 4,
         "dataset must dwarf the chunk cache for this test to mean anything"
     );
+    (table, columnar, paged)
+}
 
-    let task = SvmTask::new(1, 2, 3);
-    for order in [ScanOrder::Clustered, ScanOrder::ShuffleOnce { seed: 7 }] {
-        let config = TrainerConfig::default()
-            .with_scan_order(order)
-            .with_convergence(ConvergenceTest::FixedEpochs(6));
-        let from_rows = Trainer::new(&task, config.clone()).train(&table);
-        let from_paged = Trainer::new(&task, config).train(&paged);
-        let row_bits: Vec<u64> = from_rows.model.iter().map(|w| w.to_bits()).collect();
-        let paged_bits: Vec<u64> = from_paged.model.iter().map(|w| w.to_bits()).collect();
-        assert_eq!(
-            row_bits, paged_bits,
-            "paged columnar training diverged from row-store under {order:?}"
-        );
-        assert!(from_rows.model.iter().any(|w| *w != 0.0));
+/// The passes that are deterministic, so that layouts can be compared bit
+/// for bit: sequential, shared-nothing segments, one locked worker.
+const PASSES: [Option<ParallelStrategy>; 3] = [
+    None,
+    Some(ParallelStrategy::PureUda { segments: 3 }),
+    Some(ParallelStrategy::SharedMemory {
+        workers: 1,
+        discipline: UpdateDiscipline::Lock,
+    }),
+];
+
+fn train_config(order: ScanOrder) -> TrainerConfig {
+    TrainerConfig::default()
+        .with_step_size(StepSizeSchedule::Constant(0.05))
+        .with_scan_order(order)
+        .with_convergence(ConvergenceTest::FixedEpochs(TRAIN_EPOCHS))
+}
+
+/// Final model and loss history of one run, every `f64` as its bit pattern.
+fn train_bits<T: IgdTask>(
+    task: &T,
+    pass: Option<ParallelStrategy>,
+    order: ScanOrder,
+    data: &dyn TupleScan,
+) -> (Vec<u64>, Vec<u64>) {
+    let trained = match pass {
+        None => Trainer::new(task, train_config(order)).train(data),
+        Some(strategy) => {
+            ParallelTrainer::new(task, train_config(order), strategy)
+                .train(data)
+                .0
+        }
+    };
+    let bits = |values: &[f64]| values.iter().map(|v| v.to_bits()).collect();
+    (bits(&trained.model), bits(&trained.history.losses()))
+}
+
+/// One task over the three layouts: every pass and order must reproduce the
+/// row store's model and loss history bit for bit.
+fn assert_layouts_train_alike<T: IgdTask>(
+    task: &T,
+    what: &str,
+    table: &Table,
+    others: [(&str, &ColumnarTable); 2],
+) {
+    for pass in PASSES {
+        for order in [ScanOrder::Clustered, ScanOrder::ShuffleOnce { seed: 7 }] {
+            let reference = train_bits(task, pass, order, table);
+            let (model, losses) = &reference;
+            assert_eq!(losses.len(), TRAIN_EPOCHS);
+            assert!(model.iter().any(|&w| f64::from_bits(w) != 0.0));
+            assert!(model
+                .iter()
+                .chain(losses)
+                .all(|&v| f64::from_bits(v).is_finite()));
+            for (layout, data) in others {
+                assert_eq!(
+                    train_bits(task, pass, order, data),
+                    reference,
+                    "{what} over the {layout} table diverged from the row store \
+                     under {pass:?}, {order:?}"
+                );
+            }
+        }
+    }
+}
+
+/// Out-of-core acceptance: LR, SVM and least squares — dense and sparse
+/// features, NULL rows, an L2 penalty applied per epoch — trained over an
+/// in-memory columnar table and over a paged one whose chunk cache holds a
+/// fraction of the segments produce **bit-identical** models and loss
+/// histories to the in-memory row-store, under every deterministic pass and
+/// both Clustered and ShuffleOnce.
+#[test]
+fn paged_training_is_bit_identical_to_row_store() {
+    for sparse in [false, true] {
+        let (schema, rows) = training_rows(sparse);
+        let dir = temp_dir("train");
+        let (table, columnar, paged) = three_layouts(&schema, &rows, &dir);
+        let others = [("columnar", &columnar), ("paged", &paged)];
+        let dimension = if sparse { 12 } else { 3 };
+        let what = |task: &str| format!("{task}, sparse = {sparse}");
+
+        let lr = LogisticRegressionTask::new(1, 2, dimension).with_l2(1e-3);
+        assert_layouts_train_alike(&lr, &what("LR"), &table, others);
+        let svm = SvmTask::new(1, 2, dimension).with_l2(1e-3);
+        assert_layouts_train_alike(&svm, &what("SVM"), &table, others);
+        let ls = LeastSquaresTask::new(1, 2, dimension).with_l2(1e-3);
+        assert_layouts_train_alike(&ls, &what("LS"), &table, others);
+
+        // The scans genuinely paged: the cache saw misses and evictions.
+        let stats = paged.pager_stats().unwrap();
+        assert!(stats.misses > 0, "expected paging activity: {stats:?}");
+        assert!(stats.evictions > 0, "expected evictions: {stats:?}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
+/// Counts the rows that reach the task one tuple at a time (the block path
+/// steps on borrowed examples and never calls `gradient_step`), and can
+/// claim a per-step proximal operator for the wrapped task's.
+struct Probe<T> {
+    inner: T,
+    per_step: bool,
+    tuple_steps: AtomicUsize,
+}
+
+impl<T: IgdTask> Probe<T> {
+    fn new(inner: T, per_step: bool) -> Self {
+        Probe {
+            inner,
+            per_step,
+            tuple_steps: AtomicUsize::new(0),
+        }
     }
 
-    // The scan genuinely paged: the cache saw misses and evictions.
-    let stats = paged.pager_stats().unwrap();
-    assert!(stats.misses > 0, "expected paging activity: {stats:?}");
-    assert!(stats.evictions > 0, "expected evictions: {stats:?}");
+    fn tuple_steps(&self) -> usize {
+        self.tuple_steps.swap(0, Ordering::Relaxed)
+    }
+}
 
+impl<T: IgdTask> IgdTask for Probe<T> {
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+    fn dimension(&self) -> usize {
+        self.inner.dimension()
+    }
+    fn gradient_step(&self, model: &mut dyn ModelStore, tuple: &Tuple, alpha: f64) {
+        self.tuple_steps.fetch_add(1, Ordering::Relaxed);
+        self.inner.gradient_step(model, tuple, alpha)
+    }
+    fn example_loss(&self, model: &[f64], tuple: &Tuple) -> f64 {
+        self.inner.example_loss(model, tuple)
+    }
+    fn examples(&self) -> Option<&dyn ExampleTask> {
+        self.inner.examples()
+    }
+    fn regularizer(&self, model: &[f64]) -> f64 {
+        self.inner.regularizer(model)
+    }
+    fn proximal_step(&self, model: &mut [f64], alpha: f64) {
+        self.inner.proximal_step(model, alpha)
+    }
+    fn proximal_policy(&self) -> ProximalPolicy {
+        if self.per_step {
+            ProximalPolicy::PerStep
+        } else {
+            self.inner.proximal_policy()
+        }
+    }
+}
+
+/// Which rows take the block path is decided from what the code sees, and
+/// everything else trains through the per-tuple path to the same bits: a
+/// per-step proximal operator and a feature column the chunks cannot lend
+/// out. A torn segment under the block path is a worker fault carrying the
+/// last-good model.
+#[test]
+fn block_path_falls_back_per_tuple_and_surfaces_torn_segments() {
+    let (schema, rows) = training_rows(false);
+    let dir = temp_dir("fallback");
+    let (table, columnar, paged) = three_layouts(&schema, &rows, &dir);
+    let every_row = TRAIN_ROWS * TRAIN_EPOCHS;
+    let lr = || LogisticRegressionTask::new(1, 2, 3).with_l2(1e-3);
+
+    // The block path: no row of a columnar table is rebuilt as a tuple. The
+    // row store's tuples are the borrowed view already and arrive as such.
+    let probe = Probe::new(lr(), false);
+    let reference = train_bits(&lr(), None, ScanOrder::Clustered, &table);
+    assert_eq!(
+        train_bits(&probe, None, ScanOrder::Clustered, &table),
+        reference
+    );
+    assert_eq!(probe.tuple_steps(), every_row);
+    for data in [&columnar, &paged] {
+        assert_eq!(
+            train_bits(&probe, None, ScanOrder::Clustered, data),
+            reference
+        );
+        assert_eq!(probe.tuple_steps(), 0);
+    }
+    // A permuted order has no blocks.
+    let order = ScanOrder::ShuffleOnce { seed: 7 };
+    let shuffled = train_bits(&lr(), None, order, &table);
+    assert_eq!(train_bits(&probe, None, order, &columnar), shuffled);
+    assert_eq!(probe.tuple_steps(), every_row);
+
+    // A proximal operator between the steps: per tuple, every pass.
+    let per_step = Probe::new(lr(), true);
+    for pass in PASSES {
+        let reference = train_bits(&per_step, pass, ScanOrder::Clustered, &table);
+        assert_eq!(per_step.tuple_steps(), every_row, "{pass:?}");
+        assert_ne!(
+            reference,
+            train_bits(&lr(), pass, ScanOrder::Clustered, &table)
+        );
+        for data in [&columnar, &paged] {
+            let bits = train_bits(&per_step, pass, ScanOrder::Clustered, data);
+            assert_eq!(bits, reference, "{pass:?}");
+            assert_eq!(per_step.tuple_steps(), every_row, "{pass:?}");
+        }
+    }
+
+    // A TEXT "features" column: the chunks lend nothing out, the rows arrive
+    // as tuples and hold no example, exactly as over the row store.
+    let text_schema = Schema::new(vec![
+        Column::new("id", DataType::Int),
+        Column::nullable("vec", DataType::Text),
+        Column::nullable("label", DataType::Double),
+    ])
+    .unwrap();
+    let text_rows: Vec<Vec<Value>> = rows
+        .iter()
+        .map(|row| vec![row[0].clone(), Value::from("not a vector"), row[2].clone()])
+        .collect();
+    let text_dir = temp_dir("fallback_text");
+    let (text_table, text_columnar, _) = three_layouts(&text_schema, &text_rows, &text_dir);
+    let reference = train_bits(&probe, None, ScanOrder::Clustered, &text_table);
+    assert_eq!(probe.tuple_steps(), every_row);
+    assert_eq!(
+        train_bits(&probe, None, ScanOrder::Clustered, &text_columnar),
+        reference
+    );
+    assert_eq!(probe.tuple_steps(), every_row);
+    std::fs::remove_dir_all(&text_dir).ok();
+
+    // Two good epochs, then segment 2 is torn behind a cold cache: the next
+    // run's first block scan panics inside the gradient pass, which surfaces
+    // as a worker fault carrying the model the run started from.
+    drop(paged);
+    let good = Trainer::new(&probe, train_config(ScanOrder::Clustered)).train(&columnar);
+    let segment = dir.join("seg-000002.col");
+    let mut bytes = std::fs::read(&segment).unwrap();
+    let middle = bytes.len() / 2;
+    bytes[middle] ^= 0xff;
+    std::fs::write(&segment, bytes).unwrap();
+    let torn = ColumnarTable::open_paged(&dir, TRAIN_CACHE).unwrap();
+    let err = Trainer::new(&probe, train_config(ScanOrder::Clustered))
+        .try_train_from(&torn, good.model.clone())
+        .expect_err("a torn segment must fail the run");
+    let TrainError::WorkerPanic {
+        epoch,
+        message,
+        last_good,
+        ..
+    } = err
+    else {
+        panic!("expected WorkerPanic, got {err:?}");
+    };
+    assert_eq!(epoch, 0);
+    assert!(message.contains("failed to page in segment 2"), "{message}");
+    assert_eq!(last_good.model, good.model);
+    assert_eq!(probe.tuple_steps(), 0, "the fault was on the block path");
     std::fs::remove_dir_all(&dir).ok();
 }
 

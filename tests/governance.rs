@@ -5,10 +5,10 @@
 //! Three layers of coverage:
 //!
 //! * deadline/cancel semantics — a guard tripping mid-run ends training at
-//!   the next epoch boundary with `TrainError::Interrupted` (carrying a
-//!   finite last-good model) under every parallelization discipline, and
-//!   ends SQL statements with typed `SqlError::Timeout` / `Cancelled`
-//!   without poisoning the session;
+//!   the next epoch boundary (a sequential pass: between two blocks) with
+//!   `TrainError::Interrupted` (carrying a finite last-good model) under
+//!   every parallelization discipline, and ends SQL statements with typed
+//!   `SqlError::Timeout` / `Cancelled` without poisoning the session;
 //! * memory budgets — an oversized materialization is rejected with
 //!   `SqlError::MemoryBudget`, the reservation is returned, and the next
 //!   statement runs normally;
@@ -19,6 +19,8 @@
 //!   catalog that recovers to a consistent state.
 
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use bismarck_core::governor::{AdmissionError, Governor, QueryGuard, QueryLimits};
@@ -30,7 +32,7 @@ use bismarck_core::{
 };
 use bismarck_datagen::{dense_classification, DenseClassificationConfig};
 use bismarck_sql::{SqlError, SqlSession};
-use bismarck_storage::{Table, Value};
+use bismarck_storage::{ColumnarTable, RowBlock, ScanOrder, Table, Tuple, TupleScan, Value};
 use bismarck_uda::ConvergenceTest;
 
 fn temp_dir(name: &str) -> PathBuf {
@@ -55,6 +57,14 @@ fn config(epochs: usize) -> TrainerConfig {
     TrainerConfig::default()
         .with_step_size(StepSizeSchedule::Constant(0.1))
         .with_convergence(ConvergenceTest::FixedEpochs(epochs))
+}
+
+/// Held by every test that writes through the durable layer: the I/O fault
+/// injector `shutdown_crash_matrix` arms is process-global, so a sibling's
+/// write could hit, or use up, one of the matrix's fault points.
+fn durable_io() -> MutexGuard<'static, ()> {
+    static DURABLE_IO: Mutex<()> = Mutex::new(());
+    DURABLE_IO.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 /// A guard whose deadline has already passed: the very first check trips,
@@ -142,6 +152,99 @@ fn cancelling_a_guard_clone_stops_training() {
         .try_train(&table)
         .unwrap_err();
     assert!(matches!(err, TrainError::Interrupted { .. }), "got {err:?}");
+}
+
+/// Serves a table's blocks, raising a stop flag while it serves block
+/// number `stop_at` (counted from 0 across all passes of the run).
+struct StopAtBlock<'a> {
+    inner: &'a ColumnarTable,
+    stop_at: usize,
+    served: AtomicUsize,
+    flag: Arc<AtomicBool>,
+}
+
+impl TupleScan for StopAtBlock<'_> {
+    fn tuple_count(&self) -> usize {
+        self.inner.tuple_count()
+    }
+    fn scan_blocks(&self, start: usize, end: usize, f: &mut dyn FnMut(RowBlock<'_>) -> bool) {
+        self.inner.scan_blocks(start, end, &mut |block| {
+            if self.served.fetch_add(1, Ordering::SeqCst) == self.stop_at {
+                self.flag.store(true, Ordering::SeqCst);
+            }
+            f(block)
+        })
+    }
+    fn scan_tuples_permuted(&self, order: &[usize], f: &mut dyn FnMut(&Tuple)) {
+        self.inner.scan_tuples_permuted(order, f)
+    }
+}
+
+/// A stop request binds inside an epoch: the sequential gradient and loss
+/// passes poll it between blocks, discard the attempt, and report it exactly
+/// like a stop at the epoch boundary — so resuming loses nothing.
+#[test]
+fn stop_flag_binds_between_the_blocks_of_a_sequential_pass() {
+    let _io = durable_io();
+    const SEGMENTS: usize = 24;
+    let rows = data(SEGMENTS * 50);
+    let dir = temp_dir("stop-mid-epoch");
+    let mut paged = ColumnarTable::create_paged("gov", rows.schema().clone(), &dir, 50, 3).unwrap();
+    paged
+        .insert_all(rows.scan().map(|t| t.values().to_vec()))
+        .unwrap();
+    paged.flush().unwrap();
+    assert_eq!(paged.segment_count(), SEGMENTS);
+
+    let task = LogisticRegressionTask::new(1, 2, 4);
+    let clustered = |epochs| config(epochs).with_scan_order(ScanOrder::Clustered);
+    let uninterrupted = Trainer::new(&task, clustered(5)).train(&paged);
+    let two_epochs = Trainer::new(&task, clustered(2)).train(&paged);
+
+    // An epoch is a gradient pass and a loss pass of 24 blocks each; stop
+    // inside epoch 2's gradient pass, then inside its loss pass.
+    for (pass, stop_at) in [("gradient", 2 * 48 + 10), ("loss", 2 * 48 + 24 + 10)] {
+        let checkpoint = dir.join(format!("{pass}.ckpt"));
+        let flag = Arc::new(AtomicBool::new(false));
+        let scan = StopAtBlock {
+            inner: &paged,
+            stop_at,
+            served: AtomicUsize::new(0),
+            flag: flag.clone(),
+        };
+        // A cadence of 100 is never due: the only write is the interrupt's.
+        let config = clustered(5)
+            .with_stop_flag(flag)
+            .with_checkpoints(&checkpoint, 100);
+        let err = Trainer::new(&task, config).try_train(&scan).unwrap_err();
+        let TrainError::Interrupted { epoch, last_good } = err else {
+            panic!("[{pass}] expected Interrupted, got {err:?}");
+        };
+        let served = scan.served.load(Ordering::SeqCst);
+        assert!(
+            served <= stop_at + 2,
+            "[{pass}] {served} blocks served, the flag went up during block {stop_at}"
+        );
+        assert_eq!(epoch, 2, "[{pass}]");
+        assert_eq!(last_good.epochs(), 2, "[{pass}]");
+        assert_eq!(last_good.model, two_epochs.model, "[{pass}]");
+        assert_eq!(
+            last_good.history.losses(),
+            two_epochs.history.losses(),
+            "[{pass}]"
+        );
+
+        let resumed = Trainer::new(&task, clustered(5))
+            .resume_from(&paged, &checkpoint)
+            .unwrap();
+        assert_eq!(resumed.model, uninterrupted.model, "[{pass}]");
+        assert_eq!(
+            resumed.history.losses(),
+            uninterrupted.history.losses(),
+            "[{pass}]"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 // ---------------------------------------------------------------------------
@@ -237,6 +340,7 @@ fn memory_budget_rejects_oversized_ctas_without_poisoning_the_session() {
 
 #[test]
 fn cancelled_multi_batch_insert_leaves_a_recoverable_durable_catalog() {
+    let _io = durable_io();
     let dir = temp_dir("cancel-insert");
     {
         let mut session = SqlSession::open(&dir).unwrap();
@@ -279,6 +383,7 @@ fn cancelled_multi_batch_insert_leaves_a_recoverable_durable_catalog() {
 
 #[test]
 fn copy_racing_a_cancel_is_atomic_in_the_durable_catalog() {
+    let _io = durable_io();
     let dir = temp_dir("cancel-copy");
     let csv_path = dir.with_extension("csv");
     {
@@ -359,6 +464,7 @@ fn admission_sheds_excess_statements_and_frees_slots_on_drop() {
 
 #[test]
 fn shutdown_persists_serving_models_compacts_and_recovers_identically() {
+    let _io = durable_io();
     let dir = temp_dir("shutdown");
     let expected_weights = vec![0.25, -1.5, 3.0];
     let prediction_sql = "SELECT PREDICT('m', 1.0, 2.0, -1.0)";
@@ -499,6 +605,8 @@ mod shutdown_crash_matrix {
     fn every_crash_point_during_shutdown_recovers_consistently() {
         // The injector is process-global; this is the only test in this
         // binary that arms it, and test binaries run in separate processes.
+        // Siblings that write durably stay out of its way behind this lock.
+        let _io = durable_io();
 
         // Counting run: how many fault points does shutdown consume?
         let count_dir = temp_dir("shutdown-matrix-count");
