@@ -6,7 +6,7 @@
 //! ordinary relational queries an analyst would run around them (projections,
 //! filters, aggregates, `ORDER BY RANDOM()` reshuffles, `LIMIT` samples).
 
-use bismarck_storage::DataType;
+use bismarck_storage::{DataType, Value};
 
 /// One parsed statement.
 #[derive(Debug, Clone, PartialEq)]
@@ -50,7 +50,9 @@ pub enum Statement {
         table: String,
         /// Optional explicit column list; `None` means schema order.
         columns: Option<Vec<String>>,
-        /// One entry per `(...)` row of literal expressions.
+        /// One entry per `(...)` row. A position whose text was a constant
+        /// arrives as an [`Expr::Literal`] already holding its storage value
+        /// (vectors included), which the executor moves into the row.
         rows: Vec<Vec<Expr>>,
     },
     /// `SELECT ... [FROM ...] [WHERE ...] [GROUP BY ...] [ORDER BY ...] [LIMIT n]`
@@ -160,8 +162,11 @@ pub struct OrderKey {
 /// A scalar expression.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Expr {
-    /// A literal value.
-    Literal(Literal),
+    /// A constant, as the storage value it denotes: a scalar literal
+    /// anywhere (`TRUE` / `FALSE` are `Int(1)` / `Int(0)`, the encoding
+    /// predicates use), and in a `VALUES` position also a constant
+    /// `ARRAY[...]` or `{index: value, ...}`.
+    Literal(Value),
     /// A reference to a column of the source table.
     Column(String),
     /// `*` as a function argument (only meaningful inside `COUNT(*)`).
@@ -201,21 +206,6 @@ pub enum Expr {
     ArrayLiteral(Vec<Expr>),
     /// `{index: value, ...}` — a sparse feature-vector literal.
     SparseLiteral(Vec<(Expr, Expr)>),
-}
-
-/// A literal scalar.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Literal {
-    /// SQL NULL.
-    Null,
-    /// Boolean literal (`TRUE` / `FALSE`).
-    Bool(bool),
-    /// Integer literal.
-    Int(i64),
-    /// Float literal.
-    Double(f64),
-    /// String literal.
-    Text(String),
 }
 
 /// Unary operators.
@@ -309,7 +299,7 @@ mod tests {
                 args: vec![Expr::Column("x".into())],
             }),
             op: BinaryOp::Add,
-            right: Box::new(Expr::Literal(Literal::Int(1))),
+            right: Box::new(Expr::Literal(Value::Int(1))),
         };
         assert!(agg.contains_aggregate());
 
@@ -338,6 +328,6 @@ mod tests {
             .default_name(),
             "SVMTrain"
         );
-        assert_eq!(Expr::Literal(Literal::Int(3)).default_name(), "?column?");
+        assert_eq!(Expr::Literal(Value::Int(3)).default_name(), "?column?");
     }
 }

@@ -17,7 +17,7 @@ use rand::rngs::StdRng;
 use rand::Rng;
 use rand::SeedableRng;
 
-use crate::ast::{is_aggregate_function, BinaryOp, Expr, Literal, UnaryOp};
+use crate::ast::{is_aggregate_function, BinaryOp, Expr, UnaryOp};
 use crate::error::{Result, SqlError};
 
 /// Mutable evaluation context shared across a statement: the deterministic
@@ -68,7 +68,7 @@ impl<'a> RowContext<'a> {
 /// executor routes grouped queries through [`evaluate_grouped`].
 pub fn evaluate(expr: &Expr, row: Option<RowContext<'_>>, ctx: &mut EvalContext) -> Result<Value> {
     match expr {
-        Expr::Literal(lit) => Ok(literal_value(lit)),
+        Expr::Literal(value) => Ok(value.clone()),
         Expr::Column(name) => match row {
             Some(row) => row.column(name),
             None => Err(SqlError::Analysis(format!(
@@ -239,16 +239,6 @@ fn numeric_values(values: &[Value], agg: &str) -> Result<Vec<f64>> {
                 .ok_or_else(|| SqlError::Evaluation(format!("{agg}() argument must be numeric")))
         })
         .collect()
-}
-
-fn literal_value(lit: &Literal) -> Value {
-    match lit {
-        Literal::Null => Value::Null,
-        Literal::Bool(b) => bool_value(*b),
-        Literal::Int(v) => Value::Int(*v),
-        Literal::Double(v) => Value::Double(*v),
-        Literal::Text(s) => Value::Text(s.clone()),
-    }
 }
 
 /// The boolean encoding used by predicates.

@@ -20,7 +20,7 @@ use rand::SeedableRng;
 
 use crate::analytics::{execute_analytics, is_analytics_function};
 use crate::ast::{
-    CopyDirection, Expr, Literal, OrderKey, SelectItem, SelectStatement, Statement, TableStorage,
+    CopyDirection, Expr, OrderKey, SelectItem, SelectStatement, Statement, TableStorage,
 };
 use crate::error::{Result, SqlError};
 use crate::eval::{compare_values, evaluate, evaluate_grouped, is_truthy, EvalContext, RowContext};
@@ -527,13 +527,18 @@ impl SqlSession {
         };
 
         let mut materialized: Vec<Vec<Value>> = Vec::with_capacity(rows.len());
-        for (i, row) in rows.iter().enumerate() {
+        for (i, row) in rows.into_iter().enumerate() {
             if i.is_multiple_of(GUARD_CHECK_ROWS) {
                 self.guard.check()?;
             }
             let mut values = Vec::with_capacity(row.len());
             for expr in row {
-                values.push(evaluate(expr, None, &mut self.ctx)?);
+                values.push(match expr {
+                    // A constant the parser read: the value moves into the
+                    // row; only what needs computing is evaluated.
+                    Expr::Literal(value) => value,
+                    expr => evaluate(&expr, None, &mut self.ctx)?,
+                });
             }
             let full_row = match &column_indices {
                 Some(indices) => {
@@ -953,7 +958,7 @@ fn collect_expr_predict_models(expr: &Expr, out: &mut Vec<String>) {
     match expr {
         Expr::Function { name, args } => {
             if name.eq_ignore_ascii_case("predict") {
-                if let Some(Expr::Literal(Literal::Text(model))) = args.first() {
+                if let Some(Expr::Literal(Value::Text(model))) = args.first() {
                     if !out.contains(model) {
                         out.push(model.clone());
                     }

@@ -1,13 +1,45 @@
 //! Recursive-descent parser producing [`Statement`]s from token streams.
+//!
+//! The parser pulls borrowed tokens from the lexer one at a time — there is
+//! one pass over the statement text and no token vector — and a
+//! [`Statement`] owns its data: identifier and string text is copied out of
+//! the statement exactly once, where the AST node that keeps it is built.
+//! The whole text is still lexed before any verdict on its grammar is
+//! returned, so a lex error anywhere in a statement outranks a parse error
+//! before it, as if the tokens had been materialised first.
+//!
+//! ## The constant read of a `VALUES` position
+//!
+//! A literal `INSERT` is data, not a program, so a `VALUES` position whose
+//! tokens *are* a constant is read directly into the storage [`Value`] it
+//! denotes — [`Expr::Literal`] carries that value and the executor moves it
+//! into the row. What qualifies, as the whole position (the next token is
+//! `,` or `)`):
+//!
+//! - `[-]number`, a string, `NULL`, `TRUE`, `FALSE`;
+//! - `ARRAY[[-]number, …]` (also empty) — a dense vector;
+//! - `{int: [-]number, …}` (also empty) — a sparse vector.
+//!
+//! Anything else in that position — `1+2`, `ABS(-1)`, a parenthesis, `- - 5`,
+//! a negative or fractional sparse index, an `ARRAY` with one such element —
+//! **rewinds** to the position's first token and takes the general expression
+//! production below, which is the only definition of the grammar: the
+//! constant read accepts a subset of it and yields, bit for bit, what
+//! evaluating the general parse yields (`-x` negates the parsed magnitude, an
+//! integer inside `ARRAY[…]` is negated *then* converted, so `-0` stays
+//! `+0.0`). Errors, their messages and the nesting cap therefore come from
+//! one place.
 
-use bismarck_storage::DataType;
+use bismarck_linalg::{DenseVector, SparseVector};
+use bismarck_storage::{DataType, Value};
 
 use crate::ast::{
-    BinaryOp, ColumnDef, CopyDirection, Expr, Literal, OrderKey, SelectItem, SelectStatement,
-    Statement, TableStorage, UnaryOp,
+    BinaryOp, ColumnDef, CopyDirection, Expr, OrderKey, SelectItem, SelectStatement, Statement,
+    TableStorage, UnaryOp,
 };
 use crate::error::{Result, SqlError};
-use crate::token::{tokenize, Token, TokenKind};
+use crate::eval::bool_value;
+use crate::token::{Lexer, Token, TokenKind};
 
 /// Parse a single statement (a trailing `;` is allowed).
 pub fn parse_statement(sql: &str) -> Result<Statement> {
@@ -27,25 +59,10 @@ pub fn parse_statement(sql: &str) -> Result<Statement> {
 
 /// Parse a `;`-separated script into its statements.
 pub fn parse_script(sql: &str) -> Result<Vec<Statement>> {
-    let tokens = tokenize(sql)?;
-    let mut parser = Parser {
-        tokens,
-        pos: 0,
-        depth: 0,
-    };
-    let mut statements = Vec::new();
-    loop {
-        // Skip empty statements (stray semicolons).
-        while parser.eat(&TokenKind::Semicolon) {}
-        if parser.at_end() {
-            break;
-        }
-        statements.push(parser.parse_statement()?);
-        if !parser.at_end() && !parser.eat(&TokenKind::Semicolon) {
-            return Err(parser.error("expected ';' between statements"));
-        }
-    }
-    Ok(statements)
+    let mut parser = Parser::new(sql);
+    let parsed = parser.parse_statements();
+    parser.finish_lexing()?;
+    parsed
 }
 
 /// Hard cap on expression nesting. The parser is recursive-descent, so each
@@ -54,62 +71,138 @@ pub fn parse_script(sql: &str) -> Result<Vec<Statement>> {
 /// of risking a stack overflow on adversarial input.
 const MAX_EXPR_DEPTH: usize = 128;
 
-struct Parser {
-    tokens: Vec<Token>,
-    pos: usize,
+/// A cursor over the token stream of one script: the lexer, the one token
+/// of lookahead the grammar needs, and that token's index.
+struct Parser<'a> {
+    lexer: Lexer<'a>,
+    /// The token at the cursor; `None` at end of input — or at a lex error,
+    /// which `lex_error` then holds and [`Parser::finish_lexing`] reports.
+    current: Option<Token<'a>>,
+    /// Index of `current` in the token stream ([`SqlError::Parse`]'s
+    /// `position`).
+    index: usize,
+    lex_error: Option<SqlError>,
     /// Current expression-nesting depth, bounded by [`MAX_EXPR_DEPTH`].
     depth: usize,
+    /// Length of the last constant `ARRAY[...]` read: the capacity the next
+    /// one starts with (the rows of a table share a dimension).
+    dense_len: usize,
 }
 
-impl Parser {
+impl<'a> Parser<'a> {
+    fn new(sql: &'a str) -> Self {
+        let mut parser = Parser {
+            lexer: Lexer::new(sql),
+            current: None,
+            index: 0,
+            lex_error: None,
+            depth: 0,
+            dense_len: 0,
+        };
+        parser.load();
+        parser
+    }
+
+    /// Lex the token at the cursor into `current`.
+    fn load(&mut self) {
+        self.current = match self.lexer.next_token() {
+            Ok(token) => token,
+            Err(e) => {
+                self.lex_error = Some(e);
+                None
+            }
+        };
+    }
+
+    /// Step over the token at the cursor.
+    fn bump(&mut self) {
+        self.index += 1;
+        self.load();
+    }
+
+    /// Lex whatever the grammar left unread, so the first lex error in the
+    /// text is reported wherever parsing stopped.
+    fn finish_lexing(mut self) -> Result<()> {
+        if let Some(e) = self.lex_error {
+            return Err(e);
+        }
+        while self.lexer.next_token()?.is_some() {}
+        Ok(())
+    }
+
+    fn parse_statements(&mut self) -> Result<Vec<Statement>> {
+        let mut statements = Vec::new();
+        loop {
+            // Skip empty statements (stray semicolons).
+            while self.eat(&TokenKind::Semicolon) {}
+            if self.at_end() {
+                break;
+            }
+            statements.push(self.parse_statement()?);
+            if !self.at_end() && !self.eat(&TokenKind::Semicolon) {
+                return Err(self.error("expected ';' between statements"));
+            }
+        }
+        Ok(statements)
+    }
+
     fn at_end(&self) -> bool {
-        self.pos >= self.tokens.len()
+        self.current.is_none()
     }
 
-    fn peek(&self) -> Option<&TokenKind> {
-        self.tokens.get(self.pos).map(|t| &t.kind)
+    fn peek(&self) -> Option<&TokenKind<'a>> {
+        self.current.as_ref().map(|t| &t.kind)
     }
 
-    fn advance(&mut self) -> Option<TokenKind> {
-        let kind = self.tokens.get(self.pos).map(|t| t.kind.clone());
-        if kind.is_some() {
-            self.pos += 1;
-        }
-        kind
+    /// Take the token at the cursor (moved out, not copied) and step over it.
+    fn advance(&mut self) -> Option<TokenKind<'a>> {
+        let token = self.current.take()?;
+        self.bump();
+        Some(token.kind)
     }
 
+    /// A parse error at the cursor. `position` is the token index; the
+    /// message ends with the byte offset of that token in the statement text
+    /// (its length at end of input), which is what locates the mistake in a
+    /// statement of tens of thousands of tokens.
     fn error(&self, message: impl Into<String>) -> SqlError {
-        let mut message = message.into();
-        if let Some(tok) = self.tokens.get(self.pos) {
-            message = format!("{message} (found {})", tok.kind.describe());
-        } else {
-            message = format!("{message} (found end of input)");
-        }
+        let message = message.into();
+        let message = match &self.current {
+            Some(tok) => format!(
+                "{message} (found {}) at byte {}",
+                tok.kind.describe(),
+                tok.offset
+            ),
+            None => format!(
+                "{message} (found end of input) at byte {}",
+                self.lexer.offset()
+            ),
+        };
         SqlError::Parse {
-            position: self.pos,
+            position: self.index,
             message,
         }
     }
 
     /// Consume the next token if it equals `kind`.
-    fn eat(&mut self, kind: &TokenKind) -> bool {
-        if self.peek() == Some(kind) {
-            self.pos += 1;
-            true
-        } else {
-            false
+    fn eat(&mut self, kind: &TokenKind<'_>) -> bool {
+        let found = self.peek() == Some(kind);
+        if found {
+            self.bump();
         }
+        found
     }
 
     /// Consume the next token if it is the given keyword.
     fn eat_keyword(&mut self, keyword: &str) -> bool {
-        matches!(self.peek(), Some(TokenKind::Keyword(k)) if k == keyword) && {
-            self.pos += 1;
-            true
+        let found = matches!(self.peek(), Some(TokenKind::Keyword(k)) if *k == keyword);
+        if found {
+            self.bump();
         }
+        found
     }
 
-    fn expect(&mut self, kind: &TokenKind) -> Result<()> {
+    fn expect(&mut self, kind: &TokenKind<'_>) -> Result<()> {
         if self.eat(kind) {
             Ok(())
         } else {
@@ -125,36 +218,50 @@ impl Parser {
         }
     }
 
-    /// An identifier, or a keyword used in an identifier position (column
-    /// names such as `values` are accepted).
-    fn expect_identifier(&mut self) -> Result<String> {
-        match self.advance() {
+    /// The identifier at the cursor, not consumed.
+    fn peek_identifier(&self) -> Result<&'a str> {
+        match self.peek() {
             Some(TokenKind::Identifier(name)) => Ok(name),
             Some(other) => {
-                self.pos -= 1;
                 Err(self.error(format!("expected identifier, found {}", other.describe())))
             }
             None => Err(self.error("expected identifier")),
         }
     }
 
+    /// Consume an identifier.
+    fn expect_identifier(&mut self) -> Result<String> {
+        let name = self.peek_identifier()?.to_string();
+        self.bump();
+        Ok(name)
+    }
+
+    /// Consume a non-negative integer; `what` completes "expected ...".
+    fn expect_count(&mut self, what: &str) -> Result<i64> {
+        match self.peek() {
+            Some(&TokenKind::Integer(n)) if n >= 0 => {
+                self.bump();
+                Ok(n)
+            }
+            _ => Err(self.error(format!("expected a non-negative integer after {what}"))),
+        }
+    }
+
     fn parse_statement(&mut self) -> Result<Statement> {
         match self.peek() {
-            Some(TokenKind::Keyword(k)) if k == "CREATE" => self.parse_create_table(),
-            Some(TokenKind::Keyword(k)) if k == "DROP" => self.parse_drop_table(),
-            Some(TokenKind::Keyword(k)) if k == "INSERT" => self.parse_insert(),
-            Some(TokenKind::Keyword(k)) if k == "SELECT" => {
-                Ok(Statement::Select(self.parse_select()?))
-            }
-            Some(TokenKind::Keyword(k)) if k == "COPY" => self.parse_copy(),
-            Some(TokenKind::Keyword(k)) if k == "SHUFFLE" => self.parse_shuffle(),
-            Some(TokenKind::Keyword(k)) if k == "CLUSTER" => self.parse_cluster(),
-            Some(TokenKind::Keyword(k)) if k == "SHOW" => {
+            Some(TokenKind::Keyword("CREATE")) => self.parse_create_table(),
+            Some(TokenKind::Keyword("DROP")) => self.parse_drop_table(),
+            Some(TokenKind::Keyword("INSERT")) => self.parse_insert(),
+            Some(TokenKind::Keyword("SELECT")) => Ok(Statement::Select(self.parse_select()?)),
+            Some(TokenKind::Keyword("COPY")) => self.parse_copy(),
+            Some(TokenKind::Keyword("SHUFFLE")) => self.parse_shuffle(),
+            Some(TokenKind::Keyword("CLUSTER")) => self.parse_cluster(),
+            Some(TokenKind::Keyword("SHOW")) => {
                 self.expect_keyword("SHOW")?;
                 self.expect_keyword("TABLES")?;
                 Ok(Statement::ShowTables)
             }
-            Some(TokenKind::Keyword(k)) if k == "DESCRIBE" => {
+            Some(TokenKind::Keyword("DESCRIBE")) => {
                 self.expect_keyword("DESCRIBE")?;
                 let name = self.expect_identifier()?;
                 Ok(Statement::Describe { name })
@@ -173,13 +280,11 @@ impl Parser {
         } else {
             return Err(self.error("expected FROM or TO after the table name in COPY"));
         };
-        let path = match self.advance() {
-            Some(TokenKind::StringLiteral(path)) => path,
-            _ => {
-                self.pos -= 1;
-                return Err(self.error("expected a quoted file path in COPY"));
-            }
+        let Some(TokenKind::StringLiteral(path)) = self.peek() else {
+            return Err(self.error("expected a quoted file path in COPY"));
         };
+        let path = path.to_string();
+        self.bump();
         Ok(Statement::Copy {
             table,
             direction,
@@ -192,13 +297,7 @@ impl Parser {
         self.expect_keyword("TABLE")?;
         let table = self.expect_identifier()?;
         let seed = if self.eat_keyword("SEED") {
-            match self.advance() {
-                Some(TokenKind::Integer(n)) if n >= 0 => Some(n as u64),
-                _ => {
-                    self.pos -= 1;
-                    return Err(self.error("expected a non-negative integer after SEED"));
-                }
-            }
+            Some(self.expect_count("SEED")? as u64)
         } else {
             None
         };
@@ -229,10 +328,12 @@ impl Parser {
     /// soft keywords: they lex as identifiers so they stay usable as column
     /// and table names.
     fn eat_soft_keyword(&mut self, word: &str) -> bool {
-        matches!(self.peek(), Some(TokenKind::Identifier(id)) if id.eq_ignore_ascii_case(word)) && {
-            self.pos += 1;
-            true
+        let found =
+            matches!(self.peek(), Some(TokenKind::Identifier(id)) if id.eq_ignore_ascii_case(word));
+        if found {
+            self.bump();
         }
+        found
     }
 
     /// Parse an optional `STORAGE = ROW | COLUMNAR` clause; absent means the
@@ -291,19 +392,17 @@ impl Parser {
     }
 
     fn parse_data_type(&mut self) -> Result<DataType> {
-        let name = self.expect_identifier()?;
-        match name.to_ascii_uppercase().as_str() {
-            "INT" | "INTEGER" | "BIGINT" => Ok(DataType::Int),
-            "DOUBLE" | "FLOAT" | "FLOAT8" | "REAL" => Ok(DataType::Double),
-            "TEXT" | "VARCHAR" | "STRING" => Ok(DataType::Text),
-            "DENSE_VEC" | "VECTOR" => Ok(DataType::DenseVec),
-            "SPARSE_VEC" => Ok(DataType::SparseVec),
-            "SEQUENCE" => Ok(DataType::Sequence),
-            other => {
-                self.pos -= 1;
-                Err(self.error(format!("unknown column type '{other}'")))
-            }
-        }
+        let data_type = match self.peek_identifier()?.to_ascii_uppercase().as_str() {
+            "INT" | "INTEGER" | "BIGINT" => DataType::Int,
+            "DOUBLE" | "FLOAT" | "FLOAT8" | "REAL" => DataType::Double,
+            "TEXT" | "VARCHAR" | "STRING" => DataType::Text,
+            "DENSE_VEC" | "VECTOR" => DataType::DenseVec,
+            "SPARSE_VEC" => DataType::SparseVec,
+            "SEQUENCE" => DataType::Sequence,
+            other => return Err(self.error(format!("unknown column type '{other}'"))),
+        };
+        self.bump();
+        Ok(data_type)
     }
 
     fn parse_drop_table(&mut self) -> Result<Statement> {
@@ -334,9 +433,13 @@ impl Parser {
         let mut rows = Vec::new();
         loop {
             self.expect(&TokenKind::LeftParen)?;
-            let mut row = Vec::new();
+            // Rows of one statement have one arity (the executor checks it).
+            let mut row = Vec::with_capacity(rows.last().map_or(0, Vec::len));
             loop {
-                row.push(self.parse_expr()?);
+                row.push(match self.parse_constant() {
+                    Some(value) => Expr::Literal(value),
+                    None => self.parse_expr()?,
+                });
                 if !self.eat(&TokenKind::Comma) {
                     break;
                 }
@@ -352,6 +455,114 @@ impl Parser {
             columns,
             rows,
         })
+    }
+
+    /// Read the `VALUES` position at the cursor as the constant it denotes
+    /// (module docs say what qualifies). `None` rewinds the cursor to the
+    /// position's first token: the caller takes the general production.
+    fn parse_constant(&mut self) -> Option<Value> {
+        let (start, index) = (self.current.as_ref()?.offset, self.index);
+        let value = self.constant();
+        // The constant must be the whole position: `1 + 2` starts with one.
+        if value.is_some() && matches!(self.peek(), Some(TokenKind::Comma | TokenKind::RightParen))
+        {
+            return value;
+        }
+        // Lex the position again from its first token; an error the read
+        // ran into will be met again there.
+        self.lexer.rewind_to(start);
+        self.lex_error = None;
+        self.index = index;
+        self.load();
+        None
+    }
+
+    /// The constant starting at the cursor; on `None` the cursor is wherever
+    /// the read gave up ([`Parser::parse_constant`] rewinds).
+    fn constant(&mut self) -> Option<Value> {
+        match self.peek()? {
+            TokenKind::Minus => self.signed_number(),
+            TokenKind::Keyword("ARRAY") => {
+                self.bump();
+                if !self.eat(&TokenKind::LeftBracket) {
+                    return None;
+                }
+                let mut data = Vec::with_capacity(self.dense_len);
+                if !self.eat(&TokenKind::RightBracket) {
+                    loop {
+                        data.push(self.signed_number()?.as_double()?);
+                        match self.advance()? {
+                            TokenKind::Comma => {}
+                            TokenKind::RightBracket => break,
+                            _ => return None,
+                        }
+                    }
+                }
+                // Exactly its size, as evaluating the general parse builds it.
+                data.shrink_to_fit();
+                self.dense_len = data.len();
+                Some(Value::DenseVec(DenseVector::from(data)))
+            }
+            TokenKind::LeftBrace => {
+                self.bump();
+                let mut entries = Vec::new();
+                if !self.eat(&TokenKind::RightBrace) {
+                    loop {
+                        let TokenKind::Integer(index) = self.advance()? else {
+                            return None;
+                        };
+                        if !self.eat(&TokenKind::Colon) {
+                            return None;
+                        }
+                        let value = self.signed_number()?.as_double()?;
+                        entries.push((usize::try_from(index).ok()?, value));
+                        match self.advance()? {
+                            TokenKind::Comma => {}
+                            TokenKind::RightBrace => break,
+                            _ => return None,
+                        }
+                    }
+                }
+                Some(Value::SparseVec(SparseVector::from_pairs(entries)))
+            }
+            _ => self.scalar_constant(),
+        }
+    }
+
+    /// `[-]number` at the cursor, as evaluating it yields: the negation of
+    /// the parsed magnitude, an integer staying an integer (so `-0` inside
+    /// `ARRAY[…]` converts to `+0.0`, and `-0.0` stays `-0.0`).
+    #[inline]
+    fn signed_number(&mut self) -> Option<Value> {
+        let negative = matches!(self.peek()?, TokenKind::Minus);
+        if negative {
+            self.bump();
+        }
+        let value = match *self.peek()? {
+            TokenKind::Integer(v) => Value::Int(if negative { v.checked_neg()? } else { v }),
+            TokenKind::Float(v) => Value::Double(if negative { -v } else { v }),
+            _ => return None,
+        };
+        self.bump();
+        Some(value)
+    }
+
+    /// The scalar literal token at the cursor — a number, a string, `NULL`,
+    /// `TRUE`, `FALSE` — as the value it denotes, consumed; `None`, cursor
+    /// unmoved, for any other token. The one mapping from literal tokens to
+    /// values, shared by the constant read and [`Parser::parse_primary`].
+    fn scalar_constant(&mut self) -> Option<Value> {
+        let value = match self.peek()? {
+            TokenKind::Integer(v) => Value::Int(*v),
+            TokenKind::Float(v) => Value::Double(*v),
+            TokenKind::StringLiteral(s) => Value::Text(s.to_string()),
+            TokenKind::Keyword("NULL") => Value::Null,
+            TokenKind::Keyword("TRUE") => bool_value(true),
+            TokenKind::Keyword("FALSE") => bool_value(false),
+            _ => return None,
+        };
+        self.bump();
+        Some(value)
     }
 
     fn parse_select(&mut self) -> Result<SelectStatement> {
@@ -416,13 +627,7 @@ impl Parser {
         }
 
         let limit = if self.eat_keyword("LIMIT") {
-            match self.advance() {
-                Some(TokenKind::Integer(n)) if n >= 0 => Some(n as usize),
-                _ => {
-                    self.pos -= 1;
-                    return Err(self.error("expected a non-negative integer after LIMIT"));
-                }
-            }
+            Some(self.expect_count("LIMIT")? as usize)
         } else {
             None
         };
@@ -525,7 +730,7 @@ impl Parser {
             _ => None,
         };
         if let Some(op) = op {
-            self.pos += 1;
+            self.bump();
             let right = self.parse_additive()?;
             return Ok(Expr::Binary {
                 left: Box::new(left),
@@ -544,7 +749,7 @@ impl Parser {
                 Some(TokenKind::Minus) => BinaryOp::Sub,
                 _ => break,
             };
-            self.pos += 1;
+            self.bump();
             let right = self.parse_multiplicative()?;
             left = Expr::Binary {
                 left: Box::new(left),
@@ -563,7 +768,7 @@ impl Parser {
                 Some(TokenKind::Slash) => BinaryOp::Div,
                 _ => break,
             };
-            self.pos += 1;
+            self.bump();
             let right = self.parse_unary()?;
             left = Expr::Binary {
                 left: Box::new(left),
@@ -588,14 +793,12 @@ impl Parser {
     }
 
     fn parse_primary(&mut self) -> Result<Expr> {
-        match self.advance() {
-            Some(TokenKind::Integer(v)) => Ok(Expr::Literal(Literal::Int(v))),
-            Some(TokenKind::Float(v)) => Ok(Expr::Literal(Literal::Double(v))),
-            Some(TokenKind::StringLiteral(s)) => Ok(Expr::Literal(Literal::Text(s))),
-            Some(TokenKind::Keyword(k)) if k == "NULL" => Ok(Expr::Literal(Literal::Null)),
-            Some(TokenKind::Keyword(k)) if k == "TRUE" => Ok(Expr::Literal(Literal::Bool(true))),
-            Some(TokenKind::Keyword(k)) if k == "FALSE" => Ok(Expr::Literal(Literal::Bool(false))),
-            Some(TokenKind::Keyword(k)) if k == "ARRAY" => {
+        if let Some(value) = self.scalar_constant() {
+            return Ok(Expr::Literal(value));
+        }
+        match self.peek() {
+            Some(TokenKind::Keyword("ARRAY")) => {
+                self.bump();
                 self.expect(&TokenKind::LeftBracket)?;
                 let mut items = Vec::new();
                 if self.peek() != Some(&TokenKind::RightBracket) {
@@ -610,6 +813,7 @@ impl Parser {
                 Ok(Expr::ArrayLiteral(items))
             }
             Some(TokenKind::LeftBrace) => {
+                self.bump();
                 let mut pairs = Vec::new();
                 if self.peek() != Some(&TokenKind::RightBrace) {
                     loop {
@@ -626,11 +830,14 @@ impl Parser {
                 Ok(Expr::SparseLiteral(pairs))
             }
             Some(TokenKind::LeftParen) => {
+                self.bump();
                 let expr = self.parse_expr()?;
                 self.expect(&TokenKind::RightParen)?;
                 Ok(expr)
             }
             Some(TokenKind::Identifier(name)) => {
+                let name = name.to_string();
+                self.bump();
                 if self.eat(&TokenKind::LeftParen) {
                     let mut args = Vec::new();
                     if self.peek() != Some(&TokenKind::RightParen) {
@@ -652,7 +859,6 @@ impl Parser {
                 }
             }
             Some(other) => {
-                self.pos -= 1;
                 Err(self.error(format!("unexpected {} in expression", other.describe())))
             }
             None => Err(self.error("unexpected end of input in expression")),
@@ -730,8 +936,23 @@ mod tests {
         };
         assert_eq!(table, "t");
         assert_eq!(columns.as_deref().unwrap().len(), 3);
-        assert_eq!(rows.len(), 2);
-        assert!(matches!(rows[0][1], Expr::ArrayLiteral(ref items) if items.len() == 2));
+        // The rows are constants: each position already is the value it denotes.
+        let dense = |data: Vec<f64>| Expr::Literal(Value::DenseVec(DenseVector::from(data)));
+        assert_eq!(
+            rows,
+            vec![
+                vec![
+                    Expr::Literal(Value::Int(1)),
+                    dense(vec![1.0, 2.0]),
+                    Expr::Literal(Value::Double(1.0)),
+                ],
+                vec![
+                    Expr::Literal(Value::Int(2)),
+                    dense(vec![0.5, -0.25]),
+                    Expr::Literal(Value::Double(-1.0)),
+                ],
+            ]
+        );
     }
 
     #[test]
@@ -740,7 +961,12 @@ mod tests {
         let Statement::Insert { rows, .. } = stmt else {
             panic!()
         };
-        assert!(matches!(rows[0][0], Expr::SparseLiteral(ref pairs) if pairs.len() == 2));
+        assert_eq!(
+            rows,
+            vec![vec![Expr::Literal(Value::SparseVec(
+                SparseVector::from_pairs(vec![(0, 1.5), (41000, 2.0)])
+            ))]]
+        );
     }
 
     #[test]
@@ -881,6 +1107,118 @@ mod tests {
     fn reports_error_position_for_garbage() {
         let err = parse_statement("SELECT FROM").unwrap_err();
         assert!(matches!(err, SqlError::Parse { .. }));
+    }
+
+    #[test]
+    fn parse_errors_locate_the_offending_byte_in_a_large_statement() {
+        let mut sql = String::from("INSERT INTO t VALUES ");
+        let mut planted = 0;
+        for r in 0..10_000 {
+            if r > 0 {
+                sql.push_str(", ");
+            }
+            sql.push_str(&format!("({r}, ARRAY[0.5, -1.25], 'row {r}')"));
+            if r == 7_000 {
+                planted = sql.len();
+                sql.push(')');
+            }
+        }
+        let SqlError::Parse { position, message } = parse_statement(&sql).unwrap_err() else {
+            panic!("expected a parse error")
+        };
+        assert!(
+            message.ends_with(&format!("(found ')') at byte {planted}")),
+            "{message}"
+        );
+        assert_eq!(sql.as_bytes()[planted], b')');
+        // `position` keeps its meaning: the index of that token.
+        assert_eq!(
+            position,
+            crate::token::tokenize(&sql[..planted]).unwrap().len()
+        );
+
+        // At end of input the byte is the statement's length.
+        let sql = "INSERT INTO t VALUES (1, ARRAY[2.0]";
+        let err = parse_statement(sql).unwrap_err();
+        assert!(
+            err.to_string()
+                .ends_with(&format!("(found end of input) at byte {}", sql.len())),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn a_lex_error_anywhere_outranks_a_parse_error_before_it() {
+        // The parser pulls tokens as it goes, but the verdict is the one a
+        // tokenize-first pipeline gives: the text is lexed to its end.
+        let err = parse_statement("SELECT FROM WHERE 1 @").unwrap_err();
+        assert_eq!(
+            err,
+            SqlError::Lex {
+                position: 20,
+                message: "unexpected character '@'".into()
+            }
+        );
+        // Also when the lexer meets it while a constant read is looking
+        // ahead, and when the statement before it parsed.
+        for sql in [
+            "INSERT INTO t VALUES (ARRAY[1.0, 2.0 @",
+            "INSERT INTO t VALUES (1); SELECT 'open",
+        ] {
+            let err = parse_script(sql).unwrap_err();
+            assert!(matches!(err, SqlError::Lex { .. }), "{sql}: {err:?}");
+        }
+    }
+
+    #[test]
+    fn constant_positions_fold_and_everything_else_takes_the_grammar() {
+        let stmt = parse_statement(
+            "INSERT INTO t VALUES (-1, - 2.5, 'it''s', NULL, true, ARRAY[], {}, ARRAY[-0, -0.0]), \
+             (1+2, ABS(-1), (4) * 1, - - 5, 1 IS NULL, ARRAY[1, 1+1], {-1: 2.0}, ARRAY[(1)])",
+        )
+        .unwrap();
+        let Statement::Insert { rows, .. } = stmt else {
+            panic!()
+        };
+        let dense = |data: Vec<f64>| Value::DenseVec(DenseVector::from(data));
+        let Expr::Literal(Value::DenseVec(zeros)) = &rows[0][7] else {
+            panic!("{:?}", rows[0][7])
+        };
+        // An integer is negated, then converted: `-0` is `+0.0`.
+        assert_eq!(
+            zeros
+                .as_slice()
+                .iter()
+                .map(|v| v.to_bits())
+                .collect::<Vec<_>>(),
+            vec![0.0f64.to_bits(), (-0.0f64).to_bits()]
+        );
+        assert_eq!(
+            rows[0][..7],
+            [
+                Value::Int(-1),
+                Value::Double(-2.5),
+                Value::Text("it's".into()),
+                Value::Null,
+                Value::Int(1),
+                dense(vec![]),
+                Value::SparseVec(SparseVector::from_pairs(vec![])),
+            ]
+            .map(Expr::Literal)
+        );
+        assert!(
+            rows[1].iter().all(|expr| !matches!(expr, Expr::Literal(_))),
+            "{:?}",
+            rows[1]
+        );
+        // The nesting cap binds inside a vector literal as everywhere else.
+        let deep = format!(
+            "INSERT INTO t VALUES (ARRAY[{}1{}])",
+            "(".repeat(500),
+            ")".repeat(500)
+        );
+        let err = parse_statement(&deep).unwrap_err();
+        assert!(err.to_string().contains("too deeply nested"), "{err}");
     }
 
     #[test]

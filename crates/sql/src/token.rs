@@ -6,28 +6,47 @@
 //! `DROP TABLE`, and scalar / aggregate / analytics function calls.
 //! Keywords are case-insensitive; identifiers preserve their case, matching
 //! how the storage catalog resolves names.
+//!
+//! The lexer makes **one pass over the statement's bytes** and lends its
+//! tokens out of the input, one per call: an identifier is a `&str` slice of
+//! the statement, a keyword is the `&'static str` of its canonical spelling
+//! (matched case-insensitively, no upper-cased copy), a number is parsed
+//! straight from its slice, and a string literal borrows its text unless it
+//! contains the `''` escape (only then is an unescaped copy made). Nothing
+//! is allocated per token, and the parser pulls tokens as it needs them, so
+//! a literal `INSERT` of half a megabyte is never held as a token vector
+//! either ([`tokenize`] builds one for callers that want it).
+//!
+//! Every multi-byte character is either inside a string literal or a comment
+//! (skipped bytewise: `'` and `\n` never occur inside a UTF-8 sequence),
+//! Unicode whitespace, or a lex error, so byte offsets and token boundaries
+//! are exactly those of a `char`-by-`char` scan.
+
+use std::borrow::Cow;
 
 use crate::error::{Result, SqlError};
 
-/// A single lexical token plus the byte offset where it starts (for error
-/// messages).
+/// A single lexical token plus the byte offset where it starts (reported in
+/// parse errors, so a mistake in a large statement can be located).
 #[derive(Debug, Clone, PartialEq)]
-pub struct Token {
+pub struct Token<'a> {
     /// The token's kind and payload.
-    pub kind: TokenKind,
+    pub kind: TokenKind<'a>,
     /// Byte offset of the first character in the original statement text.
     pub offset: usize,
 }
 
-/// The kinds of token the parser consumes.
+/// The kinds of token the parser consumes. Text payloads borrow from the
+/// statement being tokenized.
 #[derive(Debug, Clone, PartialEq)]
-pub enum TokenKind {
-    /// A keyword such as `SELECT` (always stored upper-cased).
-    Keyword(String),
+pub enum TokenKind<'a> {
+    /// A keyword such as `SELECT`, as its canonical upper-case spelling.
+    Keyword(&'static str),
     /// An identifier (table, column or function name), case preserved.
-    Identifier(String),
-    /// A single-quoted string literal with quotes stripped and `''` unescaped.
-    StringLiteral(String),
+    Identifier(&'a str),
+    /// A single-quoted string literal with quotes stripped and `''`
+    /// unescaped (borrowed unless it contained an escape).
+    StringLiteral(Cow<'a, str>),
     /// An integer literal.
     Integer(i64),
     /// A floating-point literal.
@@ -72,7 +91,7 @@ pub enum TokenKind {
     RightBrace,
 }
 
-impl TokenKind {
+impl TokenKind<'_> {
     /// A short human-readable description used in parse errors.
     pub fn describe(&self) -> String {
         match self {
@@ -114,198 +133,227 @@ const KEYWORDS: &[&str] = &[
     "DESCRIBE",
 ];
 
-fn is_ident_start(c: char) -> bool {
-    c.is_ascii_alphabetic() || c == '_'
+fn is_ident_continue(b: u8) -> bool {
+    b.is_ascii_alphanumeric() || b == b'_'
 }
 
-fn is_ident_continue(c: char) -> bool {
-    c.is_ascii_alphanumeric() || c == '_'
+/// Offset of the first byte at or after `from` that `keep` rejects (the
+/// input's length if it keeps them all).
+#[inline]
+fn end_of_run(bytes: &[u8], from: usize, keep: impl Fn(u8) -> bool) -> usize {
+    bytes[from..]
+        .iter()
+        .position(|&b| !keep(b))
+        .map_or(bytes.len(), |p| from + p)
 }
 
-/// Tokenize a statement (or a script of `;`-separated statements).
-pub fn tokenize(input: &str) -> Result<Vec<Token>> {
-    let bytes: Vec<char> = input.chars().collect();
-    let mut tokens = Vec::new();
-    let mut i = 0usize;
-    // Track byte offsets for error messages; we advance by UTF-8 length.
-    let mut offset = 0usize;
+/// The lexer: a cursor over the statement's bytes that yields one borrowed
+/// token per [`Lexer::next_token`] call. The parser pulls tokens from it as
+/// it goes (and moves the cursor back to re-read a `VALUES` position it
+/// could not take as a constant); [`tokenize`] drains it into a vector.
+#[derive(Debug)]
+pub(crate) struct Lexer<'a> {
+    input: &'a str,
+    /// Byte offset of the next unread character.
+    pos: usize,
+}
 
-    while i < bytes.len() {
-        let c = bytes[i];
-        let start_offset = offset;
-        match c {
-            c if c.is_whitespace() => {
-                i += 1;
-                offset += c.len_utf8();
-            }
-            '-' if i + 1 < bytes.len() && bytes[i + 1] == '-' => {
-                // Line comment: skip to end of line.
-                while i < bytes.len() && bytes[i] != '\n' {
-                    offset += bytes[i].len_utf8();
+impl<'a> Lexer<'a> {
+    /// A lexer at the start of `input`.
+    pub(crate) fn new(input: &'a str) -> Self {
+        Lexer { input, pos: 0 }
+    }
+
+    /// Byte offset of the next unread character (the statement's length once
+    /// the input is exhausted).
+    pub(crate) fn offset(&self) -> usize {
+        self.pos
+    }
+
+    /// Move the cursor to byte `offset` — the start of a token this lexer
+    /// yielded earlier — so the text from there is lexed again.
+    pub(crate) fn rewind_to(&mut self, offset: usize) {
+        debug_assert!(self.input.is_char_boundary(offset));
+        self.pos = offset;
+    }
+
+    /// The next token, `None` at end of input. An error leaves the cursor
+    /// where it was: asking again reports the same error.
+    #[inline]
+    pub(crate) fn next_token(&mut self) -> Result<Option<Token<'a>>> {
+        let input = self.input;
+        let bytes = input.as_bytes();
+        let mut i = self.pos;
+        while i < bytes.len() {
+            let start = i;
+            let next = bytes.get(i + 1).copied();
+            let (kind, end) = match bytes[i] {
+                // ASCII whitespace as `char::is_whitespace` defines it.
+                b' ' | b'\t'..=b'\r' => {
                     i += 1;
+                    continue;
                 }
-            }
-            '\'' => {
-                let (literal, consumed) = lex_string(&bytes[i..], start_offset)?;
-                tokens.push(Token {
-                    kind: TokenKind::StringLiteral(literal),
-                    offset: start_offset,
-                });
-                for c in &bytes[i..i + consumed] {
-                    offset += c.len_utf8();
+                b'-' if next == Some(b'-') => {
+                    // Line comment: skip to end of line.
+                    i = end_of_run(bytes, i, |b| b != b'\n');
+                    continue;
                 }
-                i += consumed;
-            }
-            c if c.is_ascii_digit() => {
-                let (kind, consumed) = lex_number(&bytes[i..], start_offset)?;
-                tokens.push(Token {
-                    kind,
-                    offset: start_offset,
-                });
-                offset += consumed;
-                i += consumed;
-            }
-            c if is_ident_start(c) => {
-                let mut end = i;
-                while end < bytes.len() && is_ident_continue(bytes[end]) {
-                    end += 1;
+                b'0'..=b'9' => lex_number(input, start)?,
+                b'\'' => lex_string(input, start)?,
+                b'a'..=b'z' | b'A'..=b'Z' | b'_' => {
+                    let end = end_of_run(bytes, start, is_ident_continue);
+                    let word = &input[start..end];
+                    let kind = match KEYWORDS.iter().find(|k| k.eq_ignore_ascii_case(word)) {
+                        Some(keyword) => TokenKind::Keyword(keyword),
+                        None => TokenKind::Identifier(word),
+                    };
+                    (kind, end)
                 }
-                let word: String = bytes[i..end].iter().collect();
-                let upper = word.to_ascii_uppercase();
-                let kind = if KEYWORDS.contains(&upper.as_str()) {
-                    TokenKind::Keyword(upper)
-                } else {
-                    TokenKind::Identifier(word)
-                };
-                tokens.push(Token {
-                    kind,
-                    offset: start_offset,
-                });
-                offset += end - i;
-                i = end;
-            }
-            _ => {
-                let (kind, consumed) = lex_symbol(&bytes[i..], start_offset)?;
-                tokens.push(Token {
-                    kind,
-                    offset: start_offset,
-                });
-                offset += consumed;
-                i += consumed;
-            }
+                b'<' if next == Some(b'>') => (TokenKind::NotEq, i + 2),
+                b'!' if next == Some(b'=') => (TokenKind::NotEq, i + 2),
+                b'<' if next == Some(b'=') => (TokenKind::LtEq, i + 2),
+                b'>' if next == Some(b'=') => (TokenKind::GtEq, i + 2),
+                b'(' => (TokenKind::LeftParen, i + 1),
+                b')' => (TokenKind::RightParen, i + 1),
+                b'[' => (TokenKind::LeftBracket, i + 1),
+                b']' => (TokenKind::RightBracket, i + 1),
+                b'{' => (TokenKind::LeftBrace, i + 1),
+                b'}' => (TokenKind::RightBrace, i + 1),
+                b',' => (TokenKind::Comma, i + 1),
+                b';' => (TokenKind::Semicolon, i + 1),
+                b'*' => (TokenKind::Star, i + 1),
+                b'+' => (TokenKind::Plus, i + 1),
+                b'-' => (TokenKind::Minus, i + 1),
+                b'/' => (TokenKind::Slash, i + 1),
+                b'=' => (TokenKind::Eq, i + 1),
+                b'<' => (TokenKind::Lt, i + 1),
+                b'>' => (TokenKind::Gt, i + 1),
+                b':' => (TokenKind::Colon, i + 1),
+                b if b.is_ascii() => return Err(unexpected_character(b as char, start)),
+                _ => {
+                    // Outside string literals and comments the only multi-byte
+                    // characters the dialect accepts are Unicode whitespace.
+                    let c = input[start..]
+                        .chars()
+                        .next()
+                        .expect("a non-ASCII byte at a token start begins a character");
+                    if c.is_whitespace() {
+                        i += c.len_utf8();
+                        continue;
+                    }
+                    return Err(unexpected_character(c, start));
+                }
+            };
+            self.pos = end;
+            return Ok(Some(Token {
+                kind,
+                offset: start,
+            }));
         }
+        self.pos = bytes.len();
+        Ok(None)
+    }
+}
+
+/// Tokenize a statement (or a script of `;`-separated statements). The
+/// tokens borrow from `input`.
+pub fn tokenize(input: &str) -> Result<Vec<Token<'_>>> {
+    let mut lexer = Lexer::new(input);
+    let mut tokens = Vec::new();
+    while let Some(token) = lexer.next_token()? {
+        tokens.push(token);
     }
     Ok(tokens)
 }
 
-fn lex_string(rest: &[char], offset: usize) -> Result<(String, usize)> {
-    debug_assert_eq!(rest[0], '\'');
-    let mut literal = String::new();
-    let mut i = 1usize;
-    while i < rest.len() {
-        if rest[i] == '\'' {
-            // '' is an escaped quote inside the literal.
-            if i + 1 < rest.len() && rest[i + 1] == '\'' {
-                literal.push('\'');
-                i += 2;
-                continue;
-            }
-            return Ok((literal, i + 1));
+/// Lex the string literal whose opening quote is at `start`; returns the
+/// unescaped text and the offset just past the closing quote.
+fn lex_string(input: &str, start: usize) -> Result<(TokenKind<'_>, usize)> {
+    let bytes = input.as_bytes();
+    // Start of the text not yet copied into `unescaped`.
+    let mut segment = start + 1;
+    let mut unescaped: Option<String> = None;
+    while let Some(p) = bytes[segment..].iter().position(|&b| b == b'\'') {
+        let quote = segment + p;
+        if bytes.get(quote + 1) == Some(&b'\'') {
+            // '' is an escaped quote inside the literal: keep one of the two.
+            unescaped
+                .get_or_insert_with(String::new)
+                .push_str(&input[segment..=quote]);
+            segment = quote + 2;
+            continue;
         }
-        literal.push(rest[i]);
-        i += 1;
+        let rest = &input[segment..quote];
+        let literal = match unescaped {
+            Some(mut text) => {
+                text.push_str(rest);
+                Cow::Owned(text)
+            }
+            None => Cow::Borrowed(rest),
+        };
+        return Ok((TokenKind::StringLiteral(literal), quote + 1));
     }
     Err(SqlError::Lex {
-        position: offset,
+        position: start,
         message: "unterminated string literal".into(),
     })
 }
 
-fn lex_number(rest: &[char], offset: usize) -> Result<(TokenKind, usize)> {
-    let mut i = 0usize;
-    while i < rest.len() && rest[i].is_ascii_digit() {
-        i += 1;
-    }
+/// Lex the number starting at `start` (a digit): `digits[.digits][e[+-]digits]`,
+/// parsed straight from its slice of the statement.
+#[inline]
+fn lex_number(input: &str, start: usize) -> Result<(TokenKind<'_>, usize)> {
+    let bytes = input.as_bytes();
+    let digits_end = |from: usize| end_of_run(bytes, from, |b| b.is_ascii_digit());
+    let is_digit_at = |at: usize| bytes.get(at).is_some_and(u8::is_ascii_digit);
+
+    let mut end = digits_end(start);
     let mut is_float = false;
-    if i < rest.len() && rest[i] == '.' && i + 1 < rest.len() && rest[i + 1].is_ascii_digit() {
+    if bytes.get(end) == Some(&b'.') && is_digit_at(end + 1) {
         is_float = true;
-        i += 1;
-        while i < rest.len() && rest[i].is_ascii_digit() {
-            i += 1;
-        }
+        end = digits_end(end + 1);
     }
-    if i < rest.len() && (rest[i] == 'e' || rest[i] == 'E') {
-        let mut j = i + 1;
-        if j < rest.len() && (rest[j] == '+' || rest[j] == '-') {
-            j += 1;
+    if matches!(bytes.get(end), Some(b'e' | b'E')) {
+        let mut exponent = end + 1;
+        if matches!(bytes.get(exponent), Some(b'+' | b'-')) {
+            exponent += 1;
         }
-        if j < rest.len() && rest[j].is_ascii_digit() {
+        if is_digit_at(exponent) {
             is_float = true;
-            i = j;
-            while i < rest.len() && rest[i].is_ascii_digit() {
-                i += 1;
-            }
+            end = digits_end(exponent);
         }
     }
-    let text: String = rest[..i].iter().collect();
-    if is_float {
+    let text = &input[start..end];
+    let kind = if is_float {
         text.parse::<f64>()
-            .map(|v| (TokenKind::Float(v), i))
+            .map(TokenKind::Float)
             .map_err(|e| SqlError::Lex {
-                position: offset,
+                position: start,
                 message: format!("bad float: {e}"),
-            })
+            })?
     } else {
         text.parse::<i64>()
-            .map(|v| (TokenKind::Integer(v), i))
+            .map(TokenKind::Integer)
             .map_err(|e| SqlError::Lex {
-                position: offset,
+                position: start,
                 message: format!("bad integer: {e}"),
-            })
-    }
+            })?
+    };
+    Ok((kind, end))
 }
 
-fn lex_symbol(rest: &[char], offset: usize) -> Result<(TokenKind, usize)> {
-    let two: String = rest.iter().take(2).collect();
-    match two.as_str() {
-        "<>" => return Ok((TokenKind::NotEq, 2)),
-        "!=" => return Ok((TokenKind::NotEq, 2)),
-        "<=" => return Ok((TokenKind::LtEq, 2)),
-        ">=" => return Ok((TokenKind::GtEq, 2)),
-        _ => {}
+fn unexpected_character(c: char, position: usize) -> SqlError {
+    SqlError::Lex {
+        position,
+        message: format!("unexpected character '{c}'"),
     }
-    let kind = match rest[0] {
-        '(' => TokenKind::LeftParen,
-        ')' => TokenKind::RightParen,
-        '[' => TokenKind::LeftBracket,
-        ']' => TokenKind::RightBracket,
-        '{' => TokenKind::LeftBrace,
-        '}' => TokenKind::RightBrace,
-        ',' => TokenKind::Comma,
-        ';' => TokenKind::Semicolon,
-        '*' => TokenKind::Star,
-        '+' => TokenKind::Plus,
-        '-' => TokenKind::Minus,
-        '/' => TokenKind::Slash,
-        '=' => TokenKind::Eq,
-        '<' => TokenKind::Lt,
-        '>' => TokenKind::Gt,
-        ':' => TokenKind::Colon,
-        other => {
-            return Err(SqlError::Lex {
-                position: offset,
-                message: format!("unexpected character '{other}'"),
-            })
-        }
-    };
-    Ok((kind, 1))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn kinds(sql: &str) -> Vec<TokenKind> {
+    fn kinds(sql: &str) -> Vec<TokenKind<'_>> {
         tokenize(sql).unwrap().into_iter().map(|t| t.kind).collect()
     }
 
@@ -315,9 +363,9 @@ mod tests {
         assert_eq!(
             toks,
             vec![
-                TokenKind::Keyword("SELECT".into()),
-                TokenKind::Keyword("FROM".into()),
-                TokenKind::Keyword("WHERE".into()),
+                TokenKind::Keyword("SELECT"),
+                TokenKind::Keyword("FROM"),
+                TokenKind::Keyword("WHERE"),
             ]
         );
     }
@@ -328,9 +376,9 @@ mod tests {
         assert_eq!(
             toks,
             vec![
-                TokenKind::Identifier("SVMTrain".into()),
-                TokenKind::Identifier("LabeledPapers".into()),
-                TokenKind::Identifier("vec_2".into()),
+                TokenKind::Identifier("SVMTrain"),
+                TokenKind::Identifier("LabeledPapers"),
+                TokenKind::Identifier("vec_2"),
             ]
         );
     }
@@ -385,7 +433,7 @@ mod tests {
         assert_eq!(
             toks,
             vec![
-                TokenKind::Keyword("SELECT".into()),
+                TokenKind::Keyword("SELECT"),
                 TokenKind::Integer(1),
                 TokenKind::Comma,
                 TokenKind::Integer(2),
@@ -412,8 +460,8 @@ mod tests {
     #[test]
     fn paper_training_query_tokenizes() {
         let toks = kinds("SELECT SVMTrain('myModel', 'LabeledPapers', 'vec', 'label');");
-        assert_eq!(toks[0], TokenKind::Keyword("SELECT".into()));
-        assert_eq!(toks[1], TokenKind::Identifier("SVMTrain".into()));
+        assert_eq!(toks[0], TokenKind::Keyword("SELECT"));
+        assert_eq!(toks[1], TokenKind::Identifier("SVMTrain"));
         assert_eq!(toks[2], TokenKind::LeftParen);
         assert_eq!(toks[3], TokenKind::StringLiteral("myModel".into()));
         assert_eq!(*toks.last().unwrap(), TokenKind::Semicolon);

@@ -10,6 +10,36 @@
 //! and reconstructs the exact catalog the last successful operation left —
 //! including persisted model tables, which is what lets a training session
 //! survive a process restart.
+//!
+//! ## When the log is folded
+//!
+//! A fold rewrites the *whole* catalog, so how often it runs decides what a
+//! small durable write costs. The log is folded when it has **outgrown what
+//! it sits on**: after an operation, if
+//! `catalog.wal ≥ max(DEFAULT_COMPACT_THRESHOLD, catalog.snap)` in bytes
+//! (the snapshot's length is remembered from [`Database::open`] and from the
+//! last fold; no snapshot counts as 0). Three bounds follow:
+//!
+//! - **log size** — the log never exceeds the larger of 1 MiB and its
+//!   snapshot by more than one record;
+//! - **recovery work** — reopening reads the snapshot plus a log no larger
+//!   than it (or than 1 MiB): at most ≈ 2× the live data;
+//! - **write amplification** — a fold writes about the old snapshot plus the
+//!   log it retires, and that log is at least as large as the old snapshot,
+//!   so a fold writes at most ≈ 2 bytes per log byte it retires, whatever the
+//!   size of the catalog. For a catalog that only grows, each fold at least
+//!   doubles the snapshot and the snapshot bytes ever written form a
+//!   geometric series: ≤ ≈ 2× the final catalog. A fixed byte threshold
+//!   instead rewrites a growing table every fixed number of bytes, so total
+//!   snapshot bytes grow with the *square* of the table (12 folds and 93 MB
+//!   of snapshot writes to ingest 15 MB in 64 statements, against 4 folds
+//!   and 18 MB under this rule).
+//!
+//! This is the stratified merge of Vertica's Tuple Mover and the
+//! append-only tail of L-Store reduced to one level: a tuple is rewritten a
+//! bounded number of times. [`Database::set_compact_threshold`] overrides
+//! the rule with an exact byte count (tests use `1`: fold after every
+//! operation); [`Database::compact`] folds on demand.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -30,7 +60,8 @@ pub const WAL_FILE: &str = "catalog.wal";
 /// File name of the catalog snapshot inside a durable catalog directory.
 pub const SNAPSHOT_FILE: &str = "catalog.snap";
 
-/// Default WAL size (bytes) that triggers a compaction into a snapshot.
+/// Smallest WAL size (bytes) at which the default rule folds the log into a
+/// snapshot; above it the threshold is the snapshot's own size (module docs).
 pub const DEFAULT_COMPACT_THRESHOLD: u64 = 1 << 20;
 
 /// `CREATE` of an empty row table, as written before tables carried a layout
@@ -84,7 +115,11 @@ impl std::fmt::Display for RecoveryReport {
 struct DurabilityState {
     wal: WalWriter,
     snapshot_path: PathBuf,
-    compact_threshold: u64,
+    /// Length of the snapshot file on disk; 0 while there is none.
+    snapshot_bytes: u64,
+    /// `Some(n)`: fold at exactly `n` log bytes
+    /// ([`Database::set_compact_threshold`]); `None`: the default rule.
+    compact_threshold: Option<u64>,
 }
 
 /// An in-process database: a catalog of stored tables.
@@ -129,9 +164,11 @@ impl Database {
 
         let mut tables = BTreeMap::new();
         let mut snap_lsn = 0;
+        let mut snapshot_bytes = 0;
         let mut snapshot_loaded = false;
         if let Some(snap) = snapshot::read(&snapshot_path)? {
             snap_lsn = snap.last_lsn;
+            snapshot_bytes = snap.encoded_len;
             snapshot_loaded = true;
             for table in snap.tables {
                 tables.insert(table.name().to_string(), table);
@@ -190,7 +227,8 @@ impl Database {
                 durability: Some(DurabilityState {
                     wal,
                     snapshot_path,
-                    compact_threshold: DEFAULT_COMPACT_THRESHOLD,
+                    snapshot_bytes,
+                    compact_threshold: None,
                 }),
             },
             report,
@@ -202,11 +240,12 @@ impl Database {
         self.durability.is_some()
     }
 
-    /// Override the WAL size at which a compaction is attempted (durable
-    /// catalogs only; no-op otherwise). Mainly for tests.
+    /// Fold the log whenever it reaches exactly `bytes`, instead of when it
+    /// outgrows its snapshot (durable catalogs only; no-op otherwise). Mainly
+    /// for tests: `1` folds after every operation.
     pub fn set_compact_threshold(&mut self, bytes: u64) {
         if let Some(d) = self.durability.as_mut() {
-            d.compact_threshold = bytes;
+            d.compact_threshold = Some(bytes);
         }
     }
 
@@ -222,7 +261,8 @@ impl Database {
         }
     }
 
-    /// Compact if the log has outgrown its threshold. Best-effort: a failed
+    /// Compact if the log has outgrown what it sits on (module docs) or
+    /// reached an explicit threshold. Best-effort: a failed
     /// compaction leaves both the log and the snapshot in their previous
     /// consistent states, so the error is not worth failing the (already
     /// durable) triggering operation for.
@@ -230,7 +270,10 @@ impl Database {
         let Some(d) = self.durability.as_mut() else {
             return;
         };
-        if d.wal.size_bytes() >= d.compact_threshold {
+        let fold_at = d
+            .compact_threshold
+            .unwrap_or_else(|| DEFAULT_COMPACT_THRESHOLD.max(d.snapshot_bytes));
+        if d.wal.size_bytes() >= fold_at {
             let _ = compact_state(d, &self.tables);
         }
     }
@@ -379,7 +422,7 @@ fn compact_state(
     tables: &BTreeMap<String, StoredTable>,
 ) -> Result<(), StorageError> {
     let last_lsn = d.wal.next_lsn() - 1;
-    snapshot::write(&d.snapshot_path, last_lsn, tables.values())?;
+    d.snapshot_bytes = snapshot::write(&d.snapshot_path, last_lsn, tables.values())?;
     d.wal.reset()
 }
 
@@ -585,6 +628,94 @@ mod tests {
         assert!(report.snapshot_loaded);
         assert_eq!(report.records_replayed, 0);
         assert_eq!(db.table("t").unwrap().len(), 10);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn the_log_is_folded_when_it_outgrows_its_snapshot() {
+        use bismarck_linalg::DenseVector;
+        const MIB: u64 = DEFAULT_COMPACT_THRESHOLD;
+        const APPENDS: i64 = 64;
+        const BATCH: i64 = 512;
+        let dir = temp_dir("fold-schedule");
+        let file_len = |name: &str| std::fs::metadata(dir.join(name)).map_or(0, |m| m.len());
+        // 512 rows of 54 doubles: the ≈ 239 KB record of the durable ingest
+        // workload's INSERT.
+        let batch = |k: i64| -> Vec<Vec<Value>> {
+            (k * BATCH..(k + 1) * BATCH)
+                .map(|id| {
+                    vec![
+                        Value::Int(id),
+                        Value::DenseVec(DenseVector::from(vec![id as f64; 54])),
+                        Value::Double(1.0),
+                    ]
+                })
+                .collect()
+        };
+
+        let (mut db, _) = Database::open(&dir).unwrap();
+        let vector_schema = Schema::new(vec![
+            Column::new("id", DataType::Int),
+            Column::new("vec", DataType::DenseVec),
+            Column::new("label", DataType::Double),
+        ])
+        .unwrap();
+        db.create_table("d", vector_schema).unwrap();
+        let empty_log = file_len(WAL_FILE);
+
+        let mut record = 0;
+        let mut folds = Vec::new();
+        let mut snapshot_bytes_written = 0;
+        let mut snapshot = 0;
+        for k in 0..APPENDS {
+            db.insert_rows("d", batch(k)).unwrap();
+            if k == 0 {
+                record = file_len(WAL_FILE) - empty_log;
+                assert!((230_000..250_000).contains(&record), "{record}");
+            }
+            let on_disk = file_len(SNAPSHOT_FILE);
+            if on_disk != snapshot {
+                folds.push(k + 1);
+                snapshot_bytes_written += on_disk;
+                snapshot = on_disk;
+                assert_eq!(file_len(WAL_FILE), wal::WAL_HEADER_LEN);
+            }
+            // The log never outgrows the larger of 1 MiB and its snapshot by
+            // more than the record that tipped it over.
+            assert!(file_len(WAL_FILE) < MIB.max(snapshot) + record);
+            // Every acknowledged row is there after a restart — and the
+            // reopened catalog carries the schedule on: it remembers the
+            // snapshot's length from `open`.
+            drop(db);
+            let (reopened, report) = Database::open(&dir).unwrap();
+            let table = reopened.table("d").unwrap();
+            assert_eq!(table.len() as i64, (k + 1) * BATCH);
+            let last = table.get(table.len() - 1).unwrap();
+            assert_eq!(last.get_int(0), Some((k + 1) * BATCH - 1));
+            assert_eq!(report.snapshot_loaded, snapshot > 0);
+            db = reopened;
+        }
+        assert_eq!(folds, vec![5, 10, 20, 40]);
+        // A geometric series, not one rewrite of the table per MiB logged.
+        let final_catalog = snapshot + file_len(WAL_FILE);
+        assert!(snapshot_bytes_written <= 2 * final_catalog);
+
+        // An explicit threshold is exact, not a floor under the rule.
+        db.set_compact_threshold(1);
+        for id in 0..3 {
+            let before = file_len(SNAPSHOT_FILE);
+            db.insert_rows(
+                "d",
+                vec![vec![
+                    Value::Int(id),
+                    Value::DenseVec(DenseVector::from(vec![0.0])),
+                    Value::Double(0.0),
+                ]],
+            )
+            .unwrap();
+            assert_eq!(file_len(WAL_FILE), wal::WAL_HEADER_LEN);
+            assert!(file_len(SNAPSHOT_FILE) > before);
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -48,6 +48,14 @@ pub enum StorageError {
     /// The operation does not apply to the table's physical layout (message
     /// says which and why).
     Unsupported(String),
+    /// One logged operation is larger than a WAL record can frame (the
+    /// record's length prefix is a `u32`). Nothing was written.
+    RecordTooLarge {
+        /// Size of the record payload the operation needs.
+        bytes: u64,
+        /// Largest payload a record can carry.
+        limit: u64,
+    },
 }
 
 impl std::fmt::Display for StorageError {
@@ -79,6 +87,11 @@ impl std::fmt::Display for StorageError {
             StorageError::Io(msg) => write!(f, "storage I/O error: {msg}"),
             StorageError::Corrupt(msg) => write!(f, "storage corruption: {msg}"),
             StorageError::Unsupported(msg) => write!(f, "unsupported: {msg}"),
+            StorageError::RecordTooLarge { bytes, limit } => write!(
+                f,
+                "operation needs a WAL record of {bytes} bytes, above the format's \
+                 limit of {limit}; nothing was written"
+            ),
         }
     }
 }

@@ -48,6 +48,8 @@ pub(crate) struct Snapshot {
     pub(crate) last_lsn: u64,
     /// The tables, in encoding order (paged references still unopened).
     pub(crate) tables: Vec<Decoded>,
+    /// Length of the encoded snapshot, framing included.
+    pub(crate) encoded_len: u64,
 }
 
 /// Serialize the catalog (`last_lsn` plus every table) into snapshot bytes.
@@ -107,17 +109,23 @@ pub(crate) fn decode(bytes: &[u8]) -> Result<Snapshot, StorageError> {
         tables.push(StoredTable::decode(&mut r, kind)?);
     }
     r.finish()?;
-    Ok(Snapshot { last_lsn, tables })
+    Ok(Snapshot {
+        last_lsn,
+        tables,
+        encoded_len: bytes.len() as u64,
+    })
 }
 
-/// Atomically write a snapshot file.
+/// Atomically write a snapshot file; returns its length in bytes.
 pub(crate) fn write<'a>(
     path: &Path,
     last_lsn: u64,
     tables: impl Iterator<Item = &'a StoredTable>,
-) -> Result<(), StorageError> {
-    durable::atomic_write(path, &encode(last_lsn, tables)?)
-        .map_err(|e| StorageError::Io(format!("write snapshot {}: {e}", path.display())))
+) -> Result<u64, StorageError> {
+    let bytes = encode(last_lsn, tables)?;
+    durable::atomic_write(path, &bytes)
+        .map_err(|e| StorageError::Io(format!("write snapshot {}: {e}", path.display())))?;
+    Ok(bytes.len() as u64)
 }
 
 /// Read a snapshot file if it exists; `Ok(None)` when there is none yet.

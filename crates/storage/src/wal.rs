@@ -15,6 +15,10 @@
 //!   [u64]  FNV-1a 64-bit checksum of the payload
 //! ```
 //!
+//! The `u32` length prefix bounds one record's payload at 4 GiB − 1: an
+//! operation that would need more is refused with
+//! [`StorageError::RecordTooLarge`] before a byte of it is written.
+//!
 //! Every record carries a monotonically increasing **log sequence number**.
 //! The catalog snapshot stores the LSN it incorporates, so replay after a
 //! crash between "snapshot renamed" and "log truncated" simply skips records
@@ -49,6 +53,17 @@ pub const WAL_HEADER_LEN: u64 = 8;
 /// Bytes of fixed framing around each record payload (length prefix +
 /// checksum).
 const RECORD_OVERHEAD: usize = 4 + 8;
+
+/// The length prefix of a record whose payload is `payload_len` bytes, or
+/// [`StorageError::RecordTooLarge`] when the prefix cannot hold it: writing
+/// the wrapped length would acknowledge a record that [`replay`] later
+/// rejects as corruption.
+fn length_prefix(payload_len: usize) -> Result<u32, StorageError> {
+    u32::try_from(payload_len).map_err(|_| StorageError::RecordTooLarge {
+        bytes: payload_len as u64,
+        limit: u64::from(u32::MAX),
+    })
+}
 
 fn io_err(op: &str, path: &Path, e: std::io::Error) -> StorageError {
     StorageError::Io(format!("{op} {}: {e}", path.display()))
@@ -244,6 +259,9 @@ impl WalWriter {
 
     /// Append one operation record and fsync it. Returns the record's LSN.
     ///
+    /// An operation too large for one record is refused before anything is
+    /// written ([`StorageError::RecordTooLarge`]); the writer stays usable.
+    ///
     /// On failure the writer first tries to truncate the file back to its
     /// pre-append length so the log stays clean; if even that fails (e.g. the
     /// injected fault models a process crash) the writer is *poisoned* — all
@@ -259,11 +277,12 @@ impl WalWriter {
             )));
         }
         let lsn = self.next_lsn;
+        let prefix = length_prefix(8 + op.len())?;
         let mut payload = Vec::with_capacity(8 + op.len());
         payload.extend_from_slice(&lsn.to_le_bytes());
         payload.extend_from_slice(op);
         let mut record = Vec::with_capacity(payload.len() + RECORD_OVERHEAD);
-        record.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        record.extend_from_slice(&prefix.to_le_bytes());
         record.extend_from_slice(&payload);
         record.extend_from_slice(&fnv1a64(&payload).to_le_bytes());
 
@@ -433,6 +452,25 @@ mod tests {
             replay(b"NOTAWALFILE!"),
             Err(StorageError::Corrupt(_))
         ));
+    }
+
+    #[test]
+    fn oversized_record_is_refused_not_written_with_a_wrapped_length() {
+        // `append` asks `length_prefix` before it builds or writes anything;
+        // testing the check itself needs no 4 GiB operation.
+        assert_eq!(length_prefix(8), Ok(8));
+        assert_eq!(length_prefix(u32::MAX as usize), Ok(u32::MAX));
+        #[cfg(target_pointer_width = "64")]
+        for too_large in [u32::MAX as usize + 1, (u32::MAX as usize + 1) * 2 + 20] {
+            // `as u32` made these 0 and 20: records `replay` then rejects.
+            assert_eq!(
+                length_prefix(too_large),
+                Err(StorageError::RecordTooLarge {
+                    bytes: too_large as u64,
+                    limit: u64::from(u32::MAX),
+                })
+            );
+        }
     }
 
     #[test]

@@ -339,6 +339,48 @@ fn memory_budget_rejects_oversized_ctas_without_poisoning_the_session() {
 }
 
 #[test]
+fn a_constant_insert_is_charged_row_by_row_and_polls_its_guard() {
+    // 10 000 rows the parser reads as constants: their values are moved into
+    // the rows, not evaluated — and must still be metered on the way.
+    let mut session = SqlSession::with_seed(7);
+    session
+        .execute("CREATE TABLE big (id INT, vec DENSE_VEC, label DOUBLE)")
+        .unwrap();
+    let rows: Vec<String> = (0..10_000)
+        .map(|r| format!("({r}, ARRAY[0.5, -1.25, {r}.0, 4.0], -1.0)"))
+        .collect();
+    let insert = format!("INSERT INTO big VALUES {}", rows.join(", "));
+    let count = |session: &mut SqlSession| {
+        let n = session.execute("SELECT COUNT(*) FROM big").unwrap();
+        n.single_value().and_then(Value::as_int)
+    };
+
+    let limit = 64 * 1024;
+    let tight = QueryGuard::new(QueryLimits::none().with_memory_limit(limit));
+    let err = session.execute_with(&insert, &tight).unwrap_err();
+    let SqlError::MemoryBudget(exceeded) = err else {
+        panic!("expected MemoryBudget, got {err:?}");
+    };
+    // The rows before the one that did not fit had each been charged.
+    assert!(exceeded.reserved > limit / 2 && exceeded.reserved <= limit);
+    assert!(exceeded.requested < 1024, "one row: {exceeded}");
+    assert_eq!(count(&mut session), Some(0), "all-or-nothing batch");
+    assert_eq!(tight.budget().reserved(), 0, "reservation released");
+
+    let cancelled = QueryGuard::unlimited();
+    cancelled.cancel();
+    let err = session.execute_with(&insert, &cancelled).unwrap_err();
+    assert_eq!(err, SqlError::Cancelled);
+    assert_eq!(count(&mut session), Some(0));
+
+    // The same statement fits a budget sized for it, and releases it.
+    let roomy = QueryGuard::new(QueryLimits::none().with_memory_limit(16 << 20));
+    session.execute_with(&insert, &roomy).unwrap();
+    assert_eq!(count(&mut session), Some(10_000));
+    assert_eq!(roomy.budget().reserved(), 0);
+}
+
+#[test]
 fn cancelled_multi_batch_insert_leaves_a_recoverable_durable_catalog() {
     let _io = durable_io();
     let dir = temp_dir("cancel-insert");
