@@ -11,7 +11,9 @@ use std::time::Duration;
 
 use bismarck_core::mrs::subsampling_train;
 use bismarck_core::tasks::LogisticRegressionTask;
-use bismarck_core::{MrsConfig, MrsTrainer, StepSizeSchedule, Trainer, TrainerConfig};
+use bismarck_core::{
+    ParallelStrategy, ParallelTrainer, StepSizeSchedule, TrainedModel, Trainer, TrainerConfig,
+};
 use bismarck_storage::{ScanOrder, Table};
 use bismarck_uda::ConvergenceTest;
 
@@ -31,6 +33,19 @@ pub struct MrsCurve {
 }
 
 impl MrsCurve {
+    fn of(label: String, trained: &TrainedModel) -> Self {
+        MrsCurve {
+            label,
+            losses: trained.history.losses(),
+            cumulative: trained
+                .history
+                .records()
+                .iter()
+                .map(|r| r.cumulative)
+                .collect(),
+        }
+    }
+
     /// Epochs (1-based) to first reach `target`, if ever.
     pub fn epochs_to(&self, target: f64) -> Option<usize> {
         self.losses.iter().position(|&l| l <= target).map(|i| i + 1)
@@ -82,16 +97,7 @@ fn clustered_curve(table: &Table, dim: usize, epochs: usize) -> MrsCurve {
         .with_step_size(StepSizeSchedule::Constant(0.1))
         .with_convergence(ConvergenceTest::FixedEpochs(epochs));
     let trained = Trainer::new(&task, config).train(table);
-    MrsCurve {
-        label: "Clustered".into(),
-        losses: trained.history.losses(),
-        cumulative: trained
-            .history
-            .records()
-            .iter()
-            .map(|r| r.cumulative)
-            .collect(),
-    }
+    MrsCurve::of("Clustered".into(), &trained)
 }
 
 fn subsampling_curve(table: &Table, dim: usize, buffer: usize, epochs: usize) -> MrsCurve {
@@ -104,39 +110,20 @@ fn subsampling_curve(table: &Table, dim: usize, buffer: usize, epochs: usize) ->
         ConvergenceTest::FixedEpochs(epochs),
         77,
     );
-    MrsCurve {
-        label: format!("Subsampling (B={buffer})"),
-        losses: trained.history.losses(),
-        cumulative: trained
-            .history
-            .records()
-            .iter()
-            .map(|r| r.cumulative)
-            .collect(),
-    }
+    MrsCurve::of(format!("Subsampling (B={buffer})"), &trained)
 }
 
 fn mrs_curve(table: &Table, dim: usize, buffer: usize, epochs: usize) -> MrsCurve {
     let task = lr_task(dim);
-    let config = MrsConfig {
+    let config = TrainerConfig::default()
+        .with_step_size(StepSizeSchedule::Constant(0.1))
+        .with_convergence(ConvergenceTest::FixedEpochs(epochs));
+    let strategy = ParallelStrategy::Mrs {
         buffer_size: buffer,
-        step_size: StepSizeSchedule::Constant(0.1),
-        convergence: ConvergenceTest::FixedEpochs(epochs),
         seed: 77,
-        memory_worker: true,
-        ..MrsConfig::default()
     };
-    let (trained, _) = MrsTrainer::new(&task, config).train(table);
-    MrsCurve {
-        label: format!("MRS (B={buffer})"),
-        losses: trained.history.losses(),
-        cumulative: trained
-            .history
-            .records()
-            .iter()
-            .map(|r| r.cumulative)
-            .collect(),
-    }
+    let (trained, _) = ParallelTrainer::new(&task, config, strategy).train(table);
+    MrsCurve::of(format!("MRS (B={buffer})"), &trained)
 }
 
 /// Run the Figure 10 experiment.

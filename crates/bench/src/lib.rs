@@ -6,8 +6,8 @@
 //! Bismarck configuration (and baseline, where the paper compares against
 //! one) and returns a printable result whose rows mirror the paper's table
 //! or figure series. The `reproduce` binary drives them from the command
-//! line; the Criterion benches under `benches/` measure the timing-sensitive
-//! kernels with statistical rigor.
+//! line; timings that gate a change are the `e2e` benchmark's (the package
+//! under `src/bin/e2e`, declared by the repository's `BENCHMARK.json`).
 //!
 //! Absolute numbers will differ from the paper (different hardware, a
 //! library substrate instead of three commercial RDBMSes, synthetic data) —

@@ -33,17 +33,6 @@ impl IgdState {
     }
 }
 
-/// How partial models from different segments are combined by `merge`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum MergeStrategy {
-    /// Weight each partial model by the number of gradient steps it took
-    /// (segments of unequal size contribute proportionally).
-    #[default]
-    CountWeighted,
-    /// Plain unweighted average of the two partial models.
-    Unweighted,
-}
-
 /// IGD as a UDA over a single epoch.
 ///
 /// The aggregate is configured with the task, the step size to use for this
@@ -54,7 +43,6 @@ pub struct IgdAggregate<'a, T: IgdTask> {
     task: &'a T,
     alpha: f64,
     starting_model: Vec<f64>,
-    merge_strategy: MergeStrategy,
 }
 
 impl<'a, T: IgdTask> IgdAggregate<'a, T> {
@@ -64,14 +52,7 @@ impl<'a, T: IgdTask> IgdAggregate<'a, T> {
             task,
             alpha,
             starting_model,
-            merge_strategy: MergeStrategy::default(),
         }
-    }
-
-    /// Override the merge strategy (used by the merge-strategy ablation).
-    pub fn with_merge_strategy(mut self, strategy: MergeStrategy) -> Self {
-        self.merge_strategy = strategy;
-        self
     }
 
     /// The step size this aggregate applies.
@@ -136,11 +117,10 @@ impl<T: IgdTask> Aggregate for IgdAggregate<'_, T> {
         }
     }
 
+    /// Each partial model is weighted by the number of gradient steps it
+    /// took, so segments of unequal size contribute proportionally.
     fn merge(&self, left: &mut IgdState, right: IgdState) {
-        let (wl, wr) = match self.merge_strategy {
-            MergeStrategy::CountWeighted => (left.steps as f64, right.steps as f64),
-            MergeStrategy::Unweighted => (1.0, 1.0),
-        };
+        let (wl, wr) = (left.steps as f64, right.steps as f64);
         let total_steps = left.steps + right.steps;
         if wl + wr <= 0.0 {
             left.steps = total_steps;
@@ -267,25 +247,6 @@ mod tests {
         agg.merge(&mut left, right);
         assert!((left.model.read(0) - 2.0).abs() < 1e-12);
         assert_eq!(left.steps, 4);
-    }
-
-    #[test]
-    fn unweighted_merge_is_midpoint() {
-        let task = MeanTask {
-            prox: ProximalPolicy::None,
-        };
-        let agg =
-            IgdAggregate::new(&task, 0.1, vec![0.0]).with_merge_strategy(MergeStrategy::Unweighted);
-        let mut left = IgdState {
-            model: DenseModelStore::new(vec![1.0]),
-            steps: 3,
-        };
-        let right = IgdState {
-            model: DenseModelStore::new(vec![5.0]),
-            steps: 1,
-        };
-        agg.merge(&mut left, right);
-        assert!((left.model.read(0) - 3.0).abs() < 1e-12);
     }
 
     #[test]

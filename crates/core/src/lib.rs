@@ -26,8 +26,9 @@
 //! * [`parallel`] — the pure-UDA (model averaging) and shared-memory (Lock /
 //!   AIG / NoLock a.k.a. Hogwild) gradient passes of Section 3.3, which
 //!   [`ParallelTrainer`] plugs into that same loop;
-//! * [`mrs`] — multiplexed reservoir sampling for data that cannot be
-//!   shuffled (Section 3.4);
+//! * [`mrs`] — the multiplexed-reservoir-sampling gradient pass for data
+//!   that cannot be shuffled (Section 3.4), a third [`ParallelStrategy`] of
+//!   that same loop, plus the plain-subsampling baseline of Figure 10;
 //! * [`frontend`] — `SVMTrain`-style entry points that read a training table
 //!   from a [`bismarck_storage::Database`] and persist the model back as a
 //!   table, mimicking the MADlib-style SQL interface of Section 2.1;
@@ -68,7 +69,6 @@ pub use crate::governor::{
 };
 pub use crate::igd::{IgdAggregate, IgdState};
 pub use crate::model::{AigStore, DenseModelStore, ModelStore, NoLockStore};
-pub use crate::mrs::{MrsConfig, MrsTrainer};
 pub use crate::parallel::{ParallelStrategy, ParallelTrainer, UpdateDiscipline};
 pub use crate::serving::{Link, ModelHandle, ModelSnapshot, PublishError, ServingTask};
 pub use crate::stepsize::StepSizeSchedule;

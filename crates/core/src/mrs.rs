@@ -3,254 +3,141 @@
 //! When a dataset is too large to shuffle even once, the classical fallback
 //! is to subsample it with a reservoir and train only on the sample — but the
 //! reservoir throws away data that could have helped the model converge.
-//! MRS multiplexes gradient steps over *both* streams:
+//! MRS multiplexes gradient steps over *both* streams, and like the schemes
+//! of Section 3.3 it changes only how one pass over the data runs: it is the
+//! gradient pass [`crate::ParallelStrategy::Mrs`] selects inside the one
+//! epoch loop of [`crate::trainer`], which owns everything else (stop check,
+//! loss, divergence backoff, serving publish, checkpoint). One pass is:
 //!
-//! * the **I/O Worker** scans the table in storage order, offers each tuple
-//!   to a reservoir, and performs a gradient step on every tuple the
-//!   reservoir does *not* keep (the "dropped example d" of Figure 6);
-//! * the **Memory Worker** concurrently loops over the buffer filled during
-//!   the previous pass, performing gradient steps on that
-//!   without-replacement sample;
+//! * the **I/O Worker** scans the table in storage order — any
+//!   [`TupleScan`]: row store, columnar, paged — offers each tuple to a
+//!   reservoir, and performs a gradient step on every tuple the reservoir
+//!   does *not* keep (the "dropped example d" of Figure 6);
+//! * the **Memory Worker** lives for that scan only (which starts once the
+//!   worker's thread runs, so that even a table crossed faster than a thread
+//!   starts is multiplexed): it sweeps the buffer the *previous* pass filled,
+//!   stepping on that without-replacement sample at the same epoch's step
+//!   size, until the scan ends — and always finishes the sweep it is in, so
+//!   a non-empty buffer is swept at least once per pass however the two
+//!   threads are scheduled, with no timed wait;
 //! * both update a model in shared memory with NoLock (Hogwild!) updates;
-//! * after each pass the buffers swap, and the Memory Worker is signalled by
-//!   polling a shared integer.
+//! * after the pass the buffers swap: the sample just drawn is what the next
+//!   pass's Memory Worker sweeps.
+//!
+//! The reservoir of epoch `e` is seeded from `seed + e`, so which rows a pass
+//! keeps depends on the seed, the epoch and the row count alone — not on the
+//! layout, nor on what ran before. The first pass has nothing sampled yet
+//! and a `buffer_size` of zero never has: both are the I/O Worker alone and
+//! deterministic, and with nothing kept either the pass is, bit for bit, the
+//! NoLock pass of one worker over the whole table. With a Memory Worker the
+//! pass is racy by design, like NoLock on several workers.
+//!
+//! [`TrainerConfig::scan_order`](crate::TrainerConfig::scan_order) is not
+//! read: MRS exists for data that cannot be permuted, so no permutation is
+//! drawn and no shuffle time is billed. The buffer is working state of the
+//! loop, not of the run: a checkpoint does not hold it, so a run picked up
+//! with `resume_from` starts its first epoch with an empty previous buffer
+//! (the I/O Worker alone, as in epoch 0); a divergence-backoff retry discards
+//! the failed attempt's reservoir and sweeps the same previous buffer again.
 
-use std::sync::atomic::{AtomicI64, AtomicUsize, Ordering};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Barrier;
 use std::time::Duration;
 
 use bismarck_storage::reservoir::ReservoirOutcome;
-use bismarck_storage::{ReservoirSampler, SharedModel, Table, Tuple};
-use bismarck_uda::{ConvergenceTest, EpochOutcome, EpochRunner, TrainingHistory};
-use parking_lot::RwLock;
+use bismarck_storage::{ReservoirSampler, SharedModel, Tuple, TupleScan};
+use bismarck_uda::{scan_blocks_while, ConvergenceTest, EpochOutcome, EpochRunner};
 
-use crate::model::{ModelStore, NoLockStore};
+use crate::model::{DenseModelStore, ModelStore, NoLockStore};
+use crate::parallel::{fold_worker_outcomes, lock_free_proximal_step};
 use crate::stepsize::StepSizeSchedule;
 use crate::task::{IgdTask, ProximalPolicy};
-use crate::trainer::TrainedModel;
+use crate::trainer::{objective, EpochAbort, TrainedModel};
 
-/// Configuration of the MRS trainer.
-#[derive(Debug, Clone, Copy)]
-pub struct MrsConfig {
-    /// Reservoir / buffer capacity in tuples (the paper uses ~1–10% of the
-    /// dataset).
-    pub buffer_size: usize,
-    /// Step-size schedule indexed by pass number.
-    pub step_size: StepSizeSchedule,
-    /// Stopping condition (each I/O pass counts as one epoch).
-    pub convergence: ConvergenceTest,
-    /// RNG seed for the reservoir.
-    pub seed: u64,
-    /// Whether to run the concurrent Memory Worker. Disabling it degrades
-    /// MRS to plain "gradient on the non-sampled stream", which is useful
-    /// for ablations.
-    pub memory_worker: bool,
-    /// Bounded window the I/O Worker grants the Memory Worker at shutdown to
-    /// drain at least one sweep of the final buffer (on loaded or
-    /// single-core hosts the worker may otherwise never be scheduled during
-    /// a short run). `Duration::ZERO` disables the wait entirely — the knob
-    /// a governed deadline should set when there is no time left to spend.
-    pub drain_window: Duration,
-}
-
-impl Default for MrsConfig {
-    fn default() -> Self {
-        MrsConfig {
-            buffer_size: 1024,
-            step_size: StepSizeSchedule::default(),
-            convergence: ConvergenceTest::FixedEpochs(10),
-            seed: 42,
-            memory_worker: true,
-            drain_window: Duration::from_millis(200),
-        }
-    }
-}
-
-/// Signal values polled by the Memory Worker.
-const SIGNAL_IDLE: i64 = -1;
-const SIGNAL_STOP: i64 = -2;
-
-/// Statistics reported by an MRS training run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MrsStats {
-    /// Gradient steps taken by the I/O Worker (on dropped tuples).
-    pub io_steps: u64,
-    /// Gradient steps taken by the Memory Worker (on buffered tuples).
-    pub memory_steps: u64,
-    /// Number of buffer swaps performed.
-    pub buffer_swaps: u64,
-}
-
-/// The multiplexed-reservoir-sampling trainer.
-#[derive(Debug, Clone)]
-pub struct MrsTrainer<'a, T: IgdTask> {
-    task: &'a T,
-    config: MrsConfig,
-}
-
-impl<'a, T: IgdTask> MrsTrainer<'a, T> {
-    /// Create an MRS trainer.
-    pub fn new(task: &'a T, config: MrsConfig) -> Self {
-        MrsTrainer { task, config }
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> &MrsConfig {
-        &self.config
-    }
-
-    /// Train on a table (visited in storage order — MRS exists precisely for
-    /// data that cannot be shuffled).
-    pub fn train(&self, table: &Table) -> (TrainedModel, MrsStats) {
-        let task = self.task;
-        let config = self.config;
-        let shared = SharedModel::from_slice(&task.initial_model());
-
-        // Double buffer: the Memory Worker iterates one buffer while the I/O
-        // Worker's reservoir fills the other.
-        let buffers = [
-            RwLock::new(Vec::<Tuple>::new()),
-            RwLock::new(Vec::<Tuple>::new()),
-        ];
-        let signal = AtomicI64::new(SIGNAL_IDLE);
-        let memory_steps = AtomicUsize::new(0);
-
-        let mut io_steps: u64 = 0;
-        let mut buffer_swaps: u64 = 0;
-        let mut history = TrainingHistory::default();
-
-        std::thread::scope(|scope| {
-            // Memory Worker: poll the signal, loop over the indicated buffer.
-            if config.memory_worker {
-                let shared_clone = shared.clone();
-                let buffers = &buffers;
-                let signal = &signal;
-                let memory_steps = &memory_steps;
-                scope.spawn(move || {
-                    let mut store = NoLockStore::new(shared_clone);
+/// One MRS epoch (Figure 6) from `model` at step size `alpha`: `buffer` is
+/// the sample the previous pass kept, `reservoir` the empty one this pass
+/// fills. Returns the stepped model, or `None` — the attempt is to be
+/// discarded — once `keep_going`, polled between the blocks of the scan, says
+/// stop.
+///
+/// Both workers run under `catch_unwind`; see `run_workers` in
+/// [`crate::parallel`] for why that is sound over a [`SharedModel`].
+pub(crate) fn run_mrs_epoch<T: IgdTask, S: TupleScan + ?Sized>(
+    task: &T,
+    data: &S,
+    model: &[f64],
+    alpha: f64,
+    buffer: &[Tuple],
+    reservoir: &mut ReservoirSampler<Tuple>,
+    keep_going: &mut dyn FnMut() -> bool,
+) -> Result<Option<Vec<f64>>, EpochAbort> {
+    let shared = SharedModel::from_slice(model);
+    let scanning = AtomicBool::new(true);
+    let running = Barrier::new(2);
+    let mut finished = false;
+    let outcomes = std::thread::scope(|scope| {
+        let memory_worker = (!buffer.is_empty()).then(|| {
+            let handle = scope.spawn(|| {
+                running.wait();
+                catch_unwind(AssertUnwindSafe(|| {
+                    let mut store = NoLockStore::new(shared.clone());
+                    // Sweep, then look: the sweep under way when the scan
+                    // ends is finished, and there is always one.
                     loop {
-                        let s = signal.load(Ordering::Acquire);
-                        if s == SIGNAL_STOP {
+                        for tuple in buffer {
+                            task.gradient_step(&mut store, tuple, alpha);
+                        }
+                        if !scanning.load(Ordering::Acquire) {
                             break;
                         }
-                        if s == SIGNAL_IDLE {
-                            std::thread::yield_now();
-                            continue;
-                        }
-                        let buffer = buffers[s as usize].read();
-                        if buffer.is_empty() {
-                            drop(buffer);
-                            std::thread::yield_now();
-                            continue;
-                        }
-                        // One sweep over the buffer; the step size mirrors
-                        // the I/O worker's current pass (read from the
-                        // signal's upper bits would be overkill — we use the
-                        // initial step size, which is what the buffer's
-                        // examples would have received when sampled).
-                        let alpha = config.step_size.at(0);
-                        for tuple in buffer.iter() {
-                            task.gradient_step(&mut store, tuple, alpha);
-                            memory_steps.fetch_add(1, Ordering::Relaxed);
-                        }
-                        drop(buffer);
-                        std::thread::yield_now();
                     }
-                });
-            }
-
-            // I/O Worker (this thread): reservoir-sample each pass, stepping
-            // on dropped tuples; swap buffers between passes.
-            let runner = EpochRunner::new(config.convergence);
-            let mut reservoir: ReservoirSampler<Tuple> =
-                ReservoirSampler::new(config.buffer_size, config.seed);
-            history = runner.run(|epoch| {
-                let alpha = config.step_size.at(epoch);
-                let mut store = NoLockStore::new(shared.clone());
-                for tuple in table.scan() {
+                }))
+            });
+            // A small table would be crossed before the thread starts.
+            running.wait();
+            handle
+        });
+        // The I/O Worker is this thread.
+        let io_worker = catch_unwind(AssertUnwindSafe(|| {
+            let mut store = NoLockStore::new(shared.clone());
+            let mut scratch = Tuple::default();
+            finished = scan_blocks_while(data, 0, usize::MAX, keep_going, &mut |block| {
+                block.for_each_tuple(&mut scratch, &mut |tuple| {
                     match reservoir.offer(tuple.clone()) {
                         ReservoirOutcome::StoredInEmptySlot => {}
                         ReservoirOutcome::Replaced(dropped)
                         | ReservoirOutcome::Rejected(dropped) => {
                             task.gradient_step(&mut store, &dropped, alpha);
-                            io_steps += 1;
                         }
                     }
-                }
-
-                // Publish the current reservoir contents into the buffer the
-                // Memory Worker is *not* reading, then swap.
-                let target = (epoch % 2) as i64;
-                {
-                    let mut buffer = buffers[target as usize].write();
-                    buffer.clear();
-                    buffer.extend(reservoir.items().iter().cloned());
-                }
-                signal.store(target, Ordering::Release);
-                buffer_swaps += 1;
-
-                // Per-epoch proximal step (MRS uses the lock-free shared
-                // model, so hard constraints are enforced between passes).
-                if task.proximal_policy() != ProximalPolicy::None {
-                    let mut snapshot = shared.snapshot();
-                    task.proximal_step(&mut snapshot, alpha);
-                    shared.overwrite(&snapshot);
-                }
-
-                let model = shared.snapshot();
-                let mut loss = task.regularizer(&model);
-                for tuple in table.scan() {
-                    loss += task.example_loss(&model, tuple);
-                }
-                EpochOutcome {
-                    loss,
-                    gradient_norm: None,
-                    shuffle_duration: Duration::ZERO,
-                    retries: 0,
-                }
+                    true
+                });
             });
-
-            // Graceful shutdown: give the Memory Worker a bounded window
-            // (`config.drain_window`) to drain at least one sweep of the
-            // final buffer before stopping, so the buffered sample is not
-            // silently wasted when the worker was never scheduled.
-            if config.memory_worker
-                && config.buffer_size > 0
-                && !table.is_empty()
-                && config.drain_window > Duration::ZERO
-            {
-                let deadline = std::time::Instant::now() + config.drain_window;
-                while memory_steps.load(Ordering::Relaxed) == 0
-                    && std::time::Instant::now() < deadline
-                {
-                    std::thread::yield_now();
-                }
-            }
-            signal.store(SIGNAL_STOP, Ordering::Release);
+        }));
+        scanning.store(false, Ordering::Release);
+        let memory_worker = memory_worker.map(|handle| {
+            handle
+                .join()
+                .expect("the worker only panics inside catch_unwind")
         });
-
-        let model = shared.snapshot();
-        let stats = MrsStats {
-            io_steps,
-            memory_steps: memory_steps.load(Ordering::Relaxed) as u64,
-            buffer_swaps,
-        };
-        (
-            TrainedModel {
-                task_name: task.name(),
-                model,
-                history,
-            },
-            stats,
-        )
+        std::iter::once(io_worker).chain(memory_worker)
+    });
+    fold_worker_outcomes(outcomes)?;
+    if !finished {
+        return Ok(None);
     }
+    let mut model = shared.snapshot();
+    lock_free_proximal_step(task, &mut model, alpha);
+    Ok(Some(model))
 }
 
 /// Plain subsampling baseline: fill a reservoir in one pass, then train only
 /// on the sample for the remaining epochs. This is the "Subsampling" line of
-/// Figure 10.
-pub fn subsampling_train<T: IgdTask>(
+/// Figure 10 — the reference MRS is compared against, not an engine path.
+pub fn subsampling_train<T: IgdTask, S: TupleScan + ?Sized>(
     task: &T,
-    table: &Table,
+    data: &S,
     buffer_size: usize,
     step_size: StepSizeSchedule,
     convergence: ConvergenceTest,
@@ -258,22 +145,22 @@ pub fn subsampling_train<T: IgdTask>(
 ) -> TrainedModel {
     // One pass to build the without-replacement sample.
     let mut reservoir: ReservoirSampler<Tuple> = ReservoirSampler::new(buffer_size, seed);
-    for tuple in table.scan() {
+    data.scan_tuples(&mut |tuple| {
         reservoir.offer(tuple.clone());
-    }
+    });
     let sample = reservoir.into_items();
 
     let mut model = task.initial_model();
     let runner = EpochRunner::new(convergence);
     let history = runner.run(|epoch| {
         let alpha = step_size.at(epoch);
-        let mut store = crate::model::DenseModelStore::new(std::mem::take(&mut model));
+        let mut store = DenseModelStore::new(std::mem::take(&mut model));
         for tuple in &sample {
             task.gradient_step(&mut store, tuple, alpha);
             if task.proximal_policy() == ProximalPolicy::PerStep {
                 let mut snapshot = store.snapshot();
                 task.proximal_step(&mut snapshot, alpha);
-                store = crate::model::DenseModelStore::new(snapshot);
+                store = DenseModelStore::new(snapshot);
             }
         }
         model = store.into_vec();
@@ -282,12 +169,8 @@ pub fn subsampling_train<T: IgdTask>(
         }
         // Loss is still measured over the FULL table: the question Figure 10
         // asks is how well the subsample-trained model does on all the data.
-        let mut loss = task.regularizer(&model);
-        for tuple in table.scan() {
-            loss += task.example_loss(&model, tuple);
-        }
         EpochOutcome {
-            loss,
+            loss: objective(task, &model, data),
             gradient_norm: None,
             shuffle_duration: Duration::ZERO,
             retries: 0,
@@ -305,10 +188,12 @@ pub fn subsampling_train<T: IgdTask>(
 mod tests {
     use super::*;
     use crate::tasks::LogisticRegressionTask;
-    use bismarck_storage::{Column, DataType, Schema, Value};
+    use crate::{ParallelStrategy, ParallelTrainer, Trainer, TrainerConfig, UpdateDiscipline};
+    use bismarck_storage::{Column, DataType, ScanOrder, Schema, Table, Value};
     use rand::rngs::StdRng;
     use rand::Rng;
     use rand::SeedableRng;
+    use std::sync::atomic::AtomicU64;
 
     /// Clustered (label-sorted) classification data: the regime MRS targets.
     fn clustered_table(n: usize, seed: u64) -> Table {
@@ -330,50 +215,93 @@ mod tests {
         t
     }
 
-    fn lr_task() -> LogisticRegressionTask {
-        LogisticRegressionTask::new(0, 1, 2)
+    /// LR that counts its gradient steps, across epochs and workers.
+    struct CountingLr {
+        inner: LogisticRegressionTask,
+        steps: AtomicU64,
+    }
+
+    impl IgdTask for CountingLr {
+        fn name(&self) -> &'static str {
+            self.inner.name()
+        }
+        fn dimension(&self) -> usize {
+            self.inner.dimension()
+        }
+        fn gradient_step(&self, model: &mut dyn ModelStore, tuple: &Tuple, alpha: f64) {
+            self.steps.fetch_add(1, Ordering::Relaxed);
+            self.inner.gradient_step(model, tuple, alpha);
+        }
+        fn example_loss(&self, model: &[f64], tuple: &Tuple) -> f64 {
+            self.inner.example_loss(model, tuple)
+        }
+        fn regularizer(&self, model: &[f64]) -> f64 {
+            self.inner.regularizer(model)
+        }
+    }
+
+    fn lr_task() -> CountingLr {
+        CountingLr {
+            inner: LogisticRegressionTask::new(0, 1, 2),
+            steps: AtomicU64::new(0),
+        }
+    }
+
+    fn config(epochs: usize) -> TrainerConfig {
+        TrainerConfig::default()
+            .with_step_size(StepSizeSchedule::Constant(0.1))
+            .with_convergence(ConvergenceTest::FixedEpochs(epochs))
     }
 
     #[test]
     fn mrs_reduces_loss_and_reports_stats() {
         let table = clustered_table(400, 3);
         let task = lr_task();
-        let config = MrsConfig {
+        let strategy = ParallelStrategy::Mrs {
             buffer_size: 40,
-            step_size: StepSizeSchedule::Constant(0.1),
-            convergence: ConvergenceTest::FixedEpochs(5),
             seed: 7,
-            memory_worker: true,
-            ..MrsConfig::default()
         };
-        let zero_loss: f64 = {
-            let zero = task.initial_model();
-            table.scan().map(|tup| task.example_loss(&zero, tup)).sum()
-        };
-        let (trained, stats) = MrsTrainer::new(&task, config).train(&table);
+        let trainer = Trainer::new(&task, config(5));
+        let zero_loss = trainer.objective(&task.initial_model(), &table);
+        let (trained, stats) = ParallelTrainer::new(&task, config(5), strategy).train(&table);
         assert!(trained.final_loss().unwrap() < zero_loss * 0.7);
-        assert!(stats.io_steps > 0, "I/O worker must step on dropped tuples");
-        assert!(stats.memory_steps > 0, "memory worker must run");
-        assert_eq!(stats.buffer_swaps, 5);
+        // Every pass, the I/O Worker steps on the n − m rows its reservoir
+        // drops; every pass but the first, the Memory Worker sweeps the m
+        // buffered ones at least once.
+        let steps = task.steps.load(Ordering::Relaxed);
+        assert!(steps >= 5 * (400 - 40) + 4 * 40, "{steps} steps");
+        assert_eq!(stats.len(), 5);
         assert_eq!(trained.epochs(), 5);
+        // The loss pass runs on a quiescent model: what the history reports
+        // is the objective of the model handed back.
+        assert_eq!(
+            trainer.objective(&trained.model, &table).to_bits(),
+            trained.final_loss().unwrap().to_bits()
+        );
     }
 
     #[test]
     fn mrs_without_memory_worker_still_trains() {
+        // `buffer_size: 0` is the I/O Worker alone: one step per row and
+        // pass, and bit for bit the NoLock pass of one worker.
         let table = clustered_table(200, 5);
         let task = lr_task();
-        let config = MrsConfig {
-            buffer_size: 20,
-            step_size: StepSizeSchedule::Constant(0.1),
-            convergence: ConvergenceTest::FixedEpochs(3),
-            memory_worker: false,
+        let strategy = ParallelStrategy::Mrs {
+            buffer_size: 0,
             seed: 1,
-            ..MrsConfig::default()
         };
-        let (trained, stats) = MrsTrainer::new(&task, config).train(&table);
-        assert_eq!(stats.memory_steps, 0);
-        assert!(stats.io_steps > 0);
+        let (trained, _) = ParallelTrainer::new(&task, config(3), strategy).train(&table);
+        assert_eq!(task.steps.load(Ordering::Relaxed), 3 * 200);
         assert!(trained.final_loss().unwrap().is_finite());
+
+        let one_nolock_worker = ParallelStrategy::SharedMemory {
+            workers: 1,
+            discipline: UpdateDiscipline::NoLock,
+        };
+        let clustered = config(3).with_scan_order(ScanOrder::Clustered);
+        let (nolock, _) = ParallelTrainer::new(&task, clustered, one_nolock_worker).train(&table);
+        assert_eq!(trained.model, nolock.model);
+        assert_eq!(trained.history.losses(), nolock.history.losses());
     }
 
     #[test]
@@ -398,18 +326,11 @@ mod tests {
         let task = lr_task();
         let epochs = 6;
         let buffer = 60;
-        let (mrs, _) = MrsTrainer::new(
-            &task,
-            MrsConfig {
-                buffer_size: buffer,
-                step_size: StepSizeSchedule::Constant(0.1),
-                convergence: ConvergenceTest::FixedEpochs(epochs),
-                seed: 21,
-                memory_worker: true,
-                ..MrsConfig::default()
-            },
-        )
-        .train(&table);
+        let strategy = ParallelStrategy::Mrs {
+            buffer_size: buffer,
+            seed: 21,
+        };
+        let (mrs, _) = ParallelTrainer::new(&task, config(epochs), strategy).train(&table);
         let sub = subsampling_train(
             &task,
             &table,
@@ -421,15 +342,5 @@ mod tests {
         // MRS uses strictly more data per pass, so after the same number of
         // passes it should not be meaningfully worse.
         assert!(mrs.final_loss().unwrap() <= sub.final_loss().unwrap() * 1.1);
-    }
-
-    #[test]
-    fn default_config_is_sane() {
-        let config = MrsConfig::default();
-        assert!(config.buffer_size > 0);
-        assert!(config.memory_worker);
-        let task = lr_task();
-        let trainer = MrsTrainer::new(&task, config);
-        assert_eq!(trainer.config().buffer_size, 1024);
     }
 }

@@ -14,11 +14,13 @@
 //!   converges like Lock but scales like the lock-free scheme.
 //!
 //! A scheme changes how one aggregate pass is executed and nothing else, so
-//! beside the strategy types this module holds only the two pass functions.
-//! The epoch protocol around them — stop check, reorder, loss, divergence
-//! backoff, serving publish, checkpoint — is `run_epochs` in
-//! [`crate::trainer`], the one loop [`ParallelTrainer`] and
-//! [`crate::Trainer`] both enter; the seven steps are listed there.
+//! beside the strategy types this module holds only the two pass functions
+//! (the third, multiplexed reservoir sampling, is [`crate::mrs`]) and the
+//! tails the threaded passes share: folding worker panics into one abort,
+//! and the lock-free proximal step. The epoch protocol around them — stop
+//! check, reorder, loss, divergence backoff, serving publish, checkpoint —
+//! is `run_epochs` in [`crate::trainer`], the one loop [`ParallelTrainer`]
+//! and [`crate::Trainer`] both enter; the seven steps are listed there.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
@@ -61,10 +63,11 @@ impl UpdateDiscipline {
 
 /// Which parallelization scheme to run.
 ///
-/// The two families of Section 3.3: shared-nothing model averaging
+/// The two families of Section 3.3 — shared-nothing model averaging
 /// ([`PureUda`](Self::PureUda), portable to any engine with UDA `merge`) and
 /// shared-memory concurrent updates ([`SharedMemory`](Self::SharedMemory),
-/// whose [`UpdateDiscipline`] trades contention against staleness).
+/// whose [`UpdateDiscipline`] trades contention against staleness) — and the
+/// scheme of Section 3.4 for data too big to shuffle ([`Mrs`](Self::Mrs)).
 ///
 /// ```
 /// use bismarck_core::{ParallelStrategy, UpdateDiscipline};
@@ -74,9 +77,12 @@ impl UpdateDiscipline {
 ///     workers: 4,
 ///     discipline: UpdateDiscipline::NoLock,
 /// };
+/// let reservoir = ParallelStrategy::Mrs { buffer_size: 1024, seed: 42 };
 /// assert_eq!(averaging.label(), "PureUDA");
 /// assert_eq!(hogwild.label(), "NoLock");
 /// assert_eq!(averaging.workers(), hogwild.workers());
+/// assert_eq!(reservoir.label(), "MRS");
+/// assert_eq!(reservoir.workers(), 2); // the I/O Worker and the Memory Worker
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ParallelStrategy {
@@ -92,6 +98,17 @@ pub enum ParallelStrategy {
         /// Update discipline.
         discipline: UpdateDiscipline,
     },
+    /// Multiplexed reservoir sampling (see [`crate::mrs`]): a storage-order
+    /// scan that steps on the rows its reservoir drops, beside a worker that
+    /// steps on the sample the previous pass kept. Ignores
+    /// [`TrainerConfig::scan_order`].
+    Mrs {
+        /// Reservoir / buffer capacity in tuples (the paper uses ~1–10% of
+        /// the dataset). Zero is the I/O Worker alone.
+        buffer_size: usize,
+        /// Base RNG seed of the reservoir; epoch `e` uses `seed + e`.
+        seed: u64,
+    },
 }
 
 impl ParallelStrategy {
@@ -100,6 +117,7 @@ impl ParallelStrategy {
         match self {
             ParallelStrategy::PureUda { .. } => "PureUDA",
             ParallelStrategy::SharedMemory { discipline, .. } => discipline.label(),
+            ParallelStrategy::Mrs { .. } => "MRS",
         }
     }
 
@@ -108,6 +126,7 @@ impl ParallelStrategy {
         match *self {
             ParallelStrategy::PureUda { segments } => segments,
             ParallelStrategy::SharedMemory { workers, .. } => workers,
+            ParallelStrategy::Mrs { .. } => 2,
         }
     }
 }
@@ -231,7 +250,9 @@ impl<'a, T: IgdTask> ParallelTrainer<'a, T> {
     /// [`crate::Trainer::resume_from`] applies; note that only the `Lock`
     /// discipline (and single-worker runs) are deterministic enough for the
     /// resumed trajectory to match an uninterrupted one bitwise — AIG/NoLock
-    /// runs are racy by design, with or without checkpoints.
+    /// runs are racy by design, with or without checkpoints. An MRS run
+    /// resumes without the buffer its last pass filled (see [`crate::mrs`]);
+    /// with `buffer_size: 0` there is none and the resume is bitwise.
     pub fn resume_from<S: TupleScan + ?Sized>(
         &self,
         data: &S,
@@ -353,6 +374,14 @@ fn run_workers(
             })
             .collect::<Vec<_>>()
     });
+    fold_worker_outcomes(outcomes)
+}
+
+/// What each worker's `catch_unwind` returned, folded into one result: the
+/// number of workers that panicked and the first one's message.
+pub(crate) fn fold_worker_outcomes(
+    outcomes: impl IntoIterator<Item = std::thread::Result<()>>,
+) -> Result<(), EpochAbort> {
     let mut failed_workers = 0usize;
     let mut message = String::new();
     for payload in outcomes.into_iter().filter_map(Result::err) {
@@ -434,18 +463,24 @@ pub(crate) fn run_shared_memory_epoch<T: IgdTask, S: TupleScan + ?Sized>(
         }
     };
 
-    // Per-epoch proximal step (and, for the lock-free disciplines, the
-    // per-step operator demoted to per-epoch as documented in `task`).
-    match task.proximal_policy() {
-        ProximalPolicy::PerEpoch => task.proximal_step(&mut final_model, alpha),
-        ProximalPolicy::PerStep => {
-            if discipline != UpdateDiscipline::Lock {
-                task.proximal_step(&mut final_model, alpha);
-            }
+    if discipline == UpdateDiscipline::Lock {
+        // The per-step operator already ran, under the lock.
+        if task.proximal_policy() == ProximalPolicy::PerEpoch {
+            task.proximal_step(&mut final_model, alpha);
         }
-        ProximalPolicy::None => {}
+    } else {
+        lock_free_proximal_step(task, &mut final_model, alpha);
     }
     Ok(final_model)
+}
+
+/// The proximal tail of a lock-free pass: the per-epoch step and, as
+/// documented in [`crate::task`], the per-step operator demoted to
+/// per-epoch.
+pub(crate) fn lock_free_proximal_step<T: IgdTask>(task: &T, model: &mut [f64], alpha: f64) {
+    if task.proximal_policy() != ProximalPolicy::None {
+        task.proximal_step(model, alpha);
+    }
 }
 
 #[cfg(test)]

@@ -11,18 +11,19 @@
 //!
 //! 1. **Stop check** — the cooperative stop flag and the [`QueryGuard`] are
 //!    polled (before retries too, and between the blocks of the sequential
-//!    gradient and loss passes, where a stop discards the attempt); a stop
-//!    persists an interrupt checkpoint of the last recorded epoch and ends
-//!    the run with [`TrainError::Interrupted`].
+//!    and MRS gradient passes and of the loss pass, where a stop discards the
+//!    attempt); a stop persists an interrupt checkpoint of the last recorded
+//!    epoch and ends the run with [`TrainError::Interrupted`].
 //! 2. **Reorder** — the three ordering policies of Section 3.2 (Clustered,
 //!    ShuffleOnce, ShuffleAlways) differ only in which permutation, if any,
 //!    is handed to the scan. One is drawn (and its time billed to the epoch)
 //!    only when a draw actually happens and the pass reads it.
-//! 3. **Gradient pass** — sequential, pure-UDA or shared-memory; always
-//!    isolated from panics ([`TrainError::WorkerPanic`]). In storage order
-//!    it consumes the table block by block, and a task that declares
-//!    examples ([`IgdTask::examples`]) steps on them where the block stores
-//!    them; a permuted order goes tuple by tuple.
+//! 3. **Gradient pass** — sequential, pure-UDA, shared-memory or MRS
+//!    ([`crate::mrs`]); always isolated from panics
+//!    ([`TrainError::WorkerPanic`]). In storage order it consumes the table
+//!    block by block, and a task that declares examples
+//!    ([`IgdTask::examples`]) steps on them where the block stores them; a
+//!    permuted order and the MRS scan go tuple by tuple.
 //! 4. **Loss pass** — the full objective, for the convergence test; always
 //!    in storage order, block by block in the same way.
 //! 5. **Divergence scan** — a non-finite model or loss restores the last
@@ -45,7 +46,7 @@ use std::time::{Duration, Instant};
 
 use bismarck_storage::checkpoint::CheckpointError;
 use bismarck_storage::durable::parent_dir;
-use bismarck_storage::{ScanOrder, Tuple, TupleScan};
+use bismarck_storage::{ReservoirSampler, ScanOrder, Tuple, TupleScan};
 use bismarck_uda::{
     panic_message, run_sequential_while, scan_blocks_while, ConvergenceTest, EpochOutcome,
     EpochRecord, EpochRunner, TrainingHistory,
@@ -55,6 +56,7 @@ use crate::checkpoint::TrainingCheckpoint;
 use crate::error::TrainError;
 use crate::governor::QueryGuard;
 use crate::igd::{block_examples, IgdAggregate};
+use crate::mrs::run_mrs_epoch;
 use crate::parallel::{
     run_pure_uda_epoch, run_shared_memory_epoch, ParallelEpochStats, ParallelStrategy,
 };
@@ -194,7 +196,8 @@ pub struct TrainerConfig {
     pub checkpoint: Option<CheckpointPolicy>,
     /// Cooperative interrupt: when the flag becomes `true`, the run stops at
     /// the next epoch boundary — or sooner, between two blocks of a
-    /// sequential storage-order pass, discarding the unfinished epoch — with
+    /// sequential storage-order pass, of the MRS scan or of a loss pass,
+    /// discarding the unfinished epoch — with
     /// [`TrainError::Interrupted`] (after writing a final checkpoint if a
     /// policy is configured).
     pub stop_flag: Option<Arc<AtomicBool>>,
@@ -306,8 +309,9 @@ impl TrainerConfig {
     }
 
     /// Install a cooperative stop flag checked at every epoch boundary and
-    /// between the blocks of the sequential storage-order passes (parallel
-    /// workers finish their pass).
+    /// between the blocks of the sequential storage-order passes, of the MRS
+    /// scan and of every loss pass (pure-UDA and shared-memory workers finish
+    /// their pass).
     ///
     /// Setting the flag makes the run stop with [`TrainError::Interrupted`],
     /// which carries the last completed epoch's model:
@@ -354,8 +358,8 @@ impl TrainerConfig {
     /// [`Self::with_stop_flag`]), so a deadline or a cancellation — including
     /// one issued by [`crate::governor::Governor::shutdown`] — ends the run
     /// there with [`TrainError::Interrupted`] carrying the last completed
-    /// epoch's model. Works under all four [`crate::ParallelStrategy`]
-    /// disciplines.
+    /// epoch's model. Works under all five parallel passes (pure UDA, the
+    /// three shared-memory disciplines, MRS).
     ///
     /// ```
     /// use std::time::Duration;
@@ -514,10 +518,11 @@ impl<'a, T: IgdTask> Trainer<'a, T> {
 /// The one epoch loop: every run of [`Trainer`] (`strategy == None`) and of
 /// [`crate::ParallelTrainer`] (`Some`) executes the seven-step protocol of
 /// the module docs here, and the strategy selects nothing but the gradient
-/// pass of step 3. `start` is the state the run picks up from, in the shape
-/// it is checkpointed in: [`fresh_start`] for a new run, [`load_checkpoint`]
-/// for a resumed one. Returns the outcome plus one [`ParallelEpochStats`]
-/// per epoch this call completed.
+/// pass of step 3 (and with it whether step 2's permutation is read).
+/// `start` is the state the run picks up from, in the shape it is
+/// checkpointed in: [`fresh_start`] for a new run, [`load_checkpoint`] for a
+/// resumed one. Returns the outcome plus one [`ParallelEpochStats`] per
+/// epoch this call completed.
 pub(crate) fn run_epochs<T: IgdTask, S: TupleScan + ?Sized>(
     task: &T,
     config: &TrainerConfig,
@@ -535,9 +540,16 @@ pub(crate) fn run_epochs<T: IgdTask, S: TupleScan + ?Sized>(
     let mut model = good.model.clone();
     let prior = prior_records(&good.losses);
     let mut stats = Vec::new();
-    // Pure UDA segments scan storage order and never read a permutation.
-    let reads_permutation = !matches!(strategy, Some(ParallelStrategy::PureUda { .. }));
+    // Pure UDA segments and the MRS I/O Worker scan storage order and never
+    // read a permutation.
+    let reads_permutation = !matches!(
+        strategy,
+        Some(ParallelStrategy::PureUda { .. } | ParallelStrategy::Mrs { .. })
+    );
     let mut permutation: Option<Vec<usize>> = None;
+    // MRS: the sample the previous epoch's pass kept, which this epoch's
+    // Memory Worker sweeps. Not checkpointed: a resumed run starts without.
+    let mut buffer: Vec<Tuple> = Vec::new();
 
     let (history, aborted) =
         EpochRunner::new(config.convergence).try_run_from(good.next_epoch, prior, |epoch| {
@@ -546,9 +558,9 @@ pub(crate) fn run_epochs<T: IgdTask, S: TupleScan + ?Sized>(
             let mut gradient_duration = Duration::ZERO;
             loop {
                 // 1. Stop check, before every attempt — and again between
-                // the blocks of the sequential passes below, where a stop
-                // discards the attempt. The interrupt checkpoint ignores the
-                // cadence so a resume loses no epoch.
+                // the blocks of the sequential, MRS and loss passes below,
+                // where a stop discards the attempt. The interrupt
+                // checkpoint ignores the cadence so a resume loses no epoch.
                 if stop_requested(config) {
                     return Err(interrupt(config, &good));
                 }
@@ -574,6 +586,9 @@ pub(crate) fn run_epochs<T: IgdTask, S: TupleScan + ?Sized>(
                 // afterwards is `good`, carried by the error.
                 let alpha = config.step_size.at(epoch) * good.alpha_scale;
                 let current = std::mem::take(&mut model);
+                // The sample an MRS pass draws becomes `buffer` only once
+                // the epoch is recorded: a retry sweeps the same buffer.
+                let mut sample = Vec::new();
                 let gradient_start = Instant::now();
                 let pass = match strategy {
                     // Unwind safety: the closure owns the model it mutates
@@ -598,6 +613,22 @@ pub(crate) fn run_epochs<T: IgdTask, S: TupleScan + ?Sized>(
                         task, data, order, current, alpha, workers, discipline,
                     )
                     .map(Some),
+                    Some(ParallelStrategy::Mrs { buffer_size, seed }) => {
+                        let mut reservoir =
+                            ReservoirSampler::new(buffer_size, seed.wrapping_add(epoch as u64));
+                        let mut keep_going = || !stop_requested(config);
+                        let pass = run_mrs_epoch(
+                            task,
+                            data,
+                            &current,
+                            alpha,
+                            &buffer,
+                            &mut reservoir,
+                            &mut keep_going,
+                        );
+                        sample = reservoir.into_items();
+                        pass
+                    }
                 };
                 gradient_duration += gradient_start.elapsed();
                 let Some(stepped) = pass? else {
@@ -633,6 +664,7 @@ pub(crate) fn run_epochs<T: IgdTask, S: TupleScan + ?Sized>(
                 // checkpointed or kept as the last-good model.
                 good.next_epoch = epoch + 1;
                 good.losses.push(loss);
+                buffer = sample;
                 if healthy {
                     good.model.clone_from(&model);
                     // 6. Serving publish.

@@ -125,6 +125,12 @@ pub fn evaluate(expr: &Expr, row: Option<RowContext<'_>>, ctx: &mut EvalContext)
                             "sparse-vector indices must be non-negative integers".to_string(),
                         )
                     })?;
+                // `SparseVector` stores `u32` indices; a larger one would wrap.
+                let idx = u32::try_from(idx).map_err(|_| {
+                    SqlError::Evaluation(format!(
+                        "sparse-vector index {idx} does not fit in 32 bits"
+                    ))
+                })?;
                 let value = evaluate(value_expr, row, ctx)?.as_double().ok_or_else(|| {
                     SqlError::Evaluation("sparse-vector values must be numeric".to_string())
                 })?;

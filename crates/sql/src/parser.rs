@@ -21,7 +21,8 @@
 //! - `{int: [-]number, …}` (also empty) — a sparse vector.
 //!
 //! Anything else in that position — `1+2`, `ABS(-1)`, a parenthesis, `- - 5`,
-//! a negative or fractional sparse index, an `ARRAY` with one such element —
+//! a sparse index that is negative, fractional or past `u32::MAX` (the
+//! evaluator rejects it), an `ARRAY` with one such element —
 //! **rewinds** to the position's first token and takes the general expression
 //! production below, which is the only definition of the grammar: the
 //! constant read accepts a subset of it and yields, bit for bit, what
@@ -515,7 +516,9 @@ impl<'a> Parser<'a> {
                             return None;
                         }
                         let value = self.signed_number()?.as_double()?;
-                        entries.push((usize::try_from(index).ok()?, value));
+                        // An index past `u32::MAX` is the evaluator's to
+                        // report, like a negative one.
+                        entries.push((u32::try_from(index).ok()? as usize, value));
                         match self.advance()? {
                             TokenKind::Comma => {}
                             TokenKind::RightBrace => break,

@@ -166,6 +166,8 @@ fn sparse_position() -> impl Strategy<Value = Position> {
         (0usize..12).prop_map(|i| (i.to_string(), i)),
         prop::sample::select(vec![
             ("41000", 41000),
+            ("4294967295", u32::MAX as usize),
+            ("4294967294 + 1", u32::MAX as usize),
             ("(3)", 3),
             ("1+1", 2),
             ("2.5", 2),
@@ -258,6 +260,18 @@ const FAILING: &[(&str, &str, &str)] = &[
         "Evaluation",
         "indices must be non-negative integers",
     ),
+    // `SparseVector` stores `u32` indices: one more must not wrap to 0 (and
+    // collide with a neighbour) or to 1.
+    (
+        "{1: 1.0, 4294967296: 2.0}",
+        "Evaluation",
+        "index 4294967296 does not fit",
+    ),
+    (
+        "{4294967295 + 1: 2.0}",
+        "Evaluation",
+        "index 4294967296 does not fit",
+    ),
     (
         "{0: 'x'}",
         "Evaluation",
@@ -289,6 +303,28 @@ fn variant(error: &SqlError) -> &'static str {
         SqlError::Storage(_) => "Storage",
         _ => "other",
     }
+}
+
+/// The two statements that used to panic the session (`4294967296` wrapped
+/// to index 0 beside another entry) or store a wrapped index (`4294967297`
+/// landed on 1), and the largest index there is.
+#[test]
+fn a_sparse_index_past_u32_is_an_error_and_the_boundary_round_trips() {
+    let mut session = session();
+    for literal in ["{1: 1.0, 4294967296: 2.0}", "{4294967297: 2.0}"] {
+        let sql = format!("INSERT INTO t VALUES (1, 1.0, 'a', ARRAY[1.0], {literal})");
+        let error = session.execute(&sql).expect_err(&sql);
+        assert!(matches!(error, SqlError::Evaluation(_)), "{error:?}");
+        assert!(error.to_string().contains("does not fit"), "{error}");
+        assert!(stored_rows(&session).is_empty());
+    }
+    session
+        .execute("INSERT INTO t VALUES (1, 1.0, 'a', ARRAY[1.0], {4294967295: 1.0, 0: 2.0})")
+        .unwrap();
+    let table = session.database().table("t").unwrap();
+    let stored = table.scan().next().unwrap().values()[4].clone();
+    let expected = SparseVector::from_pairs(vec![(0, 2.0), (u32::MAX as usize, 1.0)]);
+    assert_eq!(stored, Value::SparseVec(expected));
 }
 
 proptest! {
@@ -332,6 +368,15 @@ proptest! {
             .collect();
         let row = at.0 % texts.len();
         texts[row][at.1] = text.to_string();
+        // An unterminated string runs to the next quote, wherever that is:
+        // the text positions after it must not hold one.
+        if text == "'open" {
+            for (r, positions) in texts.iter_mut().enumerate().skip(row) {
+                if r > row || at.1 < 2 {
+                    positions[2] = "NULL".to_string();
+                }
+            }
+        }
         let sql = format!(
             "INSERT INTO t VALUES {}",
             texts

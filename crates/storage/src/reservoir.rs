@@ -93,12 +93,6 @@ impl<T> ReservoirSampler<T> {
             ReservoirOutcome::Rejected(item)
         }
     }
-
-    /// Reset the pass statistics but keep the buffer contents; used when the
-    /// same reservoir is reused across epochs.
-    pub fn reset_counts(&mut self) {
-        self.seen = self.items.len();
-    }
 }
 
 #[cfg(test)]
@@ -181,17 +175,6 @@ mod tests {
         all.extend(kept_elsewhere);
         all.sort_unstable();
         assert_eq!(all, (0..50).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn reset_counts_keeps_items() {
-        let mut r = ReservoirSampler::new(2, 9);
-        r.offer(1);
-        r.offer(2);
-        r.offer(3);
-        r.reset_counts();
-        assert_eq!(r.seen(), 2);
-        assert_eq!(r.len(), 2);
     }
 
     #[test]

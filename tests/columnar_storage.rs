@@ -1,7 +1,7 @@
 //! Columnar chunked storage: text-format round-trip identity, scan
 //! equivalence against the row-store, and out-of-core training.
 //!
-//! Three claims are pinned here:
+//! Five claims are pinned here:
 //!
 //! 1. `table_to_string` → `table_from_str` is the identity for every value
 //!    the storage layer can hold — including adversarial TEXT payloads full
@@ -21,13 +21,16 @@
 //! 4. A paged directory written with frame version 1 (FNV-1a, per-value
 //!    codec) still opens, holds byte-for-byte the payloads the current
 //!    codec writes, and trains to the same bits as its version-2 rewrite.
+//! 5. Multiplexed reservoir sampling reads all three layouts: bit for bit
+//!    alike where the scheme is deterministic, and over the paged table —
+//!    the data it exists for — to a loss no worse than a storage-order pass.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use bismarck_core::tasks::{LeastSquaresTask, LogisticRegressionTask, SvmTask};
 use bismarck_core::{
     ExampleTask, IgdTask, ModelStore, ParallelStrategy, ParallelTrainer, ProximalPolicy,
-    StepSizeSchedule, TrainError, Trainer, TrainerConfig, UpdateDiscipline,
+    StepSizeSchedule, TrainError, TrainedModel, Trainer, TrainerConfig, UpdateDiscipline,
 };
 use bismarck_linalg::{FeatureVectorRef, SparseVector};
 use bismarck_storage::csv::{table_from_str, tuples_to_string};
@@ -388,15 +391,23 @@ fn three_layouts(
     (table, columnar, paged)
 }
 
+/// MRS without a buffer: the I/O Worker alone.
+const MRS_IO_ALONE: ParallelStrategy = ParallelStrategy::Mrs {
+    buffer_size: 0,
+    seed: 11,
+};
+
 /// The passes that are deterministic, so that layouts can be compared bit
-/// for bit: sequential, shared-nothing segments, one locked worker.
-const PASSES: [Option<ParallelStrategy>; 3] = [
+/// for bit: sequential, shared-nothing segments, one locked worker, MRS
+/// with no Memory Worker.
+const PASSES: [Option<ParallelStrategy>; 4] = [
     None,
     Some(ParallelStrategy::PureUda { segments: 3 }),
     Some(ParallelStrategy::SharedMemory {
         workers: 1,
         discipline: UpdateDiscipline::Lock,
     }),
+    Some(MRS_IO_ALONE),
 ];
 
 fn train_config(order: ScanOrder) -> TrainerConfig {
@@ -406,23 +417,31 @@ fn train_config(order: ScanOrder) -> TrainerConfig {
         .with_convergence(ConvergenceTest::FixedEpochs(TRAIN_EPOCHS))
 }
 
-/// Final model and loss history of one run, every `f64` as its bit pattern.
+fn train<T: IgdTask>(
+    task: &T,
+    pass: Option<ParallelStrategy>,
+    config: TrainerConfig,
+    data: &dyn TupleScan,
+) -> TrainedModel {
+    match pass {
+        None => Trainer::new(task, config).train(data),
+        Some(strategy) => ParallelTrainer::new(task, config, strategy).train(data).0,
+    }
+}
+
+/// Final model and loss history of a run, every `f64` as its bit pattern.
+fn bits_of(trained: &TrainedModel) -> (Vec<u64>, Vec<u64>) {
+    let bits = |values: &[f64]| values.iter().map(|v| v.to_bits()).collect();
+    (bits(&trained.model), bits(&trained.history.losses()))
+}
+
 fn train_bits<T: IgdTask>(
     task: &T,
     pass: Option<ParallelStrategy>,
     order: ScanOrder,
     data: &dyn TupleScan,
 ) -> (Vec<u64>, Vec<u64>) {
-    let trained = match pass {
-        None => Trainer::new(task, train_config(order)).train(data),
-        Some(strategy) => {
-            ParallelTrainer::new(task, train_config(order), strategy)
-                .train(data)
-                .0
-        }
-    };
-    let bits = |values: &[f64]| values.iter().map(|v| v.to_bits()).collect();
-    (bits(&trained.model), bits(&trained.history.losses()))
+    bits_of(&train(task, pass, train_config(order), data))
 }
 
 /// One task over the three layouts: every pass and order must reproduce the
@@ -482,6 +501,68 @@ fn paged_training_is_bit_identical_to_row_store() {
         let stats = paged.pager_stats().unwrap();
         assert!(stats.misses > 0, "expected paging activity: {stats:?}");
         assert!(stats.evictions > 0, "expected evictions: {stats:?}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
+/// MRS (Section 3.4) is for the table that cannot be shuffled, and here that
+/// is the paged one. Where the scheme is deterministic the layout is
+/// invisible bit for bit: with no buffer the pass *is* one NoLock worker
+/// over the whole table, and the first epoch of any run has no Memory Worker
+/// yet while its sample depends on the seed, the epoch and the row count
+/// alone. With both workers running the pass is racy, and must simply train
+/// — out of core — at least as well as a sequential pass in storage order.
+#[test]
+fn mrs_reads_every_layout_alike_and_trains_out_of_core() {
+    for sparse in [false, true] {
+        let (schema, rows) = training_rows(sparse);
+        let dir = temp_dir("mrs");
+        let (table, columnar, paged) = three_layouts(&schema, &rows, &dir);
+        let layouts: [(&str, &dyn TupleScan); 3] =
+            [("row", &table), ("columnar", &columnar), ("paged", &paged)];
+        let dimension = if sparse { 12 } else { 3 };
+        let lr = LogisticRegressionTask::new(1, 2, dimension).with_l2(1e-3);
+        let clustered = || train_config(ScanOrder::Clustered);
+
+        let one_nolock_worker = Some(ParallelStrategy::SharedMemory {
+            workers: 1,
+            discipline: UpdateDiscipline::NoLock,
+        });
+        let buffered = Some(ParallelStrategy::Mrs {
+            buffer_size: TRAIN_ROWS / 10,
+            seed: 11,
+        });
+        let one_epoch = || clustered().with_convergence(ConvergenceTest::FixedEpochs(1));
+        let first_epoch = bits_of(&train(&lr, buffered, one_epoch(), &table));
+        for (layout, data) in layouts {
+            assert_eq!(
+                train_bits(&lr, Some(MRS_IO_ALONE), ScanOrder::Clustered, data),
+                train_bits(&lr, one_nolock_worker, ScanOrder::Clustered, data),
+                "sparse = {sparse}, {layout}: MRS without a buffer is one NoLock worker"
+            );
+            assert_eq!(
+                bits_of(&train(&lr, buffered, one_epoch(), data)),
+                first_epoch,
+                "sparse = {sparse}, {layout}: the first MRS epoch"
+            );
+        }
+        // The sample was taken out of the pass: it is not the buffer-less one.
+        assert_ne!(
+            first_epoch,
+            bits_of(&train(&lr, Some(MRS_IO_ALONE), one_epoch(), &table))
+        );
+
+        let six_epochs = || clustered().with_convergence(ConvergenceTest::FixedEpochs(6));
+        let before = paged.pager_stats().unwrap();
+        let mrs = train(&lr, buffered, six_epochs(), &paged);
+        let after = paged.pager_stats().unwrap();
+        assert!(after.misses > before.misses && after.evictions > before.evictions);
+        let sequential = train(&lr, None, six_epochs(), &paged);
+        let (mrs, sequential) = (mrs.final_loss().unwrap(), sequential.final_loss().unwrap());
+        assert!(
+            mrs <= sequential * 1.05,
+            "sparse = {sparse}: MRS {mrs} vs Clustered {sequential} on the paged table"
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 }
@@ -581,9 +662,12 @@ fn block_path_falls_back_per_tuple_and_surfaces_torn_segments() {
     for pass in PASSES {
         let reference = train_bits(&per_step, pass, ScanOrder::Clustered, &table);
         assert_eq!(per_step.tuple_steps(), every_row, "{pass:?}");
-        assert_ne!(
-            reference,
-            train_bits(&lr(), pass, ScanOrder::Clustered, &table)
+        // The operator did run between the steps — except under the
+        // lock-free MRS pass, which demotes it to where `lr()` has it.
+        assert_eq!(
+            reference == train_bits(&lr(), pass, ScanOrder::Clustered, &table),
+            pass == Some(MRS_IO_ALONE),
+            "{pass:?}"
         );
         for data in [&columnar, &paged] {
             let bits = train_bits(&per_step, pass, ScanOrder::Clustered, data);

@@ -116,6 +116,11 @@ fn parallel_worker_panic_is_isolated_under_every_strategy() {
             workers: 4,
             discipline: UpdateDiscipline::NoLock,
         },
+        // Step 250 is in epoch 1, the first where both MRS workers run.
+        ParallelStrategy::Mrs {
+            buffer_size: 20,
+            seed: 5,
+        },
     ] {
         // Fresh wrapper per strategy: the step counter is global.
         let task = FaultyTask::new(
@@ -342,13 +347,14 @@ fn parallel_lock_single_worker_resumes_bit_compatibly() {
 //
 // `Trainer` and `ParallelTrainer` run the same epoch loop and differ only in
 // the pass it calls, so every scenario below runs unchanged over the whole
-// table. The shared-memory rows use one worker: that keeps each pass
-// deterministic (models can be compared bitwise) and an injected NaN cannot
-// be overwritten by a racing NoLock update.
+// table. The shared-memory rows use one worker and the MRS row no buffer
+// (so no Memory Worker): that keeps each pass deterministic (models can be
+// compared bitwise) and an injected NaN cannot be overwritten by a racing
+// NoLock update.
 // ---------------------------------------------------------------------------
 
 /// `None` is the sequential pass of `Trainer`.
-const PASSES: [Option<ParallelStrategy>; 5] = [
+const PASSES: [Option<ParallelStrategy>; 6] = [
     None,
     Some(ParallelStrategy::PureUda { segments: 3 }),
     Some(ParallelStrategy::SharedMemory {
@@ -363,16 +369,23 @@ const PASSES: [Option<ParallelStrategy>; 5] = [
         workers: 1,
         discipline: UpdateDiscipline::NoLock,
     }),
+    Some(ParallelStrategy::Mrs {
+        buffer_size: 0,
+        seed: 5,
+    }),
 ];
 
 fn pass_label(pass: Option<ParallelStrategy>) -> &'static str {
     pass.map_or("Sequential", |strategy| strategy.label())
 }
 
-/// Whether the pass scans in the configured order (Pure UDA segments always
-/// scan storage order).
+/// Whether the pass scans in the configured order (Pure UDA segments and the
+/// MRS I/O Worker always scan storage order).
 fn reads_permutation(pass: Option<ParallelStrategy>) -> bool {
-    !matches!(pass, Some(ParallelStrategy::PureUda { .. }))
+    !matches!(
+        pass,
+        Some(ParallelStrategy::PureUda { .. } | ParallelStrategy::Mrs { .. })
+    )
 }
 
 /// Train (or, given a checkpoint path, resume) with the trainer that owns

@@ -5,7 +5,7 @@
 //! Three layers of coverage:
 //!
 //! * deadline/cancel semantics — a guard tripping mid-run ends training at
-//!   the next epoch boundary (a sequential pass: between two blocks) with
+//!   the next epoch boundary (a sequential or MRS pass: between two blocks) with
 //!   `TrainError::Interrupted` (carrying a finite last-good model) under
 //!   every parallelization discipline, and ends SQL statements with typed
 //!   `SqlError::Timeout` / `Cancelled` without poisoning the session;
@@ -18,7 +18,7 @@
 //!   crash at *every* byte-level fault point inside shutdown still leaves a
 //!   catalog that recovers to a consistent state.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
@@ -108,6 +108,11 @@ fn deadline_mid_run_interrupts_every_parallel_discipline() {
             workers: 4,
             discipline: UpdateDiscipline::NoLock,
         },
+        // That `try_train` returns at all says no Memory Worker outlives it.
+        ParallelStrategy::Mrs {
+            buffer_size: 30,
+            seed: 3,
+        },
     ] {
         let task = LogisticRegressionTask::new(1, 2, 4);
         // Short real deadline with an epoch budget far beyond it: the run
@@ -180,9 +185,10 @@ impl TupleScan for StopAtBlock<'_> {
     }
 }
 
-/// A stop request binds inside an epoch: the sequential gradient and loss
-/// passes poll it between blocks, discard the attempt, and report it exactly
-/// like a stop at the epoch boundary — so resuming loses nothing.
+/// A stop request binds inside an epoch: the sequential gradient pass, the
+/// MRS one (its I/O Worker's scan) and the loss pass poll it between blocks,
+/// discard the attempt, and report it exactly like a stop at the epoch
+/// boundary — so resuming loses nothing.
 #[test]
 fn stop_flag_binds_between_the_blocks_of_a_sequential_pass() {
     let _io = durable_io();
@@ -198,51 +204,73 @@ fn stop_flag_binds_between_the_blocks_of_a_sequential_pass() {
 
     let task = LogisticRegressionTask::new(1, 2, 4);
     let clustered = |epochs| config(epochs).with_scan_order(ScanOrder::Clustered);
-    let uninterrupted = Trainer::new(&task, clustered(5)).train(&paged);
-    let two_epochs = Trainer::new(&task, clustered(2)).train(&paged);
+    // `None` is `Trainer`; MRS without a buffer is deterministic, so its
+    // runs compare bitwise too. A checkpoint path resumes from it.
+    let mrs = ParallelStrategy::Mrs {
+        buffer_size: 0,
+        seed: 3,
+    };
+    let run = |trainer: Option<ParallelStrategy>,
+               config: TrainerConfig,
+               data: &dyn TupleScan,
+               resume: Option<&Path>| match (trainer, resume) {
+        (None, None) => Trainer::new(&task, config).try_train(data),
+        (None, Some(path)) => Trainer::new(&task, config).resume_from(data, path),
+        (Some(strategy), resume) => {
+            let trainer = ParallelTrainer::new(&task, config, strategy);
+            match resume {
+                None => trainer.try_train(data),
+                Some(path) => trainer.resume_from(data, path),
+            }
+            .map(|(trained, _)| trained)
+        }
+    };
+    for trainer in [None, Some(mrs)] {
+        let uninterrupted = run(trainer, clustered(5), &paged, None).unwrap();
+        let two_epochs = run(trainer, clustered(2), &paged, None).unwrap();
 
-    // An epoch is a gradient pass and a loss pass of 24 blocks each; stop
-    // inside epoch 2's gradient pass, then inside its loss pass.
-    for (pass, stop_at) in [("gradient", 2 * 48 + 10), ("loss", 2 * 48 + 24 + 10)] {
-        let checkpoint = dir.join(format!("{pass}.ckpt"));
-        let flag = Arc::new(AtomicBool::new(false));
-        let scan = StopAtBlock {
-            inner: &paged,
-            stop_at,
-            served: AtomicUsize::new(0),
-            flag: flag.clone(),
-        };
-        // A cadence of 100 is never due: the only write is the interrupt's.
-        let config = clustered(5)
-            .with_stop_flag(flag)
-            .with_checkpoints(&checkpoint, 100);
-        let err = Trainer::new(&task, config).try_train(&scan).unwrap_err();
-        let TrainError::Interrupted { epoch, last_good } = err else {
-            panic!("[{pass}] expected Interrupted, got {err:?}");
-        };
-        let served = scan.served.load(Ordering::SeqCst);
-        assert!(
-            served <= stop_at + 2,
-            "[{pass}] {served} blocks served, the flag went up during block {stop_at}"
-        );
-        assert_eq!(epoch, 2, "[{pass}]");
-        assert_eq!(last_good.epochs(), 2, "[{pass}]");
-        assert_eq!(last_good.model, two_epochs.model, "[{pass}]");
-        assert_eq!(
-            last_good.history.losses(),
-            two_epochs.history.losses(),
-            "[{pass}]"
-        );
+        // An epoch is a gradient pass and a loss pass of 24 blocks each; stop
+        // inside epoch 2's gradient pass, then inside its loss pass.
+        for (pass, stop_at) in [("gradient", 2 * 48 + 10), ("loss", 2 * 48 + 24 + 10)] {
+            let pass = format!("{trainer:?}, {pass}");
+            let checkpoint = dir.join("stop.ckpt");
+            let flag = Arc::new(AtomicBool::new(false));
+            let scan = StopAtBlock {
+                inner: &paged,
+                stop_at,
+                served: AtomicUsize::new(0),
+                flag: flag.clone(),
+            };
+            // A cadence of 100 is never due: the only write is the interrupt's.
+            let config = clustered(5)
+                .with_stop_flag(flag)
+                .with_checkpoints(&checkpoint, 100);
+            let err = run(trainer, config, &scan, None).unwrap_err();
+            let TrainError::Interrupted { epoch, last_good } = err else {
+                panic!("[{pass}] expected Interrupted, got {err:?}");
+            };
+            let served = scan.served.load(Ordering::SeqCst);
+            assert!(
+                served <= stop_at + 2,
+                "[{pass}] {served} blocks served, the flag went up during block {stop_at}"
+            );
+            assert_eq!(epoch, 2, "[{pass}]");
+            assert_eq!(last_good.epochs(), 2, "[{pass}]");
+            assert_eq!(last_good.model, two_epochs.model, "[{pass}]");
+            assert_eq!(
+                last_good.history.losses(),
+                two_epochs.history.losses(),
+                "[{pass}]"
+            );
 
-        let resumed = Trainer::new(&task, clustered(5))
-            .resume_from(&paged, &checkpoint)
-            .unwrap();
-        assert_eq!(resumed.model, uninterrupted.model, "[{pass}]");
-        assert_eq!(
-            resumed.history.losses(),
-            uninterrupted.history.losses(),
-            "[{pass}]"
-        );
+            let resumed = run(trainer, clustered(5), &paged, Some(&checkpoint)).unwrap();
+            assert_eq!(resumed.model, uninterrupted.model, "[{pass}]");
+            assert_eq!(
+                resumed.history.losses(),
+                uninterrupted.history.losses(),
+                "[{pass}]"
+            );
+        }
     }
     std::fs::remove_dir_all(&dir).ok();
 }

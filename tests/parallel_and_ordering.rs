@@ -6,12 +6,13 @@
 use bismarck_core::mrs::subsampling_train;
 use bismarck_core::tasks::{LogisticRegressionTask, SvmTask};
 use bismarck_core::{
-    IgdTask, MrsConfig, MrsTrainer, ParallelStrategy, ParallelTrainer, StepSizeSchedule, Trainer,
+    IgdTask, ModelStore, ParallelStrategy, ParallelTrainer, StepSizeSchedule, Trainer,
     TrainerConfig, UpdateDiscipline,
 };
 use bismarck_datagen::{sparse_classification, SparseClassificationConfig};
-use bismarck_storage::{ScanOrder, Table};
+use bismarck_storage::{ScanOrder, Table, Tuple};
 use bismarck_uda::ConvergenceTest;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 fn clustered_sparse(n: usize) -> Table {
     sparse_classification(
@@ -106,26 +107,63 @@ fn all_parallel_schemes_agree_with_sequential_on_final_quality() {
     }
 }
 
+/// LR that counts its gradient steps, across epochs and workers.
+struct CountingLr {
+    inner: LogisticRegressionTask,
+    steps: AtomicUsize,
+}
+
+impl IgdTask for CountingLr {
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+    fn dimension(&self) -> usize {
+        self.inner.dimension()
+    }
+    fn gradient_step(&self, model: &mut dyn ModelStore, tuple: &Tuple, alpha: f64) {
+        self.steps.fetch_add(1, Ordering::Relaxed);
+        self.inner.gradient_step(model, tuple, alpha);
+    }
+    fn example_loss(&self, model: &[f64], tuple: &Tuple) -> f64 {
+        self.inner.example_loss(model, tuple)
+    }
+    fn regularizer(&self, model: &[f64]) -> f64 {
+        self.inner.regularizer(model)
+    }
+}
+
 #[test]
 fn mrs_beats_plain_subsampling_on_clustered_data() {
     let table = clustered_sparse(2_000);
     let dim = bismarck_core::frontend::infer_dimension(&table, 1);
-    let task = LogisticRegressionTask::new(1, 2, dim);
+    let task = CountingLr {
+        inner: LogisticRegressionTask::new(1, 2, dim),
+        steps: AtomicUsize::new(0),
+    };
     let buffer = table.len() / 10;
     let epochs = 6;
 
-    let (mrs, stats) = MrsTrainer::new(
-        &task,
-        MrsConfig {
-            buffer_size: buffer,
-            step_size: StepSizeSchedule::Constant(0.2),
-            convergence: ConvergenceTest::FixedEpochs(epochs),
-            seed: 9,
-            memory_worker: true,
-            ..MrsConfig::default()
-        },
-    )
-    .train(&table);
+    let strategy = ParallelStrategy::Mrs {
+        buffer_size: buffer,
+        seed: 9,
+    };
+    let trainer = ParallelTrainer::new(&task, config(epochs, ScanOrder::Clustered), strategy);
+    let (mrs, _) = trainer.train(&table);
+    // The I/O Worker steps on the rows its reservoir drops in every pass;
+    // the Memory Worker sweeps the buffer at least once in every pass but
+    // the first.
+    let steps = task.steps.load(Ordering::Relaxed);
+    assert!(
+        steps >= epochs * (table.len() - buffer) + (epochs - 1) * buffer,
+        "{steps} steps"
+    );
+    // The history reports the loss of the model that is handed back.
+    assert_eq!(
+        Trainer::new(&task, config(epochs, ScanOrder::Clustered))
+            .objective(&mrs.model, &table)
+            .to_bits(),
+        mrs.final_loss().unwrap().to_bits()
+    );
     let sub = subsampling_train(
         &task,
         &table,
@@ -135,7 +173,6 @@ fn mrs_beats_plain_subsampling_on_clustered_data() {
         9,
     );
 
-    assert!(stats.io_steps > 0 && stats.memory_steps > 0);
     // The full objective over all data: MRS sees every tuple, subsampling
     // only the buffer, so MRS should be at least as good (Figure 10(A)).
     assert!(

@@ -1,7 +1,8 @@
-//! Every parallelization scheme from Section 3.3, exercised end-to-end on
-//! one tiny logistic-regression problem: the pure-UDA (shared-nothing,
-//! model-averaging) scheme at several segment counts, and all three
-//! shared-memory update disciplines (Lock, AIG, NoLock/Hogwild!).
+//! Every parallelization scheme from Sections 3.3 and 3.4, exercised
+//! end-to-end on one tiny logistic-regression problem: the pure-UDA
+//! (shared-nothing, model-averaging) scheme at several segment counts, all
+//! three shared-memory update disciplines (Lock, AIG, NoLock/Hogwild!), and
+//! multiplexed reservoir sampling with a 10% buffer.
 //!
 //! The assertion is the paper's core promise for each scheme: training
 //! makes progress — the loss after the final epoch is well below the loss
@@ -57,6 +58,10 @@ fn every_strategy() -> Vec<ParallelStrategy> {
             });
         }
     }
+    strategies.push(ParallelStrategy::Mrs {
+        buffer_size: 24,
+        seed: 1,
+    });
     strategies
 }
 
@@ -135,6 +140,9 @@ fn strategy_matrix_covers_every_variant_and_discipline() {
     assert!(strategies
         .iter()
         .any(|s| matches!(s, ParallelStrategy::PureUda { .. })));
+    assert!(strategies
+        .iter()
+        .any(|s| matches!(s, ParallelStrategy::Mrs { .. })));
     for discipline in [
         UpdateDiscipline::Lock,
         UpdateDiscipline::Aig,

@@ -42,6 +42,10 @@ fn every_strategy() -> Vec<ParallelStrategy> {
             discipline,
         });
     }
+    strategies.push(ParallelStrategy::Mrs {
+        buffer_size: 40,
+        seed: 7,
+    });
     strategies
 }
 
