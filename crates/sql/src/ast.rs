@@ -279,12 +279,52 @@ impl Expr {
     }
 }
 
+/// One of the built-in SQL aggregates.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum AggregateFn {
+    /// `COUNT(expr)` / `COUNT(*)`.
+    Count,
+    /// `SUM(expr)`.
+    Sum,
+    /// `AVG(expr)`.
+    Avg,
+    /// `MIN(expr)`.
+    Min,
+    /// `MAX(expr)`.
+    Max,
+}
+
+impl AggregateFn {
+    const ALL: [AggregateFn; 5] = [
+        AggregateFn::Count,
+        AggregateFn::Sum,
+        AggregateFn::Avg,
+        AggregateFn::Min,
+        AggregateFn::Max,
+    ];
+
+    /// The aggregate a function name refers to (case-insensitively), if any.
+    pub fn from_name(name: &str) -> Option<AggregateFn> {
+        AggregateFn::ALL
+            .into_iter()
+            .find(|func| name.eq_ignore_ascii_case(func.name()))
+    }
+
+    /// The aggregate's upper-case name.
+    pub fn name(self) -> &'static str {
+        match self {
+            AggregateFn::Count => "COUNT",
+            AggregateFn::Sum => "SUM",
+            AggregateFn::Avg => "AVG",
+            AggregateFn::Min => "MIN",
+            AggregateFn::Max => "MAX",
+        }
+    }
+}
+
 /// Whether a function name refers to one of the built-in SQL aggregates.
 pub fn is_aggregate_function(name: &str) -> bool {
-    matches!(
-        name.to_ascii_uppercase().as_str(),
-        "COUNT" | "SUM" | "AVG" | "MIN" | "MAX"
-    )
+    AggregateFn::from_name(name).is_some()
 }
 
 #[cfg(test)]

@@ -1,4 +1,27 @@
-//! Scalar and aggregate expression evaluation over storage [`Value`]s.
+//! Expression binding and evaluation over storage [`Value`]s.
+//!
+//! An [`Expr`] is evaluated in two steps. [`BoundExpr::bind`] runs **once per
+//! statement**, before any row is read: it turns a column name into its
+//! position in the source schema, a function name into a [`ScalarFn`] (or,
+//! under [`BoundExpr::bind_grouped`], an aggregate into a slot of the group's
+//! [`Accumulator`]s) with its arity checked, and `PREDICT`'s model literal
+//! into the `Arc<ModelSnapshot>` the executor acquired for the statement.
+//! Unknown columns, functions and models, wrong arities and misplaced
+//! aggregates are therefore reported whether or not the table has a row.
+//! [`BoundExpr::eval`] then runs **once per row** and is the only function
+//! that computes a value from an expression node: it looks up no name,
+//! hashes nothing and allocates only for a value it has to create.
+//!
+//! What is lent and what is owned: `eval` returns a `Cow` — a literal, a
+//! cell of a row that holds values ([`RowRef::Values`]) and a finished
+//! aggregate are lent; an operator's or function's result, and a cell
+//! decoded from a column chunk, are owned. `PREDICT`, `DOT`, `DIM` and `NNZ`
+//! read a vector *column* through [`RowRef::feature_view`], which copies it
+//! in neither layout.
+//!
+//! Aggregates do not collect their inputs: a grouped select's reductions are
+//! [`BoundAggregate`]s, each folded row by row into an [`Accumulator`] that
+//! charges the statement's budget for the one value it may hold.
 //!
 //! Booleans are represented as `Value::Int(1)` / `Value::Int(0)`; any
 //! non-zero numeric value is truthy and NULL is falsy, which matches how the
@@ -6,18 +29,20 @@
 //! predicate is truthy, so NULL comparisons drop the row, as in SQL's
 //! three-valued logic collapsed to two values).
 
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::sync::Arc;
 
+use bismarck_core::governor::QueryGuard;
 use bismarck_core::serving::ModelSnapshot;
-use bismarck_linalg::{DenseVector, SparseVector};
-use bismarck_storage::{Schema, Value};
+use bismarck_linalg::{DenseVector, FeatureVectorRef, SparseVector};
+use bismarck_storage::{RowRef, Schema, Value};
 use rand::rngs::StdRng;
 use rand::Rng;
 use rand::SeedableRng;
 
-use crate::ast::{is_aggregate_function, BinaryOp, Expr, UnaryOp};
+use crate::ast::{AggregateFn, BinaryOp, Expr, UnaryOp};
 use crate::error::{Result, SqlError};
 
 /// Mutable evaluation context shared across a statement: the deterministic
@@ -28,10 +53,13 @@ pub struct EvalContext {
     pub rng: StdRng,
     /// Model snapshots resolved for `PREDICT()` calls, keyed by model name.
     /// The executor acquires each referenced model **once per statement**
-    /// before evaluation starts, so every row of a `SELECT` is scored
-    /// against the same snapshot even while training publishes new versions
-    /// concurrently.
+    /// before binding, and binding moves the snapshot into the `PREDICT`
+    /// node, so every row of a `SELECT` is scored against the same snapshot
+    /// even while training publishes new versions concurrently.
     pub models: HashMap<String, Arc<ModelSnapshot>>,
+    /// Dense scratch for `PREDICT('m', x1, x2, ...)` and `DOT`, so neither
+    /// allocates per row.
+    scratch: Vec<f64>,
 }
 
 impl EvalContext {
@@ -41,210 +69,545 @@ impl EvalContext {
         EvalContext {
             rng: StdRng::seed_from_u64(seed),
             models: HashMap::new(),
+            scratch: Vec::new(),
         }
     }
 }
 
-/// A row visible to column references during evaluation.
-#[derive(Clone, Copy)]
-pub struct RowContext<'a> {
-    /// The source table's schema (resolves column names to indices).
-    pub schema: &'a Schema,
-    /// The current row's values.
-    pub values: &'a [Value],
+/// A scalar function, resolved from its name at bind time.
+#[derive(Debug, Clone, Copy)]
+pub enum ScalarFn {
+    /// `RANDOM()`: uniform in `[0, 1)` from the session RNG.
+    Random,
+    /// `ABS(x)`: integers stay integers.
+    Abs,
+    /// A function of one number: `SQRT`, `EXP`, `LN` / `LOG`, `FLOOR`,
+    /// `CEIL` / `CEILING`, `SIGMOID`.
+    Numeric(fn(f64) -> f64),
+    /// `POWER(x, y)` / `POW(x, y)`.
+    Power,
+    /// `LENGTH(text)`.
+    Length,
+    /// `DIM(vector)`.
+    Dim,
+    /// `NNZ(vector)`.
+    Nnz,
+    /// `DOT(vector, vector)`.
+    Dot,
 }
 
-impl<'a> RowContext<'a> {
-    fn column(&self, name: &str) -> Result<Value> {
-        let idx = self
-            .schema
-            .index_of(name)
-            .map_err(|_| SqlError::Analysis(format!("unknown column '{name}'")))?;
-        Ok(self.values[idx].clone())
+/// Every scalar function name: the spelling error messages use, what it
+/// resolves to, and how many arguments it takes.
+const SCALAR_FUNCTIONS: &[(&str, ScalarFn, usize)] = &[
+    ("RANDOM", ScalarFn::Random, 0),
+    ("ABS", ScalarFn::Abs, 1),
+    ("SQRT", ScalarFn::Numeric(f64::sqrt), 1),
+    ("EXP", ScalarFn::Numeric(f64::exp), 1),
+    ("LN", ScalarFn::Numeric(f64::ln), 1),
+    ("LOG", ScalarFn::Numeric(f64::ln), 1),
+    ("FLOOR", ScalarFn::Numeric(f64::floor), 1),
+    ("CEIL", ScalarFn::Numeric(f64::ceil), 1),
+    ("CEILING", ScalarFn::Numeric(f64::ceil), 1),
+    ("POWER", ScalarFn::Power, 2),
+    ("POW", ScalarFn::Power, 2),
+    ("SIGMOID", ScalarFn::Numeric(bismarck_linalg::sigmoid), 1),
+    ("LENGTH", ScalarFn::Length, 1),
+    ("DIM", ScalarFn::Dim, 1),
+    ("NNZ", ScalarFn::Nnz, 1),
+    ("DOT", ScalarFn::Dot, 2),
+];
+
+/// An [`Expr`] with every name resolved against one schema and one
+/// statement's model cache; see the module docs.
+#[derive(Debug, Clone)]
+pub enum BoundExpr {
+    /// A constant.
+    Literal(Value),
+    /// The source column at this position.
+    Column(usize),
+    /// The finished value of the group's aggregate in this slot (only under
+    /// [`BoundExpr::bind_grouped`]).
+    Aggregate(usize),
+    /// A unary operation.
+    Unary {
+        /// The operator.
+        op: UnaryOp,
+        /// The operand.
+        expr: Box<BoundExpr>,
+    },
+    /// A binary operation.
+    Binary {
+        /// Left operand.
+        left: Box<BoundExpr>,
+        /// The operator.
+        op: BinaryOp,
+        /// Right operand.
+        right: Box<BoundExpr>,
+    },
+    /// `expr IS [NOT] NULL`.
+    IsNull {
+        /// The tested expression.
+        expr: Box<BoundExpr>,
+        /// True for `IS NOT NULL`.
+        negated: bool,
+    },
+    /// A scalar function call with `args.len()` already checked.
+    Scalar {
+        /// The function.
+        func: ScalarFn,
+        /// Its name as error messages spell it.
+        name: &'static str,
+        /// Argument expressions.
+        args: Vec<BoundExpr>,
+    },
+    /// `PREDICT('model', features)` (one feature expression: a vector) or
+    /// `PREDICT('model', x1, x2, ...)` (several: the dense coordinates).
+    Predict {
+        /// The snapshot the statement acquired for the model name.
+        model: Arc<ModelSnapshot>,
+        /// The feature expression(s); never empty.
+        features: Vec<BoundExpr>,
+    },
+    /// `ARRAY[e1, e2, ...]`.
+    Array(Vec<BoundExpr>),
+    /// `{index: value, ...}`.
+    Sparse(Vec<(BoundExpr, BoundExpr)>),
+}
+
+/// One reduction a grouped `SELECT` runs per group; its state is an
+/// [`Accumulator`].
+#[derive(Debug, Clone)]
+pub enum BoundAggregate {
+    /// `COUNT(*)`: the number of rows.
+    CountStar,
+    /// A non-aggregate expression in a grouped select: its value on the
+    /// group's first row.
+    First(BoundExpr),
+    /// `COUNT` / `SUM` / `AVG` / `MIN` / `MAX` over the expression's
+    /// non-NULL values.
+    Call(AggregateFn, BoundExpr),
+}
+
+/// What a [`BoundExpr`] may refer to while it is being bound.
+struct Binder<'b> {
+    /// The source table's schema; `None` for a query without `FROM`.
+    schema: Option<&'b Schema>,
+    models: &'b HashMap<String, Arc<ModelSnapshot>>,
+}
+
+impl BoundExpr {
+    /// Bind a scalar expression against `schema` (`None`: there is no source
+    /// row, and a column reference is an error) and the models `ctx` holds.
+    /// An aggregate call is rejected; grouped select items and order keys go
+    /// through [`BoundExpr::bind_grouped`].
+    pub fn bind(expr: &Expr, schema: Option<&Schema>, ctx: &EvalContext) -> Result<BoundExpr> {
+        Binder {
+            schema,
+            models: &ctx.models,
+        }
+        .scalar(expr)
     }
-}
 
-/// Evaluate a scalar expression. Aggregate calls are rejected here; the
-/// executor routes grouped queries through [`evaluate_grouped`].
-pub fn evaluate(expr: &Expr, row: Option<RowContext<'_>>, ctx: &mut EvalContext) -> Result<Value> {
-    match expr {
-        Expr::Literal(value) => Ok(value.clone()),
-        Expr::Column(name) => match row {
-            Some(row) => row.column(name),
-            None => Err(SqlError::Analysis(format!(
-                "column '{name}' referenced in a query without a FROM clause"
-            ))),
-        },
-        Expr::Wildcard => Err(SqlError::Analysis(
-            "'*' is only valid inside COUNT(*)".to_string(),
-        )),
-        Expr::Unary { op, expr } => {
-            let v = evaluate(expr, row, ctx)?;
-            apply_unary(*op, v)
+    /// Bind a select item or order key of a grouped `SELECT`: each aggregate
+    /// call — and each maximal sub-expression that is neither an aggregate
+    /// nor an operator over them, which the group's first row answers — is
+    /// appended to `aggregates` and replaced by a reference to its slot.
+    pub fn bind_grouped(
+        expr: &Expr,
+        schema: &Schema,
+        ctx: &EvalContext,
+        aggregates: &mut Vec<BoundAggregate>,
+    ) -> Result<BoundExpr> {
+        Binder {
+            schema: Some(schema),
+            models: &ctx.models,
         }
-        Expr::Binary { left, op, right } => {
-            let l = evaluate(left, row, ctx)?;
-            let r = evaluate(right, row, ctx)?;
-            apply_binary(*op, l, r)
-        }
-        Expr::IsNull { expr, negated } => {
-            let v = evaluate(expr, row, ctx)?;
-            let is_null = v.is_null();
-            Ok(bool_value(if *negated { !is_null } else { is_null }))
-        }
-        Expr::Function { name, args } => {
-            if is_aggregate_function(name) {
-                return Err(SqlError::Analysis(format!(
-                    "aggregate {name}() is not allowed in this context"
-                )));
+        .grouped(expr, aggregates)
+    }
+
+    /// Bind `expr` against no schema and evaluate it once: the tableless
+    /// `SELECT`, a computed `VALUES` position, an analytics-call argument.
+    pub fn eval_constant(expr: &Expr, ctx: &mut EvalContext) -> Result<Value> {
+        let bound = BoundExpr::bind(expr, None, ctx)?;
+        Ok(bound.eval(RowRef::Values(&[]), &[], ctx)?.into_owned())
+    }
+
+    /// Evaluate against one source row and, under
+    /// [`BoundExpr::bind_grouped`], the finished aggregates of one group.
+    pub fn eval<'a>(
+        &'a self,
+        row: RowRef<'a>,
+        aggregates: &'a [Value],
+        ctx: &mut EvalContext,
+    ) -> Result<Cow<'a, Value>> {
+        Ok(Cow::Owned(match self {
+            BoundExpr::Literal(value) => return Ok(Cow::Borrowed(value)),
+            BoundExpr::Column(idx) => return Ok(row.value(*idx)),
+            BoundExpr::Aggregate(slot) => return Ok(Cow::Borrowed(&aggregates[*slot])),
+            BoundExpr::Unary { op, expr } => apply_unary(*op, &*expr.eval(row, aggregates, ctx)?)?,
+            BoundExpr::Binary { left, op, right } => {
+                let l = left.eval(row, aggregates, ctx)?;
+                let r = right.eval(row, aggregates, ctx)?;
+                apply_binary(*op, &l, &r)?
             }
-            let mut values = Vec::with_capacity(args.len());
-            for arg in args {
-                values.push(evaluate(arg, row, ctx)?);
+            BoundExpr::IsNull { expr, negated } => {
+                bool_value(expr.eval(row, aggregates, ctx)?.is_null() != *negated)
             }
-            apply_scalar_function(name, &values, ctx)
-        }
-        Expr::ArrayLiteral(items) => {
-            let mut data = Vec::with_capacity(items.len());
-            for item in items {
-                let v = evaluate(item, row, ctx)?;
-                data.push(v.as_double().ok_or_else(|| {
-                    SqlError::Evaluation("ARRAY elements must be numeric".to_string())
-                })?);
+            BoundExpr::Scalar { func, name, args } => {
+                apply_scalar(*func, name, args, row, aggregates, ctx)?
             }
-            Ok(Value::DenseVec(DenseVector::from(data)))
-        }
-        Expr::SparseLiteral(pairs) => {
-            let mut entries = Vec::with_capacity(pairs.len());
-            for (index_expr, value_expr) in pairs {
-                let idx = evaluate(index_expr, row, ctx)?
-                    .as_int()
-                    .filter(|&i| i >= 0)
-                    .ok_or_else(|| {
-                        SqlError::Evaluation(
-                            "sparse-vector indices must be non-negative integers".to_string(),
-                        )
+            BoundExpr::Predict { model, features } => {
+                Value::Double(predict(model, features, row, aggregates, ctx)?)
+            }
+            BoundExpr::Array(items) => {
+                let mut data = Vec::with_capacity(items.len());
+                for item in items {
+                    let v = item.eval(row, aggregates, ctx)?;
+                    data.push(v.as_double().ok_or_else(|| {
+                        SqlError::Evaluation("ARRAY elements must be numeric".to_string())
+                    })?);
+                }
+                Value::DenseVec(DenseVector::from(data))
+            }
+            BoundExpr::Sparse(pairs) => {
+                let mut entries = Vec::with_capacity(pairs.len());
+                for (index_expr, value_expr) in pairs {
+                    let idx = index_expr
+                        .eval(row, aggregates, ctx)?
+                        .as_int()
+                        .filter(|&i| i >= 0)
+                        .ok_or_else(|| {
+                            SqlError::Evaluation(
+                                "sparse-vector indices must be non-negative integers".to_string(),
+                            )
+                        })?;
+                    // `SparseVector` stores `u32` indices; a larger one would wrap.
+                    let idx = u32::try_from(idx).map_err(|_| {
+                        SqlError::Evaluation(format!(
+                            "sparse-vector index {idx} does not fit in 32 bits"
+                        ))
                     })?;
-                // `SparseVector` stores `u32` indices; a larger one would wrap.
-                let idx = u32::try_from(idx).map_err(|_| {
-                    SqlError::Evaluation(format!(
-                        "sparse-vector index {idx} does not fit in 32 bits"
-                    ))
-                })?;
-                let value = evaluate(value_expr, row, ctx)?.as_double().ok_or_else(|| {
-                    SqlError::Evaluation("sparse-vector values must be numeric".to_string())
-                })?;
-                entries.push((idx as usize, value));
+                    let value = value_expr
+                        .eval(row, aggregates, ctx)?
+                        .as_double()
+                        .ok_or_else(|| {
+                            SqlError::Evaluation("sparse-vector values must be numeric".to_string())
+                        })?;
+                    entries.push((idx as usize, value));
+                }
+                Value::SparseVec(SparseVector::from_pairs(entries))
             }
-            Ok(Value::SparseVec(SparseVector::from_pairs(entries)))
+        }))
+    }
+
+    /// Evaluate for a caller that wants a feature vector: a vector *column*
+    /// is lent as a view of where it is stored, anything else is evaluated.
+    fn lend<'a>(
+        &'a self,
+        row: RowRef<'a>,
+        aggregates: &'a [Value],
+        ctx: &mut EvalContext,
+    ) -> Result<Lent<'a>> {
+        if let BoundExpr::Column(idx) = self {
+            if let Some(view) = row.feature_view(*idx) {
+                return Ok(Lent::Features(view));
+            }
+        }
+        Ok(Lent::Value(self.eval(row, aggregates, ctx)?))
+    }
+}
+
+/// What [`BoundExpr::lend`] hands to a vector function.
+enum Lent<'a> {
+    Features(FeatureVectorRef<'a>),
+    Value(Cow<'a, Value>),
+}
+
+impl Lent<'_> {
+    /// The feature vector, `None` when the value is not one.
+    fn features(&self) -> Option<FeatureVectorRef<'_>> {
+        match self {
+            Lent::Features(view) => Some(*view),
+            Lent::Value(value) => value.feature_view(),
         }
     }
 }
 
-/// Evaluate a select-item expression over a group of rows: aggregate calls
-/// reduce over the whole group, everything else is evaluated against the
-/// group's first row (the usual "grouped columns only" contract).
-pub fn evaluate_grouped(
-    expr: &Expr,
-    schema: &Schema,
-    rows: &[Vec<Value>],
-    ctx: &mut EvalContext,
-) -> Result<Value> {
-    match expr {
-        Expr::Function { name, args } if is_aggregate_function(name) => {
-            apply_aggregate(name, args, schema, rows, ctx)
-        }
-        Expr::Unary { op, expr } => {
-            let v = evaluate_grouped(expr, schema, rows, ctx)?;
-            apply_unary(*op, v)
-        }
-        Expr::Binary { left, op, right } => {
-            let l = evaluate_grouped(left, schema, rows, ctx)?;
-            let r = evaluate_grouped(right, schema, rows, ctx)?;
-            apply_binary(*op, l, r)
-        }
-        Expr::IsNull { expr, negated } => {
-            let v = evaluate_grouped(expr, schema, rows, ctx)?;
-            let is_null = v.is_null();
-            Ok(bool_value(if *negated { !is_null } else { is_null }))
-        }
-        other => {
-            let row = rows
-                .first()
-                .map(|values| RowContext { schema, values })
-                .ok_or_else(|| SqlError::Evaluation("aggregate over an empty group".into()))?;
-            evaluate(other, Some(row), ctx)
-        }
-    }
-}
-
-fn apply_aggregate(
-    name: &str,
-    args: &[Expr],
-    schema: &Schema,
-    rows: &[Vec<Value>],
-    ctx: &mut EvalContext,
-) -> Result<Value> {
-    let upper = name.to_ascii_uppercase();
-    if upper == "COUNT" && matches!(args.first(), Some(Expr::Wildcard)) {
-        return Ok(Value::Int(rows.len() as i64));
-    }
-    let arg = args.first().ok_or_else(|| {
-        SqlError::Analysis(format!("{upper}() requires an argument (or * for COUNT)"))
-    })?;
-    // Evaluate the argument for every row, skipping NULLs like SQL does.
-    let mut values = Vec::with_capacity(rows.len());
-    for row in rows {
-        let v = evaluate(
-            arg,
-            Some(RowContext {
-                schema,
-                values: row,
-            }),
-            ctx,
-        )?;
-        if !v.is_null() {
-            values.push(v);
-        }
-    }
-    match upper.as_str() {
-        "COUNT" => Ok(Value::Int(values.len() as i64)),
-        "SUM" => {
-            let sum: f64 = numeric_values(&values, "SUM")?.into_iter().sum();
-            if values.is_empty() {
-                Ok(Value::Null)
-            } else {
-                Ok(Value::Double(sum))
+impl Binder<'_> {
+    fn scalar(&self, expr: &Expr) -> Result<BoundExpr> {
+        Ok(match expr {
+            Expr::Literal(value) => BoundExpr::Literal(value.clone()),
+            Expr::Column(name) => {
+                let Some(schema) = self.schema else {
+                    return Err(SqlError::Analysis(format!(
+                        "column '{name}' referenced in a query without a FROM clause"
+                    )));
+                };
+                BoundExpr::Column(
+                    schema
+                        .index_of(name)
+                        .map_err(|_| SqlError::Analysis(format!("unknown column '{name}'")))?,
+                )
             }
-        }
-        "AVG" => {
-            let nums = numeric_values(&values, "AVG")?;
-            if nums.is_empty() {
-                Ok(Value::Null)
-            } else {
-                Ok(Value::Double(nums.iter().sum::<f64>() / nums.len() as f64))
+            Expr::Wildcard => {
+                return Err(SqlError::Analysis(
+                    "'*' is only valid inside COUNT(*)".to_string(),
+                ))
             }
-        }
-        "MIN" => Ok(values
-            .into_iter()
-            .min_by(compare_values)
-            .unwrap_or(Value::Null)),
-        "MAX" => Ok(values
-            .into_iter()
-            .max_by(compare_values)
-            .unwrap_or(Value::Null)),
-        other => Err(SqlError::Analysis(format!("unknown aggregate {other}()"))),
-    }
-}
-
-fn numeric_values(values: &[Value], agg: &str) -> Result<Vec<f64>> {
-    values
-        .iter()
-        .map(|v| {
-            v.as_double()
-                .ok_or_else(|| SqlError::Evaluation(format!("{agg}() argument must be numeric")))
+            Expr::Unary { op, expr } => BoundExpr::Unary {
+                op: *op,
+                expr: Box::new(self.scalar(expr)?),
+            },
+            Expr::Binary { left, op, right } => BoundExpr::Binary {
+                left: Box::new(self.scalar(left)?),
+                op: *op,
+                right: Box::new(self.scalar(right)?),
+            },
+            Expr::IsNull { expr, negated } => BoundExpr::IsNull {
+                expr: Box::new(self.scalar(expr)?),
+                negated: *negated,
+            },
+            Expr::Function { name, args } => {
+                if AggregateFn::from_name(name).is_some() {
+                    return Err(SqlError::Analysis(format!(
+                        "aggregate {name}() is not allowed in this context"
+                    )));
+                }
+                // Arguments first, so a bad argument is reported ahead of a
+                // bad call, as when both were found while evaluating.
+                let args = self.scalars(args)?;
+                if name.eq_ignore_ascii_case("PREDICT") {
+                    return self.predict(args);
+                }
+                let Some(&(name, func, arity)) = SCALAR_FUNCTIONS
+                    .iter()
+                    .find(|(known, ..)| name.eq_ignore_ascii_case(known))
+                else {
+                    return Err(SqlError::Analysis(format!(
+                        "unknown function {}()",
+                        name.to_ascii_uppercase()
+                    )));
+                };
+                if args.len() != arity {
+                    return Err(arity_error(name, arity, args.len()));
+                }
+                BoundExpr::Scalar { func, name, args }
+            }
+            Expr::ArrayLiteral(items) => BoundExpr::Array(self.scalars(items)?),
+            Expr::SparseLiteral(pairs) => BoundExpr::Sparse(
+                pairs
+                    .iter()
+                    .map(|(index, value)| Ok((self.scalar(index)?, self.scalar(value)?)))
+                    .collect::<Result<_>>()?,
+            ),
         })
-        .collect()
+    }
+
+    fn scalars(&self, exprs: &[Expr]) -> Result<Vec<BoundExpr>> {
+        exprs.iter().map(|expr| self.scalar(expr)).collect()
+    }
+
+    /// `PREDICT('model', features) | PREDICT('model', x1, x2, ...)` over its
+    /// bound arguments: the model is the one resolved once per statement (a
+    /// live serving handle's latest snapshot, or a persisted model table).
+    fn predict(&self, mut args: Vec<BoundExpr>) -> Result<BoundExpr> {
+        if args.len() < 2 {
+            return Err(SqlError::Analysis(format!(
+                "PREDICT() expects a model name and features, got {} argument(s)",
+                args.len()
+            )));
+        }
+        let BoundExpr::Literal(Value::Text(model_name)) = &args[0] else {
+            return Err(SqlError::Analysis(
+                "the first argument of PREDICT() must be a model name literal".into(),
+            ));
+        };
+        let model = self.models.get(model_name).cloned().ok_or_else(|| {
+            SqlError::Evaluation(format!(
+                "unknown model '{model_name}': PREDICT() needs a registered \
+                 serving handle or a persisted model table of that name"
+            ))
+        })?;
+        args.remove(0);
+        Ok(BoundExpr::Predict {
+            model,
+            features: args,
+        })
+    }
+
+    fn grouped(&self, expr: &Expr, aggregates: &mut Vec<BoundAggregate>) -> Result<BoundExpr> {
+        let aggregate = match expr {
+            Expr::Unary { op, expr } => {
+                return Ok(BoundExpr::Unary {
+                    op: *op,
+                    expr: Box::new(self.grouped(expr, aggregates)?),
+                })
+            }
+            Expr::Binary { left, op, right } => {
+                return Ok(BoundExpr::Binary {
+                    left: Box::new(self.grouped(left, aggregates)?),
+                    op: *op,
+                    right: Box::new(self.grouped(right, aggregates)?),
+                })
+            }
+            Expr::IsNull { expr, negated } => {
+                return Ok(BoundExpr::IsNull {
+                    expr: Box::new(self.grouped(expr, aggregates)?),
+                    negated: *negated,
+                })
+            }
+            Expr::Function { name, args } => match AggregateFn::from_name(name) {
+                Some(func) => match args.as_slice() {
+                    [Expr::Wildcard] if func == AggregateFn::Count => BoundAggregate::CountStar,
+                    [arg] => BoundAggregate::Call(func, self.scalar(arg)?),
+                    [] => {
+                        return Err(SqlError::Analysis(format!(
+                            "{}() requires an argument (or * for COUNT)",
+                            func.name()
+                        )))
+                    }
+                    _ => return Err(arity_error(func.name(), 1, args.len())),
+                },
+                None => BoundAggregate::First(self.scalar(expr)?),
+            },
+            other => BoundAggregate::First(self.scalar(other)?),
+        };
+        aggregates.push(aggregate);
+        Ok(BoundExpr::Aggregate(aggregates.len() - 1))
+    }
+}
+
+fn arity_error(name: &str, expected: usize, got: usize) -> SqlError {
+    SqlError::Analysis(format!(
+        "{name}() expects {expected} argument(s), got {got}"
+    ))
+}
+
+/// The running state of one [`BoundAggregate`] over one group. Values are
+/// folded in row order as the scan lends them; only `MIN`, `MAX` and a
+/// first-row expression keep one, and what they keep is charged to the
+/// statement's budget before it is kept.
+#[derive(Debug)]
+pub struct Accumulator {
+    /// Rows (`COUNT(*)`) or non-NULL values seen.
+    count: usize,
+    sum: f64,
+    held: Option<Value>,
+}
+
+impl Default for Accumulator {
+    fn default() -> Self {
+        Accumulator {
+            count: 0,
+            // Whatever `Iterator::sum` starts from, so `SUM` / `AVG` are the
+            // bits that summing the collected values gives.
+            sum: std::iter::empty::<f64>().sum(),
+            held: None,
+        }
+    }
+}
+
+impl Accumulator {
+    /// Fold one row of the group into the state.
+    pub fn fold(
+        &mut self,
+        aggregate: &BoundAggregate,
+        row: RowRef<'_>,
+        ctx: &mut EvalContext,
+        guard: &QueryGuard,
+    ) -> Result<()> {
+        let (func, arg) = match aggregate {
+            BoundAggregate::CountStar => {
+                self.count += 1;
+                return Ok(());
+            }
+            BoundAggregate::First(arg) => {
+                if self.count == 0 {
+                    self.count = 1;
+                    self.hold(arg.eval(row, &[], ctx)?, guard)?;
+                }
+                return Ok(());
+            }
+            BoundAggregate::Call(func, arg) => (*func, arg),
+        };
+        // NULLs are skipped, like SQL does.
+        let value = arg.eval(row, &[], ctx)?;
+        if value.is_null() {
+            return Ok(());
+        }
+        self.count += 1;
+        match func {
+            AggregateFn::Count => {}
+            AggregateFn::Sum | AggregateFn::Avg => {
+                self.sum += value.as_double().ok_or_else(|| {
+                    SqlError::Evaluation(format!("{}() argument must be numeric", func.name()))
+                })?;
+            }
+            // `Iterator::min_by` keeps the first of equal minima and
+            // `max_by` the last of equal maxima; so does this.
+            AggregateFn::Min | AggregateFn::Max => {
+                let replace = match &self.held {
+                    None => true,
+                    Some(held) => {
+                        (compare_values(held, &value) == Ordering::Greater)
+                            == (func == AggregateFn::Min)
+                    }
+                };
+                if replace {
+                    self.hold(value, guard)?;
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Keep `value`, charged before it is kept; what it replaces is
+    /// returned to the budget.
+    fn hold(&mut self, value: Cow<'_, Value>, guard: &QueryGuard) -> Result<()> {
+        guard.reserve(approx_value_bytes(&value))?;
+        if let Some(old) = self.held.replace(value.into_owned()) {
+            guard.budget().release(approx_value_bytes(&old));
+        }
+        Ok(())
+    }
+
+    /// The aggregate's value over the rows folded so far.
+    pub fn finish(self, aggregate: &BoundAggregate) -> Result<Value> {
+        Ok(match aggregate {
+            BoundAggregate::CountStar | BoundAggregate::Call(AggregateFn::Count, _) => {
+                Value::Int(self.count as i64)
+            }
+            BoundAggregate::First(_) => self
+                .held
+                .ok_or_else(|| SqlError::Evaluation("aggregate over an empty group".into()))?,
+            BoundAggregate::Call(func, _) => match func {
+                AggregateFn::Sum | AggregateFn::Avg if self.count == 0 => Value::Null,
+                AggregateFn::Sum => Value::Double(self.sum),
+                AggregateFn::Avg => Value::Double(self.sum / self.count as f64),
+                _ => self.held.unwrap_or(Value::Null),
+            },
+        })
+    }
+}
+
+/// Approximate heap footprint of a value a statement keeps, for charging its
+/// [`MemoryBudget`](bismarck_core::governor::MemoryBudget). The estimate is
+/// deliberately simple — inline enum size plus the dominant heap payload of
+/// each variant — because the budget is a governance backstop, not an
+/// allocator.
+pub(crate) fn approx_value_bytes(value: &Value) -> usize {
+    std::mem::size_of::<Value>()
+        + match value {
+            Value::Null | Value::Int(_) | Value::Double(_) => 0,
+            Value::Text(s) => s.len(),
+            Value::DenseVec(v) => v.len() * std::mem::size_of::<f64>(),
+            // index + value per stored entry.
+            Value::SparseVec(v) => v.nnz() * 16,
+            Value::Sequence(seq) => seq
+                .iter()
+                .map(|(features, _)| features.nnz() * 16 + 4)
+                .sum(),
+        }
 }
 
 /// The boolean encoding used by predicates.
@@ -262,7 +625,7 @@ pub fn is_truthy(value: &Value) -> bool {
     }
 }
 
-fn apply_unary(op: UnaryOp, value: Value) -> Result<Value> {
+fn apply_unary(op: UnaryOp, value: &Value) -> Result<Value> {
     match op {
         UnaryOp::Neg => match value {
             Value::Int(v) => v
@@ -277,23 +640,23 @@ fn apply_unary(op: UnaryOp, value: Value) -> Result<Value> {
             if value.is_null() {
                 Ok(Value::Null)
             } else {
-                Ok(bool_value(!is_truthy(&value)))
+                Ok(bool_value(!is_truthy(value)))
             }
         }
     }
 }
 
-fn apply_binary(op: BinaryOp, left: Value, right: Value) -> Result<Value> {
+fn apply_binary(op: BinaryOp, left: &Value, right: &Value) -> Result<Value> {
     use BinaryOp::*;
     match op {
-        And => Ok(bool_value(is_truthy(&left) && is_truthy(&right))),
-        Or => Ok(bool_value(is_truthy(&left) || is_truthy(&right))),
+        And => Ok(bool_value(is_truthy(left) && is_truthy(right))),
+        Or => Ok(bool_value(is_truthy(left) || is_truthy(right))),
         Eq | NotEq | Lt | LtEq | Gt | GtEq => {
             if left.is_null() || right.is_null() {
                 // Comparisons against NULL are never true.
                 return Ok(bool_value(false));
             }
-            let ordering = compare_values(&left, &right);
+            let ordering = compare_values(left, right);
             let result = match op {
                 Eq => ordering == Ordering::Equal,
                 NotEq => ordering != Ordering::Equal,
@@ -312,7 +675,7 @@ fn apply_binary(op: BinaryOp, left: Value, right: Value) -> Result<Value> {
             // Integer arithmetic stays integral except for division, and is
             // checked: overflow is a reportable evaluation error, not a
             // panic (or a silent wrap in release builds).
-            if let (Value::Int(a), Value::Int(b)) = (&left, &right) {
+            if let (Value::Int(a), Value::Int(b)) = (left, right) {
                 let overflow =
                     || SqlError::Evaluation(format!("integer overflow in {a} {op:?} {b}"));
                 return match op {
@@ -369,166 +732,120 @@ pub fn compare_values(a: &Value, b: &Value) -> Ordering {
     }
 }
 
-fn apply_scalar_function(name: &str, args: &[Value], ctx: &mut EvalContext) -> Result<Value> {
-    let upper = name.to_ascii_uppercase();
-    let arity_error = |expected: usize| {
-        SqlError::Analysis(format!(
-            "{upper}() expects {expected} argument(s), got {}",
-            args.len()
-        ))
+/// Apply a scalar function to its (arity-checked) arguments, evaluated in
+/// order before any of them is inspected.
+fn apply_scalar(
+    func: ScalarFn,
+    name: &str,
+    args: &[BoundExpr],
+    row: RowRef<'_>,
+    aggregates: &[Value],
+    ctx: &mut EvalContext,
+) -> Result<Value> {
+    let numeric = |value: &Value| -> Result<f64> {
+        value
+            .as_double()
+            .ok_or_else(|| SqlError::Evaluation(format!("{name}() argument must be numeric")))
     };
-    let numeric = |i: usize| -> Result<f64> {
-        args.get(i)
-            .and_then(Value::as_double)
-            .ok_or_else(|| SqlError::Evaluation(format!("{upper}() argument must be numeric")))
-    };
-    match upper.as_str() {
-        "RANDOM" => {
-            if !args.is_empty() {
-                return Err(arity_error(0));
-            }
-            Ok(Value::Double(ctx.rng.gen_range(0.0..1.0)))
+    let not_a_vector = |plural: &str| SqlError::Evaluation(format!("{name}() expects {plural}"));
+    Ok(match func {
+        ScalarFn::Random => Value::Double(ctx.rng.gen_range(0.0..1.0)),
+        ScalarFn::Power => {
+            let base = args[0].eval(row, aggregates, ctx)?;
+            let exponent = args[1].eval(row, aggregates, ctx)?;
+            Value::Double(numeric(&base)?.powf(numeric(&exponent)?))
         }
-        "ABS" => {
-            if args.len() != 1 {
-                return Err(arity_error(1));
-            }
-            match &args[0] {
-                Value::Int(v) => v
-                    .checked_abs()
-                    .map(Value::Int)
-                    .ok_or_else(|| SqlError::Evaluation("integer overflow in ABS()".into())),
-                _ => Ok(Value::Double(numeric(0)?.abs())),
-            }
+        ScalarFn::Dim | ScalarFn::Nnz => {
+            let arg = args[0].lend(row, aggregates, ctx)?;
+            let view = arg.features().ok_or_else(|| not_a_vector("a vector"))?;
+            Value::Int(match func {
+                ScalarFn::Dim => view.dimension(),
+                _ => view.nnz(),
+            } as i64)
         }
-        "SQRT" => {
-            if args.len() != 1 {
-                return Err(arity_error(1));
-            }
-            Ok(Value::Double(numeric(0)?.sqrt()))
-        }
-        "EXP" => {
-            if args.len() != 1 {
-                return Err(arity_error(1));
-            }
-            Ok(Value::Double(numeric(0)?.exp()))
-        }
-        "LN" | "LOG" => {
-            if args.len() != 1 {
-                return Err(arity_error(1));
-            }
-            Ok(Value::Double(numeric(0)?.ln()))
-        }
-        "FLOOR" => {
-            if args.len() != 1 {
-                return Err(arity_error(1));
-            }
-            Ok(Value::Double(numeric(0)?.floor()))
-        }
-        "CEIL" | "CEILING" => {
-            if args.len() != 1 {
-                return Err(arity_error(1));
-            }
-            Ok(Value::Double(numeric(0)?.ceil()))
-        }
-        "POWER" | "POW" => {
-            if args.len() != 2 {
-                return Err(arity_error(2));
-            }
-            Ok(Value::Double(numeric(0)?.powf(numeric(1)?)))
-        }
-        "SIGMOID" => {
-            if args.len() != 1 {
-                return Err(arity_error(1));
-            }
-            Ok(Value::Double(bismarck_linalg::sigmoid(numeric(0)?)))
-        }
-        "LENGTH" => {
-            if args.len() != 1 {
-                return Err(arity_error(1));
-            }
-            match &args[0] {
-                Value::Text(s) => Ok(Value::Int(s.chars().count() as i64)),
-                other => Err(SqlError::Evaluation(format!(
+        ScalarFn::Abs => match &*args[0].eval(row, aggregates, ctx)? {
+            Value::Int(v) => v
+                .checked_abs()
+                .map(Value::Int)
+                .ok_or_else(|| SqlError::Evaluation("integer overflow in ABS()".into()))?,
+            other => Value::Double(numeric(other)?.abs()),
+        },
+        ScalarFn::Numeric(f) => Value::Double(f(numeric(&*args[0].eval(row, aggregates, ctx)?)?)),
+        ScalarFn::Length => match &*args[0].eval(row, aggregates, ctx)? {
+            Value::Text(s) => Value::Int(s.chars().count() as i64),
+            other => {
+                return Err(SqlError::Evaluation(format!(
                     "LENGTH() expects text, got {other:?}"
-                ))),
+                )))
             }
-        }
-        "DIM" => {
-            if args.len() != 1 {
-                return Err(arity_error(1));
-            }
-            args[0]
-                .feature_view()
-                .map(|fv| Value::Int(fv.dimension() as i64))
-                .ok_or_else(|| SqlError::Evaluation("DIM() expects a vector".into()))
-        }
-        "NNZ" => {
-            if args.len() != 1 {
-                return Err(arity_error(1));
-            }
-            args[0]
-                .feature_view()
-                .map(|fv| Value::Int(fv.nnz() as i64))
-                .ok_or_else(|| SqlError::Evaluation("NNZ() expects a vector".into()))
-        }
-        "DOT" => {
-            if args.len() != 2 {
-                return Err(arity_error(2));
-            }
-            let a = args[0]
-                .feature_view()
-                .ok_or_else(|| SqlError::Evaluation("DOT() expects vectors".into()))?;
-            let b = args[1]
-                .feature_view()
-                .ok_or_else(|| SqlError::Evaluation("DOT() expects vectors".into()))?;
+        },
+        ScalarFn::Dot => {
+            let a = args[0].lend(row, aggregates, ctx)?;
+            let b = args[1].lend(row, aggregates, ctx)?;
+            let a = a.features().ok_or_else(|| not_a_vector("vectors"))?;
+            let b = b.features().ok_or_else(|| not_a_vector("vectors"))?;
             let dim = a.dimension().max(b.dimension());
-            let dense_b = b.to_dense(dim);
-            Ok(Value::Double(a.dot(dense_b.as_slice())))
-        }
-        // PREDICT('model', features) | PREDICT('model', x1, x2, ...):
-        // score features against a model resolved once per statement (a live
-        // serving handle's latest snapshot, or a persisted model table).
-        "PREDICT" => {
-            if args.len() < 2 {
-                return Err(SqlError::Analysis(format!(
-                    "PREDICT() expects a model name and features, got {} argument(s)",
-                    args.len()
-                )));
-            }
-            let Value::Text(model_name) = &args[0] else {
-                return Err(SqlError::Analysis(
-                    "the first argument of PREDICT() must be a model name literal".into(),
-                ));
-            };
-            let snapshot = ctx.models.get(model_name).cloned().ok_or_else(|| {
-                SqlError::Evaluation(format!(
-                    "unknown model '{model_name}': PREDICT() needs a registered \
-                     serving handle or a persisted model table of that name"
-                ))
-            })?;
-            let score = if args.len() == 2 {
-                let x = args[1].feature_view().ok_or_else(|| {
-                    SqlError::Evaluation(
-                        "the second argument of PREDICT() must be a feature vector \
-                         (or pass the features as individual numbers)"
-                            .into(),
-                    )
-                })?;
-                snapshot.predict(x)
-            } else {
-                let mut dense = Vec::with_capacity(args.len() - 1);
-                for (i, value) in args[1..].iter().enumerate() {
-                    dense.push(value.as_double().ok_or_else(|| {
-                        SqlError::Evaluation(format!("PREDICT() feature {} is not numeric", i + 1))
-                    })?);
+            Value::Double(match b {
+                FeatureVectorRef::Dense(w) if w.len() == dim => a.dot(w),
+                // `b` padded (or scattered) to `dim` coordinates.
+                _ => {
+                    let dense = &mut ctx.scratch;
+                    dense.clear();
+                    dense.resize(dim, 0.0);
+                    match b {
+                        FeatureVectorRef::Dense(x) => dense[..x.len()].copy_from_slice(x),
+                        FeatureVectorRef::Sparse { indices, values } => {
+                            for (&i, &v) in indices.iter().zip(values) {
+                                dense[i as usize] = v;
+                            }
+                        }
+                    }
+                    a.dot(dense)
                 }
-                snapshot.predict(bismarck_linalg::FeatureVectorRef::Dense(&dense))
-            };
-            Ok(Value::Double(score))
+            })
         }
-        other => Err(SqlError::Analysis(format!("unknown function {other}()"))),
+    })
+}
+
+/// Score one row's features against `model`.
+fn predict(
+    model: &ModelSnapshot,
+    features: &[BoundExpr],
+    row: RowRef<'_>,
+    aggregates: &[Value],
+    ctx: &mut EvalContext,
+) -> Result<f64> {
+    if let [vector] = features {
+        let vector = vector.lend(row, aggregates, ctx)?;
+        let view = vector.features().ok_or_else(|| {
+            SqlError::Evaluation(
+                "the second argument of PREDICT() must be a feature vector \
+                 (or pass the features as individual numbers)"
+                    .into(),
+            )
+        })?;
+        return Ok(model.predict(view));
     }
+    // A nested variadic PREDICT finds the scratch taken and uses its own.
+    let mut dense = std::mem::take(&mut ctx.scratch);
+    dense.clear();
+    // Every feature is evaluated before the first non-numeric one is
+    // reported.
+    let mut not_numeric = None;
+    for (i, feature) in features.iter().enumerate() {
+        match feature.eval(row, aggregates, ctx)?.as_double() {
+            Some(x) => dense.push(x),
+            None => not_numeric = not_numeric.or(Some(i + 1)),
+        }
+    }
+    if let Some(i) = not_numeric {
+        return Err(SqlError::Evaluation(format!(
+            "PREDICT() feature {i} is not numeric"
+        )));
+    }
+    let score = model.predict(FeatureVectorRef::Dense(&dense));
+    ctx.scratch = dense;
+    Ok(score)
 }
 
 #[cfg(test)]
@@ -552,6 +869,44 @@ mod tests {
             panic!()
         };
         expr
+    }
+
+    /// Bind `expr` against `row`'s schema (none: a query without `FROM`)
+    /// and evaluate it over that row: the one way these tests reach the
+    /// evaluator.
+    fn evaluate(
+        expr: &Expr,
+        row: Option<(&Schema, &[Value])>,
+        ctx: &mut EvalContext,
+    ) -> Result<Value> {
+        let bound = BoundExpr::bind(expr, row.map(|(schema, _)| schema), ctx)?;
+        let values = row.map_or(&[][..], |(_, values)| values);
+        Ok(bound.eval(RowRef::Values(values), &[], ctx)?.into_owned())
+    }
+
+    /// [`evaluate`] for a select item over one group of rows: bind it
+    /// grouped, fold every row into its accumulators, evaluate it over what
+    /// they finish with.
+    fn evaluate_over_group(
+        expr: &Expr,
+        schema: &Schema,
+        rows: &[Vec<Value>],
+        ctx: &mut EvalContext,
+    ) -> Result<Value> {
+        let mut aggregates = Vec::new();
+        let bound = BoundExpr::bind_grouped(expr, schema, ctx, &mut aggregates)?;
+        let guard = QueryGuard::unlimited();
+        let mut finished = Vec::new();
+        for aggregate in &aggregates {
+            let mut accumulator = Accumulator::default();
+            for row in rows {
+                accumulator.fold(aggregate, RowRef::Values(row), ctx, &guard)?;
+            }
+            finished.push(accumulator.finish(aggregate)?);
+        }
+        Ok(bound
+            .eval(RowRef::Values(&[]), &finished, ctx)?
+            .into_owned())
     }
 
     fn eval_text(text: &str) -> Value {
@@ -696,11 +1051,8 @@ mod tests {
             Column::new("label", DataType::Double),
         ])
         .unwrap();
-        let values = vec![Value::Int(3), Value::Double(-1.0)];
-        let row = RowContext {
-            schema: &schema,
-            values: &values,
-        };
+        let values = [Value::Int(3), Value::Double(-1.0)];
+        let row = (&schema, &values[..]);
         assert_eq!(
             evaluate(&expr("label * 2"), Some(row), &mut ctx()).unwrap(),
             Value::Double(-2.0)
@@ -729,32 +1081,33 @@ mod tests {
         ];
         let mut ctx = ctx();
         assert_eq!(
-            evaluate_grouped(&expr("COUNT(*)"), &schema, &rows, &mut ctx).unwrap(),
+            evaluate_over_group(&expr("COUNT(*)"), &schema, &rows, &mut ctx).unwrap(),
             Value::Int(3)
         );
         assert_eq!(
-            evaluate_grouped(&expr("COUNT(score)"), &schema, &rows, &mut ctx).unwrap(),
+            evaluate_over_group(&expr("COUNT(score)"), &schema, &rows, &mut ctx).unwrap(),
             Value::Int(2)
         );
         assert_eq!(
-            evaluate_grouped(&expr("SUM(score)"), &schema, &rows, &mut ctx).unwrap(),
+            evaluate_over_group(&expr("SUM(score)"), &schema, &rows, &mut ctx).unwrap(),
             Value::Double(6.0)
         );
         assert_eq!(
-            evaluate_grouped(&expr("AVG(score)"), &schema, &rows, &mut ctx).unwrap(),
+            evaluate_over_group(&expr("AVG(score)"), &schema, &rows, &mut ctx).unwrap(),
             Value::Double(3.0)
         );
         assert_eq!(
-            evaluate_grouped(&expr("MIN(score)"), &schema, &rows, &mut ctx).unwrap(),
+            evaluate_over_group(&expr("MIN(score)"), &schema, &rows, &mut ctx).unwrap(),
             Value::Double(2.0)
         );
         assert_eq!(
-            evaluate_grouped(&expr("MAX(score) - MIN(score)"), &schema, &rows, &mut ctx).unwrap(),
+            evaluate_over_group(&expr("MAX(score) - MIN(score)"), &schema, &rows, &mut ctx)
+                .unwrap(),
             Value::Double(2.0)
         );
         // Non-aggregate parts bind to the group's first row.
         assert_eq!(
-            evaluate_grouped(&expr("label"), &schema, &rows, &mut ctx).unwrap(),
+            evaluate_over_group(&expr("label"), &schema, &rows, &mut ctx).unwrap(),
             Value::Double(1.0)
         );
     }

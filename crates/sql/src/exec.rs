@@ -1,5 +1,44 @@
 //! Statement execution: a [`SqlSession`] owns a [`Database`] and runs parsed
 //! statements against it.
+//!
+//! # How a table `SELECT` runs: bind → scan → fold / project
+//!
+//! 1. **Bind once.** Every clause is bound against the table's schema and
+//!    the statement's model cache ([`BoundExpr`]) before a row is read, so a
+//!    statement that names an unknown column, function or model, passes a
+//!    wrong number of arguments or misplaces an aggregate fails the same way
+//!    over an empty table, a table whose rows are all filtered out, and a
+//!    full one.
+//! 2. **Scan once.** One pass over the table's blocks
+//!    ([`TupleScan::scan_blocks`]); each row is lent as a [`RowRef`] cursor,
+//!    so a columnar table decodes only the cells the expressions name and a
+//!    vector column reaches `PREDICT` / `DOT` / `DIM` / `NNZ` without being
+//!    copied. Per row: filter, then either
+//!    * **fold** (a `GROUP BY` or an aggregate): find the row's group
+//!      (first-appearance order, a linear lookup) and fold the row into the
+//!      group's [`Accumulator`]s — no input row is kept, and a select item
+//!      that is not an aggregate is the value on the group's first row; or
+//!    * **project**: build the output row and its `ORDER BY` keys, once.
+//!
+//!    A `LIMIT` with neither `ORDER BY` nor grouping ends the scan as soon
+//!    as that many rows are kept; rows past that point are never read, nor
+//!    evaluated.
+//! 3. Groups become output rows, `ORDER BY` sorts (stably) or — `ORDER BY
+//!    RANDOM()` — shuffles the finished rows, `LIMIT` truncates.
+//!
+//! **What is charged to the statement's memory budget** is what it keeps,
+//! before it is kept: each output row with its order keys, each group's key
+//! and the values its accumulators hold (a first-row value, the current
+//! `MIN` / `MAX`, whose predecessor is given back). Rows the scan lends and
+//! the filter rejects, or an aggregate folds, cost nothing.
+//!
+//! **`RANDOM()` draws** come from one session stream in evaluation order:
+//! per row the filter, then the group key and the aggregates' arguments or
+//! the select items and order keys. A statement that calls `RANDOM()` in
+//! one clause draws what it always drew; one that calls it in several now
+//! interleaves them row by row (it used to run clause by clause over the
+//! whole table), and an aggregate's argument is evaluated in row order
+//! across all groups, not group by group.
 
 use std::collections::HashMap;
 use std::path::Path;
@@ -11,8 +50,8 @@ use bismarck_core::governor::{Governor, QueryGuard, ShutdownReport};
 use bismarck_core::serving::{ModelHandle, ModelSnapshot, ServingTask};
 use bismarck_core::TrainerConfig;
 use bismarck_storage::{
-    Column, ColumnarTable, DataType, Database, RecoveryReport, Schema, StorageError, StoredTable,
-    Table, Tuple, TupleScan, Value,
+    Column, ColumnarTable, DataType, Database, RecoveryReport, RowRef, Schema, StorageError,
+    StoredTable, Table, TupleScan, Value,
 };
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -23,7 +62,10 @@ use crate::ast::{
     CopyDirection, Expr, OrderKey, SelectItem, SelectStatement, Statement, TableStorage,
 };
 use crate::error::{Result, SqlError};
-use crate::eval::{compare_values, evaluate, evaluate_grouped, is_truthy, EvalContext, RowContext};
+use crate::eval::{
+    approx_value_bytes, compare_values, is_truthy, Accumulator, BoundAggregate, BoundExpr,
+    EvalContext,
+};
 use crate::parser::{parse_script, parse_statement};
 use crate::result::QueryResult;
 
@@ -456,10 +498,11 @@ impl SqlSession {
         let mut rebuilt = source.empty_like()?;
         let schema = source.schema();
         let mut rows: Vec<Vec<Value>> = Vec::with_capacity(source.len());
-        scan_guarded(source, &self.guard, |tuple| {
-            self.guard.reserve(approx_row_bytes(tuple.values()))?;
-            rows.push(tuple.values().to_vec());
-            Ok(())
+        scan_guarded(source, &self.guard, |row| {
+            let values: Vec<Value> = owned_cells(row).collect();
+            self.guard.reserve(approx_row_bytes(&values))?;
+            rows.push(values);
+            Ok(true)
         })?;
         let status = match reorder {
             Reorder::Shuffle(seed) => {
@@ -537,7 +580,7 @@ impl SqlSession {
                     // A constant the parser read: the value moves into the
                     // row; only what needs computing is evaluated.
                     Expr::Literal(value) => value,
-                    expr => evaluate(&expr, None, &mut self.ctx)?,
+                    expr => BoundExpr::eval_constant(&expr, &mut self.ctx)?,
                 });
             }
             let full_row = match &column_indices {
@@ -600,7 +643,7 @@ impl SqlSession {
             };
             let mut arg_values = Vec::with_capacity(args.len());
             for arg in args {
-                arg_values.push(evaluate(arg, None, &mut self.ctx)?);
+                arg_values.push(BoundExpr::eval_constant(arg, &mut self.ctx)?);
             }
             // The guard rides into the trainers through the config: deadline
             // or cancellation ends the run at the next epoch boundary.
@@ -625,13 +668,15 @@ impl SqlSession {
                 }
                 SelectItem::Expr { expr, alias } => {
                     columns.push(alias.clone().unwrap_or_else(|| expr.default_name()));
-                    row.push(evaluate(expr, None, &mut self.ctx)?);
+                    row.push(BoundExpr::eval_constant(expr, &mut self.ctx)?);
                 }
             }
         }
         Ok(QueryResult::with_rows(columns, vec![row]))
     }
 
+    /// `SELECT ... FROM table`: bind every clause against the table's schema,
+    /// then one pass over its blocks — see the module docs.
     fn run_table_select(&mut self, select: SelectStatement) -> Result<QueryResult> {
         let Some(table_name) = select.from.as_deref() else {
             return Err(SqlError::Analysis(
@@ -641,190 +686,104 @@ impl SqlSession {
         // Split borrows: the table is read-only while the RNG in `ctx` is
         // mutated by RANDOM().
         let SqlSession { db, ctx, guard, .. } = self;
-
-        // Filter. Kept rows are the statement's first materialized
-        // intermediate, so they are charged against the guard's budget.
         let source = db.stored(table_name)?;
-        let schema = source.schema().clone();
-        let mut rows: Vec<Vec<Value>> = Vec::new();
-        scan_guarded(source, guard, |tuple| {
-            let keep = match &select.filter {
-                Some(predicate) => {
-                    let row = RowContext {
-                        schema: &schema,
-                        values: tuple.values(),
-                    };
-                    is_truthy(&evaluate(predicate, Some(row), ctx)?)
-                }
-                None => true,
-            };
-            if keep {
-                guard.reserve(approx_row_bytes(tuple.values()))?;
-                rows.push(tuple.values().to_vec());
-            }
-            Ok(())
-        })?;
+        let plan = BoundSelect::bind(&select, source.schema(), ctx)?;
 
-        let has_aggregates = !select.group_by.is_empty()
-            || select.items.iter().any(
-                |item| matches!(item, SelectItem::Expr { expr, .. } if expr.contains_aggregate()),
-            );
-
-        let (columns, mut keyed_rows) = if has_aggregates {
-            self.grouped_projection(&select, &schema, rows)?
-        } else {
-            self.plain_projection(&select, &schema, rows)?
+        let mut output = Output {
+            guard,
+            rows: Vec::new(),
+            keys: Vec::new(),
         };
+        // (key, one accumulator per aggregate), in first-appearance order.
+        // The lookup is linear in the number of groups.
+        let mut groups: Vec<(Vec<Value>, Vec<Accumulator>)> = Vec::new();
+        if let Some(grouping) = &plan.grouping {
+            // Without GROUP BY all rows are one group, which exists even
+            // when there is no row (COUNT(*) over an empty table is 0).
+            if grouping.by.is_empty() {
+                groups.push((Vec::new(), grouping.accumulators()));
+            }
+        }
+        let mut key = Vec::new();
+        if plan.stop_after != Some(0) {
+            scan_guarded(source, guard, |row| {
+                if let Some(filter) = &plan.filter {
+                    if !is_truthy(filter.eval(row, &[], ctx)?.as_ref()) {
+                        return Ok(true);
+                    }
+                }
+                let Some(grouping) = &plan.grouping else {
+                    output.push(&plan, row, &[], ctx)?;
+                    return Ok(plan
+                        .stop_after
+                        .is_none_or(|limit| output.rows.len() < limit));
+                };
+                key.clear();
+                for expr in &grouping.by {
+                    key.push(expr.eval(row, &[], ctx)?.into_owned());
+                }
+                let group = match groups.iter().position(|(existing, _)| *existing == key) {
+                    Some(group) => group,
+                    None => {
+                        guard.reserve(approx_row_bytes(&key))?;
+                        groups.push((std::mem::take(&mut key), grouping.accumulators()));
+                        groups.len() - 1
+                    }
+                };
+                for (accumulator, aggregate) in groups[group].1.iter_mut().zip(&grouping.aggregates)
+                {
+                    accumulator.fold(aggregate, row, ctx, guard)?;
+                }
+                Ok(true)
+            })?;
+        }
 
-        // Order.
-        if !select.order_by.is_empty() {
-            if order_by_is_random(&select.order_by) {
-                keyed_rows.shuffle(&mut self.ctx.rng);
-            } else {
-                keyed_rows.sort_by(|(a, _), (b, _)| {
-                    for (idx, key) in select.order_by.iter().enumerate() {
-                        let ordering = compare_values(&a[idx], &b[idx]);
-                        let ordering = if key.ascending {
-                            ordering
-                        } else {
-                            ordering.reverse()
-                        };
+        // One output row per group.
+        if let Some(grouping) = &plan.grouping {
+            for (i, (_, accumulators)) in groups.into_iter().enumerate() {
+                if i.is_multiple_of(GUARD_CHECK_ROWS) {
+                    guard.check()?;
+                }
+                let finished = accumulators
+                    .into_iter()
+                    .zip(&grouping.aggregates)
+                    .map(|(accumulator, aggregate)| accumulator.finish(aggregate))
+                    .collect::<Result<Vec<Value>>>()?;
+                output.push(&plan, RowRef::Values(&[]), &finished, ctx)?;
+            }
+        }
+
+        let Output { mut rows, keys, .. } = output;
+        match &plan.order {
+            Order::Stored => {}
+            Order::Shuffled => rows.shuffle(&mut ctx.rng),
+            Order::Sorted(sort_keys) => {
+                let mut order: Vec<usize> = (0..rows.len()).collect();
+                order.sort_by(|&a, &b| {
+                    for ((_, ascending), (x, y)) in
+                        sort_keys.iter().zip(keys[a].iter().zip(&keys[b]))
+                    {
+                        let ordering = compare_values(x, y);
                         if ordering != std::cmp::Ordering::Equal {
-                            return ordering;
+                            return if *ascending {
+                                ordering
+                            } else {
+                                ordering.reverse()
+                            };
                         }
                     }
                     std::cmp::Ordering::Equal
                 });
+                rows = order
+                    .into_iter()
+                    .map(|i| std::mem::take(&mut rows[i]))
+                    .collect();
             }
         }
-
-        let mut output: Vec<Vec<Value>> = keyed_rows.into_iter().map(|(_, row)| row).collect();
         if let Some(limit) = select.limit {
-            output.truncate(limit);
+            rows.truncate(limit);
         }
-        Ok(QueryResult::with_rows(columns, output))
-    }
-
-    /// Project rows without aggregation. Returns `(columns, keyed rows)`
-    /// where each row carries its pre-computed `ORDER BY` key values.
-    #[allow(clippy::type_complexity)]
-    fn plain_projection(
-        &mut self,
-        select: &SelectStatement,
-        schema: &Schema,
-        rows: Vec<Vec<Value>>,
-    ) -> Result<(Vec<String>, Vec<(Vec<Value>, Vec<Value>)>)> {
-        let mut columns = Vec::new();
-        for item in &select.items {
-            match item {
-                SelectItem::Wildcard => {
-                    columns.extend(schema.columns().iter().map(|c| c.name.clone()));
-                }
-                SelectItem::Expr { expr, alias } => {
-                    columns.push(alias.clone().unwrap_or_else(|| expr.default_name()));
-                }
-            }
-        }
-
-        let mut keyed_rows = Vec::with_capacity(rows.len());
-        for (i, values) in rows.into_iter().enumerate() {
-            if i.is_multiple_of(GUARD_CHECK_ROWS) {
-                self.guard.check()?;
-            }
-            let row = RowContext {
-                schema,
-                values: &values,
-            };
-            let mut out = Vec::with_capacity(columns.len());
-            for item in &select.items {
-                match item {
-                    SelectItem::Wildcard => out.extend(values.iter().cloned()),
-                    SelectItem::Expr { expr, .. } => {
-                        out.push(evaluate(expr, Some(row), &mut self.ctx)?)
-                    }
-                }
-            }
-            let keys = self.order_keys_scalar(&select.order_by, Some(row))?;
-            keyed_rows.push((keys, out));
-        }
-        Ok((columns, keyed_rows))
-    }
-
-    /// Project with `GROUP BY` / aggregates: one output row per group.
-    #[allow(clippy::type_complexity)]
-    fn grouped_projection(
-        &mut self,
-        select: &SelectStatement,
-        schema: &Schema,
-        rows: Vec<Vec<Value>>,
-    ) -> Result<(Vec<String>, Vec<(Vec<Value>, Vec<Value>)>)> {
-        for item in &select.items {
-            if matches!(item, SelectItem::Wildcard) {
-                return Err(SqlError::Analysis(
-                    "SELECT * cannot be combined with GROUP BY or aggregates".into(),
-                ));
-            }
-        }
-
-        // Partition rows into groups keyed by the GROUP BY expressions
-        // (a single all-rows group when there is no GROUP BY).
-        let mut groups: Vec<(Vec<Value>, Vec<Vec<Value>>)> = Vec::new();
-        if select.group_by.is_empty() {
-            groups.push((Vec::new(), rows));
-        } else {
-            for (i, values) in rows.into_iter().enumerate() {
-                if i.is_multiple_of(GUARD_CHECK_ROWS) {
-                    self.guard.check()?;
-                }
-                let row = RowContext {
-                    schema,
-                    values: &values,
-                };
-                let mut key = Vec::with_capacity(select.group_by.len());
-                for expr in &select.group_by {
-                    key.push(evaluate(expr, Some(row), &mut self.ctx)?);
-                }
-                match groups.iter_mut().find(|(existing, _)| *existing == key) {
-                    Some((_, members)) => members.push(values),
-                    None => groups.push((key, vec![values])),
-                }
-            }
-        }
-
-        let mut columns = Vec::with_capacity(select.items.len());
-        for item in &select.items {
-            let SelectItem::Expr { expr, alias } = item else {
-                unreachable!()
-            };
-            columns.push(alias.clone().unwrap_or_else(|| expr.default_name()));
-        }
-
-        let mut keyed_rows = Vec::with_capacity(groups.len());
-        for (i, (_, members)) in groups.into_iter().enumerate() {
-            if i.is_multiple_of(GUARD_CHECK_ROWS) {
-                self.guard.check()?;
-            }
-            // An aggregate over zero rows is only meaningful without GROUP BY
-            // (e.g. COUNT(*) over an empty table).
-            let mut out = Vec::with_capacity(columns.len());
-            for item in &select.items {
-                let SelectItem::Expr { expr, .. } = item else {
-                    unreachable!()
-                };
-                out.push(evaluate_grouped(expr, schema, &members, &mut self.ctx)?);
-            }
-            let mut keys = Vec::with_capacity(select.order_by.len());
-            for key in &select.order_by {
-                keys.push(evaluate_grouped(
-                    &key.expr,
-                    schema,
-                    &members,
-                    &mut self.ctx,
-                )?);
-            }
-            keyed_rows.push((keys, out));
-        }
-        Ok((columns, keyed_rows))
+        Ok(QueryResult::with_rows(plan.columns, rows))
     }
 
     /// Resolve every model named by a `PREDICT()` call in the statement into
@@ -834,7 +793,7 @@ impl SqlSession {
     /// as a raw-score (identity link) model. Acquiring the snapshot up front
     /// both amortizes its cost across the statement's rows and guarantees
     /// all rows are scored against the same model version. Unknown names are
-    /// left unresolved and error at evaluation time.
+    /// left unresolved and error when the `PREDICT()` call is bound.
     fn prime_predict_models(&mut self, statement: &Statement) -> Result<()> {
         self.ctx.models.clear();
         let mut names = Vec::new();
@@ -854,21 +813,6 @@ impl SqlSession {
         }
         Ok(())
     }
-
-    fn order_keys_scalar(
-        &mut self,
-        order_by: &[OrderKey],
-        row: Option<RowContext<'_>>,
-    ) -> Result<Vec<Value>> {
-        if order_by_is_random(order_by) {
-            return Ok(Vec::new());
-        }
-        let mut keys = Vec::with_capacity(order_by.len());
-        for key in order_by {
-            keys.push(evaluate(&key.expr, row, &mut self.ctx)?);
-        }
-        Ok(keys)
-    }
 }
 
 /// An empty table of the layout a `CREATE TABLE [... STORAGE = ...]` asked
@@ -880,29 +824,229 @@ fn empty_table(name: String, schema: Schema, storage: TableStorage) -> StoredTab
     }
 }
 
-/// Stream `source` in storage order through `visit`, polling `guard` every
-/// [`GUARD_CHECK_ROWS`] rows and stopping at the first error. (`TupleScan`
-/// is callback-based, so the error is threaded out of the closure here,
-/// once, instead of at every call site.)
+/// A table `SELECT` with every clause bound against the table's schema.
+struct BoundSelect {
+    /// Output column names.
+    columns: Vec<String>,
+    filter: Option<BoundExpr>,
+    /// The select list. Under `grouping` the expressions refer to its
+    /// aggregates and there is no `*`.
+    items: Vec<BoundItem>,
+    /// `Some` when the select groups or aggregates: one output row per
+    /// group instead of one per kept row.
+    grouping: Option<Grouping>,
+    order: Order,
+    /// A `LIMIT` that ends the scan once this many rows are kept: one with
+    /// neither an `ORDER BY` nor a grouping that needs the rest of the table.
+    stop_after: Option<usize>,
+}
+
+enum BoundItem {
+    /// `*`: every source column.
+    Wildcard,
+    Expr(BoundExpr),
+}
+
+struct Grouping {
+    /// The `GROUP BY` expressions; empty for one all-rows group.
+    by: Vec<BoundExpr>,
+    /// Every reduction the select list and order keys refer to.
+    aggregates: Vec<BoundAggregate>,
+}
+
+impl Grouping {
+    /// Fresh state for one group.
+    fn accumulators(&self) -> Vec<Accumulator> {
+        self.aggregates
+            .iter()
+            .map(|_| Accumulator::default())
+            .collect()
+    }
+}
+
+enum Order {
+    /// No `ORDER BY`: rows stay in the order the scan kept them.
+    Stored,
+    /// `ORDER BY RANDOM()`: the finished rows are shuffled.
+    Shuffled,
+    /// Sort by these keys, each with its direction (`true`: ascending).
+    Sorted(Vec<(SortKey, bool)>),
+}
+
+enum SortKey {
+    Expr(BoundExpr),
+    /// A select-list alias: the output row's value at this position.
+    Output(usize),
+}
+
+impl BoundSelect {
+    fn bind(select: &SelectStatement, schema: &Schema, ctx: &EvalContext) -> Result<BoundSelect> {
+        let filter = match &select.filter {
+            Some(predicate) => Some(BoundExpr::bind(predicate, Some(schema), ctx)?),
+            None => None,
+        };
+        let grouped = !select.group_by.is_empty()
+            || select.items.iter().any(
+                |item| matches!(item, SelectItem::Expr { expr, .. } if expr.contains_aggregate()),
+            );
+        let by = select
+            .group_by
+            .iter()
+            .map(|expr| BoundExpr::bind(expr, Some(schema), ctx))
+            .collect::<Result<Vec<_>>>()?;
+        let mut aggregates = Vec::new();
+        let mut bind_output = |expr: &Expr| match grouped {
+            true => BoundExpr::bind_grouped(expr, schema, ctx, &mut aggregates),
+            false => BoundExpr::bind(expr, Some(schema), ctx),
+        };
+
+        let mut columns = Vec::new();
+        let mut items = Vec::with_capacity(select.items.len());
+        // (alias, position in the output row), for ORDER BY.
+        let mut aliases = Vec::new();
+        for item in &select.items {
+            match item {
+                SelectItem::Wildcard if grouped => {
+                    return Err(SqlError::Analysis(
+                        "SELECT * cannot be combined with GROUP BY or aggregates".into(),
+                    ))
+                }
+                SelectItem::Wildcard => {
+                    columns.extend(schema.columns().iter().map(|c| c.name.clone()));
+                    items.push(BoundItem::Wildcard);
+                }
+                SelectItem::Expr { expr, alias } => {
+                    if let Some(alias) = alias {
+                        aliases.push((alias.as_str(), columns.len()));
+                    }
+                    columns.push(alias.clone().unwrap_or_else(|| expr.default_name()));
+                    items.push(BoundItem::Expr(bind_output(expr)?));
+                }
+            }
+        }
+
+        let order = if select.order_by.is_empty() {
+            Order::Stored
+        } else if order_by_is_random(&select.order_by) {
+            // A grouped select has always evaluated the key once per group
+            // before shuffling; binding it keeps those draws in the stream.
+            if grouped {
+                bind_output(&select.order_by[0].expr)?;
+            }
+            Order::Shuffled
+        } else {
+            let mut keys = Vec::with_capacity(select.order_by.len());
+            for key in &select.order_by {
+                // A name that is not a source column may be a select-list
+                // alias.
+                let alias = match &key.expr {
+                    Expr::Column(name) if schema.index_of(name).is_err() => {
+                        aliases.iter().find(|(alias, _)| alias == name)
+                    }
+                    _ => None,
+                };
+                let sort_key = match alias {
+                    Some(&(_, position)) => SortKey::Output(position),
+                    None => SortKey::Expr(bind_output(&key.expr)?),
+                };
+                keys.push((sort_key, key.ascending));
+            }
+            Order::Sorted(keys)
+        };
+
+        Ok(BoundSelect {
+            columns,
+            filter,
+            items,
+            grouping: grouped.then_some(Grouping { by, aggregates }),
+            stop_after: select
+                .limit
+                .filter(|_| !grouped && matches!(order, Order::Stored)),
+            order,
+        })
+    }
+}
+
+/// The rows a `SELECT` returns, as they are built: each is charged to the
+/// statement's budget, with its order keys, before it is kept.
+struct Output<'g> {
+    guard: &'g QueryGuard,
+    rows: Vec<Vec<Value>>,
+    /// One entry per row under [`Order::Sorted`], none otherwise.
+    keys: Vec<Vec<Value>>,
+}
+
+impl Output<'_> {
+    /// Project one output row of `plan` — from a source row, or from a
+    /// group's finished aggregates — and keep it.
+    fn push(
+        &mut self,
+        plan: &BoundSelect,
+        row: RowRef<'_>,
+        aggregates: &[Value],
+        ctx: &mut EvalContext,
+    ) -> Result<()> {
+        let mut out = Vec::with_capacity(plan.columns.len());
+        for item in &plan.items {
+            match item {
+                BoundItem::Wildcard => out.extend(owned_cells(row)),
+                BoundItem::Expr(expr) => out.push(expr.eval(row, aggregates, ctx)?.into_owned()),
+            }
+        }
+        let keys = match &plan.order {
+            Order::Sorted(sort_keys) => {
+                let mut keys = Vec::with_capacity(sort_keys.len());
+                for (key, _) in sort_keys {
+                    keys.push(match key {
+                        SortKey::Expr(expr) => expr.eval(row, aggregates, ctx)?.into_owned(),
+                        SortKey::Output(position) => out[*position].clone(),
+                    });
+                }
+                Some(keys)
+            }
+            Order::Stored | Order::Shuffled => None,
+        };
+        self.guard
+            .reserve(approx_row_bytes(&out) + keys.as_deref().map_or(0, approx_row_bytes))?;
+        self.rows.push(out);
+        self.keys.extend(keys);
+        Ok(())
+    }
+}
+
+/// Every cell of `row`, owned.
+fn owned_cells(row: RowRef<'_>) -> impl Iterator<Item = Value> + '_ {
+    (0..row.arity()).map(move |col| row.value(col).into_owned())
+}
+
+/// Stream `source` in storage order through `visit`, one row cursor at a
+/// time, until it returns `Ok(false)` or an error; `guard` is polled every
+/// [`GUARD_CHECK_ROWS`] rows. (`TupleScan` is callback-based, so the error is
+/// threaded out of the closure here, once, instead of at every call site.)
 fn scan_guarded(
     source: &StoredTable,
     guard: &QueryGuard,
-    mut visit: impl FnMut(&Tuple) -> Result<()>,
+    mut visit: impl FnMut(RowRef<'_>) -> Result<bool>,
 ) -> Result<()> {
-    let mut outcome = Ok(());
-    let mut i = 0usize;
-    source.scan_tuples_while(&mut |tuple| {
-        if i.is_multiple_of(GUARD_CHECK_ROWS) {
-            if let Err(e) = guard.check() {
-                outcome = Err(e.into());
+    let mut outcome = Ok(true);
+    let mut scanned = 0usize;
+    source.scan_blocks(0, usize::MAX, &mut |block| {
+        for i in 0..block.len() {
+            if scanned.is_multiple_of(GUARD_CHECK_ROWS) {
+                if let Err(e) = guard.check() {
+                    outcome = Err(e.into());
+                    return false;
+                }
+            }
+            scanned += 1;
+            outcome = visit(block.row(i));
+            if !matches!(outcome, Ok(true)) {
                 return false;
             }
         }
-        i += 1;
-        outcome = visit(tuple);
-        outcome.is_ok()
+        true
     });
-    outcome
+    outcome.map(|_| ())
 }
 
 /// How `run_reorder` rewrites a table.
@@ -989,29 +1133,9 @@ fn collect_expr_predict_models(expr: &Expr, out: &mut Vec<String>) {
     }
 }
 
-/// Approximate heap footprint of a materialized row, for charging the
-/// statement's [`MemoryBudget`](bismarck_core::governor::MemoryBudget). The
-/// estimate is deliberately simple — inline enum size plus the dominant heap
-/// payload of each variant — because the budget is a governance backstop, not
-/// an allocator.
+/// [`approx_value_bytes`] over a row a statement keeps.
 fn approx_row_bytes(values: &[Value]) -> usize {
-    values
-        .iter()
-        .map(|value| {
-            std::mem::size_of::<Value>()
-                + match value {
-                    Value::Null | Value::Int(_) | Value::Double(_) => 0,
-                    Value::Text(s) => s.len(),
-                    Value::DenseVec(v) => v.len() * std::mem::size_of::<f64>(),
-                    // index + value per stored entry.
-                    Value::SparseVec(v) => v.nnz() * 16,
-                    Value::Sequence(seq) => seq
-                        .iter()
-                        .map(|(features, _)| features.nnz() * 16 + 4)
-                        .sum(),
-                }
-        })
-        .sum()
+    values.iter().map(approx_value_bytes).sum()
 }
 
 /// True when the `ORDER BY` clause is the paper's `ORDER BY RANDOM()` shuffle.
@@ -1152,6 +1276,132 @@ mod tests {
         let result = exec(&mut session, "SELECT id FROM points ORDER BY id LIMIT 2");
         assert_eq!(result.len(), 2);
         assert_eq!(result.rows[1][0], Value::Int(2));
+    }
+
+    #[test]
+    fn limit_without_order_by_keeps_the_first_rows_and_zero_keeps_none() {
+        let mut session = session_with_points();
+        let first = exec(&mut session, "SELECT id FROM points WHERE id > 1 LIMIT 2");
+        assert_eq!(first.rows, vec![vec![Value::Int(2)], vec![Value::Int(3)]]);
+        let none = exec(&mut session, "SELECT id, name FROM points LIMIT 0");
+        assert_eq!(none.columns, vec!["id", "name"]);
+        assert!(none.rows.is_empty());
+        // With an ORDER BY the limit applies to the sorted rows.
+        let top = exec(
+            &mut session,
+            "SELECT id FROM points ORDER BY id DESC LIMIT 1",
+        );
+        assert_eq!(top.rows, vec![vec![Value::Int(5)]]);
+        // A row the scan never reaches is not evaluated.
+        let early = exec(&mut session, "SELECT 1 / (id - 3) FROM points LIMIT 2");
+        assert_eq!(early.len(), 2);
+        assert!(session
+            .execute("SELECT 1 / (id - 3) FROM points LIMIT 3")
+            .is_err());
+    }
+
+    #[test]
+    fn order_by_accepts_a_select_list_alias() {
+        let mut session = session_with_points();
+        let result = exec(
+            &mut session,
+            "SELECT name, x * -1 AS flipped FROM points WHERE id > 1 ORDER BY flipped",
+        );
+        let names: Vec<&Value> = result.rows.iter().map(|r| &r[0]).collect();
+        assert_eq!(
+            names,
+            ["e", "c", "b", "d"]
+                .map(|n| Value::Text(n.into()))
+                .iter()
+                .collect::<Vec<_>>()
+        );
+        // A source column of that name wins over the alias.
+        let result = exec(
+            &mut session,
+            "SELECT x * -1 AS id FROM points ORDER BY id LIMIT 1",
+        );
+        assert_eq!(result.rows, vec![vec![Value::Double(-0.5)]]);
+        // Grouped selects resolve aliases the same way.
+        let grouped = exec(
+            &mut session,
+            "SELECT label, COUNT(*) AS n FROM points GROUP BY label ORDER BY n",
+        );
+        assert_eq!(grouped.rows[0], vec![Value::Double(-1.0), Value::Int(2)]);
+    }
+
+    /// Every name in a statement is resolved before the scan, so what is
+    /// wrong with the statement is reported whatever the table holds.
+    #[test]
+    fn analysis_errors_do_not_depend_on_the_rows() {
+        let mut session = SqlSession::with_seed(5);
+        exec_script(
+            &mut session,
+            "CREATE TABLE e_row (id INT, vec DENSE_VEC);
+             CREATE TABLE e_col (id INT, vec DENSE_VEC) STORAGE = COLUMNAR;
+             CREATE TABLE full (id INT, vec DENSE_VEC);
+             INSERT INTO full VALUES (1, ARRAY[1.0]), (7, ARRAY[2.0]), (9, NULL)",
+        );
+        let unknown_column = || SqlError::Analysis("unknown column 'nope'".into());
+        // (select list, WHERE, ORDER BY, the error a non-empty table gives).
+        let cases = [
+            ("nope", None, None, unknown_column()),
+            (
+                "NOSUCHFN(id)",
+                None,
+                None,
+                SqlError::Analysis("unknown function NOSUCHFN()".into()),
+            ),
+            (
+                "ABS(id, id)",
+                None,
+                None,
+                SqlError::Analysis("ABS() expects 1 argument(s), got 2".into()),
+            ),
+            (
+                "PREDICT('ghost', vec)",
+                None,
+                None,
+                SqlError::Evaluation(
+                    "unknown model 'ghost': PREDICT() needs a registered serving handle \
+                     or a persisted model table of that name"
+                        .into(),
+                ),
+            ),
+            ("id", Some("nope > 1"), None, unknown_column()),
+            ("id", Some("id > 5 AND nope > 1"), None, unknown_column()),
+            ("id", None, Some("nope"), unknown_column()),
+            ("COUNT(nope)", None, None, unknown_column()),
+            (
+                "id",
+                Some("COUNT(*) > 1"),
+                None,
+                SqlError::Analysis("aggregate COUNT() is not allowed in this context".into()),
+            ),
+        ];
+        // (table, a predicate that rejects every row of it).
+        let sources = [
+            ("full", None),
+            ("full", Some("id < 0")),
+            ("e_row", None),
+            ("e_col", None),
+        ];
+        for (items, filter, order, expected) in &cases {
+            for (table, reject) in sources {
+                let mut sql = format!("SELECT {items} FROM {table}");
+                match (reject, *filter) {
+                    (Some(a), Some(b)) => sql += &format!(" WHERE {a} AND {b}"),
+                    (Some(a), None) | (None, Some(a)) => sql += &format!(" WHERE {a}"),
+                    (None, None) => {}
+                }
+                if let Some(order) = order {
+                    sql += &format!(" ORDER BY {order}");
+                }
+                assert_eq!(session.execute(&sql).as_ref(), Err(expected), "{sql}");
+                let ctas = format!("CREATE TABLE made AS {sql}");
+                assert_eq!(session.execute(&ctas).as_ref(), Err(expected), "{ctas}");
+                assert!(!session.database().contains("made"), "{ctas}");
+            }
+        }
     }
 
     #[test]

@@ -657,6 +657,33 @@ mod tests {
     }
 
     #[test]
+    fn row_cursor_reads_each_cell_as_the_materialized_tuple_holds_it() {
+        let columnar = filled(8, 50);
+        let mut rows = Table::new("t", schema());
+        for i in 0..50 {
+            rows.insert(row(i)).unwrap();
+        }
+        for table in [&columnar as &dyn TupleScan, &rows] {
+            let mut expected = Vec::new();
+            table.scan_tuples_range(3, 41, &mut |tuple| expected.push(tuple.clone()));
+            let mut seen = 0;
+            table.scan_blocks(3, 41, &mut |block| {
+                for i in 0..block.len() {
+                    let (cursor, tuple) = (block.row(i), &expected[seen]);
+                    assert_eq!(cursor.arity(), tuple.arity());
+                    for col in 0..tuple.arity() {
+                        assert_eq!(&*cursor.value(col), &tuple.values()[col]);
+                        assert_eq!(cursor.feature_view(col), tuple.feature_view(col));
+                    }
+                    seen += 1;
+                }
+                true
+            });
+            assert_eq!(seen, expected.len());
+        }
+    }
+
+    #[test]
     fn scan_while_stops_early() {
         let t = filled(8, 50);
         let mut seen = 0;

@@ -58,7 +58,9 @@ pub use crate::error::StorageError;
 pub use crate::null_agg::NullAggregate;
 pub use crate::pager::PagerStats;
 pub use crate::reservoir::ReservoirSampler;
-pub use crate::scan::{segment_ranges, ExampleRows, FeatureRows, RowBlock, ScanOrder, TupleScan};
+pub use crate::scan::{
+    segment_ranges, ExampleRows, FeatureRows, RowBlock, RowRef, ScanOrder, TupleScan,
+};
 pub use crate::schema::{Column, DataType, Schema};
 pub use crate::shared::SharedModel;
 pub use crate::stored::StoredTable;

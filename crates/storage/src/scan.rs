@@ -14,6 +14,8 @@
 //! shared-nothing ("pure UDA") parallelism of Section 3.3, mirroring how a
 //! parallel database assigns tuples to segments.
 
+use std::borrow::Cow;
+
 use bismarck_linalg::FeatureVectorRef;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -33,12 +35,16 @@ use crate::value::Value;
 /// [`RowBlock`] per run of rows that are physically together (a heap page, a
 /// columnar segment). Whoever can work on column slices — the linear tasks'
 /// gradient and loss passes, dimension inference — reads them straight out
-/// of a columnar block; the storage-order tuple scans (`scan_tuples`,
-/// `scan_tuples_while`, `scan_tuples_range`) are adapters over it that hand
-/// out a row-store block's tuples as they are and materialize each row of a
-/// columnar block into one reused scratch [`Tuple`]. Only [`TupleScan::scan_tuples_permuted`] is its own walk. The
-/// interface is callback-based (rather than returning iterators) because a
-/// paged segment is pinned only for the duration of one callback.
+/// of a columnar block; whoever works a row at a time but names only some of
+/// its columns — SQL `SELECT` — walks the block with [`RowBlock::row`], a
+/// [`RowRef`] cursor that reads one cell where it is stored; the
+/// storage-order tuple scans (`scan_tuples`, `scan_tuples_while`,
+/// `scan_tuples_range`) are adapters over it that hand out a row-store
+/// block's tuples as they are and materialize each row of a columnar block
+/// into one reused scratch [`Tuple`]. Only
+/// [`TupleScan::scan_tuples_permuted`] is its own walk. The interface is
+/// callback-based (rather than returning iterators) because a paged segment
+/// is pinned only for the duration of one callback.
 ///
 /// # Semantics shared by all implementations
 ///
@@ -204,6 +210,23 @@ impl<'a> RowBlock<'a> {
         })
     }
 
+    /// Row `i` of the block as a cursor over its cells.
+    ///
+    /// # Panics
+    ///
+    /// When `i` is not below [`RowBlock::len`] (a row-store block; a columnar
+    /// one panics at the first cell read).
+    #[inline]
+    pub fn row(&self, i: usize) -> RowRef<'a> {
+        match *self {
+            RowBlock::Tuples(tuples) => RowRef::Values(tuples[i].values()),
+            RowBlock::Columns { columns, first, .. } => RowRef::Columns {
+                columns,
+                row: first + i,
+            },
+        }
+    }
+
     /// Hand every row to `f` as a tuple until it returns `false`; returns
     /// whether the scan should go on. Rows of a columnar block are
     /// materialized one after the other into `scratch`, reusing its buffers.
@@ -218,6 +241,63 @@ impl<'a> RowBlock<'a> {
                 materialize_row(columns, row, scratch);
                 f(scratch)
             }),
+        }
+    }
+}
+
+/// One row, read a cell at a time from where it is stored: what
+/// [`RowBlock::row`] hands out, and what any `&[Value]` can be read as.
+#[derive(Debug, Clone, Copy)]
+pub enum RowRef<'a> {
+    /// The row's values, in schema order (a row-store tuple, or a row
+    /// someone already holds).
+    Values(&'a [Value]),
+    /// Row `row` of one columnar segment's chunks.
+    Columns {
+        /// One chunk per schema column.
+        columns: &'a [ColumnChunk],
+        /// The row's position within the chunks.
+        row: usize,
+    },
+}
+
+impl<'a> RowRef<'a> {
+    /// Number of columns.
+    pub fn arity(&self) -> usize {
+        match *self {
+            RowRef::Values(values) => values.len(),
+            RowRef::Columns { columns, .. } => columns.len(),
+        }
+    }
+
+    /// The value of column `col`: lent by a row that holds values, decoded
+    /// from its chunk (this one cell only) by a columnar row — exactly the
+    /// value the materialized tuple would hold there.
+    #[inline]
+    pub fn value(&self, col: usize) -> Cow<'a, Value> {
+        match *self {
+            RowRef::Values(values) => Cow::Borrowed(&values[col]),
+            RowRef::Columns { columns, row } => {
+                let mut value = Value::Null;
+                columns[col].read_into(row, &mut value);
+                Cow::Owned(value)
+            }
+        }
+    }
+
+    /// Column `col` as a feature vector, without copying it in either
+    /// layout; `None` when the cell is NULL or not a vector.
+    #[inline]
+    pub fn feature_view(&self, col: usize) -> Option<FeatureVectorRef<'a>> {
+        match *self {
+            RowRef::Values(values) => values[col].feature_view(),
+            RowRef::Columns { columns, row } => RowBlock::Columns {
+                columns,
+                first: row,
+                len: 1,
+            }
+            .features(col)?
+            .get(0),
         }
     }
 }

@@ -367,6 +367,52 @@ fn memory_budget_rejects_oversized_ctas_without_poisoning_the_session() {
 }
 
 #[test]
+fn memory_budget_charges_what_a_select_keeps_and_only_that() {
+    let mut session = SqlSession::with_seed(7);
+    session.register_table(data(500)).unwrap();
+    let handle = ModelHandle::new(ServingTask::LeastSquares, 4);
+    handle.publish(&[0.5, -0.25, 1.0, 2.0]).unwrap();
+    session.register_model_handle("m", handle);
+
+    // Room for 500 one-integer rows (a `Value` each), not for 500 rows that
+    // hold a 4-dim vector (a `Value` and 32 bytes for the vector alone).
+    let limit = 500 * std::mem::size_of::<Value>() * 5 / 4;
+    let guard = QueryGuard::new(QueryLimits::none().with_memory_limit(limit));
+    let mut run = |sql: &str| {
+        let result = session.execute_with(sql, &guard);
+        assert_eq!(guard.budget().reserved(), 0, "`{sql}` released its charge");
+        result
+    };
+
+    // The scan lends rows; only what is projected is kept and charged.
+    assert_eq!(run("SELECT id FROM gov").unwrap().len(), 500);
+    // An aggregate folds as the scan goes and keeps no row at all.
+    let positives = run("SELECT COUNT(*) FROM gov WHERE PREDICT('m', vec) > 0").unwrap();
+    assert!(positives.single_value().and_then(Value::as_int).unwrap() > 0);
+    // Grouping is charged per group: two groups fit, one group per row of
+    // (key, first-row value, output row) does not.
+    assert_eq!(
+        run("SELECT label, COUNT(*) FROM gov GROUP BY label")
+            .unwrap()
+            .len(),
+        2
+    );
+    for refused in [
+        "SELECT * FROM gov",
+        "SELECT vec FROM gov ORDER BY id",
+        "SELECT id, COUNT(*) FROM gov GROUP BY id",
+        "SELECT MIN(vec), id FROM gov GROUP BY id",
+    ] {
+        match run(refused) {
+            Err(SqlError::MemoryBudget(exceeded)) => assert_eq!(exceeded.limit, limit),
+            other => panic!("`{refused}`: expected MemoryBudget, got {other:?}"),
+        }
+    }
+    // MIN / MAX hold one value at a time, and give back the one they drop.
+    assert_eq!(run("SELECT MAX(vec), MIN(id) FROM gov").unwrap().len(), 1);
+}
+
+#[test]
 fn a_constant_insert_is_charged_row_by_row_and_polls_its_guard() {
     // 10 000 rows the parser reads as constants: their values are moved into
     // the rows, not evaluated — and must still be metered on the way.
