@@ -1,7 +1,8 @@
 //! Trainer-level checkpoint payload.
 //!
-//! The container (magic, version, checksum, atomic write) lives in
-//! [`bismarck_storage::checkpoint`]; this module defines what goes *inside*:
+//! The container is storage's whole-file frame
+//! ([`bismarck_storage::durable::frame`], written atomically); this module
+//! defines what goes *inside*:
 //! everything needed to continue a training run bit-compatibly with an
 //! uninterrupted one — the model vector, the epoch counter, the loss history
 //! seen so far (the convergence test consults it), the step-size backoff
@@ -16,8 +17,8 @@
 
 use std::path::Path;
 
-use bismarck_storage::checkpoint::{read_checkpoint, write_checkpoint, CheckpointError};
-use bismarck_storage::ScanOrder;
+use bismarck_storage::durable::{self, FileKind};
+use bismarck_storage::{Reader, ScanOrder, StorageError};
 
 use crate::stepsize::StepSizeSchedule;
 
@@ -43,65 +44,12 @@ pub struct TrainingCheckpoint {
     pub step_size: StepSizeSchedule,
 }
 
-/// Incremental little-endian reader over a checkpoint payload.
-struct Reader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
+fn corrupt(msg: String) -> StorageError {
+    StorageError::Corrupt(format!("checkpoint: {msg}"))
 }
 
-impl<'a> Reader<'a> {
-    fn new(bytes: &'a [u8]) -> Self {
-        Reader { bytes, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], CheckpointError> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&end| end <= self.bytes.len())
-            .ok_or(CheckpointError::Truncated)?;
-        let slice = &self.bytes[self.pos..end];
-        self.pos = end;
-        Ok(slice)
-    }
-
-    fn u8(&mut self) -> Result<u8, CheckpointError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, CheckpointError> {
-        Ok(u32::from_le_bytes(
-            self.take(4)?.try_into().expect("4 bytes"),
-        ))
-    }
-
-    fn u64(&mut self) -> Result<u64, CheckpointError> {
-        Ok(u64::from_le_bytes(
-            self.take(8)?.try_into().expect("8 bytes"),
-        ))
-    }
-
-    fn f64(&mut self) -> Result<f64, CheckpointError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    fn f64_vec(&mut self) -> Result<Vec<f64>, CheckpointError> {
-        let len = self.u64()? as usize;
-        // Guard against a length field larger than the remaining payload so
-        // a corrupt file cannot request an absurd allocation.
-        if len > self.bytes.len().saturating_sub(self.pos) / 8 {
-            return Err(CheckpointError::Truncated);
-        }
-        (0..len).map(|_| self.f64()).collect()
-    }
-
-    fn finish(self) -> Result<(), CheckpointError> {
-        if self.pos == self.bytes.len() {
-            Ok(())
-        } else {
-            Err(CheckpointError::Corrupt("trailing bytes in payload".into()))
-        }
-    }
+fn read_f64_vec(r: &mut Reader<'_>) -> Result<Vec<f64>, StorageError> {
+    (0..r.len_prefix(8)?).map(|_| r.f64()).collect()
 }
 
 fn push_f64_vec(out: &mut Vec<u8>, values: &[f64]) {
@@ -121,16 +69,14 @@ fn encode_scan_order(out: &mut Vec<u8>, order: ScanOrder) {
     out.extend_from_slice(&seed.to_le_bytes());
 }
 
-fn decode_scan_order(r: &mut Reader<'_>) -> Result<ScanOrder, CheckpointError> {
+fn decode_scan_order(r: &mut Reader<'_>) -> Result<ScanOrder, StorageError> {
     let tag = r.u8()?;
     let seed = r.u64()?;
     match tag {
         0 => Ok(ScanOrder::Clustered),
         1 => Ok(ScanOrder::ShuffleOnce { seed }),
         2 => Ok(ScanOrder::ShuffleAlways { seed }),
-        other => Err(CheckpointError::Corrupt(format!(
-            "unknown scan-order tag {other}"
-        ))),
+        other => Err(corrupt(format!("unknown scan-order tag {other}"))),
     }
 }
 
@@ -145,7 +91,7 @@ fn encode_step_size(out: &mut Vec<u8>, schedule: StepSizeSchedule) {
     out.extend_from_slice(&b.to_bits().to_le_bytes());
 }
 
-fn decode_step_size(r: &mut Reader<'_>) -> Result<StepSizeSchedule, CheckpointError> {
+fn decode_step_size(r: &mut Reader<'_>) -> Result<StepSizeSchedule, StorageError> {
     let tag = r.u8()?;
     let a = r.f64()?;
     let b = r.f64()?;
@@ -156,9 +102,7 @@ fn decode_step_size(r: &mut Reader<'_>) -> Result<StepSizeSchedule, CheckpointEr
             initial: a,
             decay: b,
         }),
-        other => Err(CheckpointError::Corrupt(format!(
-            "unknown step-size tag {other}"
-        ))),
+        other => Err(corrupt(format!("unknown step-size tag {other}"))),
     }
 }
 
@@ -179,19 +123,19 @@ impl TrainingCheckpoint {
     }
 
     /// Decode a checkpoint payload (the inverse of [`Self::to_payload`]).
-    pub fn from_payload(bytes: &[u8]) -> Result<Self, CheckpointError> {
+    pub fn from_payload(bytes: &[u8]) -> Result<Self, StorageError> {
         let mut r = Reader::new(bytes);
         let name_len = r.u32()? as usize;
         let task_name = std::str::from_utf8(r.take(name_len)?)
-            .map_err(|_| CheckpointError::Corrupt("task name is not UTF-8".into()))?
+            .map_err(|_| corrupt("task name is not UTF-8".into()))?
             .to_string();
         let next_epoch = r.u64()? as usize;
         let alpha_scale = r.f64()?;
         let retries_used = r.u32()?;
         let scan_order = decode_scan_order(&mut r)?;
         let step_size = decode_step_size(&mut r)?;
-        let model = r.f64_vec()?;
-        let losses = r.f64_vec()?;
+        let model = read_f64_vec(&mut r)?;
+        let losses = read_f64_vec(&mut r)?;
         r.finish()?;
         let checkpoint = TrainingCheckpoint {
             task_name,
@@ -204,7 +148,7 @@ impl TrainingCheckpoint {
             step_size,
         };
         if checkpoint.losses.len() != checkpoint.next_epoch {
-            return Err(CheckpointError::Corrupt(format!(
+            return Err(corrupt(format!(
                 "{} losses recorded for {} completed epochs",
                 checkpoint.losses.len(),
                 checkpoint.next_epoch
@@ -213,14 +157,18 @@ impl TrainingCheckpoint {
         Ok(checkpoint)
     }
 
-    /// Write this checkpoint atomically to `path`.
-    pub fn write(&self, path: &Path) -> Result<(), CheckpointError> {
-        write_checkpoint(path, &self.to_payload())
+    /// Write this checkpoint atomically and durably to `path`.
+    pub fn write(&self, path: &Path) -> Result<(), StorageError> {
+        durable::write_framed(path, FileKind::Checkpoint, &self.to_payload()).map(|_| ())
     }
 
-    /// Read and validate a checkpoint from `path`.
-    pub fn read(path: &Path) -> Result<Self, CheckpointError> {
-        Self::from_payload(&read_checkpoint(path)?)
+    /// Read and validate a checkpoint from `path`: a missing or unreadable
+    /// file is [`StorageError::Io`], anything wrong with its bytes
+    /// [`StorageError::Corrupt`].
+    pub fn read(path: &Path) -> Result<Self, StorageError> {
+        let bytes = durable::read_file(path)
+            .map_err(|e| StorageError::Io(format!("read {}: {e}", path.display())))?;
+        Self::from_payload(durable::unframe(FileKind::Checkpoint, &bytes)?.1)
     }
 }
 
@@ -262,7 +210,7 @@ mod tests {
     }
 
     #[test]
-    fn file_round_trip() {
+    fn file_round_trips_and_rejects_an_extended_or_missing_file() {
         let mut path = std::env::temp_dir();
         path.push(format!("bismarck-core-ckpt-{}.ckpt", std::process::id()));
         let cp = sample();
@@ -270,7 +218,22 @@ mod tests {
         let back = TrainingCheckpoint::read(&path).unwrap();
         assert_eq!(back.model, cp.model);
         assert_eq!(back.next_epoch, 3);
-        std::fs::remove_file(&path).ok();
+
+        // The frame is exact: version 1's reader accepted anything after
+        // the checksum.
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes.push(0);
+        std::fs::write(&path, &bytes).unwrap();
+        assert!(matches!(
+            TrainingCheckpoint::read(&path),
+            Err(StorageError::Corrupt(_))
+        ));
+
+        std::fs::remove_file(&path).unwrap();
+        assert!(matches!(
+            TrainingCheckpoint::read(&path),
+            Err(StorageError::Io(_))
+        ));
     }
 
     #[test]
@@ -290,7 +253,7 @@ mod tests {
         payload.push(0xFF);
         assert!(matches!(
             TrainingCheckpoint::from_payload(&payload),
-            Err(CheckpointError::Corrupt(_))
+            Err(StorageError::Corrupt(_))
         ));
 
         let mut cp = sample();
@@ -298,7 +261,7 @@ mod tests {
         cp.next_epoch = 3; // now inconsistent with 2 losses
         assert!(matches!(
             TrainingCheckpoint::from_payload(&cp.to_payload()),
-            Err(CheckpointError::Corrupt(_))
+            Err(StorageError::Corrupt(_))
         ));
     }
 }

@@ -7,7 +7,7 @@
 //! carries the last model known to be healthy, so callers can degrade
 //! gracefully instead of losing all progress.
 
-use bismarck_storage::CheckpointError;
+use bismarck_storage::StorageError;
 
 use crate::serving::PublishError;
 use crate::trainer::TrainedModel;
@@ -42,8 +42,10 @@ pub enum TrainError {
         /// Model and history as of the last healthy epoch.
         last_good: Box<TrainedModel>,
     },
-    /// A checkpoint could not be written or read back.
-    Checkpoint(CheckpointError),
+    /// A checkpoint could not be written or read back:
+    /// [`StorageError::Io`] for the filesystem, [`StorageError::Corrupt`] for
+    /// a file that is damaged or belongs to a different run.
+    Checkpoint(StorageError),
     /// The serving handle configured via
     /// [`crate::trainer::TrainerConfig::with_serving`] cannot accept this
     /// run's models (its dimension differs from the task's). Detected before
@@ -108,7 +110,7 @@ impl std::fmt::Display for TrainError {
                 f,
                 "training diverged at epoch {epoch} after {retries} step-size backoff(s)"
             ),
-            TrainError::Checkpoint(e) => write!(f, "{e}"),
+            TrainError::Checkpoint(e) => write!(f, "training checkpoint: {e}"),
             TrainError::Serving(e) => write!(f, "serving handle rejected the run: {e}"),
             TrainError::Interrupted { epoch, .. } => {
                 write!(f, "training interrupted before epoch {epoch}")
@@ -133,8 +135,8 @@ impl From<PublishError> for TrainError {
     }
 }
 
-impl From<CheckpointError> for TrainError {
-    fn from(e: CheckpointError) -> Self {
+impl From<StorageError> for TrainError {
+    fn from(e: StorageError) -> Self {
         TrainError::Checkpoint(e)
     }
 }
@@ -163,7 +165,7 @@ mod tests {
         assert_eq!(err.last_good().unwrap().model, vec![1.0, 2.0]);
         assert_eq!(err.into_last_good().unwrap().model, vec![1.0, 2.0]);
 
-        let err = TrainError::Checkpoint(CheckpointError::BadMagic);
+        let err = TrainError::Checkpoint(StorageError::Corrupt("bad magic".into()));
         assert_eq!(err.epoch(), None);
         assert!(err.last_good().is_none());
         assert!(err.into_last_good().is_none());

@@ -32,6 +32,9 @@
 //! * [`frontend`] — `SVMTrain`-style entry points that read a training table
 //!   from a [`bismarck_storage::Database`] and persist the model back as a
 //!   table, mimicking the MADlib-style SQL interface of Section 2.1;
+//! * [`checkpoint`] — the resumable state of a run ([`TrainingCheckpoint`]),
+//!   written in storage's one whole-file frame and picked back up by
+//!   `resume_from`;
 //! * [`serving`] — the concurrent read path: epoch-versioned model
 //!   snapshots published by the trainers ([`TrainerConfig::with_serving`])
 //!   and batched prediction against them while training runs;
@@ -43,7 +46,6 @@
 
 pub mod checkpoint;
 pub mod error;
-pub mod evaluation;
 #[cfg(feature = "fault-injection")]
 pub mod fault;
 pub mod frontend;

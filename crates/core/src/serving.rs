@@ -12,16 +12,17 @@
 //!
 //! # Publication protocol
 //!
-//! The handle keeps **two** snapshot slots and an atomic index saying which
-//! one is live. A publish writes the new `Arc<ModelSnapshot>` into the
-//! *inactive* slot, flips the index, then advances the published-version
-//! counter; readers therefore never wait on an in-progress publish — the
-//! slot they read is by construction not the one being written. The per-slot
-//! mutex guards nothing but the `Arc` pointer swap (a few instructions), and
-//! a reader that catches a torn view of the index (seeing the version
-//! counter advance past the slot it just read) simply retries, which
-//! guarantees each reader observes **monotonically non-decreasing
-//! versions**.
+//! The handle is one lock around one `Arc<ModelSnapshot>`. A publish copies
+//! the weights before taking the lock and swaps the pointer under it; a
+//! reader clones the pointer under it. The lock therefore guards a few
+//! instructions on either side — never a copy of the weights, never a dot
+//! product — and the previous snapshot is dropped after the guard, so freeing
+//! a model never happens inside it either. Versions are assigned under the
+//! same lock, which makes them strictly increasing in publication order, so
+//! each reader observes **monotonically non-decreasing versions**. (A
+//! double-buffered handle — two slots, an atomic index, a retry loop — was
+//! measured against this one on `serve_during_train` and showed no advantage;
+//! see ROADMAP.)
 //!
 //! Only finite models can be published: [`ModelHandle::publish`] rejects any
 //! weight vector containing a NaN or infinity, and the trainers only publish
@@ -47,7 +48,6 @@
 //! assert!(probs.iter().all(|p| (0.0..=1.0).contains(p)));
 //! ```
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use bismarck_linalg::{sigmoid, FeatureVectorRef};
@@ -226,31 +226,20 @@ impl std::fmt::Display for PublishError {
 
 impl std::error::Error for PublishError {}
 
-/// The slots-plus-index state shared by all clones of a handle.
+/// The state shared by all clones of a handle.
 #[derive(Debug)]
 struct HandleShared {
     task: ServingTask,
     dimension: usize,
-    /// Version of the most recently *completed* publish. Stored with
-    /// `Release` after the active-slot flip, so a reader that observes
-    /// version `v` is guaranteed to find a snapshot with version `>= v`
-    /// behind the active index.
-    version: AtomicU64,
-    /// Index of the live slot (0 or 1).
-    active: AtomicUsize,
-    /// Double-buffered snapshots: publishes write the inactive slot, so a
-    /// reader never waits on a publish in progress.
-    slots: [Mutex<Arc<ModelSnapshot>>; 2],
-    /// Serializes writers (multiple publishers would otherwise race the
-    /// read-modify-write of `active`/`version`). Readers never take this.
-    publish: Mutex<()>,
+    /// The served snapshot; its `version` is the handle's version.
+    current: Mutex<Arc<ModelSnapshot>>,
 }
 
 /// The publication point connecting one trainer to any number of prediction
 /// readers.
 ///
 /// Cloning a handle is cheap (an `Arc` clone) and every clone addresses the
-/// same underlying slots: hand one clone to
+/// same served snapshot: hand one clone to
 /// [`crate::TrainerConfig::with_serving`] and keep others on the serving
 /// threads. See the [module docs](self) for the publication protocol and its
 /// guarantees.
@@ -264,21 +253,7 @@ impl ModelHandle {
     /// (predictions are well-defined before the first publish: a zero model
     /// scores every vector as 0).
     pub fn new(task: ServingTask, dimension: usize) -> Self {
-        let initial = Arc::new(ModelSnapshot {
-            version: 0,
-            task,
-            store: DenseModelStore::zeros(dimension),
-        });
-        ModelHandle {
-            shared: Arc::new(HandleShared {
-                task,
-                dimension,
-                version: AtomicU64::new(0),
-                active: AtomicUsize::new(0),
-                slots: [Mutex::new(Arc::clone(&initial)), Mutex::new(initial)],
-                publish: Mutex::new(()),
-            }),
-        }
+        Self::serving(task, DenseModelStore::zeros(dimension))
     }
 
     /// A handle whose version-0 snapshot is `initial` (e.g. a task's
@@ -288,22 +263,21 @@ impl ModelHandle {
         if !initial.iter().all(|v| v.is_finite()) {
             return Err(PublishError::NonFinite);
         }
-        let dimension = initial.len();
-        let snapshot = Arc::new(ModelSnapshot {
-            version: 0,
-            task,
-            store: DenseModelStore::new(initial),
-        });
-        Ok(ModelHandle {
+        Ok(Self::serving(task, DenseModelStore::new(initial)))
+    }
+
+    fn serving(task: ServingTask, store: DenseModelStore) -> Self {
+        ModelHandle {
             shared: Arc::new(HandleShared {
                 task,
-                dimension,
-                version: AtomicU64::new(0),
-                active: AtomicUsize::new(0),
-                slots: [Mutex::new(Arc::clone(&snapshot)), Mutex::new(snapshot)],
-                publish: Mutex::new(()),
+                dimension: store.len(),
+                current: Mutex::new(Arc::new(ModelSnapshot {
+                    version: 0,
+                    task,
+                    store,
+                })),
             }),
-        })
+        }
     }
 
     /// The task family this handle serves.
@@ -319,7 +293,7 @@ impl ModelHandle {
     /// Version of the most recently published snapshot (0 until the first
     /// publish).
     pub fn version(&self) -> u64 {
-        self.shared.version.load(Ordering::Acquire)
+        self.shared.current.lock().version
     }
 
     /// Publish a new model, returning its version.
@@ -339,38 +313,27 @@ impl ModelHandle {
         if !weights.iter().all(|v| v.is_finite()) {
             return Err(PublishError::NonFinite);
         }
-        let _writer = self.shared.publish.lock();
-        let version = self.shared.version.load(Ordering::Relaxed) + 1;
+        // The copy of the weights is made before the lock is taken, and the
+        // previous snapshot is freed (if this was its last reference) after
+        // it is released: the guard covers the version read and the swap.
+        let store = DenseModelStore::new(weights.to_vec());
+        let mut current = self.shared.current.lock();
+        let version = current.version + 1;
         let snapshot = Arc::new(ModelSnapshot {
             version,
             task: self.shared.task,
-            store: DenseModelStore::new(weights.to_vec()),
+            store,
         });
-        // Write the inactive slot, flip, then advance the version counter.
-        // The Release store on `version` orders both prior writes, so a
-        // reader acquiring version v also sees the flip that published v.
-        let inactive = 1 - self.shared.active.load(Ordering::Relaxed);
-        *self.shared.slots[inactive].lock() = snapshot;
-        self.shared.active.store(inactive, Ordering::Release);
-        self.shared.version.store(version, Ordering::Release);
+        let previous = std::mem::replace(&mut *current, snapshot);
+        drop(current);
+        drop(previous);
         Ok(version)
     }
 
-    /// Acquire the latest published snapshot.
-    ///
-    /// Never blocks on a publish in progress (publishes write the slot this
-    /// call is *not* reading). Retries on the narrow race where the active
-    /// index is observed before a concurrent flip completes, which makes the
-    /// versions observed by any single reader monotonically non-decreasing.
+    /// Acquire the latest published snapshot: one pointer clone under the
+    /// handle's lock.
     pub fn snapshot(&self) -> Arc<ModelSnapshot> {
-        loop {
-            let version = self.shared.version.load(Ordering::Acquire);
-            let active = self.shared.active.load(Ordering::Acquire);
-            let snapshot = Arc::clone(&self.shared.slots[active].lock());
-            if snapshot.version >= version {
-                return snapshot;
-            }
-        }
+        Arc::clone(&self.shared.current.lock())
     }
 
     /// Score a batch of feature vectors against one consistent snapshot,

@@ -44,9 +44,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use bismarck_storage::checkpoint::CheckpointError;
 use bismarck_storage::durable::parent_dir;
-use bismarck_storage::{ReservoirSampler, ScanOrder, Tuple, TupleScan};
+use bismarck_storage::{ReservoirSampler, ScanOrder, StorageError, Tuple, TupleScan};
 use bismarck_uda::{
     panic_message, run_sequential_while, scan_blocks_while, ConvergenceTest, EpochOutcome,
     EpochRecord, EpochRunner, TrainingHistory,
@@ -113,7 +112,7 @@ impl CheckpointPolicy {
     }
 
     /// Write `checkpoint` as the newest checkpoint, then apply retention.
-    pub(crate) fn write(&self, checkpoint: &TrainingCheckpoint) -> Result<(), CheckpointError> {
+    pub(crate) fn write(&self, checkpoint: &TrainingCheckpoint) -> Result<(), StorageError> {
         checkpoint.write(&self.path)?;
         if self.keep > 1 {
             checkpoint.write(&generation_path(&self.path, checkpoint.next_epoch))?;
@@ -504,7 +503,7 @@ impl<'a, T: IgdTask> Trainer<'a, T> {
     ///
     /// The checkpoint must match this trainer: same task name, model
     /// dimension, scan order and step-size schedule; a mismatch reports
-    /// [`CheckpointError::Corrupt`] via [`TrainError::Checkpoint`].
+    /// [`StorageError::Corrupt`] via [`TrainError::Checkpoint`].
     pub fn resume_from<S: TupleScan + ?Sized>(
         &self,
         data: &S,
@@ -776,7 +775,7 @@ pub(crate) fn load_checkpoint<T: IgdTask>(
     path: &Path,
 ) -> Result<TrainingCheckpoint, TrainError> {
     let checkpoint = TrainingCheckpoint::read(path)?;
-    let corrupt = |msg: String| Err(TrainError::Checkpoint(CheckpointError::Corrupt(msg)));
+    let corrupt = |msg: String| Err(TrainError::Checkpoint(StorageError::Corrupt(msg)));
     if checkpoint.task_name != task.name() {
         return corrupt(format!(
             "checkpoint is for task '{}', trainer runs '{}'",
@@ -817,12 +816,12 @@ pub(crate) enum EpochAbort {
     Diverged {
         retries: u32,
     },
-    Checkpoint(CheckpointError),
+    Checkpoint(StorageError),
     Interrupted,
 }
 
-impl From<CheckpointError> for EpochAbort {
-    fn from(e: CheckpointError) -> Self {
+impl From<StorageError> for EpochAbort {
+    fn from(e: StorageError) -> Self {
         EpochAbort::Checkpoint(e)
     }
 }

@@ -458,36 +458,6 @@ impl ColumnChunk {
         }
     }
 
-    /// Approximate in-memory footprint in bytes.
-    pub fn approx_bytes(&self) -> usize {
-        let bitmap = |v: &ValidityBitmap| v.len().div_ceil(64) * 8;
-        match self {
-            ColumnChunk::Int { data, validity } => data.len() * 8 + bitmap(validity),
-            ColumnChunk::Double {
-                data,
-                validity,
-                int_rows,
-            } => data.len() * 8 + int_rows.len() * 12 + bitmap(validity),
-            ColumnChunk::Text {
-                bytes,
-                offsets,
-                validity,
-            } => bytes.len() + offsets.len() * 4 + bitmap(validity),
-            ColumnChunk::Dense {
-                data,
-                offsets,
-                validity,
-            } => data.len() * 8 + offsets.len() * 4 + bitmap(validity),
-            ColumnChunk::Sparse {
-                indices,
-                values,
-                offsets,
-                validity,
-            } => indices.len() * 4 + values.len() * 8 + offsets.len() * 4 + bitmap(validity),
-            ColumnChunk::Sequence { rows } => rows.iter().map(Value::approx_bytes).sum(),
-        }
-    }
-
     /// Append this chunk's binary encoding (tag, row count, layout payload).
     pub(crate) fn encode(&self, out: &mut Vec<u8>) {
         match self {

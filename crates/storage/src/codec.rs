@@ -14,8 +14,11 @@ use crate::error::StorageError;
 use crate::schema::{Column, DataType, Schema};
 use crate::value::Value;
 
-/// Incremental little-endian reader with bounds-checked primitives.
-pub(crate) struct Reader<'a> {
+/// Incremental little-endian reader with bounds-checked primitives: the one
+/// decoder every durable payload (WAL records, snapshots, segments, training
+/// checkpoints) is read with. Running off the end of the input, or a length
+/// prefix larger than what is left, is [`StorageError::Corrupt`].
+pub struct Reader<'a> {
     bytes: &'a [u8],
     pos: usize,
 }
@@ -26,16 +29,17 @@ fn corrupt(msg: impl Into<String>) -> StorageError {
 
 impl<'a> Reader<'a> {
     /// Read from the start of `bytes`.
-    pub(crate) fn new(bytes: &'a [u8]) -> Self {
+    pub fn new(bytes: &'a [u8]) -> Self {
         Reader { bytes, pos: 0 }
     }
 
     /// Bytes not yet consumed.
-    pub(crate) fn remaining(&self) -> usize {
+    pub fn remaining(&self) -> usize {
         self.bytes.len() - self.pos
     }
 
-    pub(crate) fn take(&mut self, n: usize) -> Result<&'a [u8], StorageError> {
+    /// The next `n` bytes.
+    pub fn take(&mut self, n: usize) -> Result<&'a [u8], StorageError> {
         let end = self
             .pos
             .checked_add(n)
@@ -46,29 +50,34 @@ impl<'a> Reader<'a> {
         Ok(slice)
     }
 
-    pub(crate) fn u8(&mut self) -> Result<u8, StorageError> {
+    /// The next byte.
+    pub fn u8(&mut self) -> Result<u8, StorageError> {
         Ok(self.take(1)?[0])
     }
 
-    pub(crate) fn u32(&mut self) -> Result<u32, StorageError> {
+    /// The next 4 bytes as a `u32`.
+    pub fn u32(&mut self) -> Result<u32, StorageError> {
         Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4B")))
     }
 
-    pub(crate) fn u64(&mut self) -> Result<u64, StorageError> {
+    /// The next 8 bytes as a `u64`.
+    pub fn u64(&mut self) -> Result<u64, StorageError> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8B")))
     }
 
-    pub(crate) fn i64(&mut self) -> Result<i64, StorageError> {
+    /// The next 8 bytes as an `i64`.
+    pub fn i64(&mut self) -> Result<i64, StorageError> {
         Ok(i64::from_le_bytes(self.take(8)?.try_into().expect("8B")))
     }
 
-    pub(crate) fn f64(&mut self) -> Result<f64, StorageError> {
+    /// The next 8 bytes as the bit pattern of an `f64` (NaNs survive).
+    pub fn f64(&mut self) -> Result<f64, StorageError> {
         Ok(f64::from_bits(self.u64()?))
     }
 
     /// A `u64` length prefix, validated against the remaining input assuming
     /// each counted element occupies at least `min_element_bytes`.
-    pub(crate) fn len_prefix(&mut self, min_element_bytes: usize) -> Result<usize, StorageError> {
+    pub fn len_prefix(&mut self, min_element_bytes: usize) -> Result<usize, StorageError> {
         let len = self.u64()? as usize;
         if len > self.remaining() / min_element_bytes.max(1) {
             return Err(corrupt(format!(
@@ -79,7 +88,8 @@ impl<'a> Reader<'a> {
         Ok(len)
     }
 
-    pub(crate) fn string(&mut self) -> Result<String, StorageError> {
+    /// A `u64` length prefix and that many bytes of UTF-8.
+    pub fn string(&mut self) -> Result<String, StorageError> {
         let len = self.len_prefix(1)?;
         std::str::from_utf8(self.take(len)?)
             .map(str::to_string)
@@ -87,7 +97,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Error unless the whole input was consumed.
-    pub(crate) fn finish(self) -> Result<(), StorageError> {
+    pub fn finish(self) -> Result<(), StorageError> {
         if self.pos == self.bytes.len() {
             Ok(())
         } else {

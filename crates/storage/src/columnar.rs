@@ -113,11 +113,6 @@ impl Segment {
         Ok(prefix)
     }
 
-    /// Approximate in-memory footprint in bytes.
-    pub fn approx_bytes(&self) -> usize {
-        self.columns.iter().map(ColumnChunk::approx_bytes).sum()
-    }
-
     /// Append the segment's binary encoding (row count, then each chunk).
     pub(crate) fn encode(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&(self.rows as u64).to_le_bytes());
@@ -431,16 +426,6 @@ impl ColumnarTable {
             self.open.read_row_into(off, &mut tuple);
         }
         Ok(tuple)
-    }
-
-    /// Total approximate size of the resident data in bytes. For paged
-    /// tables this counts only the open segment (sealed data lives on disk).
-    pub fn approx_bytes(&self) -> usize {
-        let sealed: usize = match &self.backing {
-            Backing::Memory(segments) => segments.iter().map(|s| s.approx_bytes()).sum(),
-            Backing::Paged { .. } => 0,
-        };
-        sealed + self.open.approx_bytes()
     }
 
     /// The one segment walk: rows `start..end` (clamped) in storage order as

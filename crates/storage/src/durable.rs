@@ -1,7 +1,9 @@
-//! The atomic write protocol and its fault-injection hooks.
+//! The atomic write protocol, the whole-file frame, and the fault-injection
+//! hooks under both.
 //!
 //! Everything the durability subsystem puts on disk — catalog snapshots,
-//! training checkpoints, WAL resets — goes through one protocol:
+//! training checkpoints, paged segments and manifests, WAL resets — goes
+//! through one protocol:
 //!
 //! 1. write the full payload to `<path>.tmp` in the same directory,
 //! 2. `fsync` the temp file so the *data* is durable,
@@ -17,10 +19,19 @@
 //! `fault` hooks (compiled only under the `fault-injection` feature), so a
 //! test can fail, short-write, or "crash" the process at any byte boundary
 //! and then prove that recovery restores a consistent state.
+//!
+//! Every file replaced as a whole is one **frame** ([`frame`] / [`unframe`],
+//! layout in `docs/disk-format.md`): magic, format version, payload length,
+//! payload, [`checksum64`] of the payload. This module is the only place that
+//! knows that layout, and the only place that still reads the layouts older
+//! commits wrote. The WAL is a log, not a whole file: it keeps its own record
+//! frame in [`crate::wal`].
 
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Read as _, Write as _};
 use std::path::Path;
+
+use crate::error::StorageError;
 
 /// Fault-injection hooks for the durability layer.
 ///
@@ -281,7 +292,7 @@ fn le_word(bytes: &[u8]) -> u64 {
 }
 
 /// 64-bit checksum of `bytes` at memory bandwidth: the checksum of every
-/// paged-table file (frame version 2, see `docs/disk-format.md`).
+/// [`frame`] (see `docs/disk-format.md`).
 ///
 /// The input is read as little-endian 8-byte words. Whole 32-byte stripes
 /// feed four independent lanes (word `i` of a stripe goes to lane `i`), so
@@ -313,6 +324,145 @@ pub fn checksum64(bytes: &[u8]) -> u64 {
     state ^= state >> 29;
     state = state.wrapping_mul(CHECKSUM_FINAL_MUL);
     state ^ (state >> 32)
+}
+
+/// FNV-1a 64: the checksum of a WAL record, and of the whole-file layouts
+/// written before [`checksum64`] (still read by [`unframe`], never written).
+/// One byte per dependent multiply, so it runs far below memory bandwidth.
+pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
+    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+    const PRIME: u64 = 0x0000_0100_0000_01b3;
+    let mut hash = OFFSET;
+    for &b in bytes {
+        hash ^= b as u64;
+        hash = hash.wrapping_mul(PRIME);
+    }
+    hash
+}
+
+/// The file families written as one whole-file frame.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FileKind {
+    /// A segment of a paged columnar table (`seg-NNNNNN.col`).
+    Segment,
+    /// The manifest of a paged columnar table (`columnar.meta`).
+    Manifest,
+    /// A catalog snapshot (`catalog.snap`).
+    Snapshot,
+    /// A training checkpoint.
+    Checkpoint,
+}
+
+/// Where a `(magic, version)` pair keeps its version, length and checksum.
+struct Layout {
+    /// Width of the version field after the magic: `u8`, or a `u32` whose
+    /// upper three bytes are zero.
+    version_bytes: usize,
+    /// Whether a `u64` payload length follows the version.
+    length_field: bool,
+    checksum: fn(&[u8]) -> u64,
+}
+
+/// The layout written today, whatever the family.
+const FRAME: Layout = Layout {
+    version_bytes: 1,
+    length_field: true,
+    checksum: checksum64,
+};
+
+impl FileKind {
+    /// The family's magic, the version [`frame`] writes, and its name in
+    /// error messages.
+    const fn header(self) -> ([u8; 4], u8, &'static str) {
+        match self {
+            FileKind::Segment => (*b"BSEG", 2, "columnar segment"),
+            FileKind::Manifest => (*b"BCOL", 2, "columnar manifest"),
+            FileKind::Snapshot => (*b"BSNP", 3, "snapshot"),
+            FileKind::Checkpoint => (*b"BMCK", 2, "checkpoint"),
+        }
+    }
+
+    /// The layout of `version` of this family; `None` for a version no
+    /// commit wrote. Everything but [`FRAME`] is legacy and read-only.
+    fn layout(self, version: u8) -> Option<Layout> {
+        if version == self.header().1 {
+            return Some(FRAME);
+        }
+        let (version_bytes, length_field) = match (self, version) {
+            // The frame, before `checksum64`.
+            (FileKind::Segment | FileKind::Manifest, 1) => (1, true),
+            // Version 1 predates the per-table layout byte; neither has a length.
+            (FileKind::Snapshot, 1 | 2) => (4, false),
+            (FileKind::Checkpoint, 1) => (4, true),
+            _ => return None,
+        };
+        Some(Layout {
+            version_bytes,
+            length_field,
+            checksum: fnv1a64,
+        })
+    }
+}
+
+/// Frame `payload` as a file of `kind`: magic, the family's current version
+/// (`u8`), payload length (`u64`), payload, [`checksum64`] of the payload.
+pub fn frame(kind: FileKind, payload: &[u8]) -> Vec<u8> {
+    let (magic, version, _) = kind.header();
+    let mut bytes = Vec::with_capacity(payload.len() + 4 + 1 + 8 + 8);
+    bytes.extend_from_slice(&magic);
+    bytes.push(version);
+    bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+    bytes.extend_from_slice(payload);
+    bytes.extend_from_slice(&checksum64(payload).to_le_bytes());
+    bytes
+}
+
+/// Validate a file of `kind` — magic, version, exact length, then the
+/// checksum of the whole payload — and return its version and payload. Any
+/// mismatch is [`StorageError::Corrupt`]: these files are replaced
+/// atomically, so no crash explains a partial one.
+pub fn unframe(kind: FileKind, bytes: &[u8]) -> Result<(u8, &[u8]), StorageError> {
+    let (magic, _, what) = kind.header();
+    let corrupt = |msg: String| StorageError::Corrupt(format!("{what}: {msg}"));
+    if bytes.len() < 5 || bytes[..4] != magic {
+        return Err(corrupt("bad or missing header".into()));
+    }
+    let version = bytes[4];
+    let Some(layout) = kind.layout(version) else {
+        return Err(corrupt(format!("unsupported format version {version}")));
+    };
+    let length_at = 4 + layout.version_bytes;
+    let payload_at = length_at + if layout.length_field { 8 } else { 0 };
+    let Some(payload_len) = bytes.len().checked_sub(payload_at + 8) else {
+        return Err(corrupt("file is shorter than its header".into()));
+    };
+    if bytes[5..length_at].iter().any(|&b| b != 0) {
+        return Err(corrupt("unsupported format version".into()));
+    }
+    if layout.length_field {
+        let len = u64::from_le_bytes(bytes[length_at..payload_at].try_into().expect("8B"));
+        // The length field is unchecked input: compare without adding to it.
+        if u64::try_from(payload_len) != Ok(len) {
+            return Err(corrupt(format!(
+                "payload length {len} does not match file size {}",
+                bytes.len()
+            )));
+        }
+    }
+    let (payload, stored) = bytes[payload_at..].split_at(payload_len);
+    if (layout.checksum)(payload) != u64::from_le_bytes(stored.try_into().expect("8B")) {
+        return Err(corrupt("checksum mismatch".into()));
+    }
+    Ok((version, payload))
+}
+
+/// Frame `payload` and atomically, durably replace the file at `path` with
+/// it ([`atomic_write`]). Returns the length of the file written.
+pub fn write_framed(path: &Path, kind: FileKind, payload: &[u8]) -> Result<u64, StorageError> {
+    let bytes = frame(kind, payload);
+    atomic_write(path, &bytes)
+        .map_err(|e| StorageError::Io(format!("write {}: {e}", path.display())))?;
+    Ok(bytes.len() as u64)
 }
 
 #[cfg(test)]
@@ -391,6 +541,148 @@ mod tests {
         assert_eq!(checksum64(&pattern(32)), 0x7FA1_5384_FD30_B06C);
         assert_eq!(checksum64(&pattern(33)), 0x0B80_468D_9217_F8EA);
         assert_eq!(checksum64(&pattern(1 << 20)), 0x34EF_EBF3_D1BB_90C9);
+    }
+
+    const KINDS: [FileKind; 4] = [
+        FileKind::Segment,
+        FileKind::Manifest,
+        FileKind::Snapshot,
+        FileKind::Checkpoint,
+    ];
+
+    #[test]
+    fn frame_round_trips_through_a_file_and_names_its_version() {
+        let dir = temp_dir("frame");
+        let path = dir.join("framed.bin");
+        for kind in KINDS {
+            for payload in [&b""[..], b"payload", &pattern(1000)] {
+                let len = write_framed(&path, kind, payload).unwrap();
+                let bytes = read_file(&path).unwrap();
+                assert_eq!(bytes.len() as u64, len);
+                assert_eq!(bytes, frame(kind, payload));
+                assert_eq!(unframe(kind, &bytes).unwrap(), (kind.header().1, payload));
+            }
+        }
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_file_of_another_family_or_an_unknown_version_is_corrupt() {
+        let bytes = frame(FileKind::Checkpoint, b"data");
+        for kind in [FileKind::Segment, FileKind::Manifest, FileKind::Snapshot] {
+            assert!(matches!(
+                unframe(kind, &bytes),
+                Err(StorageError::Corrupt(_))
+            ));
+        }
+        for kind in KINDS {
+            let mut bytes = frame(kind, b"data");
+            bytes[4] = 99;
+            let err = unframe(kind, &bytes).unwrap_err();
+            assert!(err.to_string().contains("version 99"), "{err}");
+        }
+    }
+
+    #[test]
+    fn absurd_length_field_is_corruption_not_overflow() {
+        let mut bytes = frame(FileKind::Segment, b"payload");
+        bytes[5..13].copy_from_slice(&u64::MAX.to_le_bytes());
+        assert!(matches!(
+            unframe(FileKind::Segment, &bytes),
+            Err(StorageError::Corrupt(_))
+        ));
+    }
+
+    /// Every way of damaging one byte of a frame, truncating it or extending
+    /// it is reported as corruption: never accepted, never a panic. Masks
+    /// `0x01` and `0x03` turn each family's version byte into another
+    /// version that family reads (a legacy layout), which must then fail on
+    /// its own terms.
+    #[test]
+    fn every_byte_flip_truncation_and_extension_of_a_frame_is_detected() {
+        for kind in KINDS {
+            let clean = frame(kind, &pattern(45));
+            let check = |damaged: &[u8], what: String| match unframe(kind, damaged) {
+                Err(StorageError::Corrupt(_)) => {}
+                other => panic!("{kind:?}, {what}: expected Corrupt, got {other:?}"),
+            };
+            for at in 0..clean.len() {
+                for mask in [0x01, 0x03, 0x80, 0xFF] {
+                    let mut damaged = clean.clone();
+                    damaged[at] ^= mask;
+                    check(&damaged, format!("byte {at} ^ {mask:#04x}"));
+                }
+                check(&clean[..at], format!("truncated to {at} bytes"));
+            }
+            let mut extended = clean.clone();
+            extended.push(0);
+            check(&extended, "extended by one byte".into());
+        }
+    }
+
+    /// A file in one of the layouts older commits wrote: `version` as a `u8`
+    /// or a `u32`, an optional `u64` length, the payload, its FNV-1a.
+    fn legacy(magic: &[u8; 4], version: &[u8], length_field: bool, payload: &[u8]) -> Vec<u8> {
+        let mut bytes = magic.to_vec();
+        bytes.extend_from_slice(version);
+        if length_field {
+            bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+        }
+        bytes.extend_from_slice(payload);
+        bytes.extend_from_slice(&fnv1a64(payload).to_le_bytes());
+        bytes
+    }
+
+    #[test]
+    fn legacy_layouts_are_still_read_and_still_checked() {
+        let payload = pattern(45);
+        let files = [
+            (FileKind::Segment, 1, legacy(b"BSEG", &[1], true, &payload)),
+            (FileKind::Manifest, 1, legacy(b"BCOL", &[1], true, &payload)),
+            (
+                FileKind::Snapshot,
+                1,
+                legacy(b"BSNP", &[1, 0, 0, 0], false, &payload),
+            ),
+            (
+                FileKind::Snapshot,
+                2,
+                legacy(b"BSNP", &[2, 0, 0, 0], false, &payload),
+            ),
+            (
+                FileKind::Checkpoint,
+                1,
+                legacy(b"BMCK", &[1, 0, 0, 0], true, &payload),
+            ),
+        ];
+        for (kind, version, clean) in files {
+            assert_eq!(unframe(kind, &clean).unwrap(), (version, &payload[..]));
+            for at in 0..clean.len() {
+                let mut damaged = clean.clone();
+                damaged[at] ^= 0x10;
+                assert!(
+                    matches!(unframe(kind, &damaged), Err(StorageError::Corrupt(_))),
+                    "{kind:?} v{version}: byte {at}"
+                );
+                assert!(
+                    unframe(kind, &clean[..at]).is_err(),
+                    "{kind:?} v{version}: cut at {at}"
+                );
+            }
+            let mut extended = clean.clone();
+            extended.push(0);
+            assert!(
+                unframe(kind, &extended).is_err(),
+                "{kind:?} v{version}: extended"
+            );
+        }
+    }
+
+    #[test]
+    fn fnv1a64_known_answers() {
+        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a64(b"foobar"), 0x8594_4171_f739_67e8);
     }
 
     /// The guarantee the frame relies on: damage confined to one aligned

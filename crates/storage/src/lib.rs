@@ -23,14 +23,16 @@
 //!
 //! Since PR 8 the catalog can also be **durable**: [`Database::open`] binds
 //! it to a directory where every mutation is write-ahead logged
-//! ([`wal`]) and periodically compacted into an atomic snapshot
-//! ([`durable`] holds the temp-file → fsync → rename → fsync-dir protocol),
-//! so tables — including persisted model tables — survive process restarts.
+//! ([`wal`]) and periodically compacted into an atomic snapshot, so tables —
+//! including persisted model tables — survive process restarts. [`durable`]
+//! holds the temp-file → fsync → rename → fsync-dir protocol and the one
+//! frame (magic, version, length, payload, checksum) that every file replaced
+//! as a whole — snapshot, paged segment and manifest, training checkpoint —
+//! is written in.
 
 #![warn(missing_docs)]
 
 pub mod catalog;
-pub mod checkpoint;
 pub mod chunk;
 mod codec;
 pub mod columnar;
@@ -51,8 +53,8 @@ pub mod value;
 pub mod wal;
 
 pub use crate::catalog::{Database, RecoveryReport, SNAPSHOT_FILE, WAL_FILE};
-pub use crate::checkpoint::{read_checkpoint, write_checkpoint, CheckpointError};
 pub use crate::chunk::{ColumnChunk, ValidityBitmap};
+pub use crate::codec::Reader;
 pub use crate::columnar::{ColumnarTable, Segment, DEFAULT_CHUNK_CAPACITY};
 pub use crate::error::StorageError;
 pub use crate::null_agg::NullAggregate;

@@ -10,28 +10,18 @@
 //! ...
 //! ```
 //!
-//! Both file kinds share one frame (see `docs/disk-format.md`):
-//!
-//! ```text
-//! [0..4)   magic  (`BSEG` / `BCOL`)
-//! [4..5)   format version (2; version 1 is still read)
-//! [5..13)  payload length (u64 LE)
-//! [13..n)  payload
-//! [n..n+8) checksum of the payload: `checksum64` (version 2) or FNV-1a 64
-//!          (version 1)
-//! ```
-//!
-//! and every write goes through [`crate::durable::atomic_write`], so a crash
-//! leaves the previous complete file, never a torn one. A write that spans
-//! two files (a segment, then the manifest) commits at the manifest's
-//! rename: see [`crate::columnar::ColumnarTable::open_paged`].
+//! Each file is one frame ([`crate::durable::frame`], layout in
+//! `docs/disk-format.md`) written through [`crate::durable::atomic_write`],
+//! so a crash leaves the previous complete file, never a torn one. A write
+//! that spans two files (a segment, then the manifest) commits at the
+//! manifest's rename: see [`crate::columnar::ColumnarTable::open_paged`].
 //!
 //! Reads go through a small **pinned-segment LRU cache**: fetching returns
 //! an `Arc<Segment>`, so a segment a scan is mid-way through stays alive
 //! (pinned by the outstanding `Arc`) even if the cache evicts it — eviction
 //! only drops the cache's own reference. A miss is one exact-size read, one
-//! [`checksum64`] pass over the whole payload, and a bulk copy of each
-//! column array. Sequential fetch patterns also load the next segment, the
+//! [`crate::durable::checksum64`] pass over the whole payload, and a bulk
+//! copy of each column array. Sequential fetch patterns also load the next segment, the
 //! access shape every clustered epoch scan produces; that read-ahead runs
 //! synchronously inside `fetch`, under the pager lock — it batches two loads
 //! into one call and overlaps nothing with the scan.
@@ -41,21 +31,11 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use crate::checkpoint::fnv1a64;
 use crate::codec::{push_schema, push_string, read_schema, Reader};
 use crate::columnar::Segment;
-use crate::durable::{atomic_write, checksum64, read_file};
+use crate::durable::{read_file, unframe, write_framed, FileKind};
 use crate::error::StorageError;
 use crate::schema::Schema;
-
-const SEGMENT_MAGIC: &[u8; 4] = b"BSEG";
-const MANIFEST_MAGIC: &[u8; 4] = b"BCOL";
-/// Frames are written at this version: payload checksummed by [`checksum64`].
-const FORMAT_VERSION: u8 = 2;
-/// The first frame version (payload checksummed by FNV-1a 64), still read.
-const FORMAT_VERSION_FNV: u8 = 1;
-/// Bytes a frame adds around its payload: magic, version, length, checksum.
-const FRAME_BYTES: usize = 4 + 1 + 8 + 8;
 
 /// Manifest file name inside a paged table directory.
 pub const MANIFEST_FILE: &str = "columnar.meta";
@@ -66,47 +46,6 @@ fn corrupt(msg: impl Into<String>) -> StorageError {
 
 fn io_err(path: &Path, e: std::io::Error) -> StorageError {
     StorageError::Io(format!("{}: {e}", path.display()))
-}
-
-/// Frame `payload` with magic, version, length and checksum.
-fn frame(magic: &[u8; 4], payload: &[u8]) -> Vec<u8> {
-    let mut bytes = Vec::with_capacity(payload.len() + FRAME_BYTES);
-    bytes.extend_from_slice(magic);
-    bytes.push(FORMAT_VERSION);
-    bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    bytes.extend_from_slice(payload);
-    bytes.extend_from_slice(&checksum64(payload).to_le_bytes());
-    bytes
-}
-
-/// Validate a frame — magic, version, exact length, then the checksum of the
-/// whole payload — and return the payload slice.
-fn unframe<'a>(magic: &[u8; 4], bytes: &'a [u8], what: &str) -> Result<&'a [u8], StorageError> {
-    if bytes.len() < FRAME_BYTES || &bytes[0..4] != magic {
-        return Err(corrupt(format!("{what}: bad or missing header")));
-    }
-    let checksum: fn(&[u8]) -> u64 = match bytes[4] {
-        FORMAT_VERSION => checksum64,
-        FORMAT_VERSION_FNV => fnv1a64,
-        other => {
-            return Err(corrupt(format!(
-                "{what}: unsupported format version {other}"
-            )))
-        }
-    };
-    let len = u64::from_le_bytes(bytes[5..13].try_into().expect("8B"));
-    // The length field is unchecked input: compare without adding to it.
-    if u64::try_from(bytes.len() - FRAME_BYTES) != Ok(len) {
-        return Err(corrupt(format!(
-            "{what}: payload length {len} does not match file size {}",
-            bytes.len()
-        )));
-    }
-    let (payload, stored) = bytes[13..].split_at(bytes.len() - FRAME_BYTES);
-    if checksum(payload) != u64::from_le_bytes(stored.try_into().expect("8B")) {
-        return Err(corrupt(format!("{what}: checksum mismatch")));
-    }
-    Ok(payload)
 }
 
 /// The manifest of a paged columnar table.
@@ -130,15 +69,14 @@ impl Manifest {
         push_schema(&mut payload, &self.schema);
         payload.extend_from_slice(&self.chunk_capacity.to_le_bytes());
         payload.extend_from_slice(&self.row_count.to_le_bytes());
-        let path = dir.join(MANIFEST_FILE);
-        atomic_write(&path, &frame(MANIFEST_MAGIC, &payload)).map_err(|e| io_err(&path, e))
+        write_framed(&dir.join(MANIFEST_FILE), FileKind::Manifest, &payload).map(|_| ())
     }
 
     /// Read and validate the manifest from `dir`.
     pub fn read(dir: &Path) -> Result<Self, StorageError> {
         let path = dir.join(MANIFEST_FILE);
         let bytes = read_file(&path).map_err(|e| io_err(&path, e))?;
-        let payload = unframe(MANIFEST_MAGIC, &bytes, "columnar manifest")?;
+        let (_, payload) = unframe(FileKind::Manifest, &bytes)?;
         let mut r = Reader::new(payload);
         let name = r.string()?;
         let schema = read_schema(&mut r)?;
@@ -246,8 +184,7 @@ impl Pager {
     pub fn write_file(&self, idx: usize, segment: &Segment) -> Result<(), StorageError> {
         let mut payload = Vec::new();
         segment.encode(&mut payload);
-        let path = self.seg_path(idx);
-        atomic_write(&path, &frame(SEGMENT_MAGIC, &payload)).map_err(|e| io_err(&path, e))
+        write_framed(&self.seg_path(idx), FileKind::Segment, &payload).map(|_| ())
     }
 
     /// Durably write sealed segment `idx` and (re)cache it.
@@ -272,7 +209,7 @@ impl Pager {
         let bytes = read_file(&path).map_err(|e| io_err(&path, e))?;
         self.bytes_read
             .fetch_add(bytes.len() as u64, Ordering::Relaxed);
-        let payload = unframe(SEGMENT_MAGIC, &bytes, "columnar segment")?;
+        let (_, payload) = unframe(FileKind::Segment, &bytes)?;
         let mut r = Reader::new(payload);
         let segment = Segment::decode(&mut r)?;
         r.finish()?;
@@ -460,69 +397,6 @@ mod tests {
         std::fs::write(&path, &bytes).unwrap();
         let pager = Pager::create(&dir, 1).unwrap();
         assert!(matches!(pager.fetch(0, 1), Err(StorageError::Corrupt(_))));
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn absurd_length_field_is_corruption_not_overflow() {
-        let mut bytes = frame(SEGMENT_MAGIC, b"payload");
-        bytes[5..13].copy_from_slice(&u64::MAX.to_le_bytes());
-        assert!(matches!(
-            unframe(SEGMENT_MAGIC, &bytes, "segment"),
-            Err(StorageError::Corrupt(_))
-        ));
-    }
-
-    /// Every way of damaging one byte of a file, truncating it or extending
-    /// it must be reported as corruption by `read`: never accepted, never a
-    /// panic. `0x03` turns the version byte 2 into 1, the other supported
-    /// version, whose checksum must then fail.
-    fn assert_every_damage_is_corrupt<T: std::fmt::Debug>(
-        path: &Path,
-        read: impl Fn() -> Result<T, StorageError>,
-    ) {
-        let clean = std::fs::read(path).unwrap();
-        read().expect("the undamaged file reads");
-        let check = |damaged: &[u8], what: String| {
-            std::fs::write(path, damaged).unwrap();
-            match read() {
-                Err(StorageError::Corrupt(_)) => {}
-                other => panic!("{what}: expected Corrupt, got {other:?}"),
-            }
-        };
-        for at in 0..clean.len() {
-            for mask in [0x01, 0x03, 0x80, 0xFF] {
-                let mut damaged = clean.clone();
-                damaged[at] ^= mask;
-                check(&damaged, format!("byte {at} ^ {mask:#04x}"));
-            }
-            check(&clean[..at], format!("truncated to {at} bytes"));
-        }
-        let mut extended = clean.clone();
-        extended.push(0);
-        check(&extended, "extended by one byte".into());
-        std::fs::write(path, &clean).unwrap();
-        read().expect("the restored file reads");
-    }
-
-    #[test]
-    fn every_byte_flip_and_truncation_of_a_segment_or_manifest_is_detected() {
-        let dir = temp_dir("damage");
-        let pager = Pager::create(&dir, 1).unwrap();
-        pager.write_segment(0, segment(0.5, 5)).unwrap();
-        // A fresh pager per read: nothing may be served from the cache.
-        assert_every_damage_is_corrupt(&dir.join("seg-000000.col"), || {
-            Pager::create(&dir, 1).unwrap().fetch(0, 1)
-        });
-        Manifest {
-            name: "t".into(),
-            schema: schema(),
-            chunk_capacity: 4,
-            row_count: 5,
-        }
-        .write(&dir)
-        .unwrap();
-        assert_every_damage_is_corrupt(&dir.join(MANIFEST_FILE), || Manifest::read(&dir));
         std::fs::remove_dir_all(&dir).ok();
     }
 }

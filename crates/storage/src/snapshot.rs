@@ -8,38 +8,28 @@
 //! log records are simply skipped on the next open instead of being applied
 //! twice.
 //!
-//! On-disk layout, all integers little-endian:
+//! The file is one [`FileKind::Snapshot`] frame ([`crate::durable::frame`])
+//! whose payload is, all integers little-endian:
 //!
 //! ```text
-//! [0..4)   magic b"BSNP"
-//! [4..8)   format version (u32), currently 2
-//! [8..n-8) payload:
-//!            u64 last LSN incorporated
-//!            u64 table count, then per table:
-//!              a layout byte and the table's encoding (`crate::stored`):
-//!              by value for in-memory tables, by reference for paged ones
-//! [n-8..n) FNV-1a 64-bit checksum of the payload
+//! u64 last LSN incorporated
+//! u64 table count, then per table:
+//!   a layout byte and the table's encoding (`crate::stored`):
+//!   by value for in-memory tables, by reference for paged ones
 //! ```
 //!
-//! Version 1 (written before tables carried a layout) has no layout byte:
-//! every table is a row table. It is still read, never written.
+//! Frame version 1 (written before tables carried a layout) has no layout
+//! byte: every table is a row table. It is still read, never written.
 //!
 //! Snapshots are written exclusively through [`crate::durable::atomic_write`],
 //! so the file under the snapshot path is always a complete generation.
 
 use std::path::Path;
 
-use crate::checkpoint::fnv1a64;
 use crate::codec::Reader;
-use crate::durable;
+use crate::durable::{self, FileKind};
 use crate::error::StorageError;
 use crate::stored::{Decoded, StoredTable, KIND_ROW};
-
-/// Magic bytes identifying a Bismarck catalog snapshot.
-pub const SNAPSHOT_MAGIC: [u8; 4] = *b"BSNP";
-
-/// Current snapshot format version.
-pub const SNAPSHOT_VERSION: u32 = 2;
 
 /// A decoded snapshot: the catalog state as of `last_lsn`.
 #[derive(Debug)]
@@ -52,8 +42,8 @@ pub(crate) struct Snapshot {
     pub(crate) encoded_len: u64,
 }
 
-/// Serialize the catalog (`last_lsn` plus every table) into snapshot bytes.
-pub(crate) fn encode<'a>(
+/// Serialize the catalog (`last_lsn` plus every table) into a snapshot payload.
+fn encode<'a>(
     last_lsn: u64,
     tables: impl Iterator<Item = &'a StoredTable>,
 ) -> Result<Vec<u8>, StorageError> {
@@ -67,39 +57,15 @@ pub(crate) fn encode<'a>(
         count += 1;
     }
     payload[count_at..count_at + 8].copy_from_slice(&count.to_le_bytes());
-
-    let mut bytes = Vec::with_capacity(16 + payload.len());
-    bytes.extend_from_slice(&SNAPSHOT_MAGIC);
-    bytes.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
-    bytes.extend_from_slice(&payload);
-    bytes.extend_from_slice(&fnv1a64(&payload).to_le_bytes());
-    Ok(bytes)
+    Ok(payload)
 }
 
-/// Decode and validate snapshot bytes (version 1 or 2). Any damage — bad
-/// magic, version, checksum, or rows that no longer satisfy their schema — is a hard
-/// [`StorageError::Corrupt`]: a snapshot is written atomically, so unlike a
-/// WAL tail there is no benign way for it to be partial.
+/// Decode and validate snapshot bytes. Any damage — to the frame, or rows
+/// that no longer satisfy their schema — is a hard [`StorageError::Corrupt`]:
+/// a snapshot is written atomically, so unlike a WAL tail there is no benign
+/// way for it to be partial.
 pub(crate) fn decode(bytes: &[u8]) -> Result<Snapshot, StorageError> {
-    let corrupt = |msg: &str| StorageError::Corrupt(format!("snapshot: {msg}"));
-    if bytes.len() < 16 {
-        return Err(corrupt("file is shorter than its fixed framing"));
-    }
-    if bytes[..4] != SNAPSHOT_MAGIC {
-        return Err(corrupt("bad magic"));
-    }
-    let version = u32::from_le_bytes(bytes[4..8].try_into().expect("4B"));
-    if !(1..=SNAPSHOT_VERSION).contains(&version) {
-        return Err(StorageError::Corrupt(format!(
-            "snapshot: unsupported format version {version}"
-        )));
-    }
-    let payload = &bytes[8..bytes.len() - 8];
-    let stored = u64::from_le_bytes(bytes[bytes.len() - 8..].try_into().expect("8B"));
-    if fnv1a64(payload) != stored {
-        return Err(corrupt("checksum mismatch"));
-    }
-
+    let (version, payload) = durable::unframe(FileKind::Snapshot, bytes)?;
     let mut r = Reader::new(payload);
     let last_lsn = r.u64()?;
     let table_count = r.len_prefix(1)?;
@@ -122,10 +88,7 @@ pub(crate) fn write<'a>(
     last_lsn: u64,
     tables: impl Iterator<Item = &'a StoredTable>,
 ) -> Result<u64, StorageError> {
-    let bytes = encode(last_lsn, tables)?;
-    durable::atomic_write(path, &bytes)
-        .map_err(|e| StorageError::Io(format!("write snapshot {}: {e}", path.display())))?;
-    Ok(bytes.len() as u64)
+    durable::write_framed(path, FileKind::Snapshot, &encode(last_lsn, tables)?)
 }
 
 /// Read a snapshot file if it exists; `Ok(None)` when there is none yet.
@@ -162,6 +125,10 @@ mod tests {
         t.into()
     }
 
+    fn encoded<'a>(last_lsn: u64, tables: impl Iterator<Item = &'a StoredTable>) -> Vec<u8> {
+        durable::frame(FileKind::Snapshot, &encode(last_lsn, tables).unwrap())
+    }
+
     fn opened(snap: Snapshot) -> Vec<StoredTable> {
         snap.tables.into_iter().map(|t| t.open().unwrap()).collect()
     }
@@ -170,7 +137,7 @@ mod tests {
     fn encode_decode_roundtrip() {
         let a = sample_table("alpha", 3);
         let b = sample_table("beta", 0);
-        let bytes = encode(42, [&a, &b].into_iter()).unwrap();
+        let bytes = encoded(42, [&a, &b].into_iter());
         let snap = decode(&bytes).unwrap();
         assert_eq!(snap.last_lsn, 42);
         let tables = opened(snap);
@@ -186,7 +153,7 @@ mod tests {
 
     #[test]
     fn empty_catalog_roundtrips() {
-        let snap = decode(&encode(0, std::iter::empty()).unwrap()).unwrap();
+        let snap = decode(&encoded(0, std::iter::empty())).unwrap();
         assert_eq!(snap.last_lsn, 0);
         assert!(snap.tables.is_empty());
     }
@@ -194,7 +161,7 @@ mod tests {
     #[test]
     fn any_bit_flip_is_detected() {
         let t = sample_table("t", 2);
-        let good = encode(7, std::iter::once(&t)).unwrap();
+        let good = encoded(7, std::iter::once(&t));
         for pos in [0usize, 5, 9, 20, good.len() - 1] {
             let mut bad = good.clone();
             bad[pos] ^= 0x10;
@@ -208,7 +175,7 @@ mod tests {
     #[test]
     fn truncated_snapshot_is_corrupt() {
         let t = sample_table("t", 2);
-        let good = encode(7, std::iter::once(&t)).unwrap();
+        let good = encoded(7, std::iter::once(&t));
         assert!(decode(&good[..good.len() - 3]).is_err());
         assert!(decode(&good[..10]).is_err());
         assert!(decode(&[]).is_err());

@@ -83,14 +83,6 @@ impl StoredTable {
         self.schema().index_of(name)
     }
 
-    /// Approximate size of the resident data in bytes.
-    pub fn approx_bytes(&self) -> usize {
-        match self {
-            StoredTable::Row(t) => t.approx_bytes(),
-            StoredTable::Columnar(t) => t.approx_bytes(),
-        }
-    }
-
     /// Append a batch of rows; stops at the first invalid row.
     pub fn insert_all(
         &mut self,

@@ -37,8 +37,7 @@
 use std::io::{Seek as _, SeekFrom};
 use std::path::{Path, PathBuf};
 
-use crate::checkpoint::fnv1a64;
-use crate::durable;
+use crate::durable::{self, fnv1a64};
 use crate::error::StorageError;
 
 /// Magic bytes identifying a Bismarck WAL file.

@@ -23,7 +23,6 @@ pub mod aggregate;
 pub mod convergence;
 pub mod epoch;
 pub mod executor;
-pub mod loss;
 
 pub use crate::aggregate::{transition_tuples, Aggregate, CountAggregate};
 pub use crate::convergence::ConvergenceTest;
@@ -32,4 +31,3 @@ pub use crate::executor::{
     panic_message, run_segmented, run_segmented_parallel, run_sequential, run_sequential_while,
     scan_blocks_while, try_run_segmented_parallel, SegmentPanic,
 };
-pub use crate::loss::sum_over_table;

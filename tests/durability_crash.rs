@@ -394,9 +394,51 @@ fn paged_tables_attach_by_reference_and_drop_detaches() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// A directory written by the commit *before* tables carried a layout —
-/// snapshot version 1, WAL tags 1–4, bytes embedded below — must still open,
-/// with every table a row table.
+/// The training table behind the `CKPT_V1` fixture below: nothing random and
+/// nothing but exact binary fractions, so every machine computes the same
+/// model bits from it.
+fn checkpoint_fixture_table() -> bismarck_storage::Table {
+    use bismarck_linalg::DenseVector;
+    let schema = Schema::new(vec![
+        Column::new("id", DataType::Int),
+        Column::new("vec", DataType::DenseVec),
+        Column::new("label", DataType::Double),
+    ])
+    .unwrap();
+    let mut table = bismarck_storage::Table::new("ckpt_data", schema);
+    for i in 0..12i64 {
+        let y = if (i * 3) % 7 < 3 { 1.0 } else { -1.0 };
+        let x = vec![
+            (i % 5) as f64 * 0.25 - 0.5,
+            ((i * 7) % 4) as f64 * 0.5 - 0.75,
+        ];
+        table
+            .insert(vec![
+                Value::Int(i),
+                Value::DenseVec(DenseVector::from(x)),
+                Value::Double(y),
+            ])
+            .unwrap();
+    }
+    table
+}
+
+/// The run behind `CKPT_V1`, for `epochs` epochs: an SVM (features in column
+/// 1, label in column 2) over [`checkpoint_fixture_table`] at a constant step
+/// of 1/8 under `ShuffleOnce { seed: 5 }`.
+fn checkpoint_fixture_config(epochs: usize) -> bismarck_core::TrainerConfig {
+    bismarck_core::TrainerConfig::default()
+        .with_step_size(bismarck_core::StepSizeSchedule::Constant(0.125))
+        .with_convergence(bismarck_uda::ConvergenceTest::FixedEpochs(epochs))
+        .with_scan_order(bismarck_storage::ScanOrder::ShuffleOnce { seed: 5 })
+}
+
+/// Files in every layout an earlier commit wrote — bytes embedded below —
+/// must still open: a directory from *before* tables carried a layout
+/// (snapshot version 1, WAL tags 1–4; every table a row table), a snapshot
+/// version 2 and a checkpoint version 1 from the last commit before the
+/// shared frame. The next fold rewrites a snapshot in the current version.
+/// (The paged tables' version-1 files are in `tests/columnar_storage.rs`.)
 #[test]
 fn directory_written_before_layouts_still_opens() {
     // Written by: create `snapped`, insert 2 rows, compact; then (WAL only)
@@ -456,7 +498,87 @@ fn directory_written_before_layouts_still_opens() {
     let before = fingerprint(&db);
     db.compact().unwrap();
     drop(db);
+    assert_eq!(std::fs::read(dir.join(SNAPSHOT_FILE)).unwrap()[4], 3);
     assert_eq!(fingerprint(&Database::open(&dir).unwrap().0), before);
+    std::fs::remove_dir_all(&dir).ok();
+
+    // Written by the parent of the shared frame: create row table `r`,
+    // insert 2 rows, create columnar `c` (chunk capacity 2), insert 3 rows
+    // (the last an INT in the DOUBLE column), compact.
+    const SNAP_V2: &str = "42534e500200000004000000000000000200000000000000010200000000\
+        00000001000000000000006302000000000000000200000000000000696400000100000000000000\
+        7701010300000000000000020000000000000001030000000000000002000000000000f4bf020000\
+        00000000000104000000000000000002000000000000000105000000000000000107000000000000\
+        00000100000000000000720200000000000000020000000000000069640000010000000000000077\
+        01010200000000000000020000000000000001010000000000000002000000000000e03f02000000\
+        0000000001020000000000000000b4e86be50e469378";
+    let dir = temp_dir("snapshot-v2");
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(dir.join(SNAPSHOT_FILE), unhex(SNAP_V2)).unwrap();
+    let (mut db, report) = Database::open(&dir).unwrap();
+    assert!(report.snapshot_loaded);
+    let opened = fingerprint(&db);
+    let int = Value::Int;
+    assert_eq!(
+        opened,
+        vec![
+            (
+                "c".to_string(),
+                Some(2),
+                vec![
+                    vec![int(3), Value::Double(-1.25)],
+                    vec![int(4), Value::Null],
+                    vec![int(5), int(7)],
+                ]
+            ),
+            (
+                "r".to_string(),
+                None,
+                vec![vec![int(1), Value::Double(0.5)], vec![int(2), Value::Null]]
+            ),
+        ]
+    );
+    db.compact().unwrap();
+    drop(db);
+    assert_eq!(std::fs::read(dir.join(SNAPSHOT_FILE)).unwrap()[4], 3);
+    let (db, report) = Database::open(&dir).unwrap();
+    assert!(report.snapshot_loaded);
+    assert_eq!(fingerprint(&db), opened);
+    std::fs::remove_dir_all(&dir).ok();
+
+    // Written by the same commit: `checkpoint_fixture_config(2)`,
+    // checkpointed after the second epoch. Resuming it to five must land on
+    // the bits of five uninterrupted epochs, and the run's own checkpoints
+    // (version 2) sit beside the old file.
+    const CKPT_V1: &str = "424d434b0100000065000000000000000300000053564d02000000000000\
+        00000000000000f03f0000000001050000000000000000000000000000c03f000000000000000002\
+        00000000000000000000000000dcbf000000000000c0bf020000000000000000000000002c274000\
+        000000005826406b2bb807a17beee8";
+    use bismarck_core::tasks::SvmTask;
+    use bismarck_core::{Trainer, TrainingCheckpoint};
+    let dir = temp_dir("checkpoint-v1");
+    std::fs::create_dir_all(&dir).unwrap();
+    let old = dir.join("old.ckpt");
+    std::fs::write(&old, unhex(CKPT_V1)).unwrap();
+    assert_eq!(TrainingCheckpoint::read(&old).unwrap().next_epoch, 2);
+    let config = checkpoint_fixture_config(5);
+    let task = SvmTask::new(1, 2, 2);
+    let data = checkpoint_fixture_table();
+    let uninterrupted = Trainer::new(&task, config.clone()).train(&data);
+    assert_eq!(uninterrupted.model, vec![-1.09375, -0.3125]);
+    let new = dir.join("new.ckpt");
+    let resumed = Trainer::new(&task, config.with_checkpoints(&new, 1))
+        .resume_from(&data, &old)
+        .unwrap();
+    assert_eq!(resumed.epochs(), 5);
+    assert_eq!(resumed.model, uninterrupted.model);
+    assert_eq!(resumed.history.losses(), uninterrupted.history.losses());
+    assert_eq!(std::fs::read(&new).unwrap()[4], 2);
+    assert_eq!(
+        std::fs::read(&old).unwrap(),
+        unhex(CKPT_V1),
+        "never rewritten"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -663,6 +785,114 @@ mod crash_matrix {
                 (0..n as i64).chain([-1]).map(row).collect::<Vec<_>>(),
                 "crash point {point} of {total}"
             );
+            std::fs::remove_dir_all(&dir).ok();
+        }
+    }
+
+    /// Training checkpoints under retention are a two-file sequence per
+    /// epoch (`path`, then its `.eN` sibling, then pruning), crashed here at
+    /// every fault point of a four-epoch run. Whatever is left under a final
+    /// name loads; once `n` epochs' writes were acknowledged, `path` holds
+    /// epoch `n` or later and at least `min(n, keep)` generations survive;
+    /// and resuming from `path` reaches the uninterrupted run's bits.
+    #[test]
+    fn every_checkpoint_crash_point_leaves_keep_loadable_generations() {
+        use bismarck_core::tasks::SvmTask;
+        use bismarck_core::{TrainError, Trainer, TrainingCheckpoint};
+
+        const EPOCHS: usize = 4;
+        const KEEP: usize = 2;
+        let _guard = injector_lock();
+        let data = checkpoint_fixture_table();
+        let task = SvmTask::new(1, 2, 2);
+        let checkpointed = |dir: &std::path::Path, epochs| {
+            std::fs::create_dir_all(dir).unwrap();
+            Trainer::new(
+                &task,
+                checkpoint_fixture_config(epochs).with_checkpoint_retention(
+                    dir.join("model.ckpt"),
+                    1,
+                    KEEP,
+                ),
+            )
+            .try_train(&data)
+        };
+        let uninterrupted = Trainer::new(&task, checkpoint_fixture_config(EPOCHS)).train(&data);
+
+        // Fault points consumed once `n` epochs' checkpoints are written: a
+        // run of `n` epochs is a prefix of a longer one.
+        let acknowledged_at: Vec<u64> = (0..=EPOCHS)
+            .map(|epochs| {
+                let dir = temp_dir("ckpt-count");
+                fault::arm(Mode::Crash, u64::MAX);
+                checkpointed(&dir, epochs).expect("counting run must not fail");
+                let points = fault::disarm();
+                assert!(!fault::fired());
+                std::fs::remove_dir_all(&dir).ok();
+                points
+            })
+            .collect();
+        let total = acknowledged_at[EPOCHS];
+        assert!(acknowledged_at.windows(2).all(|w| w[0] < w[1]));
+
+        for point in 0..total {
+            let dir = temp_dir(&format!("ckpt-k{point}"));
+            fault::arm(Mode::Crash, point);
+            let outcome = checkpointed(&dir, EPOCHS);
+            let fired = fault::fired();
+            fault::disarm();
+            assert!(fired, "crash point {point} of {total} never fired");
+            assert!(
+                matches!(outcome, Err(TrainError::Checkpoint(_))),
+                "crash point {point} of {total}: {outcome:?}"
+            );
+            let acknowledged = acknowledged_at.iter().rposition(|&at| at <= point).unwrap();
+
+            // Every file under a final name is whole, `.eN` holds epoch N.
+            let path = dir.join("model.ckpt");
+            let mut generations = Vec::new();
+            for entry in std::fs::read_dir(&dir).unwrap() {
+                let file = entry.unwrap().path();
+                let name = file.file_name().unwrap().to_str().unwrap().to_string();
+                if let Some(stamp) = name.strip_prefix("model.ckpt.e") {
+                    let loaded = TrainingCheckpoint::read(&file).unwrap_or_else(|e| {
+                        panic!("crash point {point} of {total}: {name} does not load: {e}")
+                    });
+                    assert_eq!(loaded.next_epoch, stamp.parse::<usize>().unwrap());
+                    generations.push(loaded.next_epoch);
+                }
+            }
+            generations.sort_unstable();
+            assert!(
+                generations.len() >= acknowledged.min(KEEP)
+                    && generations
+                        .iter()
+                        .rev()
+                        .take(KEEP)
+                        .all(|&g| g + KEEP > acknowledged),
+                "crash point {point} of {total}: {acknowledged} epochs acknowledged, \
+                 generations {generations:?} left"
+            );
+            if !path.exists() {
+                assert_eq!(acknowledged, 0, "crash point {point} of {total}");
+                assert!(generations.is_empty(), "crash point {point} of {total}");
+                std::fs::remove_dir_all(&dir).ok();
+                continue;
+            }
+            let newest = TrainingCheckpoint::read(&path)
+                .unwrap_or_else(|e| panic!("crash point {point} of {total}: {e}"));
+            assert!(
+                (acknowledged..=acknowledged + 1).contains(&newest.next_epoch),
+                "crash point {point} of {total}: {acknowledged} epochs acknowledged, \
+                 model.ckpt holds epoch {}",
+                newest.next_epoch
+            );
+            let resumed = Trainer::new(&task, checkpoint_fixture_config(EPOCHS))
+                .resume_from(&data, &path)
+                .unwrap();
+            assert_eq!(resumed.epochs(), EPOCHS);
+            assert_eq!(resumed.model, uninterrupted.model, "crash point {point}");
+            assert_eq!(resumed.history.losses(), uninterrupted.history.losses());
             std::fs::remove_dir_all(&dir).ok();
         }
     }

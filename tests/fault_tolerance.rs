@@ -312,8 +312,9 @@ fn poisoned_checkpoint_is_rejected_with_a_checksum_error() {
         .unwrap_err();
     assert!(
         matches!(
-            err,
-            TrainError::Checkpoint(bismarck_storage::CheckpointError::ChecksumMismatch)
+            &err,
+            TrainError::Checkpoint(bismarck_storage::StorageError::Corrupt(msg))
+                if msg.contains("checksum mismatch")
         ),
         "got {err:?}"
     );
