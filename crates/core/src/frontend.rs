@@ -4,9 +4,13 @@
 //! `SELECT SVMTrain('myModel', 'LabeledPapers', 'vec', 'label')` and the
 //! learned coefficients are "persisted as a user table 'myModel'". These
 //! functions are the Rust equivalents: they resolve column names against the
-//! catalog, infer the model dimension from the data, run the Bismarck
-//! trainer, and write the model back into the database so it can be applied
-//! to new data with the matching `*_predict` function.
+//! catalog, take the model dimension from the table's metadata (the widest
+//! vector in the feature column, kept as rows are appended — no scan), run
+//! the Bismarck trainer, and write the model back into the database so it
+//! can be applied to new data with the matching `*_predict` function. The
+//! trainer's gradient pass is then the first to read a row, inside its
+//! panic isolation, so a torn segment of a paged table fails the statement
+//! with an error instead of unwinding through the caller.
 
 use bismarck_linalg::FeatureVectorRef;
 use bismarck_storage::{
@@ -74,28 +78,11 @@ pub struct TrainSummary {
     pub history: TrainingHistory,
 }
 
-/// Infer the feature dimension of a feature-vector column by scanning the
-/// tuple source (sparse rows report `max index + 1`). Works over row-store
-/// and columnar tables alike; a columnar table answers from its chunks'
-/// offsets without reading a feature value.
+/// The feature dimension of a feature-vector column: the largest vector in
+/// it (sparse rows count `max index + 1`), which every layout keeps as table
+/// metadata ([`TupleScan::vector_width`]) — no row is read.
 pub fn infer_dimension<S: TupleScan + ?Sized>(source: &S, features_col: usize) -> usize {
-    let mut dim = 0usize;
-    let mut scratch = Tuple::default();
-    source.scan_blocks(0, usize::MAX, &mut |block| {
-        match block.features(features_col) {
-            Some(rows) => dim = dim.max(rows.max_dimension()),
-            None => {
-                block.for_each_tuple(&mut scratch, &mut |t| {
-                    if let Some(fv) = t.feature_view(features_col) {
-                        dim = dim.max(fv.dimension());
-                    }
-                    true
-                });
-            }
-        }
-        true
-    });
-    dim
+    source.vector_width(features_col)
 }
 
 /// Persist a flat model as a `(idx INT, weight DOUBLE)` table named

@@ -19,14 +19,23 @@
 //! range to (segment, row-run) pairs and lends each run out as a
 //! [`RowBlock`] over the segment's chunks, pinned for the duration of the
 //! callback. Consumers that work on slices (the linear tasks' gradient and
-//! loss passes, dimension inference, [`ColumnarTable::scan_dense_column`])
-//! read the chunks in place; the storage-order tuple scans are the trait's
-//! adapters over the same walk, materializing each row into a reused scratch
-//! [`Tuple`] for whoever needs whole rows (the SQL executor, the
-//! NULL-aggregate baseline, the non-linear tasks). Only the permuted scan
-//! looks rows up one by one. Either way a consumer sees the same `f64` bit
-//! patterns the row-store [`Table`] holds, so training over any backing
-//! produces bit-identical models.
+//! loss passes, [`ColumnarTable::scan_dense_column`]) read the chunks in
+//! place; the storage-order tuple scans are the trait's adapters over the
+//! same walk, materializing each row into a reused scratch [`Tuple`] for
+//! whoever needs whole rows (the SQL executor, the NULL-aggregate baseline,
+//! the non-linear tasks). Only the permuted scan looks rows up one by one.
+//! Either way a consumer sees the same `f64` bit patterns the row-store
+//! [`Table`] holds, so training over any backing produces bit-identical
+//! models.
+//!
+//! What no consumer has to scan for is a column's widest vector (the model
+//! dimension of a training statement): every insert widens a per-column
+//! `widths` vector through the same helper the row store uses, and a paged
+//! table writes it into its manifest (payload version 3) at every seal and
+//! flush — the commit point, so the widths on disk always describe exactly
+//! the rows the manifest commits. Reopening reads them back instead of
+//! paging a segment in; only a manifest written before the widths existed
+//! costs one walk, at open.
 
 use std::path::Path;
 use std::sync::Arc;
@@ -35,7 +44,7 @@ use crate::chunk::ColumnChunk;
 use crate::codec::Reader;
 use crate::error::StorageError;
 use crate::pager::{Manifest, Pager, PagerStats};
-use crate::scan::{materialize_row, RowBlock, TupleScan};
+use crate::scan::{materialize_row, widen, RowBlock, TupleScan};
 use crate::schema::{DataType, Schema};
 use crate::table::Table;
 use crate::tuple::Tuple;
@@ -163,6 +172,9 @@ pub struct ColumnarTable {
     /// The partial tail segment still accepting inserts.
     open: Segment,
     row_count: usize,
+    /// [`TupleScan::vector_width`] of each column; a paged table's manifest
+    /// carries it.
+    widths: Vec<usize>,
 }
 
 impl ColumnarTable {
@@ -179,13 +191,13 @@ impl ColumnarTable {
         schema: Schema,
         chunk_capacity: usize,
     ) -> Self {
-        let open = Segment::empty(&schema);
         ColumnarTable {
             name: name.into(),
+            open: Segment::empty(&schema),
+            widths: vec![0; schema.arity()],
             schema,
             chunk_capacity: chunk_capacity.max(1),
             backing: Backing::Memory(Vec::new()),
-            open,
             row_count: 0,
         }
     }
@@ -206,6 +218,7 @@ impl ColumnarTable {
         let pager = Pager::create(dir, cache_segments)?;
         let table = ColumnarTable {
             open: Segment::empty(&schema),
+            widths: vec![0; schema.arity()],
             name,
             schema,
             chunk_capacity,
@@ -226,6 +239,11 @@ impl ColumnarTable {
     /// file may hold *more* rows than the manifest committed — those are cut
     /// off here — and segment files past the manifest's count are never read.
     /// A tail file holding *fewer* rows than the manifest is corruption.
+    ///
+    /// The column widths ([`TupleScan::vector_width`]) come from the manifest
+    /// too, so no sealed segment is read here. Only a manifest written before
+    /// it carried them (frame versions 1 and 2) costs one walk over every
+    /// segment, once; a segment that cannot be read then fails the open.
     pub fn open_paged(dir: &Path, cache_segments: usize) -> Result<Self, StorageError> {
         let manifest = Manifest::read(dir)?;
         let pager = Pager::create(dir, cache_segments)?;
@@ -247,14 +265,37 @@ impl ColumnarTable {
             }
             (segments - 1, seg.prefix(tail, &manifest.schema)?)
         };
-        Ok(ColumnarTable {
+        let mut table = ColumnarTable {
+            widths: Vec::new(),
             name: manifest.name,
             schema: manifest.schema,
             chunk_capacity,
             backing: Backing::Paged { pager, sealed },
             open,
             row_count,
+        };
+        table.widths = match manifest.widths {
+            Some(widths) => widths,
+            None => table.legacy_widths()?,
+        };
+        Ok(table)
+    }
+
+    /// The column widths of a table whose manifest predates them, from one
+    /// walk over its blocks: the only place widths are computed from stored
+    /// rows rather than kept as they are appended.
+    fn legacy_widths(&self) -> Result<Vec<usize>, StorageError> {
+        let mut widths = vec![0; self.schema.arity()];
+        self.walk_blocks(0, self.row_count, &mut |block| {
+            for (col, width) in widths.iter_mut().enumerate() {
+                if let Some(rows) = block.features(col) {
+                    *width = (*width).max(rows.max_dimension());
+                }
+            }
+            true
         })
+        .map_err(|(_, e)| e)?;
+        Ok(widths)
     }
 
     /// Build an in-memory columnar table holding the same rows as `table`.
@@ -340,6 +381,7 @@ impl ColumnarTable {
     pub fn insert(&mut self, values: Vec<Value>) -> Result<usize, StorageError> {
         self.schema.validate(&values)?;
         self.open.push_row(&values)?;
+        widen(&mut self.widths, &values);
         let id = self.row_count;
         self.row_count += 1;
         if self.open.len() >= self.chunk_capacity {
@@ -386,6 +428,7 @@ impl ColumnarTable {
                 schema: self.schema.clone(),
                 chunk_capacity: self.chunk_capacity as u64,
                 row_count: self.row_count as u64,
+                widths: Some(self.widths.clone()),
             }
             .write(pager.dir())?;
         }
@@ -516,6 +559,10 @@ fn scan_failed(segment: usize, e: &StorageError) -> ! {
 impl TupleScan for ColumnarTable {
     fn tuple_count(&self) -> usize {
         self.row_count
+    }
+
+    fn vector_width(&self, col: usize) -> usize {
+        self.widths.get(col).copied().unwrap_or(0)
     }
 
     fn scan_blocks(&self, start: usize, end: usize, f: &mut dyn FnMut(RowBlock<'_>) -> bool) {
@@ -731,6 +778,46 @@ mod tests {
         for i in 0..n + 10 {
             assert_eq!(t.get(i).unwrap().get_int(0), Some(i as i64), "row {i}");
         }
+    }
+
+    /// A manifest carries the widths, so reopening reads no sealed segment
+    /// (a partial tail is the one segment read, to keep filling it) and a
+    /// torn sealed one waits for the scan that needs it.
+    #[test]
+    fn open_reads_no_sealed_segment_for_the_widths() {
+        let dir = std::env::temp_dir().join(format!(
+            "bismarck-columnar-test-{}-widths",
+            std::process::id()
+        ));
+        std::fs::remove_dir_all(&dir).ok();
+        let mut t = ColumnarTable::create_paged("t", schema(), &dir, 4, 2).unwrap();
+        t.insert_all((0..16).map(row)).unwrap();
+        t.flush().unwrap();
+        let widths = |t: &ColumnarTable| (0..4).map(|c| t.vector_width(c)).collect::<Vec<_>>();
+        assert_eq!(widths(&t), [0, 3, 0, 0]);
+        let reopened = ColumnarTable::open_paged(&dir, 2).unwrap();
+        assert_eq!(widths(&reopened), [0, 3, 0, 0]);
+        assert_eq!(reopened.pager_stats().unwrap(), PagerStats::default());
+
+        let segment = dir.join("seg-000001.col");
+        let mut bytes = std::fs::read(&segment).unwrap();
+        let middle = bytes.len() / 2;
+        bytes[middle] ^= 0x01;
+        std::fs::write(&segment, bytes).unwrap();
+        let mut t = ColumnarTable::open_paged(&dir, 2).unwrap();
+        assert!(t.get(5).is_err());
+        t.insert(vec![
+            Value::Int(16),
+            Value::from(vec![1.0; 5]),
+            Value::Null,
+            Value::Null,
+        ])
+        .unwrap();
+        t.flush().unwrap();
+        let reopened = ColumnarTable::open_paged(&dir, 2).unwrap();
+        assert_eq!(widths(&reopened), [0, 5, 0, 0]);
+        assert_eq!(reopened.pager_stats().unwrap().misses, 1, "the tail");
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// The manifest is the commit point of a two-file write: a crash after a

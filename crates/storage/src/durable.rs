@@ -376,7 +376,7 @@ impl FileKind {
     const fn header(self) -> ([u8; 4], u8, &'static str) {
         match self {
             FileKind::Segment => (*b"BSEG", 2, "columnar segment"),
-            FileKind::Manifest => (*b"BCOL", 2, "columnar manifest"),
+            FileKind::Manifest => (*b"BCOL", 3, "columnar manifest"),
             FileKind::Snapshot => (*b"BSNP", 3, "snapshot"),
             FileKind::Checkpoint => (*b"BMCK", 2, "checkpoint"),
         }
@@ -385,7 +385,9 @@ impl FileKind {
     /// The layout of `version` of this family; `None` for a version no
     /// commit wrote. Everything but [`FRAME`] is legacy and read-only.
     fn layout(self, version: u8) -> Option<Layout> {
-        if version == self.header().1 {
+        // A manifest's payload gained the column widths in version 3; its
+        // version 2 is the same frame around the shorter payload.
+        if version == self.header().1 || (self, version) == (FileKind::Manifest, 2) {
             return Some(FRAME);
         }
         let (version_bytes, length_field) = match (self, version) {
@@ -597,7 +599,11 @@ mod tests {
     /// it is reported as corruption: never accepted, never a panic. Masks
     /// `0x01` and `0x03` turn each family's version byte into another
     /// version that family reads (a legacy layout), which must then fail on
-    /// its own terms.
+    /// its own terms. The one exception is a manifest's version 3 flipped to
+    /// 2: both are this frame, and the version byte is outside the checksum,
+    /// so `unframe` hands the payload on as version 2 — and the manifest
+    /// decoder rejects it for the widths it then has left over
+    /// (`pager.rs`'s `manifest_version_flip_is_detected`).
     #[test]
     fn every_byte_flip_truncation_and_extension_of_a_frame_is_detected() {
         for kind in KINDS {
@@ -610,6 +616,10 @@ mod tests {
                 for mask in [0x01, 0x03, 0x80, 0xFF] {
                     let mut damaged = clean.clone();
                     damaged[at] ^= mask;
+                    if kind == FileKind::Manifest && damaged[4] == 2 {
+                        assert_eq!(unframe(kind, &damaged).unwrap(), (2, &pattern(45)[..]));
+                        continue;
+                    }
                     check(&damaged, format!("byte {at} ^ {mask:#04x}"));
                 }
                 check(&clean[..at], format!("truncated to {at} bytes"));
@@ -639,6 +649,12 @@ mod tests {
         let files = [
             (FileKind::Segment, 1, legacy(b"BSEG", &[1], true, &payload)),
             (FileKind::Manifest, 1, legacy(b"BCOL", &[1], true, &payload)),
+            // The current frame around a manifest without its widths.
+            (FileKind::Manifest, 2, {
+                let mut v2 = frame(FileKind::Manifest, &payload);
+                v2[4] = 2;
+                v2
+            }),
             (
                 FileKind::Snapshot,
                 1,

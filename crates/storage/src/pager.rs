@@ -4,7 +4,7 @@
 //! in its own file under the table directory:
 //!
 //! ```text
-//! <dir>/columnar.meta   manifest: name, schema, chunk capacity, row count
+//! <dir>/columnar.meta   manifest: name, schema, chunk capacity, row count, widths
 //! <dir>/seg-000000.col  segment 0
 //! <dir>/seg-000001.col  segment 1
 //! ...
@@ -59,16 +59,34 @@ pub(crate) struct Manifest {
     pub chunk_capacity: u64,
     /// Total rows (the last segment may be partial).
     pub row_count: u64,
+    /// The widest vector of each column over those rows
+    /// (`TupleScan::vector_width`); `None` only when read from a legacy
+    /// manifest (frame versions 1 and 2), which predates them.
+    pub widths: Option<Vec<usize>>,
 }
+
+/// The first manifest version whose payload ends with the column widths.
+const MANIFEST_WIDTHS_VERSION: u8 = 3;
+
+/// The widest vector a chunk can store: `u32` offsets bound a dense one,
+/// `u32` indices a sparse one (`u32::MAX + 1`).
+const MAX_WIDTH: u64 = 1 << 32;
 
 impl Manifest {
     /// Atomically write the manifest into `dir`.
     pub fn write(&self, dir: &Path) -> Result<(), StorageError> {
+        let widths = self
+            .widths
+            .as_deref()
+            .expect("only a legacy manifest lacks widths, and none is written back");
         let mut payload = Vec::new();
         push_string(&mut payload, &self.name);
         push_schema(&mut payload, &self.schema);
         payload.extend_from_slice(&self.chunk_capacity.to_le_bytes());
         payload.extend_from_slice(&self.row_count.to_le_bytes());
+        for &width in widths {
+            payload.extend_from_slice(&(width as u64).to_le_bytes());
+        }
         write_framed(&dir.join(MANIFEST_FILE), FileKind::Manifest, &payload).map(|_| ())
     }
 
@@ -76,12 +94,26 @@ impl Manifest {
     pub fn read(dir: &Path) -> Result<Self, StorageError> {
         let path = dir.join(MANIFEST_FILE);
         let bytes = read_file(&path).map_err(|e| io_err(&path, e))?;
-        let (_, payload) = unframe(FileKind::Manifest, &bytes)?;
+        let (version, payload) = unframe(FileKind::Manifest, &bytes)?;
         let mut r = Reader::new(payload);
         let name = r.string()?;
         let schema = read_schema(&mut r)?;
         let chunk_capacity = r.u64()?;
         let row_count = r.u64()?;
+        let widths = if version >= MANIFEST_WIDTHS_VERSION {
+            // A width becomes the size of a model: refuse one no stored
+            // vector can have (offsets and sparse indices are `u32`).
+            let widths = (0..schema.arity()).map(|_| {
+                let width = r.u64()?;
+                usize::try_from(width)
+                    .ok()
+                    .filter(|_| width <= MAX_WIDTH)
+                    .ok_or_else(|| corrupt(format!("columnar manifest: column width {width}")))
+            });
+            Some(widths.collect::<Result<_, StorageError>>()?)
+        } else {
+            None
+        };
         r.finish()?;
         if chunk_capacity == 0 {
             return Err(corrupt("columnar manifest: zero chunk capacity"));
@@ -91,6 +123,7 @@ impl Manifest {
             schema,
             chunk_capacity,
             row_count,
+            widths,
         })
     }
 }
@@ -291,6 +324,7 @@ impl Pager {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::durable::frame;
     use crate::schema::{Column, DataType};
     use crate::value::Value;
 
@@ -322,9 +356,62 @@ mod tests {
             schema: schema(),
             chunk_capacity: 512,
             row_count: 12_345,
+            widths: Some(vec![7]),
         };
         manifest.write(&dir).unwrap();
         assert_eq!(Manifest::read(&dir).unwrap(), manifest);
+        // The widest vector a chunk can hold reads back; one wider is not a
+        // width any write produced, and would size a model.
+        for (width, readable) in [(1 << 32, true), ((1 << 32) + 1, false)] {
+            let wide = Manifest {
+                widths: Some(vec![width]),
+                ..manifest.clone()
+            };
+            wide.write(&dir).unwrap();
+            match Manifest::read(&dir) {
+                Ok(read) => assert!(readable && read == wide),
+                Err(e) => assert!(!readable && matches!(e, StorageError::Corrupt(_))),
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A version-2 manifest (the frame around a payload without widths)
+    /// still reads, with no widths. The version byte is outside the
+    /// checksum, so a flip between 2 and 3 reaches this decoder, which then
+    /// finds the widths missing or left over: corrupt either way.
+    #[test]
+    fn manifest_version_flip_is_detected() {
+        let dir = temp_dir("manifest-versions");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(MANIFEST_FILE);
+        let manifest = Manifest {
+            name: "t".into(),
+            schema: schema(),
+            chunk_capacity: 4,
+            row_count: 8,
+            widths: Some(vec![3]),
+        };
+        manifest.write(&dir).unwrap();
+        let v3 = std::fs::read(&path).unwrap();
+        assert_eq!(v3[4], 3);
+        // Header 13 bytes, then the payload, its last 8 bytes the one width.
+        let mut v2 = frame(FileKind::Manifest, &v3[13..v3.len() - 16]);
+        v2[4] = 2;
+        std::fs::write(&path, &v2).unwrap();
+        let legacy = Manifest {
+            widths: None,
+            ..manifest
+        };
+        assert_eq!(Manifest::read(&dir).unwrap(), legacy);
+        for (mut bytes, flipped) in [(v3, 2), (v2, 3)] {
+            bytes[4] = flipped;
+            std::fs::write(&path, &bytes).unwrap();
+            assert!(matches!(
+                Manifest::read(&dir),
+                Err(StorageError::Corrupt(_))
+            ));
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -337,6 +424,7 @@ mod tests {
             schema: schema(),
             chunk_capacity: 4,
             row_count: 8,
+            widths: Some(vec![0]),
         };
         manifest.write(&dir).unwrap();
         let path = dir.join(MANIFEST_FILE);

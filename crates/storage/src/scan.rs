@@ -34,9 +34,9 @@ use crate::value::Value;
 /// The primitive is [`TupleScan::scan_blocks`]: storage order, one borrowed
 /// [`RowBlock`] per run of rows that are physically together (a heap page, a
 /// columnar segment). Whoever can work on column slices — the linear tasks'
-/// gradient and loss passes, dimension inference — reads them straight out
-/// of a columnar block; whoever works a row at a time but names only some of
-/// its columns — SQL `SELECT` — walks the block with [`RowBlock::row`], a
+/// gradient and loss passes — reads them straight out of a columnar block;
+/// whoever works a row at a time but names only some of its columns — SQL
+/// `SELECT` — walks the block with [`RowBlock::row`], a
 /// [`RowRef`] cursor that reads one cell where it is stored; the
 /// storage-order tuple scans (`scan_tuples`, `scan_tuples_while`,
 /// `scan_tuples_range`) are adapters over it that hand out a row-store
@@ -45,6 +45,10 @@ use crate::value::Value;
 /// [`TupleScan::scan_tuples_permuted`] is its own walk. The interface is
 /// callback-based (rather than returning iterators) because a paged segment
 /// is pinned only for the duration of one callback.
+///
+/// [`TupleScan::vector_width`] is not a scan at all: a table keeps the widest
+/// vector of each column as rows are appended (a paged table writes it into
+/// its manifest), so dimension inference reads no row.
 ///
 /// # Semantics shared by all implementations
 ///
@@ -63,6 +67,11 @@ use crate::value::Value;
 pub trait TupleScan: Sync {
     /// Number of rows the scan will visit.
     fn tuple_count(&self) -> usize;
+
+    /// The largest [`FeatureVectorRef::dimension`] of any row's value in
+    /// column `col`: 0 when no row holds a vector there (or there is no such
+    /// column). Table metadata, answered without reading a row.
+    fn vector_width(&self, col: usize) -> usize;
 
     /// Visit rows `start..end` (clamped) in storage order, one block per
     /// physically contiguous run, until `f` returns `false` or rows run out.
@@ -312,6 +321,18 @@ pub(crate) fn materialize_row(columns: &[ColumnChunk], row: usize, tuple: &mut T
     }
     for (chunk, slot) in columns.iter().zip(values.iter_mut()) {
         chunk.read_into(row, slot);
+    }
+}
+
+/// Raise `widths[c]` to the [`FeatureVectorRef::dimension`] of `row[c]`
+/// wherever that cell holds a vector: how [`crate::Table`] and
+/// [`crate::ColumnarTable`] keep [`TupleScan::vector_width`] as rows are
+/// appended. Rows are never removed, so the running max is exact.
+pub(crate) fn widen(widths: &mut [usize], row: &[Value]) {
+    for (width, value) in widths.iter_mut().zip(row) {
+        if let Some(x) = value.feature_view() {
+            *width = (*width).max(x.dimension());
+        }
     }
 }
 

@@ -220,6 +220,10 @@ impl StoredTable {
 /// that has not been opened yet. Recovery keeps references unopened until
 /// the whole log is replayed, so a paged table that was later dropped or
 /// replaced never needs its directory to still exist.
+// Boxing the resident table, as the lint asks, is one more small allocation
+// per decoded table, made after its rows: it moved `durable_ingest_reopen`'s
+// peak RSS by up to +7 MB (heap placement), unboxed it reads as before.
+#[allow(clippy::large_enum_variant)]
 #[derive(Debug)]
 pub(crate) enum Decoded {
     /// Rows decoded into memory.
@@ -265,6 +269,10 @@ impl Decoded {
 impl TupleScan for StoredTable {
     fn tuple_count(&self) -> usize {
         self.layout().tuple_count()
+    }
+
+    fn vector_width(&self, col: usize) -> usize {
+        self.layout().vector_width(col)
     }
 
     fn scan_blocks(&self, start: usize, end: usize, f: &mut dyn FnMut(RowBlock<'_>) -> bool) {

@@ -7,7 +7,7 @@
 //! our stand-in for `ORDER BY RANDOM()`.
 
 use crate::error::StorageError;
-use crate::scan::{RowBlock, TupleScan};
+use crate::scan::{widen, RowBlock, TupleScan};
 use crate::schema::Schema;
 use crate::tuple::Tuple;
 use crate::value::Value;
@@ -41,6 +41,8 @@ pub struct Table {
     schema: Schema,
     pages: Vec<Page>,
     row_count: usize,
+    /// [`TupleScan::vector_width`] of each column.
+    widths: Vec<usize>,
 }
 
 impl Table {
@@ -48,6 +50,7 @@ impl Table {
     pub fn new(name: impl Into<String>, schema: Schema) -> Self {
         Table {
             name: name.into(),
+            widths: vec![0; schema.arity()],
             schema,
             pages: Vec::new(),
             row_count: 0,
@@ -83,6 +86,7 @@ impl Table {
     /// order).
     pub fn insert(&mut self, values: Vec<Value>) -> Result<usize, StorageError> {
         self.schema.validate(&values)?;
+        widen(&mut self.widths, &values);
         if self.pages.last().is_none_or(Page::is_full) {
             self.pages.push(Page::with_capacity());
         }
@@ -150,17 +154,15 @@ impl Table {
     pub fn column_index(&self, name: &str) -> Result<usize, StorageError> {
         self.schema.index_of(name)
     }
-
-    /// Remove all rows, keeping the schema.
-    pub fn truncate(&mut self) {
-        self.pages.clear();
-        self.row_count = 0;
-    }
 }
 
 impl TupleScan for Table {
     fn tuple_count(&self) -> usize {
         self.row_count
+    }
+
+    fn vector_width(&self, col: usize) -> usize {
+        self.widths.get(col).copied().unwrap_or(0)
     }
 
     /// One block per page: every page but the last is full, so row `r` is
@@ -274,16 +276,6 @@ mod tests {
         let mut t = table();
         let rows = (0..4).map(|i| vec![Value::Int(i), Value::Double(0.0)]);
         assert_eq!(t.insert_all(rows).unwrap(), 4);
-    }
-
-    #[test]
-    fn truncate_resets() {
-        let mut t = table();
-        t.insert(vec![Value::Int(1), Value::Double(1.0)]).unwrap();
-        t.truncate();
-        assert!(t.is_empty());
-        assert_eq!(t.page_count(), 0);
-        assert_eq!(t.approx_bytes(), 0);
     }
 
     #[test]

@@ -24,6 +24,10 @@
 //! 5. Multiplexed reservoir sampling reads all three layouts: bit for bit
 //!    alike where the scheme is deterministic, and over the paged table —
 //!    the data it exists for — to a loss no worse than a storage-order pass.
+//! 6. Every layout keeps each column's widest vector as metadata, so a SQL
+//!    training statement over a paged table reads it exactly as often as
+//!    its passes do — twice for one epoch, counted in misses and bytes —
+//!    and a torn segment fails the statement, not the caller.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -33,9 +37,11 @@ use bismarck_core::{
     StepSizeSchedule, TrainError, TrainedModel, Trainer, TrainerConfig, UpdateDiscipline,
 };
 use bismarck_linalg::{FeatureVectorRef, SparseVector};
+use bismarck_sql::{SqlError, SqlSession};
 use bismarck_storage::csv::{table_from_str, tuples_to_string};
 use bismarck_storage::{
-    Column, ColumnarTable, DataType, RowBlock, ScanOrder, Schema, Table, Tuple, TupleScan, Value,
+    Column, ColumnarTable, DataType, RowBlock, ScanOrder, Schema, StorageError, Table, Tuple,
+    TupleScan, Value,
 };
 use bismarck_uda::ConvergenceTest;
 use proptest::prelude::*;
@@ -98,6 +104,24 @@ fn all_tuples<S: TupleScan + ?Sized>(source: &S) -> Vec<Vec<Value>> {
     let mut out = Vec::new();
     source.scan_tuples(&mut |t| out.push(t.values().to_vec()));
     out
+}
+
+/// The widest vector of each of the first `arity` columns, found by reading
+/// every row: what [`TupleScan::vector_width`] must answer without reading
+/// one.
+fn walked_widths<S: TupleScan + ?Sized>(source: &S, arity: usize) -> Vec<usize> {
+    let mut widths = vec![0; arity];
+    source.scan_tuples(&mut |t| {
+        for (col, width) in widths.iter_mut().enumerate() {
+            *width = (*width).max(t.feature_view(col).map_or(0, |x| x.dimension()));
+        }
+    });
+    widths
+}
+
+/// The widths `source` keeps as metadata, for the first `arity` columns.
+fn kept_widths<S: TupleScan + ?Sized>(source: &S, arity: usize) -> Vec<usize> {
+    (0..arity).map(|col| source.vector_width(col)).collect()
 }
 
 proptest! {
@@ -268,13 +292,16 @@ fn example_bits(example: Option<(FeatureVectorRef<'_>, f64)>) -> ExampleBits {
 }
 
 /// Over each range and column pairing: the examples of `source`'s blocks
-/// equal what `reference`'s tuple scan reads, and so does the width
-/// `infer_dimension` derives from them.
+/// equal what `reference`'s tuple scan reads, and so does the widest vector
+/// the blocks lend. And the width `source` keeps of each column — what
+/// `infer_dimension` answers — is the widest vector of the whole table.
 fn check_block_scan<S: TupleScan + ?Sized>(
     reference: &Table,
     source: &S,
     ranges: &[(usize, usize)],
 ) -> Result<(), String> {
+    let arity = reference.schema().arity();
+    prop_assert_eq!(kept_widths(source, arity), walked_widths(reference, arity));
     for &(start, end) in ranges {
         for (features, label) in EXAMPLE_PAIRS {
             let mut from_tuples = Vec::new();
@@ -729,6 +756,89 @@ fn block_path_falls_back_per_tuple_and_surfaces_torn_segments() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A SQL training statement reads its table first in the gradient pass, so
+/// a torn segment of a paged table is a worker fault the statement returns
+/// as an error, and the session goes on answering.
+#[test]
+fn torn_segment_fails_a_sql_training_statement_with_an_error() {
+    let (schema, rows) = training_rows(false);
+    let dir = temp_dir("torn_sql");
+    drop(three_layouts(&schema, &rows, &dir));
+    let mut session = SqlSession::new();
+    session
+        .register_columnar_table(ColumnarTable::open_paged(&dir, 1).unwrap())
+        .unwrap();
+    session
+        .execute_script("CREATE TABLE other (x INT); INSERT INTO other VALUES (1), (2)")
+        .unwrap();
+    let segment = dir.join("seg-000002.col");
+    let mut bytes = std::fs::read(&segment).unwrap();
+    let middle = bytes.len() / 2;
+    bytes[middle] ^= 0x01;
+    std::fs::write(&segment, bytes).unwrap();
+
+    for statement in [
+        "SELECT LRTrain('m', 'd', 'vec', 'label')",
+        "SELECT SVMTrain('m', 'd', 'vec', 'label')",
+    ] {
+        match session.execute(statement) {
+            Err(SqlError::Analytics(message)) => assert!(
+                message.contains("failed to page in segment 2"),
+                "{statement}: {message}"
+            ),
+            other => panic!("{statement}: expected an analytics error, got {other:?}"),
+        }
+    }
+    let count = session.execute("SELECT COUNT(*) FROM other").unwrap();
+    assert_eq!(count.single_value(), Some(&Value::Int(2)));
+    assert!(!session.database().contains("m"));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Exact I/O on any machine: a one-epoch training statement over a paged
+/// table whose cache holds a few of its segments moves the pager's misses
+/// and bytes read by exactly two passes — gradient and loss — and not a
+/// third for the dimension. One pass is measured here, by a block scan from
+/// the cache state every full pass leaves behind (the last segments cached,
+/// the first ones it needs not).
+#[test]
+fn one_epoch_sql_statement_pages_the_table_in_twice() {
+    let (schema, rows) = training_rows(false);
+    let dir = temp_dir("two_passes");
+    drop(three_layouts(&schema, &rows, &dir));
+    let clustered = TrainerConfig::default().with_scan_order(ScanOrder::Clustered);
+    let mut session = SqlSession::new().with_trainer_config(clustered);
+    session
+        .register_columnar_table(ColumnarTable::open_paged(&dir, TRAIN_CACHE).unwrap())
+        .unwrap();
+    let io = |session: &SqlSession| {
+        let stats = session.columnar_table("d").unwrap().pager_stats().unwrap();
+        [stats.misses, stats.bytes_read]
+    };
+    let pass = |session: &SqlSession| {
+        let (before, table) = (io(session), session.columnar_table("d").unwrap());
+        table.scan_blocks(0, usize::MAX, &mut |_| true);
+        let after = io(session);
+        [after[0] - before[0], after[1] - before[1]]
+    };
+    pass(&session); // from the state open left: the tail cached, nothing else
+    let one_pass = pass(&session);
+    assert_eq!(pass(&session), one_pass, "a full pass ends where it began");
+    assert!(one_pass[0] > TRAIN_CACHE as u64 && one_pass[1] > 0);
+
+    let before = io(&session);
+    session
+        .execute("SELECT LRTrain('m', 'd', 'vec', 'label', 0.05, 1)")
+        .unwrap();
+    let after = io(&session);
+    assert_eq!(
+        [after[0] - before[0], after[1] - before[1]],
+        one_pass.map(|n| 2 * n),
+        "[misses, bytes read] of the statement against twice one pass {one_pass:?}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// A paged table reopened from disk serves the same tuples it was built
 /// with — the scan surface works straight off the on-disk segments.
 #[test]
@@ -857,11 +967,13 @@ const V1_FIXTURE: [(&str, &str); 3] = [
     ),
 ];
 
-/// A version-1 directory opens and scans the rows it was built from; the
-/// current codec writes byte-for-byte the same payloads (only the frame's
-/// version byte and checksum differ); training over either gives the same
-/// bits; and a version-1 directory keeps accepting inserts, its rewritten
-/// files coming out as version 2 beside the untouched version-1 segment.
+/// A version-1 directory opens and scans the rows it was built from, with
+/// the column widths its manifest predates computed at open; the current
+/// codec writes byte-for-byte the same payloads (only the frame's version
+/// byte and checksum differ, and a version-3 manifest appends the widths);
+/// training over either gives the same bits; and a version-1 directory keeps
+/// accepting inserts, its rewritten files coming out in the current versions
+/// beside the untouched version-1 segment.
 #[test]
 fn version_1_directory_opens_scans_and_trains_like_its_version_2_rewrite() {
     let unhex = |text: &str| -> Vec<u8> {
@@ -886,9 +998,30 @@ fn version_1_directory_opens_scans_and_trains_like_its_version_2_rewrite() {
     for (file, hex) in V1_FIXTURE {
         std::fs::write(v1_dir.join(file), unhex(hex)).unwrap();
     }
+    let arity = fixture_schema().arity();
+    // The widths a legacy manifest lacks cost one walk over the sealed
+    // segments at open, so a torn one fails the open: an error, not a panic.
+    let torn_dir = temp("v1-torn");
+    for (file, hex) in V1_FIXTURE {
+        let mut bytes = unhex(hex);
+        if file == "seg-000000.col" {
+            let middle = bytes.len() / 2;
+            bytes[middle] ^= 0x01;
+        }
+        std::fs::write(torn_dir.join(file), bytes).unwrap();
+    }
+    assert!(matches!(
+        ColumnarTable::open_paged(&torn_dir, 2),
+        Err(StorageError::Corrupt(_))
+    ));
+    std::fs::remove_dir_all(&torn_dir).ok();
+
     let mut v1 = ColumnarTable::open_paged(&v1_dir, 2).unwrap();
     assert_eq!((v1.name(), v1.chunk_capacity()), ("fixture", 4));
     assert_eq!(all_tuples(&v1), rows[..6]);
+    // `vec` is 2 wide, `dv` at most 1, `sv` reaches index 12 (row 5).
+    let widths = vec![0, 0, 0, 0, 2, 1, 13, 0];
+    assert_eq!(kept_widths(&v1, arity), widths);
 
     let v2_dir = temp("v2");
     let mut v2 = ColumnarTable::create_paged("fixture", fixture_schema(), &v2_dir, 4, 2).unwrap();
@@ -896,12 +1029,23 @@ fn version_1_directory_opens_scans_and_trains_like_its_version_2_rewrite() {
     v2.flush().unwrap();
     for (file, hex) in V1_FIXTURE {
         let (old, new) = (unhex(hex), std::fs::read(v2_dir.join(file)).unwrap());
-        assert_eq!((old[4], new[4]), (1, 2), "{file}: frame versions");
+        let manifest = file == "columnar.meta";
+        let version = if manifest { 3 } else { 2 };
+        assert_eq!((old[4], new[4]), (1, version), "{file}: frame versions");
         assert_eq!(old[..4], new[..4], "{file}: magic");
+        // A payload sits between the 13-byte header and the 8-byte checksum.
+        let appended: Vec<u8> = if manifest {
+            widths
+                .iter()
+                .flat_map(|&w| (w as u64).to_le_bytes())
+                .collect()
+        } else {
+            Vec::new()
+        };
         assert_eq!(
-            old[5..old.len() - 8],
-            new[5..new.len() - 8],
-            "{file}: payload length and payload must be byte-identical"
+            [&old[13..old.len() - 8], &appended[..]].concat(),
+            new[13..new.len() - 8],
+            "{file}: the payload must be byte-identical, a manifest's widths appended"
         );
         assert_ne!(
             old[old.len() - 8..],
@@ -917,11 +1061,12 @@ fn version_1_directory_opens_scans_and_trains_like_its_version_2_rewrite() {
         trained.model.iter().map(|w| w.to_bits()).collect()
     };
     let v2 = ColumnarTable::open_paged(&v2_dir, 2).unwrap();
+    assert_eq!(kept_widths(&v2, arity), widths);
     assert_eq!(train(&v1), train(&v2));
     assert!(train(&v1).iter().any(|&bits| f64::from_bits(bits) != 0.0));
 
-    // Inserts into the version-1 directory: the tail and manifest are
-    // rewritten as version 2, sealed segment 0 stays version 1 on disk.
+    // Inserts into the version-1 directory: the tail is rewritten as version
+    // 2 and the manifest as 3, sealed segment 0 stays version 1 on disk.
     v1.insert_all(rows[6..].iter().cloned()).unwrap();
     v1.flush().unwrap();
     drop(v1);
@@ -934,11 +1079,15 @@ fn version_1_directory_opens_scans_and_trains_like_its_version_2_rewrite() {
             "columnar.meta"
         ]
         .map(version),
-        [1, 2, 2, 2]
+        [1, 2, 2, 3]
     );
+    let rewritten = ColumnarTable::open_paged(&v1_dir, 1).unwrap();
+    assert_eq!(all_tuples(&rewritten), rows);
+    // Row 8's sparse vector reaches index 15; the rest is unchanged.
+    assert_eq!(kept_widths(&rewritten, arity), [0, 0, 0, 0, 2, 1, 16, 0]);
     assert_eq!(
-        all_tuples(&ColumnarTable::open_paged(&v1_dir, 1).unwrap()),
-        rows
+        walked_widths(&rewritten, arity),
+        kept_widths(&rewritten, arity)
     );
 
     std::fs::remove_dir_all(&v1_dir).ok();

@@ -45,16 +45,39 @@ fn rows_of(table: &StoredTable) -> Vec<Vec<Value>> {
     rows
 }
 
+/// The widest vector of each of the first `arity` columns as `table` keeps
+/// it: metadata, no row read.
+fn kept_widths<S: TupleScan + ?Sized>(table: &S, arity: usize) -> Vec<usize> {
+    (0..arity).map(|col| table.vector_width(col)).collect()
+}
+
+/// The same widths, recomputed from every row.
+fn walked_widths<S: TupleScan + ?Sized>(table: &S, arity: usize) -> Vec<usize> {
+    let mut widths = vec![0; arity];
+    table.scan_tuples(&mut |tuple| {
+        for (col, width) in widths.iter_mut().enumerate() {
+            *width = (*width).max(tuple.feature_view(col).map_or(0, |x| x.dimension()));
+        }
+    });
+    widths
+}
+
 /// A comparable description of the full catalog contents: sorted table
-/// names, each with its layout (chunk capacity of a columnar table) and
-/// every row in scan order.
-type Fingerprint = Vec<(String, Option<usize>, Vec<Vec<Value>>)>;
+/// names, each with its layout (chunk capacity of a columnar table), the
+/// widths it keeps, and every row in scan order.
+type Fingerprint = Vec<(String, Option<usize>, Vec<usize>, Vec<Vec<Value>>)>;
 
 fn fingerprint(db: &Database) -> Fingerprint {
     db.tables()
         .map(|table| {
             let chunk_capacity = table.as_columnar().map(ColumnarTable::chunk_capacity);
-            (table.name().to_string(), chunk_capacity, rows_of(table))
+            let widths = kept_widths(table, table.schema().arity());
+            (
+                table.name().to_string(),
+                chunk_capacity,
+                widths,
+                rows_of(table),
+            )
         })
         .collect()
 }
@@ -278,8 +301,8 @@ fn train_restart_predict_roundtrip() {
 /// The unified catalog through the SQL surface: a `STORAGE = COLUMNAR` table
 /// created, filled, copied and shuffled by SQL text — and one built in Rust
 /// and registered — survives `SqlSession::open` — and a forced `compact()` —
-/// with its layout, chunk capacity, its rows tuple-for-tuple, and
-/// bit-identical retrained weights.
+/// with its layout, chunk capacity, the vector widths it keeps (those of its
+/// rows), its rows tuple-for-tuple, and bit-identical retrained weights.
 #[test]
 fn sql_created_columnar_tables_survive_reopen_and_compaction() {
     use bismarck_sql::SqlSession;
@@ -319,6 +342,21 @@ fn sql_created_columnar_tables_survive_reopen_and_compaction() {
         (fingerprint(session.database()), weights)
     };
     assert_eq!(catalog_before.len(), 4, "d, dcopy, reg and the model m");
+    // INSERT filled `d`, CTAS copied it, SHUFFLE rewrote the copy: each
+    // keeps `vec` 2 wide.
+    let widths: Vec<_> = catalog_before
+        .iter()
+        .map(|t| (&t.0[..], &t.2[..]))
+        .collect();
+    assert_eq!(
+        widths,
+        [
+            ("d", &[0, 2, 0][..]),
+            ("dcopy", &[0, 2, 0]),
+            ("m", &[0, 0]),
+            ("reg", &[0])
+        ]
+    );
 
     for compact_first in [false, true] {
         let mut session = SqlSession::open(&dir).unwrap();
@@ -335,6 +373,10 @@ fn sql_created_columnar_tables_survive_reopen_and_compaction() {
         let reg = session.columnar_table("reg").unwrap();
         assert_eq!((reg.chunk_capacity(), reg.segment_count()), (4, 3));
         assert_eq!(fingerprint(session.database()), catalog_before);
+        for table in session.database().tables() {
+            let arity = table.schema().arity();
+            assert_eq!(kept_widths(table, arity), walked_widths(table, arity));
+        }
         assert_eq!(weights(&mut session), weights_before, "retrained weights");
         session.database_mut().compact().unwrap();
     }
@@ -525,6 +567,7 @@ fn directory_written_before_layouts_still_opens() {
             (
                 "c".to_string(),
                 Some(2),
+                vec![0, 0],
                 vec![
                     vec![int(3), Value::Double(-1.25)],
                     vec![int(4), Value::Null],
@@ -534,6 +577,7 @@ fn directory_written_before_layouts_still_opens() {
             (
                 "r".to_string(),
                 None,
+                vec![0, 0],
                 vec![vec![int(1), Value::Double(0.5)], vec![int(2), Value::Null]]
             ),
         ]
@@ -713,12 +757,28 @@ mod crash_matrix {
     /// create, each seal (every 4th row) and each flush (at 10 and 13 rows).
     const PAGED_BOUNDARIES: [usize; 6] = [0, 4, 8, 10, 12, 13];
 
+    /// `(id, vec)`, where row `i`'s sparse vector reaches index `i`: the
+    /// `vec` width of a table of `n` such rows is `n`, so a manifest whose
+    /// widths were a seal or flush ahead of (or behind) its rows shows.
+    fn paged_schema() -> Schema {
+        Schema::new(vec![
+            Column::new("id", DataType::Int),
+            Column::new("vec", DataType::SparseVec),
+        ])
+        .unwrap()
+    }
+
+    fn paged_row(i: i64) -> Vec<Value> {
+        let vec = bismarck_linalg::SparseVector::from_pairs(vec![(i.max(0) as usize, 1.0)]);
+        vec![Value::Int(i), Value::SparseVec(vec)]
+    }
+
     /// Create a paged table, insert across two seals, flush, insert across
     /// a third, flush. Returns the last boundary acknowledged with `Ok`
     /// (`None`: not even the create was), stopping at the first failure as
     /// a crashed process would.
     fn paged_scenario(dir: &std::path::Path) -> Option<usize> {
-        let mut paged = ColumnarTable::create_paged("p", schema(), dir, 4, 1).ok()?;
+        let mut paged = ColumnarTable::create_paged("p", paged_schema(), dir, 4, 1).ok()?;
         let mut acked = 0;
         for i in 0..13 {
             if i == 10 {
@@ -727,7 +787,7 @@ mod crash_matrix {
                 }
                 acked = 10;
             }
-            if paged.insert(row(i as i64)).is_err() {
+            if paged.insert(paged_row(i as i64)).is_err() {
                 return Some(acked);
             }
             if (i + 1) % 4 == 0 {
@@ -741,8 +801,8 @@ mod crash_matrix {
     /// file, then the manifest — crashed at every fault point in turn.
     /// `open_paged` must succeed on whatever is left, hold exactly the rows
     /// of a seal/flush boundary no older than the last acknowledged one
-    /// (every segment re-read from disk and verified by the scan), and
-    /// keep accepting writes.
+    /// (every segment re-read from disk and verified by the scan) with the
+    /// widths of exactly those rows, and keep accepting writes.
     #[test]
     fn every_pager_crash_point_recovers_a_seal_or_flush_boundary() {
         let _guard = injector_lock();
@@ -777,12 +837,21 @@ mod crash_matrix {
                 PAGED_BOUNDARIES.contains(&n) && n >= acked,
                 "crash point {point} of {total}: {n} rows recovered, {acked} acknowledged"
             );
-            recovered.insert(row(-1)).unwrap();
+            assert_eq!(
+                kept_widths(&recovered, 2),
+                walked_widths(&recovered, 2),
+                "crash point {point} of {total}"
+            );
+            recovered.insert(paged_row(-1)).unwrap();
             recovered.flush().unwrap();
             let reopened = ColumnarTable::open_paged(&dir, 1).unwrap();
+            let fingerprint = (kept_widths(&reopened, 2), rows_of(&reopened.into()));
             assert_eq!(
-                rows_of(&reopened.into()),
-                (0..n as i64).chain([-1]).map(row).collect::<Vec<_>>(),
+                fingerprint,
+                (
+                    vec![0, n.max(1)],
+                    (0..n as i64).chain([-1]).map(paged_row).collect::<Vec<_>>()
+                ),
                 "crash point {point} of {total}"
             );
             std::fs::remove_dir_all(&dir).ok();

@@ -172,6 +172,9 @@ impl TupleScan for StopAtBlock<'_> {
     fn tuple_count(&self) -> usize {
         self.inner.tuple_count()
     }
+    fn vector_width(&self, col: usize) -> usize {
+        self.inner.vector_width(col)
+    }
     fn scan_blocks(&self, start: usize, end: usize, f: &mut dyn FnMut(RowBlock<'_>) -> bool) {
         self.inner.scan_blocks(start, end, &mut |block| {
             if self.served.fetch_add(1, Ordering::SeqCst) == self.stop_at {
