@@ -157,7 +157,7 @@ impl Database {
     /// is a hard [`StorageError::Corrupt`], never silently repaired.
     pub fn open(dir: impl AsRef<Path>) -> Result<(Database, RecoveryReport), StorageError> {
         let dir = dir.as_ref();
-        std::fs::create_dir_all(dir)
+        durable::create_dir(dir)
             .map_err(|e| StorageError::Io(format!("create {}: {e}", dir.display())))?;
         let snapshot_path = dir.join(SNAPSHOT_FILE);
         let wal_path = dir.join(WAL_FILE);

@@ -35,23 +35,25 @@ use crate::error::StorageError;
 
 /// Fault-injection hooks for the durability layer.
 ///
-/// Compiled only with the `fault-injection` feature. The injector is a
-/// process-global step counter: every *byte* written through the durable
-/// layer consumes one fault point, and every metadata operation (create,
-/// sync, rename, truncate, directory sync) consumes one more. A test arms
-/// the injector at point `k` and runs a scenario; when the counter reaches
-/// `k`, the in-flight operation fails — short-writing its buffer if it was a
-/// write — and, in [`fault::Mode::Crash`], every later operation fails too,
-/// which is exactly what a process that died at that instant would have done
-/// to the filesystem. Re-opening the database afterwards simulates the
-/// post-crash restart.
+/// Compiled only with the `fault-injection` feature. The injector is a step
+/// counter of the thread that arms it: every *byte* that thread writes
+/// through the durable layer consumes one fault point, and every metadata
+/// operation it makes (create, sync, rename, truncate, directory create or
+/// sync) consumes one more. [`fault::armed`] runs a scenario with the
+/// injector armed at point `k`; when the counter reaches `k`, the in-flight
+/// operation fails — short-writing its buffer if it was a write — and, in
+/// [`fault::Mode::Crash`], every later operation fails too, which is exactly
+/// what a process that died at that instant would have done to the
+/// filesystem. Re-opening the database afterwards simulates the post-crash
+/// restart.
 ///
-/// The injector is global state: tests that arm it must serialize themselves
-/// (e.g. behind a `Mutex`) and disarm it when done.
+/// Durable I/O on any other thread is neither counted nor failed, so tests
+/// arm side by side without serialising, and a scenario must do its durable
+/// I/O on the thread that arms.
 #[cfg(feature = "fault-injection")]
 pub mod fault {
+    use std::cell::Cell;
     use std::io;
-    use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 
     /// What happens once the armed fault point is reached.
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -66,88 +68,94 @@ pub mod fault {
         FailOnce,
     }
 
-    static ARMED: AtomicBool = AtomicBool::new(false);
-    static MODE_CRASH: AtomicU8 = AtomicU8::new(0);
-    static FAULT_AT: AtomicU64 = AtomicU64::new(u64::MAX);
-    static CONSUMED: AtomicU64 = AtomicU64::new(0);
-    static FIRED: AtomicBool = AtomicBool::new(false);
-
-    /// Arm the injector: the fault fires once `at_point` fault points have
-    /// been consumed. Arming with `at_point == u64::MAX` never fires and is
-    /// the idiom for *counting* how many fault points a scenario has.
-    pub fn arm(mode: Mode, at_point: u64) {
-        CONSUMED.store(0, Ordering::SeqCst);
-        FIRED.store(false, Ordering::SeqCst);
-        FAULT_AT.store(at_point, Ordering::SeqCst);
-        MODE_CRASH.store(matches!(mode, Mode::Crash) as u8, Ordering::SeqCst);
-        ARMED.store(true, Ordering::SeqCst);
+    /// What a scenario run under [`armed`] did to the injector.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub struct Armed {
+        /// Fault points the scenario consumed, the one that fired included.
+        pub consumed: u64,
+        /// Whether the fault fired.
+        pub fired: bool,
     }
 
-    /// Disarm the injector and return the number of fault points consumed
-    /// since [`arm`].
-    pub fn disarm() -> u64 {
-        ARMED.store(false, Ordering::SeqCst);
-        CONSUMED.load(Ordering::SeqCst)
+    #[derive(Clone, Copy)]
+    struct Injector {
+        mode: Mode,
+        fault_at: u64,
+        run: Armed,
     }
 
-    /// Whether the armed fault has fired at least once.
-    pub fn fired() -> bool {
-        FIRED.load(Ordering::SeqCst)
+    thread_local! {
+        /// `None` while this thread is not inside [`armed`].
+        static INJECTOR: Cell<Option<Injector>> = const { Cell::new(None) };
     }
 
-    fn injected() -> io::Error {
+    /// Run `scenario` on this thread with the injector armed: the fault
+    /// fires once `at_point` fault points have been consumed. Arming at
+    /// `u64::MAX` never fires and is the idiom for *counting* how many fault
+    /// points a scenario has. The injector is disarmed when `scenario`
+    /// returns or unwinds.
+    pub fn armed<R>(mode: Mode, at_point: u64, scenario: impl FnOnce() -> R) -> (R, Armed) {
+        /// Puts back what the thread had before, on return and on unwind.
+        struct Restore(Option<Injector>);
+        impl Drop for Restore {
+            fn drop(&mut self) {
+                INJECTOR.set(self.0);
+            }
+        }
+        let _restore = Restore(INJECTOR.replace(Some(Injector {
+            mode,
+            fault_at: at_point,
+            run: Armed {
+                consumed: 0,
+                fired: false,
+            },
+        })));
+        let result = scenario();
+        let run = INJECTOR.get().expect("armed for the whole scenario").run;
+        (result, run)
+    }
+
+    pub(crate) fn injected() -> io::Error {
         io::Error::other("injected I/O fault")
     }
 
-    fn should_fail_now() -> bool {
-        if !ARMED.load(Ordering::SeqCst) {
-            return false;
-        }
-        if FIRED.load(Ordering::SeqCst) {
+    /// Consume `points` fault points of this thread's scenario. `Err(prefix)`
+    /// fails the operation after its first `prefix` points: the fault fires
+    /// inside it, or a crash has already fired.
+    fn consume(points: u64) -> Result<(), u64> {
+        let Some(mut injector) = INJECTOR.get() else {
+            return Ok(());
+        };
+        if injector.run.fired {
             // After the first failure: Crash keeps failing, FailOnce heals.
-            return MODE_CRASH.load(Ordering::SeqCst) == 1;
+            return match injector.mode {
+                Mode::Crash => Err(0),
+                Mode::FailOnce => Ok(()),
+            };
         }
-        false
+        let start = injector.run.consumed;
+        injector.run.consumed = start.saturating_add(points);
+        let outcome = if injector.run.consumed <= injector.fault_at {
+            Ok(())
+        } else {
+            injector.run.fired = true;
+            Err(injector.fault_at - start)
+        };
+        INJECTOR.set(Some(injector));
+        outcome
     }
 
     /// Consume one fault point for a metadata operation (create, sync,
-    /// rename, truncate, directory sync).
+    /// rename, truncate, directory create or sync).
     pub(crate) fn metadata_op() -> io::Result<()> {
-        if should_fail_now() {
-            return Err(injected());
-        }
-        if !ARMED.load(Ordering::SeqCst) || FIRED.load(Ordering::SeqCst) {
-            // Unarmed, or FailOnce already fired and healed.
-            return Ok(());
-        }
-        let point = CONSUMED.fetch_add(1, Ordering::SeqCst);
-        if point >= FAULT_AT.load(Ordering::SeqCst) {
-            FIRED.store(true, Ordering::SeqCst);
-            return Err(injected());
-        }
-        Ok(())
+        consume(1).map_err(|_| injected())
     }
 
-    /// Ask how many bytes of an `len`-byte write may proceed. Returns
-    /// `Ok(len)` for a full write, or `Err((prefix, error))` when the fault
-    /// point lands inside the buffer: the caller must write exactly `prefix`
-    /// bytes (the torn write) and then report the error.
-    #[allow(clippy::result_large_err)]
-    pub(crate) fn admit_write(len: usize) -> Result<usize, (usize, io::Error)> {
-        if should_fail_now() {
-            return Err((0, injected()));
-        }
-        if !ARMED.load(Ordering::SeqCst) || FIRED.load(Ordering::SeqCst) {
-            // Unarmed, or FailOnce already fired and healed.
-            return Ok(len);
-        }
-        let start = CONSUMED.fetch_add(len as u64, Ordering::SeqCst);
-        let at = FAULT_AT.load(Ordering::SeqCst);
-        if start.saturating_add(len as u64) <= at {
-            return Ok(len);
-        }
-        FIRED.store(true, Ordering::SeqCst);
-        Err(((at.saturating_sub(start)) as usize, injected()))
+    /// Consume one fault point per byte of a `len`-byte write. `Err(prefix)`
+    /// when the fault lands inside the buffer: the caller must write exactly
+    /// `prefix` bytes (the torn write) and then fail.
+    pub(crate) fn admit_write(len: usize) -> Result<(), usize> {
+        consume(len as u64).map_err(|prefix| prefix as usize)
     }
 }
 
@@ -155,17 +163,12 @@ pub mod fault {
 /// short-write decisions.
 pub(crate) fn write_all(file: &mut File, buf: &[u8]) -> io::Result<()> {
     #[cfg(feature = "fault-injection")]
-    {
-        match fault::admit_write(buf.len()) {
-            Ok(_) => {}
-            Err((prefix, err)) => {
-                // The torn write: the prefix reaches the file, the rest — and
-                // every fsync that would have made it durable — does not.
-                let _ = file.write_all(&buf[..prefix]);
-                let _ = file.flush();
-                return Err(err);
-            }
-        }
+    if let Err(prefix) = fault::admit_write(buf.len()) {
+        // The torn write: the prefix reaches the file, the rest — and every
+        // fsync that would have made it durable — does not.
+        let _ = file.write_all(&buf[..prefix]);
+        let _ = file.flush();
+        return Err(fault::injected());
     }
     file.write_all(buf)
 }
@@ -217,6 +220,23 @@ pub fn sync_dir(dir: &Path) -> io::Result<()> {
         // guarantee there rather than failing every write.
         Err(e) if e.kind() == io::ErrorKind::PermissionDenied => Ok(()),
         Err(e) => Err(e),
+    }
+}
+
+/// Create the directory `path` (and any missing ancestors) durably: the new
+/// entry is fsynced into its parent, so a power loss after this returns
+/// cannot lose the directory and everything later renamed inside it. An
+/// existing directory costs nothing.
+pub(crate) fn create_dir(path: &Path) -> io::Result<()> {
+    if path.is_dir() {
+        return Ok(());
+    }
+    #[cfg(feature = "fault-injection")]
+    fault::metadata_op()?;
+    fs::create_dir_all(path)?;
+    match parent_dir(path) {
+        Some(parent) => sync_dir(parent),
+        None => Ok(()),
     }
 }
 
@@ -730,5 +750,63 @@ mod tests {
         let mut extended = clean.clone();
         extended.push(0);
         assert_ne!(checksum64(&extended), expected, "zero-extended");
+    }
+
+    #[cfg(feature = "fault-injection")]
+    mod injector {
+        use super::*;
+        use crate::{Column, ColumnarTable, DataType, Database, Schema};
+        use fault::Mode;
+
+        /// Another thread's durable I/O is neither counted nor failed: it
+        /// cannot use up, or trip, the fault point of the thread that armed.
+        #[test]
+        fn only_the_arming_thread_is_counted_and_failed() {
+            let dir = temp_dir("fault-thread");
+            let path = dir.join("file.bin");
+            let (other, run) = fault::armed(Mode::Crash, 0, || {
+                std::thread::scope(|s| s.spawn(|| atomic_write(&path, b"other")).join().unwrap())
+            });
+            other.unwrap();
+            assert_eq!((run.consumed, run.fired), (0, false));
+            let (own, run) = fault::armed(Mode::Crash, 0, || atomic_write(&path, b"own"));
+            assert!(own.is_err());
+            assert_eq!((run.consumed, run.fired), (1, true));
+            assert_eq!(read_file(&path).unwrap(), b"other");
+            fs::remove_dir_all(&dir).ok();
+        }
+
+        /// A scenario that panics (a failed assertion) leaves its thread
+        /// disarmed, not crashed for whatever runs on it next.
+        #[test]
+        fn a_scenario_that_unwinds_disarms_its_thread() {
+            let dir = temp_dir("fault-unwind");
+            let unwound = std::panic::catch_unwind(|| {
+                fault::armed::<()>(Mode::Crash, 0, || panic!("scenario failed"))
+            });
+            assert!(unwound.is_err());
+            atomic_write(&dir.join("file.bin"), b"after").unwrap();
+            fs::remove_dir_all(&dir).ok();
+        }
+
+        /// A directory the durable layer creates is a fault point before it
+        /// exists, so a crash there leaves none; an existing one costs none.
+        #[test]
+        fn a_crash_before_a_fresh_directory_leaves_none() {
+            let root = temp_dir("fault-create-dir");
+            let schema = Schema::new(vec![Column::new("id", DataType::Int)]).unwrap();
+            let paged = root.join("paged");
+            let (created, _) = fault::armed(Mode::Crash, 0, || {
+                ColumnarTable::create_paged("p", schema, &paged, 4, 1)
+            });
+            assert!(created.is_err() && !paged.exists());
+            let catalog = root.join("catalog");
+            let (opened, _) = fault::armed(Mode::Crash, 0, || Database::open(&catalog));
+            assert!(opened.is_err() && !catalog.exists());
+            let (existing, run) = fault::armed(Mode::Crash, 0, || create_dir(&root));
+            existing.unwrap();
+            assert!(!run.fired);
+            fs::remove_dir_all(&root).ok();
+        }
     }
 }

@@ -33,7 +33,7 @@ use std::sync::{Arc, Mutex};
 
 use crate::codec::{push_schema, push_string, read_schema, Reader};
 use crate::columnar::Segment;
-use crate::durable::{read_file, unframe, write_framed, FileKind};
+use crate::durable::{create_dir, read_file, unframe, write_framed, FileKind};
 use crate::error::StorageError;
 use crate::schema::Schema;
 
@@ -180,7 +180,7 @@ impl Pager {
     /// Create a pager over `dir` (created if missing) holding at most
     /// `capacity` segments in memory (clamped to at least 1).
     pub fn create(dir: &Path, capacity: usize) -> Result<Self, StorageError> {
-        std::fs::create_dir_all(dir).map_err(|e| io_err(dir, e))?;
+        create_dir(dir).map_err(|e| io_err(dir, e))?;
         Ok(Pager {
             dir: dir.to_path_buf(),
             capacity: capacity.max(1),

@@ -633,16 +633,6 @@ mod crash_matrix {
     use super::*;
     use bismarck_storage::durable::fault::{self, Mode};
     use bismarck_storage::Table;
-    use std::sync::{Mutex, OnceLock};
-
-    /// The injector is process-global; every test that arms it holds this.
-    fn injector_lock() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-        match LOCK.get_or_init(|| Mutex::new(())).lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        }
-    }
 
     type Op = fn(&mut Database) -> Result<(), StorageError>;
 
@@ -686,27 +676,35 @@ mod crash_matrix {
         states
     }
 
+    /// Run `scenario` armed at a point it never reaches and return how many
+    /// fault points it consumed.
+    fn count_points<R>(scenario: impl FnOnce() -> R) -> (R, u64) {
+        let (result, run) = fault::armed(Mode::Crash, u64::MAX, scenario);
+        assert!(!run.fired);
+        (result, run.consumed)
+    }
+
     /// Run the scenario with a crash injected at every fault point in turn.
     /// After each crash, reopening the directory must recover one of the
     /// valid prefix states — the operation in flight either happened
     /// entirely or not at all, and nothing earlier is ever lost.
-    fn run_matrix(name: &str, compact_threshold: Option<u64>) {
-        let _guard = injector_lock();
+    ///
+    /// `total` is the scenario's fault-point count, pinned: one more write
+    /// or fsync on the catalog's durable path fails here on any machine.
+    fn run_matrix(name: &str, compact_threshold: Option<u64>, total: u64) {
         let states = prefix_states();
 
-        // Counting run: how many fault points does the scenario consume?
         let count_dir = temp_dir(&format!("{name}-count"));
         let (mut db, _) = Database::open(&count_dir).unwrap();
         if let Some(threshold) = compact_threshold {
             db.set_compact_threshold(threshold);
         }
-        fault::arm(Mode::Crash, u64::MAX);
-        for op in ops() {
-            op(&mut db).expect("counting run must not fail");
-        }
-        let total = fault::disarm();
-        assert!(!fault::fired());
-        assert!(total > 0);
+        let ((), points) = count_points(|| {
+            for op in ops() {
+                op(&mut db).expect("counting run must not fail");
+            }
+        });
+        assert_eq!(points, total, "fault points of the catalog scenario");
         drop(db);
         assert_eq!(
             fingerprint(&Database::open(&count_dir).unwrap().0),
@@ -721,13 +719,12 @@ mod crash_matrix {
             if let Some(threshold) = compact_threshold {
                 db.set_compact_threshold(threshold);
             }
-            fault::arm(Mode::Crash, point);
-            for op in ops() {
-                let _ = op(&mut db); // failures expected at and after the crash
-            }
-            let fired = fault::fired();
-            fault::disarm();
-            assert!(fired, "crash point {point} of {total} never fired");
+            let ((), run) = fault::armed(Mode::Crash, point, || {
+                for op in ops() {
+                    let _ = op(&mut db); // failures expected at and after the crash
+                }
+            });
+            assert!(run.fired, "crash point {point} of {total} never fired");
             drop(db);
 
             let (recovered, _report) = Database::open(&dir)
@@ -743,14 +740,14 @@ mod crash_matrix {
 
     #[test]
     fn every_crash_point_recovers_a_prefix_state() {
-        run_matrix("matrix", None);
+        run_matrix("matrix", None, 609);
     }
 
     #[test]
     fn every_crash_point_recovers_a_prefix_state_under_constant_compaction() {
         // Threshold 1 makes every operation trigger a compaction, so the
         // matrix also crashes inside snapshot writes and WAL truncation.
-        run_matrix("matrix-compact", Some(1));
+        run_matrix("matrix-compact", Some(1), 2_286);
     }
 
     /// Row counts a paged table is durable at in [`paged_scenario`]: the
@@ -805,21 +802,17 @@ mod crash_matrix {
     /// widths of exactly those rows, and keep accepting writes.
     #[test]
     fn every_pager_crash_point_recovers_a_seal_or_flush_boundary() {
-        let _guard = injector_lock();
+        // The directory's create and its parent's fsync, then the files.
+        let total = 2 + 1_509;
         let count_dir = temp_dir("pager-count");
-        fault::arm(Mode::Crash, u64::MAX);
-        assert_eq!(paged_scenario(&count_dir), Some(13));
-        let total = fault::disarm();
-        assert!(!fault::fired());
+        let (acked, points) = count_points(|| paged_scenario(&count_dir));
+        assert_eq!((acked, points), (Some(13), total), "fault points");
         std::fs::remove_dir_all(&count_dir).ok();
 
         for point in 0..total {
             let dir = temp_dir(&format!("pager-k{point}"));
-            fault::arm(Mode::Crash, point);
-            let acked = paged_scenario(&dir);
-            let fired = fault::fired();
-            fault::disarm();
-            assert!(fired, "crash point {point} of {total} never fired");
+            let (acked, run) = fault::armed(Mode::Crash, point, || paged_scenario(&dir));
+            assert!(run.fired, "crash point {point} of {total} never fired");
 
             let Some(acked) = acked else {
                 // Crashed inside `create_paged`: there may be no table yet,
@@ -871,7 +864,6 @@ mod crash_matrix {
 
         const EPOCHS: usize = 4;
         const KEEP: usize = 2;
-        let _guard = injector_lock();
         let data = checkpoint_fixture_table();
         let task = SvmTask::new(1, 2, 2);
         let checkpointed = |dir: &std::path::Path, epochs| {
@@ -888,29 +880,22 @@ mod crash_matrix {
         };
         let uninterrupted = Trainer::new(&task, checkpoint_fixture_config(EPOCHS)).train(&data);
 
-        // Fault points consumed once `n` epochs' checkpoints are written: a
-        // run of `n` epochs is a prefix of a longer one.
-        let acknowledged_at: Vec<u64> = (0..=EPOCHS)
-            .map(|epochs| {
-                let dir = temp_dir("ckpt-count");
-                fault::arm(Mode::Crash, u64::MAX);
-                checkpointed(&dir, epochs).expect("counting run must not fail");
-                let points = fault::disarm();
-                assert!(!fault::fired());
-                std::fs::remove_dir_all(&dir).ok();
-                points
-            })
-            .collect();
+        // Fault points consumed once `n` epochs' checkpoints are written (a
+        // run of `n` epochs is a prefix of a longer one), pinned.
+        let acknowledged_at = [0, 236, 488, 756, 1_040];
+        for (epochs, at) in acknowledged_at.into_iter().enumerate() {
+            let dir = temp_dir("ckpt-count");
+            let (outcome, points) = count_points(|| checkpointed(&dir, epochs));
+            outcome.expect("counting run must not fail");
+            assert_eq!(points, at, "fault points of {epochs} checkpointed epochs");
+            std::fs::remove_dir_all(&dir).ok();
+        }
         let total = acknowledged_at[EPOCHS];
-        assert!(acknowledged_at.windows(2).all(|w| w[0] < w[1]));
 
         for point in 0..total {
             let dir = temp_dir(&format!("ckpt-k{point}"));
-            fault::arm(Mode::Crash, point);
-            let outcome = checkpointed(&dir, EPOCHS);
-            let fired = fault::fired();
-            fault::disarm();
-            assert!(fired, "crash point {point} of {total} never fired");
+            let (outcome, run) = fault::armed(Mode::Crash, point, || checkpointed(&dir, EPOCHS));
+            assert!(run.fired, "crash point {point} of {total} never fired");
             assert!(
                 matches!(outcome, Err(TrainError::Checkpoint(_))),
                 "crash point {point} of {total}: {outcome:?}"
@@ -968,20 +953,19 @@ mod crash_matrix {
 
     #[test]
     fn transient_fault_surfaces_error_and_catalog_stays_consistent() {
-        let _guard = injector_lock();
         let dir = temp_dir("fail-once");
         let (mut db, _) = Database::open(&dir).unwrap();
         db.create_table("t", schema()).unwrap();
         db.insert_rows("t", vec![row(1)]).unwrap();
 
-        fault::arm(Mode::FailOnce, 3);
-        let err = db.insert_rows("t", vec![row(2)]);
-        assert!(err.is_err(), "injected fault must surface as an error");
-        assert!(fault::fired());
-        // Still armed, but FailOnce heals after firing: the same session
-        // keeps working and the failed batch left nothing behind.
-        db.insert_rows("t", vec![row(3)]).unwrap();
-        fault::disarm();
+        let ((), run) = fault::armed(Mode::FailOnce, 3, || {
+            let err = db.insert_rows("t", vec![row(2)]);
+            assert!(err.is_err(), "injected fault must surface as an error");
+            // Still armed, but FailOnce heals after firing: the same session
+            // keeps working and the failed batch left nothing behind.
+            db.insert_rows("t", vec![row(3)]).unwrap();
+        });
+        assert!(run.fired);
         assert_eq!(db.table("t").unwrap().len(), 2);
         drop(db);
 

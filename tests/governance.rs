@@ -20,7 +20,7 @@
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bismarck_core::governor::{AdmissionError, Governor, QueryGuard, QueryLimits};
@@ -57,14 +57,6 @@ fn config(epochs: usize) -> TrainerConfig {
     TrainerConfig::default()
         .with_step_size(StepSizeSchedule::Constant(0.1))
         .with_convergence(ConvergenceTest::FixedEpochs(epochs))
-}
-
-/// Held by every test that writes through the durable layer: the I/O fault
-/// injector `shutdown_crash_matrix` arms is process-global, so a sibling's
-/// write could hit, or use up, one of the matrix's fault points.
-fn durable_io() -> MutexGuard<'static, ()> {
-    static DURABLE_IO: Mutex<()> = Mutex::new(());
-    DURABLE_IO.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 /// A guard whose deadline has already passed: the very first check trips,
@@ -194,7 +186,6 @@ impl TupleScan for StopAtBlock<'_> {
 /// boundary — so resuming loses nothing.
 #[test]
 fn stop_flag_binds_between_the_blocks_of_a_sequential_pass() {
-    let _io = durable_io();
     const SEGMENTS: usize = 24;
     let rows = data(SEGMENTS * 50);
     let dir = temp_dir("stop-mid-epoch");
@@ -459,7 +450,6 @@ fn a_constant_insert_is_charged_row_by_row_and_polls_its_guard() {
 
 #[test]
 fn cancelled_multi_batch_insert_leaves_a_recoverable_durable_catalog() {
-    let _io = durable_io();
     let dir = temp_dir("cancel-insert");
     {
         let mut session = SqlSession::open(&dir).unwrap();
@@ -502,7 +492,6 @@ fn cancelled_multi_batch_insert_leaves_a_recoverable_durable_catalog() {
 
 #[test]
 fn copy_racing_a_cancel_is_atomic_in_the_durable_catalog() {
-    let _io = durable_io();
     let dir = temp_dir("cancel-copy");
     let csv_path = dir.with_extension("csv");
     {
@@ -583,7 +572,6 @@ fn admission_sheds_excess_statements_and_frees_slots_on_drop() {
 
 #[test]
 fn shutdown_persists_serving_models_compacts_and_recovers_identically() {
-    let _io = durable_io();
     let dir = temp_dir("shutdown");
     let expected_weights = vec![0.25, -1.5, 3.0];
     let prediction_sql = "SELECT PREDICT('m', 1.0, 2.0, -1.0)";
@@ -722,22 +710,17 @@ mod shutdown_crash_matrix {
 
     #[test]
     fn every_crash_point_during_shutdown_recovers_consistently() {
-        // The injector is process-global; this is the only test in this
-        // binary that arms it, and test binaries run in separate processes.
-        // Siblings that write durably stay out of its way behind this lock.
-        let _io = durable_io();
-
-        // Counting run: how many fault points does shutdown consume?
+        // Shutdown's fault points, pinned: one more write or fsync on its
+        // persist + compact path fails here on any machine.
+        let total = 4_532;
         let count_dir = temp_dir("shutdown-matrix-count");
         let (mut session, governor) = build(&count_dir);
         let pre_state = fingerprint(session.database());
-        fault::arm(Mode::Crash, u64::MAX);
-        session
-            .shutdown(&governor, Instant::now() + Duration::from_secs(5))
-            .unwrap();
-        let total = fault::disarm();
-        assert!(!fault::fired());
-        assert!(total > 0, "shutdown on a durable session must do I/O");
+        let (outcome, run) = fault::armed(Mode::Crash, u64::MAX, || {
+            session.shutdown(&governor, Instant::now() + Duration::from_secs(5))
+        });
+        outcome.unwrap();
+        assert_eq!((run.consumed, run.fired), (total, false), "fault points");
         drop(session);
         // The fault-free shutdown persisted the serving model.
         let (db, _) = Database::open(&count_dir).unwrap();
@@ -749,12 +732,11 @@ mod shutdown_crash_matrix {
         for point in 0..total {
             let dir = temp_dir(&format!("shutdown-matrix-k{point}"));
             let (mut session, governor) = build(&dir);
-            fault::arm(Mode::Crash, point);
             // Failures are expected: the crash mode stops the world.
-            let _ = session.shutdown(&governor, Instant::now() + Duration::from_secs(5));
-            let fired = fault::fired();
-            fault::disarm();
-            assert!(fired, "crash point {point} of {total} never fired");
+            let (_, run) = fault::armed(Mode::Crash, point, || {
+                session.shutdown(&governor, Instant::now() + Duration::from_secs(5))
+            });
+            assert!(run.fired, "crash point {point} of {total} never fired");
             drop(session);
 
             let (recovered, _report) = Database::open(&dir)
