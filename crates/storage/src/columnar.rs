@@ -12,8 +12,9 @@
 //! * **in-memory** — sealed segments are `Arc`-shared in a `Vec`;
 //! * **paged** — sealed segments live in one checksummed file each under a
 //!   directory (written with [`crate::durable::atomic_write`]), and reads go
-//!   through a small pinned-segment LRU cache with sequential read-ahead
-//!   (`crate::pager`), so an epoch can stream a dataset larger than memory.
+//!   through a small pinned-segment cache that keeps the head of the table
+//!   across clustered passes (`crate::pager`), so an epoch can stream a
+//!   dataset larger than memory.
 //!
 //! The scan primitive is [`TupleScan::scan_blocks`]: one walk maps a row
 //! range to (segment, row-run) pairs and lends each run out as a
@@ -205,7 +206,7 @@ impl ColumnarTable {
     /// Create an empty **paged** columnar table rooted at `dir` (created if
     /// missing): sealed segments are written to one checksummed file each
     /// via the atomic-write protocol, and scans read them back through an
-    /// LRU cache holding at most `cache_segments` segments.
+    /// cache holding at most `cache_segments` segments.
     pub fn create_paged(
         name: impl Into<String>,
         schema: Schema,
@@ -256,7 +257,7 @@ impl ColumnarTable {
         } else {
             // The tail segment is partial: pull it back into the builder so
             // inserts can keep filling it.
-            let seg = pager.fetch(segments - 1, segments)?;
+            let seg = pager.fetch(segments - 1)?;
             if seg.len() < tail {
                 return Err(corrupt(format!(
                     "tail segment holds {} rows, manifest expects {tail}",
@@ -373,7 +374,7 @@ impl ColumnarTable {
                 .get(idx)
                 .cloned()
                 .ok_or_else(|| corrupt(format!("sealed segment {idx} out of range"))),
-            Backing::Paged { pager, sealed } => pager.fetch(idx, *sealed),
+            Backing::Paged { pager, .. } => pager.fetch(idx),
         }
     }
 

@@ -16,15 +16,18 @@
 //! that spans two files (a segment, then the manifest) commits at the
 //! manifest's rename: see [`crate::columnar::ColumnarTable::open_paged`].
 //!
-//! Reads go through a small **pinned-segment LRU cache**: fetching returns
-//! an `Arc<Segment>`, so a segment a scan is mid-way through stays alive
+//! Reads go through a small **pinned-segment cache**: fetching returns an
+//! `Arc<Segment>`, so a segment a scan is mid-way through stays alive
 //! (pinned by the outstanding `Arc`) even if the cache evicts it — eviction
-//! only drops the cache's own reference. A miss is one exact-size read, one
-//! [`crate::durable::checksum64`] pass over the whole payload, and a bulk
-//! copy of each column array. Sequential fetch patterns also load the next segment, the
-//! access shape every clustered epoch scan produces; that read-ahead runs
-//! synchronously inside `fetch`, under the pager lock — it batches two loads
-//! into one call and overlaps nothing with the scan.
+//! only drops the cache's own reference. A miss is one load: one exact-size
+//! read, one [`crate::durable::checksum64`] pass over the whole payload, and
+//! a bulk copy of each column array, made after the victim is evicted, so
+//! the cache never holds more than its capacity. A sequential fetch
+//! (`idx == previous + 1`, the access shape of every clustered epoch scan)
+//! evicts the most recently loaded segment: a cyclic walk over a table
+//! larger than the cache then keeps its first `capacity - 1` segments
+//! resident for the next pass, where LRU would evict each one just before
+//! it is needed. Any other fetch evicts the least recently used segment.
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -138,15 +141,19 @@ pub struct PagerStats {
     pub misses: u64,
     /// Segments dropped from the cache to respect its capacity.
     pub evictions: u64,
-    /// Segments loaded by sequential read-ahead before being requested.
+    /// Always 0 since sequential read-ahead was removed: every load is a
+    /// miss. Kept for the readers of the field.
     pub prefetches: u64,
-    /// Total bytes read from segment files (including read-ahead).
+    /// Total bytes read from segment files.
     pub bytes_read: u64,
 }
 
 struct CacheEntry {
     segment: Arc<Segment>,
+    /// Tick of the last fetch or write that touched it.
     last_used: u64,
+    /// Tick at which it entered the cache.
+    loaded: u64,
 }
 
 struct PagerInner {
@@ -155,7 +162,9 @@ struct PagerInner {
     last_fetch: Option<usize>,
 }
 
-/// Segment file store with a pinned-segment LRU cache.
+/// Segment file store with a pinned-segment cache that evicts the most
+/// recently loaded segment on sequential fetches and the least recently
+/// used one otherwise.
 #[derive(Debug)]
 pub(crate) struct Pager {
     dir: PathBuf,
@@ -164,7 +173,6 @@ pub(crate) struct Pager {
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
-    prefetches: AtomicU64,
     bytes_read: AtomicU64,
 }
 
@@ -192,7 +200,6 @@ impl Pager {
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
-            prefetches: AtomicU64::new(0),
             bytes_read: AtomicU64::new(0),
         })
     }
@@ -224,16 +231,9 @@ impl Pager {
     pub fn write_segment(&self, idx: usize, segment: Arc<Segment>) -> Result<(), StorageError> {
         self.write_file(idx, &segment)?;
         let mut inner = self.lock();
-        inner.tick += 1;
-        let tick = inner.tick;
-        inner.cache.insert(
-            idx,
-            CacheEntry {
-                segment,
-                last_used: tick,
-            },
-        );
-        self.enforce_capacity(&mut inner);
+        inner.cache.remove(&idx);
+        self.make_room(&mut inner, false);
+        self.insert(&mut inner, idx, segment);
         Ok(())
     }
 
@@ -253,10 +253,17 @@ impl Pager {
         self.inner.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    fn enforce_capacity(&self, inner: &mut PagerInner) {
-        while inner.cache.len() > self.capacity {
-            let Some((&victim, _)) = inner.cache.iter().min_by_key(|(_, entry)| entry.last_used)
-            else {
+    /// Evict until one more segment fits: the most recently loaded one
+    /// when `sequential`, else the least recently used.
+    fn make_room(&self, inner: &mut PagerInner, sequential: bool) {
+        while inner.cache.len() >= self.capacity {
+            let entries = inner.cache.iter();
+            let victim = if sequential {
+                entries.max_by_key(|(_, entry)| entry.loaded)
+            } else {
+                entries.min_by_key(|(_, entry)| entry.last_used)
+            };
+            let Some((&victim, _)) = victim else {
                 return;
             };
             // Eviction drops only the cache's Arc: a scan holding the
@@ -266,46 +273,35 @@ impl Pager {
         }
     }
 
-    /// Fetch segment `idx`, from cache or disk. `sealed` bounds the
-    /// sequential read-ahead (segments `>= sealed` do not exist yet).
-    pub fn fetch(&self, idx: usize, sealed: usize) -> Result<Arc<Segment>, StorageError> {
-        let mut inner = self.lock();
+    fn insert(&self, inner: &mut PagerInner, idx: usize, segment: Arc<Segment>) {
         inner.tick += 1;
         let tick = inner.tick;
+        inner.cache.insert(
+            idx,
+            CacheEntry {
+                segment,
+                last_used: tick,
+                loaded: tick,
+            },
+        );
+    }
+
+    /// Fetch segment `idx`, from cache or disk.
+    pub fn fetch(&self, idx: usize) -> Result<Arc<Segment>, StorageError> {
+        let mut inner = self.lock();
         let sequential = inner.last_fetch.is_none_or(|prev| idx == prev + 1);
         inner.last_fetch = Some(idx);
+        inner.tick += 1;
+        let tick = inner.tick;
         if let Some(entry) = inner.cache.get_mut(&idx) {
             entry.last_used = tick;
             self.hits.fetch_add(1, Ordering::Relaxed);
             return Ok(entry.segment.clone());
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
+        self.make_room(&mut inner, sequential);
         let segment = self.load(idx)?;
-        inner.cache.insert(
-            idx,
-            CacheEntry {
-                segment: segment.clone(),
-                last_used: tick,
-            },
-        );
-        self.enforce_capacity(&mut inner);
-        // Sequential read-ahead: a clustered epoch fetches segments in
-        // order, so the next one is overwhelmingly likely to be needed;
-        // pull it in while the cache still has this access pattern hot.
-        let next = idx + 1;
-        if sequential && next < sealed && self.capacity > 1 && !inner.cache.contains_key(&next) {
-            if let Ok(ahead) = self.load(next) {
-                self.prefetches.fetch_add(1, Ordering::Relaxed);
-                inner.cache.insert(
-                    next,
-                    CacheEntry {
-                        segment: ahead,
-                        last_used: tick,
-                    },
-                );
-                self.enforce_capacity(&mut inner);
-            }
-        }
+        self.insert(&mut inner, idx, segment.clone());
         Ok(segment)
     }
 
@@ -315,7 +311,7 @@ impl Pager {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
-            prefetches: self.prefetches.load(Ordering::Relaxed),
+            prefetches: 0,
             bytes_read: self.bytes_read.load(Ordering::Relaxed),
         }
     }
@@ -439,37 +435,71 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    #[test]
-    fn fetch_caches_evicts_and_prefetches() {
-        let dir = temp_dir("fetch");
-        let pager = Pager::create(&dir, 2).unwrap();
-        for idx in 0..4 {
-            pager
+    /// Write segments `0..count` of three rows each into `dir` and return a
+    /// fresh pager over them, its cache empty.
+    fn pager_over(dir: &Path, count: usize, capacity: usize) -> Pager {
+        let writer = Pager::create(dir, capacity).unwrap();
+        for idx in 0..count {
+            writer
                 .write_segment(idx, segment(idx as f64 * 100.0, 3))
                 .unwrap();
         }
-        // Writing 4 segments through a 2-slot cache already evicted some.
-        assert!(pager.stats().evictions >= 2);
+        Pager::create(dir, capacity).unwrap()
+    }
 
-        // A sequential pass: every fetch of 0..4 either misses (and
-        // prefetches the successor) or hits the prefetched entry.
-        let pager = Pager::create(&dir, 2).unwrap();
-        for idx in 0..4 {
-            let seg = pager.fetch(idx, 4).unwrap();
-            assert_eq!(seg.len(), 3);
-        }
-        let stats = pager.stats();
-        assert!(stats.misses > 0);
-        assert!(stats.prefetches > 0, "sequential scan should read ahead");
-        assert!(stats.hits > 0, "read-ahead segments should be cache hits");
-        assert!(stats.bytes_read > 0);
+    fn cached(pager: &Pager) -> Vec<usize> {
+        let mut cached: Vec<usize> = pager.lock().cache.keys().copied().collect();
+        cached.sort_unstable();
+        cached
+    }
 
-        // Pinning: hold a segment across evictions; it stays readable.
-        let pinned = pager.fetch(0, 4).unwrap();
-        for idx in 1..4 {
-            pager.fetch(idx, 4).unwrap();
+    /// Two clustered passes over 8 segments through a 3-segment cache: the
+    /// second keeps the first two segments resident and loads only the
+    /// other six, one load per miss.
+    #[test]
+    fn clustered_passes_keep_the_head_of_the_table() {
+        let dir = temp_dir("clustered");
+        let pager = pager_over(&dir, 8, 3);
+        let file_len = std::fs::metadata(pager.seg_path(0)).unwrap().len();
+        let pass = |pager: &Pager| {
+            let before = pager.stats();
+            for idx in 0..8 {
+                assert_eq!(pager.fetch(idx).unwrap().len(), 3);
+                assert!(pager.lock().cache.len() <= pager.capacity());
+            }
+            let after = pager.stats();
+            (
+                after.misses - before.misses,
+                after.hits - before.hits,
+                after.bytes_read - before.bytes_read,
+            )
+        };
+        assert_eq!(pass(&pager), (8, 0, 8 * file_len));
+        assert_eq!(cached(&pager), vec![0, 1, 7]);
+        assert_eq!(pass(&pager), (6, 2, 6 * file_len));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A fetch that does not follow its predecessor evicts the least
+    /// recently used segment, and a segment held across evictions stays
+    /// readable.
+    #[test]
+    fn scattered_fetches_evict_lru_and_pins_survive() {
+        let dir = temp_dir("scattered");
+        let pager = pager_over(&dir, 8, 3);
+        let pinned = pager.fetch(0).unwrap();
+        pager.fetch(2).unwrap();
+        pager.fetch(4).unwrap();
+        pager.fetch(0).unwrap();
+        assert_eq!(pager.stats().hits, 1);
+        pager.fetch(6).unwrap();
+        assert_eq!(cached(&pager), vec![0, 4, 6], "2 was least recently used");
+        for idx in [1, 3, 5, 7] {
+            pager.fetch(idx).unwrap();
+            assert!(pager.lock().cache.len() <= pager.capacity());
         }
-        assert_eq!(pinned.len(), 3);
+        assert!(!cached(&pager).contains(&0));
+        assert_eq!(*pinned, *segment(0.0, 3));
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -484,7 +514,7 @@ mod tests {
         bytes[mid] ^= 0x01;
         std::fs::write(&path, &bytes).unwrap();
         let pager = Pager::create(&dir, 1).unwrap();
-        assert!(matches!(pager.fetch(0, 1), Err(StorageError::Corrupt(_))));
+        assert!(matches!(pager.fetch(0), Err(StorageError::Corrupt(_))));
         std::fs::remove_dir_all(&dir).ok();
     }
 }
