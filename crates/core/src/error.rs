@@ -51,9 +51,9 @@ pub enum TrainError {
     /// run's models (its dimension differs from the task's). Detected before
     /// the first epoch, so no training work is lost.
     Serving(PublishError),
-    /// The run observed its stop flag (see
-    /// [`crate::trainer::TrainerConfig::with_stop_flag`]) and exited at an
-    /// epoch boundary, or between two blocks of the epoch it gave up.
+    /// The run's guard (see [`crate::trainer::TrainerConfig::with_guard`])
+    /// was cancelled or passed its deadline, and the run exited at an epoch
+    /// boundary, or between two blocks of the epoch it gave up.
     Interrupted {
         /// Epoch (0-based) that would have run next.
         epoch: usize,

@@ -19,6 +19,7 @@ use bismarck_storage::{
 use bismarck_uda::TrainingHistory;
 
 use crate::error::TrainError;
+use crate::serving::Link;
 use crate::task::IgdTask;
 use crate::tasks::{CrfTask, LmfTask, LogisticRegressionTask, SvmTask};
 use crate::trainer::{objective, Trainer, TrainerConfig};
@@ -113,7 +114,10 @@ pub fn load_model(db: &Database, model_name: &str) -> Result<Vec<f64>, FrontendE
     let mut malformed = None;
     table.scan_tuples_while(&mut |tuple| {
         match (tuple.get_int(idx_col), tuple.get_double(weight_col)) {
-            (Some(idx), Some(weight)) => pairs.push((idx as usize, weight)),
+            (Some(idx), Some(weight)) => match usize::try_from(idx) {
+                Ok(idx) => pairs.push((idx, weight)),
+                Err(_) => malformed = Some("model idx is negative"),
+            },
             (None, _) => malformed = Some("model idx is not an integer"),
             (_, None) => malformed = Some("model weight is not a double"),
         }
@@ -415,7 +419,7 @@ pub fn logistic_predict(
 ) -> Result<Vec<f64>, FrontendError> {
     Ok(linear_predict(db, model_name, table_name, features_col)?
         .into_iter()
-        .map(bismarck_linalg::ops::sigmoid)
+        .map(|score| Link::Sigmoid.apply(score))
         .collect())
 }
 
@@ -429,15 +433,7 @@ pub fn svm_predict(
 ) -> Result<Vec<f64>, FrontendError> {
     Ok(linear_predict(db, model_name, table_name, features_col)?
         .into_iter()
-        .map(|v| {
-            if v > 0.0 {
-                1.0
-            } else if v < 0.0 {
-                -1.0
-            } else {
-                0.0
-            }
-        })
+        .map(|score| Link::Sign.apply(score))
         .collect())
 }
 

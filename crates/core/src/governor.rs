@@ -8,8 +8,8 @@
 //! to be *stopped*: a deadline, a cancel button, and a ceiling on how much
 //! intermediate state it may materialize. This module provides that layer.
 //!
-//! The design is cooperative, like the trainer's stop flag: a [`QueryGuard`]
-//! is a cheap, clonable bundle of (deadline, cancel flag, [`MemoryBudget`])
+//! The design is cooperative, and the guard is the trainers' only stop
+//! signal: a [`QueryGuard`] is a cheap, clonable bundle of (deadline, cancel flag, [`MemoryBudget`])
 //! that execution loops poll at natural boundaries — row batches in the SQL
 //! executor, epoch boundaries in the trainers, batch boundaries in serving.
 //! Nothing is preempted mid-tuple, so a guarded operation always stops at a

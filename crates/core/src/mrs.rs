@@ -43,11 +43,11 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Barrier;
-use std::time::Duration;
+use std::time::Instant;
 
 use bismarck_storage::reservoir::ReservoirOutcome;
 use bismarck_storage::{ReservoirSampler, SharedModel, Tuple, TupleScan};
-use bismarck_uda::{scan_blocks_while, ConvergenceTest, EpochOutcome, EpochRunner};
+use bismarck_uda::{scan_blocks_while, ConvergenceTest, EpochRecord, TrainingHistory};
 
 use crate::model::{DenseModelStore, ModelStore, NoLockStore};
 use crate::parallel::{fold_worker_outcomes, lock_free_proximal_step};
@@ -151,8 +151,10 @@ pub fn subsampling_train<T: IgdTask, S: TupleScan + ?Sized>(
     let sample = reservoir.into_items();
 
     let mut model = task.initial_model();
-    let runner = EpochRunner::new(convergence);
-    let history = runner.run(|epoch| {
+    let mut history = TrainingHistory::default();
+    let started = Instant::now();
+    for epoch in 0..convergence.epoch_cap() {
+        let epoch_start = Instant::now();
         let alpha = step_size.at(epoch);
         let mut store = DenseModelStore::new(std::mem::take(&mut model));
         for tuple in &sample {
@@ -167,15 +169,23 @@ pub fn subsampling_train<T: IgdTask, S: TupleScan + ?Sized>(
         if task.proximal_policy() == ProximalPolicy::PerEpoch {
             task.proximal_step(&mut model, alpha);
         }
+        let gradient_duration = epoch_start.elapsed();
         // Loss is still measured over the FULL table: the question Figure 10
         // asks is how well the subsample-trained model does on all the data.
-        EpochOutcome {
-            loss: objective(task, &model, data),
-            gradient_norm: None,
-            shuffle_duration: Duration::ZERO,
-            retries: 0,
+        let loss = objective(task, &model, data);
+        history.push(EpochRecord {
+            epoch,
+            loss,
+            duration: epoch_start.elapsed(),
+            gradient_duration,
+            cumulative: started.elapsed(),
+            ..EpochRecord::default()
+        });
+        if let Some(converged) = convergence.verdict(&history.losses()) {
+            history.set_converged(converged);
+            break;
         }
-    });
+    }
 
     TrainedModel {
         task_name: task.name(),

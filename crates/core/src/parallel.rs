@@ -131,7 +131,9 @@ impl ParallelStrategy {
     }
 }
 
-/// Per-epoch measurements specific to parallel runs.
+/// Per-epoch measurements of a parallel run, one per epoch the call ran:
+/// the two fields of its [`bismarck_uda::EpochRecord`] that the parallel
+/// experiments read.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ParallelEpochStats {
     /// Time spent in the parallel gradient pass (excludes shuffle and loss).
@@ -192,11 +194,6 @@ impl<'a, T: IgdTask> ParallelTrainer<'a, T> {
         }
     }
 
-    /// The strategy in use.
-    pub fn strategy(&self) -> ParallelStrategy {
-        self.strategy
-    }
-
     /// Train on a table starting from the task's initial model.
     ///
     /// Infallible wrapper over [`Self::try_train`]: failures (worker panic,
@@ -207,43 +204,24 @@ impl<'a, T: IgdTask> ParallelTrainer<'a, T> {
         &self,
         data: &S,
     ) -> (TrainedModel, Vec<ParallelEpochStats>) {
-        self.train_from(data, self.task.initial_model())
-    }
-
-    /// Train starting from a caller-provided model. See [`Self::train`] for
-    /// how failures surface.
-    pub fn train_from<S: TupleScan + ?Sized>(
-        &self,
-        data: &S,
-        initial_model: Vec<f64>,
-    ) -> (TrainedModel, Vec<ParallelEpochStats>) {
-        let start = fresh_start(self.task, &self.config, initial_model);
-        let (result, stats) = run_epochs(self.task, &self.config, Some(self.strategy), data, start);
-        (unwrap_trained(result), stats)
+        let start = fresh_start(self.task, &self.config, self.task.initial_model());
+        let result = run_epochs(self.task, &self.config, Some(self.strategy), data, start);
+        with_stats(unwrap_trained(result), 0)
     }
 
     /// Fallible training from the task's initial model.
-    pub fn try_train<S: TupleScan + ?Sized>(
-        &self,
-        data: &S,
-    ) -> Result<(TrainedModel, Vec<ParallelEpochStats>), TrainError> {
-        self.try_train_from(data, self.task.initial_model())
-    }
-
-    /// Fallible training from a caller-provided model.
     ///
     /// A panic in any gradient worker is caught, the epoch's partial updates
     /// are discarded, and the run reports [`TrainError::WorkerPanic`]
     /// carrying the last completed epoch's (finite) model instead of
     /// aborting the process.
-    pub fn try_train_from<S: TupleScan + ?Sized>(
+    pub fn try_train<S: TupleScan + ?Sized>(
         &self,
         data: &S,
-        initial_model: Vec<f64>,
     ) -> Result<(TrainedModel, Vec<ParallelEpochStats>), TrainError> {
-        let start = fresh_start(self.task, &self.config, initial_model);
-        let (result, stats) = run_epochs(self.task, &self.config, Some(self.strategy), data, start);
-        result.map(|trained| (trained, stats))
+        let start = fresh_start(self.task, &self.config, self.task.initial_model());
+        run_epochs(self.task, &self.config, Some(self.strategy), data, start)
+            .map(|trained| with_stats(trained, 0))
     }
 
     /// Resume a checkpointed parallel run. The same validation as
@@ -259,9 +237,23 @@ impl<'a, T: IgdTask> ParallelTrainer<'a, T> {
         path: impl AsRef<Path>,
     ) -> Result<(TrainedModel, Vec<ParallelEpochStats>), TrainError> {
         let start = load_checkpoint(self.task, &self.config, path.as_ref())?;
-        let (result, stats) = run_epochs(self.task, &self.config, Some(self.strategy), data, start);
-        result.map(|trained| (trained, stats))
+        let resumed = start.next_epoch;
+        run_epochs(self.task, &self.config, Some(self.strategy), data, start)
+            .map(|trained| with_stats(trained, resumed))
     }
+}
+
+/// Pair a run with one [`ParallelEpochStats`] per epoch it ran: its records
+/// after the `resumed` ones a checkpoint restored.
+fn with_stats(trained: TrainedModel, resumed: usize) -> (TrainedModel, Vec<ParallelEpochStats>) {
+    let stats = trained.history.records()[resumed..]
+        .iter()
+        .map(|record| ParallelEpochStats {
+            gradient_duration: record.gradient_duration,
+            retries: record.retries,
+        })
+        .collect();
+    (trained, stats)
 }
 
 /// One pure-UDA (shared-nothing) epoch: segment-parallel aggregation with

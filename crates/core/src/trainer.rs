@@ -9,7 +9,7 @@
 //! that differ only in the gradient pass they select. Every attempt at an
 //! epoch goes through the same seven steps:
 //!
-//! 1. **Stop check** — the cooperative stop flag and the [`QueryGuard`] are
+//! 1. **Stop check** — the run's one stop signal, its [`QueryGuard`], is
 //!    polled (before retries too, and between the blocks of the sequential
 //!    and MRS gradient passes and of the loss pass, where a stop discards the
 //!    attempt); a stop persists an interrupt checkpoint of the last recorded
@@ -40,15 +40,13 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bismarck_storage::durable::parent_dir;
 use bismarck_storage::{ReservoirSampler, ScanOrder, StorageError, Tuple, TupleScan};
 use bismarck_uda::{
-    panic_message, run_sequential_while, scan_blocks_while, ConvergenceTest, EpochOutcome,
-    EpochRecord, EpochRunner, TrainingHistory,
+    panic_message, run_sequential_while, scan_blocks_while, ConvergenceTest, EpochRecord,
+    TrainingHistory,
 };
 
 use crate::checkpoint::TrainingCheckpoint;
@@ -56,9 +54,7 @@ use crate::error::TrainError;
 use crate::governor::QueryGuard;
 use crate::igd::{block_examples, IgdAggregate};
 use crate::mrs::run_mrs_epoch;
-use crate::parallel::{
-    run_pure_uda_epoch, run_shared_memory_epoch, ParallelEpochStats, ParallelStrategy,
-};
+use crate::parallel::{run_pure_uda_epoch, run_shared_memory_epoch, ParallelStrategy};
 use crate::serving::{ModelHandle, PublishError};
 use crate::stepsize::StepSizeSchedule;
 use crate::task::IgdTask;
@@ -179,8 +175,8 @@ fn prune_generations(path: &Path, keep_generations: usize) {
 ///     .with_convergence(ConvergenceTest::FixedEpochs(5));
 /// ```
 ///
-/// Cloning is cheap, and a clone *shares* its stop flag, serving handle and
-/// guard with the original (they are `Arc`-backed).
+/// Cloning is cheap, and a clone *shares* its serving handle and guard with
+/// the original (they are `Arc`-backed).
 #[derive(Debug, Clone)]
 pub struct TrainerConfig {
     /// Step-size schedule indexed by epoch.
@@ -193,22 +189,15 @@ pub struct TrainerConfig {
     pub backoff: BackoffPolicy,
     /// Periodic checkpointing policy (none by default).
     pub checkpoint: Option<CheckpointPolicy>,
-    /// Cooperative interrupt: when the flag becomes `true`, the run stops at
-    /// the next epoch boundary — or sooner, between two blocks of a
-    /// sequential storage-order pass, of the MRS scan or of a loss pass,
-    /// discarding the unfinished epoch — with
-    /// [`TrainError::Interrupted`] (after writing a final checkpoint if a
-    /// policy is configured).
-    pub stop_flag: Option<Arc<AtomicBool>>,
     /// Serving publication point: when set, the trainer publishes the model
     /// to this handle after every healthy epoch and re-asserts the last-good
     /// model after every divergence recovery, so concurrent readers never
     /// observe a non-finite model (none by default).
     pub serving: Option<ModelHandle>,
-    /// Resource-governance guard: checked wherever the stop flag is; a
-    /// passed deadline or a cancellation ends the run with
-    /// [`TrainError::Interrupted`] carrying the last-good model (none by
-    /// default).
+    /// Resource-governance guard, the run's one stop signal: a passed
+    /// deadline or a cancellation ends the run with
+    /// [`TrainError::Interrupted`] carrying the last-good model (see
+    /// [`Self::with_guard`] for where it is polled; none by default).
     pub guard: Option<QueryGuard>,
 }
 
@@ -220,7 +209,6 @@ impl Default for TrainerConfig {
             convergence: ConvergenceTest::paper_default(20),
             backoff: BackoffPolicy::default(),
             checkpoint: None,
-            stop_flag: None,
             serving: None,
             guard: None,
         }
@@ -307,30 +295,6 @@ impl TrainerConfig {
         self
     }
 
-    /// Install a cooperative stop flag checked at every epoch boundary and
-    /// between the blocks of the sequential storage-order passes, of the MRS
-    /// scan and of every loss pass (pure-UDA and shared-memory workers finish
-    /// their pass).
-    ///
-    /// Setting the flag makes the run stop with [`TrainError::Interrupted`],
-    /// which carries the last completed epoch's model:
-    ///
-    /// ```
-    /// use std::sync::atomic::{AtomicBool, Ordering};
-    /// use std::sync::Arc;
-    /// use bismarck_core::trainer::TrainerConfig;
-    ///
-    /// let stop = Arc::new(AtomicBool::new(false));
-    /// let config = TrainerConfig::default().with_stop_flag(stop.clone());
-    /// // ... hand `config` to a trainer on another thread, then:
-    /// stop.store(true, Ordering::Relaxed);
-    /// # assert!(config.stop_flag.is_some());
-    /// ```
-    pub fn with_stop_flag(mut self, flag: Arc<AtomicBool>) -> Self {
-        self.stop_flag = Some(flag);
-        self
-    }
-
     /// Publish every healthy epoch's model to `handle`, making it available
     /// to concurrent [`crate::serving`] readers while the run progresses.
     ///
@@ -352,13 +316,17 @@ impl TrainerConfig {
         self
     }
 
-    /// Run under a resource-governance [`QueryGuard`]: the trainers poll the
-    /// guard exactly where the stop flag is checked (see
-    /// [`Self::with_stop_flag`]), so a deadline or a cancellation — including
-    /// one issued by [`crate::governor::Governor::shutdown`] — ends the run
-    /// there with [`TrainError::Interrupted`] carrying the last completed
-    /// epoch's model. Works under all five parallel passes (pure UDA, the
-    /// three shared-memory disciplines, MRS).
+    /// Run under a resource-governance [`QueryGuard`], the run's one stop
+    /// signal. The trainers poll it at every epoch boundary and between the
+    /// blocks of the sequential storage-order pass, of the MRS scan and of
+    /// every loss pass (pure-UDA and shared-memory workers finish their
+    /// pass), so a deadline or a cancellation — including one issued by
+    /// [`crate::governor::Governor::shutdown`] — ends the run there with
+    /// [`TrainError::Interrupted`] carrying the last completed epoch's model,
+    /// after writing a final checkpoint if a policy is configured. Works
+    /// under all five parallel passes (pure UDA, the three shared-memory
+    /// disciplines, MRS). A stop button is [`QueryGuard::unlimited`] and
+    /// [`QueryGuard::cancel`] on a clone.
     ///
     /// ```
     /// use std::time::Duration;
@@ -491,7 +459,7 @@ impl<'a, T: IgdTask> Trainer<'a, T> {
         initial_model: Vec<f64>,
     ) -> Result<TrainedModel, TrainError> {
         let start = fresh_start(self.task, &self.config, initial_model);
-        run_epochs(self.task, &self.config, None, data, start).0
+        run_epochs(self.task, &self.config, None, data, start)
     }
 
     /// Resume a checkpointed run, continuing bit-compatibly with an
@@ -510,7 +478,7 @@ impl<'a, T: IgdTask> Trainer<'a, T> {
         path: impl AsRef<Path>,
     ) -> Result<TrainedModel, TrainError> {
         let start = load_checkpoint(self.task, &self.config, path.as_ref())?;
-        run_epochs(self.task, &self.config, None, data, start).0
+        run_epochs(self.task, &self.config, None, data, start)
     }
 }
 
@@ -520,25 +488,30 @@ impl<'a, T: IgdTask> Trainer<'a, T> {
 /// pass of step 3 (and with it whether step 2's permutation is read).
 /// `start` is the state the run picks up from, in the shape it is
 /// checkpointed in: [`fresh_start`] for a new run, [`load_checkpoint`] for a
-/// resumed one. Returns the outcome plus one [`ParallelEpochStats`] per
-/// epoch this call completed.
+/// resumed one. The returned model's history holds one [`EpochRecord`] per
+/// epoch: those `start` restored (their losses, no timings), then those this
+/// call ran.
 pub(crate) fn run_epochs<T: IgdTask, S: TupleScan + ?Sized>(
     task: &T,
     config: &TrainerConfig,
     strategy: Option<ParallelStrategy>,
     data: &S,
     start: TrainingCheckpoint,
-) -> (Result<TrainedModel, TrainError>, Vec<ParallelEpochStats>) {
-    if let Err(e) = validate_serving(config, start.model.len()) {
-        return (Err(e), Vec::new());
-    }
+) -> Result<TrainedModel, TrainError> {
+    validate_serving(config, start.model.len())?;
     // `good` is the run as of its last recorded epoch, holding the last
     // *healthy* model: exactly what a checkpoint persists and what an error
     // carries. `model` is the working copy each pass consumes.
     let mut good = start;
     let mut model = good.model.clone();
-    let prior = prior_records(&good.losses);
-    let mut stats = Vec::new();
+    let mut history = TrainingHistory::default();
+    for (epoch, &loss) in good.losses.iter().enumerate() {
+        history.push(EpochRecord {
+            epoch,
+            loss,
+            ..EpochRecord::default()
+        });
+    }
     // Pure UDA segments and the MRS I/O Worker scan storage order and never
     // read a permutation.
     let reads_permutation = !matches!(
@@ -550,18 +523,21 @@ pub(crate) fn run_epochs<T: IgdTask, S: TupleScan + ?Sized>(
     // Memory Worker sweeps. Not checkpointed: a resumed run starts without.
     let mut buffer: Vec<Tuple> = Vec::new();
 
-    let (history, aborted) =
-        EpochRunner::new(config.convergence).try_run_from(good.next_epoch, prior, |epoch| {
-            let mut epoch_retries = 0u32;
+    let started = Instant::now();
+    // The epoch whose attempt ended the run, and why.
+    let aborted = 'run: {
+        for epoch in good.next_epoch..config.convergence.epoch_cap() {
+            let epoch_start = Instant::now();
+            let mut retries = 0u32;
             let mut shuffle_duration = Duration::ZERO;
             let mut gradient_duration = Duration::ZERO;
-            loop {
+            let loss = loop {
                 // 1. Stop check, before every attempt — and again between
                 // the blocks of the sequential, MRS and loss passes below,
                 // where a stop discards the attempt. The interrupt
                 // checkpoint ignores the cadence so a resume loses no epoch.
                 if stop_requested(config) {
-                    return Err(interrupt(config, &good));
+                    break 'run Some((epoch, interrupt(config, &good)));
                 }
 
                 // 2. Reorder: once per run under ShuffleOnce, once per epoch
@@ -570,7 +546,7 @@ pub(crate) fn run_epochs<T: IgdTask, S: TupleScan + ?Sized>(
                     && match config.scan_order {
                         ScanOrder::Clustered => false,
                         ScanOrder::ShuffleOnce { .. } => permutation.is_none(),
-                        ScanOrder::ShuffleAlways { .. } => epoch_retries == 0,
+                        ScanOrder::ShuffleAlways { .. } => retries == 0,
                     };
                 if draw {
                     let shuffle_start = Instant::now();
@@ -630,22 +606,23 @@ pub(crate) fn run_epochs<T: IgdTask, S: TupleScan + ?Sized>(
                     }
                 };
                 gradient_duration += gradient_start.elapsed();
-                let Some(stepped) = pass? else {
-                    return Err(interrupt(config, &good));
+                model = match pass {
+                    Ok(Some(stepped)) => stepped,
+                    Ok(None) => break 'run Some((epoch, interrupt(config, &good))),
+                    Err(abort) => break 'run Some((epoch, abort)),
                 };
-                model = stepped;
 
                 // 4. Evaluate the objective for the convergence test.
                 let mut keep_going = || !stop_requested(config);
                 let Some(loss) = objective_while(task, &model, data, &mut keep_going) else {
-                    return Err(interrupt(config, &good));
+                    break 'run Some((epoch, interrupt(config, &good)));
                 };
 
                 // 5. Divergence scan + recovery.
                 let healthy = loss.is_finite() && model.iter().all(|v| v.is_finite());
                 if !healthy && good.retries_used < config.backoff.max_retries {
                     good.retries_used += 1;
-                    epoch_retries += 1;
+                    retries += 1;
                     good.alpha_scale *= config.backoff.factor;
                     model.clone_from(&good.model);
                     // Re-assert the restored model to the serving handle:
@@ -654,9 +631,10 @@ pub(crate) fn run_epochs<T: IgdTask, S: TupleScan + ?Sized>(
                     continue;
                 }
                 if !healthy && config.backoff.max_retries > 0 {
-                    return Err(EpochAbort::Diverged {
+                    let diverged = EpochAbort::Diverged {
                         retries: good.retries_used,
-                    });
+                    };
+                    break 'run Some((epoch, diverged));
                 }
                 // With backoff disabled a diverged epoch is recorded as-is
                 // and left to the convergence test; it is never published,
@@ -669,33 +647,39 @@ pub(crate) fn run_epochs<T: IgdTask, S: TupleScan + ?Sized>(
                     // 6. Serving publish.
                     publish_serving(config, &model);
                     // 7. Periodic checkpoint.
-                    if let Some(policy) = config.checkpoint.as_ref().filter(|p| p.due(epoch + 1)) {
-                        policy.write(&good)?;
+                    let due = config.checkpoint.as_ref().filter(|p| p.due(epoch + 1));
+                    if let Some(Err(e)) = due.map(|policy| policy.write(&good)) {
+                        break 'run Some((epoch, EpochAbort::Checkpoint(e)));
                     }
                 }
-                stats.push(ParallelEpochStats {
-                    gradient_duration,
-                    retries: epoch_retries,
-                });
-                return Ok(EpochOutcome {
-                    loss,
-                    gradient_norm: None,
-                    shuffle_duration,
-                    retries: epoch_retries,
-                });
+                break loss;
+            };
+            history.push(EpochRecord {
+                epoch,
+                loss,
+                duration: epoch_start.elapsed(),
+                shuffle_duration,
+                gradient_duration,
+                cumulative: started.elapsed(),
+                retries,
+            });
+            if let Some(converged) = config.convergence.verdict(&good.losses) {
+                history.set_converged(converged);
+                break;
             }
-        });
+        }
+        None
+    };
 
     let trained = |model| TrainedModel {
         task_name: task.name(),
         model,
         history,
     };
-    let result = match aborted {
+    match aborted {
         None => Ok(trained(model)),
         Some((epoch, abort)) => Err(abort.into_train_error(epoch, trained(good.model))),
-    };
-    (result, stats)
+    }
 }
 
 /// Full objective (`Σ_i f_i(w) + P(w)`) of `model` over `data`.
@@ -820,12 +804,6 @@ pub(crate) enum EpochAbort {
     Interrupted,
 }
 
-impl From<StorageError> for EpochAbort {
-    fn from(e: StorageError) -> Self {
-        EpochAbort::Checkpoint(e)
-    }
-}
-
 impl EpochAbort {
     fn into_train_error(self, epoch: usize, last_good: TrainedModel) -> TrainError {
         match self {
@@ -863,30 +841,8 @@ pub(crate) fn unwrap_trained(result: Result<TrainedModel, TrainError>) -> Traine
     }
 }
 
-/// Synthesize zero-duration records for epochs restored from a checkpoint
-/// (only losses are persisted; timings of the original run are not).
-fn prior_records(losses: &[f64]) -> Vec<EpochRecord> {
-    losses
-        .iter()
-        .enumerate()
-        .map(|(epoch, &loss)| EpochRecord {
-            epoch,
-            loss,
-            gradient_norm: None,
-            duration: Duration::ZERO,
-            shuffle_duration: Duration::ZERO,
-            cumulative: Duration::ZERO,
-            retries: 0,
-        })
-        .collect()
-}
-
 fn stop_requested(config: &TrainerConfig) -> bool {
-    config
-        .stop_flag
-        .as_ref()
-        .is_some_and(|flag| flag.load(Ordering::Relaxed))
-        || config.guard.as_ref().is_some_and(QueryGuard::should_stop)
+    config.guard.as_ref().is_some_and(QueryGuard::should_stop)
 }
 
 /// Reject a run whose serving handle cannot accept the task's models before
@@ -917,6 +873,7 @@ fn publish_serving(config: &TrainerConfig, model: &[f64]) {
 mod tests {
     use super::*;
     use crate::tasks::{LeastSquaresTask, LogisticRegressionTask, SvmTask};
+    use crate::{ParallelTrainer, UpdateDiscipline};
     use bismarck_storage::{Column, DataType, Schema, Table, Value};
     use rand::rngs::StdRng;
     use rand::Rng;
@@ -1132,18 +1089,18 @@ mod tests {
     }
 
     #[test]
-    fn stop_flag_interrupts_at_an_epoch_boundary() {
+    fn cancelled_guard_interrupts_at_an_epoch_boundary() {
         let table = classification_table(100, false, 9);
         let task = LogisticRegressionTask::new(0, 1, 3);
-        let flag = Arc::new(AtomicBool::new(false));
+        let guard = QueryGuard::unlimited();
         let config = TrainerConfig::default()
             .with_step_size(StepSizeSchedule::Constant(0.2))
             .with_convergence(ConvergenceTest::FixedEpochs(50))
-            .with_stop_flag(flag.clone());
-        flag.store(true, Ordering::Relaxed);
+            .with_guard(guard.clone());
+        guard.cancel();
         let err = Trainer::new(&task, config)
             .try_train(&table)
-            .expect_err("pre-set flag must interrupt immediately");
+            .expect_err("a cancelled guard must interrupt immediately");
         match err {
             TrainError::Interrupted { epoch, last_good } => {
                 assert_eq!(epoch, 0);
@@ -1253,6 +1210,80 @@ mod tests {
             .resume_from(&table, &path)
             .expect_err("task mismatch must be rejected");
         assert!(err.to_string().contains("task"), "{err}");
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// A `FixedEpochs(2)` run checkpointed every epoch and resumed under a
+    /// loss-based test ends exactly where the straight run under that test
+    /// does: the verdict after the first resumed epoch reads the losses
+    /// restored from before the resume.
+    #[test]
+    fn resume_under_a_loss_based_test_matches_the_straight_run() {
+        let path = temp_ckpt("loss-based-resume");
+        let table = classification_table(120, false, 13);
+        let task = LogisticRegressionTask::new(0, 1, 3);
+        let base = TrainerConfig::default()
+            .with_step_size(StepSizeSchedule::Constant(0.2))
+            .with_scan_order(ScanOrder::Clustered);
+        let run = |pass: Option<ParallelStrategy>, config: TrainerConfig, resume: Option<&Path>| {
+            let result = match (pass, resume) {
+                (None, None) => Trainer::new(&task, config).try_train(&table),
+                (None, Some(path)) => Trainer::new(&task, config).resume_from(&table, path),
+                (Some(strategy), None) => ParallelTrainer::new(&task, config, strategy)
+                    .try_train(&table)
+                    .map(|(trained, _)| trained),
+                (Some(strategy), Some(path)) => ParallelTrainer::new(&task, config, strategy)
+                    .resume_from(&table, path)
+                    .map(|(trained, _)| trained),
+            };
+            result.expect("the run completes")
+        };
+        // Criteria a straight run meets after a few epochs, not at the cap.
+        let fixed = base
+            .clone()
+            .with_convergence(ConvergenceTest::FixedEpochs(8));
+        let losses = run(None, fixed, None).history.losses();
+        let drop = |e: usize| (losses[e - 1] - losses[e]) / losses[e - 1];
+        let tests = [
+            ConvergenceTest::RelativeLossDecrease {
+                tolerance: (drop(3) + drop(4)) / 2.0,
+                max_epochs: 30,
+            },
+            ConvergenceTest::LossBelow {
+                target: losses[4],
+                max_epochs: 30,
+            },
+        ];
+        let bits = |trained: &TrainedModel| {
+            let losses = trained.history.losses().into_iter();
+            let model = trained.model.iter().copied();
+            losses.chain(model).map(f64::to_bits).collect::<Vec<_>>()
+        };
+        let lock = ParallelStrategy::SharedMemory {
+            workers: 1,
+            discipline: UpdateDiscipline::Lock,
+        };
+        for pass in [None, Some(lock)] {
+            for test in tests {
+                let label = format!("{pass:?}, {test:?}");
+                let straight = run(pass, base.clone().with_convergence(test), None);
+                assert!(straight.history.converged(), "[{label}]");
+                assert!((3..30).contains(&straight.epochs()), "[{label}]");
+                let two = base
+                    .clone()
+                    .with_convergence(ConvergenceTest::FixedEpochs(2))
+                    .with_checkpoints(&path, 1);
+                run(pass, two, None);
+                let resumed = run(pass, base.clone().with_convergence(test), Some(&path));
+                assert_eq!(bits(&resumed), bits(&straight), "[{label}]");
+                assert_eq!(resumed.epochs(), straight.epochs(), "[{label}]");
+                assert_eq!(
+                    resumed.history.converged(),
+                    straight.history.converged(),
+                    "[{label}]"
+                );
+            }
+        }
         std::fs::remove_file(&path).ok();
     }
 }

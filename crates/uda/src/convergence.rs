@@ -5,6 +5,10 @@
 //! The common cases are a fixed number of epochs, a relative drop in the loss
 //! value between epochs, and a gradient-norm threshold. The evaluation uses
 //! "0.1% tolerance in the objective function value" for completion times.
+//!
+//! The gradient-norm threshold is not offered: incremental gradient descent
+//! takes one step per tuple and never computes the full gradient, so no pass
+//! has a norm to report, and a test fed by nothing could only run to its cap.
 
 /// A stopping condition evaluated after every epoch.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -28,14 +32,6 @@ pub enum ConvergenceTest {
         /// Upper bound on epochs.
         max_epochs: usize,
     },
-    /// Stop when the gradient norm reported by the task falls below
-    /// `tolerance`, or after `max_epochs`.
-    GradientNormBelow {
-        /// Gradient-norm threshold.
-        tolerance: f64,
-        /// Upper bound on epochs.
-        max_epochs: usize,
-    },
 }
 
 impl ConvergenceTest {
@@ -48,71 +44,41 @@ impl ConvergenceTest {
         }
     }
 
-    /// Decide whether to stop after `epoch` (0-based) given the loss history
-    /// so far (`losses[e]` is the loss measured after epoch `e`) and the
-    /// latest gradient norm if the task tracks one.
+    /// The verdict after an epoch, given the loss history of the run so far
+    /// (`losses[e]` is the loss measured after epoch `e`; the last entry is
+    /// the epoch just run): `None` to run another epoch, `Some(converged)` to
+    /// stop, where `converged` says whether the criterion — not the epoch
+    /// cap — ended the run.
     ///
     /// # Non-finite losses
     ///
     /// A non-finite *current* loss (`NaN`/`±inf`) means the run has diverged:
-    /// no later epoch can recover on its own, so every loss-based test treats
-    /// it as a stop signal rather than "keep training" (which would spin
-    /// uselessly until `max_epochs`). Callers distinguish divergence from
-    /// convergence by inspecting the final loss — [`crate::EpochRunner`] never
-    /// marks a run with a non-finite final loss as converged. A non-finite
-    /// *previous* loss with a finite current one (e.g. after a divergence
-    /// recovery restored an earlier model) keeps training: the relative-drop
-    /// ratio is meaningless across that boundary.
-    pub fn should_stop(&self, epoch: usize, losses: &[f64], gradient_norm: Option<f64>) -> bool {
-        // Divergence short-circuit for every loss-based test (FixedEpochs
-        // runs its count regardless; the caller still sees the NaN loss).
-        if !matches!(self, ConvergenceTest::FixedEpochs(_))
-            && losses.last().is_some_and(|l| !l.is_finite())
-        {
-            return true;
-        }
-        match *self {
-            ConvergenceTest::FixedEpochs(n) => epoch + 1 >= n,
-            ConvergenceTest::RelativeLossDecrease {
-                tolerance,
-                max_epochs,
-            } => {
-                if epoch + 1 >= max_epochs {
-                    return true;
-                }
-                if losses.len() < 2 {
-                    return false;
-                }
-                let prev = losses[losses.len() - 2];
-                let curr = losses[losses.len() - 1];
-                if !prev.is_finite() {
-                    // Recovered from a bad epoch; the drop ratio is undefined,
-                    // so keep training.
-                    return false;
-                }
-                let denom = prev.abs().max(1e-12);
-                let rel = (prev - curr) / denom;
-                // Stop only when progress is non-negative and tiny; a loss
-                // increase (rel < 0) keeps training, mirroring the common
-                // "relative drop" heuristic.
-                (0.0..tolerance).contains(&rel)
+    /// no later epoch can recover on its own, so every loss-based test stops
+    /// there rather than spinning uselessly until `max_epochs`, and a run whose
+    /// final loss is non-finite is never converged. [`Self::FixedEpochs`]
+    /// runs its count regardless. A non-finite *previous* loss with a finite
+    /// current one (e.g. after a divergence recovery restored an earlier
+    /// model) keeps training: the relative-drop ratio is meaningless across
+    /// that boundary.
+    pub fn verdict(&self, losses: &[f64]) -> Option<bool> {
+        let last = *losses.last()?;
+        let at_cap = losses.len() >= self.epoch_cap();
+        let met = match *self {
+            ConvergenceTest::FixedEpochs(_) => at_cap,
+            ConvergenceTest::RelativeLossDecrease { tolerance, .. } => {
+                !last.is_finite()
+                    || match *losses {
+                        // Stop only when progress is non-negative and tiny; a
+                        // loss increase keeps training.
+                        [.., prev, curr] if prev.is_finite() => {
+                            (0.0..tolerance).contains(&((prev - curr) / prev.abs().max(1e-12)))
+                        }
+                        _ => false,
+                    }
             }
-            ConvergenceTest::LossBelow { target, max_epochs } => {
-                if epoch + 1 >= max_epochs {
-                    return true;
-                }
-                losses.last().is_some_and(|&l| l <= target)
-            }
-            ConvergenceTest::GradientNormBelow {
-                tolerance,
-                max_epochs,
-            } => {
-                if epoch + 1 >= max_epochs {
-                    return true;
-                }
-                gradient_norm.is_some_and(|g| g <= tolerance)
-            }
-        }
+            ConvergenceTest::LossBelow { target, .. } => !last.is_finite() || last <= target,
+        };
+        (met || at_cap).then_some(met && last.is_finite())
     }
 
     /// The maximum number of epochs this test will ever allow.
@@ -120,8 +86,7 @@ impl ConvergenceTest {
         match *self {
             ConvergenceTest::FixedEpochs(n) => n,
             ConvergenceTest::RelativeLossDecrease { max_epochs, .. }
-            | ConvergenceTest::LossBelow { max_epochs, .. }
-            | ConvergenceTest::GradientNormBelow { max_epochs, .. } => max_epochs,
+            | ConvergenceTest::LossBelow { max_epochs, .. } => max_epochs,
         }
     }
 }
@@ -130,99 +95,67 @@ impl ConvergenceTest {
 mod tests {
     use super::*;
 
-    #[test]
-    fn fixed_epochs_counts() {
-        let t = ConvergenceTest::FixedEpochs(3);
-        assert!(!t.should_stop(0, &[1.0], None));
-        assert!(!t.should_stop(1, &[1.0, 0.9], None));
-        assert!(t.should_stop(2, &[1.0, 0.9, 0.8], None));
-        assert_eq!(t.epoch_cap(), 3);
-    }
+    const NAN: f64 = f64::NAN;
+    const INF: f64 = f64::INFINITY;
 
+    /// Every case the epoch loop relies on: the verdict after the last loss
+    /// of each history. `Some(false)` is "stopped, not converged".
     #[test]
-    fn relative_drop_stops_on_small_improvement() {
-        let t = ConvergenceTest::RelativeLossDecrease {
+    fn verdict_table() {
+        let fixed = ConvergenceTest::FixedEpochs;
+        let rel = |max_epochs| ConvergenceTest::RelativeLossDecrease {
             tolerance: 1e-3,
-            max_epochs: 100,
+            max_epochs,
         };
-        assert!(!t.should_stop(0, &[10.0], None));
-        // 10 -> 5: big improvement, keep going
-        assert!(!t.should_stop(1, &[10.0, 5.0], None));
-        // 5 -> 4.9999: tiny improvement, stop
-        assert!(t.should_stop(2, &[10.0, 5.0, 4.9999], None));
-        // loss increased: keep going
-        assert!(!t.should_stop(3, &[10.0, 5.0, 4.9999, 5.5], None));
+        let below = |max_epochs| ConvergenceTest::LossBelow {
+            target: 3.0,
+            max_epochs,
+        };
+        let (done, cut) = (Some(true), Some(false));
+        #[rustfmt::skip]
+        let cases: &[(ConvergenceTest, &[f64], Option<bool>, &str)] = &[
+            (fixed(3), &[1.0], None, "fixed: before the count"),
+            (fixed(3), &[1.0, 0.9], None, "fixed: before the count"),
+            (fixed(3), &[1.0, 0.9, 0.8], done, "fixed: the count is convergence"),
+            (fixed(3), &[5.0, NAN], None, "fixed: runs on past a NaN"),
+            (fixed(2), &[5.0, NAN], cut, "fixed: a NaN at the count"),
+            (rel(100), &[10.0], None, "rel: one loss has no drop"),
+            (rel(100), &[10.0, 5.0], None, "rel: a big drop keeps going"),
+            (rel(100), &[10.0, 5.0, 4.9999], done, "rel: a tiny drop"),
+            (rel(100), &[100.0, 50.0, 25.0, 12.5, 12.5], done, "rel: no drop"),
+            (rel(100), &[10.0, 5.0, 4.9999, 5.5], None, "rel: a rise keeps going"),
+            (rel(4), &[100.0, 50.0, 33.3, 25.0], cut, "rel: the cap, criterion unmet"),
+            (rel(2), &[10.0, 10.0], done, "rel: the criterion at the cap"),
+            (rel(10), &[INF, 5.0], None, "rel: no ratio across an infinity"),
+            (rel(10), &[NAN, 5.0], None, "rel: no ratio across a NaN"),
+            (rel(100), &[10.0, 9.0, NAN], cut, "rel: a NaN stops early"),
+            (rel(1000), &[5.0, INF], cut, "rel: an infinity stops early"),
+            (rel(1000), &[NAN], cut, "rel: a NaN first epoch"),
+            (below(50), &[10.0, 8.0, 6.0, 4.0], None, "below: above the target"),
+            (below(50), &[10.0, 8.0, 6.0, 4.0, 2.0], done, "below: under the target"),
+            (below(50), &[3.0], done, "below: the target itself"),
+            (below(2), &[10.0, 8.0], cut, "below: the cap, target unmet"),
+            (below(1000), &[5.0, NAN], cut, "below: a NaN stops early"),
+        ];
+        for &(test, losses, expected, case) in cases {
+            assert_eq!(
+                test.verdict(losses),
+                expected,
+                "{case}: {test:?} {losses:?}"
+            );
+        }
+        assert_eq!(fixed(3).verdict(&[]), None, "no epoch, no verdict");
     }
 
     #[test]
-    fn relative_drop_respects_epoch_cap() {
-        let t = ConvergenceTest::RelativeLossDecrease {
-            tolerance: 1e-9,
-            max_epochs: 2,
-        };
-        assert!(t.should_stop(1, &[10.0, 1.0], None));
-    }
-
-    #[test]
-    fn relative_drop_ignores_non_finite() {
-        let t = ConvergenceTest::RelativeLossDecrease {
-            tolerance: 1e-3,
-            max_epochs: 10,
-        };
-        assert!(!t.should_stop(1, &[f64::INFINITY, 5.0], None));
-        assert!(!t.should_stop(1, &[f64::NAN, 5.0], None));
-    }
-
-    #[test]
-    fn non_finite_current_loss_is_a_stop_signal() {
-        // A diverged run must stop immediately instead of spinning to the cap.
-        let rel = ConvergenceTest::RelativeLossDecrease {
-            tolerance: 1e-3,
-            max_epochs: 1000,
-        };
-        assert!(rel.should_stop(1, &[5.0, f64::NAN], None));
-        assert!(rel.should_stop(1, &[5.0, f64::INFINITY], None));
-        assert!(rel.should_stop(0, &[f64::NAN], None));
-
+    fn epoch_caps() {
+        assert_eq!(ConvergenceTest::FixedEpochs(3).epoch_cap(), 3);
+        assert_eq!(ConvergenceTest::paper_default(20).epoch_cap(), 20);
         let below = ConvergenceTest::LossBelow {
-            target: 1.0,
-            max_epochs: 1000,
-        };
-        assert!(below.should_stop(1, &[5.0, f64::NAN], None));
-        assert!(below.should_stop(1, &[5.0, f64::INFINITY], None));
-
-        let grad = ConvergenceTest::GradientNormBelow {
-            tolerance: 1e-9,
-            max_epochs: 1000,
-        };
-        assert!(grad.should_stop(1, &[5.0, f64::NAN], Some(1.0)));
-
-        // FixedEpochs runs its full count regardless.
-        let fixed = ConvergenceTest::FixedEpochs(5);
-        assert!(!fixed.should_stop(1, &[5.0, f64::NAN], None));
-    }
-
-    #[test]
-    fn loss_below_target() {
-        let t = ConvergenceTest::LossBelow {
             target: 1.0,
             max_epochs: 50,
         };
-        assert!(!t.should_stop(0, &[2.0], None));
-        assert!(t.should_stop(1, &[2.0, 0.9], None));
-        assert!(t.should_stop(49, &[2.0; 50], None));
-    }
-
-    #[test]
-    fn gradient_norm_threshold() {
-        let t = ConvergenceTest::GradientNormBelow {
-            tolerance: 1e-2,
-            max_epochs: 10,
-        };
-        assert!(!t.should_stop(0, &[1.0], Some(0.5)));
-        assert!(t.should_stop(1, &[1.0, 1.0], Some(1e-3)));
-        assert!(!t.should_stop(1, &[1.0, 1.0], None));
-        assert!(t.should_stop(9, &[1.0; 10], None));
+        assert_eq!(below.epoch_cap(), 50);
     }
 
     #[test]

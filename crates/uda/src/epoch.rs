@@ -1,57 +1,30 @@
-//! The epoch loop of Figure 2.
+//! Per-epoch bookkeeping of a training run.
 //!
 //! IGD differs from `SUM`/`AVG`/`MAX` in that the aggregate "may need to be
 //! executed more than once, with the output model of one run being input to
-//! the next". [`EpochRunner`] drives that loop: it repeatedly invokes a
-//! caller-supplied closure that performs one full pass (one aggregate
-//! execution) and reports the loss, then consults a [`ConvergenceTest`] to
-//! decide whether to run another epoch. Per-epoch wall-clock time and
-//! shuffle time are recorded so the experiments can separate gradient cost
-//! from reordering cost (Figure 8(B)).
+//! the next" (Figure 2). The loop that does so belongs to the trainers
+//! (`run_epochs` in `bismarck_core::trainer`); what it leaves behind is one
+//! [`EpochRecord`] per epoch in a [`TrainingHistory`]. Wall-clock, shuffle
+//! and gradient time are recorded per epoch so the experiments can separate
+//! gradient cost from reordering cost (Figure 8(B)).
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use crate::convergence::ConvergenceTest;
-
-/// What one epoch reports back to the runner.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct EpochOutcome {
-    /// Objective value measured after this epoch.
-    pub loss: f64,
-    /// Gradient norm, if the task tracks one.
-    pub gradient_norm: Option<f64>,
-    /// Time spent reordering (shuffling) the data before this epoch.
-    pub shuffle_duration: Duration,
-    /// Divergence recoveries (restore + step-size backoff) consumed while
-    /// producing this epoch. Zero on the fault-free path.
-    pub retries: u32,
-}
-
-impl EpochOutcome {
-    /// An outcome with only a loss value.
-    pub fn with_loss(loss: f64) -> Self {
-        EpochOutcome {
-            loss,
-            gradient_norm: None,
-            shuffle_duration: Duration::ZERO,
-            retries: 0,
-        }
-    }
-}
-
-/// Bookkeeping for one completed epoch.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// Bookkeeping for one completed epoch. An epoch restored from a checkpoint
+/// carries its loss and zero timings: a checkpoint persists no timings.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct EpochRecord {
     /// Zero-based epoch number.
     pub epoch: usize,
     /// Objective value after the epoch.
     pub loss: f64,
-    /// Gradient norm after the epoch, if tracked.
-    pub gradient_norm: Option<f64>,
     /// Wall-clock time of the whole epoch (shuffle + gradient pass + loss).
     pub duration: Duration,
     /// Portion of `duration` spent shuffling.
     pub shuffle_duration: Duration,
+    /// Portion of `duration` spent in the gradient pass; an epoch that needed
+    /// divergence retries adds up the passes of all its attempts.
+    pub gradient_duration: Duration,
     /// Cumulative wall-clock time since training started.
     pub cumulative: Duration,
     /// Divergence recoveries (restore + step-size backoff) consumed while
@@ -130,7 +103,7 @@ impl TrainingHistory {
         self.records.iter().map(|r| r.retries).sum()
     }
 
-    /// Record one epoch (exposed for trainers that manage their own loop).
+    /// Record one epoch.
     pub fn push(&mut self, record: EpochRecord) {
         self.records.push(record);
     }
@@ -141,288 +114,57 @@ impl TrainingHistory {
     }
 }
 
-/// Drives the run-aggregate / check-convergence loop.
-#[derive(Debug, Clone, Copy)]
-pub struct EpochRunner {
-    /// The stopping condition consulted after every epoch.
-    pub convergence: ConvergenceTest,
-}
-
-impl EpochRunner {
-    /// Create a runner with the given stopping condition.
-    pub fn new(convergence: ConvergenceTest) -> Self {
-        EpochRunner { convergence }
-    }
-
-    /// Run epochs until the convergence test fires or its epoch cap is hit.
-    ///
-    /// `run_epoch(epoch)` must perform one full pass (including any shuffle)
-    /// and return the measured [`EpochOutcome`].
-    pub fn run<F>(&self, mut run_epoch: F) -> TrainingHistory
-    where
-        F: FnMut(usize) -> EpochOutcome,
-    {
-        let (history, err) = self.try_run_from(0, Vec::new(), |epoch| {
-            Ok::<EpochOutcome, std::convert::Infallible>(run_epoch(epoch))
-        });
-        match err {
-            None => history,
-            Some((_, infallible)) => match infallible {},
-        }
-    }
-
-    /// Fallible variant of [`Self::run`]: the epoch closure may abort the
-    /// loop by returning `Err`. Returns the history of the epochs that
-    /// completed, together with the epoch number and error that stopped the
-    /// run (or `None` if it ran to convergence or the cap).
-    pub fn try_run<F, E>(&self, run_epoch: F) -> (TrainingHistory, Option<(usize, E)>)
-    where
-        F: FnMut(usize) -> Result<EpochOutcome, E>,
-    {
-        self.try_run_from(0, Vec::new(), run_epoch)
-    }
-
-    /// Resume-aware fallible epoch loop. `prior` holds records for epochs
-    /// `0..start_epoch` that already ran (e.g. restored from a checkpoint);
-    /// the loop continues at `start_epoch` and the convergence test sees the
-    /// combined loss history, so stopping decisions match an uninterrupted
-    /// run. Durations of new epochs are measured from this call — prior
-    /// records keep whatever timings they carry.
-    pub fn try_run_from<F, E>(
-        &self,
-        start_epoch: usize,
-        prior: Vec<EpochRecord>,
-        mut run_epoch: F,
-    ) -> (TrainingHistory, Option<(usize, E)>)
-    where
-        F: FnMut(usize) -> Result<EpochOutcome, E>,
-    {
-        let mut history = TrainingHistory::default();
-        let mut losses: Vec<f64> = prior.iter().map(|r| r.loss).collect();
-        for record in prior {
-            history.push(record);
-        }
-        let started = Instant::now();
-        let cap = self.convergence.epoch_cap();
-        for epoch in start_epoch..cap {
-            let epoch_start = Instant::now();
-            let outcome = match run_epoch(epoch) {
-                Ok(outcome) => outcome,
-                Err(err) => return (history, Some((epoch, err))),
-            };
-            let duration = epoch_start.elapsed();
-            losses.push(outcome.loss);
-            history.push(EpochRecord {
-                epoch,
-                loss: outcome.loss,
-                gradient_norm: outcome.gradient_norm,
-                duration,
-                shuffle_duration: outcome.shuffle_duration,
-                cumulative: started.elapsed(),
-                retries: outcome.retries,
-            });
-            if self
-                .convergence
-                .should_stop(epoch, &losses, outcome.gradient_norm)
-            {
-                // A run whose final loss is non-finite stopped because it
-                // diverged; never report that as convergence.
-                let satisfied = epoch + 1 < cap || self.is_satisfied(epoch, &losses);
-                history.set_converged(satisfied && outcome.loss.is_finite());
-                break;
-            }
-        }
-        (history, None)
-    }
-
-    fn is_satisfied(&self, epoch: usize, losses: &[f64]) -> bool {
-        // At the cap the test always says "stop"; report convergence only if
-        // the underlying criterion (not the cap) is also satisfied.
-        match self.convergence {
-            ConvergenceTest::FixedEpochs(_) => true,
-            _ => {
-                // Re-evaluate with a cap one larger so the cap clause cannot fire.
-                let relaxed = match self.convergence {
-                    ConvergenceTest::RelativeLossDecrease { tolerance, .. } => {
-                        ConvergenceTest::RelativeLossDecrease {
-                            tolerance,
-                            max_epochs: epoch + 2,
-                        }
-                    }
-                    ConvergenceTest::LossBelow { target, .. } => ConvergenceTest::LossBelow {
-                        target,
-                        max_epochs: epoch + 2,
-                    },
-                    ConvergenceTest::GradientNormBelow { tolerance, .. } => {
-                        ConvergenceTest::GradientNormBelow {
-                            tolerance,
-                            max_epochs: epoch + 2,
-                        }
-                    }
-                    ConvergenceTest::FixedEpochs(n) => ConvergenceTest::FixedEpochs(n),
-                };
-                relaxed.should_stop(epoch, losses, None)
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn runs_fixed_number_of_epochs() {
-        let runner = EpochRunner::new(ConvergenceTest::FixedEpochs(5));
-        let history = runner.run(|epoch| EpochOutcome::with_loss(10.0 - epoch as f64));
-        assert_eq!(history.epochs(), 5);
-        assert_eq!(history.final_loss(), Some(6.0));
-        assert!(history.converged());
-    }
-
-    #[test]
-    fn stops_early_on_relative_tolerance() {
-        let runner = EpochRunner::new(ConvergenceTest::RelativeLossDecrease {
-            tolerance: 1e-3,
-            max_epochs: 100,
-        });
-        // Loss halves until epoch 3, then freezes.
-        let history = runner.run(|epoch| {
-            let loss = if epoch < 3 {
-                100.0 / (1 << epoch) as f64
-            } else {
-                12.5
-            };
-            EpochOutcome::with_loss(loss)
-        });
-        assert!(history.epochs() < 100);
-        assert!(history.converged());
-        assert_eq!(history.final_loss(), Some(12.5));
-    }
-
-    #[test]
-    fn reports_not_converged_when_cap_hit_without_progress_criterion() {
-        let runner = EpochRunner::new(ConvergenceTest::RelativeLossDecrease {
-            tolerance: 1e-6,
-            max_epochs: 4,
-        });
-        // Loss keeps improving by a lot, so the criterion itself never fires.
-        let history = runner.run(|epoch| EpochOutcome::with_loss(100.0 / (epoch + 1) as f64));
-        assert_eq!(history.epochs(), 4);
-        assert!(!history.converged());
+    /// A history of `losses`: epoch `e` ends at `e + 1` ms and shuffled 5 µs.
+    fn with_losses(losses: &[f64]) -> TrainingHistory {
+        let mut history = TrainingHistory::default();
+        for (epoch, &loss) in losses.iter().enumerate() {
+            history.push(EpochRecord {
+                epoch,
+                loss,
+                duration: Duration::from_millis(1),
+                shuffle_duration: Duration::from_micros(5),
+                cumulative: Duration::from_millis(epoch as u64 + 1),
+                ..EpochRecord::default()
+            });
+        }
+        history
     }
 
     #[test]
     fn epochs_and_time_to_reach() {
-        let runner = EpochRunner::new(ConvergenceTest::FixedEpochs(10));
-        let history = runner.run(|epoch| EpochOutcome::with_loss(10.0 - epoch as f64));
+        let history = with_losses(&[10.0, 9.0, 8.0, 7.0, 6.0]);
+        assert_eq!(history.epochs(), 5);
+        assert_eq!(history.final_loss(), Some(6.0));
         assert_eq!(history.epochs_to_reach(7.0), Some(4));
-        assert!(history.time_to_reach(7.0).is_some());
+        assert_eq!(history.time_to_reach(7.0), Some(Duration::from_millis(4)));
         assert_eq!(history.epochs_to_reach(-100.0), None);
         assert!(history.time_to_reach(-100.0).is_none());
-    }
-
-    #[test]
-    fn history_accumulates_durations() {
-        let runner = EpochRunner::new(ConvergenceTest::FixedEpochs(3));
-        let history = runner.run(|_| EpochOutcome {
-            loss: 1.0,
-            gradient_norm: Some(0.1),
-            shuffle_duration: Duration::from_micros(5),
-            retries: 0,
-        });
-        assert_eq!(history.records().len(), 3);
-        assert!(history.total_shuffle_duration() >= Duration::from_micros(15));
-        assert!(history.total_duration() >= history.records()[0].duration);
-        let cumulative: Vec<_> = history.records().iter().map(|r| r.cumulative).collect();
-        assert!(cumulative.windows(2).all(|w| w[0] <= w[1]));
+        assert_eq!(history.total_duration(), Duration::from_millis(5));
+        assert_eq!(history.total_shuffle_duration(), Duration::from_micros(25));
+        assert_eq!(history.total_retries(), 0);
+        assert!(
+            !history.converged(),
+            "only the epoch loop marks convergence"
+        );
     }
 
     #[test]
     fn epochs_to_reach_skips_non_finite_losses() {
         // A NaN epoch can't match a finite target and must not be counted as
         // progress; the first FINITE loss at or below target wins.
-        let runner = EpochRunner::new(ConvergenceTest::FixedEpochs(5));
-        let losses = [10.0, f64::NAN, f64::INFINITY, 4.0, 3.0];
-        let history = runner.run(|epoch| EpochOutcome::with_loss(losses[epoch]));
+        let history = with_losses(&[10.0, f64::NAN, f64::INFINITY, 4.0, 3.0]);
         assert_eq!(history.epochs_to_reach(5.0), Some(4));
         assert_eq!(history.epochs_to_reach(3.5), Some(5));
         assert_eq!(history.epochs_to_reach(1.0), None);
-        assert!(history.time_to_reach(5.0).is_some());
+        assert_eq!(history.time_to_reach(5.0), Some(Duration::from_millis(4)));
         assert!(history.time_to_reach(1.0).is_none());
         // All-NaN history reaches nothing.
-        let runner = EpochRunner::new(ConvergenceTest::FixedEpochs(2));
-        let bad = runner.run(|_| EpochOutcome::with_loss(f64::NAN));
+        let bad = with_losses(&[f64::NAN, f64::NAN]);
         assert_eq!(bad.epochs_to_reach(f64::INFINITY), None);
         assert!(bad.time_to_reach(f64::INFINITY).is_none());
-    }
-
-    #[test]
-    fn diverged_run_stops_early_and_is_not_converged() {
-        let runner = EpochRunner::new(ConvergenceTest::RelativeLossDecrease {
-            tolerance: 1e-3,
-            max_epochs: 100,
-        });
-        let history = runner.run(|epoch| {
-            EpochOutcome::with_loss(if epoch < 2 {
-                10.0 - epoch as f64
-            } else {
-                f64::NAN
-            })
-        });
-        assert_eq!(history.epochs(), 3, "stops at the first NaN, not the cap");
-        assert!(!history.converged());
-    }
-
-    #[test]
-    fn try_run_surfaces_epoch_error_with_partial_history() {
-        let runner = EpochRunner::new(ConvergenceTest::FixedEpochs(10));
-        let (history, err) = runner.try_run(|epoch| {
-            if epoch == 3 {
-                Err("boom")
-            } else {
-                Ok(EpochOutcome::with_loss(10.0 - epoch as f64))
-            }
-        });
-        assert_eq!(history.epochs(), 3);
-        assert_eq!(err, Some((3, "boom")));
-        assert!(!history.converged());
-    }
-
-    #[test]
-    fn try_run_from_continues_a_prior_history() {
-        let runner = EpochRunner::new(ConvergenceTest::FixedEpochs(6));
-        let (first, err) = runner.try_run(|epoch| {
-            if epoch == 3 {
-                Err(())
-            } else {
-                Ok(EpochOutcome::with_loss(10.0 - epoch as f64))
-            }
-        });
-        assert_eq!(err, Some((3, ())));
-        let prior = first.records().to_vec();
-        let (resumed, err) = runner.try_run_from(3, prior, |epoch| {
-            Ok::<_, ()>(EpochOutcome::with_loss(10.0 - epoch as f64))
-        });
-        assert!(err.is_none());
-        assert_eq!(resumed.epochs(), 6);
-        assert_eq!(
-            resumed.losses(),
-            vec![10.0, 9.0, 8.0, 7.0, 6.0, 5.0],
-            "combined history matches an uninterrupted run"
-        );
-        assert!(resumed.converged());
-        assert_eq!(resumed.total_retries(), 0);
-    }
-
-    #[test]
-    fn loss_below_stops_and_marks_converged() {
-        let runner = EpochRunner::new(ConvergenceTest::LossBelow {
-            target: 3.0,
-            max_epochs: 50,
-        });
-        let history = runner.run(|epoch| EpochOutcome::with_loss(10.0 - 2.0 * epoch as f64));
-        assert_eq!(history.epochs(), 5);
-        assert!(history.converged());
     }
 }

@@ -1,4 +1,5 @@
-//! The user-defined aggregate (UDA) abstraction and epoch machinery.
+//! The user-defined aggregate (UDA) abstraction, its executors, and the
+//! bookkeeping of the epochs a training run makes of it.
 //!
 //! Figure 3 of the paper describes the standard three phases of a UDA —
 //! `initialize(state)`, `transition(state, data)`, `terminate(state)` — plus
@@ -13,9 +14,11 @@
 //! * execution strategies over a stored table: a sequential scan in a chosen
 //!   [`bismarck_storage::ScanOrder`] and a segmented, shared-nothing run that
 //!   aggregates each segment independently and merges the partial states;
-//! * the epoch loop of Figure 2 — run the aggregate, evaluate the loss,
-//!   consult a [`ConvergenceTest`], repeat — together with per-epoch
-//!   bookkeeping used by the experiments.
+//! * the [`ConvergenceTest`] whose verdict ends a run, and the per-epoch
+//!   [`TrainingHistory`] the experiments read. The epoch loop of Figure 2
+//!   itself — run the aggregate, evaluate the loss, ask the test, repeat —
+//!   is `run_epochs` in `bismarck_core`'s trainer, the one loop every
+//!   trainer enters.
 
 #![warn(missing_docs)]
 
@@ -26,7 +29,7 @@ pub mod executor;
 
 pub use crate::aggregate::{transition_tuples, Aggregate, CountAggregate};
 pub use crate::convergence::ConvergenceTest;
-pub use crate::epoch::{EpochOutcome, EpochRecord, EpochRunner, TrainingHistory};
+pub use crate::epoch::{EpochRecord, TrainingHistory};
 pub use crate::executor::{
     panic_message, run_segmented, run_segmented_parallel, run_sequential, run_sequential_while,
     scan_blocks_while, try_run_segmented_parallel, SegmentPanic,

@@ -11,8 +11,7 @@
 #![cfg(feature = "fault-injection")]
 
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
 use bismarck_core::fault::{Fault, FaultyTask};
@@ -20,9 +19,9 @@ use bismarck_core::model::ModelStore;
 use bismarck_core::parallel::ParallelEpochStats;
 use bismarck_core::tasks::LogisticRegressionTask;
 use bismarck_core::{
-    IgdTask, ModelHandle, ParallelStrategy, ParallelTrainer, ProximalPolicy, ServingTask,
-    StepSizeSchedule, TrainError, TrainedModel, Trainer, TrainerConfig, TrainingCheckpoint,
-    UpdateDiscipline,
+    IgdTask, ModelHandle, ParallelStrategy, ParallelTrainer, ProximalPolicy, QueryGuard,
+    ServingTask, StepSizeSchedule, TrainError, TrainedModel, Trainer, TrainerConfig,
+    TrainingCheckpoint, UpdateDiscipline,
 };
 use bismarck_datagen::{dense_classification, DenseClassificationConfig};
 use bismarck_storage::{ScanOrder, Table, Tuple};
@@ -262,16 +261,15 @@ fn interrupted_run_resumes_bit_compatibly_with_an_uninterrupted_one() {
 }
 
 #[test]
-fn stop_flag_interrupts_at_an_epoch_boundary_and_checkpoint_resumes() {
+fn cancelled_guard_interrupts_at_an_epoch_boundary_and_checkpoint_resumes() {
     let data = table(110);
-    let path = ckpt_path("stopflag");
+    let path = ckpt_path("cancelled");
     let task = LogisticRegressionTask::new(1, 2, 4);
-    let flag = Arc::new(AtomicBool::new(true)); // pre-set: stop immediately
+    let guard = QueryGuard::unlimited();
+    guard.cancel(); // before the run: stop immediately
     let err = Trainer::new(
         &task,
-        config(6)
-            .with_checkpoints(&path, 3)
-            .with_stop_flag(flag.clone()),
+        config(6).with_checkpoints(&path, 3).with_guard(guard),
     )
     .try_train(&data)
     .unwrap_err();
@@ -282,9 +280,8 @@ fn stop_flag_interrupts_at_an_epoch_boundary_and_checkpoint_resumes() {
     assert_eq!(last_good.epochs(), 0);
 
     // The interrupt checkpoint lets a fresh trainer pick the run back up;
-    // with the flag cleared it completes all 6 epochs, matching a run that
-    // was never interrupted.
-    flag.store(false, Ordering::SeqCst);
+    // without the guard it completes all 6 epochs, matching a run that was
+    // never interrupted.
     let resumed = Trainer::new(&task, config(6))
         .resume_from(&data, &path)
         .expect("resume from interrupt checkpoint");
@@ -414,14 +411,14 @@ fn run_pass<T: IgdTask>(
     }
 }
 
-/// Raises a stop flag once the objective has been evaluated `after` times,
+/// Cancels `guard` once the objective has been evaluated `after` times,
 /// i.e. deterministically at the end of epoch `after - 1` of a fault-free
 /// run. Everything else is delegated.
 struct StopAfter<T> {
     inner: T,
     after: usize,
     loss_passes: AtomicUsize,
-    flag: Arc<AtomicBool>,
+    guard: QueryGuard,
 }
 
 impl<T: IgdTask> IgdTask for StopAfter<T> {
@@ -442,7 +439,7 @@ impl<T: IgdTask> IgdTask for StopAfter<T> {
     }
     fn regularizer(&self, model: &[f64]) -> f64 {
         if self.loss_passes.fetch_add(1, Ordering::SeqCst) + 1 == self.after {
-            self.flag.store(true, Ordering::SeqCst);
+            self.guard.cancel();
         }
         self.inner.regularizer(model)
     }
@@ -510,23 +507,23 @@ fn every_pass_interrupts_checkpoints_and_resumes_to_the_full_run() {
     for pass in PASSES {
         let label = pass_label(pass);
         let path = ckpt_path(&format!("contract_stop_{label}"));
-        let flag = Arc::new(AtomicBool::new(false));
+        let guard = QueryGuard::unlimited();
         let task = StopAfter {
             inner: LogisticRegressionTask::new(1, 2, 4),
             after: 3,
             loss_passes: AtomicUsize::new(0),
-            flag: flag.clone(),
+            guard: guard.clone(),
         };
         // A cadence of 100 is never due in a 6-epoch run: the only write is
         // the interrupt's.
         let err = run_pass(
             pass,
             &task,
-            config(6).with_checkpoints(&path, 100).with_stop_flag(flag),
+            config(6).with_checkpoints(&path, 100).with_guard(guard),
             &data,
             None,
         )
-        .expect_err("the raised flag must interrupt the run");
+        .expect_err("the cancelled guard must interrupt the run");
         let TrainError::Interrupted { epoch, last_good } = err else {
             panic!("[{label}] expected Interrupted, got {err:?}");
         };

@@ -19,8 +19,7 @@
 //!   catalog that recovers to a consistent state.
 
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 use bismarck_core::governor::{AdmissionError, Governor, QueryGuard, QueryLimits};
@@ -151,13 +150,13 @@ fn cancelling_a_guard_clone_stops_training() {
     assert!(matches!(err, TrainError::Interrupted { .. }), "got {err:?}");
 }
 
-/// Serves a table's blocks, raising a stop flag while it serves block
+/// Serves a table's blocks, cancelling `guard` while it serves block
 /// number `stop_at` (counted from 0 across all passes of the run).
 struct StopAtBlock<'a> {
     inner: &'a ColumnarTable,
     stop_at: usize,
     served: AtomicUsize,
-    flag: Arc<AtomicBool>,
+    guard: QueryGuard,
 }
 
 impl TupleScan for StopAtBlock<'_> {
@@ -170,7 +169,7 @@ impl TupleScan for StopAtBlock<'_> {
     fn scan_blocks(&self, start: usize, end: usize, f: &mut dyn FnMut(RowBlock<'_>) -> bool) {
         self.inner.scan_blocks(start, end, &mut |block| {
             if self.served.fetch_add(1, Ordering::SeqCst) == self.stop_at {
-                self.flag.store(true, Ordering::SeqCst);
+                self.guard.cancel();
             }
             f(block)
         })
@@ -228,16 +227,16 @@ fn stop_flag_binds_between_the_blocks_of_a_sequential_pass() {
         for (pass, stop_at) in [("gradient", 2 * 48 + 10), ("loss", 2 * 48 + 24 + 10)] {
             let pass = format!("{trainer:?}, {pass}");
             let checkpoint = dir.join("stop.ckpt");
-            let flag = Arc::new(AtomicBool::new(false));
+            let guard = QueryGuard::unlimited();
             let scan = StopAtBlock {
                 inner: &paged,
                 stop_at,
                 served: AtomicUsize::new(0),
-                flag: flag.clone(),
+                guard: guard.clone(),
             };
             // A cadence of 100 is never due: the only write is the interrupt's.
             let config = clustered(5)
-                .with_stop_flag(flag)
+                .with_guard(guard)
                 .with_checkpoints(&checkpoint, 100);
             let err = run(trainer, config, &scan, None).unwrap_err();
             let TrainError::Interrupted { epoch, last_good } = err else {
@@ -246,7 +245,7 @@ fn stop_flag_binds_between_the_blocks_of_a_sequential_pass() {
             let served = scan.served.load(Ordering::SeqCst);
             assert!(
                 served <= stop_at + 2,
-                "[{pass}] {served} blocks served, the flag went up during block {stop_at}"
+                "[{pass}] {served} blocks served, the guard was cancelled during block {stop_at}"
             );
             assert_eq!(epoch, 2, "[{pass}]");
             assert_eq!(last_good.epochs(), 2, "[{pass}]");

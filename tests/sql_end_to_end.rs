@@ -226,3 +226,30 @@ fn errors_from_each_layer_are_distinguishable() {
         SqlError::Evaluation(_)
     ));
 }
+
+#[test]
+fn a_model_table_with_a_negative_idx_is_an_error_not_a_panic() {
+    let mut session = SqlSession::new();
+    for sql in [
+        "CREATE TABLE m (idx INT, weight DOUBLE)",
+        "INSERT INTO m VALUES (-1, 0.5)",
+        "CREATE TABLE d (id INT, vec DENSE_VEC)",
+        "INSERT INTO d VALUES (1, ARRAY[1.0, 2.0])",
+    ] {
+        session
+            .execute(sql)
+            .unwrap_or_else(|e| panic!("{sql}: {e}"));
+    }
+    for sql in [
+        "SELECT PREDICT('m', vec) FROM d",
+        "SELECT SVMPredict('m', 'd', 'vec')",
+    ] {
+        let result =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| session.execute(sql)))
+                .unwrap_or_else(|_| panic!("{sql} panicked"));
+        assert!(result.is_err(), "{sql} must fail");
+        session
+            .execute("SELECT COUNT(*) FROM d")
+            .unwrap_or_else(|e| panic!("after {sql} the session must still answer: {e}"));
+    }
+}
