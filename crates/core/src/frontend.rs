@@ -105,26 +105,33 @@ pub fn persist_model(
     Ok(())
 }
 
-/// Load a model previously persisted with [`persist_model`].
+/// Load a model previously persisted with [`persist_model`]. A model table
+/// holds one row per weight, so every `idx` must lie in `0..rows`: the model
+/// is never sized past the table that stores it.
 pub fn load_model(db: &Database, model_name: &str) -> Result<Vec<f64>, FrontendError> {
     let table = db.stored(model_name)?;
     let idx_col = table.column_index("idx")?;
     let weight_col = table.column_index("weight")?;
-    let mut pairs: Vec<(usize, f64)> = Vec::with_capacity(table.len());
+    let rows = table.len();
+    let mut pairs: Vec<(usize, f64)> = Vec::with_capacity(rows);
     let mut malformed = None;
     table.scan_tuples_while(&mut |tuple| {
         match (tuple.get_int(idx_col), tuple.get_double(weight_col)) {
             (Some(idx), Some(weight)) => match usize::try_from(idx) {
-                Ok(idx) => pairs.push((idx, weight)),
-                Err(_) => malformed = Some("model idx is negative"),
+                Ok(i) if i < rows => pairs.push((i, weight)),
+                _ => {
+                    malformed = Some(format!(
+                        "model idx {idx} is outside 0..{rows}, the rows of the model table"
+                    ))
+                }
             },
-            (None, _) => malformed = Some("model idx is not an integer"),
-            (_, None) => malformed = Some("model weight is not a double"),
+            (None, _) => malformed = Some("model idx is not an integer".into()),
+            (_, None) => malformed = Some("model weight is not a double".into()),
         }
         malformed.is_none()
     });
     if let Some(msg) = malformed {
-        return Err(FrontendError::InvalidInput(msg.into()));
+        return Err(FrontendError::InvalidInput(msg));
     }
     let dim = pairs.iter().map(|&(i, _)| i + 1).max().unwrap_or(0);
     let mut model = vec![0.0; dim];
@@ -713,6 +720,39 @@ mod tests {
         let model = vec![0.5, -1.5, 0.0, 3.0];
         persist_model(&mut db, "m", &model).unwrap();
         assert_eq!(load_model(&db, "m").unwrap(), model);
+    }
+
+    #[test]
+    fn a_model_is_never_sized_past_its_table() {
+        let model_table = |rows: &[(i64, f64)]| {
+            let mut db = Database::new();
+            let schema = Schema::new(vec![
+                Column::new("idx", DataType::Int),
+                Column::new("weight", DataType::Double),
+            ])
+            .unwrap();
+            let mut table = Table::new("m", schema);
+            for &(idx, weight) in rows {
+                table
+                    .insert(vec![Value::Int(idx), Value::Double(weight)])
+                    .unwrap();
+            }
+            db.register_table(table).unwrap();
+            load_model(&db, "m")
+        };
+        // Rows in any order fill their slots.
+        assert_eq!(
+            model_table(&[(2, 0.3), (0, 0.1), (1, 0.2)]).unwrap(),
+            vec![0.1, 0.2, 0.3]
+        );
+        // An idx at or past the row count, or negative, is an error.
+        for idx in [-1, 2, 1 << 40, i64::MAX] {
+            let err = model_table(&[(0, 0.1), (idx, 0.2)]).unwrap_err();
+            assert!(
+                matches!(err, FrontendError::InvalidInput(_)),
+                "{idx}: {err}"
+            );
+        }
     }
 
     #[test]

@@ -204,6 +204,7 @@ mod tests {
     use rand::Rng;
     use rand::SeedableRng;
     use std::sync::atomic::AtomicU64;
+    use std::time::Duration;
 
     /// Clustered (label-sorted) classification data: the regime MRS targets.
     fn clustered_table(n: usize, seed: u64) -> Table {
@@ -328,6 +329,15 @@ mod tests {
         );
         assert_eq!(trained.epochs(), 10);
         assert!(trained.final_loss().unwrap().is_finite());
+        // Every epoch is timed: its gradient pass inside its duration, and the
+        // run's clock covering all the epochs before it.
+        let mut elapsed = Duration::ZERO;
+        for record in trained.history.records() {
+            assert!(record.gradient_duration > Duration::ZERO, "{record:?}");
+            assert!(record.duration >= record.gradient_duration, "{record:?}");
+            elapsed += record.duration;
+            assert!(record.cumulative >= elapsed, "{record:?}");
+        }
     }
 
     #[test]

@@ -1286,4 +1286,83 @@ mod tests {
         }
         std::fs::remove_file(&path).ok();
     }
+
+    /// The timings a run records, checked on a real `ShuffleAlways` run
+    /// resumed from a checkpoint, through both façades: a restored epoch has
+    /// none; an epoch this call ran holds its shuffle and gradient spans, and
+    /// the run's clock covers every epoch this call ran. A parallel run's
+    /// stats are the records of exactly those epochs.
+    #[test]
+    fn a_resumed_run_times_the_epochs_it_ran() {
+        let path = temp_ckpt("timings");
+        let table = classification_table(100, false, 5);
+        let task = LogisticRegressionTask::new(0, 1, 3);
+        let base = TrainerConfig::default()
+            .with_step_size(StepSizeSchedule::Constant(0.2))
+            .with_scan_order(ScanOrder::ShuffleAlways { seed: 4 });
+        let two = base
+            .clone()
+            .with_convergence(ConvergenceTest::FixedEpochs(2))
+            .with_checkpoints(&path, 1);
+        let five = base.with_convergence(ConvergenceTest::FixedEpochs(5));
+        let lock = ParallelStrategy::SharedMemory {
+            workers: 1,
+            discipline: UpdateDiscipline::Lock,
+        };
+        for pass in [None, Some(lock)] {
+            let (resumed, stats) = match pass {
+                None => {
+                    Trainer::new(&task, two.clone()).try_train(&table).unwrap();
+                    let trainer = Trainer::new(&task, five.clone());
+                    (trainer.resume_from(&table, &path).unwrap(), None)
+                }
+                Some(strategy) => {
+                    ParallelTrainer::new(&task, two.clone(), strategy)
+                        .try_train(&table)
+                        .unwrap();
+                    let trainer = ParallelTrainer::new(&task, five.clone(), strategy);
+                    let (trained, stats) = trainer.resume_from(&table, &path).unwrap();
+                    (trained, Some(stats))
+                }
+            };
+            let records = resumed.history.records();
+            assert_eq!(records.len(), 5, "[{pass:?}]");
+            let (restored, ran) = records.split_at(2);
+            for record in restored {
+                assert_eq!(record.duration, Duration::ZERO, "[{pass:?}] {record:?}");
+                assert_eq!(record.shuffle_duration, Duration::ZERO, "[{pass:?}]");
+                assert_eq!(record.gradient_duration, Duration::ZERO, "[{pass:?}]");
+                assert_eq!(record.cumulative, Duration::ZERO, "[{pass:?}]");
+            }
+            let mut elapsed = Duration::ZERO;
+            let mut previous = Duration::ZERO;
+            for record in ran {
+                assert!(
+                    record.shuffle_duration > Duration::ZERO,
+                    "[{pass:?}] {record:?}"
+                );
+                assert!(
+                    record.gradient_duration > Duration::ZERO,
+                    "[{pass:?}] {record:?}"
+                );
+                assert!(
+                    record.duration >= record.shuffle_duration + record.gradient_duration,
+                    "[{pass:?}] {record:?}"
+                );
+                assert!(record.cumulative >= previous, "[{pass:?}] {record:?}");
+                elapsed += record.duration;
+                assert!(record.cumulative >= elapsed, "[{pass:?}] {record:?}");
+                previous = record.cumulative;
+            }
+            assert_eq!(resumed.history.total_duration(), previous, "[{pass:?}]");
+            if let Some(stats) = stats {
+                assert_eq!(stats.len(), ran.len());
+                for (stat, record) in stats.iter().zip(ran) {
+                    assert_eq!(stat.gradient_duration, record.gradient_duration);
+                    assert_eq!(stat.retries, record.retries);
+                }
+            }
+        }
+        std::fs::remove_file(&path).ok();
+    }
 }

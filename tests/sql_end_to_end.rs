@@ -228,28 +228,35 @@ fn errors_from_each_layer_are_distinguishable() {
 }
 
 #[test]
-fn a_model_table_with_a_negative_idx_is_an_error_not_a_panic() {
-    let mut session = SqlSession::new();
-    for sql in [
-        "CREATE TABLE m (idx INT, weight DOUBLE)",
-        "INSERT INTO m VALUES (-1, 0.5)",
-        "CREATE TABLE d (id INT, vec DENSE_VEC)",
-        "INSERT INTO d VALUES (1, ARRAY[1.0, 2.0])",
-    ] {
-        session
-            .execute(sql)
-            .unwrap_or_else(|e| panic!("{sql}: {e}"));
-    }
-    for sql in [
-        "SELECT PREDICT('m', vec) FROM d",
-        "SELECT SVMPredict('m', 'd', 'vec')",
-    ] {
-        let result =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| session.execute(sql)))
-                .unwrap_or_else(|_| panic!("{sql} panicked"));
-        assert!(result.is_err(), "{sql} must fail");
-        session
-            .execute("SELECT COUNT(*) FROM d")
-            .unwrap_or_else(|e| panic!("after {sql} the session must still answer: {e}"));
+fn a_model_table_with_an_idx_out_of_range_is_an_error_not_a_panic() {
+    // A negative idx once wrapped the model's size to 0, and i64::MAX
+    // overflows it; 10^12 fits but would ask for terabytes.
+    for idx in ["-1", "9223372036854775807", "1000000000000"] {
+        let mut session = SqlSession::new();
+        for sql in [
+            "CREATE TABLE m (idx INT, weight DOUBLE)".to_string(),
+            "INSERT INTO m VALUES (0, 0.25)".to_string(),
+            format!("INSERT INTO m VALUES ({idx}, 0.5)"),
+            "CREATE TABLE d (id INT, vec DENSE_VEC)".to_string(),
+            "INSERT INTO d VALUES (1, ARRAY[1.0, 2.0])".to_string(),
+        ] {
+            session
+                .execute(&sql)
+                .unwrap_or_else(|e| panic!("{sql}: {e}"));
+        }
+        for sql in [
+            "SELECT PREDICT('m', vec) FROM d",
+            "SELECT SVMPredict('m', 'd', 'vec')",
+        ] {
+            let result =
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| session.execute(sql)))
+                    .unwrap_or_else(|_| panic!("[idx {idx}] {sql} panicked"));
+            assert!(result.is_err(), "[idx {idx}] {sql} must fail");
+            session
+                .execute("SELECT COUNT(*) FROM d")
+                .unwrap_or_else(|e| {
+                    panic!("[idx {idx}] after {sql} the session must still answer: {e}")
+                });
+        }
     }
 }
