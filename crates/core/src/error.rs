@@ -33,7 +33,7 @@ pub enum TrainError {
         last_good: Box<TrainedModel>,
     },
     /// The model or loss went non-finite and the step-size backoff budget
-    /// (see [`crate::trainer::BackoffPolicy`]) was exhausted.
+    /// (see [`crate::trainer::TrainerConfig::max_retries`]) was exhausted.
     Diverged {
         /// Epoch (0-based) that diverged past the retry budget.
         epoch: usize,

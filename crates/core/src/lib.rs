@@ -75,4 +75,4 @@ pub use crate::parallel::{ParallelStrategy, ParallelTrainer, UpdateDiscipline};
 pub use crate::serving::{Link, ModelHandle, ModelSnapshot, PublishError, ServingTask};
 pub use crate::stepsize::StepSizeSchedule;
 pub use crate::task::{ExampleTask, IgdTask, ProximalPolicy};
-pub use crate::trainer::{BackoffPolicy, CheckpointPolicy, TrainedModel, Trainer, TrainerConfig};
+pub use crate::trainer::{CheckpointPolicy, TrainedModel, Trainer, TrainerConfig};

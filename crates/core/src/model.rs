@@ -12,8 +12,9 @@
 //! * a shared model updated with per-component compare-and-swap (**AIG**).
 //!
 //! The whole-model **Lock** discipline does not need its own store: the
-//! parallel executor serializes workers around a mutex and hands each of them
-//! the plain dense store while the lock is held.
+//! parallel executor keeps one [`DenseModelStore`] behind a mutex and each
+//! worker steps on `&mut *guard` while it holds the lock, so sequential,
+//! pure-UDA and Lock passes all run the same dense slice kernels.
 
 use bismarck_linalg::FeatureVectorRef;
 use bismarck_storage::SharedModel;
@@ -181,63 +182,6 @@ impl ModelStore for DenseModelStore {
     }
 }
 
-/// Mutable-slice model store used when a caller already holds exclusive
-/// access to a dense model (e.g. inside the Lock discipline's critical
-/// section).
-#[derive(Debug)]
-pub struct SliceModelStore<'a> {
-    values: &'a mut [f64],
-}
-
-impl<'a> SliceModelStore<'a> {
-    /// Wrap a mutable slice.
-    pub fn new(values: &'a mut [f64]) -> Self {
-        SliceModelStore { values }
-    }
-}
-
-impl ModelStore for SliceModelStore<'_> {
-    fn len(&self) -> usize {
-        self.values.len()
-    }
-
-    #[inline]
-    fn read(&self, i: usize) -> f64 {
-        self.values[i]
-    }
-
-    #[inline]
-    fn update(&mut self, i: usize, delta: f64) {
-        self.values[i] += delta;
-    }
-
-    #[inline]
-    fn write(&mut self, i: usize, value: f64) {
-        self.values[i] = value;
-    }
-
-    // The Lock discipline holds exclusive access inside its critical
-    // section, so it gets the same slice kernels as the private store.
-    #[inline]
-    fn dot_view(&self, x: FeatureVectorRef<'_>) -> f64 {
-        x.dot(self.values)
-    }
-
-    #[inline]
-    fn axpy_view(&mut self, x: FeatureVectorRef<'_>, c: f64) {
-        x.scale_and_add_into(self.values, c);
-    }
-
-    fn snapshot(&self) -> Vec<f64> {
-        self.values.to_vec()
-    }
-
-    fn snapshot_into(&self, out: &mut Vec<f64>) {
-        out.clear();
-        out.extend_from_slice(self.values);
-    }
-}
-
 /// Shared-memory store with no locking at all: racy read-modify-write, the
 /// NoLock (Hogwild!) discipline of Section 3.3.
 #[derive(Debug, Clone)]
@@ -376,16 +320,6 @@ mod tests {
         let mut store = DenseModelStore::zeros(3);
         exercise(&mut store);
         assert_eq!(store.into_vec(), vec![1.5, 0.0, -1.0]);
-    }
-
-    #[test]
-    fn slice_store_contract() {
-        let mut backing = vec![0.0; 3];
-        {
-            let mut store = SliceModelStore::new(&mut backing);
-            exercise(&mut store);
-        }
-        assert_eq!(backing, vec![1.5, 0.0, -1.0]);
     }
 
     #[test]

@@ -32,7 +32,7 @@ use parking_lot::Mutex;
 
 use crate::error::TrainError;
 use crate::igd::{block_steps, IgdAggregate};
-use crate::model::{AigStore, ModelStore, NoLockStore, SliceModelStore};
+use crate::model::{AigStore, DenseModelStore, ModelStore, NoLockStore};
 use crate::task::{ExampleTask, IgdTask, ProximalPolicy};
 use crate::trainer::{
     fresh_start, load_checkpoint, run_epochs, unwrap_trained, EpochAbort, TrainedModel,
@@ -413,7 +413,7 @@ pub(crate) fn run_shared_memory_epoch<T: IgdTask, S: TupleScan + ?Sized>(
 
     let mut final_model = match discipline {
         UpdateDiscipline::Lock => {
-            let locked = Mutex::new(model);
+            let locked = Mutex::new(DenseModelStore::new(model));
             // The lock is taken per step, not per block, so the workers
             // interleave as finely as they always did.
             run_workers(&worker_rows, |rows| {
@@ -421,21 +421,19 @@ pub(crate) fn run_shared_memory_epoch<T: IgdTask, S: TupleScan + ?Sized>(
                     Work::Examples(examples, rows) => {
                         for i in 0..rows.len() {
                             let mut guard = locked.lock();
-                            let mut store = SliceModelStore::new(guard.as_mut_slice());
-                            examples.step_rows(&mut store, &rows.row(i), alpha);
+                            examples.step_rows(&mut *guard, &rows.row(i), alpha);
                         }
                     }
                     Work::Tuple(tuple) => {
                         let mut guard = locked.lock();
-                        let mut store = SliceModelStore::new(guard.as_mut_slice());
-                        task.gradient_step(&mut store, tuple, alpha);
+                        task.gradient_step(&mut *guard, tuple, alpha);
                         if task.proximal_policy() == ProximalPolicy::PerStep {
                             task.proximal_step(guard.as_mut_slice(), alpha);
                         }
                     }
                 });
             })?;
-            locked.into_inner()
+            locked.into_inner().into_vec()
         }
         UpdateDiscipline::Aig => {
             let shared = SharedModel::from_slice(&model);

@@ -27,7 +27,8 @@
 //! 4. **Loss pass** — the full objective, for the convergence test; always
 //!    in storage order, block by block in the same way.
 //! 5. **Divergence scan** — a non-finite model or loss restores the last
-//!    healthy model and retries with a smaller step ([`BackoffPolicy`]).
+//!    healthy model and retries with a halved step
+//!    ([`TrainerConfig::with_backoff`]).
 //! 6. **Serving publish** — healthy models (and restored ones) go to the
 //!    configured [`ModelHandle`]; readers never observe a non-finite model.
 //! 7. **Checkpoint** — progress is persisted every N healthy epochs
@@ -59,28 +60,9 @@ use crate::serving::{ModelHandle, PublishError};
 use crate::stepsize::StepSizeSchedule;
 use crate::task::IgdTask;
 
-/// Divergence-recovery policy: how many times a run may restore its
-/// last-good snapshot and shrink the step size after observing a non-finite
-/// model or loss.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BackoffPolicy {
-    /// Total recovery budget for the run. Zero (the default) disables the
-    /// machinery entirely: a diverged epoch is recorded as-is and the
-    /// convergence test stops the run, un-converged.
-    pub max_retries: u32,
-    /// Multiplier applied to the effective step size on each recovery
-    /// (`0.5` halves it, the classic backoff).
-    pub factor: f64,
-}
-
-impl Default for BackoffPolicy {
-    fn default() -> Self {
-        BackoffPolicy {
-            max_retries: 0,
-            factor: 0.5,
-        }
-    }
-}
+/// Multiplier a divergence recovery applies to the effective step size:
+/// each restore-and-retry halves it, the classic backoff.
+const BACKOFF_FACTOR: f64 = 0.5;
 
 /// When and where to persist training checkpoints.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -185,8 +167,12 @@ pub struct TrainerConfig {
     pub scan_order: ScanOrder,
     /// Stopping condition.
     pub convergence: ConvergenceTest,
-    /// Divergence-recovery policy (disabled by default).
-    pub backoff: BackoffPolicy,
+    /// Divergence-recovery budget: how many times a run may restore its
+    /// last-good model and halve the step size after a non-finite model or
+    /// loss. Zero (the default) disables the machinery entirely: a diverged
+    /// epoch is recorded as-is and the convergence test stops the run,
+    /// un-converged.
+    pub max_retries: u32,
     /// Periodic checkpointing policy (none by default).
     pub checkpoint: Option<CheckpointPolicy>,
     /// Serving publication point: when set, the trainer publishes the model
@@ -207,7 +193,7 @@ impl Default for TrainerConfig {
             step_size: StepSizeSchedule::default(),
             scan_order: ScanOrder::ShuffleOnce { seed: 42 },
             convergence: ConvergenceTest::paper_default(20),
-            backoff: BackoffPolicy::default(),
+            max_retries: 0,
             checkpoint: None,
             serving: None,
             guard: None,
@@ -235,17 +221,17 @@ impl TrainerConfig {
     }
 
     /// Enable divergence recovery: up to `max_retries` restore-and-halve
-    /// retries per run (see [`BackoffPolicy`]).
+    /// retries per run (see [`TrainerConfig::max_retries`]); each retry
+    /// halves the step size.
     ///
     /// ```
     /// use bismarck_core::trainer::TrainerConfig;
     ///
     /// let config = TrainerConfig::default().with_backoff(5);
-    /// assert_eq!(config.backoff.max_retries, 5);
-    /// assert_eq!(config.backoff.factor, 0.5); // each retry halves the step
+    /// assert_eq!(config.max_retries, 5);
     /// ```
     pub fn with_backoff(mut self, max_retries: u32) -> Self {
-        self.backoff.max_retries = max_retries;
+        self.max_retries = max_retries;
         self
     }
 
@@ -620,17 +606,17 @@ pub(crate) fn run_epochs<T: IgdTask, S: TupleScan + ?Sized>(
 
                 // 5. Divergence scan + recovery.
                 let healthy = loss.is_finite() && model.iter().all(|v| v.is_finite());
-                if !healthy && good.retries_used < config.backoff.max_retries {
+                if !healthy && good.retries_used < config.max_retries {
                     good.retries_used += 1;
                     retries += 1;
-                    good.alpha_scale *= config.backoff.factor;
+                    good.alpha_scale *= BACKOFF_FACTOR;
                     model.clone_from(&good.model);
                     // Re-assert the restored model to the serving handle:
                     // readers keep seeing a finite model while the retry runs.
                     publish_serving(config, &model);
                     continue;
                 }
-                if !healthy && config.backoff.max_retries > 0 {
+                if !healthy && config.max_retries > 0 {
                     let diverged = EpochAbort::Diverged {
                         retries: good.retries_used,
                     };

@@ -1,120 +1,32 @@
-//! Vector and matrix primitives used throughout the Bismarck reproduction.
+//! The vector kernels every Bismarck pass runs on.
 //!
 //! The paper's transition functions are written in terms of a handful of
 //! kernels — `Dot_Product`, `Scale_And_Add`, `Sigmoid` (Figure 4) — applied to
 //! either dense feature vectors (e.g. the Forest dataset) or sparse ones
-//! (e.g. DBLife, CoNLL). This crate provides those kernels together with the
-//! small amount of matrix machinery needed for low-rank matrix factorization
-//! and linear-chain CRFs.
+//! (e.g. DBLife, CoNLL). This crate holds exactly one implementation of each:
 //!
-//! Everything here is deliberately dependency-free and allocation-conscious:
-//! the transition function runs once per tuple per epoch, so it is the hot
-//! loop of the whole system.
+//! * [`FeatureVectorRef`], the borrowed view of a stored feature vector, is
+//!   where the dense and sparse `Dot_Product` / `Scale_And_Add` are written;
+//! * [`ops`] holds the unrolled dense slice kernels the view's dense arm (and
+//!   the dense model stores) call, and the scalar link functions;
+//! * [`projection`] holds the proximal operators of Appendix A that a task
+//!   uses: the simplex projection and soft-thresholding;
+//! * [`SparseVector`] is the validated owned storage of a sparse cell; its
+//!   arithmetic goes through the view.
+//!
+//! Everything here is deliberately dependency-free and allocation-free on the
+//! training path: the transition function runs once per tuple per epoch, so
+//! it is the hot loop of the whole system.
 
 #![warn(missing_docs)]
 
-pub mod dense;
-pub mod factor;
 pub mod ops;
 pub mod projection;
 pub mod sparse;
 
-pub use crate::dense::DenseVector;
-pub use crate::factor::FactorMatrix;
 pub use crate::ops::{log1p_exp, log_sum_exp, sigmoid};
-pub use crate::projection::{project_l1_ball, project_l2_ball, project_simplex};
+pub use crate::projection::project_simplex;
 pub use crate::sparse::{SparseLayoutError, SparseVector};
-
-/// A feature vector that is either dense or sparse.
-///
-/// Tasks such as logistic regression and SVM are written once against this
-/// enum so the same transition code handles both the dense Forest-like and
-/// sparse DBLife-like datasets, mirroring how the paper's C implementation
-/// dispatches on the input column type.
-#[derive(Debug, Clone, PartialEq)]
-pub enum FeatureVector {
-    /// Dense feature values, index `i` holds feature `i`.
-    Dense(DenseVector),
-    /// Sparse feature values as sorted (index, value) pairs.
-    Sparse(SparseVector),
-}
-
-impl FeatureVector {
-    /// Dot product with a dense model vector.
-    #[inline]
-    pub fn dot(&self, w: &[f64]) -> f64 {
-        match self {
-            FeatureVector::Dense(x) => ops::dot(x.as_slice(), w),
-            FeatureVector::Sparse(x) => x.dot_dense(w),
-        }
-    }
-
-    /// `w += c * x`, the `Scale_And_Add` kernel from Figure 4.
-    #[inline]
-    pub fn scale_and_add_into(&self, w: &mut [f64], c: f64) {
-        match self {
-            FeatureVector::Dense(x) => ops::scale_and_add(w, x.as_slice(), c),
-            FeatureVector::Sparse(x) => x.scale_and_add_into(w, c),
-        }
-    }
-
-    /// Number of logical dimensions (highest index + 1 for sparse vectors).
-    pub fn dimension(&self) -> usize {
-        match self {
-            FeatureVector::Dense(x) => x.len(),
-            FeatureVector::Sparse(x) => x.dimension(),
-        }
-    }
-
-    /// Number of stored (possibly zero) entries.
-    pub fn nnz(&self) -> usize {
-        match self {
-            FeatureVector::Dense(x) => x.len(),
-            FeatureVector::Sparse(x) => x.nnz(),
-        }
-    }
-
-    /// Squared Euclidean norm of the feature vector.
-    pub fn norm_sq(&self) -> f64 {
-        match self {
-            FeatureVector::Dense(x) => ops::dot(x.as_slice(), x.as_slice()),
-            FeatureVector::Sparse(x) => x.norm_sq(),
-        }
-    }
-
-    /// Materialize into a dense vector of dimension `dim`.
-    pub fn to_dense(&self, dim: usize) -> DenseVector {
-        match self {
-            FeatureVector::Dense(x) => {
-                let mut v = x.clone();
-                v.resize(dim);
-                v
-            }
-            FeatureVector::Sparse(x) => x.to_dense(dim),
-        }
-    }
-
-    /// Iterate over (index, value) pairs of the stored entries.
-    ///
-    /// Returns a concrete enum iterator — no per-call `Box<dyn Iterator>`
-    /// allocation, which matters because tasks iterate entries once per tuple
-    /// per epoch.
-    pub fn iter_entries(&self) -> FeatureEntries<'_> {
-        self.as_view().iter_entries()
-    }
-
-    /// Borrow this vector as a zero-copy [`FeatureVectorRef`] view.
-    #[inline]
-    pub fn as_view(&self) -> FeatureVectorRef<'_> {
-        match self {
-            FeatureVector::Dense(x) => FeatureVectorRef::Dense(x.as_slice()),
-            FeatureVector::Sparse(x) => FeatureVectorRef::Sparse {
-                indices: x.indices(),
-                values: x.values(),
-            },
-        }
-    }
-}
 
 /// A borrowed feature vector: the zero-copy view the per-tuple hot path runs
 /// on.
@@ -124,8 +36,8 @@ impl FeatureVector {
 /// [`Sparse`](FeatureVectorRef::Sparse) borrows the parallel index/value
 /// slices), so a gradient step performs **no** heap allocation: the paper's
 /// `Dot_Product` / `Scale_And_Add` kernels read directly from the stored
-/// tuple. The owned [`FeatureVector`] remains for call sites that genuinely
-/// need to keep a vector beyond the tuple's lifetime.
+/// tuple. A vector that must outlive its tuple is kept as a cloned cell
+/// (a `Value` in `bismarck-storage`), never as a second vector type.
 ///
 /// The view is `Copy` (two words), so passing it by value is free, and both
 /// layouts run through one kernel API:
@@ -228,39 +140,14 @@ impl<'a> FeatureVectorRef<'a> {
         }
     }
 
-    /// Squared Euclidean norm.
-    pub fn norm_sq(&self) -> f64 {
-        match *self {
-            FeatureVectorRef::Dense(x) => ops::dot(x, x),
-            FeatureVectorRef::Sparse { values, .. } => values.iter().map(|v| v * v).sum(),
-        }
-    }
-
-    /// Materialize into a dense vector of dimension at least `dim`.
-    pub fn to_dense(&self, dim: usize) -> DenseVector {
-        let n = dim.max(self.dimension());
-        let mut out = DenseVector::zeros(n);
-        let slice = out.as_mut_slice();
-        match *self {
-            FeatureVectorRef::Dense(x) => slice[..x.len()].copy_from_slice(x),
-            FeatureVectorRef::Sparse { indices, values } => {
-                for (&i, &v) in indices.iter().zip(values) {
-                    slice[i as usize] = v;
-                }
-            }
+    /// Materialize into a dense vector of dimension at least `dim`: stored
+    /// entries at their indices, zeros elsewhere.
+    pub fn to_dense(&self, dim: usize) -> Vec<f64> {
+        let mut out = vec![0.0; dim.max(self.dimension())];
+        for (i, v) in self.iter_entries() {
+            out[i] = v;
         }
         out
-    }
-
-    /// Clone into an owned [`FeatureVector`]. This is the *only* place the
-    /// view API allocates; training hot paths never call it.
-    pub fn to_owned(&self) -> FeatureVector {
-        match *self {
-            FeatureVectorRef::Dense(x) => FeatureVector::Dense(DenseVector::from(x)),
-            FeatureVectorRef::Sparse { indices, values } => {
-                FeatureVector::Sparse(SparseVector::from_sorted(indices.to_vec(), values.to_vec()))
-            }
-        }
     }
 
     /// Iterate over (index, value) pairs of the stored entries without
@@ -273,18 +160,6 @@ impl<'a> FeatureVectorRef<'a> {
                 FeatureEntries::Sparse(indices.iter().zip(values.iter()))
             }
         }
-    }
-}
-
-impl<'a> From<&'a FeatureVector> for FeatureVectorRef<'a> {
-    fn from(v: &'a FeatureVector) -> Self {
-        v.as_view()
-    }
-}
-
-impl<'a> From<&'a DenseVector> for FeatureVectorRef<'a> {
-    fn from(v: &'a DenseVector) -> Self {
-        FeatureVectorRef::Dense(v.as_slice())
     }
 }
 
@@ -330,116 +205,105 @@ impl Iterator for FeatureEntries<'_> {
 
 impl ExactSizeIterator for FeatureEntries<'_> {}
 
-impl From<DenseVector> for FeatureVector {
-    fn from(v: DenseVector) -> Self {
-        FeatureVector::Dense(v)
-    }
-}
-
-impl From<SparseVector> for FeatureVector {
-    fn from(v: SparseVector) -> Self {
-        FeatureVector::Sparse(v)
-    }
-}
-
-impl From<Vec<f64>> for FeatureVector {
-    fn from(v: Vec<f64>) -> Self {
-        FeatureVector::Dense(DenseVector::from(v))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn sparse(pairs: Vec<(usize, f64)>) -> SparseVector {
+        SparseVector::from_pairs(pairs)
+    }
+
     #[test]
-    fn feature_vector_dispatches_dot() {
-        let dense = FeatureVector::from(vec![1.0, 2.0, 3.0]);
-        let sparse = FeatureVector::Sparse(SparseVector::from_pairs(vec![(0, 1.0), (2, 3.0)]));
+    fn dot_agrees_across_layouts() {
+        let dense = FeatureVectorRef::Dense(&[1.0, 0.0, 3.0]);
+        let stored = sparse(vec![(0, 1.0), (2, 3.0)]);
         let w = [2.0, 0.5, 1.0];
-        assert!((dense.dot(&w) - 6.0).abs() < 1e-12);
-        assert!((sparse.dot(&w) - 5.0).abs() < 1e-12);
+        assert_eq!(dense.dot(&w), 5.0);
+        assert_eq!(FeatureVectorRef::from(&stored).dot(&w), 5.0);
     }
 
     #[test]
-    fn feature_vector_scale_and_add() {
-        let sparse = FeatureVector::Sparse(SparseVector::from_pairs(vec![(1, 2.0)]));
-        let mut w = vec![0.0; 3];
-        sparse.scale_and_add_into(&mut w, 0.5);
-        assert_eq!(w, vec![0.0, 1.0, 0.0]);
+    fn sparse_dot_ignores_indices_past_the_model() {
+        let stored = sparse(vec![(0, 1.0), (5, 10.0)]);
+        assert_eq!(FeatureVectorRef::from(&stored).dot(&[2.0, 0.0, 0.0]), 2.0);
+        // A shorter dense model also stops the dense arm at its end.
+        assert_eq!(FeatureVectorRef::Dense(&[1.0, 2.0]).dot(&[10.0]), 10.0);
     }
 
     #[test]
-    fn feature_vector_dimension_and_nnz() {
-        let dense = FeatureVector::from(vec![1.0, 0.0, 3.0]);
-        assert_eq!(dense.dimension(), 3);
-        assert_eq!(dense.nnz(), 3);
-        let sparse = FeatureVector::Sparse(SparseVector::from_pairs(vec![(4, 1.0)]));
-        assert_eq!(sparse.dimension(), 5);
-        assert_eq!(sparse.nnz(), 1);
+    fn sparse_axpy_touches_only_stored_coordinates() {
+        let stored = sparse(vec![(1, 2.0), (9, 1.0)]);
+        let mut w = vec![0.5; 3];
+        FeatureVectorRef::from(&stored).scale_and_add_into(&mut w, 3.0);
+        assert_eq!(w, vec![0.5, 6.5, 0.5]);
     }
 
     #[test]
-    fn feature_vector_to_dense_pads() {
-        let sparse = FeatureVector::Sparse(SparseVector::from_pairs(vec![(1, 2.0)]));
-        let dense = sparse.to_dense(4);
-        assert_eq!(dense.as_slice(), &[0.0, 2.0, 0.0, 0.0]);
+    fn dense_axpy_stops_at_the_shorter_slice() {
+        let mut w = vec![1.0, 1.0];
+        FeatureVectorRef::Dense(&[2.0, -1.0, 7.0]).scale_and_add_into(&mut w, 0.5);
+        assert_eq!(w, vec![2.0, 0.5]);
     }
 
     #[test]
-    fn iter_entries_matches_norm() {
-        let fv = FeatureVector::from(vec![3.0, 4.0]);
-        let sum: f64 = fv.iter_entries().map(|(_, v)| v * v).sum();
-        assert!((sum - fv.norm_sq()).abs() < 1e-12);
+    fn to_dense_pads_and_honours_the_requested_dim() {
+        let stored = sparse(vec![(1, 2.0), (3, -1.0)]);
+        let view = FeatureVectorRef::from(&stored);
+        assert_eq!(view.to_dense(4), vec![0.0, 2.0, 0.0, -1.0]);
+        assert_eq!(view.to_dense(6).len(), 6);
+        // A requested dim below the vector's own dimension still holds it.
+        assert_eq!(view.to_dense(0), vec![0.0, 2.0, 0.0, -1.0]);
+        let dense = FeatureVectorRef::Dense(&[1.0, 2.0]);
+        assert_eq!(dense.to_dense(4), vec![1.0, 2.0, 0.0, 0.0]);
+        assert_eq!(dense.to_dense(1), vec![1.0, 2.0]);
     }
 
     #[test]
-    fn view_agrees_with_owned_vector() {
-        let owned = [
-            FeatureVector::from(vec![1.0, -2.0, 0.0, 3.5, 0.25]),
-            FeatureVector::Sparse(SparseVector::from_pairs(vec![(1, 2.0), (7, -1.0)])),
-        ];
-        let w = [0.5, -1.0, 2.0, 0.0, 1.0];
-        for fv in &owned {
-            let view = fv.as_view();
-            assert!((view.dot(&w) - fv.dot(&w)).abs() < 1e-12);
-            assert_eq!(view.dimension(), fv.dimension());
-            assert_eq!(view.nnz(), fv.nnz());
-            assert!((view.norm_sq() - fv.norm_sq()).abs() < 1e-12);
-            assert_eq!(view.to_dense(9), fv.to_dense(9));
-            assert_eq!(&view.to_owned(), fv);
-            let via_view: Vec<(usize, f64)> = view.iter_entries().collect();
-            let via_owned: Vec<(usize, f64)> = fv.iter_entries().collect();
-            assert_eq!(via_view, via_owned);
-            assert_eq!(view.iter_entries().len(), fv.nnz());
-            let mut a = w.to_vec();
-            let mut b = w.to_vec();
-            view.scale_and_add_into(&mut a, 0.3);
-            fv.scale_and_add_into(&mut b, 0.3);
-            assert_eq!(a, b);
-        }
+    fn dimension_and_nnz_for_both_layouts() {
+        let dense = FeatureVectorRef::Dense(&[1.0, 0.0, 3.0]);
+        assert_eq!((dense.dimension(), dense.nnz()), (3, 3));
+        let stored = sparse(vec![(4, 1.0)]);
+        let view = FeatureVectorRef::from(&stored);
+        assert_eq!((view.dimension(), view.nnz()), (5, 1));
+        let empty = SparseVector::new();
+        let view = FeatureVectorRef::from(&empty);
+        assert_eq!((view.dimension(), view.nnz()), (0, 0));
+    }
+
+    #[test]
+    fn iter_entries_lists_the_stored_entries() {
+        let dense = FeatureVectorRef::Dense(&[3.0, 4.0]);
+        assert_eq!(
+            dense.iter_entries().collect::<Vec<_>>(),
+            vec![(0, 3.0), (1, 4.0)]
+        );
+        let stored = sparse(vec![(7, -1.0), (1, 2.0)]);
+        let view = FeatureVectorRef::from(&stored);
+        assert_eq!(view.iter_entries().len(), 2);
+        assert_eq!(
+            view.iter_entries().collect::<Vec<_>>(),
+            vec![(1, 2.0), (7, -1.0)]
+        );
     }
 
     #[test]
     fn view_get_and_ragged_bounds() {
-        let sparse = SparseVector::from_pairs(vec![(2, 5.0), (10, 1.0)]);
-        let view = FeatureVectorRef::from(&sparse);
+        let stored = sparse(vec![(2, 5.0), (10, 1.0)]);
+        let view = FeatureVectorRef::from(&stored);
         assert_eq!(view.get(2), 5.0);
         assert_eq!(view.get(3), 0.0);
         assert_eq!(view.get(100), 0.0);
         // An index past u32::MAX must not wrap onto a stored entry.
         assert_eq!(view.get((1usize << 32) + 2), 0.0);
-        assert_eq!(sparse.get((1usize << 32) + 2), 0.0);
+        assert_eq!(stored.get((1usize << 32) + 2), 0.0);
         // Updates and dots against a shorter model ignore index 10.
         let mut w = vec![0.0; 4];
         view.scale_and_add_into(&mut w, 2.0);
         assert_eq!(w, vec![0.0, 0.0, 10.0, 0.0]);
         assert!((view.dot(&[0.0, 0.0, 3.0]) - 15.0).abs() < 1e-12);
 
-        let dense = DenseVector::from(vec![1.0, 2.0]);
-        let dview = FeatureVectorRef::from(&dense);
+        let dview = FeatureVectorRef::Dense(&[1.0, 2.0]);
         assert_eq!(dview.get(1), 2.0);
         assert_eq!(dview.get(5), 0.0);
-        assert!((dview.dot(&[10.0]) - 10.0).abs() < 1e-12);
     }
 }

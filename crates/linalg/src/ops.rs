@@ -52,58 +52,6 @@ pub fn scale_and_add(w: &mut [f64], x: &[f64], c: f64) {
     }
 }
 
-/// Scale a vector in place: `w *= c`.
-#[inline]
-pub fn scale(w: &mut [f64], c: f64) {
-    for v in w.iter_mut() {
-        *v *= c;
-    }
-}
-
-/// Euclidean (L2) norm.
-#[inline]
-pub fn norm2(a: &[f64]) -> f64 {
-    dot(a, a).sqrt()
-}
-
-/// Squared Euclidean norm.
-#[inline]
-pub fn norm2_sq(a: &[f64]) -> f64 {
-    dot(a, a)
-}
-
-/// L1 norm.
-#[inline]
-pub fn norm1(a: &[f64]) -> f64 {
-    a.iter().map(|v| v.abs()).sum()
-}
-
-/// Squared Euclidean distance between two slices.
-#[inline]
-pub fn dist_sq(a: &[f64], b: &[f64]) -> f64 {
-    let n = a.len().min(b.len());
-    let (a, b) = (&a[..n], &b[..n]);
-    let mut acc = [0.0f64; 4];
-    let mut chunks_a = a.chunks_exact(4);
-    let mut chunks_b = b.chunks_exact(4);
-    for (ca, cb) in chunks_a.by_ref().zip(chunks_b.by_ref()) {
-        let d0 = ca[0] - cb[0];
-        let d1 = ca[1] - cb[1];
-        let d2 = ca[2] - cb[2];
-        let d3 = ca[3] - cb[3];
-        acc[0] += d0 * d0;
-        acc[1] += d1 * d1;
-        acc[2] += d2 * d2;
-        acc[3] += d3 * d3;
-    }
-    let mut tail = 0.0;
-    for (x, y) in chunks_a.remainder().iter().zip(chunks_b.remainder()) {
-        let d = x - y;
-        tail += d * d;
-    }
-    (acc[0] + acc[1]) + (acc[2] + acc[3]) + tail
-}
-
 /// The logistic sigmoid `1 / (1 + exp(-z))`, evaluated without overflow for
 /// large `|z|`.
 #[inline]
@@ -149,19 +97,6 @@ pub fn log_sum_exp(xs: &[f64]) -> f64 {
     m + sum.ln()
 }
 
-/// Soft-thresholding operator used by the L1 (lasso) proximal step:
-/// `sign(z) * max(|z| - t, 0)`.
-#[inline]
-pub fn soft_threshold(z: f64, t: f64) -> f64 {
-    if z > t {
-        z - t
-    } else if z < -t {
-        z + t
-    } else {
-        0.0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -183,8 +118,6 @@ mod tests {
             let b: Vec<f64> = (0..n).map(|i| (i as f64 * 1.3).cos() - 0.1).collect();
             let naive_dot: f64 = a.iter().zip(&b).map(|(x, y)| x * y).sum();
             assert!((dot(&a, &b) - naive_dot).abs() < 1e-12, "dot n={n}");
-            let naive_dist: f64 = a.iter().zip(&b).map(|(x, y)| (x - y) * (x - y)).sum();
-            assert!((dist_sq(&a, &b) - naive_dist).abs() < 1e-12, "dist n={n}");
             let mut w = a.clone();
             scale_and_add(&mut w, &b, 0.25);
             for i in 0..n {
@@ -201,25 +134,6 @@ mod tests {
         let mut w = vec![1.0, 1.0];
         scale_and_add(&mut w, &[2.0, -1.0], 0.5);
         assert_eq!(w, vec![2.0, 0.5]);
-    }
-
-    #[test]
-    fn scale_in_place() {
-        let mut w = vec![2.0, -4.0];
-        scale(&mut w, 0.5);
-        assert_eq!(w, vec![1.0, -2.0]);
-    }
-
-    #[test]
-    fn norms() {
-        assert!((norm2(&[3.0, 4.0]) - 5.0).abs() < 1e-12);
-        assert!((norm2_sq(&[3.0, 4.0]) - 25.0).abs() < 1e-12);
-        assert!((norm1(&[3.0, -4.0]) - 7.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn dist_sq_basic() {
-        assert!((dist_sq(&[1.0, 1.0], &[4.0, 5.0]) - 25.0).abs() < 1e-12);
     }
 
     #[test]
@@ -258,12 +172,5 @@ mod tests {
         assert_eq!(log_sum_exp(&[]), f64::NEG_INFINITY);
         let big = [1000.0, 1000.0];
         assert!((log_sum_exp(&big) - (1000.0 + 2.0f64.ln())).abs() < 1e-9);
-    }
-
-    #[test]
-    fn soft_threshold_cases() {
-        assert_eq!(soft_threshold(3.0, 1.0), 2.0);
-        assert_eq!(soft_threshold(-3.0, 1.0), -2.0);
-        assert_eq!(soft_threshold(0.5, 1.0), 0.0);
     }
 }

@@ -3,10 +3,7 @@
 //! The paper's step rule `w ← Π_{αP}(w − α ∇f_i(w))` needs, for the tasks of
 //! Figure 1(B):
 //! * projection onto the probability simplex Δ (portfolio optimization),
-//! * projection onto an L2 ball (norm constraints on classifiers),
-//! * the soft-thresholding / L1-ball machinery behind `µ‖w‖₁` regularizers.
-
-use crate::ops::soft_threshold;
+//! * soft-thresholding, the proximal operator of the `µ‖w‖₁` regularizers.
 
 /// Project `w` onto the probability simplex `{ w : w_i >= 0, Σ w_i = 1 }`.
 ///
@@ -37,42 +34,6 @@ pub fn project_simplex(w: &mut [f64]) {
     }
 }
 
-/// Project `w` onto the Euclidean ball of the given `radius` centered at the
-/// origin. Vectors already inside the ball are left untouched.
-pub fn project_l2_ball(w: &mut [f64], radius: f64) {
-    assert!(radius >= 0.0, "radius must be non-negative");
-    let norm = crate::ops::norm2(w);
-    if norm > radius && norm > 0.0 {
-        let scale = radius / norm;
-        for v in w.iter_mut() {
-            *v *= scale;
-        }
-    }
-}
-
-/// Project `w` onto the L1 ball of the given `radius`.
-///
-/// Implemented by projecting `|w|` onto the simplex scaled by `radius` and
-/// restoring signs; vectors already inside the ball are unchanged.
-pub fn project_l1_ball(w: &mut [f64], radius: f64) {
-    assert!(radius >= 0.0, "radius must be non-negative");
-    let l1: f64 = w.iter().map(|v| v.abs()).sum();
-    if l1 <= radius || w.is_empty() {
-        return;
-    }
-    if radius == 0.0 {
-        for v in w.iter_mut() {
-            *v = 0.0;
-        }
-        return;
-    }
-    let mut abs: Vec<f64> = w.iter().map(|v| v.abs() / radius).collect();
-    project_simplex(&mut abs);
-    for (v, a) in w.iter_mut().zip(abs.iter()) {
-        *v = v.signum() * a * radius;
-    }
-}
-
 /// Apply element-wise soft-thresholding with threshold `t >= 0`; this is the
 /// proximal operator of `t * ‖w‖₁` and implements the `µ‖w‖₁` penalty of the
 /// LR and SVM objectives in Figure 1(B).
@@ -83,10 +44,22 @@ pub fn soft_threshold_vec(w: &mut [f64], t: f64) {
     }
 }
 
+/// Soft-thresholding operator used by the L1 (lasso) proximal step:
+/// `sign(z) * max(|z| - t, 0)`.
+#[inline]
+fn soft_threshold(z: f64, t: f64) -> f64 {
+    if z > t {
+        z - t
+    } else if z < -t {
+        z + t
+    } else {
+        0.0
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ops::{norm1, norm2};
 
     fn assert_on_simplex(w: &[f64]) {
         assert!(w.iter().all(|&v| v >= -1e-12), "non-negative: {w:?}");
@@ -135,43 +108,16 @@ mod tests {
     }
 
     #[test]
-    fn l2_ball_projection_shrinks_outside_points() {
-        let mut w = vec![3.0, 4.0];
-        project_l2_ball(&mut w, 1.0);
-        assert!((norm2(&w) - 1.0).abs() < 1e-9);
-        // direction preserved
-        assert!((w[0] / w[1] - 0.75).abs() < 1e-9);
-    }
-
-    #[test]
-    fn l2_ball_projection_keeps_inside_points() {
-        let mut w = vec![0.1, 0.2];
-        let orig = w.clone();
-        project_l2_ball(&mut w, 1.0);
-        assert_eq!(w, orig);
-    }
-
-    #[test]
-    fn l1_ball_projection_reduces_norm_to_radius() {
-        let mut w = vec![3.0, -4.0, 0.5];
-        project_l1_ball(&mut w, 2.0);
-        assert!(norm1(&w) <= 2.0 + 1e-9);
-    }
-
-    #[test]
-    fn l1_ball_projection_keeps_inside_points_and_zero_radius() {
-        let mut w = vec![0.5, -0.5];
-        let orig = w.clone();
-        project_l1_ball(&mut w, 2.0);
-        assert_eq!(w, orig);
-        project_l1_ball(&mut w, 0.0);
-        assert_eq!(w, vec![0.0, 0.0]);
-    }
-
-    #[test]
     fn soft_threshold_vec_shrinks_towards_zero() {
         let mut w = vec![2.0, -0.5, -3.0];
         soft_threshold_vec(&mut w, 1.0);
         assert_eq!(w, vec![1.0, 0.0, -2.0]);
+    }
+
+    #[test]
+    fn soft_threshold_cases() {
+        assert_eq!(soft_threshold(3.0, 1.0), 2.0);
+        assert_eq!(soft_threshold(-3.0, 1.0), -2.0);
+        assert_eq!(soft_threshold(0.5, 1.0), 0.0);
     }
 }

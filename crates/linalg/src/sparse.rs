@@ -4,8 +4,11 @@
 //! format"; sparse updates are also what makes the Hogwild!-style NoLock
 //! parallelism effective (conflicting writes are rare when each example
 //! touches few coordinates).
+//!
+//! [`SparseVector`] is the owned, validated storage of a sparse cell; every
+//! kernel over it runs on its borrowed [`FeatureVectorRef`] view.
 
-use crate::dense::DenseVector;
+use crate::FeatureVectorRef;
 
 /// Why a pre-sorted index/value pair was rejected by
 /// [`SparseVector::try_from_sorted`].
@@ -135,7 +138,7 @@ impl SparseVector {
 
     /// Logical dimension: one past the largest stored index (0 when empty).
     pub fn dimension(&self) -> usize {
-        self.indices.last().map(|&i| i as usize + 1).unwrap_or(0)
+        FeatureVectorRef::from(self).dimension()
     }
 
     /// Stored indices.
@@ -158,51 +161,7 @@ impl SparseVector {
 
     /// Value at logical index `i` (0.0 if not stored).
     pub fn get(&self, i: usize) -> f64 {
-        // Indices past u32::MAX cannot be stored; `as u32` would wrap and
-        // alias a stored entry.
-        let Ok(i) = u32::try_from(i) else { return 0.0 };
-        match self.indices.binary_search(&i) {
-            Ok(pos) => self.values[pos],
-            Err(_) => 0.0,
-        }
-    }
-
-    /// Dot product against a dense model slice. Indices beyond the model's
-    /// length contribute zero (the model is logically zero-padded).
-    pub fn dot_dense(&self, w: &[f64]) -> f64 {
-        let mut acc = 0.0;
-        for (&i, &v) in self.indices.iter().zip(self.values.iter()) {
-            if let Some(&wi) = w.get(i as usize) {
-                acc += wi * v;
-            }
-        }
-        acc
-    }
-
-    /// `w += c * self`, touching only the stored coordinates. Indices beyond
-    /// `w.len()` are ignored (callers size the model to the data dimension).
-    pub fn scale_and_add_into(&self, w: &mut [f64], c: f64) {
-        for (&i, &v) in self.indices.iter().zip(self.values.iter()) {
-            if let Some(slot) = w.get_mut(i as usize) {
-                *slot += c * v;
-            }
-        }
-    }
-
-    /// Squared Euclidean norm.
-    pub fn norm_sq(&self) -> f64 {
-        self.values.iter().map(|v| v * v).sum()
-    }
-
-    /// Materialize into a dense vector of dimension `dim` (at least the
-    /// sparse vector's own dimension).
-    pub fn to_dense(&self, dim: usize) -> DenseVector {
-        let n = dim.max(self.dimension());
-        let mut out = DenseVector::zeros(n);
-        for (i, v) in self.iter() {
-            out.as_mut_slice()[i] = v;
-        }
-        out
+        FeatureVectorRef::from(self).get(i)
     }
 }
 
@@ -230,37 +189,6 @@ mod tests {
         assert_eq!(v.get(2), 5.0);
         assert_eq!(v.get(0), 0.0);
         assert_eq!(v.get(100), 0.0);
-    }
-
-    #[test]
-    fn dot_dense_ignores_out_of_range() {
-        let v = SparseVector::from_pairs(vec![(0, 1.0), (5, 10.0)]);
-        let w = [2.0, 0.0, 0.0];
-        assert!((v.dot_dense(&w) - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn scale_and_add_touches_only_stored() {
-        let v = SparseVector::from_pairs(vec![(1, 2.0), (9, 1.0)]);
-        let mut w = vec![0.0; 3];
-        v.scale_and_add_into(&mut w, 3.0);
-        assert_eq!(w, vec![0.0, 6.0, 0.0]);
-    }
-
-    #[test]
-    fn to_dense_roundtrip() {
-        let v = SparseVector::from_pairs(vec![(1, 2.0), (3, -1.0)]);
-        let d = v.to_dense(4);
-        assert_eq!(d.as_slice(), &[0.0, 2.0, 0.0, -1.0]);
-        assert!((v.norm_sq() - d.norm2_sq()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn to_dense_respects_requested_dim() {
-        let v = SparseVector::from_pairs(vec![(1, 2.0)]);
-        assert_eq!(v.to_dense(5).len(), 5);
-        // Requested dim smaller than actual dimension is still large enough.
-        assert_eq!(v.to_dense(0).len(), 2);
     }
 
     #[test]

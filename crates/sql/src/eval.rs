@@ -36,7 +36,7 @@ use std::sync::Arc;
 
 use bismarck_core::governor::QueryGuard;
 use bismarck_core::serving::ModelSnapshot;
-use bismarck_linalg::{DenseVector, FeatureVectorRef, SparseVector};
+use bismarck_linalg::{FeatureVectorRef, SparseVector};
 use bismarck_storage::{RowRef, Schema, Value};
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -267,7 +267,7 @@ impl BoundExpr {
                         SqlError::Evaluation("ARRAY elements must be numeric".to_string())
                     })?);
                 }
-                Value::DenseVec(DenseVector::from(data))
+                Value::DenseVec(data)
             }
             BoundExpr::Sparse(pairs) => {
                 let mut entries = Vec::with_capacity(pairs.len());
@@ -784,23 +784,28 @@ fn apply_scalar(
             let b = args[1].lend(row, aggregates, ctx)?;
             let a = a.features().ok_or_else(|| not_a_vector("vectors"))?;
             let b = b.features().ok_or_else(|| not_a_vector("vectors"))?;
-            let dim = a.dimension().max(b.dimension());
-            Value::Double(match b {
-                FeatureVectorRef::Dense(w) if w.len() == dim => a.dot(w),
-                // `b` padded (or scattered) to `dim` coordinates.
-                _ => {
+            // Only `a`'s stored coordinates can contribute, so nothing is
+            // sized by `b`'s indices: a sparse index is not an allocation.
+            Value::Double(match (a, b) {
+                (FeatureVectorRef::Dense(x), FeatureVectorRef::Dense(w)) if w.len() >= x.len() => {
+                    a.dot(w)
+                }
+                // `b` cut or zero-padded to `a`'s coordinates.
+                (FeatureVectorRef::Dense(x), _) => {
                     let dense = &mut ctx.scratch;
                     dense.clear();
-                    dense.resize(dim, 0.0);
-                    match b {
-                        FeatureVectorRef::Dense(x) => dense[..x.len()].copy_from_slice(x),
-                        FeatureVectorRef::Sparse { indices, values } => {
-                            for (&i, &v) in indices.iter().zip(values) {
-                                dense[i as usize] = v;
-                            }
-                        }
+                    dense.resize(x.len(), 0.0);
+                    for (i, v) in b.iter_entries().take_while(|&(i, _)| i < x.len()) {
+                        dense[i] = v;
                     }
                     a.dot(dense)
+                }
+                (FeatureVectorRef::Sparse { .. }, _) => {
+                    let mut acc = 0.0;
+                    for (i, v) in a.iter_entries() {
+                        acc += b.get(i) * v;
+                    }
+                    acc
                 }
             })
         }
@@ -1029,7 +1034,7 @@ mod tests {
     fn vector_literals_and_vector_functions() {
         assert_eq!(
             eval_text("ARRAY[1.0, 2.0, 3.0]"),
-            Value::DenseVec(DenseVector::from(vec![1.0, 2.0, 3.0]))
+            Value::DenseVec(vec![1.0, 2.0, 3.0])
         );
         assert_eq!(eval_text("DIM(ARRAY[1.0, 2.0, 3.0])"), Value::Int(3));
         assert_eq!(eval_text("NNZ({1: 2.0, 40: 1.0})"), Value::Int(2));
@@ -1042,6 +1047,56 @@ mod tests {
             eval_text("DOT({1: 2.0}, ARRAY[5.0, 7.0])"),
             Value::Double(14.0)
         );
+    }
+
+    /// `DOT` over every pair of layouts gives, bit for bit, what densifying
+    /// `b` to the wider dimension and taking `a`'s kernel against it gives.
+    #[test]
+    fn dot_matches_the_densified_reference_bit_for_bit() {
+        let dense = |v: &[f64]| Value::DenseVec(v.to_vec());
+        let sparse =
+            |pairs: &[(usize, f64)]| Value::SparseVec(SparseVector::from_pairs(pairs.to_vec()));
+        let (third, tenth) = (1.0 / 3.0, 0.1);
+        let long: Vec<f64> = (0..11).map(|i| (i as f64 + 0.7) * tenth).collect();
+        let cases = [
+            // dense · dense, equal and unequal lengths
+            (
+                dense(&[third, tenth, 0.7, -1.9]),
+                dense(&[0.3, -2.1, third, 5.5]),
+            ),
+            (dense(&long), dense(&long[..6])),
+            (dense(&long[..5]), dense(&long)),
+            (dense(&[]), dense(&[1.0])),
+            // dense · sparse
+            (dense(&long), sparse(&[(1, third), (4, -tenth), (9, 0.3)])),
+            (dense(&long[..3]), sparse(&[(2, third), (40, 7.0)])),
+            // sparse · dense
+            (sparse(&[(0, third), (5, tenth), (10, -0.3)]), dense(&long)),
+            (sparse(&[(1, third), (30, 2.0)]), dense(&long[..4])),
+            // sparse · sparse
+            (
+                sparse(&[(0, third), (3, tenth), (8, 1.7)]),
+                sparse(&[(3, 0.3), (8, third), (12, 1.0)]),
+            ),
+            (sparse(&[(2, tenth)]), sparse(&[])),
+        ];
+        for (a, b) in &cases {
+            let (va, vb) = (a.feature_view().unwrap(), b.feature_view().unwrap());
+            let dim = va.dimension().max(vb.dimension());
+            let reference = va.dot(&vb.to_dense(dim));
+            let schema = Schema::new(vec![
+                Column::new("a", a.data_type().unwrap()),
+                Column::new("b", b.data_type().unwrap()),
+            ])
+            .unwrap();
+            let values = [a.clone(), b.clone()];
+            let Value::Double(got) =
+                evaluate(&expr("DOT(a, b)"), Some((&schema, &values)), &mut ctx()).unwrap()
+            else {
+                panic!("DOT returned a non-double")
+            };
+            assert_eq!(got.to_bits(), reference.to_bits(), "DOT({a:?}, {b:?})");
+        }
     }
 
     #[test]

@@ -1181,6 +1181,38 @@ mod tests {
         session
     }
 
+    /// `DOT` sizes nothing by a sparse argument's indices: scattering
+    /// `{4294967295: 1.0}` into a dense scratch would ask for 32 GiB, an
+    /// abort no `catch_unwind` stops.
+    #[test]
+    fn dot_with_a_huge_sparse_index_allocates_nothing_by_it() {
+        let mut session = SqlSession::with_seed(3);
+        exec_script(
+            &mut session,
+            "CREATE TABLE s (vec SPARSE_VEC, label DOUBLE);
+             INSERT INTO s VALUES ({0: 1.0, 3: 2.0}, 1.0), ({1: -1.0}, -1.0);",
+        );
+        let result = exec(&mut session, "SELECT DOT(vec, {4294967295: 1.0}) FROM s");
+        assert_eq!(
+            result.rows,
+            vec![vec![Value::Double(0.0)], vec![Value::Double(0.0)]]
+        );
+        let result = exec(
+            &mut session,
+            "SELECT DOT(vec, {3: 0.5, 4294967295: 1.0}), \
+                    DOT({4294967295: 2.0}, vec), \
+                    DOT(ARRAY[1.0, -1.0], {1: 3.0, 4294967295: 1.0}) FROM s",
+        );
+        let double = Value::Double;
+        assert_eq!(
+            result.rows,
+            vec![
+                vec![double(1.0), double(0.0), double(-3.0)],
+                vec![double(0.0), double(0.0), double(-3.0)],
+            ]
+        );
+    }
+
     #[test]
     fn create_insert_select_roundtrip() {
         let mut session = session_with_points();

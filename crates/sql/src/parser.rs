@@ -31,7 +31,7 @@
 //! `+0.0`). Errors, their messages and the nesting cap therefore come from
 //! one place.
 
-use bismarck_linalg::{DenseVector, SparseVector};
+use bismarck_linalg::SparseVector;
 use bismarck_storage::{DataType, Value};
 
 use crate::ast::{
@@ -502,7 +502,7 @@ impl<'a> Parser<'a> {
                 // Exactly its size, as evaluating the general parse builds it.
                 data.shrink_to_fit();
                 self.dense_len = data.len();
-                Some(Value::DenseVec(DenseVector::from(data)))
+                Some(Value::DenseVec(data))
             }
             TokenKind::LeftBrace => {
                 self.bump();
@@ -940,7 +940,7 @@ mod tests {
         assert_eq!(table, "t");
         assert_eq!(columns.as_deref().unwrap().len(), 3);
         // The rows are constants: each position already is the value it denotes.
-        let dense = |data: Vec<f64>| Expr::Literal(Value::DenseVec(DenseVector::from(data)));
+        let dense = |data: Vec<f64>| Expr::Literal(Value::DenseVec(data));
         assert_eq!(
             rows,
             vec![
@@ -1183,7 +1183,7 @@ mod tests {
         let Statement::Insert { rows, .. } = stmt else {
             panic!()
         };
-        let dense = |data: Vec<f64>| Value::DenseVec(DenseVector::from(data));
+        let dense = |data: Vec<f64>| Value::DenseVec(data);
         let Expr::Literal(Value::DenseVec(zeros)) = &rows[0][7] else {
             panic!("{:?}", rows[0][7])
         };

@@ -139,7 +139,6 @@ impl std::fmt::Display for QueryResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bismarck_linalg::DenseVector;
 
     #[test]
     fn single_value_only_for_one_by_one_results() {
@@ -187,7 +186,7 @@ mod tests {
 
     #[test]
     fn display_handles_vectors_and_nulls() {
-        let long = Value::DenseVec(DenseVector::from(vec![1.0; 10]));
+        let long = Value::DenseVec(vec![1.0; 10]);
         let r = QueryResult::with_rows(vec!["v".into(), "x".into()], vec![vec![long, Value::Null]]);
         let text = r.to_string();
         assert!(text.contains("(10 dims)"));

@@ -7,7 +7,7 @@
 //! `tokenize`), so the file also runs unchanged against a commit that has no
 //! constant read: its expectations describe the dialect, not the mechanism.
 
-use bismarck_linalg::{DenseVector, SparseVector};
+use bismarck_linalg::SparseVector;
 use bismarck_sql::token::tokenize;
 use bismarck_sql::{SqlError, SqlSession};
 use bismarck_storage::Value;
@@ -152,7 +152,7 @@ fn dense_position() -> impl Strategy<Value = Position> {
             let (texts, values): (Vec<String>, Vec<f64>) = elements.into_iter().unzip();
             (
                 format!("{open}{}]", texts.join(", ")),
-                Value::DenseVec(DenseVector::from(values)),
+                Value::DenseVec(values),
             )
         })
 }

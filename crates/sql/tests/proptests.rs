@@ -8,7 +8,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use bismarck_core::serving::{ModelHandle, ServingTask};
-use bismarck_linalg::{DenseVector, SparseVector};
+use bismarck_linalg::SparseVector;
 use bismarck_sql::{parse_statement, QueryResult, SqlError, SqlSession};
 use bismarck_storage::{Column, ColumnarTable, DataType, Schema, Table, Value};
 use proptest::prelude::*;
@@ -290,7 +290,7 @@ fn row_strategy() -> impl Strategy<Value = Vec<Value>> {
             },
             name.map_or(Value::Null, Value::from),
             vec.map_or(Value::Null, |(a, b)| {
-                Value::DenseVec(DenseVector::from(vec![a as f64 * 0.5, b as f64 * 0.25]))
+                Value::DenseVec(vec![a as f64 * 0.5, b as f64 * 0.25])
             }),
             sv.map_or(Value::Null, |pairs| {
                 let pairs = pairs.into_iter().map(|(i, v)| (i, v as f64 * 0.5));

@@ -8,7 +8,6 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use bismarck_core::serving::{ModelHandle, ServingTask};
-use bismarck_linalg::DenseVector;
 use bismarck_sql::SqlSession;
 use bismarck_storage::{Column, ColumnarTable, DataType, Schema, Value};
 
@@ -60,7 +59,7 @@ fn session(rows: usize) -> SqlSession {
         table
             .insert(vec![
                 Value::Int(i as i64),
-                Value::DenseVec(DenseVector::from(vec![x, 1.0, -x, 0.5])),
+                Value::DenseVec(vec![x, 1.0, -x, 0.5]),
             ])
             .unwrap();
     }

@@ -633,7 +633,6 @@ mod tests {
 
     #[test]
     fn the_log_is_folded_when_it_outgrows_its_snapshot() {
-        use bismarck_linalg::DenseVector;
         const MIB: u64 = DEFAULT_COMPACT_THRESHOLD;
         const APPENDS: i64 = 64;
         const BATCH: i64 = 512;
@@ -646,7 +645,7 @@ mod tests {
                 .map(|id| {
                     vec![
                         Value::Int(id),
-                        Value::DenseVec(DenseVector::from(vec![id as f64; 54])),
+                        Value::DenseVec(vec![id as f64; 54]),
                         Value::Double(1.0),
                     ]
                 })
@@ -708,7 +707,7 @@ mod tests {
                 "d",
                 vec![vec![
                     Value::Int(id),
-                    Value::DenseVec(DenseVector::from(vec![0.0])),
+                    Value::DenseVec(vec![0.0]),
                     Value::Double(0.0),
                 ]],
             )

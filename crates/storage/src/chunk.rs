@@ -17,7 +17,7 @@
 //! codec (`crate::codec`); the segment container around them adds the
 //! header and checksum (see `docs/disk-format.md`).
 
-use bismarck_linalg::{DenseVector, SparseVector};
+use bismarck_linalg::SparseVector;
 
 use crate::codec::{push_value, read_value, Reader};
 use crate::error::StorageError;
@@ -413,10 +413,10 @@ impl ColumnChunk {
                 }
                 let entries = &data[offsets[i] as usize..offsets[i + 1] as usize];
                 if let Value::DenseVec(dv) = slot {
-                    dv.resize(entries.len());
-                    dv.as_mut_slice().copy_from_slice(entries);
+                    dv.clear();
+                    dv.extend_from_slice(entries);
                 } else {
-                    *slot = Value::DenseVec(DenseVector::from(entries.to_vec()));
+                    *slot = Value::DenseVec(entries.to_vec());
                 }
             }
             ColumnChunk::Sparse {

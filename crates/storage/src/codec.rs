@@ -8,7 +8,7 @@
 //! corrupt length can never request an allocation larger than the remaining
 //! input, and unknown tags are reported as corruption rather than skipped.
 
-use bismarck_linalg::{DenseVector, SparseVector};
+use bismarck_linalg::SparseVector;
 
 use crate::error::StorageError;
 use crate::schema::{Column, DataType, Schema};
@@ -197,7 +197,7 @@ pub(crate) fn read_value(r: &mut Reader<'_>) -> Result<Value, StorageError> {
             for _ in 0..len {
                 values.push(r.f64()?);
             }
-            Ok(Value::DenseVec(DenseVector::from(values)))
+            Ok(Value::DenseVec(values))
         }
         TAG_SPARSE => Ok(Value::SparseVec(read_sparse(r)?)),
         TAG_SEQUENCE => {

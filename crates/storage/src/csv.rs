@@ -26,7 +26,7 @@
 //! Fields are separated by commas; `SEQUENCE` columns are not supported in
 //! the text format (CRF data is generated programmatically).
 
-use bismarck_linalg::{DenseVector, SparseVector};
+use bismarck_linalg::SparseVector;
 
 use crate::error::StorageError;
 use crate::scan::TupleScan;
@@ -130,7 +130,7 @@ fn parse_field(field: &RawField, dtype: DataType) -> Result<Value, StorageError>
                     .map_err(|e| StorageError::Parse(format!("bad dense entry '{part}': {e}")))?;
                 values.push(v);
             }
-            Ok(Value::DenseVec(DenseVector::from(values)))
+            Ok(Value::DenseVec(values))
         }
         DataType::SparseVec => {
             let mut indices: Vec<u32> = Vec::new();

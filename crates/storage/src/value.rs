@@ -6,7 +6,7 @@
 //! sparse array of doubles — the "array of floats" column type the MADlib
 //! interface expects.
 
-use bismarck_linalg::{DenseVector, FeatureVectorRef, SparseVector};
+use bismarck_linalg::{FeatureVectorRef, SparseVector};
 
 use crate::schema::DataType;
 
@@ -22,7 +22,7 @@ pub enum Value {
     /// UTF-8 text.
     Text(String),
     /// Dense array of doubles (feature vector).
-    DenseVec(DenseVector),
+    DenseVec(Vec<f64>),
     /// Sparse array of doubles (feature vector in index:value form).
     SparseVec(SparseVector),
     /// A sequence of (token-feature, label) pairs for structured-prediction
@@ -78,14 +78,13 @@ impl Value {
 
     /// Borrow as a zero-copy feature-vector view (dense or sparse).
     ///
-    /// This replaced a `FeatureVector`-cloning accessor: the training hot
-    /// path reads every feature column once per tuple per epoch, so the view
-    /// must not heap-allocate. Call `.to_owned()` on the view at the few
-    /// call sites that need the vector to outlive the tuple.
+    /// The training hot path reads every feature column once per tuple per
+    /// epoch, so the view borrows the cell and never heap-allocates. A
+    /// caller that needs the vector to outlive the tuple clones the `Value`.
     #[inline]
     pub fn feature_view(&self) -> Option<FeatureVectorRef<'_>> {
         match self {
-            Value::DenseVec(v) => Some(FeatureVectorRef::Dense(v.as_slice())),
+            Value::DenseVec(v) => Some(FeatureVectorRef::Dense(v)),
             Value::SparseVec(v) => Some(FeatureVectorRef::from(v)),
             _ => None,
         }
@@ -138,12 +137,6 @@ impl From<String> for Value {
     }
 }
 
-impl From<DenseVector> for Value {
-    fn from(v: DenseVector) -> Self {
-        Value::DenseVec(v)
-    }
-}
-
 impl From<SparseVector> for Value {
     fn from(v: SparseVector) -> Self {
         Value::SparseVec(v)
@@ -152,7 +145,7 @@ impl From<SparseVector> for Value {
 
 impl From<Vec<f64>> for Value {
     fn from(v: Vec<f64>) -> Self {
-        Value::DenseVec(DenseVector::from(v))
+        Value::DenseVec(v)
     }
 }
 
@@ -185,9 +178,20 @@ mod tests {
         let sv = Value::from(SparseVector::from_pairs(vec![(7, 1.0)]));
         assert_eq!(sv.feature_view().unwrap().dimension(), 8);
         assert!(Value::Int(3).feature_view().is_none());
-        // The view borrows: converting to owned reproduces the payload.
-        let owned = sv.feature_view().unwrap().to_owned();
-        assert_eq!(owned.nnz(), 1);
+        // The views borrow the cells' own buffers: no copy is made.
+        match (&v, v.feature_view().unwrap()) {
+            (Value::DenseVec(cell), FeatureVectorRef::Dense(view)) => {
+                assert!(std::ptr::eq(cell.as_slice(), view))
+            }
+            other => panic!("dense cell gave {other:?}"),
+        }
+        match (&sv, sv.feature_view().unwrap()) {
+            (Value::SparseVec(cell), FeatureVectorRef::Sparse { indices, values }) => {
+                assert!(std::ptr::eq(cell.indices(), indices));
+                assert!(std::ptr::eq(cell.values(), values));
+            }
+            other => panic!("sparse cell gave {other:?}"),
+        }
     }
 
     #[test]

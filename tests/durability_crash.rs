@@ -440,7 +440,6 @@ fn paged_tables_attach_by_reference_and_drop_detaches() {
 /// nothing but exact binary fractions, so every machine computes the same
 /// model bits from it.
 fn checkpoint_fixture_table() -> bismarck_storage::Table {
-    use bismarck_linalg::DenseVector;
     let schema = Schema::new(vec![
         Column::new("id", DataType::Int),
         Column::new("vec", DataType::DenseVec),
@@ -455,11 +454,7 @@ fn checkpoint_fixture_table() -> bismarck_storage::Table {
             ((i * 7) % 4) as f64 * 0.5 - 0.75,
         ];
         table
-            .insert(vec![
-                Value::Int(i),
-                Value::DenseVec(DenseVector::from(x)),
-                Value::Double(y),
-            ])
+            .insert(vec![Value::Int(i), Value::DenseVec(x), Value::Double(y)])
             .unwrap();
     }
     table

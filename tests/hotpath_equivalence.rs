@@ -10,11 +10,11 @@
 //!   match a **per-coordinate fallback** store that only implements the
 //!   required trait methods — i.e. the virtual-call-per-component path the
 //!   shared NoLock/AIG stores still use;
-//! * both must match a **reference reimplementation** of the pre-refactor
-//!   cloning transition (owned `FeatureVector` clone + indexed scalar
-//!   loops) to within 1e-12;
+//! * both must match a **reference reimplementation** of the transition
+//!   written as indexed scalar loops over the stored entries, independent of
+//!   the `Dot_Product` / `Scale_And_Add` kernels under test, to within 1e-12;
 //! * margins and example losses computed through the view must match the
-//!   same quantities computed from an owned clone of the feature vector.
+//!   same quantities computed by those reference loops.
 
 use bismarck_core::model::{DenseModelStore, ModelStore};
 use bismarck_core::task::IgdTask;
@@ -76,11 +76,15 @@ fn step_both_stores<T: IgdTask>(
     Ok(bulk)
 }
 
-/// The pre-refactor cloning margin: owned feature vector, indexed loop.
+/// The stored (index, value) entries of a feature cell, in storage order.
+fn entries(x: &Value) -> impl Iterator<Item = (usize, f64)> + '_ {
+    x.feature_view().expect("feature column").iter_entries()
+}
+
+/// Reference margin: an indexed loop over the stored entries.
 fn cloned_margin(model: &[f64], x: &Value) -> f64 {
-    let owned = x.feature_view().expect("feature column").to_owned();
     let mut wx = 0.0;
-    for (i, v) in owned.iter_entries() {
+    for (i, v) in entries(x) {
         if i < model.len() {
             wx += model[i] * v;
         }
@@ -88,14 +92,25 @@ fn cloned_margin(model: &[f64], x: &Value) -> f64 {
     wx
 }
 
-/// The pre-refactor cloning scale-and-add: owned vector, indexed loop.
+/// Reference scale-and-add: an indexed loop over the stored entries.
 fn cloned_axpy(model: &mut [f64], x: &Value, c: f64) {
-    let owned = x.feature_view().expect("feature column").to_owned();
-    for (i, v) in owned.iter_entries() {
+    for (i, v) in entries(x) {
         if i < model.len() {
             model[i] += c * v;
         }
     }
+}
+
+/// Reference densification: stored entries at their indices in a zero
+/// vector of `dim` components (entries at or past `dim` are dropped).
+fn indexed_dense(x: &Value, dim: usize) -> Vec<f64> {
+    let mut out = vec![0.0; dim];
+    for (i, v) in entries(x) {
+        if i < dim {
+            out[i] = v;
+        }
+    }
+    out
 }
 
 /// A feature value that is dense, sparse, or sparse with indices past the
@@ -144,10 +159,9 @@ proptest! {
             "gradient step diverged: {stepped:?} vs {reference:?}"
         );
 
-        // Example loss from the view path vs the owned clone.
+        // Example loss from the view path vs the reference margin.
         let loss = task.example_loss(&model, &tuple);
-        let owned = x.feature_view().unwrap().to_owned();
-        let reference_loss = bismarck_linalg::log1p_exp(-y * owned.dot(&model));
+        let reference_loss = bismarck_linalg::log1p_exp(-y * wx_cloned);
         prop_assert!((loss - reference_loss).abs() <= TOL);
     }
 
@@ -170,8 +184,7 @@ proptest! {
         }
         prop_assert!(max_abs_diff(&stepped, &reference) <= TOL);
 
-        let owned = x.feature_view().unwrap().to_owned();
-        let reference_loss = (1.0 - y * owned.dot(&model)).max(0.0);
+        let reference_loss = (1.0 - y * wx).max(0.0);
         prop_assert!((task.example_loss(&model, &tuple) - reference_loss).abs() <= TOL);
     }
 
@@ -192,8 +205,7 @@ proptest! {
         cloned_axpy(&mut reference, &x, -alpha * (wx - y));
         prop_assert!(max_abs_diff(&stepped, &reference) <= TOL);
 
-        let owned = x.feature_view().unwrap().to_owned();
-        let reference_loss = 0.5 * (owned.dot(&model) - y).powi(2);
+        let reference_loss = 0.5 * (wx - y).powi(2);
         prop_assert!((task.example_loss(&model, &tuple) - reference_loss).abs() <= TOL);
     }
 
@@ -210,17 +222,16 @@ proptest! {
         let tuple = Tuple::new(vec![x.clone()]);
         let stepped = step_both_stores(&task, &model, &tuple, alpha)?;
 
-        // Reference: pre-refactor loops over an owned clone.
-        let owned = x.feature_view().unwrap().to_owned();
+        // Reference: indexed loops over the stored entries.
         let mut reference = model.clone();
         let mut exposure = 0.0;
-        for (i, r) in owned.iter_entries() {
+        for (i, r) in entries(&x) {
             if i < 4 {
                 exposure += reference[i] * (r - expected[i]);
             }
         }
         let risk_coeff = 2.0 * 1.5 * exposure;
-        for (i, r) in owned.iter_entries() {
+        for (i, r) in entries(&x) {
             if i < 4 {
                 reference[i] -= alpha * risk_coeff * (r - expected[i]);
             }
@@ -230,9 +241,9 @@ proptest! {
         }
         prop_assert!(max_abs_diff(&stepped, &reference) <= TOL);
 
-        // Loss via the view equals the loss from the owned clone.
+        // Loss via the view equals the loss from the reference loops.
         let mut exp2 = 0.0;
-        for (i, r) in owned.iter_entries() {
+        for (i, r) in entries(&x) {
             if i < 4 {
                 exp2 += model[i] * (r - expected[i]);
             }
@@ -256,12 +267,12 @@ proptest! {
         let stepped = step_both_stores(&task, &model, &tuple, alpha)?;
 
         // Reference: densify the observation like the old code did.
-        let obs = x.feature_view().unwrap().to_owned().to_dense(3);
+        let obs = indexed_dense(&x, 3);
         let mut reference = model.clone();
-        for k in 0..3 {
+        for (k, observed) in obs.into_iter().enumerate() {
             let idx = t_step * 3 + k;
             let wt = reference[idx];
-            let mut grad_t = 2.0 * (wt - obs.get(k));
+            let mut grad_t = 2.0 * (wt - observed);
             if t_step > 0 {
                 let prev = (t_step - 1) * 3 + k;
                 let diff = wt - reference[prev];
