@@ -23,7 +23,9 @@
 //! outside; `vendor/` and any `target/` are not read. Comments count as
 //! mentions, and a name another item shares — `len`, `new` — counts as called
 //! wherever the other item is used, so the column is a lower bound on the
-//! items no caller needs. The counter reports; it has no threshold.
+//! items no caller needs. Below the table each uncalled item is listed as
+//! `crate path:line name`, the path relative to `<root>`. The counter
+//! reports; it has no threshold.
 
 use std::collections::HashSet;
 use std::fs;
@@ -43,8 +45,9 @@ const NAMED_KEYWORDS: [&str; 7] = ["fn", "struct", "enum", "trait", "type", "con
 struct Size {
     lines: usize,
     pub_items: usize,
-    /// Names of the `pub` items of a [`NAMED_KEYWORDS`] kind.
-    names: Vec<String>,
+    /// The line (from 1) and name of each `pub` item of a
+    /// [`NAMED_KEYWORDS`] kind.
+    names: Vec<(usize, String)>,
 }
 
 fn main() {
@@ -62,6 +65,7 @@ fn main() {
         })
         .collect();
     let mut crates = vec![root.clone()];
+    let mut listing = Vec::new();
     crates.extend(subdirectories(&root.join("crates")));
     println!(
         "{:<20} {:>7} {:>9} {:>9}",
@@ -72,11 +76,12 @@ fn main() {
             continue;
         };
         let mut size = Size::default();
+        let mut files = Vec::new();
         for file in rust_files(&dir.join("src"), &e2e) {
             let file_size = measure(&read(&file));
             size.lines += file_size.lines;
             size.pub_items += file_size.pub_items;
-            size.names.extend(file_size.names);
+            files.push((file, file_size.names));
         }
         let own = if dir == root { root.join("src") } else { dir };
         let inside = |file: &Path| file.starts_with(&own) && !file.starts_with(&e2e);
@@ -85,16 +90,38 @@ fn main() {
             .filter(|(file, _)| !inside(file))
             .map(|(_, words)| words)
             .collect();
-        let uncalled = size
-            .names
-            .iter()
-            .filter(|name| !outside.iter().any(|words| words.contains(*name)))
-            .count();
+        let listed = listing.len();
+        for (file, names) in &files {
+            let path = file.strip_prefix(&root).unwrap_or(file);
+            listing.extend(uncalled(&name, path, names, &outside));
+        }
+        let uncalled = listing.len() - listed;
         println!(
             "{name:<20} {:>7} {:>9} {uncalled:>9}",
             size.lines, size.pub_items
         );
     }
+    if !listing.is_empty() {
+        println!("\nuncalled:");
+        for entry in listing {
+            println!("{entry}");
+        }
+    }
+}
+
+/// One `crate path:line name` entry for each of `names`, the `pub` items
+/// declared in the file at `path`, that none of the `outside` word sets holds.
+fn uncalled(
+    crate_name: &str,
+    path: &Path,
+    names: &[(usize, String)],
+    outside: &[&HashSet<String>],
+) -> Vec<String> {
+    names
+        .iter()
+        .filter(|(_, item)| !outside.iter().any(|words| words.contains(item)))
+        .map(|(line, item)| format!("{crate_name} {}:{line} {item}", path.display()))
+        .collect()
 }
 
 /// The identifiers (whole words of `[A-Za-z0-9_]`) that occur in `text`.
@@ -157,7 +184,7 @@ fn measure(text: &str) -> Size {
     // Inside a `#[cfg(test)]` item: its brace depth so far, and whether its
     // body has opened.
     let mut test_item: Option<(i64, bool)> = None;
-    for line in text.lines().map(str::trim) {
+    for (number, line) in text.lines().map(str::trim).enumerate() {
         if test_item.is_none() && line.starts_with("#[cfg(test)]") {
             test_item = Some((0, false));
         }
@@ -186,7 +213,7 @@ fn measure(text: &str) -> Size {
         }
         size.pub_items += 1;
         if let Some(name) = item_name(rest) {
-            size.names.push(name);
+            size.names.push((number + 1, name));
         }
     }
     size
@@ -243,9 +270,22 @@ pub enum E {}
         let expected = Size {
             lines: 9,
             pub_items: 3,
-            names: vec!["f".to_string(), "E".to_string()],
+            names: vec![(4, "f".to_string()), (21, "E".to_string())],
         };
         assert_eq!(measure(text), expected);
+
+        // `f` is named outside the crate, `E` is not: only `E` is listed.
+        let outside = words("use demo::f;");
+        let listing = uncalled(
+            "demo",
+            Path::new("crates/demo/src/lib.rs"),
+            &expected.names,
+            &[&outside],
+        );
+        assert_eq!(
+            listing,
+            vec!["demo crates/demo/src/lib.rs:21 E".to_string()]
+        );
     }
 
     #[test]

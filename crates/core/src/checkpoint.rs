@@ -1,8 +1,8 @@
 //! Trainer-level checkpoint payload.
 //!
 //! The container is storage's whole-file frame
-//! ([`bismarck_storage::durable::frame`], written atomically); this module
-//! defines what goes *inside*:
+//! ([`bismarck_storage::durable::write_framed`], written atomically); this
+//! module defines what goes *inside*:
 //! everything needed to continue a training run bit-compatibly with an
 //! uninterrupted one — the model vector, the epoch counter, the loss history
 //! seen so far (the convergence test consults it), the step-size backoff
@@ -108,7 +108,7 @@ fn decode_step_size(r: &mut Reader<'_>) -> Result<StepSizeSchedule, StorageError
 
 impl TrainingCheckpoint {
     /// Serialize to the checkpoint payload format.
-    pub fn to_payload(&self) -> Vec<u8> {
+    pub(crate) fn to_payload(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(64 + 8 * (self.model.len() + self.losses.len()));
         out.extend_from_slice(&(self.task_name.len() as u32).to_le_bytes());
         out.extend_from_slice(self.task_name.as_bytes());
@@ -123,7 +123,7 @@ impl TrainingCheckpoint {
     }
 
     /// Decode a checkpoint payload (the inverse of [`Self::to_payload`]).
-    pub fn from_payload(bytes: &[u8]) -> Result<Self, StorageError> {
+    pub(crate) fn from_payload(bytes: &[u8]) -> Result<Self, StorageError> {
         let mut r = Reader::new(bytes);
         let name_len = r.u32()? as usize;
         let task_name = std::str::from_utf8(r.take(name_len)?)
@@ -158,7 +158,7 @@ impl TrainingCheckpoint {
     }
 
     /// Write this checkpoint atomically and durably to `path`.
-    pub fn write(&self, path: &Path) -> Result<(), StorageError> {
+    pub(crate) fn write(&self, path: &Path) -> Result<(), StorageError> {
         durable::write_framed(path, FileKind::Checkpoint, &self.to_payload()).map(|_| ())
     }
 

@@ -72,26 +72,6 @@ impl TrainError {
             TrainError::Checkpoint(_) | TrainError::Serving(_) => None,
         }
     }
-
-    /// Consume the error, keeping the last healthy model if there is one.
-    pub fn into_last_good(self) -> Option<TrainedModel> {
-        match self {
-            TrainError::WorkerPanic { last_good, .. }
-            | TrainError::Diverged { last_good, .. }
-            | TrainError::Interrupted { last_good, .. } => Some(*last_good),
-            TrainError::Checkpoint(_) | TrainError::Serving(_) => None,
-        }
-    }
-
-    /// The epoch at which the run stopped, when meaningful.
-    pub fn epoch(&self) -> Option<usize> {
-        match self {
-            TrainError::WorkerPanic { epoch, .. }
-            | TrainError::Diverged { epoch, .. }
-            | TrainError::Interrupted { epoch, .. } => Some(*epoch),
-            TrainError::Checkpoint(_) | TrainError::Serving(_) => None,
-        }
-    }
 }
 
 impl std::fmt::Display for TrainError {
@@ -155,20 +135,16 @@ mod tests {
     }
 
     #[test]
-    fn accessors_expose_last_good_and_epoch() {
+    fn last_good_is_exposed_when_kept() {
         let err = TrainError::Diverged {
             epoch: 7,
             retries: 3,
             last_good: dummy_model(),
         };
-        assert_eq!(err.epoch(), Some(7));
         assert_eq!(err.last_good().unwrap().model, vec![1.0, 2.0]);
-        assert_eq!(err.into_last_good().unwrap().model, vec![1.0, 2.0]);
 
         let err = TrainError::Checkpoint(StorageError::Corrupt("bad magic".into()));
-        assert_eq!(err.epoch(), None);
         assert!(err.last_good().is_none());
-        assert!(err.into_last_good().is_none());
     }
 
     #[test]

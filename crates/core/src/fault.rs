@@ -45,11 +45,6 @@ impl<T: IgdTask> FaultyTask<T> {
             steps: AtomicU64::new(0),
         }
     }
-
-    /// Gradient steps observed so far (across all epochs and workers).
-    pub fn steps_taken(&self) -> u64 {
-        self.steps.load(Ordering::Relaxed)
-    }
 }
 
 impl<T: IgdTask> IgdTask for FaultyTask<T> {

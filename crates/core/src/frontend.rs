@@ -197,6 +197,18 @@ fn train_and_persist<T: IgdTask>(
     })
 }
 
+/// Checks, before any training, that a model of `dimension` components —
+/// `None` when computing it overflowed — can be held: the model is reserved
+/// fallibly, so a size the allocator refuses is an error, not an abort.
+/// `shape` names the model in the error.
+fn reserve_model(dimension: Option<usize>, shape: &str) -> Result<(), FrontendError> {
+    let too_large = || FrontendError::InvalidInput(format!("{shape} is too large to allocate"));
+    let dimension = dimension.ok_or_else(too_large)?;
+    Vec::<f64>::new()
+        .try_reserve_exact(dimension)
+        .map_err(|_| too_large())
+}
+
 /// `SELECT LogisticRegressionTrain(model, table, features, label)` — train an
 /// LR model and persist it as `model_name`.
 pub fn logistic_regression_train(
@@ -246,6 +258,16 @@ pub fn lmf_train(
     let rcol = table.column_index(row_col)?;
     let ccol = table.column_index(col_col)?;
     let vcol = table.column_index(rating_col)?;
+    if rank == 0 {
+        return Err(FrontendError::InvalidInput(
+            "LMF rank must be positive".into(),
+        ));
+    }
+    let dimension = rows.checked_add(cols).and_then(|n| n.checked_mul(rank));
+    reserve_model(
+        dimension,
+        &format!("LMF model of ({rows} + {cols}) x {rank}"),
+    )?;
     let task = LmfTask::new(rcol, ccol, vcol, rows, cols, rank);
     train_and_persist(db, model_name, table_name, &task, config)
 }
@@ -313,7 +335,7 @@ pub fn svm_loss(
 /// Infer the shape of a sequence-labeling column: `(num_features, num_labels)`
 /// as `max feature index + 1` and `max label + 1` over every position of
 /// every sequence.
-pub fn infer_sequence_shape<S: TupleScan + ?Sized>(
+pub(crate) fn infer_sequence_shape<S: TupleScan + ?Sized>(
     source: &S,
     sequence_col: usize,
 ) -> (usize, usize) {
@@ -338,6 +360,12 @@ fn crf_task_for(table: &StoredTable, sequence_col: &str) -> Result<CrfTask, Fron
             "column '{sequence_col}' holds no labeled sequences"
         )));
     }
+    // features × labels emission weights plus labels × labels transitions.
+    let dimension = num_features
+        .checked_add(num_labels)
+        .and_then(|n| n.checked_mul(num_labels));
+    let shape = format!("CRF model of ({num_features} + {num_labels}) x {num_labels}");
+    reserve_model(dimension, &shape)?;
     Ok(CrfTask::new(scol, num_features, num_labels))
 }
 

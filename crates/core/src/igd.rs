@@ -25,7 +25,7 @@ pub struct IgdState {
 
 impl IgdState {
     /// Wrap an existing model with a zero step count.
-    pub fn from_model(model: Vec<f64>) -> Self {
+    pub(crate) fn from_model(model: Vec<f64>) -> Self {
         IgdState {
             model: DenseModelStore::new(model),
             steps: 0,
@@ -53,11 +53,6 @@ impl<'a, T: IgdTask> IgdAggregate<'a, T> {
             alpha,
             starting_model,
         }
-    }
-
-    /// The step size this aggregate applies.
-    pub fn alpha(&self) -> f64 {
-        self.alpha
     }
 }
 

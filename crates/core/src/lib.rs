@@ -32,7 +32,7 @@
 //! * [`frontend`] — `SVMTrain`-style entry points that read a training table
 //!   from a [`bismarck_storage::Database`] and persist the model back as a
 //!   table, mimicking the MADlib-style SQL interface of Section 2.1;
-//! * [`checkpoint`] — the resumable state of a run ([`TrainingCheckpoint`]),
+//! * the resumable state of a run ([`TrainingCheckpoint`]),
 //!   written in storage's one whole-file frame and picked back up by
 //!   `resume_from`;
 //! * [`serving`] — the concurrent read path: epoch-versioned model
@@ -43,9 +43,10 @@
 //!   budgets, admission control and graceful shutdown.
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
-pub mod checkpoint;
-pub mod error;
+mod checkpoint;
+mod error;
 #[cfg(feature = "fault-injection")]
 pub mod fault;
 pub mod frontend;
@@ -70,7 +71,7 @@ pub use crate::governor::{
     QueryLimits, ShutdownReport,
 };
 pub use crate::igd::{IgdAggregate, IgdState};
-pub use crate::model::{AigStore, DenseModelStore, ModelStore, NoLockStore};
+pub use crate::model::{DenseModelStore, ModelStore};
 pub use crate::parallel::{ParallelStrategy, ParallelTrainer, UpdateDiscipline};
 pub use crate::serving::{Link, ModelHandle, ModelSnapshot, PublishError, ServingTask};
 pub use crate::stepsize::StepSizeSchedule;

@@ -7,17 +7,24 @@
 //! trait, so the *same* transition code runs against:
 //!
 //! * a private dense vector (sequential execution and the pure-UDA segments),
-//! * a [`bismarck_storage::SharedModel`] updated without any locking at all
-//!   (the Hogwild!-style **NoLock** scheme), or
-//! * a shared model updated with per-component compare-and-swap (**AIG**).
+//! * a model in shared memory updated without any locking at all (the
+//!   Hogwild!-style **NoLock** scheme), or
+//! * the same shared model updated with per-component compare-and-swap
+//!   (**AIG**).
+//!
+//! The shared model is user-managed memory, not an engine facility, so it
+//! lives here: one `LockFreeStore` type holds the atomic cells, and the
+//! discipline is a compile-time parameter of it.
 //!
 //! The whole-model **Lock** discipline does not need its own store: the
 //! parallel executor keeps one [`DenseModelStore`] behind a mutex and each
 //! worker steps on `&mut *guard` while it holds the lock, so sequential,
 //! pure-UDA and Lock passes all run the same dense slice kernels.
 
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+
 use bismarck_linalg::FeatureVectorRef;
-use bismarck_storage::SharedModel;
 
 /// Read/update access to a flat model, abstracting over private and shared
 /// storage so task transition functions are written once.
@@ -131,7 +138,7 @@ impl DenseModelStore {
     }
 
     /// Mutably borrow the underlying components.
-    pub fn as_mut_slice(&mut self) -> &mut [f64] {
+    pub(crate) fn as_mut_slice(&mut self) -> &mut [f64] {
         &mut self.values
     }
 
@@ -182,99 +189,80 @@ impl ModelStore for DenseModelStore {
     }
 }
 
-/// Shared-memory store with no locking at all: racy read-modify-write, the
-/// NoLock (Hogwild!) discipline of Section 3.3.
+/// A model in user-managed shared memory (Section 3.3: "Shared-memory
+/// management is provided by most RDBMSes, and it enables us to implement
+/// the IGD aggregate completely in the user space"): one `AtomicU64` cell
+/// per `f64` component, so several workers update it concurrently. A clone
+/// shares the cells; each worker steps on its own clone and the pass reads
+/// the result back with [`ModelStore::snapshot`].
+///
+/// `ATOMIC` picks the update discipline at compile time:
+///
+/// * `false` — [`NoLockStore`], **NoLock** (Hogwild!): a racy
+///   read-add-store of each component, where a write landing between
+///   another worker's read and store is lost, which the Hogwild! result
+///   shows is tolerable for sparse updates;
+/// * `true` — [`AigStore`], the Atomic Incremental Gradient (**AIG**)
+///   discipline, which "uses only CompareAndExchange instructions to
+///   effectively perform per-component locking".
+///
+/// Both keep the default per-coordinate `dot_view` / `axpy_view`: each
+/// component update going through its own racy or compare-and-swap add
+/// *is* the discipline, so the bulk kernels must not collapse into an
+/// unsynchronized slice loop. Reads are relaxed: both analyses tolerate
+/// stale reads.
 #[derive(Debug, Clone)]
-pub struct NoLockStore {
-    shared: SharedModel,
+pub(crate) struct LockFreeStore<const ATOMIC: bool> {
+    cells: Arc<[AtomicU64]>,
 }
 
-impl NoLockStore {
-    /// Wrap a shared model.
-    pub fn new(shared: SharedModel) -> Self {
-        NoLockStore { shared }
-    }
+/// The NoLock (Hogwild!) store.
+pub(crate) type NoLockStore = LockFreeStore<false>;
 
-    /// The underlying shared model.
-    pub fn shared(&self) -> &SharedModel {
-        &self.shared
+/// The AIG (per-component compare-and-swap) store.
+pub(crate) type AigStore = LockFreeStore<true>;
+
+impl<const ATOMIC: bool> LockFreeStore<ATOMIC> {
+    /// Shared cells holding `values`.
+    pub(crate) fn from_slice(values: &[f64]) -> Self {
+        LockFreeStore {
+            cells: values.iter().map(|v| AtomicU64::new(v.to_bits())).collect(),
+        }
     }
 }
 
-// NoLock keeps the default per-coordinate `dot_view`/`axpy_view`: each
-// component update must go through `add_racy` individually — that *is* the
-// Hogwild! discipline.
-impl ModelStore for NoLockStore {
+impl<const ATOMIC: bool> ModelStore for LockFreeStore<ATOMIC> {
     fn len(&self) -> usize {
-        self.shared.len()
+        self.cells.len()
     }
 
     #[inline]
     fn read(&self, i: usize) -> f64 {
-        self.shared.load(i)
+        f64::from_bits(self.cells[i].load(Ordering::Relaxed))
     }
 
     #[inline]
     fn update(&mut self, i: usize, delta: f64) {
-        self.shared.add_racy(i, delta);
+        let cell = &self.cells[i];
+        if ATOMIC {
+            let mut current = cell.load(Ordering::Relaxed);
+            loop {
+                let new = (f64::from_bits(current) + delta).to_bits();
+                match cell.compare_exchange_weak(current, new, Ordering::Relaxed, Ordering::Relaxed)
+                {
+                    Ok(_) => return,
+                    Err(observed) => current = observed,
+                }
+            }
+        } else {
+            let current = f64::from_bits(cell.load(Ordering::Relaxed));
+            cell.store((current + delta).to_bits(), Ordering::Relaxed);
+        }
     }
 
     #[inline]
     fn write(&mut self, i: usize, value: f64) {
-        self.shared.store(i, value);
-    }
-
-    fn snapshot(&self) -> Vec<f64> {
-        self.shared.snapshot()
-    }
-}
-
-/// Shared-memory store with per-component atomic updates: the Atomic
-/// Incremental Gradient (AIG) discipline, which "uses only
-/// CompareAndExchange instructions to effectively perform per-component
-/// locking".
-#[derive(Debug, Clone)]
-pub struct AigStore {
-    shared: SharedModel,
-}
-
-impl AigStore {
-    /// Wrap a shared model.
-    pub fn new(shared: SharedModel) -> Self {
-        AigStore { shared }
-    }
-
-    /// The underlying shared model.
-    pub fn shared(&self) -> &SharedModel {
-        &self.shared
-    }
-}
-
-// AIG keeps the default per-coordinate `dot_view`/`axpy_view`: per-component
-// compare-and-swap is the whole point of the discipline, so the bulk kernels
-// must not be collapsed into an unsynchronized slice loop.
-impl ModelStore for AigStore {
-    fn len(&self) -> usize {
-        self.shared.len()
-    }
-
-    #[inline]
-    fn read(&self, i: usize) -> f64 {
-        self.shared.load(i)
-    }
-
-    #[inline]
-    fn update(&mut self, i: usize, delta: f64) {
-        self.shared.add_atomic(i, delta);
-    }
-
-    #[inline]
-    fn write(&mut self, i: usize, value: f64) {
-        self.shared.store(i, value);
-    }
-
-    fn snapshot(&self) -> Vec<f64> {
-        self.shared.snapshot()
+        self.cells[i].store(value.to_bits(), Ordering::Relaxed);
     }
 }
 
@@ -323,21 +311,45 @@ mod tests {
     }
 
     #[test]
-    fn nolock_store_contract_and_shares_memory() {
-        let shared = SharedModel::zeros(3);
-        let mut store = NoLockStore::new(shared.clone());
-        exercise(&mut store);
-        assert_eq!(shared.snapshot(), vec![1.5, 0.0, -1.0]);
-        assert_eq!(store.shared().len(), 3);
+    fn lock_free_stores_meet_the_contract_and_clones_share_cells() {
+        fn check<const ATOMIC: bool>() {
+            let shared = LockFreeStore::<ATOMIC>::from_slice(&[0.0; 3]);
+            let mut store = shared.clone();
+            exercise(&mut store);
+            assert_eq!(shared.snapshot(), vec![1.5, 0.0, -1.0]);
+        }
+        check::<false>();
+        check::<true>();
+        let store = NoLockStore::from_slice(&[1.0, -2.0]);
+        assert_eq!(store.snapshot(), vec![1.0, -2.0]);
+    }
+
+    /// `threads` workers each add 1.0 to the one component `per_thread`
+    /// times, through clones of one store; returns what the component holds.
+    fn add_concurrently<const ATOMIC: bool>(threads: usize, per_thread: usize) -> f64 {
+        let shared = LockFreeStore::<ATOMIC>::from_slice(&[0.0]);
+        std::thread::scope(|s| {
+            for _ in 0..threads {
+                let mut store = shared.clone();
+                s.spawn(move || {
+                    for _ in 0..per_thread {
+                        store.update(0, 1.0);
+                    }
+                });
+            }
+        });
+        shared.read(0)
     }
 
     #[test]
-    fn aig_store_contract_and_shares_memory() {
-        let shared = SharedModel::zeros(3);
-        let mut store = AigStore::new(shared.clone());
-        exercise(&mut store);
-        assert_eq!(shared.snapshot(), vec![1.5, 0.0, -1.0]);
-        assert_eq!(store.shared().len(), 3);
+    fn aig_updates_are_exact_under_contention() {
+        assert_eq!(add_concurrently::<true>(4, 10_000), 40_000.0);
+    }
+
+    #[test]
+    fn nolock_updates_may_be_lost_but_make_progress() {
+        let v = add_concurrently::<false>(4, 10_000);
+        assert!(v > 0.0 && v <= 40_000.0, "{v}");
     }
 
     #[test]

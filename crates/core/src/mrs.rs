@@ -12,7 +12,10 @@
 //! * the **I/O Worker** scans the table in storage order — any
 //!   [`TupleScan`]: row store, columnar, paged — offers each tuple to a
 //!   reservoir, and performs a gradient step on every tuple the reservoir
-//!   does *not* keep (the "dropped example d" of Figure 6);
+//!   does *not* keep (the "dropped example d" of Figure 6). The reservoir
+//!   (Vitter's Algorithm R, private to this module) borrows what it is
+//!   offered and clones only the rows it keeps: a rejected row is stepped
+//!   on in place, an evicted occupant is handed back owned;
 //! * the **Memory Worker** lives for that scan only (which starts once the
 //!   worker's thread runs, so that even a table crossed faster than a thread
 //!   starts is multiplexed): it sweeps the buffer the *previous* pass filled,
@@ -20,7 +23,8 @@
 //!   size, until the scan ends — and always finishes the sweep it is in, so
 //!   a non-empty buffer is swept at least once per pass however the two
 //!   threads are scheduled, with no timed wait;
-//! * both update a model in shared memory with NoLock (Hogwild!) updates;
+//! * both update a model in shared memory with NoLock (Hogwild!) updates —
+//!   clones of one `NoLockStore` (`model.rs`);
 //! * after the pass the buffers swap: the sample just drawn is what the next
 //!   pass's Memory Worker sweeps.
 //!
@@ -40,14 +44,16 @@
 //! (the I/O Worker alone, as in epoch 0); a divergence-backoff retry discards
 //! the failed attempt's reservoir and sweeps the same previous buffer again.
 
+use std::borrow::Cow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Barrier;
 use std::time::Instant;
 
-use bismarck_storage::reservoir::ReservoirOutcome;
-use bismarck_storage::{ReservoirSampler, SharedModel, Tuple, TupleScan};
+use bismarck_storage::{Tuple, TupleScan};
 use bismarck_uda::{scan_blocks_while, ConvergenceTest, EpochRecord, TrainingHistory};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 use crate::model::{DenseModelStore, ModelStore, NoLockStore};
 use crate::parallel::{fold_worker_outcomes, lock_free_proximal_step};
@@ -55,24 +61,85 @@ use crate::stepsize::StepSizeSchedule;
 use crate::task::{IgdTask, ProximalPolicy};
 use crate::trainer::{objective, EpochAbort, TrainedModel};
 
+/// Reservoir sampling (Vitter's Algorithm R, Section 3.4): one pass over
+/// `N ≥ m` offered items leaves a uniform without-replacement sample of `m`
+/// of them. MRS also needs, for every offer, the item that did *not* end up
+/// in the buffer — the offered one, or the occupant it displaced — because
+/// the I/O Worker steps on exactly those.
+#[derive(Debug)]
+struct ReservoirSampler<T> {
+    capacity: usize,
+    seen: usize,
+    items: Vec<T>,
+    rng: StdRng,
+}
+
+impl<T: Clone> ReservoirSampler<T> {
+    /// A sampler holding at most `capacity` items, drawing from a seeded RNG
+    /// so a run is reproducible.
+    fn new(capacity: usize, seed: u64) -> Self {
+        ReservoirSampler {
+            capacity,
+            seen: 0,
+            items: Vec::with_capacity(capacity),
+            rng: StdRng::seed_from_u64(seed),
+        }
+    }
+
+    /// Offer one item, as the paper describes: the first `m` items fill the
+    /// reservoir; for the `k`-th one after them draw `s` in `[0, m + k)` and
+    /// keep the item in slot `s` if `s < m`. Only an item that is kept is
+    /// cloned. Returns what stays out of the buffer: `None` when the item
+    /// filled an empty slot, `Borrowed(item)` when it was rejected, and
+    /// `Owned(occupant)` when it evicted one.
+    fn offer<'a>(&mut self, item: &'a T) -> Option<Cow<'a, T>> {
+        self.seen += 1;
+        if self.capacity == 0 {
+            return Some(Cow::Borrowed(item));
+        }
+        if self.items.len() < self.capacity {
+            self.items.push(item.clone());
+            return None;
+        }
+        let s = self.rng.gen_range(0..self.seen);
+        if s < self.capacity {
+            Some(Cow::Owned(std::mem::replace(
+                &mut self.items[s],
+                item.clone(),
+            )))
+        } else {
+            Some(Cow::Borrowed(item))
+        }
+    }
+
+    /// The sample.
+    fn into_items(self) -> Vec<T> {
+        self.items
+    }
+}
+
+/// The model an MRS pass stepped to, and the sample its reservoir kept.
+pub(crate) type SteppedAndKept = (Vec<f64>, Vec<Tuple>);
+
 /// One MRS epoch (Figure 6) from `model` at step size `alpha`: `buffer` is
-/// the sample the previous pass kept, `reservoir` the empty one this pass
-/// fills. Returns the stepped model, or `None` — the attempt is to be
-/// discarded — once `keep_going`, polled between the blocks of the scan, says
-/// stop.
+/// the sample the previous pass kept, and the pass fills a reservoir of
+/// `capacity` rows drawn with `seed`. Returns the stepped model and the
+/// sample this pass kept, or `None` — the attempt is to be discarded — once
+/// `keep_going`, polled between the blocks of the scan, says stop.
 ///
 /// Both workers run under `catch_unwind`; see `run_workers` in
-/// [`crate::parallel`] for why that is sound over a [`SharedModel`].
+/// [`crate::parallel`] for why that is sound over a shared model.
 pub(crate) fn run_mrs_epoch<T: IgdTask, S: TupleScan + ?Sized>(
     task: &T,
     data: &S,
     model: &[f64],
     alpha: f64,
     buffer: &[Tuple],
-    reservoir: &mut ReservoirSampler<Tuple>,
+    (capacity, seed): (usize, u64),
     keep_going: &mut dyn FnMut() -> bool,
-) -> Result<Option<Vec<f64>>, EpochAbort> {
-    let shared = SharedModel::from_slice(model);
+) -> Result<Option<SteppedAndKept>, EpochAbort> {
+    let shared = NoLockStore::from_slice(model);
+    let mut reservoir = ReservoirSampler::new(capacity, seed);
     let scanning = AtomicBool::new(true);
     let running = Barrier::new(2);
     let mut finished = false;
@@ -81,7 +148,7 @@ pub(crate) fn run_mrs_epoch<T: IgdTask, S: TupleScan + ?Sized>(
             let handle = scope.spawn(|| {
                 running.wait();
                 catch_unwind(AssertUnwindSafe(|| {
-                    let mut store = NoLockStore::new(shared.clone());
+                    let mut store = shared.clone();
                     // Sweep, then look: the sweep under way when the scan
                     // ends is finished, and there is always one.
                     loop {
@@ -100,16 +167,12 @@ pub(crate) fn run_mrs_epoch<T: IgdTask, S: TupleScan + ?Sized>(
         });
         // The I/O Worker is this thread.
         let io_worker = catch_unwind(AssertUnwindSafe(|| {
-            let mut store = NoLockStore::new(shared.clone());
+            let mut store = shared.clone();
             let mut scratch = Tuple::default();
             finished = scan_blocks_while(data, 0, usize::MAX, keep_going, &mut |block| {
                 block.for_each_tuple(&mut scratch, &mut |tuple| {
-                    match reservoir.offer(tuple.clone()) {
-                        ReservoirOutcome::StoredInEmptySlot => {}
-                        ReservoirOutcome::Replaced(dropped)
-                        | ReservoirOutcome::Rejected(dropped) => {
-                            task.gradient_step(&mut store, &dropped, alpha);
-                        }
+                    if let Some(dropped) = reservoir.offer(tuple) {
+                        task.gradient_step(&mut store, &dropped, alpha);
                     }
                     true
                 });
@@ -129,7 +192,7 @@ pub(crate) fn run_mrs_epoch<T: IgdTask, S: TupleScan + ?Sized>(
     }
     let mut model = shared.snapshot();
     lock_free_proximal_step(task, &mut model, alpha);
-    Ok(Some(model))
+    Ok(Some((model, reservoir.into_items())))
 }
 
 /// Plain subsampling baseline: fill a reservoir in one pass, then train only
@@ -144,9 +207,9 @@ pub fn subsampling_train<T: IgdTask, S: TupleScan + ?Sized>(
     seed: u64,
 ) -> TrainedModel {
     // One pass to build the without-replacement sample.
-    let mut reservoir: ReservoirSampler<Tuple> = ReservoirSampler::new(buffer_size, seed);
+    let mut reservoir = ReservoirSampler::new(buffer_size, seed);
     data.scan_tuples(&mut |tuple| {
-        reservoir.offer(tuple.clone());
+        reservoir.offer(tuple);
     });
     let sample = reservoir.into_items();
 
@@ -262,6 +325,79 @@ mod tests {
         TrainerConfig::default()
             .with_step_size(StepSizeSchedule::Constant(0.1))
             .with_convergence(ConvergenceTest::FixedEpochs(epochs))
+    }
+
+    #[test]
+    fn reservoir_fills_then_keeps_a_uniform_sample_and_hands_back_the_rest() {
+        // Every offered item ends up in the sample or is handed back, once.
+        let mut r = ReservoirSampler::new(5, 3);
+        let items: Vec<i32> = (0..50).collect();
+        let mut handed_back = Vec::new();
+        for (i, item) in items.iter().enumerate() {
+            match r.offer(item) {
+                None => assert!(i < 5, "offer {i} filled an empty slot"),
+                Some(out) => handed_back.push(out.into_owned()),
+            }
+        }
+        let mut all = r.into_items();
+        assert_eq!(all.len(), 5);
+        all.extend(handed_back);
+        all.sort_unstable();
+        assert_eq!(all, items);
+
+        // A zero-capacity reservoir keeps nothing.
+        let mut r = ReservoirSampler::new(0, 1);
+        assert!(matches!(r.offer(&5), Some(Cow::Borrowed(&5))));
+        assert!(r.into_items().is_empty());
+
+        // Both halves of the stream are kept at comparable rates: a sampler
+        // biased to the head (or the tail) fails this.
+        let mut first_half = 0usize;
+        for seed in 0..200u64 {
+            let mut r = ReservoirSampler::new(10, seed);
+            for i in 0..100 {
+                r.offer(&i);
+            }
+            first_half += r.into_items().iter().filter(|&&i| i < 50).count();
+        }
+        let frac = first_half as f64 / 2000.0;
+        assert!((0.42..=0.58).contains(&frac), "first-half fraction {frac}");
+    }
+
+    /// An item that counts how often it is cloned.
+    #[derive(Debug)]
+    struct Counted<'c>(&'c AtomicU64);
+
+    impl Clone for Counted<'_> {
+        fn clone(&self) -> Self {
+            self.0.fetch_add(1, Ordering::Relaxed);
+            Counted(self.0)
+        }
+    }
+
+    #[test]
+    fn reservoir_clones_only_the_offers_it_keeps() {
+        let clones = AtomicU64::new(0);
+        let items: Vec<Counted> = (0..1000).map(|_| Counted(&clones)).collect();
+        let mut r = ReservoirSampler::new(10, 7);
+        let mut kept = 0;
+        let mut rejected = 0;
+        for item in &items {
+            match r.offer(item) {
+                None | Some(Cow::Owned(_)) => kept += 1,
+                Some(Cow::Borrowed(back)) => {
+                    // The caller's own item, not a copy of it.
+                    assert!(std::ptr::eq(back, item));
+                    rejected += 1;
+                }
+            }
+        }
+        assert_eq!(clones.load(Ordering::Relaxed), kept);
+        assert!(
+            kept >= 10 && rejected > 0,
+            "{kept} kept, {rejected} rejected"
+        );
+        assert_eq!(kept + rejected, 1000);
     }
 
     #[test]

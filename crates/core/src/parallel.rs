@@ -26,13 +26,13 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::time::Duration;
 
-use bismarck_storage::{segment_ranges, ExampleRows, SharedModel, Tuple, TupleScan};
+use bismarck_storage::{segment_ranges, ExampleRows, Tuple, TupleScan};
 use bismarck_uda::{panic_message, try_run_segmented_parallel};
 use parking_lot::Mutex;
 
 use crate::error::TrainError;
 use crate::igd::{block_steps, IgdAggregate};
-use crate::model::{AigStore, DenseModelStore, ModelStore, NoLockStore};
+use crate::model::{AigStore, DenseModelStore, LockFreeStore, ModelStore, NoLockStore};
 use crate::task::{ExampleTask, IgdTask, ProximalPolicy};
 use crate::trainer::{
     fresh_start, load_checkpoint, run_epochs, unwrap_trained, EpochAbort, TrainedModel,
@@ -341,10 +341,11 @@ fn step_on<T: IgdTask>(task: &T, store: &mut dyn ModelStore, work: Work<'_>, alp
 ///
 /// Unwind safety: the state the workers share is plain `f64` data — a
 /// `Vec<f64>` behind a `parking_lot::Mutex` (which does not poison; the
-/// guard is released during unwind) or `AtomicU64` cells in [`SharedModel`]
-/// — with no invariants coupling components. A caught panic can at worst
-/// leave a *partially updated* model, and the caller never uses a failed
-/// epoch's model: it restores the last-good snapshot carried by the error.
+/// guard is released during unwind) or the `AtomicU64` cells of a
+/// [`LockFreeStore`] — with no invariants coupling components. A caught
+/// panic can at worst leave a *partially updated* model, and the caller
+/// never uses a failed epoch's model: it restores the last-good snapshot
+/// carried by the error.
 /// That makes `AssertUnwindSafe` sound here.
 fn run_workers(
     worker_rows: &[WorkerRows<'_>],
@@ -436,20 +437,12 @@ pub(crate) fn run_shared_memory_epoch<T: IgdTask, S: TupleScan + ?Sized>(
             locked.into_inner().into_vec()
         }
         UpdateDiscipline::Aig => {
-            let shared = SharedModel::from_slice(&model);
-            run_workers(&worker_rows, |rows| {
-                let mut store = AigStore::new(shared.clone());
-                rows.visit(task, data, |work| step_on(task, &mut store, work, alpha));
-            })?;
-            shared.snapshot()
+            let shared = AigStore::from_slice(&model);
+            lock_free_pass(task, data, &worker_rows, shared, alpha)?
         }
         UpdateDiscipline::NoLock => {
-            let shared = SharedModel::from_slice(&model);
-            run_workers(&worker_rows, |rows| {
-                let mut store = NoLockStore::new(shared.clone());
-                rows.visit(task, data, |work| step_on(task, &mut store, work, alpha));
-            })?;
-            shared.snapshot()
+            let shared = NoLockStore::from_slice(&model);
+            lock_free_pass(task, data, &worker_rows, shared, alpha)?
         }
     };
 
@@ -462,6 +455,22 @@ pub(crate) fn run_shared_memory_epoch<T: IgdTask, S: TupleScan + ?Sized>(
         lock_free_proximal_step(task, &mut final_model, alpha);
     }
     Ok(final_model)
+}
+
+/// The workers of an AIG or NoLock pass, each stepping on its own clone of
+/// `shared`; returns what the shared cells hold after the pass.
+fn lock_free_pass<const ATOMIC: bool, T: IgdTask, S: TupleScan + ?Sized>(
+    task: &T,
+    data: &S,
+    worker_rows: &[WorkerRows<'_>],
+    shared: LockFreeStore<ATOMIC>,
+    alpha: f64,
+) -> Result<Vec<f64>, EpochAbort> {
+    run_workers(worker_rows, |rows| {
+        let mut store = shared.clone();
+        rows.visit(task, data, |work| step_on(task, &mut store, work, alpha));
+    })?;
+    Ok(shared.snapshot())
 }
 
 /// The proximal tail of a lock-free pass: the per-epoch step and, as

@@ -29,56 +29,11 @@ pub enum StepSizeSchedule {
 impl StepSizeSchedule {
     /// Step size for counter `k` (an epoch number or a step number,
     /// depending on how the caller indexes the schedule).
-    pub fn at(&self, k: usize) -> f64 {
+    pub(crate) fn at(&self, k: usize) -> f64 {
         match *self {
             StepSizeSchedule::Constant(alpha) => alpha,
             StepSizeSchedule::Diminishing { initial } => initial / (1.0 + k as f64),
             StepSizeSchedule::Geometric { initial, decay } => initial * decay.powi(k as i32),
-        }
-    }
-
-    /// Validate the schedule's parameters (positive initial step, decay in
-    /// `(0, 1)` for the geometric rule). Returns a human-readable error.
-    pub fn validate(&self) -> Result<(), String> {
-        match *self {
-            StepSizeSchedule::Constant(alpha) => {
-                if alpha > 0.0 && alpha.is_finite() {
-                    Ok(())
-                } else {
-                    Err(format!(
-                        "constant step size must be positive and finite, got {alpha}"
-                    ))
-                }
-            }
-            StepSizeSchedule::Diminishing { initial } => {
-                if initial > 0.0 && initial.is_finite() {
-                    Ok(())
-                } else {
-                    Err(format!(
-                        "diminishing step size must start positive, got {initial}"
-                    ))
-                }
-            }
-            StepSizeSchedule::Geometric { initial, decay } => {
-                if !(initial > 0.0 && initial.is_finite()) {
-                    Err(format!(
-                        "geometric step size must start positive, got {initial}"
-                    ))
-                } else if !(0.0 < decay && decay < 1.0) {
-                    Err(format!("geometric decay must lie in (0, 1), got {decay}"))
-                } else {
-                    Ok(())
-                }
-            }
-        }
-    }
-
-    /// Human-readable label used in experiment output.
-    pub fn label(&self) -> &'static str {
-        match self {
-            StepSizeSchedule::Constant(_) => "constant",
-            StepSizeSchedule::Diminishing { .. } => "diminishing",
-            StepSizeSchedule::Geometric { .. } => "geometric",
         }
     }
 }
@@ -99,7 +54,6 @@ mod tests {
         let s = StepSizeSchedule::Constant(0.5);
         assert_eq!(s.at(0), 0.5);
         assert_eq!(s.at(1000), 0.5);
-        assert_eq!(s.label(), "constant");
     }
 
     #[test]
@@ -121,33 +75,5 @@ mod tests {
         };
         assert_eq!(s.at(0), 1.0);
         assert_eq!(s.at(3), 0.125);
-        assert_eq!(s.label(), "geometric");
-    }
-
-    #[test]
-    fn validation_catches_bad_parameters() {
-        assert!(StepSizeSchedule::Constant(0.1).validate().is_ok());
-        assert!(StepSizeSchedule::Constant(0.0).validate().is_err());
-        assert!(StepSizeSchedule::Constant(f64::NAN).validate().is_err());
-        assert!(StepSizeSchedule::Diminishing { initial: -1.0 }
-            .validate()
-            .is_err());
-        assert!(StepSizeSchedule::Geometric {
-            initial: 1.0,
-            decay: 1.5
-        }
-        .validate()
-        .is_err());
-        assert!(StepSizeSchedule::Geometric {
-            initial: 1.0,
-            decay: 0.9
-        }
-        .validate()
-        .is_ok());
-    }
-
-    #[test]
-    fn default_is_valid() {
-        assert!(StepSizeSchedule::default().validate().is_ok());
     }
 }

@@ -44,7 +44,7 @@ use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 use bismarck_storage::durable::parent_dir;
-use bismarck_storage::{ReservoirSampler, ScanOrder, StorageError, Tuple, TupleScan};
+use bismarck_storage::{ScanOrder, StorageError, Tuple, TupleScan};
 use bismarck_uda::{
     panic_message, run_sequential_while, scan_blocks_while, ConvergenceTest, EpochRecord,
     TrainingHistory,
@@ -396,11 +396,6 @@ impl<'a, T: IgdTask> Trainer<'a, T> {
         Trainer { task, config }
     }
 
-    /// The configuration in use.
-    pub fn config(&self) -> &TrainerConfig {
-        &self.config
-    }
-
     /// Full objective (`Σ_i f_i(w) + P(w)`) of a model over a tuple source.
     pub fn objective<S: TupleScan + ?Sized>(&self, model: &[f64], data: &S) -> f64 {
         objective(self.task, model, data)
@@ -416,17 +411,6 @@ impl<'a, T: IgdTask> Trainer<'a, T> {
     /// — stopping on request is not a failure.
     pub fn train<S: TupleScan + ?Sized>(&self, data: &S) -> TrainedModel {
         unwrap_trained(self.try_train(data))
-    }
-
-    /// Train on a table starting from a caller-provided model (the paper's
-    /// "a model returned by a previous run"). See [`Self::train`] for how
-    /// failures surface.
-    pub fn train_from<S: TupleScan + ?Sized>(
-        &self,
-        data: &S,
-        initial_model: Vec<f64>,
-    ) -> TrainedModel {
-        unwrap_trained(self.try_train_from(data, initial_model))
     }
 
     /// Fallible training from the task's initial model.
@@ -575,8 +559,7 @@ pub(crate) fn run_epochs<T: IgdTask, S: TupleScan + ?Sized>(
                     )
                     .map(Some),
                     Some(ParallelStrategy::Mrs { buffer_size, seed }) => {
-                        let mut reservoir =
-                            ReservoirSampler::new(buffer_size, seed.wrapping_add(epoch as u64));
+                        let reservoir = (buffer_size, seed.wrapping_add(epoch as u64));
                         let mut keep_going = || !stop_requested(config);
                         let pass = run_mrs_epoch(
                             task,
@@ -584,11 +567,15 @@ pub(crate) fn run_epochs<T: IgdTask, S: TupleScan + ?Sized>(
                             &current,
                             alpha,
                             &buffer,
-                            &mut reservoir,
+                            reservoir,
                             &mut keep_going,
                         );
-                        sample = reservoir.into_items();
-                        pass
+                        pass.map(|finished| {
+                            finished.map(|(stepped, kept)| {
+                                sample = kept;
+                                stepped
+                            })
+                        })
                     }
                 };
                 gradient_duration += gradient_start.elapsed();
@@ -992,16 +979,13 @@ mod tests {
             .with_convergence(ConvergenceTest::FixedEpochs(3));
         let trainer = Trainer::new(&task, config);
         let first = trainer.train(&table);
-        let resumed = trainer.train_from(&table, first.model.clone());
+        let resumed = trainer.try_train_from(&table, first.model.clone()).unwrap();
         assert!(resumed.final_loss().unwrap() <= first.final_loss().unwrap() + 1e-9);
     }
 
     #[test]
-    fn config_accessors() {
-        let task = LeastSquaresTask::new(0, 1, 1);
-        let config = TrainerConfig::default();
-        let trainer = Trainer::new(&task, config);
-        assert_eq!(trainer.config().scan_order.label(), "ShuffleOnce");
+    fn default_config_shuffles_once() {
+        assert_eq!(TrainerConfig::default().scan_order.label(), "ShuffleOnce");
     }
 
     fn temp_ckpt(name: &str) -> std::path::PathBuf {

@@ -131,11 +131,6 @@ impl SparseVector {
         self.indices.len()
     }
 
-    /// Whether the vector stores no entries.
-    pub fn is_empty(&self) -> bool {
-        self.indices.is_empty()
-    }
-
     /// Logical dimension: one past the largest stored index (0 when empty).
     pub fn dimension(&self) -> usize {
         FeatureVectorRef::from(self).dimension()
@@ -158,11 +153,6 @@ impl SparseVector {
             .zip(self.values.iter())
             .map(|(&i, &v)| (i as usize, v))
     }
-
-    /// Value at logical index `i` (0.0 if not stored).
-    pub fn get(&self, i: usize) -> f64 {
-        FeatureVectorRef::from(self).get(i)
-    }
 }
 
 #[cfg(test)]
@@ -180,31 +170,22 @@ mod tests {
     #[test]
     fn dimension_of_empty_is_zero() {
         assert_eq!(SparseVector::new().dimension(), 0);
-        assert!(SparseVector::new().is_empty());
-    }
-
-    #[test]
-    fn get_returns_stored_or_zero() {
-        let v = SparseVector::from_pairs(vec![(2, 5.0)]);
-        assert_eq!(v.get(2), 5.0);
-        assert_eq!(v.get(0), 0.0);
-        assert_eq!(v.get(100), 0.0);
+        assert_eq!(SparseVector::new().nnz(), 0);
     }
 
     #[test]
     fn from_sorted_accepts_valid_input() {
         let v = SparseVector::from_sorted(vec![0, 2], vec![1.0, 2.0]);
-        assert_eq!(v.get(2), 2.0);
+        assert_eq!(v.iter().collect::<Vec<_>>(), vec![(0, 1.0), (2, 2.0)]);
     }
 
     #[test]
     fn try_from_sorted_accepts_valid_and_empty_input() {
         let v = SparseVector::try_from_sorted(vec![0, 2, 9], vec![1.0, 2.0, 3.0]).unwrap();
         assert_eq!(v.nnz(), 3);
-        assert_eq!(v.get(9), 3.0);
-        assert!(SparseVector::try_from_sorted(vec![], vec![])
-            .unwrap()
-            .is_empty());
+        assert_eq!(v.values()[2], 3.0);
+        let empty = SparseVector::try_from_sorted(vec![], vec![]).unwrap();
+        assert_eq!(empty.nnz(), 0);
     }
 
     #[test]

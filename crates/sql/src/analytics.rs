@@ -19,7 +19,7 @@ use crate::result::QueryResult;
 /// True if `name` resolves to one of the analytics functions handled by
 /// [`execute_analytics`]. Resolution is case-insensitive so the paper's
 /// `SVMTrain` and a user's `svmtrain` both work.
-pub fn is_analytics_function(name: &str) -> bool {
+pub(crate) fn is_analytics_function(name: &str) -> bool {
     matches!(
         name.to_ascii_uppercase().as_str(),
         "SVMTRAIN"
@@ -132,7 +132,7 @@ fn prediction_result(column: &str, scores: Vec<f64>) -> QueryResult {
 /// Training functions persist the model back into `db` and return a one-row
 /// summary; prediction functions return one row per input tuple. The data
 /// table is resolved by name in `db`, whatever its physical layout.
-pub fn execute_analytics(
+pub(crate) fn execute_analytics(
     db: &mut Database,
     base_config: TrainerConfig,
     name: &str,

@@ -51,7 +51,7 @@ pub enum Statement {
         /// Optional explicit column list; `None` means schema order.
         columns: Option<Vec<String>>,
         /// One entry per `(...)` row. A position whose text was a constant
-        /// arrives as an [`Expr::Literal`] already holding its storage value
+        /// arrives as an `Expr::Literal` already holding its storage value
         /// (vectors included), which the executor moves into the row.
         rows: Vec<Vec<Expr>>,
     },
@@ -250,7 +250,7 @@ pub enum BinaryOp {
 impl Expr {
     /// True if this expression contains an aggregate function call
     /// (`COUNT`, `SUM`, `AVG`, `MIN`, `MAX`) anywhere in its tree.
-    pub fn contains_aggregate(&self) -> bool {
+    pub(crate) fn contains_aggregate(&self) -> bool {
         match self {
             Expr::Function { name, args } => {
                 is_aggregate_function(name) || args.iter().any(Expr::contains_aggregate)
@@ -269,7 +269,7 @@ impl Expr {
     }
 
     /// A printable name for an unaliased projection of this expression.
-    pub fn default_name(&self) -> String {
+    pub(crate) fn default_name(&self) -> String {
         match self {
             Expr::Column(name) => name.clone(),
             Expr::Function { name, .. } => name.clone(),
@@ -281,7 +281,7 @@ impl Expr {
 
 /// One of the built-in SQL aggregates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AggregateFn {
+pub(crate) enum AggregateFn {
     /// `COUNT(expr)` / `COUNT(*)`.
     Count,
     /// `SUM(expr)`.
@@ -304,14 +304,14 @@ impl AggregateFn {
     ];
 
     /// The aggregate a function name refers to (case-insensitively), if any.
-    pub fn from_name(name: &str) -> Option<AggregateFn> {
+    pub(crate) fn from_name(name: &str) -> Option<AggregateFn> {
         AggregateFn::ALL
             .into_iter()
             .find(|func| name.eq_ignore_ascii_case(func.name()))
     }
 
     /// The aggregate's upper-case name.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             AggregateFn::Count => "COUNT",
             AggregateFn::Sum => "SUM",
@@ -323,7 +323,7 @@ impl AggregateFn {
 }
 
 /// Whether a function name refers to one of the built-in SQL aggregates.
-pub fn is_aggregate_function(name: &str) -> bool {
+pub(crate) fn is_aggregate_function(name: &str) -> bool {
     AggregateFn::from_name(name).is_some()
 }
 

@@ -107,7 +107,7 @@ impl From<AdmissionError> for SqlError {
 }
 
 /// Convenience alias used throughout the crate.
-pub type Result<T> = std::result::Result<T, SqlError>;
+pub(crate) type Result<T> = std::result::Result<T, SqlError>;
 
 #[cfg(test)]
 mod tests {

@@ -48,7 +48,7 @@ use crate::error::{Result, SqlError};
 /// Mutable evaluation context shared across a statement: the deterministic
 /// RNG backing `RANDOM()` and the per-statement model cache backing
 /// `PREDICT()`.
-pub struct EvalContext {
+pub(crate) struct EvalContext {
     /// Session RNG; seeded so scripts are reproducible.
     pub rng: StdRng,
     /// Model snapshots resolved for `PREDICT()` calls, keyed by model name.
@@ -65,7 +65,7 @@ pub struct EvalContext {
 impl EvalContext {
     /// A context whose RNG stream is seeded with `seed` and whose model
     /// cache starts empty.
-    pub fn with_seed(seed: u64) -> Self {
+    pub(crate) fn with_seed(seed: u64) -> Self {
         EvalContext {
             rng: StdRng::seed_from_u64(seed),
             models: HashMap::new(),
@@ -76,7 +76,7 @@ impl EvalContext {
 
 /// A scalar function, resolved from its name at bind time.
 #[derive(Debug, Clone, Copy)]
-pub enum ScalarFn {
+pub(crate) enum ScalarFn {
     /// `RANDOM()`: uniform in `[0, 1)` from the session RNG.
     Random,
     /// `ABS(x)`: integers stay integers.
@@ -120,7 +120,7 @@ const SCALAR_FUNCTIONS: &[(&str, ScalarFn, usize)] = &[
 /// An [`Expr`] with every name resolved against one schema and one
 /// statement's model cache; see the module docs.
 #[derive(Debug, Clone)]
-pub enum BoundExpr {
+pub(crate) enum BoundExpr {
     /// A constant.
     Literal(Value),
     /// The source column at this position.
@@ -177,7 +177,7 @@ pub enum BoundExpr {
 /// One reduction a grouped `SELECT` runs per group; its state is an
 /// [`Accumulator`].
 #[derive(Debug, Clone)]
-pub enum BoundAggregate {
+pub(crate) enum BoundAggregate {
     /// `COUNT(*)`: the number of rows.
     CountStar,
     /// A non-aggregate expression in a grouped select: its value on the
@@ -200,7 +200,11 @@ impl BoundExpr {
     /// row, and a column reference is an error) and the models `ctx` holds.
     /// An aggregate call is rejected; grouped select items and order keys go
     /// through [`BoundExpr::bind_grouped`].
-    pub fn bind(expr: &Expr, schema: Option<&Schema>, ctx: &EvalContext) -> Result<BoundExpr> {
+    pub(crate) fn bind(
+        expr: &Expr,
+        schema: Option<&Schema>,
+        ctx: &EvalContext,
+    ) -> Result<BoundExpr> {
         Binder {
             schema,
             models: &ctx.models,
@@ -212,7 +216,7 @@ impl BoundExpr {
     /// call — and each maximal sub-expression that is neither an aggregate
     /// nor an operator over them, which the group's first row answers — is
     /// appended to `aggregates` and replaced by a reference to its slot.
-    pub fn bind_grouped(
+    pub(crate) fn bind_grouped(
         expr: &Expr,
         schema: &Schema,
         ctx: &EvalContext,
@@ -227,14 +231,14 @@ impl BoundExpr {
 
     /// Bind `expr` against no schema and evaluate it once: the tableless
     /// `SELECT`, a computed `VALUES` position, an analytics-call argument.
-    pub fn eval_constant(expr: &Expr, ctx: &mut EvalContext) -> Result<Value> {
+    pub(crate) fn eval_constant(expr: &Expr, ctx: &mut EvalContext) -> Result<Value> {
         let bound = BoundExpr::bind(expr, None, ctx)?;
         Ok(bound.eval(RowRef::Values(&[]), &[], ctx)?.into_owned())
     }
 
     /// Evaluate against one source row and, under
     /// [`BoundExpr::bind_grouped`], the finished aggregates of one group.
-    pub fn eval<'a>(
+    pub(crate) fn eval<'a>(
         &'a self,
         row: RowRef<'a>,
         aggregates: &'a [Value],
@@ -488,7 +492,7 @@ fn arity_error(name: &str, expected: usize, got: usize) -> SqlError {
 /// first-row expression keep one, and what they keep is charged to the
 /// statement's budget before it is kept.
 #[derive(Debug)]
-pub struct Accumulator {
+pub(crate) struct Accumulator {
     /// Rows (`COUNT(*)`) or non-NULL values seen.
     count: usize,
     sum: f64,
@@ -509,7 +513,7 @@ impl Default for Accumulator {
 
 impl Accumulator {
     /// Fold one row of the group into the state.
-    pub fn fold(
+    pub(crate) fn fold(
         &mut self,
         aggregate: &BoundAggregate,
         row: RowRef<'_>,
@@ -572,7 +576,7 @@ impl Accumulator {
     }
 
     /// The aggregate's value over the rows folded so far.
-    pub fn finish(self, aggregate: &BoundAggregate) -> Result<Value> {
+    pub(crate) fn finish(self, aggregate: &BoundAggregate) -> Result<Value> {
         Ok(match aggregate {
             BoundAggregate::CountStar | BoundAggregate::Call(AggregateFn::Count, _) => {
                 Value::Int(self.count as i64)
@@ -611,13 +615,13 @@ pub(crate) fn approx_value_bytes(value: &Value) -> usize {
 }
 
 /// The boolean encoding used by predicates.
-pub fn bool_value(b: bool) -> Value {
+pub(crate) fn bool_value(b: bool) -> Value {
     Value::Int(if b { 1 } else { 0 })
 }
 
 /// Truthiness of a value: non-zero numerics are true, NULL and everything
 /// else is false.
-pub fn is_truthy(value: &Value) -> bool {
+pub(crate) fn is_truthy(value: &Value) -> bool {
     match value {
         Value::Int(v) => *v != 0,
         Value::Double(v) => *v != 0.0,
@@ -719,7 +723,7 @@ fn apply_binary(op: BinaryOp, left: &Value, right: &Value) -> Result<Value> {
 /// NULL sorts first, numerics compare numerically (integers and doubles mix),
 /// text compares lexicographically, and other types compare by their debug
 /// representation so ordering is at least deterministic.
-pub fn compare_values(a: &Value, b: &Value) -> Ordering {
+pub(crate) fn compare_values(a: &Value, b: &Value) -> Ordering {
     match (a, b) {
         (Value::Null, Value::Null) => Ordering::Equal,
         (Value::Null, _) => Ordering::Less,

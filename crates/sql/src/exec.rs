@@ -163,11 +163,6 @@ impl SqlSession {
         &mut self.db
     }
 
-    /// Consume the session, returning the database.
-    pub fn into_database(self) -> Database {
-        self.db
-    }
-
     /// Register an already-built table (e.g. from `bismarck-datagen`),
     /// replacing any table of the same name. On a durable session (see
     /// [`SqlSession::open`]) the table contents are write-ahead logged.
@@ -194,11 +189,6 @@ impl SqlSession {
     /// shadows a persisted model table of the same name.
     pub fn register_model_handle(&mut self, name: impl Into<String>, handle: ModelHandle) {
         self.serving.insert(name.into(), handle);
-    }
-
-    /// The serving handle registered under `name`, if any.
-    pub fn model_handle(&self, name: &str) -> Option<&ModelHandle> {
-        self.serving.get(name)
     }
 
     /// Execute a single statement.
@@ -247,22 +237,6 @@ impl SqlSession {
     pub fn execute_script(&mut self, sql: &str) -> Result<Vec<QueryResult>> {
         let statements = parse_script(sql)?;
         self.run_statements(statements)
-    }
-
-    /// [`SqlSession::execute_script`] under a single [`QueryGuard`]: every
-    /// statement in the script shares the guard's deadline, cancel flag and
-    /// memory budget. Execution stops at the first error (including a
-    /// governance error).
-    pub fn execute_script_with(
-        &mut self,
-        sql: &str,
-        guard: &QueryGuard,
-    ) -> Result<Vec<QueryResult>> {
-        let statements = parse_script(sql)?;
-        self.guard = guard.clone();
-        let result = self.run_statements(statements);
-        self.guard = QueryGuard::unlimited();
-        result
     }
 
     fn run_statements(&mut self, statements: Vec<Statement>) -> Result<Vec<QueryResult>> {
@@ -1604,7 +1578,6 @@ mod tests {
         handle.publish(&[-1.0, 0.0]).unwrap();
         let flipped = exec(&mut session, "SELECT PREDICT('live', 10.0, 0.0)");
         assert!(flipped.rows[0][0].as_double().unwrap() < 0.5);
-        assert!(session.model_handle("live").is_some());
 
         // Unknown model names surface a helpful evaluation error.
         let err = session

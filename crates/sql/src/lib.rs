@@ -45,21 +45,23 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 // Production paths must surface typed `SqlError`s, never panic: a malformed
 // statement or a governance violation is ordinary control flow for a SQL
 // engine. Tests are exempt (unwrap-on-known-good keeps them readable).
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
-pub mod analytics;
-pub mod ast;
-pub mod error;
-pub mod eval;
-pub mod exec;
-pub mod parser;
-pub mod result;
+mod analytics;
+mod ast;
+mod error;
+mod eval;
+mod exec;
+mod parser;
+mod result;
 pub mod token;
 
-pub use crate::error::{Result, SqlError};
+pub use crate::ast::Statement;
+pub use crate::error::SqlError;
 pub use crate::exec::SqlSession;
-pub use crate::parser::{parse_script, parse_statement};
+pub use crate::parser::parse_statement;
 pub use crate::result::QueryResult;

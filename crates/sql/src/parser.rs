@@ -59,7 +59,7 @@ pub fn parse_statement(sql: &str) -> Result<Statement> {
 }
 
 /// Parse a `;`-separated script into its statements.
-pub fn parse_script(sql: &str) -> Result<Vec<Statement>> {
+pub(crate) fn parse_script(sql: &str) -> Result<Vec<Statement>> {
     let mut parser = Parser::new(sql);
     let parsed = parser.parse_statements();
     parser.finish_lexing()?;

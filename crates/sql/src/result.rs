@@ -15,7 +15,7 @@ pub struct QueryResult {
 
 impl QueryResult {
     /// An empty result carrying only a status line (DDL/DML statements).
-    pub fn status_only(status: impl Into<String>) -> Self {
+    pub(crate) fn status_only(status: impl Into<String>) -> Self {
         QueryResult {
             columns: Vec::new(),
             rows: Vec::new(),
@@ -24,7 +24,7 @@ impl QueryResult {
     }
 
     /// A result with rows.
-    pub fn with_rows(columns: Vec<String>, rows: Vec<Vec<Value>>) -> Self {
+    pub(crate) fn with_rows(columns: Vec<String>, rows: Vec<Vec<Value>>) -> Self {
         let status = format!("SELECT {}", rows.len());
         QueryResult {
             columns,

@@ -93,7 +93,7 @@ pub enum TokenKind<'a> {
 
 impl TokenKind<'_> {
     /// A short human-readable description used in parse errors.
-    pub fn describe(&self) -> String {
+    pub(crate) fn describe(&self) -> String {
         match self {
             TokenKind::Keyword(k) => format!("keyword {k}"),
             TokenKind::Identifier(id) => format!("identifier {id}"),

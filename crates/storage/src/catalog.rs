@@ -62,7 +62,7 @@ pub const SNAPSHOT_FILE: &str = "catalog.snap";
 
 /// Smallest WAL size (bytes) at which the default rule folds the log into a
 /// snapshot; above it the threshold is the snapshot's own size (module docs).
-pub const DEFAULT_COMPACT_THRESHOLD: u64 = 1 << 20;
+pub(crate) const DEFAULT_COMPACT_THRESHOLD: u64 = 1 << 20;
 
 /// `CREATE` of an empty row table, as written before tables carried a layout
 /// (replayed, never written).
@@ -236,7 +236,7 @@ impl Database {
     }
 
     /// Whether this catalog is backed by a durable directory.
-    pub fn is_durable(&self) -> bool {
+    pub(crate) fn is_durable(&self) -> bool {
         self.durability.is_some()
     }
 

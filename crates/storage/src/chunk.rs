@@ -64,22 +64,17 @@ pub struct ValidityBitmap {
 
 impl ValidityBitmap {
     /// An empty bitmap.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         ValidityBitmap::default()
     }
 
     /// Number of rows tracked.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.len
     }
 
-    /// True when no rows are tracked.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
     /// Append one row's validity bit.
-    pub fn push(&mut self, valid: bool) {
+    pub(crate) fn push(&mut self, valid: bool) {
         let word = self.len / 64;
         if word == self.words.len() {
             self.words.push(0);
@@ -92,13 +87,8 @@ impl ValidityBitmap {
 
     /// Whether row `i` holds a real value; out-of-range rows read as NULL.
     #[inline]
-    pub fn is_valid(&self, i: usize) -> bool {
+    pub(crate) fn is_valid(&self, i: usize) -> bool {
         i < self.len && (self.words[i / 64] >> (i % 64)) & 1 == 1
-    }
-
-    /// Number of set (non-NULL) bits.
-    pub fn count_valid(&self) -> usize {
-        self.words.iter().map(|w| w.count_ones() as usize).sum()
     }
 
     fn encode(&self, out: &mut Vec<u8>) {
@@ -187,7 +177,7 @@ pub enum ColumnChunk {
 
 impl ColumnChunk {
     /// An empty chunk laid out for `dtype`.
-    pub fn empty(dtype: DataType) -> Self {
+    pub(crate) fn empty(dtype: DataType) -> Self {
         match dtype {
             DataType::Int => ColumnChunk::Int {
                 data: Vec::new(),
@@ -219,7 +209,7 @@ impl ColumnChunk {
     }
 
     /// Number of rows stored.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         match self {
             ColumnChunk::Int { validity, .. }
             | ColumnChunk::Double { validity, .. }
@@ -228,11 +218,6 @@ impl ColumnChunk {
             | ColumnChunk::Sparse { validity, .. } => validity.len(),
             ColumnChunk::Sequence { rows } => rows.len(),
         }
-    }
-
-    /// True when the chunk holds no rows.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Append one schema-validated value. The caller guarantees the value's
@@ -451,7 +436,7 @@ impl ColumnChunk {
     /// The contiguous `f64` payload of a `DENSE_VEC` chunk (all rows' entries
     /// back to back), or `None` for other layouts. This is the slice the
     /// scan-throughput bench and future SIMD kernels stream.
-    pub fn dense_data(&self) -> Option<&[f64]> {
+    pub(crate) fn dense_data(&self) -> Option<&[f64]> {
         match self {
             ColumnChunk::Dense { data, .. } => Some(data),
             _ => None,
@@ -645,7 +630,6 @@ mod tests {
             assert_eq!(v.is_valid(i), i % 3 != 0, "bit {i}");
         }
         assert!(!v.is_valid(500));
-        assert_eq!(v.count_valid(), (0..130).filter(|i| i % 3 != 0).count());
     }
 
     fn roundtrip(chunk: &ColumnChunk) {

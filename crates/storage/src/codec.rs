@@ -34,7 +34,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Bytes not yet consumed.
-    pub fn remaining(&self) -> usize {
+    pub(crate) fn remaining(&self) -> usize {
         self.bytes.len() - self.pos
     }
 
@@ -66,7 +66,7 @@ impl<'a> Reader<'a> {
     }
 
     /// The next 8 bytes as an `i64`.
-    pub fn i64(&mut self) -> Result<i64, StorageError> {
+    pub(crate) fn i64(&mut self) -> Result<i64, StorageError> {
         Ok(i64::from_le_bytes(self.take(8)?.try_into().expect("8B")))
     }
 
@@ -89,7 +89,7 @@ impl<'a> Reader<'a> {
     }
 
     /// A `u64` length prefix and that many bytes of UTF-8.
-    pub fn string(&mut self) -> Result<String, StorageError> {
+    pub(crate) fn string(&mut self) -> Result<String, StorageError> {
         let len = self.len_prefix(1)?;
         std::str::from_utf8(self.take(len)?)
             .map(str::to_string)

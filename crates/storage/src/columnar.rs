@@ -54,7 +54,7 @@ use crate::value::Value;
 /// Default number of rows per segment. Large enough that a dense d=54
 /// feature chunk spans ~100 KiB of contiguous `f64`s, small enough that the
 /// paged cache works at test scale.
-pub const DEFAULT_CHUNK_CAPACITY: usize = 1024;
+pub(crate) const DEFAULT_CHUNK_CAPACITY: usize = 1024;
 
 fn corrupt(msg: impl Into<String>) -> StorageError {
     StorageError::Corrupt(msg.into())
@@ -62,7 +62,7 @@ fn corrupt(msg: impl Into<String>) -> StorageError {
 
 /// One segment: every column's chunk for a contiguous run of rows.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Segment {
+pub(crate) struct Segment {
     rows: usize,
     columns: Vec<ColumnChunk>,
 }
@@ -81,18 +81,13 @@ impl Segment {
     }
 
     /// Number of rows stored.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.rows
     }
 
     /// True when the segment holds no rows.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.rows == 0
-    }
-
-    /// The chunk for column `i`.
-    pub fn column(&self, i: usize) -> Option<&ColumnChunk> {
-        self.columns.get(i)
     }
 
     /// Append one schema-validated row.
@@ -180,7 +175,7 @@ pub struct ColumnarTable {
 
 impl ColumnarTable {
     /// Create an empty in-memory columnar table with the default segment
-    /// size ([`DEFAULT_CHUNK_CAPACITY`] rows).
+    /// size (`DEFAULT_CHUNK_CAPACITY` rows).
     pub fn new(name: impl Into<String>, schema: Schema) -> Self {
         Self::with_chunk_capacity(name, schema, DEFAULT_CHUNK_CAPACITY)
     }
@@ -338,11 +333,6 @@ impl ColumnarTable {
         self.sealed_count() + usize::from(!self.open.is_empty())
     }
 
-    /// Resolve a column name to its ordinal position.
-    pub fn column_index(&self, name: &str) -> Result<usize, StorageError> {
-        self.schema.index_of(name)
-    }
-
     /// Cache/IO counters of the paged backing; `None` for in-memory tables.
     pub fn pager_stats(&self) -> Option<PagerStats> {
         match &self.backing {
@@ -448,28 +438,6 @@ impl ColumnarTable {
             pager.write_file(*sealed, &self.open)?;
         }
         self.write_manifest()
-    }
-
-    /// Fetch the tuple at `row` (storage order) as an owned value.
-    ///
-    /// Unlike [`Table::get`] this materializes the row (a paged segment may
-    /// be evicted at any time, so borrows cannot escape).
-    pub fn get(&self, row: usize) -> Result<Tuple, StorageError> {
-        if row >= self.row_count {
-            return Err(StorageError::RowOutOfRange {
-                row,
-                len: self.row_count,
-            });
-        }
-        let mut tuple = Tuple::default();
-        let seg = row / self.chunk_capacity;
-        let off = row % self.chunk_capacity;
-        if seg < self.sealed_count() {
-            self.sealed_segment(seg)?.read_row_into(off, &mut tuple);
-        } else {
-            self.open.read_row_into(off, &mut tuple);
-        }
-        Ok(tuple)
     }
 
     /// The one segment walk: rows `start..end` (clamped) in storage order as
@@ -642,10 +610,12 @@ mod tests {
             rs.insert(row(i)).unwrap();
         }
         assert_eq!(t.len(), rs.len());
-        for i in 0..n {
-            assert_eq!(&t.get(i).unwrap(), rs.get(i).unwrap(), "row {i}");
-        }
-        assert!(matches!(t.get(n), Err(StorageError::RowOutOfRange { .. })));
+        let mut i = 0;
+        t.scan_tuples(&mut |tuple| {
+            assert_eq!(tuple, rs.get(i).unwrap(), "row {i}");
+            i += 1;
+        });
+        assert_eq!(i, n);
     }
 
     #[test]
@@ -703,8 +673,8 @@ mod tests {
             table.scan_blocks(3, 41, &mut |block| {
                 for i in 0..block.len() {
                     let (cursor, tuple) = (block.row(i), &expected[seen]);
-                    assert_eq!(cursor.arity(), tuple.arity());
-                    for col in 0..tuple.arity() {
+                    assert_eq!(cursor.arity(), tuple.values().len());
+                    for col in 0..tuple.values().len() {
                         assert_eq!(&*cursor.value(col), &tuple.values()[col]);
                         assert_eq!(cursor.feature_view(col), tuple.feature_view(col));
                     }
@@ -776,9 +746,12 @@ mod tests {
         t.flush().unwrap();
         let t = ColumnarTable::open_paged(&dir, 2).unwrap();
         assert_eq!(t.len(), n + 10);
-        for i in 0..n + 10 {
-            assert_eq!(t.get(i).unwrap().get_int(0), Some(i as i64), "row {i}");
-        }
+        let mut i = 0;
+        t.scan_tuples(&mut |tuple| {
+            assert_eq!(tuple.get_int(0), Some(i as i64), "row {i}");
+            i += 1;
+        });
+        assert_eq!(i, n + 10);
     }
 
     /// A manifest carries the widths, so reopening reads no sealed segment
@@ -806,7 +779,7 @@ mod tests {
         bytes[middle] ^= 0x01;
         std::fs::write(&segment, bytes).unwrap();
         let mut t = ColumnarTable::open_paged(&dir, 2).unwrap();
-        assert!(t.get(5).is_err());
+        assert!(t.scan_dense_column(1, &mut |_| {}).is_err());
         t.insert(vec![
             Value::Int(16),
             Value::from(vec![1.0; 5]),

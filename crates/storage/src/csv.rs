@@ -254,11 +254,6 @@ pub fn tuples_to_string<S: TupleScan + ?Sized>(source: &S) -> String {
     out
 }
 
-/// Render a table to the delimited text format (no header).
-pub fn table_to_string(table: &Table) -> String {
-    tuples_to_string(table)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -284,7 +279,7 @@ mod tests {
     }
 
     fn roundtrip(t: &Table) -> Table {
-        table_from_str("back", t.schema().clone(), &table_to_string(t)).unwrap()
+        table_from_str("back", t.schema().clone(), &tuples_to_string(t)).unwrap()
     }
 
     #[test]
@@ -296,9 +291,12 @@ mod tests {
         assert_eq!(t.get(0).unwrap().feature_view(1).unwrap().dimension(), 2);
         assert_eq!(t.get(0).unwrap().feature_view(2).unwrap().nnz(), 2);
         assert!(t.get(1).unwrap().get(3).unwrap().is_null());
-        assert_eq!(t.get(1).unwrap().get_text(4), Some("bob"));
+        assert_eq!(
+            t.get(1).unwrap().get(4).and_then(Value::as_text),
+            Some("bob")
+        );
 
-        let rendered = table_to_string(&t);
+        let rendered = tuples_to_string(&t);
         let t2 = table_from_str("t2", schema(), &rendered).unwrap();
         assert_eq!(t2.len(), 2);
         assert_eq!(
@@ -339,7 +337,11 @@ mod tests {
         let back = roundtrip(&t);
         assert_eq!(back.len(), t.len());
         for (i, s) in adversarial.iter().enumerate() {
-            assert_eq!(back.get(i).unwrap().get_text(4), Some(*s), "row {i}");
+            assert_eq!(
+                back.get(i).unwrap().get(4).and_then(Value::as_text),
+                Some(*s),
+                "row {i}"
+            );
             assert_eq!(back.get(i).unwrap().get_int(0), Some(i as i64));
             assert_eq!(
                 back.get(i).unwrap().feature_view(1).unwrap().dimension(),
@@ -362,10 +364,19 @@ mod tests {
         t.insert(vec![Value::Int(3), Value::Text("NULL".into())])
             .unwrap();
         let back = roundtrip(&t);
-        assert_eq!(back.get(0).unwrap().get_text(1), Some("null"));
-        assert_eq!(back.get(1).unwrap().get_text(1), Some(""));
+        assert_eq!(
+            back.get(0).unwrap().get(1).and_then(Value::as_text),
+            Some("null")
+        );
+        assert_eq!(
+            back.get(1).unwrap().get(1).and_then(Value::as_text),
+            Some("")
+        );
         assert!(back.get(2).unwrap().get(1).unwrap().is_null());
-        assert_eq!(back.get(3).unwrap().get_text(1), Some("NULL"));
+        assert_eq!(
+            back.get(3).unwrap().get(1).and_then(Value::as_text),
+            Some("NULL")
+        );
     }
 
     #[test]
@@ -380,10 +391,13 @@ mod tests {
         let mut t = Table::new("t", schema);
         t.insert(vec![Value::Text("#hashtag".into()), Value::Int(1)])
             .unwrap();
-        let rendered = table_to_string(&t);
+        let rendered = tuples_to_string(&t);
         let back = table_from_str("back", t.schema().clone(), &rendered).unwrap();
         assert_eq!(back.len(), 1);
-        assert_eq!(back.get(0).unwrap().get_text(0), Some("#hashtag"));
+        assert_eq!(
+            back.get(0).unwrap().get(0).and_then(Value::as_text),
+            Some("#hashtag")
+        );
         // Unquoted `#` still starts a comment.
         let mixed = format!("# a real comment\n{rendered}");
         let back2 = table_from_str("b2", t.schema().clone(), &mixed).unwrap();
@@ -399,7 +413,10 @@ mod tests {
         ])
         .unwrap();
         let t = table_from_str("t", schema, text).unwrap();
-        assert_eq!(t.get(0).unwrap().get_text(0), Some("alice"));
+        assert_eq!(
+            t.get(0).unwrap().get(0).and_then(Value::as_text),
+            Some("alice")
+        );
         assert_eq!(t.get(0).unwrap().get_int(1), Some(7));
     }
 
@@ -472,6 +489,6 @@ mod tests {
             .unwrap();
         }
         let ct = crate::columnar::ColumnarTable::from_table(&t).unwrap();
-        assert_eq!(tuples_to_string(&ct), table_to_string(&t));
+        assert_eq!(tuples_to_string(&ct), tuples_to_string(&t));
     }
 }

@@ -20,9 +20,9 @@
 //! test can fail, short-write, or "crash" the process at any byte boundary
 //! and then prove that recovery restores a consistent state.
 //!
-//! Every file replaced as a whole is one **frame** ([`frame`] / [`unframe`],
+//! Every file replaced as a whole is one **frame** (`frame` / [`unframe`],
 //! layout in `docs/disk-format.md`): magic, format version, payload length,
-//! payload, [`checksum64`] of the payload. This module is the only place that
+//! payload, `checksum64` of the payload. This module is the only place that
 //! knows that layout, and the only place that still reads the layouts older
 //! commits wrote. The WAL is a log, not a whole file: it keeps its own record
 //! frame in [`crate::wal`].
@@ -211,7 +211,7 @@ pub(crate) fn truncate_file(file: &File, len: u64) -> io::Result<()> {
 /// `fsync` a directory so a rename or create inside it is durable. On
 /// platforms where directories cannot be opened for syncing this degrades to
 /// a no-op, matching what portable databases do.
-pub fn sync_dir(dir: &Path) -> io::Result<()> {
+pub(crate) fn sync_dir(dir: &Path) -> io::Result<()> {
     #[cfg(feature = "fault-injection")]
     fault::metadata_op()?;
     match File::open(dir) {
@@ -247,7 +247,7 @@ pub(crate) fn create_dir(path: &Path) -> io::Result<()> {
 /// contents survive a crash; if it errors (or the process dies inside it),
 /// `path` still holds its previous complete contents — the temp file may be
 /// left behind and is ignored/overwritten by the next write.
-pub fn atomic_write(path: &Path, bytes: &[u8]) -> io::Result<()> {
+pub(crate) fn atomic_write(path: &Path, bytes: &[u8]) -> io::Result<()> {
     let tmp = path.with_extension("tmp");
     {
         let mut file = create_file(&tmp)?;
@@ -327,7 +327,7 @@ fn le_word(bytes: &[u8]) -> u64 {
 /// bijection of the state it entered. Inputs of different length differ in
 /// the length word; the frame around the payload also checks the exact file
 /// size, so truncation and extension are always detected.
-pub fn checksum64(bytes: &[u8]) -> u64 {
+pub(crate) fn checksum64(bytes: &[u8]) -> u64 {
     let mut lanes = CHECKSUM_SEEDS;
     let mut stripes = bytes.chunks_exact(32);
     for stripe in &mut stripes {
@@ -427,8 +427,8 @@ impl FileKind {
 }
 
 /// Frame `payload` as a file of `kind`: magic, the family's current version
-/// (`u8`), payload length (`u64`), payload, [`checksum64`] of the payload.
-pub fn frame(kind: FileKind, payload: &[u8]) -> Vec<u8> {
+/// (`u8`), payload length (`u64`), payload, `checksum64` of the payload.
+pub(crate) fn frame(kind: FileKind, payload: &[u8]) -> Vec<u8> {
     let (magic, version, _) = kind.header();
     let mut bytes = Vec::with_capacity(payload.len() + 4 + 1 + 8 + 8);
     bytes.extend_from_slice(&magic);
@@ -479,7 +479,7 @@ pub fn unframe(kind: FileKind, bytes: &[u8]) -> Result<(u8, &[u8]), StorageError
 }
 
 /// Frame `payload` and atomically, durably replace the file at `path` with
-/// it ([`atomic_write`]). Returns the length of the file written.
+/// it (`atomic_write`). Returns the length of the file written.
 pub fn write_framed(path: &Path, kind: FileKind, payload: &[u8]) -> Result<u64, StorageError> {
     let bytes = frame(kind, payload);
     atomic_write(path, &bytes)

@@ -19,7 +19,7 @@ pub struct NullAggregate {
 
 impl NullAggregate {
     /// Fresh aggregate state.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         NullAggregate::default()
     }
 
@@ -34,7 +34,7 @@ impl NullAggregate {
     /// bare pointer walk and wildly overstate the relative cost of the
     /// gradient arithmetic.
     #[inline]
-    pub fn transition(&mut self, tuple: &Tuple) {
+    pub(crate) fn transition(&mut self, tuple: &Tuple) {
         self.tuples_seen += 1;
         let mut bytes = 0usize;
         for value in tuple.values() {
@@ -48,14 +48,8 @@ impl NullAggregate {
     }
 
     /// Terminate: report how many tuples were seen.
-    pub fn terminate(&self) -> usize {
+    pub(crate) fn terminate(&self) -> usize {
         self.tuples_seen
-    }
-
-    /// Merge two independently computed NULL aggregates (the UDA `merge`).
-    pub fn merge(&mut self, other: &NullAggregate) {
-        self.tuples_seen += other.tuples_seen;
-        self.bytes_seen += other.bytes_seen;
     }
 
     /// Run one full pass over a tuple source (row-store or columnar) and
@@ -107,20 +101,5 @@ mod tests {
         let t = table(10);
         let order: Vec<usize> = (0..10).rev().collect();
         assert_eq!(NullAggregate::run_epoch_permuted(&t, &order), 10);
-    }
-
-    #[test]
-    fn merge_adds_counts() {
-        let t = table(5);
-        let mut a = NullAggregate::new();
-        let mut b = NullAggregate::new();
-        for tuple in t.scan().take(2) {
-            a.transition(tuple);
-        }
-        for tuple in t.scan().skip(2) {
-            b.transition(tuple);
-        }
-        a.merge(&b);
-        assert_eq!(a.terminate(), 5);
     }
 }

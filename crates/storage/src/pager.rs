@@ -41,7 +41,7 @@ use crate::error::StorageError;
 use crate::schema::Schema;
 
 /// Manifest file name inside a paged table directory.
-pub const MANIFEST_FILE: &str = "columnar.meta";
+pub(crate) const MANIFEST_FILE: &str = "columnar.meta";
 
 fn corrupt(msg: impl Into<String>) -> StorageError {
     StorageError::Corrupt(msg.into())
@@ -77,7 +77,7 @@ const MAX_WIDTH: u64 = 1 << 32;
 
 impl Manifest {
     /// Atomically write the manifest into `dir`.
-    pub fn write(&self, dir: &Path) -> Result<(), StorageError> {
+    pub(crate) fn write(&self, dir: &Path) -> Result<(), StorageError> {
         let widths = self
             .widths
             .as_deref()
@@ -94,7 +94,7 @@ impl Manifest {
     }
 
     /// Read and validate the manifest from `dir`.
-    pub fn read(dir: &Path) -> Result<Self, StorageError> {
+    pub(crate) fn read(dir: &Path) -> Result<Self, StorageError> {
         let path = dir.join(MANIFEST_FILE);
         let bytes = read_file(&path).map_err(|e| io_err(&path, e))?;
         let (version, payload) = unframe(FileKind::Manifest, &bytes)?;
@@ -187,7 +187,7 @@ impl std::fmt::Debug for PagerInner {
 impl Pager {
     /// Create a pager over `dir` (created if missing) holding at most
     /// `capacity` segments in memory (clamped to at least 1).
-    pub fn create(dir: &Path, capacity: usize) -> Result<Self, StorageError> {
+    pub(crate) fn create(dir: &Path, capacity: usize) -> Result<Self, StorageError> {
         create_dir(dir).map_err(|e| io_err(dir, e))?;
         Ok(Pager {
             dir: dir.to_path_buf(),
@@ -205,12 +205,12 @@ impl Pager {
     }
 
     /// The table directory this pager serves.
-    pub fn dir(&self) -> &Path {
+    pub(crate) fn dir(&self) -> &Path {
         &self.dir
     }
 
     /// Maximum number of segments held in memory.
-    pub fn capacity(&self) -> usize {
+    pub(crate) fn capacity(&self) -> usize {
         self.capacity
     }
 
@@ -221,14 +221,18 @@ impl Pager {
     /// Durably write the file of segment `idx` without caching it: all that
     /// `flush` needs for the still-open tail, which no fetch asks for until
     /// it seals.
-    pub fn write_file(&self, idx: usize, segment: &Segment) -> Result<(), StorageError> {
+    pub(crate) fn write_file(&self, idx: usize, segment: &Segment) -> Result<(), StorageError> {
         let mut payload = Vec::new();
         segment.encode(&mut payload);
         write_framed(&self.seg_path(idx), FileKind::Segment, &payload).map(|_| ())
     }
 
     /// Durably write sealed segment `idx` and (re)cache it.
-    pub fn write_segment(&self, idx: usize, segment: Arc<Segment>) -> Result<(), StorageError> {
+    pub(crate) fn write_segment(
+        &self,
+        idx: usize,
+        segment: Arc<Segment>,
+    ) -> Result<(), StorageError> {
         self.write_file(idx, &segment)?;
         let mut inner = self.lock();
         inner.cache.remove(&idx);
@@ -287,7 +291,7 @@ impl Pager {
     }
 
     /// Fetch segment `idx`, from cache or disk.
-    pub fn fetch(&self, idx: usize) -> Result<Arc<Segment>, StorageError> {
+    pub(crate) fn fetch(&self, idx: usize) -> Result<Arc<Segment>, StorageError> {
         let mut inner = self.lock();
         let sequential = inner.last_fetch.is_none_or(|prev| idx == prev + 1);
         inner.last_fetch = Some(idx);
@@ -306,7 +310,7 @@ impl Pager {
     }
 
     /// Snapshot the cumulative counters.
-    pub fn stats(&self) -> PagerStats {
+    pub(crate) fn stats(&self) -> PagerStats {
         PagerStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),

@@ -93,7 +93,7 @@ impl Schema {
     }
 
     /// Column at ordinal position `i`.
-    pub fn column(&self, i: usize) -> Option<&Column> {
+    pub(crate) fn column(&self, i: usize) -> Option<&Column> {
         self.columns.get(i)
     }
 
@@ -107,7 +107,7 @@ impl Schema {
 
     /// Validate a row of values against this schema: arity, nullability and
     /// per-column type (integers are accepted where doubles are declared).
-    pub fn validate(&self, values: &[Value]) -> Result<(), StorageError> {
+    pub(crate) fn validate(&self, values: &[Value]) -> Result<(), StorageError> {
         if values.len() != self.columns.len() {
             return Err(StorageError::ArityMismatch {
                 expected: self.columns.len(),

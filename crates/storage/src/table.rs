@@ -14,7 +14,7 @@ use crate::value::Value;
 
 /// Number of tuples per page. Small enough that multi-page behaviour is
 /// exercised by unit tests, large enough to amortize the per-page overhead.
-pub const PAGE_CAPACITY: usize = 256;
+pub(crate) const PAGE_CAPACITY: usize = 256;
 
 /// A page holding up to [`PAGE_CAPACITY`] tuples.
 #[derive(Debug, Clone, Default)]
@@ -77,11 +77,6 @@ impl Table {
         self.row_count == 0
     }
 
-    /// Number of pages currently allocated.
-    pub fn page_count(&self) -> usize {
-        self.pages.len()
-    }
-
     /// Validate and append a row, returning its row id (position in storage
     /// order).
     pub fn insert(&mut self, values: Vec<Value>) -> Result<usize, StorageError> {
@@ -137,22 +132,9 @@ impl Table {
         order.iter().filter_map(move |&row| self.get(row).ok())
     }
 
-    /// Iterate over a contiguous range of rows `[start, end)` in storage
-    /// order; used for shared-nothing segment scans.
-    pub fn scan_range(&self, start: usize, end: usize) -> impl Iterator<Item = &Tuple> + '_ {
-        let end = end.min(self.row_count);
-        let start = start.min(end);
-        (start..end).map(move |row| self.get(row).expect("row within validated range"))
-    }
-
     /// Total approximate size of the stored tuples in bytes (Table 1 stats).
     pub fn approx_bytes(&self) -> usize {
         self.scan().map(Tuple::approx_bytes).sum()
-    }
-
-    /// Resolve a column name to its ordinal position.
-    pub fn column_index(&self, name: &str) -> Result<usize, StorageError> {
-        self.schema.index_of(name)
     }
 }
 
@@ -232,7 +214,6 @@ mod tests {
                 .unwrap();
         }
         assert_eq!(t.len(), n);
-        assert_eq!(t.page_count(), 3);
         // Storage order is insertion order across pages.
         let ids: Vec<i64> = t.scan().map(|tup| tup.get_int(0).unwrap()).collect();
         assert_eq!(ids.len(), n);
@@ -258,30 +239,9 @@ mod tests {
     }
 
     #[test]
-    fn scan_range_clamps() {
-        let mut t = table();
-        for i in 0..10 {
-            t.insert(vec![Value::Int(i), Value::Double(0.0)]).unwrap();
-        }
-        let ids: Vec<i64> = t
-            .scan_range(7, 100)
-            .map(|tup| tup.get_int(0).unwrap())
-            .collect();
-        assert_eq!(ids, vec![7, 8, 9]);
-        assert_eq!(t.scan_range(5, 3).count(), 0);
-    }
-
-    #[test]
     fn insert_all_counts() {
         let mut t = table();
         let rows = (0..4).map(|i| vec![Value::Int(i), Value::Double(0.0)]);
         assert_eq!(t.insert_all(rows).unwrap(), 4);
-    }
-
-    #[test]
-    fn column_index_delegates_to_schema() {
-        let t = table();
-        assert_eq!(t.column_index("label").unwrap(), 1);
-        assert!(t.column_index("missing").is_err());
     }
 }

@@ -20,11 +20,6 @@ impl Tuple {
         Tuple { values }
     }
 
-    /// Number of columns.
-    pub fn arity(&self) -> usize {
-        self.values.len()
-    }
-
     /// All values.
     pub fn values(&self) -> &[Value] {
         &self.values
@@ -45,11 +40,6 @@ impl Tuple {
         self.values.get(i).and_then(Value::as_int)
     }
 
-    /// Text at position `i`.
-    pub fn get_text(&self, i: usize) -> Option<&str> {
-        self.values.get(i).and_then(Value::as_text)
-    }
-
     /// Zero-copy feature-vector view (dense or sparse) at position `i`.
     ///
     /// The view borrows the stored payload directly, so reading a feature
@@ -65,13 +55,8 @@ impl Tuple {
     }
 
     /// Approximate in-memory footprint in bytes.
-    pub fn approx_bytes(&self) -> usize {
+    pub(crate) fn approx_bytes(&self) -> usize {
         self.values.iter().map(Value::approx_bytes).sum()
-    }
-
-    /// Consume into the underlying values.
-    pub fn into_values(self) -> Vec<Value> {
-        self.values
     }
 
     /// Mutable access for scratch-tuple reuse on the columnar scan path.
@@ -104,10 +89,10 @@ mod tests {
     #[test]
     fn typed_accessors() {
         let t = example();
-        assert_eq!(t.arity(), 5);
+        assert_eq!(t.values().len(), 5);
         assert_eq!(t.get_int(0), Some(7));
         assert_eq!(t.get_double(2), Some(-1.0));
-        assert_eq!(t.get_text(3), Some("paper"));
+        assert_eq!(t.get(3).and_then(Value::as_text), Some("paper"));
         assert_eq!(t.feature_view(1).unwrap().dimension(), 2);
         assert_eq!(t.feature_view(4).unwrap().nnz(), 1);
         assert!(t.get_sequence(0).is_none());
@@ -118,7 +103,6 @@ mod tests {
         let t = example();
         assert!(t.get(9).is_none());
         assert!(t.get_double(9).is_none());
-        assert!(t.get_text(9).is_none());
     }
 
     #[test]
@@ -126,12 +110,5 @@ mod tests {
         let t = example();
         let total: usize = t.values().iter().map(Value::approx_bytes).sum();
         assert_eq!(t.approx_bytes(), total);
-    }
-
-    #[test]
-    fn into_values_roundtrip() {
-        let t = example();
-        let vals = t.clone().into_values();
-        assert_eq!(Tuple::from(vals), t);
     }
 }

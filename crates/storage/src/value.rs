@@ -91,7 +91,7 @@ impl Value {
     }
 
     /// Borrow as a label sequence, `None` otherwise.
-    pub fn as_sequence(&self) -> Option<&[(SparseVector, u32)]> {
+    pub(crate) fn as_sequence(&self) -> Option<&[(SparseVector, u32)]> {
         match self {
             Value::Sequence(s) => Some(s),
             _ => None,
@@ -100,7 +100,7 @@ impl Value {
 
     /// Approximate in-memory footprint in bytes, used for Table 1 style
     /// dataset statistics.
-    pub fn approx_bytes(&self) -> usize {
+    pub(crate) fn approx_bytes(&self) -> usize {
         match self {
             Value::Null => 1,
             Value::Int(_) => 8,

@@ -41,10 +41,10 @@ use crate::durable::{self, fnv1a64};
 use crate::error::StorageError;
 
 /// Magic bytes identifying a Bismarck WAL file.
-pub const WAL_MAGIC: [u8; 4] = *b"BWAL";
+const WAL_MAGIC: [u8; 4] = *b"BWAL";
 
 /// Current WAL format version.
-pub const WAL_VERSION: u32 = 1;
+const WAL_VERSION: u32 = 1;
 
 /// Size of the file header preceding the first record.
 pub const WAL_HEADER_LEN: u64 = 8;
@@ -77,7 +77,7 @@ fn header_bytes() -> [u8; WAL_HEADER_LEN as usize] {
 
 /// One decoded log record.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WalRecord {
+pub(crate) struct WalRecord {
     /// The record's log sequence number.
     pub lsn: u64,
     /// Opaque operation payload (decoded by the catalog layer).
@@ -86,7 +86,7 @@ pub struct WalRecord {
 
 /// The outcome of scanning a WAL file during recovery.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WalReplay {
+pub(crate) struct WalReplay {
     /// Records recovered, in log order.
     pub records: Vec<WalRecord>,
     /// Length of the valid prefix of the file; the writer reopens at this
@@ -99,7 +99,7 @@ pub struct WalReplay {
 impl WalReplay {
     /// The LSN the next append should use, considering only the log itself
     /// (the caller takes the max with the snapshot's LSN).
-    pub fn next_lsn(&self) -> u64 {
+    pub(crate) fn next_lsn(&self) -> u64 {
         self.records.last().map_or(1, |r| r.lsn + 1)
     }
 }
@@ -110,7 +110,7 @@ impl WalReplay {
 /// than the header (a crash during creation) recovers as empty with
 /// `valid_len == 0`; a full header with the wrong magic or version is a hard
 /// error — that file is not ours to truncate.
-pub fn replay(bytes: &[u8]) -> Result<WalReplay, StorageError> {
+pub(crate) fn replay(bytes: &[u8]) -> Result<WalReplay, StorageError> {
     if (bytes.len() as u64) < WAL_HEADER_LEN {
         return Ok(WalReplay {
             records: Vec::new(),
@@ -221,7 +221,11 @@ impl WalWriter {
     /// Reopen an existing log after [`replay`], dropping anything beyond the
     /// valid prefix so new appends extend good data. A `valid_len` below the
     /// header length (crash during creation) rewrites the header.
-    pub fn open(path: &Path, valid_len: u64, next_lsn: u64) -> Result<WalWriter, StorageError> {
+    pub(crate) fn open(
+        path: &Path,
+        valid_len: u64,
+        next_lsn: u64,
+    ) -> Result<WalWriter, StorageError> {
         if valid_len < WAL_HEADER_LEN {
             let mut writer = WalWriter::create(path)?;
             writer.next_lsn = next_lsn;
@@ -252,7 +256,7 @@ impl WalWriter {
     }
 
     /// The LSN the next append will stamp.
-    pub fn next_lsn(&self) -> u64 {
+    pub(crate) fn next_lsn(&self) -> u64 {
         self.next_lsn
     }
 
@@ -312,7 +316,7 @@ impl WalWriter {
     /// Truncate the log back to its header after a snapshot has durably
     /// captured everything up to the current LSN. LSNs keep increasing across
     /// the reset so snapshot/log consistency checks stay monotone.
-    pub fn reset(&mut self) -> Result<(), StorageError> {
+    pub(crate) fn reset(&mut self) -> Result<(), StorageError> {
         durable::truncate_file(&self.file, WAL_HEADER_LEN)
             .map_err(|e| io_err("truncate", &self.path, e))?;
         durable::sync_file(&self.file).map_err(|e| io_err("sync", &self.path, e))?;

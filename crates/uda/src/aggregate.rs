@@ -107,53 +107,6 @@ impl Aggregate for CountAggregate {
     }
 }
 
-/// An `AVG(column)` aggregate over a double column; exercises a stateful
-/// merge (sum and count are the "sufficient statistics" mentioned in
-/// Section 3.3).
-#[derive(Debug, Clone, Copy)]
-pub struct AvgAggregate {
-    /// Ordinal position of the column to average.
-    pub column: usize,
-}
-
-/// Running sum and count for [`AvgAggregate`].
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct AvgState {
-    /// Sum of observed values.
-    pub sum: f64,
-    /// Number of non-NULL observed values.
-    pub count: u64,
-}
-
-impl Aggregate for AvgAggregate {
-    type State = AvgState;
-    type Output = Option<f64>;
-
-    fn initialize(&self) -> AvgState {
-        AvgState::default()
-    }
-
-    fn transition(&self, state: &mut AvgState, tuple: &Tuple) {
-        if let Some(v) = tuple.get_double(self.column) {
-            state.sum += v;
-            state.count += 1;
-        }
-    }
-
-    fn merge(&self, left: &mut AvgState, right: AvgState) {
-        left.sum += right.sum;
-        left.count += right.count;
-    }
-
-    fn terminate(&self, state: AvgState) -> Option<f64> {
-        if state.count == 0 {
-            None
-        } else {
-            Some(state.sum / state.count as f64)
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -185,31 +138,5 @@ mod tests {
         let mut a = 2u64;
         agg.merge(&mut a, 5);
         assert_eq!(a, 7);
-    }
-
-    #[test]
-    fn avg_aggregate_computes_mean() {
-        let t = table(&[1.0, 2.0, 6.0]);
-        let agg = AvgAggregate { column: 0 };
-        let mut state = agg.initialize();
-        for tup in t.scan() {
-            agg.transition(&mut state, tup);
-        }
-        assert_eq!(agg.terminate(state), Some(3.0));
-    }
-
-    #[test]
-    fn avg_of_empty_is_none() {
-        let agg = AvgAggregate { column: 0 };
-        assert_eq!(agg.terminate(agg.initialize()), None);
-    }
-
-    #[test]
-    fn avg_merge_combines_sufficient_statistics() {
-        let agg = AvgAggregate { column: 0 };
-        let mut left = AvgState { sum: 3.0, count: 2 };
-        let right = AvgState { sum: 9.0, count: 1 };
-        agg.merge(&mut left, right);
-        assert_eq!(agg.terminate(left), Some(4.0));
     }
 }

@@ -238,7 +238,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::aggregate::{AvgAggregate, CountAggregate};
+    use crate::aggregate::CountAggregate;
     use bismarck_storage::{Column, DataType, ScanOrder, Schema, Table, Value};
 
     fn table(n: usize) -> Table {
@@ -253,6 +253,54 @@ mod tests {
                 .unwrap();
         }
         t
+    }
+
+    /// `AVG(column)` over a double column: a stateful merge (sum and count
+    /// are the "sufficient statistics" mentioned in Section 3.3).
+    #[derive(Debug, Clone, Copy)]
+    struct AvgAggregate {
+        column: usize,
+    }
+
+    /// Running sum and count of non-NULL values for [`AvgAggregate`].
+    #[derive(Debug, Clone, Copy, Default, PartialEq)]
+    struct AvgState {
+        sum: f64,
+        count: u64,
+    }
+
+    impl Aggregate for AvgAggregate {
+        type State = AvgState;
+        type Output = Option<f64>;
+
+        fn initialize(&self) -> AvgState {
+            AvgState::default()
+        }
+
+        fn transition(&self, state: &mut AvgState, tuple: &bismarck_storage::Tuple) {
+            if let Some(v) = tuple.get_double(self.column) {
+                state.sum += v;
+                state.count += 1;
+            }
+        }
+
+        fn merge(&self, left: &mut AvgState, right: AvgState) {
+            left.sum += right.sum;
+            left.count += right.count;
+        }
+
+        fn terminate(&self, state: AvgState) -> Option<f64> {
+            (state.count > 0).then(|| state.sum / state.count as f64)
+        }
+    }
+
+    #[test]
+    fn avg_of_nothing_is_none_and_merge_adds_sufficient_statistics() {
+        let agg = AvgAggregate { column: 0 };
+        assert_eq!(agg.terminate(agg.initialize()), None);
+        let mut left = AvgState { sum: 3.0, count: 2 };
+        agg.merge(&mut left, AvgState { sum: 9.0, count: 1 });
+        assert_eq!(agg.terminate(left), Some(4.0));
     }
 
     #[test]

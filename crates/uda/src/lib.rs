@@ -21,11 +21,12 @@
 //!   trainer enters.
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
-pub mod aggregate;
-pub mod convergence;
-pub mod epoch;
-pub mod executor;
+mod aggregate;
+mod convergence;
+mod epoch;
+mod executor;
 
 pub use crate::aggregate::{transition_tuples, Aggregate, CountAggregate};
 pub use crate::convergence::ConvergenceTest;

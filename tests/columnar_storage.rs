@@ -3,7 +3,7 @@
 //!
 //! Five claims are pinned here:
 //!
-//! 1. `table_to_string` → `table_from_str` is the identity for every value
+//! 1. `tuples_to_string` → `table_from_str` is the identity for every value
 //!    the storage layer can hold — including adversarial TEXT payloads full
 //!    of delimiters, quotes, newlines and `#` — and renders the *same* bytes
 //!    whether the rows live in a row-store `Table` or a `ColumnarTable`.
@@ -127,7 +127,7 @@ fn kept_widths<S: TupleScan + ?Sized>(source: &S, arity: usize) -> Vec<usize> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// `table_to_string` → `table_from_str` is the identity, and the rendered
+    /// `tuples_to_string` → `table_from_str` is the identity, and the rendered
     /// text is byte-identical between row-store and columnar sources.
     #[test]
     fn text_format_roundtrips_row_and_columnar(

@@ -260,3 +260,77 @@ fn a_model_table_with_an_idx_out_of_range_is_an_error_not_a_panic() {
         }
     }
 }
+
+/// Runs `sql` under `catch_unwind`: it must return an error, not panic, and
+/// the session must answer the statement after it.
+fn fails_without_panicking(session: &mut SqlSession, sql: &str, next: &str) {
+    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| session.execute(sql)))
+        .unwrap_or_else(|_| panic!("{sql} panicked"));
+    assert!(result.is_err(), "{sql} must fail, got {result:?}");
+    session
+        .execute(next)
+        .unwrap_or_else(|e| panic!("after {sql} the session must still answer: {e}"));
+}
+
+/// A session holding `r (i INT, j INT, v DOUBLE)` with a few ratings.
+fn ratings_session() -> SqlSession {
+    let mut session = SqlSession::new();
+    for sql in [
+        "CREATE TABLE r (i INT, j INT, v DOUBLE)",
+        "INSERT INTO r VALUES (0, 0, 1.0), (0, 1, 2.0), (1, 0, 3.0)",
+    ] {
+        session.execute(sql).unwrap();
+    }
+    session
+}
+
+#[test]
+fn lmf_with_rank_zero_is_an_error_not_a_panic() {
+    let mut session = ratings_session();
+    fails_without_panicking(
+        &mut session,
+        "SELECT LMFTrain('m', 'r', 'i', 'j', 'v', 2, 2, 0)",
+        "SELECT COUNT(*) FROM r",
+    );
+}
+
+#[test]
+fn lmf_whose_model_size_overflows_is_an_error_not_a_panic() {
+    // (2^62 + 0) × 4 overflows a usize.
+    let mut session = ratings_session();
+    fails_without_panicking(
+        &mut session,
+        "SELECT LMFTrain('m', 'r', 'i', 'j', 'v', 4611686018427387904, 0, 4)",
+        "SELECT COUNT(*) FROM r",
+    );
+}
+
+#[test]
+fn lmf_whose_model_cannot_be_allocated_is_an_error_not_a_panic() {
+    // 2^61 + 2 components fit a usize, but not 8 bytes each in an
+    // allocation.
+    let mut session = ratings_session();
+    fails_without_panicking(
+        &mut session,
+        "SELECT LMFTrain('m', 'r', 'i', 'j', 'v', 2305843009213693952, 2, 1)",
+        "SELECT COUNT(*) FROM r",
+    );
+}
+
+#[test]
+fn crf_whose_label_alphabet_overflows_the_model_is_an_error_not_a_panic() {
+    use bismarck_linalg::SparseVector;
+    use bismarck_storage::{Column, DataType, Schema, Table};
+
+    let schema = Schema::new(vec![Column::new("s", DataType::Sequence)]).unwrap();
+    let mut seqs = Table::new("seqs", schema);
+    let position = (SparseVector::from_pairs(vec![(0, 1.0)]), u32::MAX);
+    seqs.insert(vec![Value::Sequence(vec![position])]).unwrap();
+    let mut session = SqlSession::new();
+    session.register_table(seqs).unwrap();
+    fails_without_panicking(
+        &mut session,
+        "SELECT CRFTrain('m', 'seqs', 's')",
+        "SELECT COUNT(*) FROM seqs",
+    );
+}
