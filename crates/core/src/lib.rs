@@ -12,7 +12,9 @@
 //!
 //! * [`task::IgdTask`] — the handful of functions a developer writes to add a
 //!   new analytics technique ("as little as ten lines of C code" in the
-//!   paper; comparably small here, see [`tasks::svm`] vs [`tasks::logistic`]);
+//!   paper; comparably small here: a linear technique is one
+//!   [`tasks::LinearLoss`] impl, see [`tasks::HingeLoss`] vs
+//!   [`tasks::LogisticLoss`]);
 //! * the [`tasks`] module — every task from Figure 1(B): logistic regression,
 //!   SVM classification, low-rank matrix factorization, conditional random
 //!   fields, least squares / Kalman smoothing, and portfolio optimization;

@@ -10,10 +10,11 @@
 //! convergence, persistence — is shared infrastructure.
 //!
 //! A task whose step and loss depend on a row only through one (feature
-//! vector, label) pair — LR, SVM, least squares — writes them once as an
-//! [`ExampleTask`] and declares it through [`IgdTask::examples`]; the
-//! storage-order passes over a columnar table then feed it examples borrowed
-//! from the stored columns instead of a tuple rebuilt per row.
+//! vector, label) pair — every [`crate::tasks::LinearTask`]: LR, SVM, least
+//! squares — is also an [`ExampleTask`] and declares it through
+//! [`IgdTask::examples`]; the storage-order passes over a columnar table then
+//! feed it examples borrowed from the stored columns instead of a tuple
+//! rebuilt per row.
 
 use bismarck_linalg::FeatureVectorRef;
 use bismarck_storage::{ExampleRows, Tuple};
@@ -87,25 +88,13 @@ pub trait IgdTask: Send + Sync {
     fn examples(&self) -> Option<&dyn ExampleTask> {
         None
     }
-
-    /// Full objective value: `Σ_i f_i(w) + P(w)` over a set of tuples.
-    fn objective<'a>(&self, model: &[f64], tuples: impl Iterator<Item = &'a Tuple>) -> f64
-    where
-        Self: Sized,
-    {
-        let mut total = self.regularizer(model);
-        for tuple in tuples {
-            total += self.example_loss(model, tuple);
-        }
-        total
-    }
 }
 
-/// The part of a linear task (LR, SVM, least squares) that differs from its
-/// siblings: the step and the loss on one `(x, y)` example, wherever the
-/// example is borrowed from. The tuple and block forms are provided on top,
-/// so the per-example arithmetic is the same kernel calls in the same order
-/// whichever way a row arrives.
+/// The step and the loss of a task on one `(x, y)` example, wherever the
+/// example is borrowed from. The block forms are provided on top; the
+/// task's per-tuple [`IgdTask`] methods run the same two on the row's
+/// example, so the per-example arithmetic is the same kernel calls in the
+/// same order whichever way a row arrives.
 ///
 /// A row whose features or label is NULL (or not a vector / a number) is no
 /// example: it takes no step and contributes exactly `0.0` to the loss.
@@ -118,23 +107,6 @@ pub trait ExampleTask: Sync {
 
     /// The loss term of one example.
     fn loss(&self, model: &[f64], x: FeatureVectorRef<'_>, y: f64) -> f64;
-
-    /// [`IgdTask::gradient_step`] of a task that declares examples.
-    fn step_tuple(&self, model: &mut dyn ModelStore, tuple: &Tuple, alpha: f64) {
-        let (features, label) = self.columns();
-        if let (Some(x), Some(y)) = (tuple.feature_view(features), tuple.get_double(label)) {
-            self.step(model, x, y, alpha);
-        }
-    }
-
-    /// [`IgdTask::example_loss`] of a task that declares examples.
-    fn loss_tuple(&self, model: &[f64], tuple: &Tuple) -> f64 {
-        let (features, label) = self.columns();
-        match (tuple.feature_view(features), tuple.get_double(label)) {
-            (Some(x), Some(y)) => self.loss(model, x, y),
-            _ => 0.0,
-        }
-    }
 
     /// One step per example of `rows`, in order.
     fn step_rows(&self, model: &mut dyn ModelStore, rows: &ExampleRows<'_>, alpha: f64) {
@@ -211,13 +183,6 @@ mod tests {
             }
         }
         assert!((store.read(0) - 3.0).abs() < 0.2);
-    }
-
-    #[test]
-    fn objective_sums_examples_and_regularizer() {
-        let t = table(&[1.0, 3.0]);
-        let obj = MeanTask.objective(&[2.0], t.scan());
-        assert!((obj - 1.0).abs() < 1e-12);
     }
 
     #[test]

@@ -70,11 +70,14 @@ fn config_with_overrides(
 ) -> Result<TrainerConfig> {
     let mut config = base;
     if let Some(step) = args.get(first_optional) {
-        let step = step.as_double().filter(|s| *s > 0.0).ok_or_else(|| {
-            SqlError::Analytics(format!(
-                "{function}() optional step-size argument must be a positive number"
-            ))
-        })?;
+        let step = step
+            .as_double()
+            .filter(|s| s.is_finite() && *s > 0.0)
+            .ok_or_else(|| {
+                SqlError::Analytics(format!(
+                    "{function}() optional step-size argument must be a positive finite number"
+                ))
+            })?;
         config = config.with_step_size(StepSizeSchedule::Constant(step));
     }
     if let Some(epochs) = args.get(first_optional + 1) {

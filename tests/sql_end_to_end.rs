@@ -334,3 +334,29 @@ fn crf_whose_label_alphabet_overflows_the_model_is_an_error_not_a_panic() {
         "SELECT COUNT(*) FROM seqs",
     );
 }
+
+#[test]
+fn an_infinite_step_size_is_an_error_and_persists_no_model() {
+    // `+inf` passed the old `step > 0` test: the run diverged to NaN and
+    // its NaN weights were persisted as `m`.
+    for step in ["1e999", "POWER(10.0, 400.0)", "EXP(1000.0)"] {
+        let mut session = SqlSession::new();
+        for sql in [
+            "CREATE TABLE d (vec DENSE_VEC, label DOUBLE)",
+            "INSERT INTO d VALUES (ARRAY[1.0, 0.5], 1.0), (ARRAY[-1.0, 0.2], -1.0), \
+             (ARRAY[0.8, -0.4], 1.0)",
+        ] {
+            session.execute(sql).unwrap();
+        }
+        let sql = format!("SELECT LRTrain('m', 'd', 'vec', 'label', {step}, 3)");
+        let err = session.execute(&sql).unwrap_err();
+        assert!(
+            matches!(&err, SqlError::Analytics(m) if m.contains("positive finite number")),
+            "{sql}: {err:?}"
+        );
+        assert!(!session.database().contains("m"), "{sql} persisted a model");
+        session
+            .execute("SELECT COUNT(*) FROM d")
+            .unwrap_or_else(|e| panic!("after {sql} the session must still answer: {e}"));
+    }
+}

@@ -4,15 +4,17 @@
 
 use bismarck_core::task::IgdTask;
 use bismarck_core::tasks::{
-    CrfTask, KalmanTask, LeastSquaresTask, LmfTask, LogisticRegressionTask, PortfolioTask, SvmTask,
+    CrfTask, KalmanTask, LeastSquaresTask, LinearLoss, LinearTask, LmfTask, LogisticRegressionTask,
+    PortfolioTask, SvmTask,
 };
-use bismarck_core::{StepSizeSchedule, Trainer, TrainerConfig};
+use bismarck_core::{ModelStore, StepSizeSchedule, Trainer, TrainerConfig};
 use bismarck_datagen::{
     dense_classification, labeled_sequences, ratings_table, returns_table, sparse_classification,
     timeseries_table, DenseClassificationConfig, RatingsConfig, ReturnsConfig, SequenceConfig,
     SparseClassificationConfig, TimeSeriesConfig,
 };
-use bismarck_storage::{ScanOrder, Table};
+use bismarck_linalg::FeatureVectorRef;
+use bismarck_storage::{Column, ColumnarTable, DataType, ScanOrder, Schema, Table, Value};
 use bismarck_uda::ConvergenceTest;
 
 fn config(epochs: usize, step: StepSizeSchedule) -> TrainerConfig {
@@ -212,4 +214,71 @@ fn developer_effort_is_small_across_tasks() {
         assert!(trained.final_loss().unwrap().is_finite());
         assert_eq!(trained.model.len(), 8);
     }
+}
+
+/// A fourth linear technique, written outside the crate: the squared hinge
+/// `max(0, 1 − y·wᵀx)²`. Its name, transition and loss are all it takes.
+struct SquaredHingeLoss;
+
+impl LinearLoss for SquaredHingeLoss {
+    const NAME: &'static str = "SQH";
+    type L1 = f64;
+
+    fn step(model: &mut dyn ModelStore, x: FeatureVectorRef<'_>, y: f64, alpha: f64) {
+        let m = 1.0 - y * model.dot_view(x);
+        if m > 0.0 {
+            model.axpy_view(x, 2.0 * alpha * y * m);
+        }
+    }
+
+    fn loss(model: &[f64], x: FeatureVectorRef<'_>, y: f64) -> f64 {
+        (1.0 - y * x.dot(model)).max(0.0).powi(2)
+    }
+}
+
+fn bits(values: &[f64]) -> Vec<u64> {
+    values.iter().map(|v| v.to_bits()).collect()
+}
+
+#[test]
+fn a_new_linear_technique_is_one_loss_impl() {
+    // Separable: |x0| ≥ 0.2 and its sign is the label. One row has no
+    // example (NULL features).
+    let schema = Schema::new(vec![
+        Column::nullable("vec", DataType::DenseVec),
+        Column::new("label", DataType::Double),
+    ])
+    .unwrap();
+    let mut rows = Table::new("separable", schema);
+    for i in 0..300 {
+        let (a, b) = ((i as f64 * 0.37).sin(), (i as f64 * 0.11).cos());
+        let y = if a >= 0.0 { 1.0 } else { -1.0 };
+        let x = vec![a + 0.2 * y, b];
+        rows.insert(vec![Value::from(x), Value::Double(y)]).unwrap();
+    }
+    rows.insert(vec![Value::Null, Value::Double(1.0)]).unwrap();
+    let columns = ColumnarTable::from_table(&rows).unwrap();
+
+    let task = LinearTask::<SquaredHingeLoss>::new(0, 1, 2).with_l1(1e-3);
+    assert!(task.examples().is_some(), "the block path serves it as is");
+    let cfg = TrainerConfig::default()
+        .with_scan_order(ScanOrder::Clustered)
+        .with_step_size(StepSizeSchedule::Constant(0.05))
+        .with_convergence(ConvergenceTest::FixedEpochs(10));
+    let trainer = Trainer::new(&task, cfg);
+    let on_rows = trainer.train(&rows);
+    let on_columns = trainer.train(&columns);
+    assert_eq!(on_rows.task_name, "SQH");
+    assert_eq!(bits(&on_rows.model), bits(&on_columns.model));
+    assert_eq!(
+        bits(&on_rows.history.losses()),
+        bits(&on_columns.history.losses())
+    );
+
+    let zero = trainer.objective(&task.initial_model(), &rows);
+    let trained = on_rows.final_loss().unwrap();
+    assert!(
+        trained < 0.1 * zero,
+        "trained {trained} vs zero model {zero}"
+    );
 }
