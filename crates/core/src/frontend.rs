@@ -2,15 +2,19 @@
 //!
 //! Section 2.1: the end-user trains a model with a query like
 //! `SELECT SVMTrain('myModel', 'LabeledPapers', 'vec', 'label')` and the
-//! learned coefficients are "persisted as a user table 'myModel'". These
-//! functions are the Rust equivalents: they resolve column names against the
-//! catalog, take the model dimension from the table's metadata (the widest
-//! vector in the feature column, kept as rows are appended — no scan), run
-//! the Bismarck trainer, and write the model back into the database so it
-//! can be applied to new data with the matching `*_predict` function. The
-//! trainer's gradient pass is then the first to read a row, inside its
-//! panic isolation, so a torn segment of a paged table fails the statement
-//! with an error instead of unwinding through the caller.
+//! learned coefficients are "persisted as a user table 'myModel'". This
+//! module is the Rust side of those statements, one path for every
+//! technique: [`train`] runs a task over a stored table and persists the
+//! model, [`loss`] evaluates a persisted model's objective and [`predict`]
+//! scores a table with a persisted linear model. What differs per technique
+//! is only how its task is built from the statement's arguments:
+//! [`linear_task`], [`lmf_task`] and [`crf_task`] resolve column names
+//! against the catalog and take the model's shape from the table (a linear
+//! model is as wide as the widest vector in its feature column, kept as
+//! table metadata — no scan). The trainer's gradient pass is then the first
+//! to read a row, inside its panic isolation, so a torn segment of a paged
+//! table fails the statement with an error instead of unwinding through the
+//! caller.
 
 use bismarck_linalg::FeatureVectorRef;
 use bismarck_storage::{
@@ -19,9 +23,9 @@ use bismarck_storage::{
 use bismarck_uda::TrainingHistory;
 
 use crate::error::TrainError;
-use crate::serving::Link;
+use crate::serving::{ModelSnapshot, ServingTask};
 use crate::task::IgdTask;
-use crate::tasks::{CrfTask, LmfTask, LogisticRegressionTask, SvmTask};
+use crate::tasks::{CrfTask, LinearLoss, LinearTask, LmfTask};
 use crate::trainer::{objective, Trainer, TrainerConfig};
 
 /// Errors surfaced by the front-end functions.
@@ -60,7 +64,7 @@ impl From<TrainError> for FrontendError {
     }
 }
 
-/// Summary returned by the `*_train` front-ends.
+/// Summary returned by [`train`].
 #[derive(Debug, Clone)]
 pub struct TrainSummary {
     /// Task that was trained (`"LR"`, `"SVM"`, `"LMF"`, ...).
@@ -86,18 +90,39 @@ pub fn infer_dimension<S: TupleScan + ?Sized>(source: &S, features_col: usize) -
     source.vector_width(features_col)
 }
 
+/// The columns of a model table: one `(idx, weight)` row per weight.
+const MODEL_COLUMNS: [(&str, DataType); 2] = [("idx", DataType::Int), ("weight", DataType::Double)];
+
+/// Errors unless `model_name` is free or names a model table: a model
+/// replaces only a model, never a data table (its own source included).
+fn check_model_name(db: &Database, model_name: &str) -> Result<(), FrontendError> {
+    let Ok(existing) = db.stored(model_name) else {
+        return Ok(());
+    };
+    let columns = existing.schema().columns().iter();
+    if columns
+        .map(|c| (c.name.as_str(), c.dtype))
+        .eq(MODEL_COLUMNS)
+    {
+        return Ok(());
+    }
+    Err(FrontendError::InvalidInput(format!(
+        "table '{model_name}' is not a model table (idx INT, weight DOUBLE); \
+         a model replaces only a model"
+    )))
+}
+
 /// Persist a flat model as a `(idx INT, weight DOUBLE)` table named
-/// `model_name`, replacing any existing table of that name.
+/// `model_name`, replacing an existing table of that name only if it is a
+/// model table too.
 pub fn persist_model(
     db: &mut Database,
     model_name: &str,
     model: &[f64],
 ) -> Result<(), FrontendError> {
-    let schema = Schema::new(vec![
-        Column::new("idx", DataType::Int),
-        Column::new("weight", DataType::Double),
-    ])?;
-    let mut table = Table::new(model_name, schema);
+    check_model_name(db, model_name)?;
+    let columns = MODEL_COLUMNS.map(|(name, dtype)| Column::new(name, dtype));
+    let mut table = Table::new(model_name, Schema::new(columns.to_vec())?);
     for (i, &w) in model.iter().enumerate() {
         table.insert(vec![Value::Int(i as i64), Value::Double(w)])?;
     }
@@ -155,48 +180,6 @@ fn training_table<'a>(
     Ok(table)
 }
 
-/// Resolve feature/label columns and infer the model dimension.
-fn resolve_training_table(
-    db: &Database,
-    table_name: &str,
-    features_col: &str,
-    label_col: &str,
-) -> Result<(usize, usize, usize), FrontendError> {
-    let table = training_table(db, table_name)?;
-    let fcol = table.column_index(features_col)?;
-    let lcol = table.column_index(label_col)?;
-    let dim = infer_dimension(table, fcol);
-    if dim == 0 {
-        return Err(FrontendError::InvalidInput(format!(
-            "column '{features_col}' holds no feature vectors"
-        )));
-    }
-    Ok((fcol, lcol, dim))
-}
-
-/// The one train body every `*_train` front-end shares: run `task` over the
-/// stored table (whatever its layout), persist the model as `model_name`,
-/// and summarize the run.
-fn train_and_persist<T: IgdTask>(
-    db: &mut Database,
-    model_name: &str,
-    table_name: &str,
-    task: &T,
-    config: TrainerConfig,
-) -> Result<TrainSummary, FrontendError> {
-    let trained = Trainer::new(task, config).try_train(db.stored(table_name)?)?;
-    persist_model(db, model_name, &trained.model)?;
-    Ok(TrainSummary {
-        task: task.name(),
-        model_table: model_name.to_string(),
-        dimension: task.dimension(),
-        final_loss: trained.final_loss().unwrap_or(f64::NAN),
-        epochs: trained.epochs(),
-        converged: trained.history.converged(),
-        history: trained.history,
-    })
-}
-
 /// Checks, before any training, that a model of `dimension` components —
 /// `None` when computing it overflowed — can be held: the model is reserved
 /// fallibly, so a size the allocator refuses is an error, not an abort.
@@ -209,42 +192,135 @@ fn reserve_model(dimension: Option<usize>, shape: &str) -> Result<(), FrontendEr
         .map_err(|_| too_large())
 }
 
-/// `SELECT LogisticRegressionTrain(model, table, features, label)` — train an
-/// LR model and persist it as `model_name`.
-pub fn logistic_regression_train(
+/// `SELECT …Train(model, table, …)`: train `task` over the stored table
+/// `table_name` (whatever its layout), persist the model as `model_name`,
+/// and summarize the run.
+///
+/// Nothing is trained unless `model_name` is free or a model table and the
+/// model can be allocated; nothing is persisted when the run ends with a
+/// non-finite loss or weight, so an earlier model of that name stays.
+pub fn train<T: IgdTask>(
     db: &mut Database,
     model_name: &str,
     table_name: &str,
-    features_col: &str,
-    label_col: &str,
+    task: &T,
     config: TrainerConfig,
 ) -> Result<TrainSummary, FrontendError> {
-    let (fcol, lcol, dim) = resolve_training_table(db, table_name, features_col, label_col)?;
-    let task = LogisticRegressionTask::new(fcol, lcol, dim);
-    train_and_persist(db, model_name, table_name, &task, config)
+    check_model_name(db, model_name)?;
+    reserve_model(Some(task.dimension()), &format!("{} model", task.name()))?;
+    let trained = Trainer::new(task, config).try_train(db.stored(table_name)?)?;
+    let final_loss = trained.final_loss();
+    if final_loss.is_some_and(|loss| !loss.is_finite())
+        || !trained.model.iter().all(|w| w.is_finite())
+    {
+        return Err(FrontendError::Training(format!(
+            "the run diverged (final loss {}); model '{model_name}' is not persisted",
+            final_loss.unwrap_or(f64::NAN)
+        )));
+    }
+    persist_model(db, model_name, &trained.model)?;
+    Ok(TrainSummary {
+        task: task.name(),
+        model_table: model_name.to_string(),
+        dimension: task.dimension(),
+        final_loss: final_loss.unwrap_or(f64::NAN),
+        epochs: trained.epochs(),
+        converged: trained.history.converged(),
+        history: trained.history,
+    })
 }
 
-/// `SELECT SVMTrain(model, table, features, label)` — train a linear SVM and
-/// persist it as `model_name`.
-pub fn svm_train(
-    db: &mut Database,
+/// Errors unless the persisted model `model_name` is at least `width`
+/// components wide: the one width rule [`loss`] and [`predict`] share.
+fn check_width(model_name: &str, model: &[f64], width: usize) -> Result<(), FrontendError> {
+    if model.len() < width {
+        return Err(FrontendError::InvalidInput(format!(
+            "model '{model_name}' has dimension {}, expected {width}",
+            model.len()
+        )));
+    }
+    Ok(())
+}
+
+/// `SELECT …Loss(model, table, …)`: the full objective `Σ_i f_i(w) + P(w)`
+/// of the persisted model `model_name` under `task` over `table_name` — the
+/// "loss UDA" of Section 3.1. The model must be at least as wide as the
+/// task's.
+pub fn loss<T: IgdTask>(
+    db: &Database,
+    model_name: &str,
+    table_name: &str,
+    task: &T,
+) -> Result<f64, FrontendError> {
+    let model = load_model(db, model_name)?;
+    check_width(model_name, &model, task.dimension())?;
+    Ok(objective(task, &model, db.stored(table_name)?))
+}
+
+/// `SELECT …Predict(model, table, features)`: score every row of
+/// `table_name` in storage order with the persisted linear model
+/// `model_name` through `task`'s link — the raw `wᵀx`, an LR probability or
+/// an SVM class — over column blocks, with the kernel `PREDICT` uses. The
+/// model must be at least as wide as the feature column's widest vector; a
+/// row whose features are NULL scores `task.apply(0.0)`.
+pub fn predict(
+    db: &Database,
     model_name: &str,
     table_name: &str,
     features_col: &str,
-    label_col: &str,
-    config: TrainerConfig,
-) -> Result<TrainSummary, FrontendError> {
-    let (fcol, lcol, dim) = resolve_training_table(db, table_name, features_col, label_col)?;
-    let task = SvmTask::new(fcol, lcol, dim);
-    train_and_persist(db, model_name, table_name, &task, config)
+    task: ServingTask,
+) -> Result<Vec<f64>, FrontendError> {
+    let table = db.stored(table_name)?;
+    let model = load_model(db, model_name)?;
+    let fcol = table.column_index(features_col)?;
+    check_width(model_name, &model, infer_dimension(table, fcol))?;
+    let snapshot = ModelSnapshot::detached(task, model);
+    let null = task.apply(0.0);
+    let score = |x: Option<FeatureVectorRef<'_>>| x.map_or(null, |x| snapshot.predict(x));
+    let mut out = Vec::with_capacity(table.len());
+    let mut scratch = Tuple::default();
+    table.scan_blocks(0, usize::MAX, &mut |block| {
+        match block.features(fcol) {
+            Some(rows) => out.extend((0..rows.len()).map(|i| score(rows.get(i)))),
+            None => {
+                block.for_each_tuple(&mut scratch, &mut |tuple| {
+                    out.push(score(tuple.feature_view(fcol)));
+                    true
+                });
+            }
+        }
+        true
+    });
+    Ok(out)
 }
 
-/// `SELECT LMFTrain(model, table, row, col, rating, rows, cols, rank)` —
-/// train a low-rank factorization and persist the stacked factors.
+/// The linear task `L` (e.g. [`crate::tasks::HingeLoss`] for `SVMTrain`)
+/// over the columns `features_col` and `label_col` of the non-empty table
+/// `table_name`, its model as wide as the widest feature vector.
+pub fn linear_task<L: LinearLoss>(
+    db: &Database,
+    table_name: &str,
+    features_col: &str,
+    label_col: &str,
+) -> Result<LinearTask<L>, FrontendError> {
+    let table = training_table(db, table_name)?;
+    let fcol = table.column_index(features_col)?;
+    let lcol = table.column_index(label_col)?;
+    let dim = infer_dimension(table, fcol);
+    if dim == 0 {
+        return Err(FrontendError::InvalidInput(format!(
+            "column '{features_col}' holds no feature vectors"
+        )));
+    }
+    Ok(LinearTask::new(fcol, lcol, dim))
+}
+
+/// The low-rank factorization of `LMFTrain(model, table, row, col, rating,
+/// rows, cols, rank)`: `rows × rank` and `cols × rank` factors over the
+/// ratings in the non-empty table `table_name`.
 #[allow(clippy::too_many_arguments)]
-pub fn lmf_train(
-    db: &mut Database,
-    model_name: &str,
+pub fn lmf_task(
+    db: &Database,
     table_name: &str,
     row_col: &str,
     col_col: &str,
@@ -252,8 +328,7 @@ pub fn lmf_train(
     rows: usize,
     cols: usize,
     rank: usize,
-    config: TrainerConfig,
-) -> Result<TrainSummary, FrontendError> {
+) -> Result<LmfTask, FrontendError> {
     let table = training_table(db, table_name)?;
     let rcol = table.column_index(row_col)?;
     let ccol = table.column_index(col_col)?;
@@ -268,68 +343,7 @@ pub fn lmf_train(
         dimension,
         &format!("LMF model of ({rows} + {cols}) x {rank}"),
     )?;
-    let task = LmfTask::new(rcol, ccol, vcol, rows, cols, rank);
-    train_and_persist(db, model_name, table_name, &task, config)
-}
-
-/// Evaluate the full objective value of a persisted linear model
-/// (`Σ_i f_i(w) + P(w)`) over a data table — the "loss UDA" of Section 3.1
-/// exposed as a front-end call. `make_task(features, label, dimension)`
-/// selects the loss: LR uses the logistic loss, SVM the hinge loss.
-fn linear_objective<T: IgdTask>(
-    db: &Database,
-    model_name: &str,
-    table_name: &str,
-    features_col: &str,
-    label_col: &str,
-    make_task: fn(usize, usize, usize) -> T,
-) -> Result<f64, FrontendError> {
-    let (fcol, lcol, dim) = resolve_training_table(db, table_name, features_col, label_col)?;
-    let model = load_model(db, model_name)?;
-    if model.len() < dim {
-        return Err(FrontendError::InvalidInput(format!(
-            "model '{model_name}' has dimension {}, expected {dim}",
-            model.len()
-        )));
-    }
-    let task = make_task(fcol, lcol, model.len());
-    Ok(objective(&task, &model, db.stored(table_name)?))
-}
-
-/// Objective value of a persisted logistic-regression model over a table.
-pub fn logistic_regression_loss(
-    db: &Database,
-    model_name: &str,
-    table_name: &str,
-    features_col: &str,
-    label_col: &str,
-) -> Result<f64, FrontendError> {
-    linear_objective(
-        db,
-        model_name,
-        table_name,
-        features_col,
-        label_col,
-        LogisticRegressionTask::new,
-    )
-}
-
-/// Objective value of a persisted SVM model over a table.
-pub fn svm_loss(
-    db: &Database,
-    model_name: &str,
-    table_name: &str,
-    features_col: &str,
-    label_col: &str,
-) -> Result<f64, FrontendError> {
-    linear_objective(
-        db,
-        model_name,
-        table_name,
-        features_col,
-        label_col,
-        SvmTask::new,
-    )
+    Ok(LmfTask::new(rcol, ccol, vcol, rows, cols, rank))
 }
 
 /// Infer the shape of a sequence-labeling column: `(num_features, num_labels)`
@@ -369,47 +383,15 @@ fn crf_task_for(table: &StoredTable, sequence_col: &str) -> Result<CrfTask, Fron
     Ok(CrfTask::new(scol, num_features, num_labels))
 }
 
-/// `SELECT CRFTrain(model, table, sequence)` — train a linear-chain CRF for
-/// sequence labeling and persist the weights as `model_name`. The feature and
-/// label alphabets are inferred from the data.
-pub fn crf_train(
-    db: &mut Database,
-    model_name: &str,
+/// The linear-chain CRF of `CRFTrain(model, table, sequence)`, its feature
+/// and label alphabets inferred from the sequences of the non-empty table
+/// `table_name`.
+pub fn crf_task(
+    db: &Database,
     table_name: &str,
     sequence_col: &str,
-    config: TrainerConfig,
-) -> Result<TrainSummary, FrontendError> {
-    let task = crf_task_for(training_table(db, table_name)?, sequence_col)?;
-    train_and_persist(db, model_name, table_name, &task, config)
-}
-
-/// Apply a persisted linear model to every row of a data table, returning the
-/// raw decision values `wᵀx` in storage order.
-pub fn linear_predict(
-    db: &Database,
-    model_name: &str,
-    table_name: &str,
-    features_col: &str,
-) -> Result<Vec<f64>, FrontendError> {
-    let table = db.stored(table_name)?;
-    let model = load_model(db, model_name)?;
-    let fcol = table.column_index(features_col)?;
-    let mut out = Vec::with_capacity(table.len());
-    let score = |x: Option<FeatureVectorRef<'_>>| x.map(|x| x.dot(&model)).unwrap_or(0.0);
-    let mut scratch = Tuple::default();
-    table.scan_blocks(0, usize::MAX, &mut |block| {
-        match block.features(fcol) {
-            Some(rows) => out.extend((0..rows.len()).map(|i| score(rows.get(i)))),
-            None => {
-                block.for_each_tuple(&mut scratch, &mut |tuple| {
-                    out.push(score(tuple.feature_view(fcol)));
-                    true
-                });
-            }
-        }
-        true
-    });
-    Ok(out)
+) -> Result<CrfTask, FrontendError> {
+    crf_task_for(training_table(db, table_name)?, sequence_col)
 }
 
 /// Apply a persisted CRF model to every sequence of a data table, returning
@@ -445,38 +427,12 @@ pub fn crf_predict(
     Ok(labelings)
 }
 
-/// Apply a persisted LR model, returning positive-class probabilities.
-pub fn logistic_predict(
-    db: &Database,
-    model_name: &str,
-    table_name: &str,
-    features_col: &str,
-) -> Result<Vec<f64>, FrontendError> {
-    Ok(linear_predict(db, model_name, table_name, features_col)?
-        .into_iter()
-        .map(|score| Link::Sigmoid.apply(score))
-        .collect())
-}
-
-/// Apply a persisted SVM model, returning ±1 class predictions (0 for an
-/// exactly-zero decision value).
-pub fn svm_predict(
-    db: &Database,
-    model_name: &str,
-    table_name: &str,
-    features_col: &str,
-) -> Result<Vec<f64>, FrontendError> {
-    Ok(linear_predict(db, model_name, table_name, features_col)?
-        .into_iter()
-        .map(|score| Link::Sign.apply(score))
-        .collect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::metrics::classification_accuracy;
     use crate::stepsize::StepSizeSchedule;
+    use crate::tasks::{HingeLoss, LogisticLoss, SvmTask};
     use bismarck_uda::ConvergenceTest;
     use rand::rngs::StdRng;
     use rand::Rng;
@@ -512,24 +468,28 @@ mod tests {
             .with_convergence(ConvergenceTest::FixedEpochs(10))
     }
 
+    /// `SELECT …Train(model, 'LabeledPapers', 'vec', 'label')` for the loss `L`.
+    fn train_linear<L: LinearLoss>(
+        db: &mut Database,
+        model_name: &str,
+        table_name: &str,
+        features_col: &str,
+    ) -> Result<TrainSummary, FrontendError> {
+        let task = linear_task::<L>(db, table_name, features_col, "label")?;
+        train(db, model_name, table_name, &task, fast_config())
+    }
+
     #[test]
     fn svm_train_and_predict_roundtrip() {
         let mut db = setup_db(200);
-        let summary = svm_train(
-            &mut db,
-            "myModel",
-            "LabeledPapers",
-            "vec",
-            "label",
-            fast_config(),
-        )
-        .unwrap();
+        let summary =
+            train_linear::<HingeLoss>(&mut db, "myModel", "LabeledPapers", "vec").unwrap();
         assert_eq!(summary.task, "SVM");
         assert_eq!(summary.dimension, 2);
         assert_eq!(summary.epochs, 10);
         assert!(db.contains("myModel"));
 
-        let preds = svm_predict(&db, "myModel", "LabeledPapers", "vec").unwrap();
+        let preds = predict(&db, "myModel", "LabeledPapers", "vec", ServingTask::Svm).unwrap();
         let labels: Vec<f64> = db
             .table("LabeledPapers")
             .unwrap()
@@ -542,18 +502,18 @@ mod tests {
     #[test]
     fn logistic_train_and_probabilities() {
         let mut db = setup_db(200);
-        let summary = logistic_regression_train(
-            &mut db,
+        let summary =
+            train_linear::<LogisticLoss>(&mut db, "lrModel", "LabeledPapers", "vec").unwrap();
+        assert_eq!(summary.task, "LR");
+        assert!(summary.final_loss.is_finite());
+        let probs = predict(
+            &db,
             "lrModel",
             "LabeledPapers",
             "vec",
-            "label",
-            fast_config(),
+            ServingTask::Logistic,
         )
         .unwrap();
-        assert_eq!(summary.task, "LR");
-        assert!(summary.final_loss.is_finite());
-        let probs = logistic_predict(&db, "lrModel", "LabeledPapers", "vec").unwrap();
         assert!(probs.iter().all(|p| (0.0..=1.0).contains(p)));
         // Positive examples (even ids) should receive higher probabilities.
         let mean_pos: f64 = probs.iter().step_by(2).sum::<f64>() / (probs.len() / 2) as f64;
@@ -583,19 +543,9 @@ mod tests {
             }
         }
         db.register_table(table).unwrap();
-        let summary = lmf_train(
-            &mut db,
-            "factors",
-            "Ratings",
-            "row",
-            "col",
-            "rating",
-            5,
-            4,
-            2,
-            fast_config().with_step_size(StepSizeSchedule::Constant(0.05)),
-        )
-        .unwrap();
+        let task = lmf_task(&db, "Ratings", "row", "col", "rating", 5, 4, 2).unwrap();
+        let config = fast_config().with_step_size(StepSizeSchedule::Constant(0.05));
+        let summary = train(&mut db, "factors", "Ratings", &task, config).unwrap();
         assert_eq!(summary.dimension, (5 + 4) * 2);
         let model = load_model(&db, "factors").unwrap();
         assert_eq!(model.len(), summary.dimension);
@@ -604,28 +554,13 @@ mod tests {
     #[test]
     fn loss_frontends_match_a_direct_objective_computation() {
         let mut db = setup_db(150);
-        svm_train(
-            &mut db,
-            "svmM",
-            "LabeledPapers",
-            "vec",
-            "label",
-            fast_config(),
-        )
-        .unwrap();
-        logistic_regression_train(
-            &mut db,
-            "lrM",
-            "LabeledPapers",
-            "vec",
-            "label",
-            fast_config(),
-        )
-        .unwrap();
+        train_linear::<HingeLoss>(&mut db, "svmM", "LabeledPapers", "vec").unwrap();
+        train_linear::<LogisticLoss>(&mut db, "lrM", "LabeledPapers", "vec").unwrap();
 
-        let svm_value = svm_loss(&db, "svmM", "LabeledPapers", "vec", "label").unwrap();
-        let lr_value =
-            logistic_regression_loss(&db, "lrM", "LabeledPapers", "vec", "label").unwrap();
+        let svm_task = linear_task::<HingeLoss>(&db, "LabeledPapers", "vec", "label").unwrap();
+        let lr_task = linear_task::<LogisticLoss>(&db, "LabeledPapers", "vec", "label").unwrap();
+        let svm_value = loss(&db, "svmM", "LabeledPapers", &svm_task).unwrap();
+        let lr_value = loss(&db, "lrM", "LabeledPapers", &lr_task).unwrap();
         assert!(svm_value.is_finite() && svm_value >= 0.0);
         assert!(lr_value.is_finite() && lr_value >= 0.0);
 
@@ -643,7 +578,8 @@ mod tests {
 
         // A model whose dimension disagrees with the data is rejected.
         persist_model(&mut db, "tinyModel", &[0.5]).unwrap();
-        assert!(svm_loss(&db, "tinyModel", "LabeledPapers", "vec", "label").is_err());
+        assert!(loss(&db, "tinyModel", "LabeledPapers", &svm_task).is_err());
+        assert!(predict(&db, "tinyModel", "LabeledPapers", "vec", ServingTask::Svm).is_err());
     }
 
     #[test]
@@ -671,14 +607,9 @@ mod tests {
         }
         db.register_table(table).unwrap();
 
-        let summary = crf_train(
-            &mut db,
-            "crfModel",
-            "Chunks",
-            "sentence",
-            fast_config().with_step_size(StepSizeSchedule::Constant(0.5)),
-        )
-        .unwrap();
+        let task = crf_task(&db, "Chunks", "sentence").unwrap();
+        let config = fast_config().with_step_size(StepSizeSchedule::Constant(0.5));
+        let summary = train(&mut db, "crfModel", "Chunks", &task, config).unwrap();
         assert_eq!(summary.task, "CRF");
         assert!(summary.final_loss.is_finite());
         assert!(db.contains("crfModel"));
@@ -787,18 +718,11 @@ mod tests {
     fn errors_for_missing_tables_and_columns() {
         let mut db = setup_db(10);
         assert!(matches!(
-            svm_train(&mut db, "m", "NoSuchTable", "vec", "label", fast_config()),
+            train_linear::<HingeLoss>(&mut db, "m", "NoSuchTable", "vec"),
             Err(FrontendError::Storage(StorageError::UnknownTable(_)))
         ));
         assert!(matches!(
-            svm_train(
-                &mut db,
-                "m",
-                "LabeledPapers",
-                "nope",
-                "label",
-                fast_config()
-            ),
+            train_linear::<HingeLoss>(&mut db, "m", "LabeledPapers", "nope"),
             Err(FrontendError::Storage(StorageError::UnknownColumn(_)))
         ));
         assert!(load_model(&db, "missingModel").is_err());
@@ -813,7 +737,7 @@ mod tests {
         ])
         .unwrap();
         db.register_table(Table::new("Empty", schema)).unwrap();
-        let err = svm_train(&mut db, "m", "Empty", "vec", "label", fast_config()).unwrap_err();
+        let err = train_linear::<HingeLoss>(&mut db, "m", "Empty", "vec").unwrap_err();
         assert!(matches!(err, FrontendError::InvalidInput(_)));
         assert!(err.to_string().contains("empty"));
     }

@@ -31,9 +31,13 @@
 //! * [`mrs`] — the multiplexed-reservoir-sampling gradient pass for data
 //!   that cannot be shuffled (Section 3.4), a third [`ParallelStrategy`] of
 //!   that same loop, plus the plain-subsampling baseline of Figure 10;
-//! * [`frontend`] — `SVMTrain`-style entry points that read a training table
-//!   from a [`bismarck_storage::Database`] and persist the model back as a
-//!   table, mimicking the MADlib-style SQL interface of Section 2.1;
+//! * [`frontend`] — the one path behind the MADlib-style SQL interface of
+//!   Section 2.1: a generic [`frontend::train`] runs any task over a table of
+//!   a [`bismarck_storage::Database`] and persists the model back as a table,
+//!   [`frontend::loss`] evaluates it and [`frontend::predict`] scores with
+//!   it; per technique there is only the builder of its task from the
+//!   statement's arguments ([`frontend::linear_task`], [`frontend::lmf_task`],
+//!   [`frontend::crf_task`]);
 //! * the resumable state of a run ([`TrainingCheckpoint`]),
 //!   written in storage's one whole-file frame and picked back up by
 //!   `resume_from`;
@@ -75,7 +79,7 @@ pub use crate::governor::{
 pub use crate::igd::{IgdAggregate, IgdState};
 pub use crate::model::{DenseModelStore, ModelStore};
 pub use crate::parallel::{ParallelStrategy, ParallelTrainer, UpdateDiscipline};
-pub use crate::serving::{Link, ModelHandle, ModelSnapshot, PublishError, ServingTask};
+pub use crate::serving::{ModelHandle, ModelSnapshot, PublishError, ServingTask};
 pub use crate::stepsize::StepSizeSchedule;
 pub use crate::task::{ExampleTask, IgdTask, ProximalPolicy};
 pub use crate::trainer::{CheckpointPolicy, TrainedModel, Trainer, TrainerConfig};

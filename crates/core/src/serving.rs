@@ -61,25 +61,27 @@ use crate::model::{DenseModelStore, ModelStore};
 /// the poll is invisible next to the dot products it amortizes over.
 const GUARD_CHECK_INTERVAL: usize = 1024;
 
-/// Link function mapping a raw linear score `wᵀx` to a prediction.
+/// Which linear technique a served model belongs to; determines the link
+/// [`ModelSnapshot::predict`] applies to the raw score `wᵀx`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Link {
-    /// The raw score itself (least-squares value, SVM margin).
-    Identity,
-    /// `1 / (1 + e^{-wᵀx})` — logistic-regression class-1 probability.
-    Sigmoid,
-    /// `sign(wᵀx)` as ±1 (0 stays 0) — SVM class label.
-    Sign,
+pub enum ServingTask {
+    /// Logistic regression: predictions are the class-1 probability
+    /// `1 / (1 + e^{-wᵀx})`.
+    Logistic,
+    /// SVM classification: predictions are the class `sign(wᵀx)` as ±1 (a
+    /// zero score stays 0); [`ModelSnapshot::score`] is the raw margin.
+    Svm,
+    /// Least squares / generic linear models: predictions are the raw value.
+    LeastSquares,
 }
 
-impl Link {
-    /// Apply the link to a raw score.
+impl ServingTask {
+    /// Map a raw linear score to this task's prediction.
     #[inline]
     pub fn apply(self, score: f64) -> f64 {
         match self {
-            Link::Identity => score,
-            Link::Sigmoid => sigmoid(score),
-            Link::Sign => {
+            ServingTask::Logistic => sigmoid(score),
+            ServingTask::Svm => {
                 if score > 0.0 {
                     1.0
                 } else if score < 0.0 {
@@ -88,40 +90,7 @@ impl Link {
                     0.0
                 }
             }
-        }
-    }
-}
-
-/// Which task family a served model belongs to; determines the default link
-/// applied by [`ModelSnapshot::predict`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ServingTask {
-    /// Logistic regression: predictions are class-1 probabilities.
-    Logistic,
-    /// SVM classification: predictions are the class sign (±1); use
-    /// [`ModelSnapshot::predict_with`] with [`Link::Identity`] for the raw
-    /// margin.
-    Svm,
-    /// Least squares / generic linear models: predictions are the raw value.
-    LeastSquares,
-}
-
-impl ServingTask {
-    /// The link [`ModelSnapshot::predict`] applies for this task.
-    pub fn default_link(self) -> Link {
-        match self {
-            ServingTask::Logistic => Link::Sigmoid,
-            ServingTask::Svm => Link::Sign,
-            ServingTask::LeastSquares => Link::Identity,
-        }
-    }
-
-    /// Human-readable task name (`"LR"`, `"SVM"`, `"LS"`).
-    pub fn label(self) -> &'static str {
-        match self {
-            ServingTask::Logistic => "LR",
-            ServingTask::Svm => "SVM",
-            ServingTask::LeastSquares => "LS",
+            ServingTask::LeastSquares => score,
         }
     }
 }
@@ -179,18 +148,11 @@ impl ModelSnapshot {
         self.store.dot_view(x)
     }
 
-    /// Score one feature vector through the task's default link
+    /// Score one feature vector through the task's link
     /// (LR → probability, SVM → ±1 class, LS → raw value).
     #[inline]
     pub fn predict(&self, x: FeatureVectorRef<'_>) -> f64 {
-        self.task.default_link().apply(self.score(x))
-    }
-
-    /// Score one feature vector through an explicit link (e.g.
-    /// [`Link::Identity`] for an SVM margin).
-    #[inline]
-    pub fn predict_with(&self, x: FeatureVectorRef<'_>, link: Link) -> f64 {
-        link.apply(self.score(x))
+        self.task.apply(self.score(x))
     }
 }
 
@@ -336,8 +298,8 @@ impl ModelHandle {
         Arc::clone(&self.shared.current.lock())
     }
 
-    /// Score a batch of feature vectors against one consistent snapshot,
-    /// using the task's default link; amortizes snapshot acquisition across
+    /// Score a batch of feature vectors against one consistent snapshot
+    /// through the task's link; amortizes snapshot acquisition across
     /// the whole batch and reuses `out`'s allocation.
     ///
     /// Returns the snapshot the batch was scored against, so callers can
@@ -350,20 +312,6 @@ impl ModelHandle {
         let snapshot = self.snapshot();
         out.clear();
         out.extend(features.iter().map(|&x| snapshot.predict(x)));
-        snapshot
-    }
-
-    /// [`Self::predict_batch`] with an explicit link (e.g. SVM margins via
-    /// [`Link::Identity`]).
-    pub fn predict_batch_with(
-        &self,
-        features: &[FeatureVectorRef<'_>],
-        link: Link,
-        out: &mut Vec<f64>,
-    ) -> Arc<ModelSnapshot> {
-        let snapshot = self.snapshot();
-        out.clear();
-        out.extend(features.iter().map(|&x| snapshot.predict_with(x, link)));
         snapshot
     }
 
@@ -452,11 +400,11 @@ mod tests {
         assert!((lr.predict(x) - sigmoid(2.0)).abs() < 1e-15);
         let svm = ModelSnapshot::detached(ServingTask::Svm, weights.clone());
         assert_eq!(svm.predict(x), 1.0);
-        assert_eq!(svm.predict_with(x, Link::Identity), 2.0);
+        assert_eq!(svm.score(x), 2.0);
         let ls = ModelSnapshot::detached(ServingTask::LeastSquares, weights);
         assert_eq!(ls.predict(x), 2.0);
-        assert_eq!(Link::Sign.apply(0.0), 0.0);
-        assert_eq!(Link::Sign.apply(-3.5), -1.0);
+        assert_eq!(ServingTask::Svm.apply(0.0), 0.0);
+        assert_eq!(ServingTask::Svm.apply(-3.5), -1.0);
     }
 
     #[test]
@@ -475,8 +423,7 @@ mod tests {
         let snap = handle.predict_batch(&batch, &mut out);
         assert_eq!(snap.version(), 1);
         assert_eq!(out, vec![1.0, -1.0, -1.0]);
-        let mut margins = Vec::new();
-        handle.predict_batch_with(&batch, Link::Identity, &mut margins);
+        let margins: Vec<f64> = batch.iter().map(|&x| snap.score(x)).collect();
         assert_eq!(margins, vec![1.0, -2.0, -2.0]);
     }
 

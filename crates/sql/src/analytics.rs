@@ -3,12 +3,14 @@
 //!
 //! This is the user-facing surface Section 2.1 of the paper describes — the
 //! same call shape as MADlib's SQL functions — implemented over the unified
-//! IGD architecture instead of per-task code paths.
+//! IGD architecture instead of per-task code paths: every SQL name is one
+//! row of [`FUNCTIONS`], and a linear technique's rows are the generic
+//! handlers instantiated at its loss.
 
-use bismarck_core::frontend::{
-    self, crf_predict, crf_train, lmf_train, logistic_predict, logistic_regression_loss,
-    logistic_regression_train, svm_loss, svm_predict, svm_train, TrainSummary,
-};
+use bismarck_core::frontend;
+use bismarck_core::serving::ServingTask;
+use bismarck_core::task::IgdTask;
+use bismarck_core::tasks::{HingeLoss, LinearLoss, LogisticLoss};
 use bismarck_core::{StepSizeSchedule, TrainerConfig};
 use bismarck_storage::{Database, Value};
 use bismarck_uda::ConvergenceTest;
@@ -16,26 +18,69 @@ use bismarck_uda::ConvergenceTest;
 use crate::error::{Result, SqlError};
 use crate::result::QueryResult;
 
+/// Runs one analytics call: the database, the session's trainer
+/// configuration, the name as written and the evaluated arguments.
+type Handler = fn(&mut Database, TrainerConfig, &str, &[Value]) -> Result<QueryResult>;
+
+/// Every analytics function, one row per SQL name. Names are upper case
+/// here and resolved case-insensitively, so the paper's mixed-case spelling
+/// and a user's lower-case one both work.
+const FUNCTIONS: [(&str, Handler); 13] = [
+    ("SVMTRAIN", train_linear::<HingeLoss>),
+    ("LRTRAIN", train_linear::<LogisticLoss>),
+    ("LOGISTICREGRESSIONTRAIN", train_linear::<LogisticLoss>),
+    ("LMFTRAIN", train_lmf),
+    ("CRFTRAIN", train_crf),
+    ("SVMPREDICT", |db, _, name, args| {
+        predict_linear(db, name, args, ServingTask::Svm, "prediction")
+    }),
+    ("LRPREDICT", |db, _, name, args| {
+        predict_linear(db, name, args, ServingTask::Logistic, "probability")
+    }),
+    ("LOGISTICREGRESSIONPREDICT", |db, _, name, args| {
+        predict_linear(db, name, args, ServingTask::Logistic, "probability")
+    }),
+    ("LINEARPREDICT", |db, _, name, args| {
+        predict_linear(db, name, args, ServingTask::LeastSquares, "score")
+    }),
+    ("CRFPREDICT", predict_crf),
+    ("SVMLOSS", loss_linear::<HingeLoss>),
+    ("LRLOSS", loss_linear::<LogisticLoss>),
+    ("LOGISTICREGRESSIONLOSS", loss_linear::<LogisticLoss>),
+];
+
+/// The handler of the analytics function `name`, if there is one.
+fn handler(name: &str) -> Option<Handler> {
+    FUNCTIONS
+        .iter()
+        .find(|(function, _)| function.eq_ignore_ascii_case(name))
+        .map(|&(_, run)| run)
+}
+
 /// True if `name` resolves to one of the analytics functions handled by
-/// [`execute_analytics`]. Resolution is case-insensitive so the paper's
-/// `SVMTrain` and a user's `svmtrain` both work.
+/// [`execute_analytics`].
 pub(crate) fn is_analytics_function(name: &str) -> bool {
-    matches!(
-        name.to_ascii_uppercase().as_str(),
-        "SVMTRAIN"
-            | "LRTRAIN"
-            | "LOGISTICREGRESSIONTRAIN"
-            | "LMFTRAIN"
-            | "CRFTRAIN"
-            | "SVMPREDICT"
-            | "LRPREDICT"
-            | "LOGISTICREGRESSIONPREDICT"
-            | "LINEARPREDICT"
-            | "CRFPREDICT"
-            | "SVMLOSS"
-            | "LRLOSS"
-            | "LOGISTICREGRESSIONLOSS"
-    )
+    handler(name).is_some()
+}
+
+/// Execute one analytics function call with already-evaluated arguments.
+///
+/// Training functions persist the model back into `db` and return a one-row
+/// summary; prediction functions return one row per input tuple. The data
+/// table is resolved by name in `db`, whatever its physical layout.
+pub(crate) fn execute_analytics(
+    db: &mut Database,
+    base_config: TrainerConfig,
+    name: &str,
+    args: &[Value],
+) -> Result<QueryResult> {
+    let run = handler(name).ok_or_else(|| {
+        SqlError::Analytics(format!(
+            "unknown analytics function {}()",
+            name.to_ascii_uppercase()
+        ))
+    })?;
+    run(db, base_config, name, args)
 }
 
 fn text_arg(args: &[Value], index: usize, function: &str, what: &str) -> Result<String> {
@@ -58,6 +103,17 @@ fn int_arg(args: &[Value], index: usize, function: &str, what: &str) -> Result<u
                 "{function}() argument {index} must be the {what} (non-negative integer)"
             ))
         })
+}
+
+/// Errors if `function` got more than `most` arguments.
+fn at_most(args: &[Value], most: usize, function: &str) -> Result<()> {
+    if args.len() > most {
+        return Err(SqlError::Analytics(format!(
+            "{function}() takes {most} arguments, got {}",
+            args.len()
+        )));
+    }
+    Ok(())
 }
 
 /// Apply optional trailing `(step_size, epochs)` overrides to the session's
@@ -98,8 +154,17 @@ fn config_with_overrides(
     Ok(config)
 }
 
-fn summary_result(summary: TrainSummary) -> QueryResult {
-    QueryResult::with_rows(
+/// Train `task` over `table`, persist its model as `model` and return the
+/// run's one-row summary.
+fn train<T: IgdTask>(
+    db: &mut Database,
+    model: &str,
+    table: &str,
+    task: &T,
+    config: TrainerConfig,
+) -> Result<QueryResult> {
+    let summary = frontend::train(db, model, table, task, config)?;
+    Ok(QueryResult::with_rows(
         vec![
             "model".into(),
             "task".into(),
@@ -116,154 +181,145 @@ fn summary_result(summary: TrainSummary) -> QueryResult {
             Value::Double(summary.final_loss),
             Value::Int(i64::from(summary.converged)),
         ]],
-    )
+    ))
 }
 
-fn prediction_result(column: &str, scores: Vec<f64>) -> QueryResult {
-    QueryResult::with_rows(
+/// `…Train(model, table, features, label [, step, epochs])` of the linear
+/// technique whose loss is `L`.
+fn train_linear<L: LinearLoss>(
+    db: &mut Database,
+    base_config: TrainerConfig,
+    name: &str,
+    args: &[Value],
+) -> Result<QueryResult> {
+    let model = text_arg(args, 0, name, "model name")?;
+    let table = text_arg(args, 1, name, "training table")?;
+    let features = text_arg(args, 2, name, "feature column")?;
+    let label = text_arg(args, 3, name, "label column")?;
+    let config = config_with_overrides(base_config, args, 4, name)?;
+    let task = frontend::linear_task::<L>(db, &table, &features, &label)?;
+    train(db, &model, &table, &task, config)
+}
+
+/// `…Train(model, table, row, col, rating, rows, cols, rank [, step,
+/// epochs])` of a low-rank factorization.
+fn train_lmf(
+    db: &mut Database,
+    base_config: TrainerConfig,
+    name: &str,
+    args: &[Value],
+) -> Result<QueryResult> {
+    let model = text_arg(args, 0, name, "model name")?;
+    let table = text_arg(args, 1, name, "ratings table")?;
+    let row_col = text_arg(args, 2, name, "row-id column")?;
+    let col_col = text_arg(args, 3, name, "column-id column")?;
+    let rating_col = text_arg(args, 4, name, "rating column")?;
+    let rows = int_arg(args, 5, name, "number of rows")?;
+    let cols = int_arg(args, 6, name, "number of columns")?;
+    let rank = int_arg(args, 7, name, "factorization rank")?;
+    let config = config_with_overrides(base_config, args, 8, name)?;
+    let task = frontend::lmf_task(
+        db,
+        &table,
+        &row_col,
+        &col_col,
+        &rating_col,
+        rows,
+        cols,
+        rank,
+    )?;
+    train(db, &model, &table, &task, config)
+}
+
+/// `…Train(model, table, sequence [, step, epochs])` of a linear-chain CRF.
+fn train_crf(
+    db: &mut Database,
+    base_config: TrainerConfig,
+    name: &str,
+    args: &[Value],
+) -> Result<QueryResult> {
+    let model = text_arg(args, 0, name, "model name")?;
+    let table = text_arg(args, 1, name, "training table")?;
+    let sequence = text_arg(args, 2, name, "sequence column")?;
+    let config = config_with_overrides(base_config, args, 3, name)?;
+    let task = frontend::crf_task(db, &table, &sequence)?;
+    train(db, &model, &table, &task, config)
+}
+
+/// `…Predict(model, table, features)` of a linear model: one `(row,
+/// column)` row per tuple, scored through `task`'s link.
+fn predict_linear(
+    db: &mut Database,
+    name: &str,
+    args: &[Value],
+    task: ServingTask,
+    column: &str,
+) -> Result<QueryResult> {
+    let model = text_arg(args, 0, name, "model name")?;
+    let table = text_arg(args, 1, name, "data table")?;
+    let features = text_arg(args, 2, name, "feature column")?;
+    at_most(args, 3, name)?;
+    let scores = frontend::predict(db, &model, &table, &features, task)?;
+    Ok(QueryResult::with_rows(
         vec!["row".into(), column.into()],
         scores
             .into_iter()
             .enumerate()
             .map(|(i, s)| vec![Value::Int(i as i64), Value::Double(s)])
             .collect(),
-    )
+    ))
 }
 
-/// Execute one analytics function call with already-evaluated arguments.
-///
-/// Training functions persist the model back into `db` and return a one-row
-/// summary; prediction functions return one row per input tuple. The data
-/// table is resolved by name in `db`, whatever its physical layout.
-pub(crate) fn execute_analytics(
+/// `…Loss(model, table, features, label)`: the objective of the persisted
+/// model under the loss `L`.
+fn loss_linear<L: LinearLoss>(
     db: &mut Database,
-    base_config: TrainerConfig,
+    _: TrainerConfig,
     name: &str,
     args: &[Value],
 ) -> Result<QueryResult> {
-    let upper = name.to_ascii_uppercase();
-    match upper.as_str() {
-        "SVMTRAIN" | "LRTRAIN" | "LOGISTICREGRESSIONTRAIN" => {
-            let model = text_arg(args, 0, name, "model name")?;
-            let table = text_arg(args, 1, name, "training table")?;
-            let features = text_arg(args, 2, name, "feature column")?;
-            let label = text_arg(args, 3, name, "label column")?;
-            let config = config_with_overrides(base_config, args, 4, name)?;
-            let summary = if upper == "SVMTRAIN" {
-                svm_train(db, &model, &table, &features, &label, config)?
-            } else {
-                logistic_regression_train(db, &model, &table, &features, &label, config)?
-            };
-            Ok(summary_result(summary))
-        }
-        "LMFTRAIN" => {
-            let model = text_arg(args, 0, name, "model name")?;
-            let table = text_arg(args, 1, name, "ratings table")?;
-            let row_col = text_arg(args, 2, name, "row-id column")?;
-            let col_col = text_arg(args, 3, name, "column-id column")?;
-            let rating_col = text_arg(args, 4, name, "rating column")?;
-            let rows = int_arg(args, 5, name, "number of rows")?;
-            let cols = int_arg(args, 6, name, "number of columns")?;
-            let rank = int_arg(args, 7, name, "factorization rank")?;
-            let config = config_with_overrides(base_config, args, 8, name)?;
-            let summary = lmf_train(
-                db,
-                &model,
-                &table,
-                &row_col,
-                &col_col,
-                &rating_col,
-                rows,
-                cols,
-                rank,
-                config,
-            )?;
-            Ok(summary_result(summary))
-        }
-        "CRFTRAIN" => {
-            let model = text_arg(args, 0, name, "model name")?;
-            let table = text_arg(args, 1, name, "training table")?;
-            let sequence = text_arg(args, 2, name, "sequence column")?;
-            let config = config_with_overrides(base_config, args, 3, name)?;
-            let summary = crf_train(db, &model, &table, &sequence, config)?;
-            Ok(summary_result(summary))
-        }
-        "SVMPREDICT" | "LRPREDICT" | "LOGISTICREGRESSIONPREDICT" | "LINEARPREDICT" => {
-            let model = text_arg(args, 0, name, "model name")?;
-            let table = text_arg(args, 1, name, "data table")?;
-            let features = text_arg(args, 2, name, "feature column")?;
-            if args.len() > 3 {
-                return Err(SqlError::Analytics(format!(
-                    "{name}() takes 3 arguments, got {}",
-                    args.len()
-                )));
-            }
-            let (column, scores) = match upper.as_str() {
-                "SVMPREDICT" => ("prediction", svm_predict(db, &model, &table, &features)?),
-                "LINEARPREDICT" => (
-                    "score",
-                    frontend::linear_predict(db, &model, &table, &features)?,
-                ),
-                _ => (
-                    "probability",
-                    logistic_predict(db, &model, &table, &features)?,
-                ),
-            };
-            Ok(prediction_result(column, scores))
-        }
-        "SVMLOSS" | "LRLOSS" | "LOGISTICREGRESSIONLOSS" => {
-            let model = text_arg(args, 0, name, "model name")?;
-            let table = text_arg(args, 1, name, "data table")?;
-            let features = text_arg(args, 2, name, "feature column")?;
-            let label = text_arg(args, 3, name, "label column")?;
-            if args.len() > 4 {
-                return Err(SqlError::Analytics(format!(
-                    "{name}() takes 4 arguments, got {}",
-                    args.len()
-                )));
-            }
-            let loss = if upper == "SVMLOSS" {
-                svm_loss(db, &model, &table, &features, &label)?
-            } else {
-                logistic_regression_loss(db, &model, &table, &features, &label)?
-            };
-            Ok(QueryResult::with_rows(
-                vec!["loss".into()],
-                vec![vec![Value::Double(loss)]],
-            ))
-        }
-        "CRFPREDICT" => {
-            let model = text_arg(args, 0, name, "model name")?;
-            let table = text_arg(args, 1, name, "data table")?;
-            let sequence = text_arg(args, 2, name, "sequence column")?;
-            if args.len() > 3 {
-                return Err(SqlError::Analytics(format!(
-                    "{name}() takes 3 arguments, got {}",
-                    args.len()
-                )));
-            }
-            let labelings = crf_predict(db, &model, &table, &sequence)?;
-            let rows = labelings
-                .into_iter()
-                .enumerate()
-                .map(|(i, labels)| {
-                    let rendered = labels
-                        .iter()
-                        .map(usize::to_string)
-                        .collect::<Vec<_>>()
-                        .join(" ");
-                    vec![Value::Int(i as i64), Value::Text(rendered)]
-                })
-                .collect();
-            Ok(QueryResult::with_rows(
-                vec!["row".into(), "labels".into()],
-                rows,
-            ))
-        }
-        other => Err(SqlError::Analytics(format!(
-            "unknown analytics function {other}()"
-        ))),
-    }
+    let model = text_arg(args, 0, name, "model name")?;
+    let table = text_arg(args, 1, name, "data table")?;
+    let features = text_arg(args, 2, name, "feature column")?;
+    let label = text_arg(args, 3, name, "label column")?;
+    at_most(args, 4, name)?;
+    let task = frontend::linear_task::<L>(db, &table, &features, &label)?;
+    let loss = frontend::loss(db, &model, &table, &task)?;
+    Ok(QueryResult::with_rows(
+        vec!["loss".into()],
+        vec![vec![Value::Double(loss)]],
+    ))
+}
+
+/// `…Predict(model, table, sequence)` of a CRF: each row's Viterbi labeling,
+/// as space-separated label ids.
+fn predict_crf(
+    db: &mut Database,
+    _: TrainerConfig,
+    name: &str,
+    args: &[Value],
+) -> Result<QueryResult> {
+    let model = text_arg(args, 0, name, "model name")?;
+    let table = text_arg(args, 1, name, "data table")?;
+    let sequence = text_arg(args, 2, name, "sequence column")?;
+    at_most(args, 3, name)?;
+    let labelings = frontend::crf_predict(db, &model, &table, &sequence)?;
+    let rows = labelings
+        .into_iter()
+        .enumerate()
+        .map(|(i, labels)| {
+            let rendered = labels
+                .iter()
+                .map(usize::to_string)
+                .collect::<Vec<_>>()
+                .join(" ");
+            vec![Value::Int(i as i64), Value::Text(rendered)]
+        })
+        .collect();
+    Ok(QueryResult::with_rows(
+        vec!["row".into(), "labels".into()],
+        rows,
+    ))
 }
 
 #[cfg(test)]
@@ -305,6 +361,11 @@ mod tests {
         assert!(is_analytics_function("CRFPredict"));
         assert!(!is_analytics_function("COUNT"));
         assert!(!is_analytics_function("Frobnicate"));
+        // Each row's name is upper case and appears once.
+        for (i, (name, _)) in FUNCTIONS.iter().enumerate() {
+            assert_eq!(*name, name.to_ascii_uppercase());
+            assert!(FUNCTIONS[..i].iter().all(|(other, _)| other != name));
+        }
     }
 
     #[test]

@@ -1877,7 +1877,7 @@ mod tests {
     }
 
     #[test]
-    fn a_model_named_like_its_columnar_training_table_replaces_it() {
+    fn a_model_named_like_its_columnar_training_table_does_not_replace_it() {
         let mut session = SqlSession::with_seed(3);
         exec(
             &mut session,
@@ -1887,15 +1887,14 @@ mod tests {
             &mut session,
             "INSERT INTO c VALUES (ARRAY[2.0, -1.0], 1.0), (ARRAY[-2.0, 1.0], -1.0)",
         );
-        exec(
-            &mut session,
-            "SELECT LRTrain('c', 'c', 'vec', 'label', 0.2, 3)",
-        );
-        // The model took the name; nothing shadows it and one DROP removes it.
+        let data = exec(&mut session, "SELECT * FROM c");
+        let err = session
+            .execute("SELECT LRTrain('c', 'c', 'vec', 'label', 0.2, 3)")
+            .unwrap_err();
+        assert!(err.to_string().contains("not a model table"), "{err}");
+        // The data kept the name; nothing shadows it and one DROP removes it.
         assert_eq!(session.database().len(), 1);
-        let model = exec(&mut session, "SELECT * FROM c ORDER BY idx");
-        assert_eq!(model.columns, vec!["idx", "weight"]);
-        assert_eq!(model.len(), 2);
+        assert_eq!(exec(&mut session, "SELECT * FROM c"), data);
         exec(&mut session, "DROP TABLE c");
         assert!(session.database().is_empty());
     }

@@ -5,9 +5,10 @@
 //!
 //! Run with `cargo run --release --example quickstart`.
 
-use bismarck_core::frontend::{svm_predict, svm_train};
+use bismarck_core::frontend::{linear_task, predict, train};
 use bismarck_core::metrics::classification_accuracy;
-use bismarck_core::{StepSizeSchedule, TrainerConfig};
+use bismarck_core::tasks::HingeLoss;
+use bismarck_core::{ServingTask, StepSizeSchedule, TrainerConfig};
 use bismarck_datagen::{dense_classification, DenseClassificationConfig};
 use bismarck_storage::{Database, ScanOrder};
 use bismarck_uda::ConvergenceTest;
@@ -32,15 +33,17 @@ fn main() {
         .with_scan_order(ScanOrder::ShuffleOnce { seed: 7 })
         .with_step_size(StepSizeSchedule::Diminishing { initial: 0.5 })
         .with_convergence(ConvergenceTest::paper_default(30));
-    let summary = svm_train(&mut db, "myModel", "LabeledPapers", "vec", "label", config)
-        .expect("training succeeds");
+    let task = linear_task::<HingeLoss>(&db, "LabeledPapers", "vec", "label").expect("columns");
+    let summary =
+        train(&mut db, "myModel", "LabeledPapers", &task, config).expect("training succeeds");
     println!(
         "trained {} model: dimension={}, epochs={}, converged={}, final objective={:.2}",
         summary.task, summary.dimension, summary.epochs, summary.converged, summary.final_loss
     );
 
     // 3. Predict with the persisted model table and measure training accuracy.
-    let predictions = svm_predict(&db, "myModel", "LabeledPapers", "vec").expect("predict");
+    let predictions =
+        predict(&db, "myModel", "LabeledPapers", "vec", ServingTask::Svm).expect("predict");
     let labels: Vec<f64> = db
         .table("LabeledPapers")
         .expect("table exists")

@@ -1,13 +1,14 @@
 //! Integration test: the SQL-style front-end round trip — train via
-//! `*_train`, persist the model as a table, reload it, predict, and verify
+//! `frontend::train`, persist the model as a table, reload it, predict, and verify
 //! quality — across the storage, UDA, core and datagen crates.
 
 use bismarck_core::frontend::{
-    infer_dimension, linear_predict, load_model, logistic_predict, logistic_regression_train,
-    persist_model, svm_predict, svm_train,
+    infer_dimension, linear_task, load_model, persist_model, predict, train, FrontendError,
+    TrainSummary,
 };
 use bismarck_core::metrics::{classification_accuracy, rmse};
-use bismarck_core::{StepSizeSchedule, TrainerConfig};
+use bismarck_core::tasks::{HingeLoss, LinearLoss, LogisticLoss};
+use bismarck_core::{ServingTask, StepSizeSchedule, TrainerConfig};
 use bismarck_datagen::{
     dense_classification, sparse_classification, DenseClassificationConfig,
     SparseClassificationConfig,
@@ -20,6 +21,16 @@ fn fast_config() -> TrainerConfig {
         .with_scan_order(ScanOrder::ShuffleOnce { seed: 3 })
         .with_step_size(StepSizeSchedule::Constant(0.3))
         .with_convergence(ConvergenceTest::FixedEpochs(12))
+}
+
+/// `SELECT …Train(model, table, 'vec', 'label')` for the loss `L`.
+fn train_linear<L: LinearLoss>(
+    db: &mut Database,
+    model: &str,
+    table: &str,
+) -> Result<TrainSummary, FrontendError> {
+    let task = linear_task::<L>(db, table, "vec", "label")?;
+    train(db, model, table, &task, fast_config())
 }
 
 fn dense_db(n: usize) -> Database {
@@ -40,12 +51,12 @@ fn dense_db(n: usize) -> Database {
 #[test]
 fn svm_round_trip_reaches_high_accuracy() {
     let mut db = dense_db(1_500);
-    let summary = svm_train(&mut db, "svm_model", "train", "vec", "label", fast_config()).unwrap();
+    let summary = train_linear::<HingeLoss>(&mut db, "svm_model", "train").unwrap();
     assert_eq!(summary.dimension, 12);
     assert!(db.contains("svm_model"));
     assert_eq!(db.table("svm_model").unwrap().len(), 12);
 
-    let preds = svm_predict(&db, "svm_model", "train", "vec").unwrap();
+    let preds = predict(&db, "svm_model", "train", "vec", ServingTask::Svm).unwrap();
     let labels: Vec<f64> = db
         .table("train")
         .unwrap()
@@ -67,16 +78,14 @@ fn logistic_round_trip_on_sparse_data() {
         },
     ))
     .unwrap();
-    let summary =
-        logistic_regression_train(&mut db, "lr_model", "papers", "vec", "label", fast_config())
-            .unwrap();
+    let summary = train_linear::<LogisticLoss>(&mut db, "lr_model", "papers").unwrap();
     assert!(summary.final_loss.is_finite());
     assert_eq!(
         summary.dimension,
         infer_dimension(db.table("papers").unwrap(), 1)
     );
 
-    let probs = logistic_predict(&db, "lr_model", "papers", "vec").unwrap();
+    let probs = predict(&db, "lr_model", "papers", "vec", ServingTask::Logistic).unwrap();
     assert_eq!(probs.len(), 1_200);
     assert!(probs.iter().all(|p| (0.0..=1.0).contains(p)));
     let labels: Vec<f64> = db
@@ -95,7 +104,7 @@ fn logistic_round_trip_on_sparse_data() {
 #[test]
 fn persisted_model_reload_is_exact() {
     let mut db = dense_db(200);
-    svm_train(&mut db, "m", "train", "vec", "label", fast_config()).unwrap();
+    train_linear::<HingeLoss>(&mut db, "m", "train").unwrap();
     let loaded = load_model(&db, "m").unwrap();
     // Re-persist under a new name and reload — must be identical.
     persist_model(&mut db, "m2", &loaded).unwrap();
@@ -107,9 +116,9 @@ fn persisted_model_reload_is_exact() {
 #[test]
 fn linear_predict_matches_manual_dot_products() {
     let mut db = dense_db(100);
-    svm_train(&mut db, "m", "train", "vec", "label", fast_config()).unwrap();
+    train_linear::<HingeLoss>(&mut db, "m", "train").unwrap();
     let model = load_model(&db, "m").unwrap();
-    let preds = linear_predict(&db, "m", "train", "vec").unwrap();
+    let preds = predict(&db, "m", "train", "vec", ServingTask::LeastSquares).unwrap();
     for (tuple, pred) in db.table("train").unwrap().scan().zip(preds.iter()) {
         let manual = tuple.feature_view(1).unwrap().dot(&model);
         assert!((manual - pred).abs() < 1e-12);
@@ -120,8 +129,8 @@ fn linear_predict_matches_manual_dot_products() {
 fn training_on_same_data_twice_is_deterministic() {
     let mut db1 = dense_db(400);
     let mut db2 = dense_db(400);
-    svm_train(&mut db1, "m", "train", "vec", "label", fast_config()).unwrap();
-    svm_train(&mut db2, "m", "train", "vec", "label", fast_config()).unwrap();
+    train_linear::<HingeLoss>(&mut db1, "m", "train").unwrap();
+    train_linear::<HingeLoss>(&mut db2, "m", "train").unwrap();
     assert_eq!(
         load_model(&db1, "m").unwrap(),
         load_model(&db2, "m").unwrap()

@@ -360,3 +360,231 @@ fn an_infinite_step_size_is_an_error_and_persists_no_model() {
             .unwrap_or_else(|e| panic!("after {sql} the session must still answer: {e}"));
     }
 }
+
+/// A session holding `d (vec DENSE_VEC, label DOUBLE)` with three rows.
+fn three_row_session(session: &mut SqlSession) {
+    for sql in [
+        "CREATE TABLE d (vec DENSE_VEC, label DOUBLE)",
+        "INSERT INTO d VALUES (ARRAY[1.0, 0.5], 1.0), (ARRAY[-1.0, 0.2], -1.0), \
+         (ARRAY[0.8, -0.4], 1.0)",
+    ] {
+        session.execute(sql).unwrap();
+    }
+}
+
+/// The bits of every weight of the model table `m`, in `idx` order.
+fn model_bits(session: &mut SqlSession, m: &str) -> Vec<u64> {
+    let result = session
+        .execute(&format!("SELECT weight FROM {m} ORDER BY idx"))
+        .unwrap();
+    result
+        .rows
+        .iter()
+        .map(|row| row[0].as_double().unwrap().to_bits())
+        .collect()
+}
+
+#[test]
+fn a_training_statement_replaces_only_a_model_table() {
+    let dir = std::env::temp_dir().join(format!(
+        "bismarck-sql-e2e-{}-model-replaces-model",
+        std::process::id()
+    ));
+    std::fs::remove_dir_all(&dir).ok();
+    {
+        let mut session = SqlSession::open(&dir).unwrap();
+        three_row_session(&mut session);
+        session
+            .execute("CREATE TABLE c STORAGE = COLUMNAR AS SELECT * FROM d")
+            .unwrap();
+        let rows = session.execute("SELECT * FROM d").unwrap();
+        let columns = session.execute("SELECT * FROM c").unwrap();
+        // A data table of either layout is never a training target, its
+        // own source included.
+        for sql in [
+            "SELECT LRTrain('d', 'd', 'vec', 'label', 0.1, 2)",
+            "SELECT SVMTrain('c', 'd', 'vec', 'label', 0.1, 2)",
+            "SELECT LRTrain('d', 'c', 'vec', 'label', 0.1, 2)",
+        ] {
+            let err = session.execute(sql).unwrap_err();
+            assert!(
+                matches!(&err, SqlError::Analytics(m) if m.contains("not a model table")),
+                "{sql}: {err:?}"
+            );
+        }
+        assert_eq!(session.execute("SELECT * FROM d").unwrap(), rows);
+        assert_eq!(session.execute("SELECT * FROM c").unwrap(), columns);
+        // A model is replaced by the next model of that name.
+        session
+            .execute("SELECT LRTrain('m', 'd', 'vec', 'label', 0.1, 2)")
+            .unwrap();
+        session
+            .execute("SELECT SVMTrain('m', 'c', 'vec', 'label', 0.2, 3)")
+            .unwrap();
+    }
+    let mut session = SqlSession::open(&dir).unwrap();
+    let before = model_bits(&mut session, "m");
+    session
+        .execute("SELECT LRTrain('m', 'd', 'vec', 'label', 0.1, 2)")
+        .unwrap();
+    assert_ne!(model_bits(&mut session, "m"), before, "m was retrained");
+    assert!(session
+        .execute("SELECT LRTrain('d', 'd', 'vec', 'label')")
+        .is_err());
+    assert_eq!(
+        session.execute("SELECT COUNT(*) FROM d").unwrap().rows[0][0],
+        Value::Int(3)
+    );
+    drop(session);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn shutdown_persists_a_served_model_only_over_a_model_table() {
+    use bismarck_core::governor::Governor;
+    use bismarck_core::serving::{ModelHandle, ServingTask};
+    use std::time::{Duration, Instant};
+
+    let mut session = SqlSession::new();
+    three_row_session(&mut session);
+    let rows = session.execute("SELECT * FROM d").unwrap();
+    let handle = ModelHandle::new(ServingTask::Logistic, 2);
+    handle.publish(&[0.5, -0.5]).unwrap();
+    session.register_model_handle("d", handle);
+    let err = session
+        .shutdown(&Governor::new(1), Instant::now() + Duration::from_secs(5))
+        .unwrap_err();
+    assert!(matches!(&err, SqlError::Analytics(m) if m.contains("not a model table")));
+    assert_eq!(session.execute("SELECT * FROM d").unwrap(), rows);
+}
+
+#[test]
+fn a_diverged_run_persists_no_model() {
+    let mut session = SqlSession::new();
+    three_row_session(&mut session);
+    session
+        .execute("SELECT LRTrain('m2', 'd', 'vec', 'label', 0.1, 3)")
+        .unwrap();
+    let before = model_bits(&mut session, "m2");
+    // The last loss of this run is NaN: a check on the weights alone would
+    // not do.
+    let err = session
+        .execute("SELECT LRTrain('m2', 'd', 'vec', 'label', 1e155, 3)")
+        .unwrap_err();
+    assert!(
+        matches!(&err, SqlError::Analytics(m) if m.contains("diverged")),
+        "{err:?}"
+    );
+    assert_eq!(model_bits(&mut session, "m2"), before);
+    let err = session
+        .execute("SELECT LRTrain('m3', 'd', 'vec', 'label', 1e155, 3)")
+        .unwrap_err();
+    assert!(matches!(err, SqlError::Analytics(_)), "{err:?}");
+    assert!(!session.database().contains("m3"));
+}
+
+#[test]
+fn predict_and_loss_apply_one_width_rule() {
+    let mut session = SqlSession::new();
+    three_row_session(&mut session);
+    for sql in [
+        "SELECT LRTrain('m', 'd', 'vec', 'label', 0.1, 2)",
+        "CREATE TABLE wide (vec DENSE_VEC, label DOUBLE)",
+        "INSERT INTO wide VALUES (ARRAY[1.0, 0.5, 2.0], 1.0)",
+        "CREATE TABLE sparse (vec SPARSE_VEC, label DOUBLE)",
+        "INSERT INTO sparse VALUES ({0: 1.0, 7: 2.0}, 1.0)",
+    ] {
+        session.execute(sql).unwrap();
+    }
+    for table in ["wide", "sparse"] {
+        for call in [
+            "LRLoss('m', '{t}', 'vec', 'label')",
+            "SVMLoss('m', '{t}', 'vec', 'label')",
+            "LRPredict('m', '{t}', 'vec')",
+            "SVMPredict('m', '{t}', 'vec')",
+            "LinearPredict('m', '{t}', 'vec')",
+        ] {
+            let sql = format!("SELECT {}", call.replace("{t}", table));
+            let err = session.execute(&sql).unwrap_err();
+            assert!(
+                matches!(&err, SqlError::Analytics(m) if m.contains("has dimension 2, expected")),
+                "{sql}: {err:?}"
+            );
+        }
+    }
+    // A model at least as wide as the table scores it.
+    for sql in [
+        "SELECT LRLoss('m', 'd', 'vec', 'label')",
+        "SELECT LRPredict('m', 'd', 'vec')",
+        "SELECT LinearPredict('m', 'd', 'vec')",
+    ] {
+        session.execute(sql).unwrap();
+    }
+}
+
+/// Caps this process's address space at `bytes`, so an allocation past it
+/// fails whatever memory the machine has.
+#[cfg(target_os = "linux")]
+fn cap_address_space(bytes: u64) {
+    #[repr(C)]
+    struct RLimit {
+        current: u64,
+        max: u64,
+    }
+    extern "C" {
+        fn setrlimit(resource: i32, limit: *const RLimit) -> i32;
+    }
+    const RLIMIT_AS: i32 = 9;
+    let limit = RLimit {
+        current: bytes,
+        max: bytes,
+    };
+    // SAFETY: `limit` is a valid `struct rlimit` for the call's duration.
+    assert_eq!(unsafe { setrlimit(RLIMIT_AS, &limit) }, 0);
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn a_model_too_large_to_allocate_is_an_error_not_an_abort() {
+    // The sparse index u32::MAX makes a 2^32-weight LR model: 32 GiB. The
+    // statement runs in a child process whose address space is capped at
+    // 4 GiB, so the allocation fails on any machine; an abort would kill
+    // only the child.
+    const CHILD: &str = "BISMARCK_TOO_LARGE_MODEL_CHILD";
+    const NAME: &str = "a_model_too_large_to_allocate_is_an_error_not_an_abort";
+    if std::env::var_os(CHILD).is_none() {
+        let child = std::process::Command::new(std::env::current_exe().unwrap())
+            .args(["--exact", NAME, "--test-threads", "1"])
+            .env(CHILD, "1")
+            .output()
+            .unwrap();
+        assert!(
+            child.status.success(),
+            "the child did not exit normally: {}\n{}{}",
+            child.status,
+            String::from_utf8_lossy(&child.stdout),
+            String::from_utf8_lossy(&child.stderr)
+        );
+        return;
+    }
+    cap_address_space(4 << 30);
+    let mut session = SqlSession::new();
+    for sql in [
+        "CREATE TABLE s (vec SPARSE_VEC, label DOUBLE)",
+        "INSERT INTO s VALUES ({4294967295: 1.0}, 1.0)",
+    ] {
+        session.execute(sql).unwrap();
+    }
+    let err = session
+        .execute("SELECT LRTrain('m', 's', 'vec', 'label')")
+        .unwrap_err();
+    assert!(
+        matches!(&err, SqlError::Analytics(m) if m.contains("LR model is too large to allocate")),
+        "{err:?}"
+    );
+    assert!(!session.database().contains("m"));
+    assert_eq!(
+        session.execute("SELECT COUNT(*) FROM s").unwrap().rows[0][0],
+        Value::Int(1)
+    );
+}

@@ -2,18 +2,20 @@
 //! same architecture — generated data goes into a storage table, the trainer
 //! runs IGD as a UDA over it, and the objective drops.
 
+use bismarck_core::frontend;
 use bismarck_core::task::IgdTask;
 use bismarck_core::tasks::{
     CrfTask, KalmanTask, LeastSquaresTask, LinearLoss, LinearTask, LmfTask, LogisticRegressionTask,
     PortfolioTask, SvmTask,
 };
-use bismarck_core::{ModelStore, StepSizeSchedule, Trainer, TrainerConfig};
+use bismarck_core::{ModelStore, ServingTask, StepSizeSchedule, Trainer, TrainerConfig};
 use bismarck_datagen::{
     dense_classification, labeled_sequences, ratings_table, returns_table, sparse_classification,
     timeseries_table, DenseClassificationConfig, RatingsConfig, ReturnsConfig, SequenceConfig,
     SparseClassificationConfig, TimeSeriesConfig,
 };
 use bismarck_linalg::FeatureVectorRef;
+use bismarck_sql::SqlSession;
 use bismarck_storage::{Column, ColumnarTable, DataType, ScanOrder, Schema, Table, Value};
 use bismarck_uda::ConvergenceTest;
 
@@ -265,7 +267,7 @@ fn a_new_linear_technique_is_one_loss_impl() {
         .with_scan_order(ScanOrder::Clustered)
         .with_step_size(StepSizeSchedule::Constant(0.05))
         .with_convergence(ConvergenceTest::FixedEpochs(10));
-    let trainer = Trainer::new(&task, cfg);
+    let trainer = Trainer::new(&task, cfg.clone());
     let on_rows = trainer.train(&rows);
     let on_columns = trainer.train(&columns);
     assert_eq!(on_rows.task_name, "SQH");
@@ -281,4 +283,29 @@ fn a_new_linear_technique_is_one_loss_impl() {
         trained < 0.1 * zero,
         "trained {trained} vs zero model {zero}"
     );
+
+    // The same technique from a SQL session's catalog, through the generic
+    // front-end calls: trained and persisted as `sqh`, evaluated, and scored
+    // exactly as `PREDICT` scores it.
+    let mut session = SqlSession::new();
+    session.register_table(rows).unwrap();
+    let db = session.database_mut();
+    let task = frontend::linear_task::<SquaredHingeLoss>(db, "separable", "vec", "label").unwrap();
+    let summary = frontend::train(db, "sqh", "separable", &task, cfg).unwrap();
+    assert_eq!(summary.task, "SQH");
+    let loss = frontend::loss(db, "sqh", "separable", &task).unwrap();
+    assert_eq!(loss.to_bits(), summary.final_loss.to_bits());
+    let scores = frontend::predict(db, "sqh", "separable", "vec", ServingTask::LeastSquares);
+    let scores = scores.unwrap();
+    let served = session
+        .execute("SELECT PREDICT('sqh', vec) FROM separable WHERE vec IS NOT NULL")
+        .unwrap();
+    // The last row's features are NULL: `PREDICT` does not score it, and
+    // `predict` gives it the link of a zero score.
+    let (null, scores) = scores.split_last().unwrap();
+    assert_eq!(*null, 0.0);
+    assert_eq!(served.rows.len(), scores.len());
+    for (row, score) in served.rows.iter().zip(scores) {
+        assert_eq!(row[0].as_double().unwrap().to_bits(), score.to_bits());
+    }
 }
