@@ -235,12 +235,15 @@ pub fn subsampling_train<T: IgdTask, S: TupleScan + ?Sized>(
         let gradient_duration = epoch_start.elapsed();
         // Loss is still measured over the FULL table: the question Figure 10
         // asks is how well the subsample-trained model does on all the data.
+        let loss_start = Instant::now();
         let loss = objective(task, &model, data);
+        let loss_duration = loss_start.elapsed();
         history.push(EpochRecord {
             epoch,
             loss,
             duration: epoch_start.elapsed(),
             gradient_duration,
+            loss_duration,
             cumulative: started.elapsed(),
             ..EpochRecord::default()
         });

@@ -16,18 +16,23 @@
 //! A scheme changes how one aggregate pass is executed and nothing else, so
 //! beside the strategy types this module holds only the two pass functions
 //! (the third, multiplexed reservoir sampling, is [`crate::mrs`]) and the
-//! tails the threaded passes share: folding worker panics into one abort,
-//! and the lock-free proximal step. The epoch protocol around them — stop
-//! check, reorder, loss, divergence backoff, serving publish, checkpoint —
-//! is `run_epochs` in [`crate::trainer`], the one loop [`ParallelTrainer`]
-//! and [`crate::Trainer`] both enter; the seven steps are listed there.
+//! tails the threaded passes share: spawning the workers and folding their
+//! panics into one abort, and the lock-free proximal step. The epoch
+//! protocol around them — stop check, reorder, loss, divergence backoff,
+//! serving publish, checkpoint — is `run_epochs` in [`crate::trainer`], the
+//! one loop [`ParallelTrainer`] and [`crate::Trainer`] both enter; the seven
+//! steps are listed there. The loss pass of that loop runs on the same
+//! workers helper, split into as many ranges of storage order as the
+//! scheme's gradient pass has threads, and its result does not depend on
+//! the split: a parallel run's loss is the objective of its model, bit for
+//! bit.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::time::Duration;
 
 use bismarck_storage::{segment_ranges, ExampleRows, Tuple, TupleScan};
-use bismarck_uda::{panic_message, try_run_segmented_parallel};
+use bismarck_uda::{panic_message, segment_workers, try_run_segmented_parallel};
 use parking_lot::Mutex;
 
 use crate::error::TrainError;
@@ -127,6 +132,19 @@ impl ParallelStrategy {
             ParallelStrategy::PureUda { segments } => segments,
             ParallelStrategy::SharedMemory { workers, .. } => workers,
             ParallelStrategy::Mrs { .. } => 2,
+        }
+    }
+
+    /// How many contiguous ranges of storage order the loss pass of a run
+    /// under this strategy splits into: one per thread its gradient pass
+    /// runs on (the shared-memory workers, the segmented executor's
+    /// threads), except under MRS, whose I/O Worker scans the whole table in
+    /// order and whose loss pass does too.
+    pub(crate) fn loss_ranges(self) -> usize {
+        match self {
+            ParallelStrategy::PureUda { segments } => segment_workers(segments),
+            ParallelStrategy::SharedMemory { workers, .. } => workers.max(1),
+            ParallelStrategy::Mrs { .. } => 1,
         }
     }
 }
@@ -332,31 +350,34 @@ fn step_on<T: IgdTask>(task: &T, store: &mut dyn ModelStore, work: Work<'_>, alp
     }
 }
 
-/// Run `body` over each worker's rows on its own scoped thread, folding any
-/// panics into an [`EpochAbort::WorkerPanic`].
+/// Run `body` over each worker's part (its rows of a gradient pass, its
+/// range and chunk of a loss pass) on its own scoped thread, folding any
+/// panics into an [`EpochAbort::WorkerPanic`]; otherwise the workers'
+/// results, in the order of `parts`.
 ///
-/// Each body runs under `catch_unwind` so one panicking `gradient_step`
-/// cannot take down the process; the surviving workers finish their tuples
-/// and the epoch reports the failure instead.
+/// Each body runs under `catch_unwind` so one panicking `gradient_step` or
+/// `example_loss` cannot take down the process; the surviving workers finish
+/// their part and the attempt reports the failure instead.
 ///
 /// Unwind safety: the state the workers share is plain `f64` data — a
 /// `Vec<f64>` behind a `parking_lot::Mutex` (which does not poison; the
-/// guard is released during unwind) or the `AtomicU64` cells of a
-/// [`LockFreeStore`] — with no invariants coupling components. A caught
-/// panic can at worst leave a *partially updated* model, and the caller
-/// never uses a failed epoch's model: it restores the last-good snapshot
-/// carried by the error.
+/// guard is released during unwind), the `AtomicU64` cells of a
+/// [`LockFreeStore`], or a loss pass's running total and per-row chunks,
+/// one worker each — with no invariants coupling components. A caught panic
+/// can at worst leave a *partially updated* model or loss, and the caller
+/// never uses a failed attempt's: it restores the last-good snapshot carried
+/// by the error.
 /// That makes `AssertUnwindSafe` sound here.
-fn run_workers(
-    worker_rows: &[WorkerRows<'_>],
-    body: impl Fn(&WorkerRows<'_>) + Sync,
-) -> Result<(), EpochAbort> {
+pub(crate) fn run_workers<P: Send, R: Send>(
+    parts: impl IntoIterator<Item = P>,
+    body: impl Fn(P) -> R + Sync,
+) -> Result<Vec<R>, EpochAbort> {
     let outcomes = std::thread::scope(|scope| {
-        let handles: Vec<_> = worker_rows
-            .iter()
-            .map(|rows| {
+        let handles: Vec<_> = parts
+            .into_iter()
+            .map(|part| {
                 let body = &body;
-                scope.spawn(move || catch_unwind(AssertUnwindSafe(|| body(rows))))
+                scope.spawn(move || catch_unwind(AssertUnwindSafe(|| body(part))))
             })
             .collect();
         handles
@@ -370,17 +391,35 @@ fn run_workers(
     fold_worker_outcomes(outcomes)
 }
 
+/// Run `body` on the calling thread, isolated like one worker of
+/// [`run_workers`]: a panic in it becomes the attempt's abort. The same
+/// unwind-safety argument holds: the caller trusts nothing `body` touched
+/// once it has failed.
+pub(crate) fn isolated<R>(body: impl FnOnce() -> R) -> Result<R, EpochAbort> {
+    catch_unwind(AssertUnwindSafe(body)).map_err(|payload| EpochAbort::WorkerPanic {
+        failed_workers: 1,
+        message: panic_message(payload.as_ref()),
+    })
+}
+
 /// What each worker's `catch_unwind` returned, folded into one result: the
-/// number of workers that panicked and the first one's message.
-pub(crate) fn fold_worker_outcomes(
-    outcomes: impl IntoIterator<Item = std::thread::Result<()>>,
-) -> Result<(), EpochAbort> {
+/// workers' results in order, or the number of workers that panicked and the
+/// first one's message.
+pub(crate) fn fold_worker_outcomes<R>(
+    outcomes: impl IntoIterator<Item = std::thread::Result<R>>,
+) -> Result<Vec<R>, EpochAbort> {
+    let mut results = Vec::new();
     let mut failed_workers = 0usize;
     let mut message = String::new();
-    for payload in outcomes.into_iter().filter_map(Result::err) {
-        failed_workers += 1;
-        if message.is_empty() {
-            message = panic_message(payload.as_ref());
+    for outcome in outcomes {
+        match outcome {
+            Ok(result) => results.push(result),
+            Err(payload) => {
+                failed_workers += 1;
+                if message.is_empty() {
+                    message = panic_message(payload.as_ref());
+                }
+            }
         }
     }
     if failed_workers > 0 {
@@ -389,7 +428,7 @@ pub(crate) fn fold_worker_outcomes(
             message,
         });
     }
-    Ok(())
+    Ok(results)
 }
 
 /// One shared-memory epoch with the chosen update discipline; the

@@ -117,16 +117,42 @@ pub trait ExampleTask: Sync {
         }
     }
 
-    /// `total` plus the loss of every row of `rows`, added one by one in
-    /// order (the sum the per-tuple loss pass forms, bit for bit).
-    fn add_losses(&self, model: &[f64], rows: &ExampleRows<'_>, mut total: f64) -> f64 {
-        for example in rows.iter() {
-            total += match example {
-                Some((x, y)) => self.loss(model, x, y),
-                None => 0.0,
-            };
+    /// Hand the loss of every row of `rows` to `sink`, in order (the terms
+    /// the per-tuple loss pass forms, bit for bit).
+    fn add_losses(&self, model: &[f64], rows: &ExampleRows<'_>, sink: &mut LossSink<'_>) {
+        sink.extend(rows.iter().map(|example| match example {
+            Some((x, y)) => self.loss(model, x, y),
+            None => 0.0,
+        }));
+    }
+}
+
+/// Where a loss pass puts the loss term of each row it reads, in storage
+/// order: onto the running objective, or into the row's own slot of a
+/// range's chunk, which the caller adds onto the objective in storage order
+/// once every range is read. Either way each term is added in the same
+/// order, so the objective has the same bits however the pass was split.
+#[derive(Debug)]
+pub enum LossSink<'a> {
+    /// The objective so far.
+    Total(&'a mut f64),
+    /// The slots of the range's rows not yet read.
+    Terms(std::slice::IterMut<'a, f64>),
+}
+
+impl LossSink<'_> {
+    /// Take the loss terms of the next rows, in storage order.
+    #[inline]
+    pub fn extend(&mut self, terms: impl Iterator<Item = f64>) {
+        match self {
+            LossSink::Total(total) => **total = terms.fold(**total, |sum, term| sum + term),
+            LossSink::Terms(slots) => {
+                for term in terms {
+                    let slot = slots.next().expect("a chunk has one slot per row");
+                    *slot = term;
+                }
+            }
         }
-        total
     }
 }
 

@@ -11,9 +11,10 @@
 //!
 //! 1. **Stop check** — the run's one stop signal, its [`QueryGuard`], is
 //!    polled (before retries too, and between the blocks of the sequential
-//!    and MRS gradient passes and of the loss pass, where a stop discards the
-//!    attempt); a stop persists an interrupt checkpoint of the last recorded
-//!    epoch and ends the run with [`TrainError::Interrupted`].
+//!    and MRS gradient passes and of every range of the loss pass, where a
+//!    stop discards the attempt); a stop persists an interrupt checkpoint of
+//!    the last recorded epoch and ends the run with
+//!    [`TrainError::Interrupted`].
 //! 2. **Reorder** — the three ordering policies of Section 3.2 (Clustered,
 //!    ShuffleOnce, ShuffleAlways) differ only in which permutation, if any,
 //!    is handed to the scan. One is drawn (and its time billed to the epoch)
@@ -25,7 +26,15 @@
 //!    ([`IgdTask::examples`]) steps on them where the block stores them; a
 //!    permuted order and the MRS scan go tuple by tuple.
 //! 4. **Loss pass** — the full objective, for the convergence test; always
-//!    in storage order, block by block in the same way.
+//!    in storage order, block by block in the same way, and isolated from
+//!    panics like the gradient pass. A run whose gradient pass is split over
+//!    threads splits it the same way — shared-memory workers and pure-UDA
+//!    threads each read one contiguous range of storage order; the
+//!    sequential and MRS passes read one range on the calling thread. The
+//!    first range adds its terms onto the regularizer as it reads them, the
+//!    others keep theirs per row, and those are added on in storage order
+//!    afterwards: the same sum in the same order, so the loss keeps its bits
+//!    whatever the split.
 //! 5. **Divergence scan** — a non-finite model or loss restores the last
 //!    healthy model and retries with a halved step
 //!    ([`TrainerConfig::with_backoff`]).
@@ -36,18 +45,19 @@
 //!    [`Trainer::resume_from`].
 //!
 //! All of it stays off the per-tuple hot path: the extra work is one
-//! `catch_unwind` frame, one O(d) snapshot and one O(d) finiteness scan per
-//! *epoch*, and one stop check per *block*.
+//! `catch_unwind` frame per pass and per worker, one O(d) snapshot and one
+//! O(d) finiteness scan per *epoch*, and one stop check per *block*. A run
+//! that splits its loss pass also holds one buffer of 8 bytes per row
+//! outside its first range, allocated once per run, where the workers of
+//! the other ranges write the per-row terms.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 use bismarck_storage::durable::parent_dir;
-use bismarck_storage::{ScanOrder, StorageError, Tuple, TupleScan};
+use bismarck_storage::{segment_ranges, ScanOrder, StorageError, Tuple, TupleScan};
 use bismarck_uda::{
-    panic_message, run_sequential_while, scan_blocks_while, ConvergenceTest, EpochRecord,
-    TrainingHistory,
+    run_sequential_while, scan_blocks_while, ConvergenceTest, EpochRecord, TrainingHistory,
 };
 
 use crate::checkpoint::TrainingCheckpoint;
@@ -55,10 +65,12 @@ use crate::error::TrainError;
 use crate::governor::QueryGuard;
 use crate::igd::{block_examples, IgdAggregate};
 use crate::mrs::run_mrs_epoch;
-use crate::parallel::{run_pure_uda_epoch, run_shared_memory_epoch, ParallelStrategy};
+use crate::parallel::{
+    isolated, run_pure_uda_epoch, run_shared_memory_epoch, run_workers, ParallelStrategy,
+};
 use crate::serving::{ModelHandle, PublishError};
 use crate::stepsize::StepSizeSchedule;
-use crate::task::IgdTask;
+use crate::task::{IgdTask, LossSink};
 
 /// Multiplier a divergence recovery applies to the effective step size:
 /// each restore-and-retry halves it, the classic backoff.
@@ -305,11 +317,12 @@ impl TrainerConfig {
     /// Run under a resource-governance [`QueryGuard`], the run's one stop
     /// signal. The trainers poll it at every epoch boundary and between the
     /// blocks of the sequential storage-order pass, of the MRS scan and of
-    /// every loss pass (pure-UDA and shared-memory workers finish their
-    /// pass), so a deadline or a cancellation — including one issued by
-    /// [`crate::governor::Governor::shutdown`] — ends the run there with
-    /// [`TrainError::Interrupted`] carrying the last completed epoch's model,
-    /// after writing a final checkpoint if a policy is configured. Works
+    /// every range of every loss pass (pure-UDA and shared-memory gradient
+    /// workers finish their pass), so a deadline or a cancellation —
+    /// including one issued by [`crate::governor::Governor::shutdown`] — ends
+    /// the run there with [`TrainError::Interrupted`] carrying the last
+    /// completed epoch's model, after writing a final checkpoint if a policy
+    /// is configured. Works
     /// under all five parallel passes (pure UDA, the three shared-memory
     /// disciplines, MRS). A stop button is [`QueryGuard::unlimited`] and
     /// [`QueryGuard::cancel`] on a clone.
@@ -489,6 +502,13 @@ pub(crate) fn run_epochs<T: IgdTask, S: TupleScan + ?Sized>(
         Some(ParallelStrategy::PureUda { .. } | ParallelStrategy::Mrs { .. })
     );
     let mut permutation: Option<Vec<usize>> = None;
+    // Step 4 reads storage order in as many contiguous ranges as the
+    // gradient pass has threads (see `ParallelStrategy::loss_ranges`); the
+    // ranges after the first write their rows' loss terms into the one
+    // buffer below.
+    let rows = data.tuple_count();
+    let loss_ranges = segment_ranges(rows, strategy.map_or(1, ParallelStrategy::loss_ranges));
+    let mut loss_terms = vec![0.0; rows - loss_ranges[0].1];
     // MRS: the sample the previous epoch's pass kept, which this epoch's
     // Memory Worker sweeps. Not checkpointed: a resumed run starts without.
     let mut buffer: Vec<Tuple> = Vec::new();
@@ -501,9 +521,11 @@ pub(crate) fn run_epochs<T: IgdTask, S: TupleScan + ?Sized>(
             let mut retries = 0u32;
             let mut shuffle_duration = Duration::ZERO;
             let mut gradient_duration = Duration::ZERO;
+            let mut loss_duration = Duration::ZERO;
             let loss = loop {
                 // 1. Stop check, before every attempt — and again between
-                // the blocks of the sequential, MRS and loss passes below,
+                // the blocks of the sequential, MRS and loss passes below
+                // (in every range of a split loss pass),
                 // where a stop discards the attempt. The interrupt
                 // checkpoint ignores the cadence so a resume loses no epoch.
                 if stop_requested(config) {
@@ -536,17 +558,13 @@ pub(crate) fn run_epochs<T: IgdTask, S: TupleScan + ?Sized>(
                 let mut sample = Vec::new();
                 let gradient_start = Instant::now();
                 let pass = match strategy {
-                    // Unwind safety: the closure owns the model it mutates
-                    // and only reads `task`/`data`/`order`.
-                    None => catch_unwind(AssertUnwindSafe(move || {
+                    // The closure owns the model it mutates and only reads
+                    // `task`/`data`/`order`.
+                    None => isolated(move || {
                         let aggregate = IgdAggregate::new(task, alpha, current);
                         let mut keep_going = || !stop_requested(config);
                         run_sequential_while(&aggregate, data, order, &mut keep_going)
                             .map(|state| state.model.into_vec())
-                    }))
-                    .map_err(|payload| EpochAbort::WorkerPanic {
-                        failed_workers: 1,
-                        message: panic_message(payload.as_ref()),
                     }),
                     Some(ParallelStrategy::PureUda { segments }) => {
                         run_pure_uda_epoch(task, data, current, alpha, segments).map(Some)
@@ -585,10 +603,23 @@ pub(crate) fn run_epochs<T: IgdTask, S: TupleScan + ?Sized>(
                     Err(abort) => break 'run Some((epoch, abort)),
                 };
 
-                // 4. Evaluate the objective for the convergence test.
-                let mut keep_going = || !stop_requested(config);
-                let Some(loss) = objective_while(task, &model, data, &mut keep_going) else {
-                    break 'run Some((epoch, interrupt(config, &good)));
+                // 4. Evaluate the objective for the convergence test, isolated
+                // like the gradient pass.
+                let loss_start = Instant::now();
+                let keep_going = || !stop_requested(config);
+                let pass = objective_while(
+                    task,
+                    &model,
+                    data,
+                    &loss_ranges,
+                    &mut loss_terms,
+                    &keep_going,
+                );
+                loss_duration += loss_start.elapsed();
+                let loss = match pass {
+                    Ok(Some(loss)) => loss,
+                    Ok(None) => break 'run Some((epoch, interrupt(config, &good))),
+                    Err(abort) => break 'run Some((epoch, abort)),
                 };
 
                 // 5. Divergence scan + recovery.
@@ -633,6 +664,7 @@ pub(crate) fn run_epochs<T: IgdTask, S: TupleScan + ?Sized>(
                 duration: epoch_start.elapsed(),
                 shuffle_duration,
                 gradient_duration,
+                loss_duration,
                 cumulative: started.elapsed(),
                 retries,
             });
@@ -655,45 +687,88 @@ pub(crate) fn run_epochs<T: IgdTask, S: TupleScan + ?Sized>(
     }
 }
 
-/// Full objective (`Σ_i f_i(w) + P(w)`) of `model` over `data`.
+/// Full objective (`Σ_i f_i(w) + P(w)`) of `model` over `data`: one range
+/// on the calling thread, as the loss pass of a sequential run reads it.
 pub(crate) fn objective<T: IgdTask, S: TupleScan + ?Sized>(
     task: &T,
     model: &[f64],
     data: &S,
 ) -> f64 {
-    objective_while(task, model, data, &mut || true)
-        .expect("a pass that is never told to stop finishes")
+    let mut total = task.regularizer(model);
+    let sink = &mut LossSink::Total(&mut total);
+    range_losses_while(task, model, data, (0, usize::MAX), &mut || true, sink);
+    total
 }
 
-/// [`objective`], polling `keep_going` between blocks: `None` once it says
-/// stop. A task that declares examples evaluates them where the block stores
-/// them; every other row goes through [`IgdTask::example_loss`]. Either way
-/// the terms are added to the regularizer one by one in storage order.
+/// Step 4, the loss pass of a run: [`objective`] read in `ranges`, the
+/// contiguous ranges of storage order that cover `data` (at least one),
+/// polling `keep_going` between the blocks of each: `Ok(None)` once it says
+/// stop, and a panic becomes the attempt's abort as in a gradient pass.
+///
+/// The first range adds its terms onto the regularizer as it reads them; one
+/// range alone runs inline. Several run on one thread each, and each range
+/// after the first writes its rows' terms into its own chunk of `terms` (one
+/// slot per row outside the first range), which are added on in storage
+/// order once every range is read. That is the same sum in the same order,
+/// so the loss has the same bits whatever the split.
 fn objective_while<T: IgdTask, S: TupleScan + ?Sized>(
     task: &T,
     model: &[f64],
     data: &S,
+    ranges: &[(usize, usize)],
+    terms: &mut [f64],
+    keep_going: &(dyn Fn() -> bool + Sync),
+) -> Result<Option<f64>, EpochAbort> {
+    let (&first, rest) = ranges.split_first().expect("the ranges cover the table");
+    let mut total = isolated(|| task.regularizer(model))?;
+    let finished = if rest.is_empty() {
+        let sink = &mut LossSink::Total(&mut total);
+        isolated(|| range_losses_while(task, model, data, first, &mut || keep_going(), sink))?
+    } else {
+        let mut chunks = &mut *terms;
+        let others = rest.iter().map(|&(start, end)| {
+            let (chunk, tail) = std::mem::take(&mut chunks).split_at_mut(end - start);
+            chunks = tail;
+            ((start, end), LossSink::Terms(chunk.iter_mut()))
+        });
+        let parts = std::iter::once((first, LossSink::Total(&mut total))).chain(others);
+        let finished = run_workers(parts, |(range, mut sink)| {
+            range_losses_while(task, model, data, range, &mut || keep_going(), &mut sink)
+        })?;
+        finished.into_iter().all(|finished| finished)
+    };
+    Ok(finished.then(|| terms.iter().fold(total, |sum, term| sum + term)))
+}
+
+/// The loss pass's one per-row loop: hand `sink` the loss term of each row
+/// of `start..end` in storage order, polling `keep_going` between blocks;
+/// `false` once it says stop. A task that declares examples evaluates them
+/// where the block stores them; every other row goes through
+/// [`IgdTask::example_loss`].
+fn range_losses_while<T: IgdTask, S: TupleScan + ?Sized>(
+    task: &T,
+    model: &[f64],
+    data: &S,
+    (start, end): (usize, usize),
     keep_going: &mut dyn FnMut() -> bool,
-) -> Option<f64> {
-    let mut total = task.regularizer(model);
+    sink: &mut LossSink<'_>,
+) -> bool {
     let mut scratch = Tuple::default();
-    let finished =
-        scan_blocks_while(
-            data,
-            0,
-            usize::MAX,
-            keep_going,
-            &mut |block| match block_examples(task, block) {
-                Some((examples, rows)) => total = examples.add_losses(model, &rows, total),
-                None => {
-                    block.for_each_tuple(&mut scratch, &mut |tuple| {
-                        total += task.example_loss(model, tuple);
-                        true
-                    });
-                }
-            },
-        );
-    finished.then_some(total)
+    scan_blocks_while(
+        data,
+        start,
+        end,
+        keep_going,
+        &mut |block| match block_examples(task, block) {
+            Some((examples, rows)) => examples.add_losses(model, &rows, sink),
+            None => {
+                block.for_each_tuple(&mut scratch, &mut |tuple| {
+                    sink.extend(std::iter::once(task.example_loss(model, tuple)));
+                    true
+                });
+            }
+        },
+    )
 }
 
 /// Abort an attempt on a stop request: persist `good`, the run as of its
@@ -1259,9 +1334,9 @@ mod tests {
 
     /// The timings a run records, checked on a real `ShuffleAlways` run
     /// resumed from a checkpoint, through both façades: a restored epoch has
-    /// none; an epoch this call ran holds its shuffle and gradient spans, and
-    /// the run's clock covers every epoch this call ran. A parallel run's
-    /// stats are the records of exactly those epochs.
+    /// none; an epoch this call ran holds its shuffle, gradient and loss
+    /// spans, and the run's clock covers every epoch this call ran. A
+    /// parallel run's stats are the records of exactly those epochs.
     #[test]
     fn a_resumed_run_times_the_epochs_it_ran() {
         let path = temp_ckpt("timings");
@@ -1302,6 +1377,7 @@ mod tests {
                 assert_eq!(record.duration, Duration::ZERO, "[{pass:?}] {record:?}");
                 assert_eq!(record.shuffle_duration, Duration::ZERO, "[{pass:?}]");
                 assert_eq!(record.gradient_duration, Duration::ZERO, "[{pass:?}]");
+                assert_eq!(record.loss_duration, Duration::ZERO, "[{pass:?}]");
                 assert_eq!(record.cumulative, Duration::ZERO, "[{pass:?}]");
             }
             let mut elapsed = Duration::ZERO;
@@ -1316,7 +1392,14 @@ mod tests {
                     "[{pass:?}] {record:?}"
                 );
                 assert!(
-                    record.duration >= record.shuffle_duration + record.gradient_duration,
+                    record.loss_duration > Duration::ZERO,
+                    "[{pass:?}] {record:?}"
+                );
+                assert!(
+                    record.duration
+                        >= record.shuffle_duration
+                            + record.gradient_duration
+                            + record.loss_duration,
                     "[{pass:?}] {record:?}"
                 );
                 assert!(record.cumulative >= previous, "[{pass:?}] {record:?}");

@@ -62,8 +62,8 @@ use crate::value::Value;
 /// Paged implementations **panic** if a segment read fails mid-scan (I/O
 /// error or checksum mismatch) — the trait has no error channel by design,
 /// keeping the hot path free of `Result` plumbing. The training runtime
-/// already wraps epoch bodies in `catch_unwind`, so a torn page surfaces as a
-/// worker fault with the last good model preserved.
+/// runs every gradient and loss pass under `catch_unwind`, so a torn page
+/// surfaces as a worker fault with the last good model preserved.
 pub trait TupleScan: Sync {
     /// Number of rows the scan will visit.
     fn tuple_count(&self) -> usize;

@@ -4,9 +4,10 @@
 //! executed more than once, with the output model of one run being input to
 //! the next" (Figure 2). The loop that does so belongs to the trainers
 //! (`run_epochs` in `bismarck_core::trainer`); what it leaves behind is one
-//! [`EpochRecord`] per epoch in a [`TrainingHistory`]. Wall-clock, shuffle
-//! and gradient time are recorded per epoch so the experiments can separate
-//! gradient cost from reordering cost (Figure 8(B)).
+//! [`EpochRecord`] per epoch in a [`TrainingHistory`]. Wall-clock, shuffle,
+//! gradient and loss time are recorded per epoch so the experiments can
+//! separate gradient cost from reordering cost (Figure 8(B)) and from the
+//! cost of scoring the model.
 
 use std::time::Duration;
 
@@ -25,6 +26,9 @@ pub struct EpochRecord {
     /// Portion of `duration` spent in the gradient pass; an epoch that needed
     /// divergence retries adds up the passes of all its attempts.
     pub gradient_duration: Duration,
+    /// Portion of `duration` spent in the loss pass that scores the epoch's
+    /// model, summed over its attempts like `gradient_duration`.
+    pub loss_duration: Duration,
     /// Cumulative wall-clock time since training started.
     pub cumulative: Duration,
     /// Divergence recoveries (restore + step-size backoff) consumed while

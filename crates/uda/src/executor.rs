@@ -169,6 +169,16 @@ pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
+/// How many OS threads [`try_run_segmented_parallel`] runs `segments`
+/// segments on: one per segment, at most
+/// [`std::thread::available_parallelism`].
+pub fn segment_workers(segments: usize) -> usize {
+    let hardware = std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1);
+    hardware.min(segments.max(1))
+}
+
 /// Fallible variant of [`run_segmented_parallel`]: a panicking worker is
 /// isolated instead of aborting the process. Each worker's panic is caught by
 /// joining its handle and inspecting the `Err` payload (joining a handle
@@ -186,10 +196,7 @@ where
     S: TupleScan + ?Sized,
 {
     let ranges = segment_ranges(data.tuple_count(), segments.max(1));
-    let hardware = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let workers = hardware.min(ranges.len()).max(1);
+    let workers = segment_workers(segments);
     // Contiguous blocks of segments per worker: concatenating the per-worker
     // results in worker order reproduces the global segment order, which the
     // merge below depends on.

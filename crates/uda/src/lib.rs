@@ -33,5 +33,5 @@ pub use crate::convergence::ConvergenceTest;
 pub use crate::epoch::{EpochRecord, TrainingHistory};
 pub use crate::executor::{
     panic_message, run_segmented, run_segmented_parallel, run_sequential, run_sequential_while,
-    scan_blocks_while, try_run_segmented_parallel, SegmentPanic,
+    scan_blocks_while, segment_workers, try_run_segmented_parallel, SegmentPanic,
 };

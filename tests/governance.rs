@@ -32,7 +32,7 @@ use bismarck_core::{
 use bismarck_datagen::{dense_classification, DenseClassificationConfig};
 use bismarck_sql::{SqlError, SqlSession};
 use bismarck_storage::{ColumnarTable, RowBlock, ScanOrder, Table, Tuple, TupleScan, Value};
-use bismarck_uda::ConvergenceTest;
+use bismarck_uda::{segment_workers, ConvergenceTest};
 
 fn temp_dir(name: &str) -> PathBuf {
     let dir =
@@ -180,7 +180,8 @@ impl TupleScan for StopAtBlock<'_> {
 }
 
 /// A stop request binds inside an epoch: the sequential gradient pass, the
-/// MRS one (its I/O Worker's scan) and the loss pass poll it between blocks,
+/// MRS one (its I/O Worker's scan) and the loss pass — every range of it,
+/// when a pure-UDA run splits it over threads — poll it between blocks,
 /// discard the attempt, and report it exactly like a stop at the epoch
 /// boundary — so resuming loses nothing.
 #[test]
@@ -197,11 +198,19 @@ fn stop_flag_binds_between_the_blocks_of_a_sequential_pass() {
 
     let task = LogisticRegressionTask::new(1, 2, 4);
     let clustered = |epochs| config(epochs).with_scan_order(ScanOrder::Clustered);
-    // `None` is `Trainer`; MRS without a buffer is deterministic, so its
-    // runs compare bitwise too. A checkpoint path resumes from it.
+    // `None` is `Trainer`; MRS without a buffer and pure UDA are
+    // deterministic, so their runs compare bitwise too. A checkpoint path
+    // resumes from it.
     let mrs = ParallelStrategy::Mrs {
         buffer_size: 0,
         seed: 3,
+    };
+    let pure_uda = ParallelStrategy::PureUda { segments: 2 };
+    // The loss pass of a pure-UDA run reads as many ranges as its gradient
+    // pass has threads; the others read one.
+    let loss_ranges = |trainer: Option<ParallelStrategy>| match trainer {
+        Some(ParallelStrategy::PureUda { segments }) => segment_workers(segments),
+        _ => 1,
     };
     let run = |trainer: Option<ParallelStrategy>,
                config: TrainerConfig,
@@ -218,13 +227,16 @@ fn stop_flag_binds_between_the_blocks_of_a_sequential_pass() {
             .map(|(trained, _)| trained)
         }
     };
-    for trainer in [None, Some(mrs)] {
+    for trainer in [None, Some(mrs), Some(pure_uda)] {
         let uninterrupted = run(trainer, clustered(5), &paged, None).unwrap();
         let two_epochs = run(trainer, clustered(2), &paged, None).unwrap();
 
         // An epoch is a gradient pass and a loss pass of 24 blocks each; stop
-        // inside epoch 2's gradient pass, then inside its loss pass.
-        for (pass, stop_at) in [("gradient", 2 * 48 + 10), ("loss", 2 * 48 + 24 + 10)] {
+        // inside epoch 2's gradient pass, then inside its loss pass. A
+        // pure-UDA gradient pass does not poll, so it has only the second.
+        let passes = [("gradient", 2 * 48 + 10), ("loss", 2 * 48 + 24 + 10)];
+        let skip = usize::from(trainer == Some(pure_uda));
+        for (pass, stop_at) in passes.into_iter().skip(skip) {
             let pass = format!("{trainer:?}, {pass}");
             let checkpoint = dir.join("stop.ckpt");
             let guard = QueryGuard::unlimited();
@@ -242,10 +254,17 @@ fn stop_flag_binds_between_the_blocks_of_a_sequential_pass() {
             let TrainError::Interrupted { epoch, last_good } = err else {
                 panic!("[{pass}] expected Interrupted, got {err:?}");
             };
+            // Blocks `0..=stop_at` are served by the time the guard is
+            // cancelled. Each range polls before every block but its first
+            // (`scan_blocks_while`), so the range that cancelled serves no
+            // more, and each other range at most one: the one it had already
+            // polled for, or its unconditional first. One block of slack.
             let served = scan.served.load(Ordering::SeqCst);
+            let ranges = loss_ranges(trainer);
             assert!(
-                served <= stop_at + 2,
-                "[{pass}] {served} blocks served, the guard was cancelled during block {stop_at}"
+                served <= stop_at + 1 + ranges,
+                "[{pass}] {served} blocks served over {ranges} range(s), \
+                 the guard was cancelled during block {stop_at}"
             );
             assert_eq!(epoch, 2, "[{pass}]");
             assert_eq!(last_good.epochs(), 2, "[{pass}]");
