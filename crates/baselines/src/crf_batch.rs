@@ -79,7 +79,7 @@ pub fn crf_batch_train(table: &Table, config: CrfBatchConfig) -> CrfBatchResult 
         let mut total_update = vec![0.0; dim];
         for tuple in table.scan() {
             let mut scratch = DenseModelStore::new(model.clone());
-            task.gradient_step(&mut scratch, tuple, config.step_size);
+            task.gradient_step(&mut scratch, tuple.into(), config.step_size);
             let stepped = scratch.into_vec();
             for (acc, (after, before)) in total_update
                 .iter_mut()
@@ -97,7 +97,7 @@ pub fn crf_batch_train(table: &Table, config: CrfBatchConfig) -> CrfBatchResult 
 
         let loss: f64 = table
             .scan()
-            .map(|t| task.example_loss(&model, t))
+            .map(|t| task.example_loss(&model, t.into()))
             .sum::<f64>()
             + task.regularizer(&model);
         losses.push(loss);
@@ -172,15 +172,18 @@ mod tests {
         let mut store = DenseModelStore::zeros(task.dimension());
         for _ in 0..passes {
             for tuple in data.scan() {
-                task.gradient_step(&mut store, tuple, 0.3);
+                task.gradient_step(&mut store, tuple.into(), 0.3);
             }
         }
         let igd_model = store.into_vec();
-        let igd_loss: f64 = data.scan().map(|t| task.example_loss(&igd_model, t)).sum();
+        let igd_loss: f64 = data
+            .scan()
+            .map(|t| task.example_loss(&igd_model, t.into()))
+            .sum();
         let batch_loss = *batch.losses.last().unwrap();
         let initial_loss: f64 = data
             .scan()
-            .map(|t| task.example_loss(&vec![0.0; task.dimension()], t))
+            .map(|t| task.example_loss(&vec![0.0; task.dimension()], t.into()))
             .sum();
         assert!(igd_loss < initial_loss * 0.6, "IGD made real progress");
         assert!(batch_loss < initial_loss * 0.6, "batch made real progress");

@@ -62,7 +62,7 @@ fn run_ordering(
             None => Box::new(table.scan()),
         };
         for tuple in visit {
-            task.gradient_step(&mut store, tuple, alpha);
+            task.gradient_step(&mut store, tuple.into(), alpha);
             if step.is_multiple_of(sample_every) {
                 samples.push((step, store.read(0)));
             }

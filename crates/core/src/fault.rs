@@ -13,7 +13,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use bismarck_storage::Tuple;
+use bismarck_storage::RowRef;
 
 use crate::model::ModelStore;
 use crate::task::{IgdTask, ProximalPolicy};
@@ -60,22 +60,22 @@ impl<T: IgdTask> IgdTask for FaultyTask<T> {
         self.inner.initial_model()
     }
 
-    fn gradient_step(&self, model: &mut dyn ModelStore, tuple: &Tuple, alpha: f64) {
+    fn gradient_step(&self, model: &mut dyn ModelStore, row: RowRef<'_>, alpha: f64) {
         let step = self.steps.fetch_add(1, Ordering::Relaxed);
         match self.fault {
             Fault::PanicAtStep(k) if step == k => {
                 panic!("injected fault: panic at gradient step {k}")
             }
             Fault::NanGradientAtStep(k) if step == k => {
-                self.inner.gradient_step(model, tuple, alpha);
+                self.inner.gradient_step(model, row, alpha);
                 model.write(0, f64::NAN);
             }
-            _ => self.inner.gradient_step(model, tuple, alpha),
+            _ => self.inner.gradient_step(model, row, alpha),
         }
     }
 
-    fn example_loss(&self, model: &[f64], tuple: &Tuple) -> f64 {
-        self.inner.example_loss(model, tuple)
+    fn example_loss(&self, model: &[f64], row: RowRef<'_>) -> f64 {
+        self.inner.example_loss(model, row)
     }
 
     fn regularizer(&self, model: &[f64]) -> f64 {

@@ -18,7 +18,7 @@
 
 use bismarck_linalg::FeatureVectorRef;
 use bismarck_storage::{
-    Column, DataType, Database, Schema, StorageError, StoredTable, Table, Tuple, TupleScan, Value,
+    Column, DataType, Database, Schema, StorageError, StoredTable, Table, TupleScan, Value,
 };
 use bismarck_uda::TrainingHistory;
 
@@ -278,16 +278,10 @@ pub fn predict(
     let null = task.apply(0.0);
     let score = |x: Option<FeatureVectorRef<'_>>| x.map_or(null, |x| snapshot.predict(x));
     let mut out = Vec::with_capacity(table.len());
-    let mut scratch = Tuple::default();
     table.scan_blocks(0, usize::MAX, &mut |block| {
         match block.features(fcol) {
             Some(rows) => out.extend((0..rows.len()).map(|i| score(rows.get(i)))),
-            None => {
-                block.for_each_tuple(&mut scratch, &mut |tuple| {
-                    out.push(score(tuple.feature_view(fcol)));
-                    true
-                });
-            }
+            None => out.extend(block.rows().map(|row| score(row.feature_view(fcol)))),
         }
         true
     });
@@ -355,11 +349,14 @@ pub(crate) fn infer_sequence_shape<S: TupleScan + ?Sized>(
 ) -> (usize, usize) {
     let mut num_features = 0usize;
     let mut num_labels = 0usize;
-    source.scan_tuples(&mut |tuple| {
-        for (features, label) in tuple.get_sequence(sequence_col).unwrap_or_default() {
-            num_features = num_features.max(features.dimension());
-            num_labels = num_labels.max(*label as usize + 1);
+    source.scan_blocks(0, usize::MAX, &mut |block| {
+        for row in block.rows() {
+            for (features, label) in row.get_sequence(sequence_col).unwrap_or_default() {
+                num_features = num_features.max(features.dimension());
+                num_labels = num_labels.max(*label as usize + 1);
+            }
         }
+        true
     });
     (num_features, num_labels)
 }
@@ -415,14 +412,15 @@ pub fn crf_predict(
     }
     let scol = table.column_index(sequence_col)?;
     let mut labelings = Vec::with_capacity(table.len());
-    table.scan_tuples(&mut |tuple| {
-        labelings.push(match tuple.get_sequence(scol) {
+    table.scan_blocks(0, usize::MAX, &mut |block| {
+        labelings.extend(block.rows().map(|row| match row.get_sequence(scol) {
             Some(sequence) => {
                 let features: Vec<_> = sequence.iter().map(|(f, _)| f.clone()).collect();
                 task.viterbi(&model, &features)
             }
             None => Vec::new(),
-        });
+        }));
+        true
     });
     Ok(labelings)
 }
@@ -571,7 +569,7 @@ mod tests {
             .table("LabeledPapers")
             .unwrap()
             .scan()
-            .map(|t| task.example_loss(&model, t))
+            .map(|t| task.example_loss(&model, t.into()))
             .sum::<f64>()
             + task.regularizer(&model);
         assert!((svm_value - expected).abs() < 1e-9);

@@ -8,11 +8,11 @@
 //! and therefore usable with the engine's shared-nothing parallel
 //! aggregation.
 
-use bismarck_storage::{ExampleRows, RowBlock, Tuple};
-use bismarck_uda::{transition_tuples, Aggregate};
+use bismarck_storage::{RowBlock, RowRef, Tuple};
+use bismarck_uda::Aggregate;
 
 use crate::model::DenseModelStore;
-use crate::task::{ExampleTask, IgdTask, ProximalPolicy};
+use crate::task::{IgdTask, ProximalPolicy};
 
 /// Aggregation state: the model being learned plus bookkeeping.
 #[derive(Debug, Clone, PartialEq)]
@@ -56,30 +56,15 @@ impl<'a, T: IgdTask> IgdAggregate<'a, T> {
     }
 }
 
-/// The task's example kernel and the (features, label) rows `block` lends
-/// it, to run in place of one per-tuple call per materialized row. `None` —
-/// take the per-tuple path — unless the task declares examples and the block
-/// stores both columns in a layout it can lend out (see
-/// [`RowBlock::examples`]).
-pub(crate) fn block_examples<'t, 'b, T: IgdTask>(
-    task: &'t T,
-    block: RowBlock<'b>,
-) -> Option<(&'t dyn ExampleTask, ExampleRows<'b>)> {
-    let examples = task.examples()?;
-    let (features, label) = examples.columns();
-    Some((examples, block.examples(features, label)?))
-}
-
-/// [`block_examples`] for a gradient pass: additionally `None` when a
-/// proximal operator has to run between the steps.
-pub(crate) fn block_steps<'t, 'b, T: IgdTask>(
-    task: &'t T,
-    block: RowBlock<'b>,
-) -> Option<(&'t dyn ExampleTask, ExampleRows<'b>)> {
-    if task.proximal_policy() == ProximalPolicy::PerStep {
-        return None;
+impl<T: IgdTask> IgdAggregate<'_, T> {
+    /// One step on `row`, then the proximal operator if it runs per step.
+    fn step(&self, state: &mut IgdState, row: RowRef<'_>) {
+        self.task.gradient_step(&mut state.model, row, self.alpha);
+        if self.task.proximal_policy() == ProximalPolicy::PerStep {
+            self.task
+                .proximal_step(state.model.as_mut_slice(), self.alpha);
+        }
     }
-    block_examples(task, block)
 }
 
 impl<T: IgdTask> Aggregate for IgdAggregate<'_, T> {
@@ -91,25 +76,21 @@ impl<T: IgdTask> Aggregate for IgdAggregate<'_, T> {
     }
 
     fn transition(&self, state: &mut IgdState, tuple: &Tuple) {
-        self.task.gradient_step(&mut state.model, tuple, self.alpha);
+        self.step(state, tuple.into());
         state.steps += 1;
-        if self.task.proximal_policy() == ProximalPolicy::PerStep {
-            self.task
-                .proximal_step(state.model.as_mut_slice(), self.alpha);
-        }
     }
 
-    /// A task that declares examples steps on the ones the block lends out
-    /// in place. A row without an example takes no step but is counted like
+    /// The rows are read where the block stores them: the whole block goes
+    /// to [`IgdTask::step_block`] unless a proximal operator runs between
+    /// the steps. A row without an example takes no step but is counted like
     /// any other (the count-weighted merge weighs segments by rows seen).
     fn transition_block(&self, state: &mut IgdState, block: RowBlock<'_>) {
-        match block_steps(self.task, block) {
-            Some((task, rows)) => {
-                task.step_rows(&mut state.model, &rows, self.alpha);
-                state.steps += rows.len() as u64;
-            }
-            None => transition_tuples(self, state, block),
+        if self.task.proximal_policy() == ProximalPolicy::PerStep {
+            block.rows().for_each(|row| self.step(state, row));
+        } else {
+            self.task.step_block(&mut state.model, block, self.alpha);
         }
+        state.steps += block.len() as u64;
     }
 
     /// Each partial model is weighted by the number of gradient steps it
@@ -159,13 +140,13 @@ mod tests {
         fn dimension(&self) -> usize {
             1
         }
-        fn gradient_step(&self, model: &mut dyn ModelStore, tuple: &Tuple, alpha: f64) {
-            let y = tuple.get_double(0).unwrap_or(0.0);
+        fn gradient_step(&self, model: &mut dyn ModelStore, row: RowRef<'_>, alpha: f64) {
+            let y = row.get_double(0).unwrap_or(0.0);
             let w = model.read(0);
             model.update(0, -alpha * (w - y));
         }
-        fn example_loss(&self, model: &[f64], tuple: &Tuple) -> f64 {
-            let y = tuple.get_double(0).unwrap_or(0.0);
+        fn example_loss(&self, model: &[f64], row: RowRef<'_>) -> f64 {
+            let y = row.get_double(0).unwrap_or(0.0);
             0.5 * (model[0] - y).powi(2)
         }
         fn proximal_step(&self, model: &mut [f64], _alpha: f64) {

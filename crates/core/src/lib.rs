@@ -81,5 +81,5 @@ pub use crate::model::{DenseModelStore, ModelStore};
 pub use crate::parallel::{ParallelStrategy, ParallelTrainer, UpdateDiscipline};
 pub use crate::serving::{ModelHandle, ModelSnapshot, PublishError, ServingTask};
 pub use crate::stepsize::StepSizeSchedule;
-pub use crate::task::{ExampleTask, IgdTask, ProximalPolicy};
+pub use crate::task::{IgdTask, ProximalPolicy};
 pub use crate::trainer::{CheckpointPolicy, TrainedModel, Trainer, TrainerConfig};

@@ -10,12 +10,13 @@
 //! loss, divergence backoff, serving publish, checkpoint). One pass is:
 //!
 //! * the **I/O Worker** scans the table in storage order — any
-//!   [`TupleScan`]: row store, columnar, paged — offers each tuple to a
-//!   reservoir, and performs a gradient step on every tuple the reservoir
+//!   [`TupleScan`]: row store, columnar, paged — offers each row to a
+//!   reservoir, and performs a gradient step on every row the reservoir
 //!   does *not* keep (the "dropped example d" of Figure 6). The reservoir
-//!   (Vitter's Algorithm R, private to this module) borrows what it is
-//!   offered and clones only the rows it keeps: a rejected row is stepped
-//!   on in place, an evicted occupant is handed back owned;
+//!   (Vitter's Algorithm R, private to this module) is offered each row
+//!   where the block stores it ([`bismarck_storage::RowRef`]) and owns only
+//!   the rows it keeps (`RowRef::to_tuple`): a rejected row is stepped on in
+//!   place, an evicted occupant is handed back owned;
 //! * the **Memory Worker** lives for that scan only (which starts once the
 //!   worker's thread runs, so that even a table crossed faster than a thread
 //!   starts is multiplexed): it sweeps the buffer the *previous* pass filled,
@@ -44,7 +45,6 @@
 //! (the I/O Worker alone, as in epoch 0); a divergence-backoff retry discards
 //! the failed attempt's reservoir and sweeps the same previous buffer again.
 
-use std::borrow::Cow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Barrier;
@@ -74,7 +74,16 @@ struct ReservoirSampler<T> {
     rng: StdRng,
 }
 
-impl<T: Clone> ReservoirSampler<T> {
+/// What an offer to a full reservoir leaves out of the buffer.
+#[derive(Debug, PartialEq)]
+enum Left<B, T> {
+    /// The offered item itself, as it was offered.
+    Rejected(B),
+    /// The occupant the offered item displaced.
+    Evicted(T),
+}
+
+impl<T> ReservoirSampler<T> {
     /// A sampler holding at most `capacity` items, drawing from a seeded RNG
     /// so a run is reproducible.
     fn new(capacity: usize, seed: u64) -> Self {
@@ -89,26 +98,25 @@ impl<T: Clone> ReservoirSampler<T> {
     /// Offer one item, as the paper describes: the first `m` items fill the
     /// reservoir; for the `k`-th one after them draw `s` in `[0, m + k)` and
     /// keep the item in slot `s` if `s < m`. Only an item that is kept is
-    /// cloned. Returns what stays out of the buffer: `None` when the item
-    /// filled an empty slot, `Borrowed(item)` when it was rejected, and
-    /// `Owned(occupant)` when it evicted one.
-    fn offer<'a>(&mut self, item: &'a T) -> Option<Cow<'a, T>> {
+    /// made an owned one, by `own`. Returns what stays out of the buffer:
+    /// `None` when the item filled an empty slot.
+    fn offer<B>(&mut self, item: B, own: impl FnOnce(B) -> T) -> Option<Left<B, T>> {
         self.seen += 1;
         if self.capacity == 0 {
-            return Some(Cow::Borrowed(item));
+            return Some(Left::Rejected(item));
         }
         if self.items.len() < self.capacity {
-            self.items.push(item.clone());
+            self.items.push(own(item));
             return None;
         }
         let s = self.rng.gen_range(0..self.seen);
         if s < self.capacity {
-            Some(Cow::Owned(std::mem::replace(
+            Some(Left::Evicted(std::mem::replace(
                 &mut self.items[s],
-                item.clone(),
+                own(item),
             )))
         } else {
-            Some(Cow::Borrowed(item))
+            Some(Left::Rejected(item))
         }
     }
 
@@ -153,7 +161,7 @@ pub(crate) fn run_mrs_epoch<T: IgdTask, S: TupleScan + ?Sized>(
                     // ends is finished, and there is always one.
                     loop {
                         for tuple in buffer {
-                            task.gradient_step(&mut store, tuple, alpha);
+                            task.gradient_step(&mut store, tuple.into(), alpha);
                         }
                         if !scanning.load(Ordering::Acquire) {
                             break;
@@ -168,14 +176,16 @@ pub(crate) fn run_mrs_epoch<T: IgdTask, S: TupleScan + ?Sized>(
         // The I/O Worker is this thread.
         let io_worker = catch_unwind(AssertUnwindSafe(|| {
             let mut store = shared.clone();
-            let mut scratch = Tuple::default();
             finished = scan_blocks_while(data, 0, usize::MAX, keep_going, &mut |block| {
-                block.for_each_tuple(&mut scratch, &mut |tuple| {
-                    if let Some(dropped) = reservoir.offer(tuple) {
-                        task.gradient_step(&mut store, &dropped, alpha);
+                for row in block.rows() {
+                    match reservoir.offer(row, |row| row.to_tuple()) {
+                        Some(Left::Rejected(row)) => task.gradient_step(&mut store, row, alpha),
+                        Some(Left::Evicted(tuple)) => {
+                            task.gradient_step(&mut store, (&tuple).into(), alpha)
+                        }
+                        None => {}
                     }
-                    true
-                });
+                }
             });
         }));
         scanning.store(false, Ordering::Release);
@@ -208,8 +218,11 @@ pub fn subsampling_train<T: IgdTask, S: TupleScan + ?Sized>(
 ) -> TrainedModel {
     // One pass to build the without-replacement sample.
     let mut reservoir = ReservoirSampler::new(buffer_size, seed);
-    data.scan_tuples(&mut |tuple| {
-        reservoir.offer(tuple);
+    data.scan_blocks(0, usize::MAX, &mut |block| {
+        for row in block.rows() {
+            reservoir.offer(row, |row| row.to_tuple());
+        }
+        true
     });
     let sample = reservoir.into_items();
 
@@ -221,11 +234,9 @@ pub fn subsampling_train<T: IgdTask, S: TupleScan + ?Sized>(
         let alpha = step_size.at(epoch);
         let mut store = DenseModelStore::new(std::mem::take(&mut model));
         for tuple in &sample {
-            task.gradient_step(&mut store, tuple, alpha);
+            task.gradient_step(&mut store, tuple.into(), alpha);
             if task.proximal_policy() == ProximalPolicy::PerStep {
-                let mut snapshot = store.snapshot();
-                task.proximal_step(&mut snapshot, alpha);
-                store = DenseModelStore::new(snapshot);
+                task.proximal_step(store.as_mut_slice(), alpha);
             }
         }
         model = store.into_vec();
@@ -265,7 +276,7 @@ mod tests {
     use super::*;
     use crate::tasks::LogisticRegressionTask;
     use crate::{ParallelStrategy, ParallelTrainer, Trainer, TrainerConfig, UpdateDiscipline};
-    use bismarck_storage::{Column, DataType, ScanOrder, Schema, Table, Value};
+    use bismarck_storage::{Column, DataType, RowRef, ScanOrder, Schema, Table, Value};
     use rand::rngs::StdRng;
     use rand::Rng;
     use rand::SeedableRng;
@@ -305,12 +316,12 @@ mod tests {
         fn dimension(&self) -> usize {
             self.inner.dimension()
         }
-        fn gradient_step(&self, model: &mut dyn ModelStore, tuple: &Tuple, alpha: f64) {
+        fn gradient_step(&self, model: &mut dyn ModelStore, row: RowRef<'_>, alpha: f64) {
             self.steps.fetch_add(1, Ordering::Relaxed);
-            self.inner.gradient_step(model, tuple, alpha);
+            self.inner.gradient_step(model, row, alpha);
         }
-        fn example_loss(&self, model: &[f64], tuple: &Tuple) -> f64 {
-            self.inner.example_loss(model, tuple)
+        fn example_loss(&self, model: &[f64], row: RowRef<'_>) -> f64 {
+            self.inner.example_loss(model, row)
         }
         fn regularizer(&self, model: &[f64]) -> f64 {
             self.inner.regularizer(model)
@@ -337,9 +348,9 @@ mod tests {
         let items: Vec<i32> = (0..50).collect();
         let mut handed_back = Vec::new();
         for (i, item) in items.iter().enumerate() {
-            match r.offer(item) {
+            match r.offer(item, Clone::clone) {
                 None => assert!(i < 5, "offer {i} filled an empty slot"),
-                Some(out) => handed_back.push(out.into_owned()),
+                Some(Left::Rejected(&out) | Left::Evicted(out)) => handed_back.push(out),
             }
         }
         let mut all = r.into_items();
@@ -350,7 +361,7 @@ mod tests {
 
         // A zero-capacity reservoir keeps nothing.
         let mut r = ReservoirSampler::new(0, 1);
-        assert!(matches!(r.offer(&5), Some(Cow::Borrowed(&5))));
+        assert_eq!(r.offer(&5, Clone::clone), Some(Left::Rejected(&5)));
         assert!(r.into_items().is_empty());
 
         // Both halves of the stream are kept at comparable rates: a sampler
@@ -359,7 +370,7 @@ mod tests {
         for seed in 0..200u64 {
             let mut r = ReservoirSampler::new(10, seed);
             for i in 0..100 {
-                r.offer(&i);
+                r.offer(i, |i| i);
             }
             first_half += r.into_items().iter().filter(|&&i| i < 50).count();
         }
@@ -386,9 +397,9 @@ mod tests {
         let mut kept = 0;
         let mut rejected = 0;
         for item in &items {
-            match r.offer(item) {
-                None | Some(Cow::Owned(_)) => kept += 1,
-                Some(Cow::Borrowed(back)) => {
+            match r.offer(item, Clone::clone) {
+                None | Some(Left::Evicted(_)) => kept += 1,
+                Some(Left::Rejected(back)) => {
                     // The caller's own item, not a copy of it.
                     assert!(std::ptr::eq(back, item));
                     rejected += 1;

@@ -11,7 +11,13 @@
 //!   and all workers update it concurrently, with one of three disciplines:
 //!   whole-model **Lock**, per-component **AIG** (compare-and-swap), or
 //!   **NoLock** (Hogwild!). The paper adopts NoLock for Bismarck because it
-//!   converges like Lock but scales like the lock-free scheme.
+//!   converges like Lock but scales like the lock-free scheme. Each worker
+//!   reads one contiguous range of storage order block by block — a
+//!   lock-free worker hands the task whole blocks
+//!   ([`IgdTask::step_block`]), a Lock worker takes the lock per row — and
+//!   polls the run's stop signal between its blocks; under a permuted order
+//!   a worker walks its slice of the permutation one row at a time and
+//!   finishes it.
 //!
 //! A scheme changes how one aggregate pass is executed and nothing else, so
 //! beside the strategy types this module holds only the two pass functions
@@ -31,14 +37,14 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::time::Duration;
 
-use bismarck_storage::{segment_ranges, ExampleRows, Tuple, TupleScan};
-use bismarck_uda::{panic_message, segment_workers, try_run_segmented_parallel};
+use bismarck_storage::{segment_ranges, RowBlock, TupleScan};
+use bismarck_uda::{panic_message, scan_blocks_while, segment_workers, try_run_segmented_parallel};
 use parking_lot::Mutex;
 
 use crate::error::TrainError;
-use crate::igd::{block_steps, IgdAggregate};
+use crate::igd::IgdAggregate;
 use crate::model::{AigStore, DenseModelStore, LockFreeStore, ModelStore, NoLockStore};
-use crate::task::{ExampleTask, IgdTask, ProximalPolicy};
+use crate::task::{IgdTask, ProximalPolicy};
 use crate::trainer::{
     fresh_start, load_checkpoint, run_epochs, unwrap_trained, EpochAbort, TrainedModel,
     TrainerConfig,
@@ -303,50 +309,28 @@ enum WorkerRows<'p> {
     Perm(&'p [usize]),
 }
 
-/// What a worker is handed at a time: the examples a storage-order block
-/// lends the task's example kernel (see [`block_steps`]), or one tuple.
-enum Work<'a> {
-    Examples(&'a dyn ExampleTask, &'a ExampleRows<'a>),
-    Tuple(&'a Tuple),
-}
-
 impl WorkerRows<'_> {
-    /// `f` is generic so that the per-tuple paths stay one indirect call
-    /// (the scan's callback) per row.
-    fn visit<T: IgdTask, S: TupleScan + ?Sized>(
+    /// Hand `f` the worker's rows as blocks: a range block by block in
+    /// storage order, polling `keep_going` between blocks (`false` once it
+    /// says stop); a permutation one row at a time, each row the one-tuple
+    /// block of the permuted walk, without polling.
+    fn visit<S: TupleScan + ?Sized>(
         &self,
-        task: &T,
         data: &S,
-        mut f: impl FnMut(Work<'_>),
-    ) {
+        keep_going: &(dyn Fn() -> bool + Sync),
+        mut f: impl FnMut(RowBlock<'_>),
+    ) -> bool {
         match *self {
             WorkerRows::Range(start, end) => {
-                let mut scratch = Tuple::default();
-                data.scan_blocks(start, end, &mut |block| {
-                    match block_steps(task, block) {
-                        Some((examples, rows)) => f(Work::Examples(examples, &rows)),
-                        None => {
-                            block.for_each_tuple(&mut scratch, &mut |tuple| {
-                                f(Work::Tuple(tuple));
-                                true
-                            });
-                        }
-                    }
-                    true
-                });
+                scan_blocks_while(data, start, end, &mut || keep_going(), &mut f)
             }
             WorkerRows::Perm(perm) => {
-                data.scan_tuples_permuted(perm, &mut |tuple| f(Work::Tuple(tuple)));
+                data.scan_tuples_permuted(perm, &mut |tuple| {
+                    f(RowBlock::Tuples(std::slice::from_ref(tuple)))
+                });
+                true
             }
         }
-    }
-}
-
-/// Apply `work` to a worker's own view of the shared model.
-fn step_on<T: IgdTask>(task: &T, store: &mut dyn ModelStore, work: Work<'_>, alpha: f64) {
-    match work {
-        Work::Examples(examples, rows) => examples.step_rows(store, rows, alpha),
-        Work::Tuple(tuple) => task.gradient_step(store, tuple, alpha),
     }
 }
 
@@ -432,16 +416,19 @@ pub(crate) fn fold_worker_outcomes<R>(
 }
 
 /// One shared-memory epoch with the chosen update discipline; the
-/// disciplines differ only in the per-tuple step [`run_workers`] executes.
+/// disciplines differ only in how [`run_workers`] steps on a block. Returns
+/// `None` — the attempt is to be discarded — once `keep_going`, polled
+/// between the blocks of every worker's storage-order range, says stop; a
+/// permuted pass does not poll.
 pub(crate) fn run_shared_memory_epoch<T: IgdTask, S: TupleScan + ?Sized>(
     task: &T,
     data: &S,
     permutation: Option<&[usize]>,
     model: Vec<f64>,
     alpha: f64,
-    workers: usize,
-    discipline: UpdateDiscipline,
-) -> Result<Vec<f64>, EpochAbort> {
+    (workers, discipline): (usize, UpdateDiscipline),
+    keep_going: &(dyn Fn() -> bool + Sync),
+) -> Result<Option<Vec<f64>>, EpochAbort> {
     let rows = permutation.map_or(data.tuple_count(), <[usize]>::len);
     let worker_rows: Vec<WorkerRows> = segment_ranges(rows, workers.max(1))
         .into_iter()
@@ -451,65 +438,71 @@ pub(crate) fn run_shared_memory_epoch<T: IgdTask, S: TupleScan + ?Sized>(
         })
         .collect();
 
-    let mut final_model = match discipline {
+    let per_step = task.proximal_policy() == ProximalPolicy::PerStep;
+    Ok(match discipline {
         UpdateDiscipline::Lock => {
             let locked = Mutex::new(DenseModelStore::new(model));
             // The lock is taken per step, not per block, so the workers
-            // interleave as finely as they always did.
-            run_workers(&worker_rows, |rows| {
-                rows.visit(task, data, |work| match work {
-                    Work::Examples(examples, rows) => {
-                        for i in 0..rows.len() {
-                            let mut guard = locked.lock();
-                            examples.step_rows(&mut *guard, &rows.row(i), alpha);
-                        }
-                    }
-                    Work::Tuple(tuple) => {
+            // interleave as finely as they always did; the per-step operator
+            // runs under it.
+            let finished = run_workers(&worker_rows, |rows| {
+                rows.visit(data, keep_going, |block| {
+                    for row in block.rows() {
                         let mut guard = locked.lock();
-                        task.gradient_step(&mut *guard, tuple, alpha);
-                        if task.proximal_policy() == ProximalPolicy::PerStep {
+                        task.gradient_step(&mut *guard, row, alpha);
+                        if per_step {
                             task.proximal_step(guard.as_mut_slice(), alpha);
                         }
                     }
-                });
+                })
             })?;
-            locked.into_inner().into_vec()
+            all_finished(finished).then(|| {
+                let mut model = locked.into_inner().into_vec();
+                if task.proximal_policy() == ProximalPolicy::PerEpoch {
+                    task.proximal_step(&mut model, alpha);
+                }
+                model
+            })
         }
         UpdateDiscipline::Aig => {
             let shared = AigStore::from_slice(&model);
-            lock_free_pass(task, data, &worker_rows, shared, alpha)?
+            lock_free_pass(task, data, &worker_rows, keep_going, shared, alpha)?
         }
         UpdateDiscipline::NoLock => {
             let shared = NoLockStore::from_slice(&model);
-            lock_free_pass(task, data, &worker_rows, shared, alpha)?
+            lock_free_pass(task, data, &worker_rows, keep_going, shared, alpha)?
         }
-    };
+    })
+}
 
-    if discipline == UpdateDiscipline::Lock {
-        // The per-step operator already ran, under the lock.
-        if task.proximal_policy() == ProximalPolicy::PerEpoch {
-            task.proximal_step(&mut final_model, alpha);
-        }
-    } else {
-        lock_free_proximal_step(task, &mut final_model, alpha);
-    }
-    Ok(final_model)
+/// Whether every worker finished its part.
+fn all_finished(finished: Vec<bool>) -> bool {
+    finished.into_iter().all(|finished| finished)
 }
 
 /// The workers of an AIG or NoLock pass, each stepping on its own clone of
-/// `shared`; returns what the shared cells hold after the pass.
+/// `shared` block by block ([`IgdTask::step_block`]: a per-step proximal
+/// operator is demoted to per-epoch); returns what the shared cells hold
+/// after the pass, its proximal tail applied, or `None` if it was stopped.
 fn lock_free_pass<const ATOMIC: bool, T: IgdTask, S: TupleScan + ?Sized>(
     task: &T,
     data: &S,
     worker_rows: &[WorkerRows<'_>],
+    keep_going: &(dyn Fn() -> bool + Sync),
     shared: LockFreeStore<ATOMIC>,
     alpha: f64,
-) -> Result<Vec<f64>, EpochAbort> {
-    run_workers(worker_rows, |rows| {
+) -> Result<Option<Vec<f64>>, EpochAbort> {
+    let finished = run_workers(worker_rows, |rows| {
         let mut store = shared.clone();
-        rows.visit(task, data, |work| step_on(task, &mut store, work, alpha));
+        rows.visit(data, keep_going, |block| {
+            task.step_block(&mut store, block, alpha)
+        })
     })?;
-    Ok(shared.snapshot())
+    Ok(all_finished(finished).then(|| {
+        let mut model = shared.snapshot();
+        lock_free_proximal_step(task, &mut model, alpha);
+        model
+    }))
 }
 
 /// The proximal tail of a lock-free pass: the per-epoch step and, as
@@ -579,7 +572,10 @@ mod tests {
         let task = SvmTask::new(0, 1, 3);
         let zero_loss: f64 = {
             let zero = task.initial_model();
-            table.scan().map(|tup| task.example_loss(&zero, tup)).sum()
+            table
+                .scan()
+                .map(|tup| task.example_loss(&zero, tup.into()))
+                .sum()
         };
         for discipline in [
             UpdateDiscipline::Lock,

@@ -9,15 +9,16 @@
 //! `Π_{αP}` (Appendix A). Everything else — epochs, ordering, parallelism,
 //! convergence, persistence — is shared infrastructure.
 //!
-//! A task whose step and loss depend on a row only through one (feature
-//! vector, label) pair — every [`crate::tasks::LinearTask`]: LR, SVM, least
-//! squares — is also an [`ExampleTask`] and declares it through
-//! [`IgdTask::examples`]; the storage-order passes over a columnar table then
-//! feed it examples borrowed from the stored columns instead of a tuple
-//! rebuilt per row.
+//! A task reads each row where it is stored, through a [`RowRef`]: a
+//! row-store tuple as it is, a columnar row a cell at a time out of its
+//! chunks. The passes hand a task whole [`RowBlock`]s where no proximal step
+//! runs between the steps ([`IgdTask::step_block`], [`IgdTask::add_losses`]);
+//! by default those walk the block's rows, and a task that can do better on a
+//! block — every [`crate::tasks::LinearTask`] (LR, SVM, least squares) steps
+//! on the (feature vector, label) examples a columnar block lends straight
+//! out of its columns — overrides them.
 
-use bismarck_linalg::FeatureVectorRef;
-use bismarck_storage::{ExampleRows, Tuple};
+use bismarck_storage::{RowBlock, RowRef};
 
 use crate::model::ModelStore;
 
@@ -58,11 +59,11 @@ pub trait IgdTask: Send + Sync {
     /// Perform one incremental gradient step on one example:
     /// `w ← w − α ∇f_i(w)`, expressed through the model store so the same
     /// code runs sequentially, under a lock, or against shared memory.
-    fn gradient_step(&self, model: &mut dyn ModelStore, tuple: &Tuple, alpha: f64);
+    fn gradient_step(&self, model: &mut dyn ModelStore, row: RowRef<'_>, alpha: f64);
 
     /// The loss term `f_i(w)` contributed by one example (excluding the
     /// regularizer `P`).
-    fn example_loss(&self, model: &[f64], tuple: &Tuple) -> f64;
+    fn example_loss(&self, model: &[f64], row: RowRef<'_>) -> f64;
 
     /// The regularizer `P(w)` added once per objective evaluation.
     fn regularizer(&self, _model: &[f64]) -> f64 {
@@ -78,52 +79,29 @@ pub trait IgdTask: Send + Sync {
         ProximalPolicy::None
     }
 
-    /// `Some` when a row enters [`IgdTask::gradient_step`] and
-    /// [`IgdTask::example_loss`] only as one (feature vector, label) example:
-    /// a storage-order pass over a columnar table then runs
-    /// [`ExampleTask::step`] / [`ExampleTask::loss`] on examples borrowed
-    /// from the stored columns instead of on a tuple rebuilt per row. The default `None` keeps every
-    /// row on the per-tuple methods — so a wrapper that intercepts those and
-    /// does not forward this one still sees every step.
-    fn examples(&self) -> Option<&dyn ExampleTask> {
-        None
-    }
-}
-
-/// The step and the loss of a task on one `(x, y)` example, wherever the
-/// example is borrowed from. The block forms are provided on top; the
-/// task's per-tuple [`IgdTask`] methods run the same two on the row's
-/// example, so the per-example arithmetic is the same kernel calls in the
-/// same order whichever way a row arrives.
-///
-/// A row whose features or label is NULL (or not a vector / a number) is no
-/// example: it takes no step and contributes exactly `0.0` to the loss.
-pub trait ExampleTask: Sync {
-    /// Ordinal positions of the (features, label) columns.
-    fn columns(&self) -> (usize, usize);
-
-    /// One incremental gradient step on one example.
-    fn step(&self, model: &mut dyn ModelStore, x: FeatureVectorRef<'_>, y: f64, alpha: f64);
-
-    /// The loss term of one example.
-    fn loss(&self, model: &[f64], x: FeatureVectorRef<'_>, y: f64) -> f64;
-
-    /// One step per example of `rows`, in order.
-    fn step_rows(&self, model: &mut dyn ModelStore, rows: &ExampleRows<'_>, alpha: f64) {
-        for i in 0..rows.len() {
-            if let Some((x, y)) = rows.get(i) {
-                self.step(model, x, y, alpha);
-            }
+    /// One gradient step per row of `block`, in order, and nothing between
+    /// them: a pass that applies a per-step proximal operator walks the
+    /// rows itself. An override must leave the model exactly as the
+    /// default, [`IgdTask::gradient_step`] on every row, does. Generic over
+    /// the store, so that inlined into a pass the loop calls the store's
+    /// methods directly, not through `dyn ModelStore` on every row; that
+    /// keeps it off a `dyn IgdTask`, which stays usable for the rest.
+    #[inline]
+    fn step_block<M: ModelStore>(&self, model: &mut M, block: RowBlock<'_>, alpha: f64)
+    where
+        Self: Sized,
+    {
+        for row in block.rows() {
+            self.gradient_step(model, row, alpha);
         }
     }
 
-    /// Hand the loss of every row of `rows` to `sink`, in order (the terms
-    /// the per-tuple loss pass forms, bit for bit).
-    fn add_losses(&self, model: &[f64], rows: &ExampleRows<'_>, sink: &mut LossSink<'_>) {
-        sink.extend(rows.iter().map(|example| match example {
-            Some((x, y)) => self.loss(model, x, y),
-            None => 0.0,
-        }));
+    /// Hand the loss term of every row of `block` to `sink`, in order. An
+    /// override must hand over the terms of the default,
+    /// [`IgdTask::example_loss`] on every row, bit for bit.
+    #[inline]
+    fn add_losses(&self, model: &[f64], block: RowBlock<'_>, sink: &mut LossSink<'_>) {
+        sink.extend(block.rows().map(|row| self.example_loss(model, row)));
     }
 }
 
@@ -172,13 +150,13 @@ mod tests {
         fn dimension(&self) -> usize {
             1
         }
-        fn gradient_step(&self, model: &mut dyn ModelStore, tuple: &Tuple, alpha: f64) {
-            let y = tuple.get_double(0).unwrap_or(0.0);
+        fn gradient_step(&self, model: &mut dyn ModelStore, row: RowRef<'_>, alpha: f64) {
+            let y = row.get_double(0).unwrap_or(0.0);
             let w = model.read(0);
             model.update(0, -alpha * (w - y));
         }
-        fn example_loss(&self, model: &[f64], tuple: &Tuple) -> f64 {
-            let y = tuple.get_double(0).unwrap_or(0.0);
+        fn example_loss(&self, model: &[f64], row: RowRef<'_>) -> f64 {
+            let y = row.get_double(0).unwrap_or(0.0);
             0.5 * (model[0] - y).powi(2)
         }
     }
@@ -205,7 +183,7 @@ mod tests {
         let mut store = DenseModelStore::zeros(1);
         for _ in 0..200 {
             for tuple in t.scan() {
-                MeanTask.gradient_step(&mut store, tuple, 0.1);
+                MeanTask.gradient_step(&mut store, tuple.into(), 0.1);
             }
         }
         assert!((store.read(0) - 3.0).abs() < 0.2);

@@ -17,7 +17,7 @@
 
 use bismarck_linalg::ops::log_sum_exp;
 use bismarck_linalg::SparseVector;
-use bismarck_storage::Tuple;
+use bismarck_storage::RowRef;
 
 use crate::model::ModelStore;
 use crate::task::{IgdTask, ProximalPolicy};
@@ -214,8 +214,8 @@ impl IgdTask for CrfTask {
         self.num_features * self.num_labels + self.num_labels * self.num_labels
     }
 
-    fn gradient_step(&self, model: &mut dyn ModelStore, tuple: &Tuple, alpha: f64) {
-        let Some(seq) = tuple.get_sequence(self.sequence_col) else {
+    fn gradient_step(&self, model: &mut dyn ModelStore, row: RowRef<'_>, alpha: f64) {
+        let Some(seq) = row.get_sequence(self.sequence_col) else {
             return;
         };
         if seq.is_empty() {
@@ -271,8 +271,8 @@ impl IgdTask for CrfTask {
         }
     }
 
-    fn example_loss(&self, model: &[f64], tuple: &Tuple) -> f64 {
-        match tuple.get_sequence(self.sequence_col) {
+    fn example_loss(&self, model: &[f64], row: RowRef<'_>) -> f64 {
+        match row.get_sequence(self.sequence_col) {
             Some(seq) if !seq.is_empty() => -self.sequence_log_likelihood(model, seq),
             _ => 0.0,
         }
@@ -357,15 +357,18 @@ mod tests {
         let mut store = DenseModelStore::zeros(t.dimension());
         let initial: f64 = data
             .scan()
-            .map(|tup| t.example_loss(store.as_slice(), tup))
+            .map(|tup| t.example_loss(store.as_slice(), tup.into()))
             .sum();
         for _ in 0..60 {
             for tuple in data.scan() {
-                t.gradient_step(&mut store, tuple, 0.2);
+                t.gradient_step(&mut store, tuple.into(), 0.2);
             }
         }
         let model = store.into_vec();
-        let trained: f64 = data.scan().map(|tup| t.example_loss(&model, tup)).sum();
+        let trained: f64 = data
+            .scan()
+            .map(|tup| t.example_loss(&model, tup.into()))
+            .sum();
         assert!(
             trained < initial * 0.5,
             "trained {trained} vs initial {initial}"
@@ -389,7 +392,7 @@ mod tests {
         model[t.state_index(1, 1)] = 20.0;
         let data = crf_table(&[sentence(&[0, 1])]);
         let mut store = DenseModelStore::new(model.clone());
-        t.gradient_step(&mut store, data.get(0).unwrap(), 1.0);
+        t.gradient_step(&mut store, data.get(0).unwrap().into(), 1.0);
         let after = store.into_vec();
         let delta: f64 = after
             .iter()
@@ -404,9 +407,12 @@ mod tests {
         let t = task();
         let data = crf_table(&[Vec::new()]);
         let mut store = DenseModelStore::zeros(t.dimension());
-        t.gradient_step(&mut store, data.get(0).unwrap(), 0.5);
+        t.gradient_step(&mut store, data.get(0).unwrap().into(), 0.5);
         assert!(store.as_slice().iter().all(|&v| v == 0.0));
-        assert_eq!(t.example_loss(store.as_slice(), data.get(0).unwrap()), 0.0);
+        assert_eq!(
+            t.example_loss(store.as_slice(), data.get(0).unwrap().into()),
+            0.0
+        );
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! This problem is not convex, but as the paper notes it can still be solved
 //! with IGD (following Gemulla et al.).
 
-use bismarck_storage::Tuple;
+use bismarck_storage::RowRef;
 
 use crate::model::ModelStore;
 use crate::task::{IgdTask, ProximalPolicy};
@@ -98,10 +98,12 @@ impl LmfTask {
         self.rows * self.rank + j * self.rank + k
     }
 
-    fn example(&self, tuple: &Tuple) -> Option<(usize, usize, f64)> {
-        let i = tuple.get_int(self.row_col)?;
-        let j = tuple.get_int(self.col_col)?;
-        let m = tuple.get_double(self.rating_col)?;
+    // `inline(always)`, as `KalmanTask::example`.
+    #[inline(always)]
+    fn example(&self, row: RowRef<'_>) -> Option<(usize, usize, f64)> {
+        let i = row.get_int(self.row_col)?;
+        let j = row.get_int(self.col_col)?;
+        let m = row.get_double(self.rating_col)?;
         if i < 0 || j < 0 {
             return None;
         }
@@ -145,8 +147,8 @@ impl IgdTask for LmfTask {
         model
     }
 
-    fn gradient_step(&self, model: &mut dyn ModelStore, tuple: &Tuple, alpha: f64) {
-        let Some((i, j, m)) = self.example(tuple) else {
+    fn gradient_step(&self, model: &mut dyn ModelStore, row: RowRef<'_>, alpha: f64) {
+        let Some((i, j, m)) = self.example(row) else {
             return;
         };
         // error = L_i . R_j - M_ij
@@ -169,8 +171,8 @@ impl IgdTask for LmfTask {
         }
     }
 
-    fn example_loss(&self, model: &[f64], tuple: &Tuple) -> f64 {
-        match self.example(tuple) {
+    fn example_loss(&self, model: &[f64], row: RowRef<'_>) -> f64 {
+        match self.example(row) {
             Some((i, j, m)) => {
                 let err = self.predict(model, i, j) - m;
                 err * err
@@ -245,11 +247,14 @@ mod tests {
         for epoch in 0..400 {
             let alpha = 0.05 / (1.0 + 0.01 * epoch as f64);
             for tuple in t.scan() {
-                task.gradient_step(&mut store, tuple, alpha);
+                task.gradient_step(&mut store, tuple.into(), alpha);
             }
         }
         let model = store.into_vec();
-        let loss: f64 = t.scan().map(|tup| task.example_loss(&model, tup)).sum();
+        let loss: f64 = t
+            .scan()
+            .map(|tup| task.example_loss(&model, tup.into()))
+            .sum();
         assert!(loss < 0.05, "loss = {loss}");
         assert!((task.predict(&model, 1, 2) - 4.0).abs() < 0.2);
     }
@@ -278,10 +283,10 @@ mod tests {
         let init = task.initial_model();
         let mut store = DenseModelStore::new(init.clone());
         for tuple in t.scan() {
-            task.gradient_step(&mut store, tuple, 0.1);
+            task.gradient_step(&mut store, tuple.into(), 0.1);
         }
         assert_eq!(store.as_slice(), init.as_slice());
-        assert_eq!(task.example_loss(&init, t.get(0).unwrap()), 0.0);
+        assert_eq!(task.example_loss(&init, t.get(0).unwrap().into()), 0.0);
     }
 
     #[test]
@@ -290,7 +295,7 @@ mod tests {
         let t = rating_table(1, 1, |_, _| 5.0);
         let init = task.initial_model();
         let mut store = DenseModelStore::new(init.clone());
-        task.gradient_step(&mut store, t.get(0).unwrap(), 0.1);
+        task.gradient_step(&mut store, t.get(0).unwrap().into(), 0.1);
         let updated = store.into_vec();
         let changed: Vec<usize> = updated
             .iter()

@@ -15,7 +15,7 @@
 
 use bismarck_linalg::projection::project_simplex;
 use bismarck_linalg::FeatureVectorRef;
-use bismarck_storage::Tuple;
+use bismarck_storage::RowRef;
 
 use crate::model::ModelStore;
 use crate::task::{IgdTask, ProximalPolicy};
@@ -73,8 +73,9 @@ impl PortfolioTask {
     }
 
     /// Borrow the day's return vector — zero-copy.
-    fn example<'t>(&self, tuple: &'t Tuple) -> Option<FeatureVectorRef<'t>> {
-        tuple.feature_view(self.returns_col)
+    #[inline]
+    fn example<'t>(&self, row: RowRef<'t>) -> Option<FeatureVectorRef<'t>> {
+        row.feature_view(self.returns_col)
     }
 
     /// Expected portfolio return `pᵀw` for an allocation.
@@ -101,8 +102,8 @@ impl IgdTask for PortfolioTask {
         vec![1.0 / self.num_assets as f64; self.num_assets]
     }
 
-    fn gradient_step(&self, model: &mut dyn ModelStore, tuple: &Tuple, alpha: f64) {
-        let Some(returns) = self.example(tuple) else {
+    fn gradient_step(&self, model: &mut dyn ModelStore, row: RowRef<'_>, alpha: f64) {
+        let Some(returns) = self.example(row) else {
             return;
         };
         // centred return c = r - mu; exposure = w . c
@@ -126,8 +127,8 @@ impl IgdTask for PortfolioTask {
         }
     }
 
-    fn example_loss(&self, model: &[f64], tuple: &Tuple) -> f64 {
-        match self.example(tuple) {
+    fn example_loss(&self, model: &[f64], row: RowRef<'_>) -> f64 {
+        match self.example(row) {
             Some(returns) => {
                 let mut exposure = 0.0;
                 for (i, r) in returns.iter_entries() {
@@ -222,11 +223,11 @@ mod tests {
         let all_in_safe = vec![0.0, 1.0, 0.0];
         let risky_loss: f64 = t
             .scan()
-            .map(|tup| task.example_loss(&all_in_risky, tup))
+            .map(|tup| task.example_loss(&all_in_risky, tup.into()))
             .sum();
         let safe_loss: f64 = t
             .scan()
-            .map(|tup| task.example_loss(&all_in_safe, tup))
+            .map(|tup| task.example_loss(&all_in_safe, tup.into()))
             .sum();
         // The risky asset has much higher variance, so with γ = 1 its total
         // objective is worse despite the higher expected return.

@@ -10,10 +10,11 @@
 //! epoch goes through the same seven steps:
 //!
 //! 1. **Stop check** — the run's one stop signal, its [`QueryGuard`], is
-//!    polled (before retries too, and between the blocks of the sequential
-//!    and MRS gradient passes and of every range of the loss pass, where a
-//!    stop discards the attempt); a stop persists an interrupt checkpoint of
-//!    the last recorded epoch and ends the run with
+//!    polled (before retries too, and between the blocks of every
+//!    storage-order gradient pass but pure UDA's — sequential, each
+//!    shared-memory worker's range, the MRS scan — and of every range of the
+//!    loss pass, where a stop discards the attempt); a stop persists an
+//!    interrupt checkpoint of the last recorded epoch and ends the run with
 //!    [`TrainError::Interrupted`].
 //! 2. **Reorder** — the three ordering policies of Section 3.2 (Clustered,
 //!    ShuffleOnce, ShuffleAlways) differ only in which permutation, if any,
@@ -21,12 +22,13 @@
 //!    only when a draw actually happens and the pass reads it.
 //! 3. **Gradient pass** — sequential, pure-UDA, shared-memory or MRS
 //!    ([`crate::mrs`]); always isolated from panics
-//!    ([`TrainError::WorkerPanic`]). In storage order it consumes the table
-//!    block by block, and a task that declares examples
-//!    ([`IgdTask::examples`]) steps on them where the block stores them; a
-//!    permuted order and the MRS scan go tuple by tuple.
+//!    ([`TrainError::WorkerPanic`]). In storage order it hands the task the
+//!    table block by block ([`IgdTask::step_block`]), each row read where
+//!    the block stores it ([`bismarck_storage::RowRef`]); a pass that runs a
+//!    per-step proximal operator, the MRS scan (which offers every row to its
+//!    reservoir) and a permuted order step row by row.
 //! 4. **Loss pass** — the full objective, for the convergence test; always
-//!    in storage order, block by block in the same way, and isolated from
+//!    in storage order, block by block ([`IgdTask::add_losses`]), and isolated from
 //!    panics like the gradient pass. A run whose gradient pass is split over
 //!    threads splits it the same way — shared-memory workers and pure-UDA
 //!    threads each read one contiguous range of storage order; the
@@ -44,7 +46,7 @@
 //!    ([`CheckpointPolicy`]) and picked back up with
 //!    [`Trainer::resume_from`].
 //!
-//! All of it stays off the per-tuple hot path: the extra work is one
+//! All of it stays off the per-row hot path: the extra work is one
 //! `catch_unwind` frame per pass and per worker, one O(d) snapshot and one
 //! O(d) finiteness scan per *epoch*, and one stop check per *block*. A run
 //! that splits its loss pass also holds one buffer of 8 bytes per row
@@ -63,7 +65,7 @@ use bismarck_uda::{
 use crate::checkpoint::TrainingCheckpoint;
 use crate::error::TrainError;
 use crate::governor::QueryGuard;
-use crate::igd::{block_examples, IgdAggregate};
+use crate::igd::IgdAggregate;
 use crate::mrs::run_mrs_epoch;
 use crate::parallel::{
     isolated, run_pure_uda_epoch, run_shared_memory_epoch, run_workers, ParallelStrategy,
@@ -316,9 +318,10 @@ impl TrainerConfig {
 
     /// Run under a resource-governance [`QueryGuard`], the run's one stop
     /// signal. The trainers poll it at every epoch boundary and between the
-    /// blocks of the sequential storage-order pass, of the MRS scan and of
-    /// every range of every loss pass (pure-UDA and shared-memory gradient
-    /// workers finish their pass), so a deadline or a cancellation —
+    /// blocks of the sequential storage-order pass, of each shared-memory
+    /// worker's storage-order range, of the MRS scan and of every range of
+    /// every loss pass (pure-UDA segments and a permuted walk finish their
+    /// pass), so a deadline or a cancellation —
     /// including one issued by [`crate::governor::Governor::shutdown`] — ends
     /// the run there with [`TrainError::Interrupted`] carrying the last
     /// completed epoch's model, after writing a final checkpoint if a policy
@@ -572,10 +575,19 @@ pub(crate) fn run_epochs<T: IgdTask, S: TupleScan + ?Sized>(
                     Some(ParallelStrategy::SharedMemory {
                         workers,
                         discipline,
-                    }) => run_shared_memory_epoch(
-                        task, data, order, current, alpha, workers, discipline,
-                    )
-                    .map(Some),
+                    }) => {
+                        let keep_going = || !stop_requested(config);
+                        let workers = (workers, discipline);
+                        run_shared_memory_epoch(
+                            task,
+                            data,
+                            order,
+                            current,
+                            alpha,
+                            workers,
+                            &keep_going,
+                        )
+                    }
                     Some(ParallelStrategy::Mrs { buffer_size, seed }) => {
                         let reservoir = (buffer_size, seed.wrapping_add(epoch as u64));
                         let mut keep_going = || !stop_requested(config);
@@ -740,11 +752,10 @@ fn objective_while<T: IgdTask, S: TupleScan + ?Sized>(
     Ok(finished.then(|| terms.iter().fold(total, |sum, term| sum + term)))
 }
 
-/// The loss pass's one per-row loop: hand `sink` the loss term of each row
-/// of `start..end` in storage order, polling `keep_going` between blocks;
-/// `false` once it says stop. A task that declares examples evaluates them
-/// where the block stores them; every other row goes through
-/// [`IgdTask::example_loss`].
+/// The loss pass's one loop: hand `sink` the loss term of each row of
+/// `start..end` in storage order, block by block through
+/// [`IgdTask::add_losses`], polling `keep_going` between blocks; `false` once
+/// it says stop.
 fn range_losses_while<T: IgdTask, S: TupleScan + ?Sized>(
     task: &T,
     model: &[f64],
@@ -753,22 +764,9 @@ fn range_losses_while<T: IgdTask, S: TupleScan + ?Sized>(
     keep_going: &mut dyn FnMut() -> bool,
     sink: &mut LossSink<'_>,
 ) -> bool {
-    let mut scratch = Tuple::default();
-    scan_blocks_while(
-        data,
-        start,
-        end,
-        keep_going,
-        &mut |block| match block_examples(task, block) {
-            Some((examples, rows)) => examples.add_losses(model, &rows, sink),
-            None => {
-                block.for_each_tuple(&mut scratch, &mut |tuple| {
-                    sink.extend(std::iter::once(task.example_loss(model, tuple)));
-                    true
-                });
-            }
-        },
-    )
+    scan_blocks_while(data, start, end, keep_going, &mut |block| {
+        task.add_losses(model, block, sink)
+    })
 }
 
 /// Abort an attempt on a stop request: persist `good`, the run as of its

@@ -5,16 +5,29 @@
 //! * projection onto the probability simplex Δ (portfolio optimization),
 //! * soft-thresholding, the proximal operator of the `µ‖w‖₁` regularizers.
 
+/// The most coordinates [`project_simplex`] sorts without a heap copy.
+const SIMPLEX_STACK_COORDS: usize = 64;
+
 /// Project `w` onto the probability simplex `{ w : w_i >= 0, Σ w_i = 1 }`.
 ///
 /// Uses the classic sort-based algorithm (Held, Wolfe & Crowder). The empty
-/// vector is returned unchanged.
+/// vector is returned unchanged. The sorted copy of a model of up to 64
+/// coordinates lives on the stack, so a per-step projection of a small model
+/// allocates nothing.
 pub fn project_simplex(w: &mut [f64]) {
     let n = w.len();
     if n == 0 {
         return;
     }
-    let mut sorted: Vec<f64> = w.to_vec();
+    let mut stack = [0.0; SIMPLEX_STACK_COORDS];
+    let mut heap = Vec::new();
+    let sorted = if n <= SIMPLEX_STACK_COORDS {
+        &mut stack[..n]
+    } else {
+        heap.resize(n, 0.0);
+        &mut heap[..]
+    };
+    sorted.copy_from_slice(w);
     sorted.sort_by(|a, b| b.partial_cmp(a).unwrap_or(std::cmp::Ordering::Equal));
     let mut cumsum = 0.0;
     let mut rho = 0usize;

@@ -16,7 +16,7 @@
 
 use std::borrow::Cow;
 
-use bismarck_linalg::FeatureVectorRef;
+use bismarck_linalg::{FeatureVectorRef, SparseVector};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -35,11 +35,11 @@ use crate::value::Value;
 /// [`RowBlock`] per run of rows that are physically together (a heap page, a
 /// columnar segment). Whoever can work on column slices — the linear tasks'
 /// gradient and loss passes — reads them straight out of a columnar block;
-/// whoever works a row at a time but names only some of its columns — SQL
-/// `SELECT` — walks the block with [`RowBlock::row`], a
-/// [`RowRef`] cursor that reads one cell where it is stored; the
-/// storage-order tuple scans (`scan_tuples`, `scan_tuples_while`,
-/// `scan_tuples_range`) are adapters over it that hand out a row-store
+/// whoever works a row at a time — every other training task, SQL `SELECT`
+/// — walks the block with [`RowBlock::rows`], [`RowRef`] cursors that read
+/// one cell where it is stored. The storage-order tuple scans
+/// (`scan_tuples`, `scan_tuples_while`, `scan_tuples_range`) are adapters
+/// over it for a caller that wants owned rows: they hand out a row-store
 /// block's tuples as they are and materialize each row of a columnar block
 /// into one reused scratch [`Tuple`]. Only
 /// [`TupleScan::scan_tuples_permuted`] is its own walk. The interface is
@@ -236,6 +236,13 @@ impl<'a> RowBlock<'a> {
         }
     }
 
+    /// Every row of the block in order, each read where it is stored.
+    #[inline]
+    pub fn rows(&self) -> impl ExactSizeIterator<Item = RowRef<'a>> {
+        let block = *self;
+        (0..block.len()).map(move |i| block.row(i))
+    }
+
     /// Hand every row to `f` as a tuple until it returns `false`; returns
     /// whether the scan should go on. Rows of a columnar block are
     /// materialized one after the other into `scratch`, reusing its buffers.
@@ -255,7 +262,10 @@ impl<'a> RowBlock<'a> {
 }
 
 /// One row, read a cell at a time from where it is stored: what
-/// [`RowBlock::row`] hands out, and what any `&[Value]` can be read as.
+/// [`RowBlock::row`] hands out, and what any `&[Value]` or `&Tuple` can be
+/// read as. Its typed accessors read what [`Tuple`]'s read from the row once
+/// materialized, and like those return `None` for a column past the row's
+/// arity.
 #[derive(Debug, Clone, Copy)]
 pub enum RowRef<'a> {
     /// The row's values, in schema order (a row-store tuple, or a row
@@ -270,6 +280,12 @@ pub enum RowRef<'a> {
     },
 }
 
+impl<'a> From<&'a Tuple> for RowRef<'a> {
+    fn from(tuple: &'a Tuple) -> Self {
+        RowRef::Values(tuple.values())
+    }
+}
+
 impl<'a> RowRef<'a> {
     /// Number of columns.
     pub fn arity(&self) -> usize {
@@ -279,18 +295,58 @@ impl<'a> RowRef<'a> {
         }
     }
 
-    /// The value of column `col`: lent by a row that holds values, decoded
-    /// from its chunk (this one cell only) by a columnar row — exactly the
-    /// value the materialized tuple would hold there.
+    /// The value of column `col`: lent by a row that holds values and by a
+    /// `SEQUENCE` chunk, decoded from its chunk (this one cell only) by any
+    /// other columnar row — exactly the value the materialized tuple would
+    /// hold there.
+    ///
+    /// # Panics
+    ///
+    /// When `col` is not below [`RowRef::arity`].
     #[inline]
     pub fn value(&self, col: usize) -> Cow<'a, Value> {
         match *self {
             RowRef::Values(values) => Cow::Borrowed(&values[col]),
-            RowRef::Columns { columns, row } => {
-                let mut value = Value::Null;
-                columns[col].read_into(row, &mut value);
-                Cow::Owned(value)
-            }
+            RowRef::Columns { columns, row } => match &columns[col] {
+                ColumnChunk::Sequence { rows } => Cow::Borrowed(&rows[row]),
+                chunk => {
+                    let mut value = Value::Null;
+                    chunk.read_into(row, &mut value);
+                    Cow::Owned(value)
+                }
+            },
+        }
+    }
+
+    /// Column `col` as a double (integers are coerced), as
+    /// [`Tuple::get_double`] reads it.
+    #[inline]
+    pub fn get_double(&self, col: usize) -> Option<f64> {
+        match *self {
+            RowRef::Values(values) => values.get(col)?.as_double(),
+            RowRef::Columns { columns, row } => columns_number(columns, row, col, Value::as_double),
+        }
+    }
+
+    /// Column `col` as an integer (doubles are truncated), as
+    /// [`Tuple::get_int`] reads it.
+    #[inline]
+    pub fn get_int(&self, col: usize) -> Option<i64> {
+        match *self {
+            RowRef::Values(values) => values.get(col)?.as_int(),
+            RowRef::Columns { columns, row } => columns_number(columns, row, col, Value::as_int),
+        }
+    }
+
+    /// Column `col` as a label sequence, lent in either layout.
+    #[inline]
+    pub fn get_sequence(&self, col: usize) -> Option<&'a [(SparseVector, u32)]> {
+        match *self {
+            RowRef::Values(values) => values.get(col)?.as_sequence(),
+            RowRef::Columns { columns, row } => match columns.get(col)? {
+                ColumnChunk::Sequence { rows } => rows[row].as_sequence(),
+                _ => None,
+            },
         }
     }
 
@@ -299,16 +355,54 @@ impl<'a> RowRef<'a> {
     #[inline]
     pub fn feature_view(&self, col: usize) -> Option<FeatureVectorRef<'a>> {
         match *self {
-            RowRef::Values(values) => values[col].feature_view(),
-            RowRef::Columns { columns, row } => RowBlock::Columns {
-                columns,
-                first: row,
-                len: 1,
-            }
-            .features(col)?
-            .get(0),
+            RowRef::Values(values) => values.get(col)?.feature_view(),
+            RowRef::Columns { columns, row } => columns_feature_view(columns, row, col),
         }
     }
+
+    /// The row as an owned tuple: for a caller that keeps it past the scan.
+    pub fn to_tuple(&self) -> Tuple {
+        Tuple::new(
+            (0..self.arity())
+                .map(|col| self.value(col).into_owned())
+                .collect(),
+        )
+    }
+}
+
+/// The columnar half of [`RowRef::get_double`] and [`RowRef::get_int`]: a
+/// numeric cell read through `read`, as it would read the materialized
+/// tuple's value; a cell of another type is not decoded.
+fn columns_number<T>(
+    columns: &[ColumnChunk],
+    row: usize,
+    col: usize,
+    read: fn(&Value) -> Option<T>,
+) -> Option<T> {
+    match columns.get(col)? {
+        chunk @ (ColumnChunk::Int { .. } | ColumnChunk::Double { .. }) => {
+            let mut value = Value::Null;
+            chunk.read_into(row, &mut value);
+            read(&value)
+        }
+        _ => None,
+    }
+}
+
+/// The columnar half of [`RowRef::feature_view`], a function of its own so
+/// that the row-store half inlines small.
+fn columns_feature_view(
+    columns: &[ColumnChunk],
+    row: usize,
+    col: usize,
+) -> Option<FeatureVectorRef<'_>> {
+    RowBlock::Columns {
+        columns,
+        first: row,
+        len: 1,
+    }
+    .features(col)?
+    .get(0)
 }
 
 /// Materialize row `row` of a segment's chunks into `tuple`, reusing its
@@ -489,58 +583,6 @@ impl<'a> ExampleRows<'a> {
         Some((self.features.get(i)?, self.labels.get(i)?))
     }
 
-    /// Row `i` alone: for a consumer that must do something (take a lock)
-    /// between the steps of a block.
-    pub fn row(&self, i: usize) -> ExampleRows<'a> {
-        let features = FeatureRows(match self.features.0 {
-            FeatureRepr::Dense {
-                data,
-                offsets,
-                validity,
-                first,
-            } => FeatureRepr::Dense {
-                data,
-                offsets: &offsets[i..=i + 1],
-                validity,
-                first: first + i,
-            },
-            FeatureRepr::Sparse {
-                indices,
-                values,
-                offsets,
-                validity,
-                first,
-            } => FeatureRepr::Sparse {
-                indices,
-                values,
-                offsets: &offsets[i..=i + 1],
-                validity,
-                first: first + i,
-            },
-        });
-        let labels = match self.labels {
-            LabelRepr::Double {
-                data,
-                validity,
-                first,
-            } => LabelRepr::Double {
-                data: &data[i..=i],
-                validity,
-                first: first + i,
-            },
-            LabelRepr::Int {
-                data,
-                validity,
-                first,
-            } => LabelRepr::Int {
-                data: &data[i..=i],
-                validity,
-                first: first + i,
-            },
-        };
-        ExampleRows { features, labels }
-    }
-
     /// Every row in order.
     #[inline]
     pub fn iter(&self) -> impl Iterator<Item = Option<(FeatureVectorRef<'a>, f64)>> + '_ {
@@ -624,6 +666,74 @@ pub fn segment_ranges(len: usize, segments: usize) -> Vec<(usize, usize)> {
 mod tests {
     use super::*;
     use std::collections::BTreeSet;
+
+    /// Every cell type, NULLs and an `INT` past 2^53 in the `DOUBLE` column.
+    fn mixed_rows() -> crate::Table {
+        use crate::schema::{Column, DataType, Schema};
+        let schema = Schema::new(vec![
+            Column::nullable("i", DataType::Int),
+            Column::nullable("d", DataType::Double),
+            Column::nullable("t", DataType::Text),
+            Column::nullable("dense", DataType::DenseVec),
+            Column::nullable("sparse", DataType::SparseVec),
+            Column::nullable("seq", DataType::Sequence),
+        ])
+        .unwrap();
+        let mut table = crate::Table::new("mixed", schema);
+        for i in 0..9i64 {
+            let row = if i % 4 == 3 {
+                vec![Value::Null; 6]
+            } else {
+                vec![
+                    Value::Int(i - 4),
+                    if i == 2 {
+                        Value::Int((1 << 53) + 1)
+                    } else {
+                        Value::Double(i as f64 / 3.0)
+                    },
+                    Value::from(format!("row {i}")),
+                    Value::from(vec![i as f64, -1.5]),
+                    Value::from(SparseVector::from_pairs(vec![(i as usize, 2.0)])),
+                    Value::Sequence(vec![(SparseVector::from_pairs(vec![(1, 0.5)]), i as u32)]),
+                ]
+            };
+            table.insert(row).unwrap();
+        }
+        table
+    }
+
+    /// A row read where it is stored answers every typed accessor as the
+    /// tuple materialized from it does, past its arity too; a `SEQUENCE`
+    /// cell is lent, not copied.
+    #[test]
+    fn row_refs_read_what_their_tuples_read() {
+        let table = mixed_rows();
+        let schema = table.schema().clone();
+        let mut columnar = crate::ColumnarTable::with_chunk_capacity("mixed", schema, 4);
+        columnar
+            .insert_all(table.scan().map(|t| t.values().to_vec()))
+            .unwrap();
+        for data in [&table as &dyn TupleScan, &columnar] {
+            let mut rows = 0;
+            data.scan_blocks(0, usize::MAX, &mut |block| {
+                for row in block.rows() {
+                    let tuple = table.get(rows).unwrap();
+                    assert_eq!(row.to_tuple(), *tuple);
+                    assert_eq!(RowRef::from(tuple).arity(), row.arity());
+                    for col in 0..=row.arity() {
+                        assert_eq!(row.get_double(col), tuple.get_double(col));
+                        assert_eq!(row.get_int(col), tuple.get_int(col));
+                        assert_eq!(row.get_sequence(col), tuple.get_sequence(col));
+                        assert_eq!(row.feature_view(col), tuple.feature_view(col));
+                    }
+                    assert!(matches!(row.value(5), Cow::Borrowed(_)));
+                    rows += 1;
+                }
+                true
+            });
+            assert_eq!(rows, table.len());
+        }
+    }
 
     #[test]
     fn clustered_has_no_permutation_and_never_shuffles() {

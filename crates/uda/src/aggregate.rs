@@ -49,11 +49,15 @@ pub trait Aggregate {
     /// Fold a block of consecutive rows into the state; the executors hand a
     /// storage-order pass over block by block. Must leave the state exactly
     /// as [`Aggregate::transition`] on each row in order would — which is
-    /// the default ([`transition_tuples`]). An aggregate that can work on
-    /// the block's column slices in place overrides it to skip the per-row
-    /// tuple a columnar block would otherwise be materialized into.
+    /// the default, each row of a columnar block materialized into one
+    /// scratch tuple. An aggregate that can read the rows where the block
+    /// stores them overrides it to skip that copy.
     fn transition_block(&self, state: &mut Self::State, block: RowBlock<'_>) {
-        transition_tuples(self, state, block);
+        let mut scratch = Tuple::default();
+        block.for_each_tuple(&mut scratch, &mut |tuple| {
+            self.transition(state, tuple);
+            true
+        });
     }
 
     /// Combine two states that were aggregated independently over disjoint
@@ -65,20 +69,6 @@ pub trait Aggregate {
 
     /// Finish the aggregation and produce the output.
     fn terminate(&self, state: Self::State) -> Self::Output;
-}
-
-/// [`Aggregate::transition`] on every row of `block` in order, each row of a
-/// columnar block materialized into one scratch tuple.
-pub fn transition_tuples<A: Aggregate + ?Sized>(
-    agg: &A,
-    state: &mut A::State,
-    block: RowBlock<'_>,
-) {
-    let mut scratch = Tuple::default();
-    block.for_each_tuple(&mut scratch, &mut |tuple| {
-        agg.transition(state, tuple);
-        true
-    });
 }
 
 /// A simple counting aggregate used in tests and as documentation of the

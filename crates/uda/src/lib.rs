@@ -28,7 +28,7 @@ mod convergence;
 mod epoch;
 mod executor;
 
-pub use crate::aggregate::{transition_tuples, Aggregate, CountAggregate};
+pub use crate::aggregate::{Aggregate, CountAggregate};
 pub use crate::convergence::ConvergenceTest;
 pub use crate::epoch::{EpochRecord, TrainingHistory};
 pub use crate::executor::{

@@ -31,17 +31,18 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
+use bismarck_core::task::LossSink;
 use bismarck_core::tasks::{LeastSquaresTask, LogisticRegressionTask, SvmTask};
 use bismarck_core::{
-    ExampleTask, IgdTask, ModelStore, ParallelStrategy, ParallelTrainer, ProximalPolicy,
-    StepSizeSchedule, TrainError, TrainedModel, Trainer, TrainerConfig, UpdateDiscipline,
+    IgdTask, ModelStore, ParallelStrategy, ParallelTrainer, ProximalPolicy, StepSizeSchedule,
+    TrainError, TrainedModel, Trainer, TrainerConfig, UpdateDiscipline,
 };
 use bismarck_linalg::{FeatureVectorRef, SparseVector};
 use bismarck_sql::{SqlError, SqlSession};
 use bismarck_storage::csv::{table_from_str, tuples_to_string};
 use bismarck_storage::{
-    Column, ColumnarTable, DataType, RowBlock, ScanOrder, Schema, StorageError, Table, Tuple,
-    TupleScan, Value,
+    Column, ColumnarTable, DataType, RowBlock, RowRef, ScanOrder, Schema, StorageError, Table,
+    Tuple, TupleScan, Value,
 };
 use bismarck_uda::ConvergenceTest;
 use proptest::prelude::*;
@@ -594,13 +595,14 @@ fn mrs_reads_every_layout_alike_and_trains_out_of_core() {
     }
 }
 
-/// Counts the rows that reach the task one tuple at a time (the block path
-/// steps on borrowed examples and never calls `gradient_step`), and can
-/// claim a per-step proximal operator for the wrapped task's.
+/// Counts the rows a pass hands the task one at a time (whole blocks go on
+/// to the wrapped task's own block methods, which never call this
+/// wrapper's `gradient_step`), and can claim a per-step proximal operator
+/// for the wrapped task's.
 struct Probe<T> {
     inner: T,
     per_step: bool,
-    tuple_steps: AtomicUsize,
+    row_steps: AtomicUsize,
 }
 
 impl<T: IgdTask> Probe<T> {
@@ -608,12 +610,12 @@ impl<T: IgdTask> Probe<T> {
         Probe {
             inner,
             per_step,
-            tuple_steps: AtomicUsize::new(0),
+            row_steps: AtomicUsize::new(0),
         }
     }
 
-    fn tuple_steps(&self) -> usize {
-        self.tuple_steps.swap(0, Ordering::Relaxed)
+    fn row_steps(&self) -> usize {
+        self.row_steps.swap(0, Ordering::Relaxed)
     }
 }
 
@@ -624,15 +626,18 @@ impl<T: IgdTask> IgdTask for Probe<T> {
     fn dimension(&self) -> usize {
         self.inner.dimension()
     }
-    fn gradient_step(&self, model: &mut dyn ModelStore, tuple: &Tuple, alpha: f64) {
-        self.tuple_steps.fetch_add(1, Ordering::Relaxed);
-        self.inner.gradient_step(model, tuple, alpha)
+    fn gradient_step(&self, model: &mut dyn ModelStore, row: RowRef<'_>, alpha: f64) {
+        self.row_steps.fetch_add(1, Ordering::Relaxed);
+        self.inner.gradient_step(model, row, alpha)
     }
-    fn example_loss(&self, model: &[f64], tuple: &Tuple) -> f64 {
-        self.inner.example_loss(model, tuple)
+    fn example_loss(&self, model: &[f64], row: RowRef<'_>) -> f64 {
+        self.inner.example_loss(model, row)
     }
-    fn examples(&self) -> Option<&dyn ExampleTask> {
-        self.inner.examples()
+    fn step_block<M: ModelStore>(&self, model: &mut M, block: RowBlock<'_>, alpha: f64) {
+        self.inner.step_block(model, block, alpha)
+    }
+    fn add_losses(&self, model: &[f64], block: RowBlock<'_>, sink: &mut LossSink<'_>) {
+        self.inner.add_losses(model, block, sink)
     }
     fn regularizer(&self, model: &[f64]) -> f64 {
         self.inner.regularizer(model)
@@ -649,11 +654,13 @@ impl<T: IgdTask> IgdTask for Probe<T> {
     }
 }
 
-/// Which rows take the block path is decided from what the code sees, and
-/// everything else trains through the per-tuple path to the same bits: a
-/// per-step proximal operator and a feature column the chunks cannot lend
-/// out. A torn segment under the block path is a worker fault carrying the
-/// last-good model.
+/// Which rows a pass walks one at a time instead of handing the task their
+/// block is decided from what the pass sees, and everything trains to the
+/// same bits: a per-step proximal operator and a permuted order go row by
+/// row, and a feature column the chunks cannot lend out goes to the task's
+/// block method like any other (which of those blocks `LinearTask` steps on
+/// with its example kernel is pinned in `tasks/linear.rs`). A torn segment
+/// under the block path is a worker fault carrying the last-good model.
 #[test]
 fn block_path_falls_back_per_tuple_and_surfaces_torn_segments() {
     let (schema, rows) = training_rows(false);
@@ -662,33 +669,28 @@ fn block_path_falls_back_per_tuple_and_surfaces_torn_segments() {
     let every_row = TRAIN_ROWS * TRAIN_EPOCHS;
     let lr = || LogisticRegressionTask::new(1, 2, 3).with_l2(1e-3);
 
-    // The block path: no row of a columnar table is rebuilt as a tuple. The
-    // row store's tuples are the borrowed view already and arrive as such.
+    // The block path: every layout's blocks go to the task whole — the row
+    // store's heap pages as much as a columnar segment.
     let probe = Probe::new(lr(), false);
     let reference = train_bits(&lr(), None, ScanOrder::Clustered, &table);
-    assert_eq!(
-        train_bits(&probe, None, ScanOrder::Clustered, &table),
-        reference
-    );
-    assert_eq!(probe.tuple_steps(), every_row);
-    for data in [&columnar, &paged] {
+    for data in [&table as &dyn TupleScan, &columnar, &paged] {
         assert_eq!(
             train_bits(&probe, None, ScanOrder::Clustered, data),
             reference
         );
-        assert_eq!(probe.tuple_steps(), 0);
+        assert_eq!(probe.row_steps(), 0);
     }
     // A permuted order has no blocks.
     let order = ScanOrder::ShuffleOnce { seed: 7 };
     let shuffled = train_bits(&lr(), None, order, &table);
     assert_eq!(train_bits(&probe, None, order, &columnar), shuffled);
-    assert_eq!(probe.tuple_steps(), every_row);
+    assert_eq!(probe.row_steps(), every_row);
 
-    // A proximal operator between the steps: per tuple, every pass.
+    // A proximal operator between the steps: row by row, every pass.
     let per_step = Probe::new(lr(), true);
     for pass in PASSES {
         let reference = train_bits(&per_step, pass, ScanOrder::Clustered, &table);
-        assert_eq!(per_step.tuple_steps(), every_row, "{pass:?}");
+        assert_eq!(per_step.row_steps(), every_row, "{pass:?}");
         // The operator did run between the steps — except under the
         // lock-free MRS pass, which demotes it to where `lr()` has it.
         assert_eq!(
@@ -699,12 +701,26 @@ fn block_path_falls_back_per_tuple_and_surfaces_torn_segments() {
         for data in [&columnar, &paged] {
             let bits = train_bits(&per_step, pass, ScanOrder::Clustered, data);
             assert_eq!(bits, reference, "{pass:?}");
-            assert_eq!(per_step.tuple_steps(), every_row, "{pass:?}");
+            assert_eq!(per_step.row_steps(), every_row, "{pass:?}");
         }
     }
+    // The lock-free passes demote the operator to per-epoch, so they hand
+    // the task whole blocks.
+    let no_lock = Some(ParallelStrategy::SharedMemory {
+        workers: 1,
+        discipline: UpdateDiscipline::NoLock,
+    });
+    let reference = train_bits(&per_step, no_lock, ScanOrder::Clustered, &table);
+    for data in [&table as &dyn TupleScan, &columnar, &paged] {
+        assert_eq!(
+            train_bits(&per_step, no_lock, ScanOrder::Clustered, data),
+            reference
+        );
+        assert_eq!(per_step.row_steps(), 0);
+    }
 
-    // A TEXT "features" column: the chunks lend nothing out, the rows arrive
-    // as tuples and hold no example, exactly as over the row store.
+    // A TEXT "features" column: the chunks lend nothing out, and the rows
+    // hold no example, exactly as over the row store.
     let text_schema = Schema::new(vec![
         Column::new("id", DataType::Int),
         Column::nullable("vec", DataType::Text),
@@ -718,12 +734,15 @@ fn block_path_falls_back_per_tuple_and_surfaces_torn_segments() {
     let text_dir = temp_dir("fallback_text");
     let (text_table, text_columnar, _) = three_layouts(&text_schema, &text_rows, &text_dir);
     let reference = train_bits(&probe, None, ScanOrder::Clustered, &text_table);
-    assert_eq!(probe.tuple_steps(), every_row);
-    assert_eq!(
-        train_bits(&probe, None, ScanOrder::Clustered, &text_columnar),
-        reference
-    );
-    assert_eq!(probe.tuple_steps(), every_row);
+    assert!(reference.0.iter().all(|&w| w == 0), "no row is an example");
+    for pass in PASSES {
+        assert_eq!(
+            train_bits(&probe, pass, ScanOrder::Clustered, &text_columnar),
+            train_bits(&probe, pass, ScanOrder::Clustered, &text_table),
+            "{pass:?}"
+        );
+    }
+    probe.row_steps();
     std::fs::remove_dir_all(&text_dir).ok();
 
     // Two good epochs, then segment 2 is torn behind a cold cache: the next
@@ -752,7 +771,7 @@ fn block_path_falls_back_per_tuple_and_surfaces_torn_segments() {
     assert_eq!(epoch, 0);
     assert!(message.contains("failed to page in segment 2"), "{message}");
     assert_eq!(last_good.model, good.model);
-    assert_eq!(probe.tuple_steps(), 0, "the fault was on the block path");
+    assert_eq!(probe.row_steps(), 0, "the fault was on the block path");
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -24,7 +24,7 @@ use bismarck_core::{
     TrainingCheckpoint, UpdateDiscipline,
 };
 use bismarck_datagen::{dense_classification, DenseClassificationConfig};
-use bismarck_storage::{ScanOrder, Table, Tuple};
+use bismarck_storage::{RowRef, ScanOrder, Table};
 use bismarck_uda::ConvergenceTest;
 
 fn table(n: usize) -> Table {
@@ -431,11 +431,11 @@ impl<T: IgdTask> IgdTask for StopAfter<T> {
     fn initial_model(&self) -> Vec<f64> {
         self.inner.initial_model()
     }
-    fn gradient_step(&self, model: &mut dyn ModelStore, tuple: &Tuple, alpha: f64) {
-        self.inner.gradient_step(model, tuple, alpha)
+    fn gradient_step(&self, model: &mut dyn ModelStore, row: RowRef<'_>, alpha: f64) {
+        self.inner.gradient_step(model, row, alpha)
     }
-    fn example_loss(&self, model: &[f64], tuple: &Tuple) -> f64 {
-        self.inner.example_loss(model, tuple)
+    fn example_loss(&self, model: &[f64], row: RowRef<'_>) -> f64 {
+        self.inner.example_loss(model, row)
     }
     fn regularizer(&self, model: &[f64]) -> f64 {
         if self.loss_passes.fetch_add(1, Ordering::SeqCst) + 1 == self.after {

@@ -180,10 +180,10 @@ impl TupleScan for StopAtBlock<'_> {
 }
 
 /// A stop request binds inside an epoch: the sequential gradient pass, the
-/// MRS one (its I/O Worker's scan) and the loss pass — every range of it,
-/// when a pure-UDA run splits it over threads — poll it between blocks,
-/// discard the attempt, and report it exactly like a stop at the epoch
-/// boundary — so resuming loses nothing.
+/// MRS one (its I/O Worker's scan), a shared-memory worker's range and the
+/// loss pass — every range of it, when a pure-UDA run splits it over
+/// threads — poll it between blocks, discard the attempt, and report it
+/// exactly like a stop at the epoch boundary — so resuming loses nothing.
 #[test]
 fn stop_flag_binds_between_the_blocks_of_a_sequential_pass() {
     const SEGMENTS: usize = 24;
@@ -198,14 +198,18 @@ fn stop_flag_binds_between_the_blocks_of_a_sequential_pass() {
 
     let task = LogisticRegressionTask::new(1, 2, 4);
     let clustered = |epochs| config(epochs).with_scan_order(ScanOrder::Clustered);
-    // `None` is `Trainer`; MRS without a buffer and pure UDA are
-    // deterministic, so their runs compare bitwise too. A checkpoint path
-    // resumes from it.
+    // `None` is `Trainer`; MRS without a buffer, pure UDA and one NoLock
+    // worker are deterministic, so their runs compare bitwise too. A
+    // checkpoint path resumes from it.
     let mrs = ParallelStrategy::Mrs {
         buffer_size: 0,
         seed: 3,
     };
     let pure_uda = ParallelStrategy::PureUda { segments: 2 };
+    let no_lock = ParallelStrategy::SharedMemory {
+        workers: 1,
+        discipline: UpdateDiscipline::NoLock,
+    };
     // The loss pass of a pure-UDA run reads as many ranges as its gradient
     // pass has threads; the others read one.
     let loss_ranges = |trainer: Option<ParallelStrategy>| match trainer {
@@ -227,7 +231,7 @@ fn stop_flag_binds_between_the_blocks_of_a_sequential_pass() {
             .map(|(trained, _)| trained)
         }
     };
-    for trainer in [None, Some(mrs), Some(pure_uda)] {
+    for trainer in [None, Some(mrs), Some(pure_uda), Some(no_lock)] {
         let uninterrupted = run(trainer, clustered(5), &paged, None).unwrap();
         let two_epochs = run(trainer, clustered(2), &paged, None).unwrap();
 

@@ -64,10 +64,10 @@ fn step_both_stores<T: IgdTask>(
     alpha: f64,
 ) -> Result<Vec<f64>, String> {
     let mut bulk = DenseModelStore::new(model.to_vec());
-    task.gradient_step(&mut bulk, tuple, alpha);
+    task.gradient_step(&mut bulk, tuple.into(), alpha);
     let bulk = bulk.into_vec();
     let mut fallback = FallbackStore(model.to_vec());
-    task.gradient_step(&mut fallback, tuple, alpha);
+    task.gradient_step(&mut fallback, tuple.into(), alpha);
     prop_assert!(
         max_abs_diff(&bulk, &fallback.0) <= TOL,
         "bulk-kernel vs per-coordinate stores diverged: {bulk:?} vs {:?}",
@@ -160,7 +160,7 @@ proptest! {
         );
 
         // Example loss from the view path vs the reference margin.
-        let loss = task.example_loss(&model, &tuple);
+        let loss = task.example_loss(&model, (&tuple).into());
         let reference_loss = bismarck_linalg::log1p_exp(-y * wx_cloned);
         prop_assert!((loss - reference_loss).abs() <= TOL);
     }
@@ -185,7 +185,7 @@ proptest! {
         prop_assert!(max_abs_diff(&stepped, &reference) <= TOL);
 
         let reference_loss = (1.0 - y * wx).max(0.0);
-        prop_assert!((task.example_loss(&model, &tuple) - reference_loss).abs() <= TOL);
+        prop_assert!((task.example_loss(&model, (&tuple).into()) - reference_loss).abs() <= TOL);
     }
 
     /// Least squares: three-way agreement on step and loss.
@@ -206,7 +206,7 @@ proptest! {
         prop_assert!(max_abs_diff(&stepped, &reference) <= TOL);
 
         let reference_loss = 0.5 * (wx - y).powi(2);
-        prop_assert!((task.example_loss(&model, &tuple) - reference_loss).abs() <= TOL);
+        prop_assert!((task.example_loss(&model, (&tuple).into()) - reference_loss).abs() <= TOL);
     }
 
     /// Portfolio: the centred-exposure transition agrees across stores and
@@ -250,7 +250,7 @@ proptest! {
         }
         let ret: f64 = expected.iter().zip(&model).map(|(p, w)| p * w).sum();
         let reference_loss = 1.5 * exp2 * exp2 - ret / 10.0;
-        prop_assert!((task.example_loss(&model, &tuple) - reference_loss).abs() <= TOL);
+        prop_assert!((task.example_loss(&model, (&tuple).into()) - reference_loss).abs() <= TOL);
     }
 
     /// Kalman: observation components are now read through the view (no

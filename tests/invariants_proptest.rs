@@ -56,10 +56,10 @@ proptest! {
     fn small_step_least_squares_does_not_blow_up(rows in rows_strategy(3, 30)) {
         let table = table_from_rows(&rows);
         let task = LeastSquaresTask::new(0, 1, 3);
-        let before: f64 = table.scan().map(|t| task.example_loss(&[0.0; 3], t)).sum();
+        let before: f64 = table.scan().map(|t| task.example_loss(&[0.0; 3], t.into())).sum();
         let out = run_sequential(&IgdAggregate::new(&task, 0.01, vec![0.0; 3]), &table, None);
         let model = out.model.into_vec();
-        let after: f64 = table.scan().map(|t| task.example_loss(&model, t)).sum();
+        let after: f64 = table.scan().map(|t| task.example_loss(&model, t.into())).sum();
         prop_assert!(after <= before * 1.01 + 1e-9, "after {} before {}", after, before);
     }
 

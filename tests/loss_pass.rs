@@ -27,7 +27,7 @@ use bismarck_core::{
 };
 use bismarck_linalg::SparseVector;
 use bismarck_storage::{
-    Column, ColumnarTable, DataType, ScanOrder, Schema, Table, Tuple, TupleScan, Value,
+    Column, ColumnarTable, DataType, RowRef, ScanOrder, Schema, Table, TupleScan, Value,
 };
 use bismarck_uda::ConvergenceTest;
 
@@ -244,8 +244,8 @@ fn each_epoch_s_loss_is_the_objective_of_that_epoch_s_model() {
     }
 }
 
-/// LR whose `example_loss` panics from call `after` on, and which declares
-/// no examples, so that every row reaches it whatever the layout.
+/// LR whose `example_loss` panics from call `after` on, and which keeps the
+/// default block methods, so that every row reaches it whatever the layout.
 struct PanicsInLoss {
     inner: LogisticRegressionTask,
     calls: AtomicUsize,
@@ -259,14 +259,14 @@ impl IgdTask for PanicsInLoss {
     fn dimension(&self) -> usize {
         self.inner.dimension()
     }
-    fn gradient_step(&self, model: &mut dyn ModelStore, tuple: &Tuple, alpha: f64) {
-        self.inner.gradient_step(model, tuple, alpha)
+    fn gradient_step(&self, model: &mut dyn ModelStore, row: RowRef<'_>, alpha: f64) {
+        self.inner.gradient_step(model, row, alpha)
     }
-    fn example_loss(&self, model: &[f64], tuple: &Tuple) -> f64 {
+    fn example_loss(&self, model: &[f64], row: RowRef<'_>) -> f64 {
         if self.calls.fetch_add(1, Ordering::SeqCst) >= self.after {
             panic!("injected fault in the loss pass");
         }
-        self.inner.example_loss(model, tuple)
+        self.inner.example_loss(model, row)
     }
     fn regularizer(&self, model: &[f64]) -> f64 {
         self.inner.regularizer(model)

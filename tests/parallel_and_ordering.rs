@@ -10,7 +10,7 @@ use bismarck_core::{
     TrainerConfig, UpdateDiscipline,
 };
 use bismarck_datagen::{sparse_classification, SparseClassificationConfig};
-use bismarck_storage::{ScanOrder, Table, Tuple};
+use bismarck_storage::{RowRef, ScanOrder, Table};
 use bismarck_uda::ConvergenceTest;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -120,12 +120,12 @@ impl IgdTask for CountingLr {
     fn dimension(&self) -> usize {
         self.inner.dimension()
     }
-    fn gradient_step(&self, model: &mut dyn ModelStore, tuple: &Tuple, alpha: f64) {
+    fn gradient_step(&self, model: &mut dyn ModelStore, row: RowRef<'_>, alpha: f64) {
         self.steps.fetch_add(1, Ordering::Relaxed);
-        self.inner.gradient_step(model, tuple, alpha);
+        self.inner.gradient_step(model, row, alpha);
     }
-    fn example_loss(&self, model: &[f64], tuple: &Tuple) -> f64 {
-        self.inner.example_loss(model, tuple)
+    fn example_loss(&self, model: &[f64], row: RowRef<'_>) -> f64 {
+        self.inner.example_loss(model, row)
     }
     fn regularizer(&self, model: &[f64]) -> f64 {
         self.inner.regularizer(model)

@@ -79,7 +79,7 @@ fn every_parallel_strategy_reduces_logistic_loss_across_epochs() {
         let zero = task.initial_model();
         table
             .scan()
-            .map(|tuple| task.example_loss(&zero, tuple))
+            .map(|tuple| task.example_loss(&zero, tuple.into()))
             .sum()
     };
 
