@@ -414,10 +414,7 @@ pub fn crf_predict(
     let mut labelings = Vec::with_capacity(table.len());
     table.scan_blocks(0, usize::MAX, &mut |block| {
         labelings.extend(block.rows().map(|row| match row.get_sequence(scol) {
-            Some(sequence) => {
-                let features: Vec<_> = sequence.iter().map(|(f, _)| f.clone()).collect();
-                task.viterbi(&model, &features)
-            }
+            Some(sequence) => task.viterbi(&model, sequence),
             None => Vec::new(),
         }));
         true

@@ -19,7 +19,8 @@
 //!   place, an evicted occupant is handed back owned;
 //! * the **Memory Worker** lives for that scan only (which starts once the
 //!   worker's thread runs, so that even a table crossed faster than a thread
-//!   starts is multiplexed): it sweeps the buffer the *previous* pass filled,
+//!   starts is multiplexed; a scan that panics still ends the sweeps): it
+//!   sweeps the buffer the *previous* pass filled,
 //!   stepping on that without-replacement sample at the same epoch's step
 //!   size, until the scan ends — and always finishes the sweep it is in, so
 //!   a non-empty buffer is swept at least once per pass however the two
@@ -28,6 +29,10 @@
 //!   clones of one `NoLockStore` (`model.rs`);
 //! * after the pass the buffers swap: the sample just drawn is what the next
 //!   pass's Memory Worker sweeps.
+//!
+//! The two workers are the two parts of one [`run_parts`] call, the runner
+//! every pass goes through: the I/O Worker on the calling thread, the Memory
+//! Worker on a thread of its own, each isolated from the other's panic.
 //!
 //! The reservoir of epoch `e` is seeded from `seed + e`, so which rows a pass
 //! keeps depends on the seed, the epoch and the row count alone — not on the
@@ -45,21 +50,22 @@
 //! (the I/O Worker alone, as in epoch 0); a divergence-backoff retry discards
 //! the failed attempt's reservoir and sweeps the same previous buffer again.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Barrier;
 use std::time::Instant;
 
-use bismarck_storage::{Tuple, TupleScan};
-use bismarck_uda::{scan_blocks_while, ConvergenceTest, EpochRecord, TrainingHistory};
+use bismarck_storage::{RowBlock, Tuple, TupleScan};
+use bismarck_uda::{
+    run_parts, scan_blocks_while, ConvergenceTest, EpochRecord, TrainingHistory, WorkerPanic,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::model::{DenseModelStore, ModelStore, NoLockStore};
-use crate::parallel::{fold_worker_outcomes, lock_free_proximal_step};
+use crate::parallel::lock_free_proximal_step;
 use crate::stepsize::StepSizeSchedule;
 use crate::task::{IgdTask, ProximalPolicy};
-use crate::trainer::{objective, EpochAbort, TrainedModel};
+use crate::trainer::{objective, TrainedModel};
 
 /// Reservoir sampling (Vitter's Algorithm R, Section 3.4): one pass over
 /// `N ≥ m` offered items leaves a uniform without-replacement sample of `m`
@@ -129,14 +135,32 @@ impl<T> ReservoirSampler<T> {
 /// The model an MRS pass stepped to, and the sample its reservoir kept.
 pub(crate) type SteppedAndKept = (Vec<f64>, Vec<Tuple>);
 
+/// The two workers of an MRS pass.
+enum Worker {
+    Io,
+    Memory,
+}
+
+/// Clears the flag it holds when dropped — on unwinding too, so a Memory
+/// Worker sweeping "until the scan ends" is never left waiting on a scan
+/// that panicked.
+struct ClearOnDrop<'a>(&'a AtomicBool);
+
+impl Drop for ClearOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.store(false, Ordering::Release);
+    }
+}
+
 /// One MRS epoch (Figure 6) from `model` at step size `alpha`: `buffer` is
 /// the sample the previous pass kept, and the pass fills a reservoir of
 /// `capacity` rows drawn with `seed`. Returns the stepped model and the
 /// sample this pass kept, or `None` — the attempt is to be discarded — once
 /// `keep_going`, polled between the blocks of the scan, says stop.
 ///
-/// Both workers run under `catch_unwind`; see `run_workers` in
-/// [`crate::parallel`] for why that is sound over a shared model.
+/// The pass is `[I/O Worker, Memory Worker]` on [`run_parts`]: the I/O
+/// Worker on the calling thread, the Memory Worker (only if there is a
+/// buffer to sweep) on a thread of its own.
 pub(crate) fn run_mrs_epoch<T: IgdTask, S: TupleScan + ?Sized>(
     task: &T,
     data: &S,
@@ -144,65 +168,62 @@ pub(crate) fn run_mrs_epoch<T: IgdTask, S: TupleScan + ?Sized>(
     alpha: f64,
     buffer: &[Tuple],
     (capacity, seed): (usize, u64),
-    keep_going: &mut dyn FnMut() -> bool,
-) -> Result<Option<SteppedAndKept>, EpochAbort> {
+    keep_going: &(dyn Fn() -> bool + Sync),
+) -> Result<Option<SteppedAndKept>, WorkerPanic> {
     let shared = NoLockStore::from_slice(model);
-    let mut reservoir = ReservoirSampler::new(capacity, seed);
     let scanning = AtomicBool::new(true);
     let running = Barrier::new(2);
-    let mut finished = false;
-    let outcomes = std::thread::scope(|scope| {
-        let memory_worker = (!buffer.is_empty()).then(|| {
-            let handle = scope.spawn(|| {
-                running.wait();
-                catch_unwind(AssertUnwindSafe(|| {
-                    let mut store = shared.clone();
-                    // Sweep, then look: the sweep under way when the scan
-                    // ends is finished, and there is always one.
-                    loop {
-                        for tuple in buffer {
-                            task.gradient_step(&mut store, tuple.into(), alpha);
-                        }
-                        if !scanning.load(Ordering::Acquire) {
-                            break;
+    let workers: &[Worker] = if buffer.is_empty() {
+        &[Worker::Io]
+    } else {
+        &[Worker::Io, Worker::Memory]
+    };
+    let multiplexed = workers.len() == 2;
+    let kept = run_parts(workers, |worker| {
+        let mut store = shared.clone();
+        // A small table would be crossed before the other thread starts.
+        if multiplexed {
+            running.wait();
+        }
+        match worker {
+            Worker::Io => {
+                let _scanned = ClearOnDrop(&scanning);
+                let mut reservoir = ReservoirSampler::new(capacity, seed);
+                let mut step = |block: RowBlock<'_>| {
+                    for row in block.rows() {
+                        match reservoir.offer(row, |row| row.to_tuple()) {
+                            Some(Left::Rejected(row)) => task.gradient_step(&mut store, row, alpha),
+                            Some(Left::Evicted(tuple)) => {
+                                task.gradient_step(&mut store, (&tuple).into(), alpha)
+                            }
+                            None => {}
                         }
                     }
-                }))
-            });
-            // A small table would be crossed before the thread starts.
-            running.wait();
-            handle
-        });
-        // The I/O Worker is this thread.
-        let io_worker = catch_unwind(AssertUnwindSafe(|| {
-            let mut store = shared.clone();
-            finished = scan_blocks_while(data, 0, usize::MAX, keep_going, &mut |block| {
-                for row in block.rows() {
-                    match reservoir.offer(row, |row| row.to_tuple()) {
-                        Some(Left::Rejected(row)) => task.gradient_step(&mut store, row, alpha),
-                        Some(Left::Evicted(tuple)) => {
-                            task.gradient_step(&mut store, (&tuple).into(), alpha)
-                        }
-                        None => {}
+                };
+                let finished =
+                    scan_blocks_while(data, 0, usize::MAX, &mut || keep_going(), &mut step);
+                finished.then(|| reservoir.into_items())
+            }
+            Worker::Memory => {
+                // Sweep, then look: the sweep under way when the scan ends
+                // is finished, and there is always one.
+                loop {
+                    for tuple in buffer {
+                        task.gradient_step(&mut store, tuple.into(), alpha);
+                    }
+                    if !scanning.load(Ordering::Acquire) {
+                        break None;
                     }
                 }
-            });
-        }));
-        scanning.store(false, Ordering::Release);
-        let memory_worker = memory_worker.map(|handle| {
-            handle
-                .join()
-                .expect("the worker only panics inside catch_unwind")
-        });
-        std::iter::once(io_worker).chain(memory_worker)
-    });
-    fold_worker_outcomes(outcomes)?;
-    if !finished {
+            }
+        }
+    })?;
+    let Some(Some(kept)) = kept.into_iter().next() else {
         return Ok(None);
-    }
+    };
     let mut model = shared.snapshot();
     lock_free_proximal_step(task, &mut model, alpha);
-    Ok(Some((model, reservoir.into_items())))
+    Ok(Some((model, kept)))
 }
 
 /// Plain subsampling baseline: fill a reservoir in one pass, then train only
@@ -275,7 +296,9 @@ pub fn subsampling_train<T: IgdTask, S: TupleScan + ?Sized>(
 mod tests {
     use super::*;
     use crate::tasks::LogisticRegressionTask;
-    use crate::{ParallelStrategy, ParallelTrainer, Trainer, TrainerConfig, UpdateDiscipline};
+    use crate::{
+        ParallelStrategy, ParallelTrainer, TrainError, Trainer, TrainerConfig, UpdateDiscipline,
+    };
     use bismarck_storage::{Column, DataType, RowRef, ScanOrder, Schema, Table, Value};
     use rand::rngs::StdRng;
     use rand::Rng;
@@ -463,6 +486,74 @@ mod tests {
         let (nolock, _) = ParallelTrainer::new(&task, clustered, one_nolock_worker).train(&table);
         assert_eq!(trained.model, nolock.model);
         assert_eq!(trained.history.losses(), nolock.history.losses());
+    }
+
+    /// LR that panics on the thread named `mrs-io` once that thread has
+    /// stepped `after` times: in an MRS run started there, on the I/O Worker
+    /// alone.
+    struct PanicsOnTheScan {
+        inner: CountingLr,
+        after: u64,
+    }
+
+    impl IgdTask for PanicsOnTheScan {
+        fn name(&self) -> &'static str {
+            self.inner.name()
+        }
+        fn dimension(&self) -> usize {
+            self.inner.dimension()
+        }
+        fn gradient_step(&self, model: &mut dyn ModelStore, row: RowRef<'_>, alpha: f64) {
+            if std::thread::current().name() == Some("mrs-io") {
+                let steps = self.inner.steps.fetch_add(1, Ordering::Relaxed);
+                assert!(steps < self.after, "the scan failed");
+            }
+            self.inner.inner.gradient_step(model, row, alpha);
+        }
+        fn example_loss(&self, model: &[f64], row: RowRef<'_>) -> f64 {
+            self.inner.example_loss(model, row)
+        }
+    }
+
+    #[test]
+    fn a_scan_that_panics_beside_a_memory_worker_ends_the_run() {
+        // Epoch 0 fills the buffer and steps the I/O Worker 200 − 20 times;
+        // epoch 1's scan panics on its first step while the Memory Worker
+        // sweeps that buffer "until the scan ends" — which must still come.
+        let table = clustered_table(200, 17);
+        let task = PanicsOnTheScan {
+            inner: lr_task(),
+            after: 200 - 20,
+        };
+        let strategy = ParallelStrategy::Mrs {
+            buffer_size: 20,
+            seed: 5,
+        };
+        let (done, result) = std::sync::mpsc::channel();
+        let io = std::thread::Builder::new().name("mrs-io".to_string());
+        let _run = io
+            .spawn(move || {
+                let trainer = ParallelTrainer::new(&task, config(3), strategy);
+                let err = trainer.try_train(&table).map(|_| ()).unwrap_err();
+                done.send(err).unwrap();
+            })
+            .unwrap();
+        let err = result
+            .recv_timeout(Duration::from_secs(60))
+            .expect("the run ends instead of hanging on the Memory Worker");
+        match err {
+            TrainError::WorkerPanic {
+                epoch,
+                failed_workers,
+                message,
+                last_good,
+            } => {
+                assert_eq!((epoch, failed_workers), (1, 1));
+                assert_eq!(message, "the scan failed");
+                assert_eq!(last_good.epochs(), 1);
+            }
+            other => panic!("expected WorkerPanic, got {other}"),
+        }
     }
 
     #[test]

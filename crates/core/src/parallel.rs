@@ -14,31 +14,32 @@
 //!   converges like Lock but scales like the lock-free scheme. Each worker
 //!   reads one contiguous range of storage order block by block — a
 //!   lock-free worker hands the task whole blocks
-//!   ([`IgdTask::step_block`]), a Lock worker takes the lock per row — and
-//!   polls the run's stop signal between its blocks; under a permuted order
-//!   a worker walks its slice of the permutation one row at a time and
-//!   finishes it.
+//!   ([`IgdTask::step_block`]), a Lock worker takes the lock per row — or,
+//!   under a permuted order, its slice of the permutation one row at a time;
+//!   every worker polls the run's stop signal between its blocks or slices.
 //!
 //! A scheme changes how one aggregate pass is executed and nothing else, so
 //! beside the strategy types this module holds only the two pass functions
 //! (the third, multiplexed reservoir sampling, is [`crate::mrs`]) and the
-//! tails the threaded passes share: spawning the workers and folding their
-//! panics into one abort, and the lock-free proximal step. The epoch
+//! lock-free proximal step. Every pass starts its threads and catches its
+//! panics through one runner, [`bismarck_uda::run_parts`]: worker 0 runs on
+//! the calling thread, the others on threads of their own. The epoch
 //! protocol around them — stop check, reorder, loss, divergence backoff,
 //! serving publish, checkpoint — is `run_epochs` in [`crate::trainer`], the
 //! one loop [`ParallelTrainer`] and [`crate::Trainer`] both enter; the seven
 //! steps are listed there. The loss pass of that loop runs on the same
-//! workers helper, split into as many ranges of storage order as the
-//! scheme's gradient pass has threads, and its result does not depend on
-//! the split: a parallel run's loss is the objective of its model, bit for
-//! bit.
+//! runner, split into as many ranges of storage order as the scheme's
+//! gradient pass has threads, and its result does not depend on the split:
+//! a parallel run's loss is the objective of its model, bit for bit.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::time::Duration;
 
 use bismarck_storage::{segment_ranges, RowBlock, TupleScan};
-use bismarck_uda::{panic_message, scan_blocks_while, segment_workers, try_run_segmented_parallel};
+use bismarck_uda::{
+    run_parts, scan_blocks_while, scan_permuted_while, segment_workers, try_run_segmented_parallel,
+    WorkerPanic,
+};
 use parking_lot::Mutex;
 
 use crate::error::TrainError;
@@ -46,8 +47,7 @@ use crate::igd::IgdAggregate;
 use crate::model::{AigStore, DenseModelStore, LockFreeStore, ModelStore, NoLockStore};
 use crate::task::{IgdTask, ProximalPolicy};
 use crate::trainer::{
-    fresh_start, load_checkpoint, run_epochs, unwrap_trained, EpochAbort, TrainedModel,
-    TrainerConfig,
+    fresh_start, load_checkpoint, run_epochs, unwrap_trained, TrainedModel, TrainerConfig,
 };
 
 /// How shared-memory workers update the model.
@@ -282,23 +282,19 @@ fn with_stats(trained: TrainedModel, resumed: usize) -> (TrainedModel, Vec<Paral
 
 /// One pure-UDA (shared-nothing) epoch: segment-parallel aggregation with
 /// model-averaging merge. Segments see their rows in clustered order, which
-/// matches how a parallel engine distributes tuples to segments. A worker
-/// panic is isolated by the segmented executor and surfaced as an abort.
+/// matches how a parallel engine distributes tuples to segments, and poll
+/// `keep_going` between their blocks: `None` once it says stop.
 pub(crate) fn run_pure_uda_epoch<T: IgdTask, S: TupleScan + ?Sized>(
     task: &T,
     data: &S,
     model: Vec<f64>,
     alpha: f64,
     segments: usize,
-) -> Result<Vec<f64>, EpochAbort> {
+    keep_going: &(dyn Fn() -> bool + Sync),
+) -> Result<Option<Vec<f64>>, WorkerPanic> {
     let aggregate = IgdAggregate::new(task, alpha, model);
-    match try_run_segmented_parallel(&aggregate, data, segments.max(1)) {
-        Ok(state) => Ok(state.model.into_vec()),
-        Err(panic) => Err(EpochAbort::WorkerPanic {
-            failed_workers: panic.failed_workers,
-            message: panic.message,
-        }),
-    }
+    let pass = try_run_segmented_parallel(&aggregate, data, segments.max(1), keep_going)?;
+    Ok(pass.map(|state| state.model.into_vec()))
 }
 
 /// Rows one shared-memory worker visits: a slice of the permutation, or a
@@ -310,10 +306,10 @@ enum WorkerRows<'p> {
 }
 
 impl WorkerRows<'_> {
-    /// Hand `f` the worker's rows as blocks: a range block by block in
-    /// storage order, polling `keep_going` between blocks (`false` once it
-    /// says stop); a permutation one row at a time, each row the one-tuple
-    /// block of the permuted walk, without polling.
+    /// Hand `f` the worker's rows as blocks, polling `keep_going` between
+    /// them (`false` once it says stop): a range block by block in storage
+    /// order, a permutation one row at a time, each row the one-tuple block
+    /// of the permuted walk, polling between slices of it.
     fn visit<S: TupleScan + ?Sized>(
         &self,
         data: &S,
@@ -325,101 +321,20 @@ impl WorkerRows<'_> {
                 scan_blocks_while(data, start, end, &mut || keep_going(), &mut f)
             }
             WorkerRows::Perm(perm) => {
-                data.scan_tuples_permuted(perm, &mut |tuple| {
+                scan_permuted_while(data, perm, &mut || keep_going(), &mut |tuple| {
                     f(RowBlock::Tuples(std::slice::from_ref(tuple)))
-                });
-                true
+                })
             }
         }
     }
-}
-
-/// Run `body` over each worker's part (its rows of a gradient pass, its
-/// range and chunk of a loss pass) on its own scoped thread, folding any
-/// panics into an [`EpochAbort::WorkerPanic`]; otherwise the workers'
-/// results, in the order of `parts`.
-///
-/// Each body runs under `catch_unwind` so one panicking `gradient_step` or
-/// `example_loss` cannot take down the process; the surviving workers finish
-/// their part and the attempt reports the failure instead.
-///
-/// Unwind safety: the state the workers share is plain `f64` data — a
-/// `Vec<f64>` behind a `parking_lot::Mutex` (which does not poison; the
-/// guard is released during unwind), the `AtomicU64` cells of a
-/// [`LockFreeStore`], or a loss pass's running total and per-row chunks,
-/// one worker each — with no invariants coupling components. A caught panic
-/// can at worst leave a *partially updated* model or loss, and the caller
-/// never uses a failed attempt's: it restores the last-good snapshot carried
-/// by the error.
-/// That makes `AssertUnwindSafe` sound here.
-pub(crate) fn run_workers<P: Send, R: Send>(
-    parts: impl IntoIterator<Item = P>,
-    body: impl Fn(P) -> R + Sync,
-) -> Result<Vec<R>, EpochAbort> {
-    let outcomes = std::thread::scope(|scope| {
-        let handles: Vec<_> = parts
-            .into_iter()
-            .map(|part| {
-                let body = &body;
-                scope.spawn(move || catch_unwind(AssertUnwindSafe(|| body(part))))
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| {
-                h.join()
-                    .expect("worker threads only panic inside catch_unwind")
-            })
-            .collect::<Vec<_>>()
-    });
-    fold_worker_outcomes(outcomes)
-}
-
-/// Run `body` on the calling thread, isolated like one worker of
-/// [`run_workers`]: a panic in it becomes the attempt's abort. The same
-/// unwind-safety argument holds: the caller trusts nothing `body` touched
-/// once it has failed.
-pub(crate) fn isolated<R>(body: impl FnOnce() -> R) -> Result<R, EpochAbort> {
-    catch_unwind(AssertUnwindSafe(body)).map_err(|payload| EpochAbort::WorkerPanic {
-        failed_workers: 1,
-        message: panic_message(payload.as_ref()),
-    })
-}
-
-/// What each worker's `catch_unwind` returned, folded into one result: the
-/// workers' results in order, or the number of workers that panicked and the
-/// first one's message.
-pub(crate) fn fold_worker_outcomes<R>(
-    outcomes: impl IntoIterator<Item = std::thread::Result<R>>,
-) -> Result<Vec<R>, EpochAbort> {
-    let mut results = Vec::new();
-    let mut failed_workers = 0usize;
-    let mut message = String::new();
-    for outcome in outcomes {
-        match outcome {
-            Ok(result) => results.push(result),
-            Err(payload) => {
-                failed_workers += 1;
-                if message.is_empty() {
-                    message = panic_message(payload.as_ref());
-                }
-            }
-        }
-    }
-    if failed_workers > 0 {
-        return Err(EpochAbort::WorkerPanic {
-            failed_workers,
-            message,
-        });
-    }
-    Ok(results)
 }
 
 /// One shared-memory epoch with the chosen update discipline; the
-/// disciplines differ only in how [`run_workers`] steps on a block. Returns
-/// `None` — the attempt is to be discarded — once `keep_going`, polled
-/// between the blocks of every worker's storage-order range, says stop; a
-/// permuted pass does not poll.
+/// disciplines differ only in how a worker steps on a block. Worker 0 runs
+/// on the calling thread, the others on threads of their own
+/// ([`run_parts`]). Returns `None` — the attempt is to be discarded — once
+/// `keep_going`, polled between the blocks (or permutation slices) of every
+/// worker, says stop.
 pub(crate) fn run_shared_memory_epoch<T: IgdTask, S: TupleScan + ?Sized>(
     task: &T,
     data: &S,
@@ -428,7 +343,7 @@ pub(crate) fn run_shared_memory_epoch<T: IgdTask, S: TupleScan + ?Sized>(
     alpha: f64,
     (workers, discipline): (usize, UpdateDiscipline),
     keep_going: &(dyn Fn() -> bool + Sync),
-) -> Result<Option<Vec<f64>>, EpochAbort> {
+) -> Result<Option<Vec<f64>>, WorkerPanic> {
     let rows = permutation.map_or(data.tuple_count(), <[usize]>::len);
     let worker_rows: Vec<WorkerRows> = segment_ranges(rows, workers.max(1))
         .into_iter()
@@ -445,7 +360,7 @@ pub(crate) fn run_shared_memory_epoch<T: IgdTask, S: TupleScan + ?Sized>(
             // The lock is taken per step, not per block, so the workers
             // interleave as finely as they always did; the per-step operator
             // runs under it.
-            let finished = run_workers(&worker_rows, |rows| {
+            let finished = run_parts(&worker_rows, |rows| {
                 rows.visit(data, keep_going, |block| {
                     for row in block.rows() {
                         let mut guard = locked.lock();
@@ -491,8 +406,8 @@ fn lock_free_pass<const ATOMIC: bool, T: IgdTask, S: TupleScan + ?Sized>(
     keep_going: &(dyn Fn() -> bool + Sync),
     shared: LockFreeStore<ATOMIC>,
     alpha: f64,
-) -> Result<Option<Vec<f64>>, EpochAbort> {
-    let finished = run_workers(worker_rows, |rows| {
+) -> Result<Option<Vec<f64>>, WorkerPanic> {
+    let finished = run_parts(worker_rows, |rows| {
         let mut store = shared.clone();
         rows.visit(data, keep_going, |block| {
             task.step_block(&mut store, block, alpha)

@@ -162,13 +162,13 @@ impl CrfTask {
         score - log_z
     }
 
-    /// Most likely label sequence (Viterbi decoding) for a feature sequence.
-    pub fn viterbi(&self, model: &[f64], features: &[SparseVector]) -> Vec<usize> {
-        if features.is_empty() {
+    /// Most likely label sequence (Viterbi decoding) for a sequence as
+    /// [`RowRef::get_sequence`] lends it; its labels are not read.
+    pub fn viterbi(&self, model: &[f64], seq: &[(SparseVector, u32)]) -> Vec<usize> {
+        if seq.is_empty() {
             return Vec::new();
         }
-        let seq: Vec<(SparseVector, u32)> = features.iter().map(|f| (f.clone(), 0)).collect();
-        let node = self.node_scores(model, &seq);
+        let node = self.node_scores(model, seq);
         let trans = self.transitions(model);
         let t_len = node.len();
         let l = self.num_labels;
@@ -374,10 +374,11 @@ mod tests {
             "trained {trained} vs initial {initial}"
         );
 
-        // Viterbi recovers labels on data where features identify labels.
-        let feats: Vec<SparseVector> = sentence(&[0, 1, 1, 0])
+        // Viterbi recovers labels on data where features identify labels,
+        // whatever labels the sequence carries.
+        let feats: Vec<(SparseVector, u32)> = sentence(&[0, 1, 1, 0])
             .into_iter()
-            .map(|(f, _)| f)
+            .map(|(f, _)| (f, 1))
             .collect();
         assert_eq!(t.viterbi(&model, &feats), vec![0, 1, 1, 0]);
     }

@@ -10,18 +10,20 @@
 //! epoch goes through the same seven steps:
 //!
 //! 1. **Stop check** — the run's one stop signal, its [`QueryGuard`], is
-//!    polled (before retries too, and between the blocks of every
-//!    storage-order gradient pass but pure UDA's — sequential, each
-//!    shared-memory worker's range, the MRS scan — and of every range of the
-//!    loss pass, where a stop discards the attempt); a stop persists an
-//!    interrupt checkpoint of the last recorded epoch and ends the run with
-//!    [`TrainError::Interrupted`].
+//!    polled (before retries too, and inside every pass: between the blocks
+//!    of a storage-order read or the slices of a permuted walk — sequential,
+//!    each pure-UDA segment and shared-memory worker, the MRS scan, every
+//!    range of the loss pass — where a stop discards the attempt); a stop
+//!    persists an interrupt checkpoint of the last recorded epoch and ends
+//!    the run with [`TrainError::Interrupted`].
 //! 2. **Reorder** — the three ordering policies of Section 3.2 (Clustered,
 //!    ShuffleOnce, ShuffleAlways) differ only in which permutation, if any,
 //!    is handed to the scan. One is drawn (and its time billed to the epoch)
 //!    only when a draw actually happens and the pass reads it.
 //! 3. **Gradient pass** — sequential, pure-UDA, shared-memory or MRS
-//!    ([`crate::mrs`]); always isolated from panics
+//!    ([`crate::mrs`]); every one runs on one runner,
+//!    [`bismarck_uda::run_parts`], which starts the threads of a pass (none
+//!    for the sequential one) and isolates it from panics
 //!    ([`TrainError::WorkerPanic`]). In storage order it hands the task the
 //!    table block by block ([`IgdTask::step_block`]), each row read where
 //!    the block stores it ([`bismarck_storage::RowRef`]); a pass that runs a
@@ -31,8 +33,9 @@
 //!    in storage order, block by block ([`IgdTask::add_losses`]), and isolated from
 //!    panics like the gradient pass. A run whose gradient pass is split over
 //!    threads splits it the same way — shared-memory workers and pure-UDA
-//!    threads each read one contiguous range of storage order; the
-//!    sequential and MRS passes read one range on the calling thread. The
+//!    threads each read one contiguous range of storage order, on the same
+//!    runner; the sequential and MRS passes read one range on the calling
+//!    thread. The
 //!    first range adds its terms onto the regularizer as it reads them, the
 //!    others keep theirs per row, and those are added on in storage order
 //!    afterwards: the same sum in the same order, so the loss keeps its bits
@@ -47,8 +50,9 @@
 //!    [`Trainer::resume_from`].
 //!
 //! All of it stays off the per-row hot path: the extra work is one
-//! `catch_unwind` frame per pass and per worker, one O(d) snapshot and one
-//! O(d) finiteness scan per *epoch*, and one stop check per *block*. A run
+//! `catch_unwind` frame per part of a pass (in `run_parts`), one O(d)
+//! snapshot and one O(d) finiteness scan per *epoch*, and one stop check per
+//! *block* or permutation slice. A run
 //! that splits its loss pass also holds one buffer of 8 bytes per row
 //! outside its first range, allocated once per run, where the workers of
 //! the other ranges write the per-row terms.
@@ -59,7 +63,8 @@ use std::time::{Duration, Instant};
 use bismarck_storage::durable::parent_dir;
 use bismarck_storage::{segment_ranges, ScanOrder, StorageError, Tuple, TupleScan};
 use bismarck_uda::{
-    run_sequential_while, scan_blocks_while, ConvergenceTest, EpochRecord, TrainingHistory,
+    run_parts, run_sequential_while, scan_blocks_while, ConvergenceTest, EpochRecord,
+    TrainingHistory, WorkerPanic,
 };
 
 use crate::checkpoint::TrainingCheckpoint;
@@ -67,9 +72,7 @@ use crate::error::TrainError;
 use crate::governor::QueryGuard;
 use crate::igd::IgdAggregate;
 use crate::mrs::run_mrs_epoch;
-use crate::parallel::{
-    isolated, run_pure_uda_epoch, run_shared_memory_epoch, run_workers, ParallelStrategy,
-};
+use crate::parallel::{run_pure_uda_epoch, run_shared_memory_epoch, ParallelStrategy};
 use crate::serving::{ModelHandle, PublishError};
 use crate::stepsize::StepSizeSchedule;
 use crate::task::{IgdTask, LossSink};
@@ -317,11 +320,11 @@ impl TrainerConfig {
     }
 
     /// Run under a resource-governance [`QueryGuard`], the run's one stop
-    /// signal. The trainers poll it at every epoch boundary and between the
-    /// blocks of the sequential storage-order pass, of each shared-memory
-    /// worker's storage-order range, of the MRS scan and of every range of
-    /// every loss pass (pure-UDA segments and a permuted walk finish their
-    /// pass), so a deadline or a cancellation —
+    /// signal. The trainers poll it at every epoch boundary and inside every
+    /// pass — between the blocks of a storage-order read (the sequential
+    /// pass, each pure-UDA segment and shared-memory worker, the MRS scan,
+    /// every range of the loss pass) or the slices of a permuted walk — so a
+    /// deadline or a cancellation —
     /// including one issued by [`crate::governor::Governor::shutdown`] — ends
     /// the run there with [`TrainError::Interrupted`] carrying the last
     /// completed epoch's model, after writing a final checkpoint if a policy
@@ -526,10 +529,9 @@ pub(crate) fn run_epochs<T: IgdTask, S: TupleScan + ?Sized>(
             let mut gradient_duration = Duration::ZERO;
             let mut loss_duration = Duration::ZERO;
             let loss = loop {
-                // 1. Stop check, before every attempt — and again between
-                // the blocks of the sequential, MRS and loss passes below
-                // (in every range of a split loss pass),
-                // where a stop discards the attempt. The interrupt
+                // 1. Stop check, before every attempt — and again inside
+                // every pass below, between its blocks or permutation
+                // slices, where a stop discards the attempt. The interrupt
                 // checkpoint ignores the cadence so a resume loses no epoch.
                 if stop_requested(config) {
                     break 'run Some((epoch, interrupt(config, &good)));
@@ -560,23 +562,22 @@ pub(crate) fn run_epochs<T: IgdTask, S: TupleScan + ?Sized>(
                 // the epoch is recorded: a retry sweeps the same buffer.
                 let mut sample = Vec::new();
                 let gradient_start = Instant::now();
+                let keep_going = || !stop_requested(config);
                 let pass = match strategy {
-                    // The closure owns the model it mutates and only reads
-                    // `task`/`data`/`order`.
-                    None => isolated(move || {
+                    // The sequential pass is one part: it runs on this thread.
+                    None => run_parts([current], |current| {
                         let aggregate = IgdAggregate::new(task, alpha, current);
-                        let mut keep_going = || !stop_requested(config);
-                        run_sequential_while(&aggregate, data, order, &mut keep_going)
+                        run_sequential_while(&aggregate, data, order, &mut || keep_going())
                             .map(|state| state.model.into_vec())
-                    }),
+                    })
+                    .map(|mut passes| passes.remove(0)),
                     Some(ParallelStrategy::PureUda { segments }) => {
-                        run_pure_uda_epoch(task, data, current, alpha, segments).map(Some)
+                        run_pure_uda_epoch(task, data, current, alpha, segments, &keep_going)
                     }
                     Some(ParallelStrategy::SharedMemory {
                         workers,
                         discipline,
                     }) => {
-                        let keep_going = || !stop_requested(config);
                         let workers = (workers, discipline);
                         run_shared_memory_epoch(
                             task,
@@ -590,7 +591,6 @@ pub(crate) fn run_epochs<T: IgdTask, S: TupleScan + ?Sized>(
                     }
                     Some(ParallelStrategy::Mrs { buffer_size, seed }) => {
                         let reservoir = (buffer_size, seed.wrapping_add(epoch as u64));
-                        let mut keep_going = || !stop_requested(config);
                         let pass = run_mrs_epoch(
                             task,
                             data,
@@ -598,7 +598,7 @@ pub(crate) fn run_epochs<T: IgdTask, S: TupleScan + ?Sized>(
                             alpha,
                             &buffer,
                             reservoir,
-                            &mut keep_going,
+                            &keep_going,
                         );
                         pass.map(|finished| {
                             finished.map(|(stepped, kept)| {
@@ -612,13 +612,12 @@ pub(crate) fn run_epochs<T: IgdTask, S: TupleScan + ?Sized>(
                 model = match pass {
                     Ok(Some(stepped)) => stepped,
                     Ok(None) => break 'run Some((epoch, interrupt(config, &good))),
-                    Err(abort) => break 'run Some((epoch, abort)),
+                    Err(panic) => break 'run Some((epoch, panic.into())),
                 };
 
                 // 4. Evaluate the objective for the convergence test, isolated
                 // like the gradient pass.
                 let loss_start = Instant::now();
-                let keep_going = || !stop_requested(config);
                 let pass = objective_while(
                     task,
                     &model,
@@ -631,7 +630,7 @@ pub(crate) fn run_epochs<T: IgdTask, S: TupleScan + ?Sized>(
                 let loss = match pass {
                     Ok(Some(loss)) => loss,
                     Ok(None) => break 'run Some((epoch, interrupt(config, &good))),
-                    Err(abort) => break 'run Some((epoch, abort)),
+                    Err(panic) => break 'run Some((epoch, panic.into())),
                 };
 
                 // 5. Divergence scan + recovery.
@@ -713,16 +712,16 @@ pub(crate) fn objective<T: IgdTask, S: TupleScan + ?Sized>(
 }
 
 /// Step 4, the loss pass of a run: [`objective`] read in `ranges`, the
-/// contiguous ranges of storage order that cover `data` (at least one),
-/// polling `keep_going` between the blocks of each: `Ok(None)` once it says
-/// stop, and a panic becomes the attempt's abort as in a gradient pass.
+/// contiguous ranges of storage order that cover `data` (at least one), one
+/// part of [`run_parts`] each, polling `keep_going` between the blocks of
+/// each: `Ok(None)` once it says stop.
 ///
-/// The first range adds its terms onto the regularizer as it reads them; one
-/// range alone runs inline. Several run on one thread each, and each range
-/// after the first writes its rows' terms into its own chunk of `terms` (one
-/// slot per row outside the first range), which are added on in storage
-/// order once every range is read. That is the same sum in the same order,
-/// so the loss has the same bits whatever the split.
+/// The first range, on the calling thread, adds its terms onto the
+/// regularizer as it reads them. Each range after the first writes its
+/// rows' terms into its own chunk of `terms` (one slot per row outside the
+/// first range), which are added on in storage order once every range is
+/// read. That is the same sum in the same order, so the loss has the same
+/// bits whatever the split.
 fn objective_while<T: IgdTask, S: TupleScan + ?Sized>(
     task: &T,
     model: &[f64],
@@ -730,26 +729,30 @@ fn objective_while<T: IgdTask, S: TupleScan + ?Sized>(
     ranges: &[(usize, usize)],
     terms: &mut [f64],
     keep_going: &(dyn Fn() -> bool + Sync),
-) -> Result<Option<f64>, EpochAbort> {
-    let (&first, rest) = ranges.split_first().expect("the ranges cover the table");
-    let mut total = isolated(|| task.regularizer(model))?;
-    let finished = if rest.is_empty() {
-        let sink = &mut LossSink::Total(&mut total);
-        isolated(|| range_losses_while(task, model, data, first, &mut || keep_going(), sink))?
-    } else {
-        let mut chunks = &mut *terms;
-        let others = rest.iter().map(|&(start, end)| {
+) -> Result<Option<f64>, WorkerPanic> {
+    let mut chunks = &mut *terms;
+    let parts = ranges.iter().enumerate().map(|(i, &(start, end))| {
+        let chunk = (i > 0).then(|| {
             let (chunk, tail) = std::mem::take(&mut chunks).split_at_mut(end - start);
             chunks = tail;
-            ((start, end), LossSink::Terms(chunk.iter_mut()))
+            chunk
         });
-        let parts = std::iter::once((first, LossSink::Total(&mut total))).chain(others);
-        let finished = run_workers(parts, |(range, mut sink)| {
-            range_losses_while(task, model, data, range, &mut || keep_going(), &mut sink)
-        })?;
-        finished.into_iter().all(|finished| finished)
-    };
-    Ok(finished.then(|| terms.iter().fold(total, |sum, term| sum + term)))
+        ((start, end), chunk)
+    });
+    let totals = run_parts(parts, |(range, chunk)| {
+        let mut total = 0.0;
+        let mut sink = match chunk {
+            None => {
+                total = task.regularizer(model);
+                LossSink::Total(&mut total)
+            }
+            Some(chunk) => LossSink::Terms(chunk.iter_mut()),
+        };
+        range_losses_while(task, model, data, range, &mut || keep_going(), &mut sink)
+            .then_some(total)
+    })?;
+    let totals: Option<Vec<f64>> = totals.into_iter().collect();
+    Ok(totals.map(|totals| terms.iter().fold(totals[0], |sum, term| sum + term)))
 }
 
 /// The loss pass's one loop: hand `sink` the loss term of each row of
@@ -839,13 +842,8 @@ pub(crate) fn load_checkpoint<T: IgdTask>(
 /// [`TrainError`] (which additionally carries the last-good model) once the
 /// partial history is available.
 pub(crate) enum EpochAbort {
-    WorkerPanic {
-        failed_workers: usize,
-        message: String,
-    },
-    Diverged {
-        retries: u32,
-    },
+    WorkerPanic(WorkerPanic),
+    Diverged { retries: u32 },
     Checkpoint(StorageError),
     Interrupted,
 }
@@ -853,10 +851,10 @@ pub(crate) enum EpochAbort {
 impl EpochAbort {
     fn into_train_error(self, epoch: usize, last_good: TrainedModel) -> TrainError {
         match self {
-            EpochAbort::WorkerPanic {
+            EpochAbort::WorkerPanic(WorkerPanic {
                 failed_workers,
                 message,
-            } => TrainError::WorkerPanic {
+            }) => TrainError::WorkerPanic {
                 epoch,
                 failed_workers,
                 message,
@@ -873,6 +871,12 @@ impl EpochAbort {
                 last_good: Box::new(last_good),
             },
         }
+    }
+}
+
+impl From<WorkerPanic> for EpochAbort {
+    fn from(panic: WorkerPanic) -> Self {
+        EpochAbort::WorkerPanic(panic)
     }
 }
 

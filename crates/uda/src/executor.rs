@@ -1,4 +1,5 @@
-//! Execution strategies for aggregates over stored tables.
+//! Execution strategies for aggregates over stored tables, and the one
+//! runner every parallel pass starts its threads through.
 //!
 //! * [`run_sequential`] — the ordinary single-threaded aggregation path every
 //!   RDBMS provides, optionally following an explicit row permutation (the
@@ -9,14 +10,26 @@
 //!   `merge`. This is how the paper's "pure UDA" parallelism works on the
 //!   parallel DBMS B (8 segments).
 //! * [`run_segmented_parallel`] — the same plan executed on worker threads.
+//! * [`run_parts`] — the runner: one part on the calling thread, the others
+//!   on scoped threads, each under `catch_unwind`. Every pass of a training
+//!   run, sequential or parallel, goes through it.
 //!
 //! Every storage-order pass hands the aggregate one borrowed
 //! [`RowBlock`] at a time ([`Aggregate::transition_block`], whose default is
-//! the per-tuple loop); only a permuted pass goes tuple by tuple.
+//! the per-tuple loop) and can be stopped between blocks
+//! ([`scan_blocks_while`]); a permuted pass goes tuple by tuple and can be
+//! stopped between slices of the permutation ([`scan_permuted_while`]).
 
-use bismarck_storage::{segment_ranges, RowBlock, TupleScan};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+
+use bismarck_storage::{segment_ranges, RowBlock, Tuple, TupleScan};
 
 use crate::aggregate::Aggregate;
+
+/// Rows of a permutation [`scan_permuted_while`] walks between two polls:
+/// the row store's page, so a permuted pass stops as promptly as a
+/// storage-order one.
+const PERMUTED_SLICE: usize = 256;
 
 /// Hand rows `start..end` (clamped) to `f` block by block in storage order,
 /// polling `keep_going` between blocks — before every block but the first,
@@ -41,6 +54,25 @@ pub fn scan_blocks_while<S: TupleScan + ?Sized>(
     finished
 }
 
+/// Hand the rows of `order` to `f` one by one, in that order, polling
+/// `keep_going` between slices of 256 rows (a row-store page) — before every
+/// slice but the first, as [`scan_blocks_while`] polls between blocks.
+/// Returns whether every row was handed over.
+pub fn scan_permuted_while<S: TupleScan + ?Sized>(
+    data: &S,
+    order: &[usize],
+    keep_going: &mut dyn FnMut() -> bool,
+    f: &mut dyn FnMut(&Tuple),
+) -> bool {
+    order.chunks(PERMUTED_SLICE).enumerate().all(|(i, slice)| {
+        let go = i == 0 || keep_going();
+        if go {
+            data.scan_tuples_permuted(slice, f);
+        }
+        go
+    })
+}
+
 /// Run an aggregate over the whole table in one pass.
 ///
 /// If `order` is `Some`, tuples are visited following that row permutation;
@@ -54,10 +86,10 @@ pub fn run_sequential<A: Aggregate, S: TupleScan + ?Sized>(
         .expect("a pass that is never told to stop finishes")
 }
 
-/// [`run_sequential`] that can be cut short: a storage-order pass polls
-/// `keep_going` between blocks (see [`scan_blocks_while`]) and returns `None`,
-/// discarding the partial state, once it says stop. A permuted pass has no
-/// blocks and always finishes.
+/// [`run_sequential`] that can be cut short: it polls `keep_going` between
+/// blocks (storage order, [`scan_blocks_while`]) or between slices of the
+/// permutation ([`scan_permuted_while`]) and returns `None`, discarding the
+/// partial state, once it says stop.
 pub fn run_sequential_while<A: Aggregate, S: TupleScan + ?Sized>(
     agg: &A,
     data: &S,
@@ -66,10 +98,9 @@ pub fn run_sequential_while<A: Aggregate, S: TupleScan + ?Sized>(
 ) -> Option<A::Output> {
     let mut state = agg.initialize();
     let finished = match order {
-        Some(order) => {
-            data.scan_tuples_permuted(order, &mut |tuple| agg.transition(&mut state, tuple));
-            true
-        }
+        Some(order) => scan_permuted_while(data, order, keep_going, &mut |tuple| {
+            agg.transition(&mut state, tuple)
+        }),
         None => scan_blocks_while(data, 0, usize::MAX, keep_going, &mut |block| {
             agg.transition_block(&mut state, block)
         }),
@@ -78,18 +109,31 @@ pub fn run_sequential_while<A: Aggregate, S: TupleScan + ?Sized>(
 }
 
 /// One segment's partial state: a fresh `initialize()` folded over rows
-/// `start..end` in storage order.
+/// `start..end` in storage order, or `None` once `keep_going` says stop.
 fn aggregate_range<A: Aggregate, S: TupleScan + ?Sized>(
     agg: &A,
     data: &S,
     (start, end): (usize, usize),
-) -> A::State {
+    keep_going: &mut dyn FnMut() -> bool,
+) -> Option<A::State> {
     let mut state = agg.initialize();
-    data.scan_blocks(start, end, &mut |block| {
-        agg.transition_block(&mut state, block);
-        true
-    });
-    state
+    scan_blocks_while(data, start, end, keep_going, &mut |block| {
+        agg.transition_block(&mut state, block)
+    })
+    .then_some(state)
+}
+
+/// The partial states merged left to right and terminated.
+fn merge_partials<A: Aggregate>(
+    agg: &A,
+    partials: impl IntoIterator<Item = A::State>,
+) -> A::Output {
+    let mut partials = partials.into_iter();
+    let mut merged = partials.next().unwrap_or_else(|| agg.initialize());
+    for partial in partials {
+        agg.merge(&mut merged, partial);
+    }
+    agg.terminate(merged)
 }
 
 /// Shared-nothing execution plan: aggregate each of `segments` contiguous
@@ -103,14 +147,10 @@ pub fn run_segmented<A: Aggregate, S: TupleScan + ?Sized>(
     segments: usize,
 ) -> A::Output {
     let ranges = segment_ranges(data.tuple_count(), segments.max(1));
-    let mut partials = ranges
+    let partials = ranges
         .into_iter()
-        .map(|range| aggregate_range(agg, data, range));
-    let mut merged = partials.next().unwrap_or_else(|| agg.initialize());
-    for partial in partials {
-        agg.merge(&mut merged, partial);
-    }
-    agg.terminate(merged)
+        .map(|range| aggregate_range(agg, data, range, &mut || true).expect("never told to stop"));
+    merge_partials(agg, partials)
 }
 
 /// The same shared-nothing plan as [`run_segmented`], but executed on worker
@@ -132,41 +172,80 @@ where
     A::State: Send,
     S: TupleScan + ?Sized,
 {
-    try_run_segmented_parallel(agg, data, segments)
-        .unwrap_or_else(|p| panic!("segment worker panicked: {}", p.message))
+    try_run_segmented_parallel(agg, data, segments, &|| true)
+        .unwrap_or_else(|panic| panic!("{panic}"))
+        .expect("never told to stop")
 }
 
-/// One or more worker threads of a parallel segmented run panicked.
+/// One or more parts of a [`run_parts`] call panicked.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SegmentPanic {
-    /// Number of workers that panicked.
+pub struct WorkerPanic {
+    /// Number of parts that panicked.
     pub failed_workers: usize,
-    /// Panic payload of the first failed worker, if it carried a string.
+    /// Panic payload of the first failed part, if it carried a string.
     pub message: String,
 }
 
-impl std::fmt::Display for SegmentPanic {
+impl std::fmt::Display for WorkerPanic {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "{} segment worker(s) panicked: {}",
+            "{} worker(s) panicked: {}",
             self.failed_workers, self.message
         )
     }
 }
 
-impl std::error::Error for SegmentPanic {}
+impl std::error::Error for WorkerPanic {}
 
-/// Render a panic payload (from `catch_unwind` or `JoinHandle::join`) as a
-/// human-readable message.
-pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
+/// Run `body` over each of `parts`: every part but the first on a scoped
+/// thread of its own, started first, then the first on the calling thread —
+/// so the first part may wait on the others, and a pass of one part starts
+/// no thread. Returns the results in the order of `parts` or, if any part
+/// panicked, how many did and the first one's message.
+///
+/// Each part runs under `catch_unwind`, so a panicking part cannot take down
+/// the process; the other parts still finish theirs. Unwind safety: callers
+/// share only plain data between parts — `f64` models behind a
+/// non-poisoning lock or in atomic cells, a loss pass's per-row slots, one
+/// part each — with no invariant coupling two values, and they trust
+/// nothing a failed call touched. That makes `AssertUnwindSafe` sound here.
+pub fn run_parts<P: Send, R: Send>(
+    parts: impl IntoIterator<Item = P>,
+    body: impl Fn(P) -> R + Sync,
+) -> Result<Vec<R>, WorkerPanic> {
+    let run = |part| catch_unwind(AssertUnwindSafe(|| body(part)));
+    let mut parts = parts.into_iter();
+    let outcomes: Vec<_> = std::thread::scope(|scope| {
+        let first = parts.next();
+        let others: Vec<_> = parts.map(|part| scope.spawn(move || run(part))).collect();
+        let first = first.map(run);
+        let others = others.into_iter().map(|handle| {
+            handle
+                .join()
+                .expect("a part panics only inside catch_unwind")
+        });
+        first.into_iter().chain(others).collect()
+    });
+    let mut results = Vec::with_capacity(outcomes.len());
+    let mut panic: Option<WorkerPanic> = None;
+    for outcome in outcomes {
+        match outcome {
+            Ok(result) => results.push(result),
+            Err(payload) => {
+                let panic = panic.get_or_insert_with(|| WorkerPanic {
+                    failed_workers: 0,
+                    message: payload
+                        .downcast_ref::<&str>()
+                        .map(|s| s.to_string())
+                        .or_else(|| payload.downcast_ref::<String>().cloned())
+                        .unwrap_or_else(|| "non-string panic payload".to_string()),
+                });
+                panic.failed_workers += 1;
+            }
+        }
     }
+    panic.map_or(Ok(results), Err)
 }
 
 /// How many OS threads [`try_run_segmented_parallel`] runs `segments`
@@ -179,67 +258,36 @@ pub fn segment_workers(segments: usize) -> usize {
     hardware.min(segments.max(1))
 }
 
-/// Fallible variant of [`run_segmented_parallel`]: a panicking worker is
-/// isolated instead of aborting the process. Each worker's panic is caught by
-/// joining its handle and inspecting the `Err` payload (joining a handle
-/// consumes the panic, so `std::thread::scope` does not re-raise it); the
-/// partial states of panicked workers are discarded and the run reports
-/// [`SegmentPanic`] rather than a (meaningless) merged output.
+/// Fallible, stoppable variant of [`run_segmented_parallel`], on
+/// [`run_parts`]: a panicking worker is isolated instead of aborting the
+/// process, and every segment polls `keep_going` between its blocks. Returns
+/// `Ok(None)`, discarding every partial state, once it says stop, and the
+/// [`WorkerPanic`] rather than a (meaningless) merged output if a worker
+/// panicked.
 pub fn try_run_segmented_parallel<A, S>(
     agg: &A,
     data: &S,
     segments: usize,
-) -> Result<A::Output, SegmentPanic>
+    keep_going: &(dyn Fn() -> bool + Sync),
+) -> Result<Option<A::Output>, WorkerPanic>
 where
     A: Aggregate + Sync,
     A::State: Send,
     S: TupleScan + ?Sized,
 {
     let ranges = segment_ranges(data.tuple_count(), segments.max(1));
-    let workers = segment_workers(segments);
     // Contiguous blocks of segments per worker: concatenating the per-worker
     // results in worker order reproduces the global segment order, which the
     // merge below depends on.
-    let per_worker = ranges.len().div_ceil(workers);
-
-    let mut partials: Vec<A::State> = Vec::with_capacity(ranges.len());
-    let mut failed_workers = 0usize;
-    let mut message = String::new();
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(workers);
-        for block in ranges.chunks(per_worker) {
-            handles.push(scope.spawn(move || {
-                block
-                    .iter()
-                    .map(|&range| aggregate_range(agg, data, range))
-                    .collect::<Vec<A::State>>()
-            }));
-        }
-        for handle in handles {
-            match handle.join() {
-                Ok(states) => partials.extend(states),
-                Err(payload) => {
-                    failed_workers += 1;
-                    if message.is_empty() {
-                        message = panic_message(payload.as_ref());
-                    }
-                }
-            }
-        }
-    });
-    if failed_workers > 0 {
-        return Err(SegmentPanic {
-            failed_workers,
-            message,
-        });
-    }
-
-    let mut iter = partials.into_iter();
-    let mut merged = iter.next().unwrap_or_else(|| agg.initialize());
-    for partial in iter {
-        agg.merge(&mut merged, partial);
-    }
-    Ok(agg.terminate(merged))
+    let per_worker = ranges.len().div_ceil(segment_workers(segments));
+    let workers = run_parts(ranges.chunks(per_worker), |block| {
+        block
+            .iter()
+            .map(|&range| aggregate_range(agg, data, range, &mut || keep_going()))
+            .collect::<Option<Vec<A::State>>>()
+    })?;
+    let partials: Option<Vec<Vec<A::State>>> = workers.into_iter().collect();
+    Ok(partials.map(|partials| merge_partials(agg, partials.into_iter().flatten())))
 }
 
 #[cfg(test)]
@@ -391,12 +439,88 @@ mod tests {
     #[test]
     fn worker_panic_is_isolated_into_an_error() {
         let t = table(100);
-        let err = try_run_segmented_parallel(&PanicOnId(17), &t, 4)
+        let err = try_run_segmented_parallel(&PanicOnId(17), &t, 4, &|| true)
             .expect_err("a worker must have panicked");
         assert!(err.failed_workers >= 1);
         assert!(err.message.contains("injected fault at id 17"), "{err}");
         // The same plan without the poisoned tuple still succeeds.
-        assert_eq!(try_run_segmented_parallel(&PanicOnId(-1), &t, 4), Ok(100));
+        let ok = try_run_segmented_parallel(&PanicOnId(-1), &t, 4, &|| true);
+        assert_eq!(ok, Ok(Some(100)));
+    }
+
+    #[test]
+    fn a_stopped_pass_hands_over_one_block_or_slice_and_returns_none() {
+        // Four pages of the row store; `keep_going` says stop at its first poll.
+        let t = table(4 * 256);
+        let reversed: Vec<usize> = (0..t.len()).rev().collect();
+        let mut rows = 0;
+        let count_block = &mut |block: RowBlock<'_>| rows += block.rows().count();
+        assert!(!scan_blocks_while(
+            &t,
+            0,
+            usize::MAX,
+            &mut || false,
+            count_block
+        ));
+        assert_eq!(rows, 256);
+        rows = 0;
+        assert!(!scan_permuted_while(
+            &t,
+            &reversed,
+            &mut || false,
+            &mut |_| rows += 1
+        ));
+        assert_eq!(rows, 256);
+        for order in [None, Some(&reversed[..])] {
+            let stopped = run_sequential_while(&CountAggregate, &t, order, &mut || false);
+            assert_eq!(stopped, None);
+        }
+        let stopped = try_run_segmented_parallel(&CountAggregate, &t, 2, &|| false);
+        assert_eq!(stopped, Ok(None));
+    }
+
+    #[test]
+    fn run_parts_returns_results_in_part_order_with_part_0_on_the_caller() {
+        let caller = std::thread::current().id();
+        let results = run_parts(0..6, |i| (i, std::thread::current().id() == caller)).unwrap();
+        let on_caller: Vec<bool> = results.iter().map(|&(_, on)| on).collect();
+        assert_eq!(
+            results.iter().map(|&(i, _)| i).collect::<Vec<_>>(),
+            (0..6).collect::<Vec<_>>()
+        );
+        assert_eq!(on_caller, [true, false, false, false, false, false]);
+        assert_eq!(run_parts(std::iter::empty::<()>(), |()| 1), Ok(Vec::new()));
+    }
+
+    #[test]
+    fn part_0_may_wait_on_a_later_part() {
+        // Part 0 waits until part 1 has run: deadlocks if part 1 is only
+        // started after part 0 returns.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let rx = std::sync::Mutex::new(rx);
+        let results = run_parts([0, 1], |i| match i {
+            0 => rx.lock().unwrap().recv().unwrap(),
+            _ => tx.send(7).map(|()| 1).unwrap(),
+        });
+        assert_eq!(results, Ok(vec![7, 1]));
+    }
+
+    #[test]
+    fn panics_are_counted_and_the_other_parts_still_finish() {
+        let finished = std::sync::atomic::AtomicUsize::new(0);
+        let err = run_parts(0..5, |i| {
+            if i % 2 == 1 {
+                panic!("part {i} failed");
+            }
+            finished.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+        })
+        .expect_err("two parts panicked");
+        assert_eq!(err.failed_workers, 2);
+        assert!(err.message.starts_with("part "), "{err}");
+        assert_eq!(finished.load(std::sync::atomic::Ordering::SeqCst), 3);
+        // Part 0 on the calling thread is caught too.
+        let err = run_parts([0], |_| -> () { panic!("{}", String::from("owned")) });
+        assert_eq!(err.unwrap_err().message, "owned");
     }
 
     #[test]

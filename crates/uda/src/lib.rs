@@ -14,6 +14,9 @@
 //! * execution strategies over a stored table: a sequential scan in a chosen
 //!   [`bismarck_storage::ScanOrder`] and a segmented, shared-nothing run that
 //!   aggregates each segment independently and merges the partial states;
+//!   both can be stopped between blocks (or slices of a permutation);
+//! * [`run_parts`], the one runner every pass of a training run starts its
+//!   threads and catches its panics through;
 //! * the [`ConvergenceTest`] whose verdict ends a run, and the per-epoch
 //!   [`TrainingHistory`] the experiments read. The epoch loop of Figure 2
 //!   itself — run the aggregate, evaluate the loss, ask the test, repeat —
@@ -32,6 +35,7 @@ pub use crate::aggregate::{Aggregate, CountAggregate};
 pub use crate::convergence::ConvergenceTest;
 pub use crate::epoch::{EpochRecord, TrainingHistory};
 pub use crate::executor::{
-    panic_message, run_segmented, run_segmented_parallel, run_sequential, run_sequential_while,
-    scan_blocks_while, segment_workers, try_run_segmented_parallel, SegmentPanic,
+    run_parts, run_segmented, run_segmented_parallel, run_sequential, run_sequential_while,
+    scan_blocks_while, scan_permuted_while, segment_workers, try_run_segmented_parallel,
+    WorkerPanic,
 };

@@ -58,8 +58,7 @@ fn main() {
     let mut gold = Vec::new();
     for row in sentences.scan() {
         let seq = row.get_sequence(0).expect("sequence column");
-        let features: Vec<_> = seq.iter().map(|(f, _)| f.clone()).collect();
-        predicted.push(task.viterbi(&trained.model, &features));
+        predicted.push(task.viterbi(&trained.model, seq));
         gold.push(seq.iter().map(|&(_, y)| y as usize).collect());
     }
     println!(
@@ -70,8 +69,7 @@ fn main() {
     // Decode one sentence for illustration.
     if let Ok(row) = sentences.get(0) {
         let seq = row.get_sequence(0).unwrap();
-        let features: Vec<_> = seq.iter().map(|(f, _)| f.clone()).collect();
-        let decoded = task.viterbi(&trained.model, &features);
+        let decoded = task.viterbi(&trained.model, seq);
         let gold: Vec<usize> = seq.iter().map(|&(_, y)| y as usize).collect();
         println!("\nfirst sentence  gold: {gold:?}");
         println!("             decoded: {decoded:?}");

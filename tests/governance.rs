@@ -5,7 +5,8 @@
 //! Three layers of coverage:
 //!
 //! * deadline/cancel semantics — a guard tripping mid-run ends training at
-//!   the next epoch boundary (a sequential or MRS pass: between two blocks) with
+//!   the next epoch boundary (or inside a pass: between two blocks, or two
+//!   slices of a permuted walk) with
 //!   `TrainError::Interrupted` (carrying a finite last-good model) under
 //!   every parallelization discipline, and ends SQL statements with typed
 //!   `SqlError::Timeout` / `Cancelled` without poisoning the session;
@@ -150,16 +151,26 @@ fn cancelling_a_guard_clone_stops_training() {
     assert!(matches!(err, TrainError::Interrupted { .. }), "got {err:?}");
 }
 
-/// Serves a table's blocks, cancelling `guard` while it serves block
-/// number `stop_at` (counted from 0 across all passes of the run).
-struct StopAtBlock<'a> {
+/// Serves a table, cancelling `guard` while it serves unit number `stop_at`
+/// (counted from 0 across all passes of the run): a block of a storage-order
+/// read or, if `rows`, a row of a permuted walk.
+struct StopAt<'a> {
     inner: &'a ColumnarTable,
+    rows: bool,
     stop_at: usize,
     served: AtomicUsize,
     guard: QueryGuard,
 }
 
-impl TupleScan for StopAtBlock<'_> {
+impl StopAt<'_> {
+    fn serve(&self) {
+        if self.served.fetch_add(1, Ordering::SeqCst) == self.stop_at {
+            self.guard.cancel();
+        }
+    }
+}
+
+impl TupleScan for StopAt<'_> {
     fn tuple_count(&self) -> usize {
         self.inner.tuple_count()
     }
@@ -168,26 +179,35 @@ impl TupleScan for StopAtBlock<'_> {
     }
     fn scan_blocks(&self, start: usize, end: usize, f: &mut dyn FnMut(RowBlock<'_>) -> bool) {
         self.inner.scan_blocks(start, end, &mut |block| {
-            if self.served.fetch_add(1, Ordering::SeqCst) == self.stop_at {
-                self.guard.cancel();
+            if !self.rows {
+                self.serve();
             }
             f(block)
         })
     }
     fn scan_tuples_permuted(&self, order: &[usize], f: &mut dyn FnMut(&Tuple)) {
-        self.inner.scan_tuples_permuted(order, f)
+        self.inner.scan_tuples_permuted(order, &mut |tuple| {
+            if self.rows {
+                self.serve();
+            }
+            f(tuple)
+        })
     }
 }
 
-/// A stop request binds inside an epoch: the sequential gradient pass, the
-/// MRS one (its I/O Worker's scan), a shared-memory worker's range and the
-/// loss pass — every range of it, when a pure-UDA run splits it over
-/// threads — poll it between blocks, discard the attempt, and report it
-/// exactly like a stop at the epoch boundary — so resuming loses nothing.
+/// A stop request binds inside an epoch: every pass — the sequential one,
+/// the MRS one (its I/O Worker's scan), a pure-UDA segment, a shared-memory
+/// worker and the loss pass (every range of it, when a pure-UDA run splits
+/// it over threads) — polls it between blocks, or between slices of a
+/// permuted walk, discards the attempt, and reports it exactly like a stop
+/// at the epoch boundary — so resuming loses nothing.
 #[test]
 fn stop_flag_binds_between_the_blocks_of_a_sequential_pass() {
     const SEGMENTS: usize = 24;
-    let rows = data(SEGMENTS * 50);
+    const ROWS: usize = SEGMENTS * 50;
+    // Rows a permuted walk hands over between two polls: a row-store page.
+    const SLICE: usize = 256;
+    let rows = data(ROWS);
     let dir = temp_dir("stop-mid-epoch");
     let mut paged = ColumnarTable::create_paged("gov", rows.schema().clone(), &dir, 50, 3).unwrap();
     paged
@@ -197,7 +217,6 @@ fn stop_flag_binds_between_the_blocks_of_a_sequential_pass() {
     assert_eq!(paged.segment_count(), SEGMENTS);
 
     let task = LogisticRegressionTask::new(1, 2, 4);
-    let clustered = |epochs| config(epochs).with_scan_order(ScanOrder::Clustered);
     // `None` is `Trainer`; MRS without a buffer, pure UDA and one NoLock
     // worker are deterministic, so their runs compare bitwise too. A
     // checkpoint path resumes from it.
@@ -210,9 +229,9 @@ fn stop_flag_binds_between_the_blocks_of_a_sequential_pass() {
         workers: 1,
         discipline: UpdateDiscipline::NoLock,
     };
-    // The loss pass of a pure-UDA run reads as many ranges as its gradient
-    // pass has threads; the others read one.
-    let loss_ranges = |trainer: Option<ParallelStrategy>| match trainer {
+    // A pure-UDA run reads each pass in as many ranges at once as it has
+    // threads; the others read one.
+    let ranges = |trainer: Option<ParallelStrategy>| match trainer {
         Some(ParallelStrategy::PureUda { segments }) => segment_workers(segments),
         _ => 1,
     };
@@ -231,44 +250,61 @@ fn stop_flag_binds_between_the_blocks_of_a_sequential_pass() {
             .map(|(trained, _)| trained)
         }
     };
-    for trainer in [None, Some(mrs), Some(pure_uda), Some(no_lock)] {
-        let uninterrupted = run(trainer, clustered(5), &paged, None).unwrap();
-        let two_epochs = run(trainer, clustered(2), &paged, None).unwrap();
+    let shuffled = ScanOrder::ShuffleOnce { seed: 7 };
+    let cases = [
+        (None, ScanOrder::Clustered),
+        (Some(mrs), ScanOrder::Clustered),
+        (Some(pure_uda), ScanOrder::Clustered),
+        (Some(no_lock), ScanOrder::Clustered),
+        (None, shuffled),
+        (Some(no_lock), shuffled),
+    ];
+    for (trainer, order) in cases {
+        let configured = |epochs| config(epochs).with_scan_order(order);
+        let uninterrupted = run(trainer, configured(5), &paged, None).unwrap();
+        let two_epochs = run(trainer, configured(2), &paged, None).unwrap();
 
-        // An epoch is a gradient pass and a loss pass of 24 blocks each; stop
-        // inside epoch 2's gradient pass, then inside its loss pass. A
-        // pure-UDA gradient pass does not poll, so it has only the second.
-        let passes = [("gradient", 2 * 48 + 10), ("loss", 2 * 48 + 24 + 10)];
-        let skip = usize::from(trainer == Some(pure_uda));
-        for (pass, stop_at) in passes.into_iter().skip(skip) {
+        // In storage order an epoch is a gradient pass and a loss pass of 24
+        // blocks each; stop inside epoch 2's gradient pass, then inside its
+        // loss pass. A permuted gradient pass walks 1 200 rows: stop at its
+        // row 300, inside its second slice.
+        let passes = match order {
+            ScanOrder::Clustered => vec![("gradient", 2 * 48 + 10), ("loss", 2 * 48 + 24 + 10)],
+            _ => vec![("permuted gradient", 2 * ROWS + 300)],
+        };
+        for (pass, stop_at) in passes {
             let pass = format!("{trainer:?}, {pass}");
             let checkpoint = dir.join("stop.ckpt");
             let guard = QueryGuard::unlimited();
-            let scan = StopAtBlock {
+            let scan = StopAt {
                 inner: &paged,
+                rows: order != ScanOrder::Clustered,
                 stop_at,
                 served: AtomicUsize::new(0),
                 guard: guard.clone(),
             };
             // A cadence of 100 is never due: the only write is the interrupt's.
-            let config = clustered(5)
+            let config = configured(5)
                 .with_guard(guard)
                 .with_checkpoints(&checkpoint, 100);
             let err = run(trainer, config, &scan, None).unwrap_err();
             let TrainError::Interrupted { epoch, last_good } = err else {
                 panic!("[{pass}] expected Interrupted, got {err:?}");
             };
-            // Blocks `0..=stop_at` are served by the time the guard is
+            // Units `0..=stop_at` are served by the time the guard is
             // cancelled. Each range polls before every block but its first
             // (`scan_blocks_while`), so the range that cancelled serves no
-            // more, and each other range at most one: the one it had already
-            // polled for, or its unconditional first. One block of slack.
+            // more blocks, and each other range at most one: the one it had
+            // already polled for, or its unconditional first. A permuted
+            // walk polls between slices, so it serves at most the rest of
+            // the slice it is in.
             let served = scan.served.load(Ordering::SeqCst);
-            let ranges = loss_ranges(trainer);
+            let after_cancel = served - (stop_at + 1);
+            let bound = if scan.rows { SLICE } else { ranges(trainer) };
             assert!(
-                served <= stop_at + 1 + ranges,
-                "[{pass}] {served} blocks served over {ranges} range(s), \
-                 the guard was cancelled during block {stop_at}"
+                after_cancel <= bound,
+                "[{pass}] {after_cancel} units served after the guard was cancelled \
+                 during unit {stop_at}, more than {bound}"
             );
             assert_eq!(epoch, 2, "[{pass}]");
             assert_eq!(last_good.epochs(), 2, "[{pass}]");
@@ -279,7 +315,7 @@ fn stop_flag_binds_between_the_blocks_of_a_sequential_pass() {
                 "[{pass}]"
             );
 
-            let resumed = run(trainer, clustered(5), &paged, Some(&checkpoint)).unwrap();
+            let resumed = run(trainer, configured(5), &paged, Some(&checkpoint)).unwrap();
             assert_eq!(resumed.model, uninterrupted.model, "[{pass}]");
             assert_eq!(
                 resumed.history.losses(),
