@@ -5,59 +5,52 @@
 //!
 //! ```text
 //! reproduce [--experiment <id>] [--scale small|full]
-//!
-//!   <id> ∈ { table1, table2, table3, table4,
-//!            fig5, fig7a, fig7b, fig8, fig9a, fig9b, fig10a, fig10b, all }
 //! ```
+//!
+//! `<id>` names a table or a figure panel (`table1`, `fig7a`, …; `--help`
+//! lists them) or is `all`, the default.
 //!
 //! Each experiment prints the rows / series of the corresponding paper
 //! artefact. Absolute numbers differ from the paper (different hardware and
 //! substrate); the qualitative shape is what is being reproduced — see
-//! EXPERIMENTS.md for the side-by-side reading.
+//! README, "Build, test, bench".
 
+use bismarck_bench::experiments::table2_3_overheads::UdaVariant;
 use bismarck_bench::experiments::{
     fig10_mrs, fig5_catx, fig7_benchmark, fig8_ordering, fig9_parallel, table1_datasets,
     table2_3_overheads, table4_scalability,
 };
 use bismarck_bench::Scale;
 
-const EXPERIMENTS: &[&str] = &[
-    "table1", "table2", "table3", "table4", "fig5", "fig7a", "fig7b", "fig8", "fig9a", "fig9b",
-    "fig10a", "fig10b",
+/// The ids that select an experiment (a figure's panels come from one run,
+/// so either id prints the whole result) and what it prints.
+type Experiment = (&'static [&'static str], fn(Scale) -> String);
+
+/// Every experiment once; `all` runs each entry.
+const EXPERIMENTS: &[Experiment] = &[
+    (&["table1"], |s| table1_datasets::run(s).to_string()),
+    (&["table2"], |s| {
+        table2_3_overheads::run(s, UdaVariant::Pure).to_string()
+    }),
+    (&["table3"], |s| {
+        table2_3_overheads::run(s, UdaVariant::SharedMemory).to_string()
+    }),
+    (&["table4"], |s| table4_scalability::run(s).to_string()),
+    (&["fig5"], |s| fig5_catx::run(s).to_string()),
+    (&["fig7a", "fig7b"], |s| fig7_benchmark::run(s).to_string()),
+    (&["fig8"], |s| fig8_ordering::run(s).to_string()),
+    (&["fig9a", "fig9b"], |s| fig9_parallel::run(s).to_string()),
+    (&["fig10a", "fig10b"], |s| fig10_mrs::run(s).to_string()),
 ];
 
 fn print_usage() {
+    let ids: Vec<&str> = EXPERIMENTS
+        .iter()
+        .flat_map(|(ids, _)| *ids)
+        .copied()
+        .collect();
     eprintln!("usage: reproduce [--experiment <id>] [--scale small|full]");
-    eprintln!("  ids: {} or 'all' (default)", EXPERIMENTS.join(", "));
-}
-
-fn run_one(id: &str, scale: Scale) -> bool {
-    println!("==================================================================");
-    match id {
-        "table1" => println!("{}", table1_datasets::run(scale)),
-        "table2" => println!(
-            "{}",
-            table2_3_overheads::run(scale, table2_3_overheads::UdaVariant::Pure)
-        ),
-        "table3" => println!(
-            "{}",
-            table2_3_overheads::run(scale, table2_3_overheads::UdaVariant::SharedMemory)
-        ),
-        "table4" => println!("{}", table4_scalability::run(scale)),
-        "fig5" => println!("{}", fig5_catx::run(scale)),
-        // Figure 7's two panels come from the same run; print the whole
-        // result for either id so the per-panel aliases both work.
-        "fig7a" | "fig7b" => println!("{}", fig7_benchmark::run(scale)),
-        "fig8" => println!("{}", fig8_ordering::run(scale)),
-        "fig9a" | "fig9b" => println!("{}", fig9_parallel::run(scale)),
-        "fig10a" | "fig10b" => println!("{}", fig10_mrs::run(scale)),
-        other => {
-            eprintln!("unknown experiment '{other}'");
-            print_usage();
-            return false;
-        }
-    }
-    true
+    eprintln!("  ids: {} or 'all' (default)", ids.join(", "));
 }
 
 fn main() {
@@ -101,16 +94,17 @@ fn main() {
         "Bismarck reproduction harness — scale: {:?}; experiment: {}",
         scale, experiment
     );
-    let ok = if experiment == "all" {
-        // fig7a/fig7b and fig9a/fig9b share a run; execute each family once.
-        let unique = [
-            "table1", "table2", "table3", "table4", "fig5", "fig7a", "fig8", "fig9a", "fig10a",
-        ];
-        unique.iter().all(|id| run_one(id, scale))
-    } else {
-        run_one(&experiment, scale)
-    };
-    if !ok {
+    let selected: Vec<_> = EXPERIMENTS
+        .iter()
+        .filter(|(ids, _)| experiment == "all" || ids.contains(&experiment.as_str()))
+        .collect();
+    if selected.is_empty() {
+        eprintln!("unknown experiment '{experiment}'");
+        print_usage();
         std::process::exit(2);
+    }
+    for (_, run) in selected {
+        println!("==================================================================");
+        println!("{}", run(scale));
     }
 }

@@ -7,158 +7,96 @@
 //! (B) Runtime (and epochs) to reach twice the best-known objective value for
 //! Subsampling vs MRS at several buffer sizes, plus the Clustered reference.
 
-use std::time::Duration;
-
 use bismarck_core::mrs::subsampling_train;
 use bismarck_core::tasks::LogisticRegressionTask;
-use bismarck_core::{
-    ParallelStrategy, ParallelTrainer, StepSizeSchedule, TrainedModel, Trainer, TrainerConfig,
-};
-use bismarck_storage::{ScanOrder, Table};
-use bismarck_uda::ConvergenceTest;
+use bismarck_core::{ParallelStrategy, StepSizeSchedule, TrainerConfig};
+use bismarck_storage::ScanOrder;
+use bismarck_uda::{ConvergenceTest, TrainingHistory};
 
-use super::datasets;
-use super::render_table;
 use super::scale::Scale;
-
-/// A per-epoch curve for one scheme (Figure 10(A)).
-#[derive(Debug, Clone)]
-pub struct MrsCurve {
-    /// Scheme label.
-    pub label: String,
-    /// Objective after each epoch / pass.
-    pub losses: Vec<f64>,
-    /// Cumulative wall-clock time after each epoch.
-    pub cumulative: Vec<Duration>,
-}
-
-impl MrsCurve {
-    fn of(label: String, trained: &TrainedModel) -> Self {
-        MrsCurve {
-            label,
-            losses: trained.history.losses(),
-            cumulative: trained
-                .history
-                .records()
-                .iter()
-                .map(|r| r.cumulative)
-                .collect(),
-        }
-    }
-
-    /// Epochs (1-based) to first reach `target`, if ever.
-    pub fn epochs_to(&self, target: f64) -> Option<usize> {
-        self.losses.iter().position(|&l| l <= target).map(|i| i + 1)
-    }
-
-    /// Wall-clock time to first reach `target`, if ever.
-    pub fn time_to(&self, target: f64) -> Option<Duration> {
-        self.losses
-            .iter()
-            .position(|&l| l <= target)
-            .map(|i| self.cumulative[i])
-    }
-}
+use super::{datasets, render_table, sampled_losses, train};
 
 /// One row of the Figure 10(B) buffer-size sweep.
 #[derive(Debug, Clone)]
 pub struct BufferSweepRow {
     /// Buffer size in tuples.
     pub buffer: usize,
-    /// Subsampling time and epochs to the target, if reached.
-    pub subsampling: (Option<Duration>, Option<usize>),
-    /// MRS time and epochs to the target, if reached.
-    pub mrs: (Option<Duration>, Option<usize>),
+    /// The Subsampling run at this buffer size.
+    pub subsampling: TrainingHistory,
+    /// The MRS run at this buffer size.
+    pub mrs: TrainingHistory,
 }
 
 /// Result of the Figure 10 experiment.
 #[derive(Debug, Clone)]
 pub struct Fig10Result {
-    /// Figure 10(A) curves (MRS, Subsampling, Clustered).
-    pub curves: Vec<MrsCurve>,
+    /// Figure 10(A) runs (MRS, Subsampling, Clustered), each with its label.
+    pub curves: Vec<(String, TrainingHistory)>,
     /// The 2x-optimal loss target used in part (B).
     pub target: f64,
     /// Figure 10(B) rows.
     pub sweep: Vec<BufferSweepRow>,
 }
 
-fn lr_task(dim: usize) -> LogisticRegressionTask {
-    LogisticRegressionTask::new(
-        bismarck_datagen::CLASSIFICATION_FEATURES_COL,
-        bismarck_datagen::CLASSIFICATION_LABEL_COL,
-        dim,
-    )
-}
-
-fn clustered_curve(table: &Table, dim: usize, epochs: usize) -> MrsCurve {
-    let task = lr_task(dim);
-    let config = TrainerConfig::default()
-        .with_scan_order(ScanOrder::Clustered)
-        .with_step_size(StepSizeSchedule::Constant(0.1))
-        .with_convergence(ConvergenceTest::FixedEpochs(epochs));
-    let trained = Trainer::new(&task, config).train(table);
-    MrsCurve::of("Clustered".into(), &trained)
-}
-
-fn subsampling_curve(table: &Table, dim: usize, buffer: usize, epochs: usize) -> MrsCurve {
-    let task = lr_task(dim);
-    let trained = subsampling_train(
-        &task,
-        table,
-        buffer,
-        StepSizeSchedule::Constant(0.1),
-        ConvergenceTest::FixedEpochs(epochs),
-        77,
-    );
-    MrsCurve::of(format!("Subsampling (B={buffer})"), &trained)
-}
-
-fn mrs_curve(table: &Table, dim: usize, buffer: usize, epochs: usize) -> MrsCurve {
-    let task = lr_task(dim);
-    let config = TrainerConfig::default()
-        .with_step_size(StepSizeSchedule::Constant(0.1))
-        .with_convergence(ConvergenceTest::FixedEpochs(epochs));
-    let strategy = ParallelStrategy::Mrs {
-        buffer_size: buffer,
-        seed: 77,
-    };
-    let (trained, _) = ParallelTrainer::new(&task, config, strategy).train(table);
-    MrsCurve::of(format!("MRS (B={buffer})"), &trained)
-}
-
 /// Run the Figure 10 experiment.
 pub fn run(scale: Scale) -> Fig10Result {
     let table = datasets::dblife(scale);
-    let dim = datasets::feature_dimension(&table);
-    let epochs = scale.scaled(10, 40);
+    let task = LogisticRegressionTask::new(
+        bismarck_datagen::CLASSIFICATION_FEATURES_COL,
+        bismarck_datagen::CLASSIFICATION_LABEL_COL,
+        datasets::feature_dimension(&table),
+    );
+    let step_size = StepSizeSchedule::Constant(0.1);
+    let convergence = ConvergenceTest::FixedEpochs(scale.scaled(10, 40));
+    let config = || {
+        TrainerConfig::default()
+            .with_step_size(step_size)
+            .with_convergence(convergence)
+    };
+    let clustered = || {
+        let config = config().with_scan_order(ScanOrder::Clustered);
+        train(&task, config, None, &table).history
+    };
+    let subsampling =
+        |buffer| subsampling_train(&task, &table, buffer, step_size, convergence, 77).history;
+    let mrs = |buffer_size| {
+        let strategy = ParallelStrategy::Mrs {
+            buffer_size,
+            seed: 77,
+        };
+        train(&task, config(), Some(strategy), &table).history
+    };
     let ten_percent = (table.len() / 10).max(1);
 
     // (A) fixed buffer of ~10%.
     let curves = vec![
-        mrs_curve(&table, dim, ten_percent, epochs),
-        subsampling_curve(&table, dim, ten_percent, epochs),
-        clustered_curve(&table, dim, epochs),
+        (format!("MRS (B={ten_percent})"), mrs(ten_percent)),
+        (
+            format!("Subsampling (B={ten_percent})"),
+            subsampling(ten_percent),
+        ),
+        ("Clustered".to_string(), clustered()),
     ];
 
     // Target for (B): twice the best loss any scheme reached in part (A).
     let best = curves
         .iter()
-        .flat_map(|c| c.losses.iter().copied())
+        .flat_map(|(_, history)| history.losses())
         .fold(f64::INFINITY, f64::min);
     let target = best * 2.0;
 
     // (B) sweep buffer sizes of 5%, 10% and 20%.
-    let mut sweep = Vec::new();
-    for percent in [5usize, 10, 20] {
-        let buffer = (table.len() * percent / 100).max(1);
-        let sub = subsampling_curve(&table, dim, buffer, epochs);
-        let mrs = mrs_curve(&table, dim, buffer, epochs);
-        sweep.push(BufferSweepRow {
-            buffer,
-            subsampling: (sub.time_to(target), sub.epochs_to(target)),
-            mrs: (mrs.time_to(target), mrs.epochs_to(target)),
-        });
-    }
+    let sweep = [5usize, 10, 20]
+        .into_iter()
+        .map(|percent| {
+            let buffer = (table.len() * percent / 100).max(1);
+            BufferSweepRow {
+                buffer,
+                subsampling: subsampling(buffer),
+                mrs: mrs(buffer),
+            }
+        })
+        .collect();
 
     Fig10Result {
         curves,
@@ -173,14 +111,8 @@ impl std::fmt::Display for Fig10Result {
             f,
             "Figure 10(A) — objective over epochs (sparse LR, buffer ~10%)"
         )?;
-        for c in &self.curves {
-            let line: Vec<String> = c
-                .losses
-                .iter()
-                .step_by((c.losses.len() / 10).max(1))
-                .map(|l| format!("{l:.1}"))
-                .collect();
-            writeln!(f, "  {:<22} {}", c.label, line.join(" "))?;
+        for (label, history) in &self.curves {
+            writeln!(f, "  {:<22} {}", label, sampled_losses(history))?;
         }
         writeln!(f)?;
         writeln!(
@@ -188,8 +120,11 @@ impl std::fmt::Display for Fig10Result {
             "Figure 10(B) — time (epochs) to reach 2x the best objective ({:.1})",
             self.target
         )?;
-        let fmt_cell = |(time, epochs): &(Option<Duration>, Option<usize>)| match (time, epochs) {
-            (Some(t), Some(e)) => format!("{} ({e})", super::secs(*t)),
+        let fmt_cell = |history: &TrainingHistory| match (
+            history.time_to_reach(self.target),
+            history.epochs_to_reach(self.target),
+        ) {
+            (Some(t), Some(e)) => format!("{} ({e})", super::secs(t)),
             _ => "not reached".to_string(),
         };
         let rows: Vec<Vec<String>> = self
@@ -214,21 +149,29 @@ impl std::fmt::Display for Fig10Result {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::OnceLock;
+
+    /// One run shared by every test of this module.
+    fn small() -> &'static Fig10Result {
+        static RESULT: OnceLock<Fig10Result> = OnceLock::new();
+        RESULT.get_or_init(|| run(Scale::Small))
+    }
 
     #[test]
     fn mrs_reaches_a_loss_at_least_as_good_as_subsampling() {
-        let result = run(Scale::Small);
+        let result = small();
         let find = |prefix: &str| {
             result
                 .curves
                 .iter()
-                .find(|c| c.label.starts_with(prefix))
+                .find(|(label, _)| label.starts_with(prefix))
+                .map(|(_, history)| history)
                 .unwrap_or_else(|| panic!("missing curve {prefix}"))
         };
         let mrs = find("MRS");
         let sub = find("Subsampling");
         let clustered = find("Clustered");
-        let last = |c: &MrsCurve| *c.losses.last().unwrap();
+        let last = |c: &TrainingHistory| c.final_loss().unwrap();
         assert!(
             last(mrs) <= last(sub) * 1.05,
             "MRS {} vs Subsampling {}",
@@ -241,16 +184,19 @@ mod tests {
 
     #[test]
     fn buffer_sweep_has_three_rows_with_increasing_buffers() {
-        let result = run(Scale::Small);
+        let result = small();
         assert_eq!(result.sweep.len(), 3);
         assert!(result.sweep.windows(2).all(|w| w[0].buffer < w[1].buffer));
         // MRS reaches the 2x target at every buffer size at this scale.
-        assert!(result.sweep.iter().all(|r| r.mrs.1.is_some()));
+        assert!(result
+            .sweep
+            .iter()
+            .all(|r| r.mrs.epochs_to_reach(result.target).is_some()));
     }
 
     #[test]
     fn display_contains_all_schemes() {
-        let result = run(Scale::Small);
+        let result = small();
         let text = result.to_string();
         assert!(text.contains("MRS"));
         assert!(text.contains("Subsampling"));

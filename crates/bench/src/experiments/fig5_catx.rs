@@ -152,10 +152,17 @@ impl std::fmt::Display for Fig5Result {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::OnceLock;
+
+    /// One run shared by every test of this module.
+    fn small() -> &'static Fig5Result {
+        static RESULT: OnceLock<Fig5Result> = OnceLock::new();
+        RESULT.get_or_init(|| run(Scale::Small))
+    }
 
     #[test]
     fn random_converges_in_fewer_epochs_than_clustered() {
-        let result = run(Scale::Small);
+        let result = small();
         let random = result
             .random
             .epochs_to_converge
@@ -172,7 +179,7 @@ mod tests {
 
     #[test]
     fn clustered_trajectory_oscillates() {
-        let result = run(Scale::Small);
+        let result = small();
         let ws: Vec<f64> = result.clustered.samples.iter().map(|&(_, w)| w).collect();
         let max = ws.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
         let min = ws.iter().cloned().fold(f64::INFINITY, f64::min);
@@ -183,7 +190,7 @@ mod tests {
 
     #[test]
     fn display_mentions_both_orderings() {
-        let result = run(Scale::Small);
+        let result = small();
         let text = result.to_string();
         assert!(text.contains("Random"));
         assert!(text.contains("Clustered"));

@@ -8,108 +8,50 @@
 //! epochs, Clustered the most, but ShuffleOnce wins on wall-clock because it
 //! pays the shuffle only once.
 
-use std::time::Duration;
-
 use bismarck_core::tasks::LogisticRegressionTask;
-use bismarck_core::{StepSizeSchedule, Trainer, TrainerConfig};
+use bismarck_core::{StepSizeSchedule, TrainerConfig};
 use bismarck_storage::ScanOrder;
-use bismarck_uda::ConvergenceTest;
+use bismarck_uda::{ConvergenceTest, TrainingHistory};
 
-use super::datasets;
-use super::render_table;
 use super::scale::Scale;
-
-/// Per-ordering training curve.
-#[derive(Debug, Clone)]
-pub struct OrderingCurve {
-    /// Ordering label.
-    pub label: &'static str,
-    /// Objective value after each epoch.
-    pub losses: Vec<f64>,
-    /// Cumulative wall-clock time after each epoch.
-    pub cumulative: Vec<Duration>,
-    /// Total time spent shuffling.
-    pub shuffle_time: Duration,
-}
-
-impl OrderingCurve {
-    /// Epochs needed to first reach `target` (1-based), if ever.
-    pub fn epochs_to(&self, target: f64) -> Option<usize> {
-        self.losses.iter().position(|&l| l <= target).map(|i| i + 1)
-    }
-
-    /// Wall-clock time needed to first reach `target`, if ever.
-    pub fn time_to(&self, target: f64) -> Option<Duration> {
-        self.losses
-            .iter()
-            .position(|&l| l <= target)
-            .map(|i| self.cumulative[i])
-    }
-}
+use super::{datasets, render_table, sampled_losses, train};
 
 /// Result of the Figure 8 experiment.
 #[derive(Debug, Clone)]
 pub struct Fig8Result {
-    /// Curves for ShuffleAlways, ShuffleOnce and Clustered (in that order).
-    pub curves: Vec<OrderingCurve>,
+    /// Runs under ShuffleAlways, ShuffleOnce and Clustered (in that order).
+    pub curves: Vec<(&'static str, TrainingHistory)>,
     /// The loss target used for the epochs-to / time-to comparison.
     pub target: f64,
-}
-
-fn run_ordering(
-    table: &bismarck_storage::Table,
-    dim: usize,
-    order: ScanOrder,
-    label: &'static str,
-    epochs: usize,
-) -> OrderingCurve {
-    let fcol = bismarck_datagen::CLASSIFICATION_FEATURES_COL;
-    let lcol = bismarck_datagen::CLASSIFICATION_LABEL_COL;
-    let task = LogisticRegressionTask::new(fcol, lcol, dim);
-    let config = TrainerConfig::default()
-        .with_scan_order(order)
-        .with_step_size(StepSizeSchedule::Constant(0.2))
-        .with_convergence(ConvergenceTest::FixedEpochs(epochs));
-    let trained = Trainer::new(&task, config).train(table);
-    OrderingCurve {
-        label,
-        losses: trained.history.losses(),
-        cumulative: trained
-            .history
-            .records()
-            .iter()
-            .map(|r| r.cumulative)
-            .collect(),
-        shuffle_time: trained.history.total_shuffle_duration(),
-    }
 }
 
 /// Run the Figure 8 experiment.
 pub fn run(scale: Scale) -> Fig8Result {
     let table = datasets::dblife(scale);
-    let dim = datasets::feature_dimension(&table);
+    let task = LogisticRegressionTask::new(
+        bismarck_datagen::CLASSIFICATION_FEATURES_COL,
+        bismarck_datagen::CLASSIFICATION_LABEL_COL,
+        datasets::feature_dimension(&table),
+    );
     let epochs = scale.scaled(12, 40);
-    let curves = vec![
-        run_ordering(
-            &table,
-            dim,
-            ScanOrder::ShuffleAlways { seed: 8 },
-            "ShuffleAlways",
-            epochs,
-        ),
-        run_ordering(
-            &table,
-            dim,
-            ScanOrder::ShuffleOnce { seed: 8 },
-            "ShuffleOnce",
-            epochs,
-        ),
-        run_ordering(&table, dim, ScanOrder::Clustered, "Clustered", epochs),
-    ];
+    let curves: Vec<_> = [
+        ("ShuffleAlways", ScanOrder::ShuffleAlways { seed: 8 }),
+        ("ShuffleOnce", ScanOrder::ShuffleOnce { seed: 8 }),
+        ("Clustered", ScanOrder::Clustered),
+    ]
+    .into_iter()
+    .map(|(label, order)| {
+        let config = TrainerConfig::default()
+            .with_scan_order(order)
+            .with_step_size(StepSizeSchedule::Constant(0.2))
+            .with_convergence(ConvergenceTest::FixedEpochs(epochs));
+        (label, train(&task, config, None, &table).history)
+    })
+    .collect();
     // Target: within 2% of the best loss any policy reached.
     let best = curves
         .iter()
-        .filter_map(|c| c.losses.last().copied())
+        .filter_map(|(_, history)| history.final_loss())
         .fold(f64::INFINITY, f64::min);
     let target = best * 1.02;
     Fig8Result { curves, target }
@@ -129,17 +71,19 @@ impl std::fmt::Display for Fig8Result {
         let rows: Vec<Vec<String>> = self
             .curves
             .iter()
-            .map(|c| {
+            .map(|(label, history)| {
                 vec![
-                    c.label.to_string(),
-                    c.epochs_to(self.target)
+                    label.to_string(),
+                    history
+                        .epochs_to_reach(self.target)
                         .map(|e| e.to_string())
-                        .unwrap_or_else(|| format!(">{}", c.losses.len())),
-                    c.time_to(self.target)
+                        .unwrap_or_else(|| format!(">{}", history.epochs())),
+                    history
+                        .time_to_reach(self.target)
                         .map(super::secs)
                         .unwrap_or_else(|| "not reached".into()),
-                    super::secs(c.shuffle_time),
-                    format!("{:.2}", c.losses.last().copied().unwrap_or(f64::NAN)),
+                    super::secs(history.total_shuffle_duration()),
+                    format!("{:.2}", history.final_loss().unwrap_or(f64::NAN)),
                 ]
             })
             .collect();
@@ -158,14 +102,8 @@ impl std::fmt::Display for Fig8Result {
             )
         )?;
         writeln!(f, "loss per epoch:")?;
-        for c in &self.curves {
-            let line: Vec<String> = c
-                .losses
-                .iter()
-                .step_by((c.losses.len() / 10).max(1))
-                .map(|l| format!("{l:.1}"))
-                .collect();
-            writeln!(f, "  {:<14} {}", c.label, line.join(" "))?;
+        for (label, history) in &self.curves {
+            writeln!(f, "  {:<14} {}", label, sampled_losses(history))?;
         }
         Ok(())
     }
@@ -174,15 +112,24 @@ impl std::fmt::Display for Fig8Result {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::OnceLock;
+    use std::time::Duration;
+
+    /// One run shared by every test of this module.
+    fn small() -> &'static Fig8Result {
+        static RESULT: OnceLock<Fig8Result> = OnceLock::new();
+        RESULT.get_or_init(|| run(Scale::Small))
+    }
 
     #[test]
     fn shuffled_orderings_dominate_clustered_per_epoch() {
-        let result = run(Scale::Small);
+        let result = small();
         let by_label = |label: &str| {
             result
                 .curves
                 .iter()
-                .find(|c| c.label == label)
+                .find(|(l, _)| *l == label)
+                .map(|(_, history)| history)
                 .unwrap_or_else(|| panic!("missing curve {label}"))
         };
         let always = by_label("ShuffleAlways");
@@ -190,7 +137,7 @@ mod tests {
         let clustered = by_label("Clustered");
         // After the full epoch budget, the shuffled runs should be at least as
         // good as the clustered run (the paper's Figure 8(A) shape).
-        let last = |c: &OrderingCurve| *c.losses.last().unwrap();
+        let last = |c: &TrainingHistory| c.final_loss().unwrap();
         assert!(last(always) <= last(clustered) * 1.05);
         assert!(last(once) <= last(clustered) * 1.05);
         // ShuffleOnce converges similarly to ShuffleAlways (within 10%).
@@ -199,14 +146,15 @@ mod tests {
 
     #[test]
     fn shuffle_always_pays_more_shuffle_time_than_shuffle_once() {
-        let result = run(Scale::Small);
+        let result = small();
         let time = |label: &str| {
             result
                 .curves
                 .iter()
-                .find(|c| c.label == label)
+                .find(|(l, _)| *l == label)
                 .unwrap()
-                .shuffle_time
+                .1
+                .total_shuffle_duration()
         };
         assert!(time("ShuffleAlways") >= time("ShuffleOnce"));
         assert_eq!(time("Clustered"), Duration::ZERO);
@@ -214,7 +162,7 @@ mod tests {
 
     #[test]
     fn display_lists_all_orderings() {
-        let result = run(Scale::Small);
+        let result = small();
         let text = result.to_string();
         for label in ["ShuffleAlways", "ShuffleOnce", "Clustered"] {
             assert!(text.contains(label));

@@ -5,33 +5,19 @@
 //! model averaging converges more slowly, the shared-memory schemes track
 //! each other.
 //!
-//! (B) Speed-up of the per-epoch gradient computation as worker count grows.
-//! NOTE: the machine that produced the recorded results has a single
-//! physical core, so measured speed-ups stay near 1x; the harness still
-//! exercises the real multi-threaded code paths and reports whatever the
-//! hardware delivers (see EXPERIMENTS.md).
+//! (B) Speed-up of the per-epoch gradient pass, as the engine records it, as
+//! worker count grows. Its size depends on the host's cores; the harness
+//! reports whatever they deliver (see README, "Build, test, bench").
 
 use std::time::Duration;
 
 use bismarck_core::tasks::CrfTask;
-use bismarck_core::{
-    ParallelStrategy, ParallelTrainer, StepSizeSchedule, TrainerConfig, UpdateDiscipline,
-};
-use bismarck_storage::{ScanOrder, Table};
-use bismarck_uda::ConvergenceTest;
+use bismarck_core::{ParallelStrategy, StepSizeSchedule, TrainerConfig, UpdateDiscipline};
+use bismarck_storage::ScanOrder;
+use bismarck_uda::{ConvergenceTest, TrainingHistory};
 
-use super::datasets;
-use super::render_table;
 use super::scale::Scale;
-
-/// Convergence curve of one parallel scheme (Figure 9(A)).
-#[derive(Debug, Clone)]
-pub struct SchemeCurve {
-    /// Scheme label (`"PureUDA"`, `"Lock"`, `"AIG"`, `"NoLock"`).
-    pub label: &'static str,
-    /// Objective after each epoch.
-    pub losses: Vec<f64>,
-}
+use super::{datasets, render_table, train};
 
 /// Speed-up measurement of one scheme at one worker count (Figure 9(B)).
 #[derive(Debug, Clone)]
@@ -47,8 +33,9 @@ pub struct SpeedupPoint {
 /// Result of the Figure 9 experiment.
 #[derive(Debug, Clone)]
 pub struct Fig9Result {
-    /// Figure 9(A) curves.
-    pub curves: Vec<SchemeCurve>,
+    /// Figure 9(A) runs, one per scheme (`"PureUDA"`, `"Lock"`, `"AIG"`,
+    /// `"NoLock"`).
+    pub curves: Vec<(&'static str, TrainingHistory)>,
     /// Figure 9(B) measurements (grouped by scheme, ascending worker count).
     pub speedups: Vec<SpeedupPoint>,
     /// Worker count used for the convergence comparison.
@@ -89,20 +76,6 @@ fn crf_config(epochs: usize) -> TrainerConfig {
         .with_convergence(ConvergenceTest::FixedEpochs(epochs))
 }
 
-fn run_scheme(
-    task: &CrfTask,
-    table: &Table,
-    strategy: ParallelStrategy,
-    epochs: usize,
-) -> (Vec<f64>, Vec<Duration>) {
-    let trainer = ParallelTrainer::new(task, crf_config(epochs), strategy);
-    let (trained, stats) = trainer.train(table);
-    (
-        trained.history.losses(),
-        stats.iter().map(|s| s.gradient_duration).collect(),
-    )
-}
-
 /// Run the Figure 9 experiment.
 pub fn run(scale: Scale) -> Fig9Result {
     let table = datasets::conll(scale);
@@ -112,18 +85,20 @@ pub fn run(scale: Scale) -> Fig9Result {
     let epochs = scale.scaled(6, 20);
 
     // (A) convergence comparison at a fixed worker count.
-    let mut curves = Vec::new();
-    for (label, strategy) in strategies(convergence_workers) {
-        let (losses, _) = run_scheme(&task, &table, strategy, epochs);
-        curves.push(SchemeCurve { label, losses });
-    }
+    let curves = strategies(convergence_workers)
+        .into_iter()
+        .map(|(label, strategy)| {
+            let trained = train(&task, crf_config(epochs), Some(strategy), &table);
+            (label, trained.history)
+        })
+        .collect();
 
     // (B) per-epoch gradient time vs worker count (single epoch per point).
     let mut speedups = Vec::new();
     for workers in [1usize, 2, 4, 8] {
         for (label, strategy) in strategies(workers) {
-            let (_, times) = run_scheme(&task, &table, strategy, 1);
-            let gradient_time = times.first().copied().unwrap_or(Duration::ZERO);
+            let trained = train(&task, crf_config(1), Some(strategy), &table);
+            let gradient_time = trained.history.records()[0].gradient_duration;
             speedups.push(SpeedupPoint {
                 label,
                 workers,
@@ -169,15 +144,18 @@ impl std::fmt::Display for Fig9Result {
         let rows: Vec<Vec<String>> = self
             .curves
             .iter()
-            .map(|c| {
-                let mut cells = vec![c.label.to_string()];
-                cells.extend(c.losses.iter().map(|l| format!("{l:.1}")));
+            .map(|(label, history)| {
+                let mut cells = vec![label.to_string()];
+                cells.extend(history.records().iter().map(|r| format!("{:.1}", r.loss)));
                 cells
             })
             .collect();
         let mut header: Vec<String> = vec!["Scheme".to_string()];
         header.extend(
-            (1..=self.curves.first().map(|c| c.losses.len()).unwrap_or(0))
+            (1..=self
+                .curves
+                .first()
+                .map_or(0, |(_, history)| history.epochs()))
                 .map(|e| format!("ep{e}")),
         );
         let header_refs: Vec<&str> = header.iter().map(String::as_str).collect();
@@ -209,31 +187,41 @@ impl std::fmt::Display for Fig9Result {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::OnceLock;
+
+    /// One run shared by every test of this module.
+    fn small() -> &'static Fig9Result {
+        static RESULT: OnceLock<Fig9Result> = OnceLock::new();
+        RESULT.get_or_init(|| run(Scale::Small))
+    }
 
     #[test]
     fn all_schemes_converge_and_shared_memory_beats_model_averaging() {
-        let result = run(Scale::Small);
+        let result = small();
         assert_eq!(result.curves.len(), 4);
         let by_label = |label: &str| {
             result
                 .curves
                 .iter()
-                .find(|c| c.label == label)
+                .find(|(l, _)| *l == label)
                 .expect("curve present")
+                .1
+                .losses()
         };
-        for curve in &result.curves {
-            assert!(curve.losses.last().unwrap() < curve.losses.first().unwrap());
+        for (_, history) in &result.curves {
+            let losses = history.losses();
+            assert!(losses.last().unwrap() < losses.first().unwrap());
         }
         // The Figure 9(A) shape: model averaging (PureUDA) ends with a loss no
         // better than the NoLock shared-memory scheme.
-        let pure = by_label("PureUDA").losses.last().copied().unwrap();
-        let nolock = by_label("NoLock").losses.last().copied().unwrap();
+        let pure = by_label("PureUDA").last().copied().unwrap();
+        let nolock = by_label("NoLock").last().copied().unwrap();
         assert!(nolock <= pure * 1.05, "NoLock {nolock} vs PureUDA {pure}");
     }
 
     #[test]
     fn speedup_points_cover_all_worker_counts() {
-        let result = run(Scale::Small);
+        let result = small();
         assert_eq!(result.speedups.len(), 4 * 4);
         for label in ["PureUDA", "Lock", "AIG", "NoLock"] {
             for workers in [1usize, 2, 4, 8] {
@@ -252,7 +240,7 @@ mod tests {
 
     #[test]
     fn display_shows_schemes_and_workers() {
-        let result = run(Scale::Small);
+        let result = small();
         let text = result.to_string();
         for label in ["PureUDA", "Lock", "AIG", "NoLock"] {
             assert!(text.contains(label));

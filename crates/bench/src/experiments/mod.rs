@@ -1,4 +1,19 @@
 //! One module per table/figure of the paper's evaluation.
+//!
+//! Every Bismarck-side number an experiment reports is read from the
+//! [`TrainedModel`] the engine returns: losses, cumulative times and
+//! per-pass times are its `EpochRecord`s. Only what keeps no epoch records
+//! of its own (the native tools and the NULL aggregate) is timed here, by
+//! `timed`.
+
+use std::time::{Duration, Instant};
+
+use bismarck_core::task::IgdTask;
+use bismarck_core::{
+    ParallelStrategy, ParallelTrainer, StepSizeSchedule, TrainedModel, Trainer, TrainerConfig,
+};
+use bismarck_storage::{ScanOrder, Table};
+use bismarck_uda::{ConvergenceTest, TrainingHistory};
 
 pub mod datasets;
 pub mod fig10_mrs;
@@ -10,6 +25,56 @@ pub mod scale;
 pub mod table1_datasets;
 pub mod table2_3_overheads;
 pub mod table4_scalability;
+
+/// Train `task` on `table`: sequentially when `strategy` is `None`, else
+/// through the parallel pass it names. The only place an experiment meets
+/// the training façades.
+pub(crate) fn train<T: IgdTask>(
+    task: &T,
+    config: TrainerConfig,
+    strategy: Option<ParallelStrategy>,
+    table: &Table,
+) -> TrainedModel {
+    match strategy {
+        None => Trainer::new(task, config).train(table),
+        Some(strategy) => ParallelTrainer::new(task, config, strategy).train(table).0,
+    }
+}
+
+/// The time of one gradient pass over `table` in storage order, as the
+/// engine records it: the `gradient_duration` of a one-epoch run. The
+/// per-pass time of Tables 2–4.
+pub(crate) fn pass_time<T: IgdTask>(
+    task: &T,
+    strategy: Option<ParallelStrategy>,
+    table: &Table,
+) -> Duration {
+    let config = TrainerConfig::default()
+        .with_scan_order(ScanOrder::Clustered)
+        .with_step_size(StepSizeSchedule::Constant(0.01))
+        .with_convergence(ConvergenceTest::FixedEpochs(1));
+    train(task, config, strategy, table).history.records()[0].gradient_duration
+}
+
+/// Run `f` and time it: for what keeps no epoch records (a native tool,
+/// the NULL aggregate).
+pub(crate) fn timed<R>(f: impl FnOnce() -> R) -> (R, Duration) {
+    let start = Instant::now();
+    let out = f();
+    (out, start.elapsed())
+}
+
+/// `history`'s losses, one decimal each, every `(epochs / 10)`-th epoch's
+/// (every epoch's under twenty).
+pub(crate) fn sampled_losses(history: &TrainingHistory) -> String {
+    let losses = history.losses();
+    let line: Vec<String> = losses
+        .iter()
+        .step_by((losses.len() / 10).max(1))
+        .map(|l| format!("{l:.1}"))
+        .collect();
+    line.join(" ")
+}
 
 /// Format a duration in seconds with millisecond resolution.
 pub fn secs(d: std::time::Duration) -> String {

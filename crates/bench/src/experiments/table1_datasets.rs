@@ -68,10 +68,17 @@ impl std::fmt::Display for Table1Result {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::OnceLock;
+
+    /// One run shared by every test of this module.
+    fn small() -> &'static Table1Result {
+        static RESULT: OnceLock<Table1Result> = OnceLock::new();
+        RESULT.get_or_init(|| run(Scale::Small))
+    }
 
     #[test]
     fn produces_a_row_per_dataset() {
-        let result = run(Scale::Small);
+        let result = small();
         assert_eq!(result.rows.len(), 7);
         let names: Vec<&str> = result.rows.iter().map(|r| r.name.as_str()).collect();
         assert_eq!(
@@ -91,7 +98,7 @@ mod tests {
 
     #[test]
     fn display_renders_all_rows() {
-        let result = run(Scale::Small);
+        let result = small();
         let text = result.to_string();
         for row in &result.rows {
             assert!(text.contains(&row.name));

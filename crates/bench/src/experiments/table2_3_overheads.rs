@@ -1,24 +1,21 @@
 //! Tables 2 and 3 — single-iteration runtime of each task against the
 //! strawman NULL aggregate.
 //!
-//! Table 2 measures the **pure UDA** implementation (the ordinary aggregate
-//! path); Table 3 measures the **shared-memory UDA** variant. Overhead is
-//! `(task time − NULL time) / NULL time`, i.e. how much the gradient
-//! arithmetic adds on top of scanning the tuples.
+//! Table 2 measures the **pure UDA** implementation (the sequential
+//! aggregate pass); Table 3 measures the **shared-memory UDA** variant. A
+//! task's time is the gradient pass the engine records for a one-epoch run.
+//! Overhead is `(task time − NULL time) / NULL time`, i.e. how much the
+//! gradient arithmetic adds on top of scanning the tuples.
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use bismarck_core::igd::IgdAggregate;
 use bismarck_core::task::IgdTask;
 use bismarck_core::tasks::{LmfTask, LogisticRegressionTask, SvmTask};
-use bismarck_core::StepSizeSchedule;
-use bismarck_core::{ParallelStrategy, ParallelTrainer, TrainerConfig, UpdateDiscipline};
-use bismarck_storage::{NullAggregate, ScanOrder, Table};
-use bismarck_uda::{run_sequential, ConvergenceTest};
+use bismarck_core::{ParallelStrategy, UpdateDiscipline};
+use bismarck_storage::{NullAggregate, Table};
 
-use super::datasets;
-use super::render_table;
 use super::scale::Scale;
+use super::{datasets, pass_time, render_table, timed};
 
 /// Which UDA implementation an overhead row measures.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -27,6 +24,20 @@ pub enum UdaVariant {
     Pure,
     /// Shared-memory UDA execution — Table 3.
     SharedMemory,
+}
+
+impl UdaVariant {
+    /// The pass a one-epoch run measures: the sequential aggregate, or
+    /// NoLock shared memory over two workers.
+    fn strategy(self) -> Option<ParallelStrategy> {
+        match self {
+            UdaVariant::Pure => None,
+            UdaVariant::SharedMemory => Some(ParallelStrategy::SharedMemory {
+                workers: 2,
+                discipline: UpdateDiscipline::NoLock,
+            }),
+        }
+    }
 }
 
 /// One row of Table 2 / Table 3.
@@ -59,46 +70,8 @@ pub struct OverheadResult {
     pub rows: Vec<OverheadRow>,
 }
 
-fn time_null_epoch(table: &Table) -> Duration {
-    let start = Instant::now();
-    let count = NullAggregate::run_epoch(table);
-    let elapsed = start.elapsed();
-    assert_eq!(count, table.len());
-    elapsed
-}
-
-fn time_pure_uda_epoch<T: IgdTask>(task: &T, table: &Table) -> Duration {
-    let aggregate = IgdAggregate::new(task, 0.01, task.initial_model());
-    let start = Instant::now();
-    let state = run_sequential(&aggregate, table, None);
-    let elapsed = start.elapsed();
-    assert_eq!(state.steps as usize, table.len());
-    elapsed
-}
-
-fn time_shared_memory_epoch<T: IgdTask>(task: &T, table: &Table, workers: usize) -> Duration {
-    let config = TrainerConfig::default()
-        .with_scan_order(ScanOrder::Clustered)
-        .with_step_size(StepSizeSchedule::Constant(0.01))
-        .with_convergence(ConvergenceTest::FixedEpochs(1));
-    let trainer = ParallelTrainer::new(
-        task,
-        config,
-        ParallelStrategy::SharedMemory {
-            workers,
-            discipline: UpdateDiscipline::NoLock,
-        },
-    );
-    let (_, stats) = trainer.train(table);
-    stats
-        .first()
-        .map(|s| s.gradient_duration)
-        .unwrap_or(Duration::ZERO)
-}
-
 /// Run the overhead measurement for the chosen UDA variant.
 pub fn run(scale: Scale, variant: UdaVariant) -> OverheadResult {
-    let workers = 2; // the shared-memory variant always exercises >1 worker
     let forest = datasets::forest(scale);
     let dblife = datasets::dblife(scale);
     let movielens = datasets::movielens(scale);
@@ -125,31 +98,27 @@ pub fn run(scale: Scale, variant: UdaVariant) -> OverheadResult {
 
     fn measure<T: IgdTask>(
         variant: UdaVariant,
-        workers: usize,
         dataset: &str,
         task_name: &'static str,
         table: &Table,
         task: &T,
     ) -> OverheadRow {
-        let null_time = time_null_epoch(table);
-        let task_time = match variant {
-            UdaVariant::Pure => time_pure_uda_epoch(task, table),
-            UdaVariant::SharedMemory => time_shared_memory_epoch(task, table, workers),
-        };
+        let (count, null_time) = timed(|| NullAggregate::run_epoch(table));
+        assert_eq!(count, table.len());
         OverheadRow {
             dataset: dataset.to_string(),
             task: task_name,
             null_time,
-            task_time,
+            task_time: pass_time(task, variant.strategy(), table),
         }
     }
 
     let rows = vec![
-        measure(variant, workers, "forest", "LR", &forest, &lr_forest),
-        measure(variant, workers, "forest", "SVM", &forest, &svm_forest),
-        measure(variant, workers, "dblife", "LR", &dblife, &lr_dblife),
-        measure(variant, workers, "dblife", "SVM", &dblife, &svm_dblife),
-        measure(variant, workers, "movielens", "LMF", &movielens, &lmf),
+        measure(variant, "forest", "LR", &forest, &lr_forest),
+        measure(variant, "forest", "SVM", &forest, &svm_forest),
+        measure(variant, "dblife", "LR", &dblife, &lr_dblife),
+        measure(variant, "dblife", "SVM", &dblife, &svm_dblife),
+        measure(variant, "movielens", "LMF", &movielens, &lmf),
     ];
 
     OverheadResult { variant, rows }

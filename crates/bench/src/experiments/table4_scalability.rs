@@ -4,26 +4,23 @@
 //! tool completes (✓) or "either crashes or takes longer than 48 hours" (✗).
 //! We reproduce the same shape with a wall-clock budget scaled to the
 //! generated datasets: a method earns ✓ when its projected time to run the
-//! standard number of passes fits in the budget. Bismarck's per-epoch time is
-//! measured directly; for the batch baselines we measure one iteration and
-//! extrapolate (running a hopeless configuration to completion would only
-//! re-measure the same number many times over).
+//! standard number of passes fits in the budget. Bismarck's per-pass time is
+//! the gradient pass the engine records for a one-epoch sequential run; for
+//! the batch baselines we time one iteration. Both are extrapolated (running
+//! a hopeless configuration to completion would only re-measure the same
+//! number many times over).
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use bismarck_baselines::als::als_train;
 use bismarck_baselines::{
-    batch_lr_train, crf_batch_train, AlsConfig, BatchGradientConfig, CrfBatchConfig,
+    batch_lr_train, batch_svm_train, crf_batch_train, AlsConfig, BatchGradientConfig,
+    CrfBatchConfig,
 };
-use bismarck_core::igd::IgdAggregate;
-use bismarck_core::task::IgdTask;
 use bismarck_core::tasks::{CrfTask, LmfTask, LogisticRegressionTask, SvmTask};
-use bismarck_storage::Table;
-use bismarck_uda::run_sequential;
 
-use super::datasets;
-use super::render_table;
 use super::scale::Scale;
+use super::{datasets, pass_time, render_table, timed};
 
 /// Outcome of one (task, method) cell.
 #[derive(Debug, Clone)]
@@ -62,13 +59,6 @@ pub struct Table4Result {
     pub rows: Vec<ScalabilityRow>,
 }
 
-fn time_igd_epoch<T: IgdTask>(task: &T, table: &Table) -> Duration {
-    let aggregate = IgdAggregate::new(task, 0.01, task.initial_model());
-    let start = Instant::now();
-    let _ = run_sequential(&aggregate, table, None);
-    start.elapsed()
-}
-
 fn cell(
     method: &'static str,
     per_pass: Duration,
@@ -103,113 +93,88 @@ pub fn run(scale: Scale) -> Table4Result {
     let (mx_rows, mx_cols, _, mx_rank) = datasets::matrix_large_shape(scale);
     let (seq_features, seq_labels) = datasets::conll_shape(scale);
 
-    let mut rows = Vec::new();
+    let lmf = LmfTask::new(
+        bismarck_datagen::RATINGS_ROW_COL,
+        bismarck_datagen::RATINGS_COL_COL,
+        bismarck_datagen::RATINGS_VALUE_COL,
+        mx_rows,
+        mx_cols,
+        mx_rank,
+    );
+    let crf = CrfTask::new(bismarck_datagen::SEQUENCE_COL, seq_features, seq_labels);
+    let one_iteration = BatchGradientConfig {
+        iterations: 1,
+        ..BatchGradientConfig::new(fcol, lcol, classify_dim)
+    };
 
-    // LR on the Classify300M stand-in: Bismarck vs batch LR.
-    {
-        let task = LogisticRegressionTask::new(fcol, lcol, classify_dim);
-        let bismarck = cell(
-            "Bismarck IGD",
-            time_igd_epoch(&task, &classify),
-            passes,
-            budget,
-        );
-        let start = Instant::now();
-        let _ = batch_lr_train(
-            &classify,
-            BatchGradientConfig {
-                iterations: 1,
-                ..BatchGradientConfig::new(fcol, lcol, classify_dim)
-            },
-        );
-        let baseline = cell("Batch LR", start.elapsed(), passes, budget);
-        rows.push(ScalabilityRow {
-            task: "LR",
-            dataset: "classify_large".into(),
-            bismarck,
-            baseline,
-        });
-    }
-
-    // SVM on the same dataset: Bismarck vs batch subgradient.
-    {
-        let task = SvmTask::new(fcol, lcol, classify_dim);
-        let bismarck = cell(
-            "Bismarck IGD",
-            time_igd_epoch(&task, &classify),
-            passes,
-            budget,
-        );
-        let start = Instant::now();
-        let _ = bismarck_baselines::batch_svm_train(
-            &classify,
-            BatchGradientConfig {
-                iterations: 1,
-                ..BatchGradientConfig::new(fcol, lcol, classify_dim)
-            },
-        );
-        let baseline = cell("Batch SVM", start.elapsed(), passes, budget);
-        rows.push(ScalabilityRow {
-            task: "SVM",
-            dataset: "classify_large".into(),
-            bismarck,
-            baseline,
-        });
-    }
-
-    // LMF on the Matrix5B stand-in: Bismarck vs ALS.
-    {
-        let task = LmfTask::new(
-            bismarck_datagen::RATINGS_ROW_COL,
-            bismarck_datagen::RATINGS_COL_COL,
-            bismarck_datagen::RATINGS_VALUE_COL,
-            mx_rows,
-            mx_cols,
-            mx_rank,
-        );
-        let bismarck = cell(
-            "Bismarck IGD",
-            time_igd_epoch(&task, &matrix),
-            passes,
-            budget,
-        );
-        let start = Instant::now();
-        let _ = als_train(
-            &matrix,
-            AlsConfig {
-                sweeps: 1,
-                ..AlsConfig::new(mx_rows, mx_cols, mx_rank)
-            },
-        );
-        let baseline = cell("ALS", start.elapsed(), passes, budget);
-        rows.push(ScalabilityRow {
-            task: "LMF",
-            dataset: "matrix_large".into(),
-            bismarck,
-            baseline,
-        });
-    }
-
-    // CRF on the DBLP stand-in: Bismarck vs batch CRF.
-    {
-        let task = CrfTask::new(bismarck_datagen::SEQUENCE_COL, seq_features, seq_labels);
-        let bismarck = cell("Bismarck IGD", time_igd_epoch(&task, &dblp), passes, budget);
-        let start = Instant::now();
-        let _ = crf_batch_train(
-            &dblp,
-            CrfBatchConfig {
-                iterations: 1,
-                ..CrfBatchConfig::new(bismarck_datagen::SEQUENCE_COL, seq_features, seq_labels)
-            },
-        );
-        let baseline = cell("Batch CRF", start.elapsed(), passes, budget);
-        rows.push(ScalabilityRow {
-            task: "CRF",
-            dataset: "dblp".into(),
-            bismarck,
-            baseline,
-        });
-    }
+    // One row: Bismarck's sequential pass against one iteration of the
+    // baseline, each projected over `passes`.
+    let row = |task, dataset: &str, bismarck, method, baseline| ScalabilityRow {
+        task,
+        dataset: dataset.into(),
+        bismarck: cell("Bismarck IGD", bismarck, passes, budget),
+        baseline: cell(method, baseline, passes, budget),
+    };
+    let rows = vec![
+        // LR on the Classify300M stand-in: Bismarck vs batch LR.
+        row(
+            "LR",
+            "classify_large",
+            pass_time(
+                &LogisticRegressionTask::new(fcol, lcol, classify_dim),
+                None,
+                &classify,
+            ),
+            "Batch LR",
+            timed(|| batch_lr_train(&classify, one_iteration)).1,
+        ),
+        // SVM on the same dataset: Bismarck vs batch subgradient.
+        row(
+            "SVM",
+            "classify_large",
+            pass_time(&SvmTask::new(fcol, lcol, classify_dim), None, &classify),
+            "Batch SVM",
+            timed(|| batch_svm_train(&classify, one_iteration)).1,
+        ),
+        // LMF on the Matrix5B stand-in: Bismarck vs ALS.
+        row(
+            "LMF",
+            "matrix_large",
+            pass_time(&lmf, None, &matrix),
+            "ALS",
+            timed(|| {
+                als_train(
+                    &matrix,
+                    AlsConfig {
+                        sweeps: 1,
+                        ..AlsConfig::new(mx_rows, mx_cols, mx_rank)
+                    },
+                )
+            })
+            .1,
+        ),
+        // CRF on the DBLP stand-in: Bismarck vs batch CRF.
+        row(
+            "CRF",
+            "dblp",
+            pass_time(&crf, None, &dblp),
+            "Batch CRF",
+            timed(|| {
+                crf_batch_train(
+                    &dblp,
+                    CrfBatchConfig {
+                        iterations: 1,
+                        ..CrfBatchConfig::new(
+                            bismarck_datagen::SEQUENCE_COL,
+                            seq_features,
+                            seq_labels,
+                        )
+                    },
+                )
+            })
+            .1,
+        ),
+    ];
 
     Table4Result {
         budget,
@@ -262,10 +227,17 @@ impl std::fmt::Display for Table4Result {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::OnceLock;
+
+    /// One run shared by every test of this module.
+    fn small() -> &'static Table4Result {
+        static RESULT: OnceLock<Table4Result> = OnceLock::new();
+        RESULT.get_or_init(|| run(Scale::Small))
+    }
 
     #[test]
     fn covers_all_four_tasks_and_bismarck_always_completes() {
-        let result = run(Scale::Small);
+        let result = small();
         assert_eq!(result.rows.len(), 4);
         let tasks: Vec<&str> = result.rows.iter().map(|r| r.task).collect();
         assert_eq!(tasks, vec!["LR", "SVM", "LMF", "CRF"]);
@@ -284,7 +256,7 @@ mod tests {
 
     #[test]
     fn projection_multiplies_per_pass_time() {
-        let result = run(Scale::Small);
+        let result = small();
         for row in &result.rows {
             for cell in [&row.bismarck, &row.baseline] {
                 let expected = cell.per_pass * result.passes as u32;
@@ -295,7 +267,7 @@ mod tests {
 
     #[test]
     fn display_uses_check_and_cross_marks() {
-        let result = run(Scale::Small);
+        let result = small();
         let text = result.to_string();
         assert!(text.contains('✓'));
         assert!(text.contains("Baseline method"));

@@ -11,7 +11,8 @@
 //!
 //! Absolute numbers will differ from the paper (different hardware, a
 //! library substrate instead of three commercial RDBMSes, synthetic data) —
-//! the *shape* of each result is what is reproduced. See EXPERIMENTS.md.
+//! the *shape* of each result is what is reproduced. See README, "Build,
+//! test, bench".
 
 pub mod experiments;
 

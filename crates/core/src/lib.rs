@@ -53,8 +53,6 @@
 
 mod checkpoint;
 mod error;
-#[cfg(feature = "fault-injection")]
-pub mod fault;
 pub mod frontend;
 pub mod governor;
 pub mod igd;
@@ -70,8 +68,6 @@ pub mod trainer;
 
 pub use crate::checkpoint::TrainingCheckpoint;
 pub use crate::error::TrainError;
-#[cfg(feature = "fault-injection")]
-pub use crate::fault::{Fault, FaultyTask};
 pub use crate::governor::{
     AdmissionError, BudgetExceeded, Governor, GuardViolation, MemoryBudget, QueryGuard,
     QueryLimits, ShutdownReport,

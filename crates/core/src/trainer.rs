@@ -1335,10 +1335,11 @@ mod tests {
     }
 
     /// The timings a run records, checked on a real `ShuffleAlways` run
-    /// resumed from a checkpoint, through both façades: a restored epoch has
-    /// none; an epoch this call ran holds its shuffle, gradient and loss
-    /// spans, and the run's clock covers every epoch this call ran. A
-    /// parallel run's stats are the records of exactly those epochs.
+    /// resumed from a checkpoint, through both façades and every kind of
+    /// pass: a restored epoch has none; an epoch this call ran holds its
+    /// gradient and loss spans (and its shuffle span where the pass reads a
+    /// permutation), and the run's clock covers every epoch this call ran.
+    /// A parallel run's stats are the records of exactly those epochs.
     #[test]
     fn a_resumed_run_times_the_epochs_it_ran() {
         let path = temp_ckpt("timings");
@@ -1352,11 +1353,20 @@ mod tests {
             .with_convergence(ConvergenceTest::FixedEpochs(2))
             .with_checkpoints(&path, 1);
         let five = base.with_convergence(ConvergenceTest::FixedEpochs(5));
-        let lock = ParallelStrategy::SharedMemory {
-            workers: 1,
-            discipline: UpdateDiscipline::Lock,
+        let shared = |workers, discipline| ParallelStrategy::SharedMemory {
+            workers,
+            discipline,
         };
-        for pass in [None, Some(lock)] {
+        for pass in [
+            None,
+            Some(shared(1, UpdateDiscipline::Lock)),
+            Some(shared(2, UpdateDiscipline::NoLock)),
+            Some(ParallelStrategy::PureUda { segments: 2 }),
+            Some(ParallelStrategy::Mrs {
+                buffer_size: 0,
+                seed: 6,
+            }),
+        ] {
             let (resumed, stats) = match pass {
                 None => {
                     Trainer::new(&task, two.clone()).try_train(&table).unwrap();
@@ -1384,9 +1394,16 @@ mod tests {
             }
             let mut elapsed = Duration::ZERO;
             let mut previous = Duration::ZERO;
+            // Pure-UDA segments and the MRS I/O Worker read storage order,
+            // so only the other passes draw (and time) a permutation.
+            let reads_permutation = !matches!(
+                pass,
+                Some(ParallelStrategy::PureUda { .. } | ParallelStrategy::Mrs { .. })
+            );
             for record in ran {
-                assert!(
+                assert_eq!(
                     record.shuffle_duration > Duration::ZERO,
+                    reads_permutation,
                     "[{pass:?}] {record:?}"
                 );
                 assert!(

@@ -1,4 +1,4 @@
-//! Fault-tolerance integration tests (require `--features fault-injection`).
+//! Fault-tolerance integration tests.
 //!
 //! These prove the three recovery paths of the fault-tolerant runtime
 //! end-to-end: a panicking gradient worker is isolated into a typed error
@@ -8,13 +8,10 @@
 //! end run one runtime contract over every gradient pass the single epoch
 //! loop can select.
 
-#![cfg(feature = "fault-injection")]
-
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::Duration;
 
-use bismarck_core::fault::{Fault, FaultyTask};
 use bismarck_core::model::ModelStore;
 use bismarck_core::parallel::ParallelEpochStats;
 use bismarck_core::tasks::LogisticRegressionTask;
@@ -65,6 +62,74 @@ impl QuietPanics {
 impl Drop for QuietPanics {
     fn drop(&mut self) {
         let _ = std::panic::take_hook();
+    }
+}
+
+/// What to inject, and at which global gradient-step count.
+#[derive(Debug, Clone, Copy)]
+enum Fault {
+    /// Panic inside `gradient_step` at step K (0-based).
+    PanicAtStep(u64),
+    /// Overwrite model component 0 with `NaN` at step K, poisoning the model
+    /// so the post-epoch divergence scan trips.
+    NanGradientAtStep(u64),
+}
+
+/// An `IgdTask` decorator that injects one fault at the K-th gradient step,
+/// counted across epochs and workers. The counter keeps advancing past K,
+/// so the fault fires exactly once: a run that recovers (restores the
+/// last-good snapshot and backs off the step size) proceeds cleanly
+/// afterwards, which is the scenario the recovery paths need to prove.
+struct FaultyTask<T> {
+    inner: T,
+    fault: Fault,
+    steps: AtomicU64,
+}
+
+impl<T: IgdTask> FaultyTask<T> {
+    fn new(inner: T, fault: Fault) -> Self {
+        FaultyTask {
+            inner,
+            fault,
+            steps: AtomicU64::new(0),
+        }
+    }
+}
+
+impl<T: IgdTask> IgdTask for FaultyTask<T> {
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+    fn dimension(&self) -> usize {
+        self.inner.dimension()
+    }
+    fn initial_model(&self) -> Vec<f64> {
+        self.inner.initial_model()
+    }
+    fn gradient_step(&self, model: &mut dyn ModelStore, row: RowRef<'_>, alpha: f64) {
+        let step = self.steps.fetch_add(1, Ordering::Relaxed);
+        match self.fault {
+            Fault::PanicAtStep(k) if step == k => {
+                panic!("injected fault: panic at gradient step {k}")
+            }
+            Fault::NanGradientAtStep(k) if step == k => {
+                self.inner.gradient_step(model, row, alpha);
+                model.write(0, f64::NAN);
+            }
+            _ => self.inner.gradient_step(model, row, alpha),
+        }
+    }
+    fn example_loss(&self, model: &[f64], row: RowRef<'_>) -> f64 {
+        self.inner.example_loss(model, row)
+    }
+    fn regularizer(&self, model: &[f64]) -> f64 {
+        self.inner.regularizer(model)
+    }
+    fn proximal_step(&self, model: &mut [f64], alpha: f64) {
+        self.inner.proximal_step(model, alpha)
+    }
+    fn proximal_policy(&self) -> ProximalPolicy {
+        self.inner.proximal_policy()
     }
 }
 
