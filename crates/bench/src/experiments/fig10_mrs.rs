@@ -57,8 +57,11 @@ pub fn run(scale: Scale) -> Fig10Result {
         let config = config().with_scan_order(ScanOrder::Clustered);
         train(&task, config, None, &table).history
     };
-    let subsampling =
-        |buffer| subsampling_train(&task, &table, buffer, step_size, convergence, 77).history;
+    let subsampling = |buffer| {
+        subsampling_train(&task, &table, buffer, step_size, convergence, 77)
+            .expect("an in-memory table reads")
+            .history
+    };
     let mrs = |buffer_size| {
         let strategy = ParallelStrategy::Mrs {
             buffer_size,

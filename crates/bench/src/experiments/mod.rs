@@ -76,9 +76,11 @@ pub(crate) fn sampled_losses(history: &TrainingHistory) -> String {
     line.join(" ")
 }
 
-/// Format a duration in seconds with millisecond resolution.
+/// Format a duration in the unit that suits it, to three decimals
+/// (`1.500s`, `12.345ms`, `3.210µs`): a sub-millisecond time reads as what
+/// it is, not as `0.000s`.
 pub fn secs(d: std::time::Duration) -> String {
-    format!("{:.3}s", d.as_secs_f64())
+    format!("{d:.3?}")
 }
 
 /// Render a simple aligned text table: a header row followed by data rows.
@@ -142,6 +144,9 @@ mod tests {
 
     #[test]
     fn secs_formats_milliseconds() {
-        assert_eq!(secs(std::time::Duration::from_millis(1500)), "1.500s");
+        use std::time::Duration;
+        assert_eq!(secs(Duration::from_millis(1500)), "1.500s");
+        assert_eq!(secs(Duration::from_micros(12_345)), "12.345ms");
+        assert_eq!(secs(Duration::from_nanos(3_210)), "3.210µs");
     }
 }

@@ -2,10 +2,11 @@
 //!
 //! An RDBMS does not abort the server when one operator misbehaves, and
 //! neither should an in-RDBMS trainer: every failure mode of a training run
-//! — a panicking worker, a diverged (non-finite) model, a checkpoint I/O
-//! problem, a cooperative interrupt — is surfaced as a [`TrainError`] that
-//! carries the last model known to be healthy, so callers can degrade
-//! gracefully instead of losing all progress.
+//! — a panicking worker, a block of the table that cannot be read, a
+//! diverged (non-finite) model, a checkpoint I/O problem, a cooperative
+//! interrupt — is surfaced as a [`TrainError`] that carries the last model
+//! known to be healthy, so callers can degrade gracefully instead of losing
+//! all progress.
 
 use bismarck_storage::StorageError;
 
@@ -29,6 +30,17 @@ pub enum TrainError {
         failed_workers: usize,
         /// Panic payload of the first failed worker, if it carried a string.
         message: String,
+        /// Model and history as of the last healthy epoch.
+        last_good: Box<TrainedModel>,
+    },
+    /// A block of the training table could not be read mid-epoch (a torn or
+    /// unreadable segment of a paged table). The failing epoch's partial
+    /// updates are discarded.
+    Storage {
+        /// Epoch (0-based) during which the read failed.
+        epoch: usize,
+        /// What storage reported; it names the file it failed to read.
+        error: StorageError,
         /// Model and history as of the last healthy epoch.
         last_good: Box<TrainedModel>,
     },
@@ -67,6 +79,7 @@ impl TrainError {
     pub fn last_good(&self) -> Option<&TrainedModel> {
         match self {
             TrainError::WorkerPanic { last_good, .. }
+            | TrainError::Storage { last_good, .. }
             | TrainError::Diverged { last_good, .. }
             | TrainError::Interrupted { last_good, .. } => Some(last_good),
             TrainError::Checkpoint(_) | TrainError::Serving(_) => None,
@@ -86,6 +99,9 @@ impl std::fmt::Display for TrainError {
                 f,
                 "{failed_workers} worker(s) panicked during epoch {epoch}: {message}"
             ),
+            TrainError::Storage { epoch, error, .. } => {
+                write!(f, "epoch {epoch} could not read its table: {error}")
+            }
             TrainError::Diverged { epoch, retries, .. } => write!(
                 f,
                 "training diverged at epoch {epoch} after {retries} step-size backoff(s)"
@@ -102,7 +118,7 @@ impl std::fmt::Display for TrainError {
 impl std::error::Error for TrainError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            TrainError::Checkpoint(e) => Some(e),
+            TrainError::Checkpoint(e) | TrainError::Storage { error: e, .. } => Some(e),
             TrainError::Serving(e) => Some(e),
             _ => None,
         }

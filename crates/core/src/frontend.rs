@@ -11,10 +11,10 @@
 //! [`linear_task`], [`lmf_task`] and [`crf_task`] resolve column names
 //! against the catalog and take the model's shape from the table (a linear
 //! model is as wide as the widest vector in its feature column, kept as
-//! table metadata — no scan). The trainer's gradient pass is then the first
-//! to read a row, inside its panic isolation, so a torn segment of a paged
-//! table fails the statement with an error instead of unwinding through the
-//! caller.
+//! table metadata — no scan). Every scan here returns the storage error of a
+//! block it cannot read, a torn segment of a paged table, as
+//! [`FrontendError::Storage`]; a training run reports it as
+//! [`TrainError::Storage`], which maps to the same.
 
 use bismarck_linalg::FeatureVectorRef;
 use bismarck_storage::{
@@ -31,12 +31,14 @@ use crate::trainer::{objective, Trainer, TrainerConfig};
 /// Errors surfaced by the front-end functions.
 #[derive(Debug, Clone, PartialEq)]
 pub enum FrontendError {
-    /// A catalog or schema problem (missing table/column, bad types, ...).
+    /// A catalog or schema problem (missing table/column, bad types, ...),
+    /// or a block of a table that could not be read.
     Storage(StorageError),
     /// The training table is empty or otherwise unusable.
     InvalidInput(String),
     /// The training run itself failed (worker panic, divergence, checkpoint
-    /// I/O); carries the rendered [`TrainError`] message.
+    /// I/O); carries the rendered [`TrainError`] message. A run that could
+    /// not read its table is [`FrontendError::Storage`] instead.
     Training(String),
 }
 
@@ -60,7 +62,10 @@ impl From<StorageError> for FrontendError {
 
 impl From<TrainError> for FrontendError {
     fn from(e: TrainError) -> Self {
-        FrontendError::Training(e.to_string())
+        match e {
+            TrainError::Storage { error, .. } => FrontendError::Storage(error),
+            e => FrontendError::Training(e.to_string()),
+        }
     }
 }
 
@@ -140,21 +145,23 @@ pub fn load_model(db: &Database, model_name: &str) -> Result<Vec<f64>, FrontendE
     let rows = table.len();
     let mut pairs: Vec<(usize, f64)> = Vec::with_capacity(rows);
     let mut malformed = None;
-    table.scan_tuples_while(&mut |tuple| {
-        match (tuple.get_int(idx_col), tuple.get_double(weight_col)) {
-            (Some(idx), Some(weight)) => match usize::try_from(idx) {
-                Ok(i) if i < rows => pairs.push((i, weight)),
-                _ => {
-                    malformed = Some(format!(
-                        "model idx {idx} is outside 0..{rows}, the rows of the model table"
-                    ))
-                }
-            },
-            (None, _) => malformed = Some("model idx is not an integer".into()),
-            (_, None) => malformed = Some("model weight is not a double".into()),
-        }
-        malformed.is_none()
-    });
+    table.scan_blocks(0, usize::MAX, &mut |block| {
+        block.rows().all(|row| {
+            match (row.get_int(idx_col), row.get_double(weight_col)) {
+                (Some(idx), Some(weight)) => match usize::try_from(idx) {
+                    Ok(i) if i < rows => pairs.push((i, weight)),
+                    _ => {
+                        malformed = Some(format!(
+                            "model idx {idx} is outside 0..{rows}, the rows of the model table"
+                        ))
+                    }
+                },
+                (None, _) => malformed = Some("model idx is not an integer".into()),
+                (_, None) => malformed = Some("model weight is not a double".into()),
+            }
+            malformed.is_none()
+        })
+    })?;
     if let Some(msg) = malformed {
         return Err(FrontendError::InvalidInput(msg));
     }
@@ -254,7 +261,7 @@ pub fn loss<T: IgdTask>(
 ) -> Result<f64, FrontendError> {
     let model = load_model(db, model_name)?;
     check_width(model_name, &model, task.dimension())?;
-    Ok(objective(task, &model, db.stored(table_name)?))
+    Ok(objective(task, &model, db.stored(table_name)?)?)
 }
 
 /// `SELECT …Predict(model, table, features)`: score every row of
@@ -284,7 +291,7 @@ pub fn predict(
             None => out.extend(block.rows().map(|row| score(row.feature_view(fcol)))),
         }
         true
-    });
+    })?;
     Ok(out)
 }
 
@@ -346,7 +353,7 @@ pub fn lmf_task(
 pub(crate) fn infer_sequence_shape<S: TupleScan + ?Sized>(
     source: &S,
     sequence_col: usize,
-) -> (usize, usize) {
+) -> Result<(usize, usize), StorageError> {
     let mut num_features = 0usize;
     let mut num_labels = 0usize;
     source.scan_blocks(0, usize::MAX, &mut |block| {
@@ -357,15 +364,15 @@ pub(crate) fn infer_sequence_shape<S: TupleScan + ?Sized>(
             }
         }
         true
-    });
-    (num_features, num_labels)
+    })?;
+    Ok((num_features, num_labels))
 }
 
 /// The CRF task whose feature and label alphabets are inferred from the
 /// sequences in `table`.
 fn crf_task_for(table: &StoredTable, sequence_col: &str) -> Result<CrfTask, FrontendError> {
     let scol = table.column_index(sequence_col)?;
-    let (num_features, num_labels) = infer_sequence_shape(table, scol);
+    let (num_features, num_labels) = infer_sequence_shape(table, scol)?;
     if num_features == 0 || num_labels == 0 {
         return Err(FrontendError::InvalidInput(format!(
             "column '{sequence_col}' holds no labeled sequences"
@@ -418,7 +425,7 @@ pub fn crf_predict(
             None => Vec::new(),
         }));
         true
-    });
+    })?;
     Ok(labelings)
 }
 
@@ -641,13 +648,13 @@ mod tests {
                 (SparseVector::from_pairs(vec![(3, 1.0)]), 0),
             ])])
             .unwrap();
-        assert_eq!(infer_sequence_shape(&table, 0), (8, 3));
+        assert_eq!(infer_sequence_shape(&table, 0), Ok((8, 3)));
         // Empty table yields zero shape and trains are rejected.
         let empty = Table::new(
             "E",
             Schema::new(vec![Column::new("seq", DataType::Sequence)]).unwrap(),
         );
-        assert_eq!(infer_sequence_shape(&empty, 0), (0, 0));
+        assert_eq!(infer_sequence_shape(&empty, 0), Ok((0, 0)));
     }
 
     #[test]

@@ -8,7 +8,9 @@
 //! and therefore usable with the engine's shared-nothing parallel
 //! aggregation.
 
-use bismarck_storage::{RowBlock, RowRef, Tuple};
+use std::convert::Infallible;
+
+use bismarck_storage::{RowBlock, RowRef};
 use bismarck_uda::Aggregate;
 
 use crate::model::DenseModelStore;
@@ -70,27 +72,34 @@ impl<T: IgdTask> IgdAggregate<'_, T> {
 impl<T: IgdTask> Aggregate for IgdAggregate<'_, T> {
     type State = IgdState;
     type Output = IgdState;
+    type Error = Infallible;
 
     fn initialize(&self) -> IgdState {
         IgdState::from_model(self.starting_model.clone())
     }
 
-    fn transition(&self, state: &mut IgdState, tuple: &Tuple) {
-        self.step(state, tuple.into());
+    fn transition(&self, state: &mut IgdState, row: RowRef<'_>) -> Result<(), Infallible> {
+        self.step(state, row);
         state.steps += 1;
+        Ok(())
     }
 
     /// The rows are read where the block stores them: the whole block goes
     /// to [`IgdTask::step_block`] unless a proximal operator runs between
     /// the steps. A row without an example takes no step but is counted like
     /// any other (the count-weighted merge weighs segments by rows seen).
-    fn transition_block(&self, state: &mut IgdState, block: RowBlock<'_>) {
+    fn transition_block(
+        &self,
+        state: &mut IgdState,
+        block: RowBlock<'_>,
+    ) -> Result<(), Infallible> {
         if self.task.proximal_policy() == ProximalPolicy::PerStep {
             block.rows().for_each(|row| self.step(state, row));
         } else {
             self.task.step_block(&mut state.model, block, self.alpha);
         }
         state.steps += block.len() as u64;
+        Ok(())
     }
 
     /// Each partial model is weighted by the number of gradient steps it

@@ -54,9 +54,9 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Barrier;
 use std::time::Instant;
 
-use bismarck_storage::{RowBlock, Tuple, TupleScan};
+use bismarck_storage::{RowBlock, StorageError, Tuple, TupleScan};
 use bismarck_uda::{
-    run_parts, scan_blocks_while, ConvergenceTest, EpochRecord, TrainingHistory, WorkerPanic,
+    run_parts, scan_blocks_while, ConvergenceTest, EpochRecord, PassError, TrainingHistory,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -155,8 +155,8 @@ impl Drop for ClearOnDrop<'_> {
 /// One MRS epoch (Figure 6) from `model` at step size `alpha`: `buffer` is
 /// the sample the previous pass kept, and the pass fills a reservoir of
 /// `capacity` rows drawn with `seed`. Returns the stepped model and the
-/// sample this pass kept, or `None` — the attempt is to be discarded — once
-/// `keep_going`, polled between the blocks of the scan, says stop.
+/// sample this pass kept; `keep_going` is polled between the blocks of the
+/// scan.
 ///
 /// The pass is `[I/O Worker, Memory Worker]` on [`run_parts`]: the I/O
 /// Worker on the calling thread, the Memory Worker (only if there is a
@@ -169,7 +169,7 @@ pub(crate) fn run_mrs_epoch<T: IgdTask, S: TupleScan + ?Sized>(
     buffer: &[Tuple],
     (capacity, seed): (usize, u64),
     keep_going: &(dyn Fn() -> bool + Sync),
-) -> Result<Option<SteppedAndKept>, WorkerPanic> {
+) -> Result<SteppedAndKept, PassError> {
     let shared = NoLockStore::from_slice(model);
     let scanning = AtomicBool::new(true);
     let running = Barrier::new(2);
@@ -199,10 +199,10 @@ pub(crate) fn run_mrs_epoch<T: IgdTask, S: TupleScan + ?Sized>(
                             None => {}
                         }
                     }
+                    Ok(true)
                 };
-                let finished =
-                    scan_blocks_while(data, 0, usize::MAX, &mut || keep_going(), &mut step);
-                finished.then(|| reservoir.into_items())
+                scan_blocks_while(data, 0, usize::MAX, &mut || keep_going(), &mut step)?;
+                Ok(reservoir.into_items())
             }
             Worker::Memory => {
                 // Sweep, then look: the sweep under way when the scan ends
@@ -212,23 +212,22 @@ pub(crate) fn run_mrs_epoch<T: IgdTask, S: TupleScan + ?Sized>(
                         task.gradient_step(&mut store, tuple.into(), alpha);
                     }
                     if !scanning.load(Ordering::Acquire) {
-                        break None;
+                        break Ok(Vec::new());
                     }
                 }
             }
         }
     })?;
-    let Some(Some(kept)) = kept.into_iter().next() else {
-        return Ok(None);
-    };
+    let kept = kept.into_iter().next().expect("the I/O Worker is part 0");
     let mut model = shared.snapshot();
     lock_free_proximal_step(task, &mut model, alpha);
-    Ok(Some((model, kept)))
+    Ok((model, kept))
 }
 
 /// Plain subsampling baseline: fill a reservoir in one pass, then train only
 /// on the sample for the remaining epochs. This is the "Subsampling" line of
 /// Figure 10 — the reference MRS is compared against, not an engine path.
+/// Errors if a block of `data` cannot be read.
 pub fn subsampling_train<T: IgdTask, S: TupleScan + ?Sized>(
     task: &T,
     data: &S,
@@ -236,7 +235,7 @@ pub fn subsampling_train<T: IgdTask, S: TupleScan + ?Sized>(
     step_size: StepSizeSchedule,
     convergence: ConvergenceTest,
     seed: u64,
-) -> TrainedModel {
+) -> Result<TrainedModel, StorageError> {
     // One pass to build the without-replacement sample.
     let mut reservoir = ReservoirSampler::new(buffer_size, seed);
     data.scan_blocks(0, usize::MAX, &mut |block| {
@@ -244,7 +243,7 @@ pub fn subsampling_train<T: IgdTask, S: TupleScan + ?Sized>(
             reservoir.offer(row, |row| row.to_tuple());
         }
         true
-    });
+    })?;
     let sample = reservoir.into_items();
 
     let mut model = task.initial_model();
@@ -268,7 +267,7 @@ pub fn subsampling_train<T: IgdTask, S: TupleScan + ?Sized>(
         // Loss is still measured over the FULL table: the question Figure 10
         // asks is how well the subsample-trained model does on all the data.
         let loss_start = Instant::now();
-        let loss = objective(task, &model, data);
+        let loss = objective(task, &model, data)?;
         let loss_duration = loss_start.elapsed();
         history.push(EpochRecord {
             epoch,
@@ -285,11 +284,11 @@ pub fn subsampling_train<T: IgdTask, S: TupleScan + ?Sized>(
         }
     }
 
-    TrainedModel {
+    Ok(TrainedModel {
         task_name: task.name(),
         model,
         history,
-    }
+    })
 }
 
 #[cfg(test)]
@@ -567,7 +566,8 @@ mod tests {
             StepSizeSchedule::Constant(0.1),
             ConvergenceTest::FixedEpochs(10),
             11,
-        );
+        )
+        .unwrap();
         assert_eq!(trained.epochs(), 10);
         assert!(trained.final_loss().unwrap().is_finite());
         // Every epoch is timed: its gradient pass inside its duration, and the
@@ -599,7 +599,8 @@ mod tests {
             StepSizeSchedule::Constant(0.1),
             ConvergenceTest::FixedEpochs(epochs),
             21,
-        );
+        )
+        .unwrap();
         // MRS uses strictly more data per pass, so after the same number of
         // passes it should not be meaningfully worse.
         assert!(mrs.final_loss().unwrap() <= sub.final_loss().unwrap() * 1.1);

@@ -38,7 +38,7 @@ use std::time::Duration;
 use bismarck_storage::{segment_ranges, RowBlock, TupleScan};
 use bismarck_uda::{
     run_parts, scan_blocks_while, scan_permuted_while, segment_workers, try_run_segmented_parallel,
-    WorkerPanic,
+    PassError,
 };
 use parking_lot::Mutex;
 
@@ -283,7 +283,7 @@ fn with_stats(trained: TrainedModel, resumed: usize) -> (TrainedModel, Vec<Paral
 /// One pure-UDA (shared-nothing) epoch: segment-parallel aggregation with
 /// model-averaging merge. Segments see their rows in clustered order, which
 /// matches how a parallel engine distributes tuples to segments, and poll
-/// `keep_going` between their blocks: `None` once it says stop.
+/// `keep_going` between their blocks.
 pub(crate) fn run_pure_uda_epoch<T: IgdTask, S: TupleScan + ?Sized>(
     task: &T,
     data: &S,
@@ -291,10 +291,10 @@ pub(crate) fn run_pure_uda_epoch<T: IgdTask, S: TupleScan + ?Sized>(
     alpha: f64,
     segments: usize,
     keep_going: &(dyn Fn() -> bool + Sync),
-) -> Result<Option<Vec<f64>>, WorkerPanic> {
+) -> Result<Vec<f64>, PassError> {
     let aggregate = IgdAggregate::new(task, alpha, model);
     let pass = try_run_segmented_parallel(&aggregate, data, segments.max(1), keep_going)?;
-    Ok(pass.map(|state| state.model.into_vec()))
+    Ok(pass.model.into_vec())
 }
 
 /// Rows one shared-memory worker visits: a slice of the permutation, or a
@@ -307,22 +307,26 @@ enum WorkerRows<'p> {
 
 impl WorkerRows<'_> {
     /// Hand `f` the worker's rows as blocks, polling `keep_going` between
-    /// them (`false` once it says stop): a range block by block in storage
-    /// order, a permutation one row at a time, each row the one-tuple block
-    /// of the permuted walk, polling between slices of it.
+    /// them: a range block by block in storage order, a permutation one row
+    /// at a time, each row the one-tuple block of the permuted walk, polling
+    /// between slices of it.
     fn visit<S: TupleScan + ?Sized>(
         &self,
         data: &S,
         keep_going: &(dyn Fn() -> bool + Sync),
         mut f: impl FnMut(RowBlock<'_>),
-    ) -> bool {
+    ) -> Result<(), PassError> {
         match *self {
             WorkerRows::Range(start, end) => {
-                scan_blocks_while(data, start, end, &mut || keep_going(), &mut f)
+                scan_blocks_while(data, start, end, &mut || keep_going(), &mut |block| {
+                    f(block);
+                    Ok(true)
+                })
             }
             WorkerRows::Perm(perm) => {
                 scan_permuted_while(data, perm, &mut || keep_going(), &mut |tuple| {
-                    f(RowBlock::Tuples(std::slice::from_ref(tuple)))
+                    f(RowBlock::Tuples(std::slice::from_ref(tuple)));
+                    Ok(())
                 })
             }
         }
@@ -332,9 +336,8 @@ impl WorkerRows<'_> {
 /// One shared-memory epoch with the chosen update discipline; the
 /// disciplines differ only in how a worker steps on a block. Worker 0 runs
 /// on the calling thread, the others on threads of their own
-/// ([`run_parts`]). Returns `None` — the attempt is to be discarded — once
-/// `keep_going`, polled between the blocks (or permutation slices) of every
-/// worker, says stop.
+/// ([`run_parts`]), and every worker polls `keep_going` between its blocks
+/// (or permutation slices).
 pub(crate) fn run_shared_memory_epoch<T: IgdTask, S: TupleScan + ?Sized>(
     task: &T,
     data: &S,
@@ -343,7 +346,7 @@ pub(crate) fn run_shared_memory_epoch<T: IgdTask, S: TupleScan + ?Sized>(
     alpha: f64,
     (workers, discipline): (usize, UpdateDiscipline),
     keep_going: &(dyn Fn() -> bool + Sync),
-) -> Result<Option<Vec<f64>>, WorkerPanic> {
+) -> Result<Vec<f64>, PassError> {
     let rows = permutation.map_or(data.tuple_count(), <[usize]>::len);
     let worker_rows: Vec<WorkerRows> = segment_ranges(rows, workers.max(1))
         .into_iter()
@@ -360,7 +363,7 @@ pub(crate) fn run_shared_memory_epoch<T: IgdTask, S: TupleScan + ?Sized>(
             // The lock is taken per step, not per block, so the workers
             // interleave as finely as they always did; the per-step operator
             // runs under it.
-            let finished = run_parts(&worker_rows, |rows| {
+            run_parts(&worker_rows, |rows| {
                 rows.visit(data, keep_going, |block| {
                     for row in block.rows() {
                         let mut guard = locked.lock();
@@ -371,13 +374,11 @@ pub(crate) fn run_shared_memory_epoch<T: IgdTask, S: TupleScan + ?Sized>(
                     }
                 })
             })?;
-            all_finished(finished).then(|| {
-                let mut model = locked.into_inner().into_vec();
-                if task.proximal_policy() == ProximalPolicy::PerEpoch {
-                    task.proximal_step(&mut model, alpha);
-                }
-                model
-            })
+            let mut model = locked.into_inner().into_vec();
+            if task.proximal_policy() == ProximalPolicy::PerEpoch {
+                task.proximal_step(&mut model, alpha);
+            }
+            model
         }
         UpdateDiscipline::Aig => {
             let shared = AigStore::from_slice(&model);
@@ -390,15 +391,10 @@ pub(crate) fn run_shared_memory_epoch<T: IgdTask, S: TupleScan + ?Sized>(
     })
 }
 
-/// Whether every worker finished its part.
-fn all_finished(finished: Vec<bool>) -> bool {
-    finished.into_iter().all(|finished| finished)
-}
-
 /// The workers of an AIG or NoLock pass, each stepping on its own clone of
 /// `shared` block by block ([`IgdTask::step_block`]: a per-step proximal
 /// operator is demoted to per-epoch); returns what the shared cells hold
-/// after the pass, its proximal tail applied, or `None` if it was stopped.
+/// after the pass, its proximal tail applied.
 fn lock_free_pass<const ATOMIC: bool, T: IgdTask, S: TupleScan + ?Sized>(
     task: &T,
     data: &S,
@@ -406,18 +402,16 @@ fn lock_free_pass<const ATOMIC: bool, T: IgdTask, S: TupleScan + ?Sized>(
     keep_going: &(dyn Fn() -> bool + Sync),
     shared: LockFreeStore<ATOMIC>,
     alpha: f64,
-) -> Result<Option<Vec<f64>>, WorkerPanic> {
-    let finished = run_parts(worker_rows, |rows| {
+) -> Result<Vec<f64>, PassError> {
+    run_parts(worker_rows, |rows| {
         let mut store = shared.clone();
         rows.visit(data, keep_going, |block| {
             task.step_block(&mut store, block, alpha)
         })
     })?;
-    Ok(all_finished(finished).then(|| {
-        let mut model = shared.snapshot();
-        lock_free_proximal_step(task, &mut model, alpha);
-        model
-    }))
+    let mut model = shared.snapshot();
+    lock_free_proximal_step(task, &mut model, alpha);
+    Ok(model)
 }
 
 /// The proximal tail of a lock-free pass: the per-epoch step and, as

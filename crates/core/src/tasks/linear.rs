@@ -653,7 +653,8 @@ mod tests {
                         task.gradient_step(&mut by_row, row, 0.5);
                     }
                     true
-                });
+                })
+                .unwrap();
                 assert_eq!(by_block, by_row, "({features}, {label})");
             };
             walk(&rows, false);

@@ -24,7 +24,10 @@
 //!    ([`crate::mrs`]); every one runs on one runner,
 //!    [`bismarck_uda::run_parts`], which starts the threads of a pass (none
 //!    for the sequential one) and isolates it from panics
-//!    ([`TrainError::WorkerPanic`]). In storage order it hands the task the
+//!    ([`TrainError::WorkerPanic`]), and reads the table through one block
+//!    loop, [`bismarck_uda::scan_blocks_while`], whose one error channel
+//!    also carries a block storage cannot read ([`TrainError::Storage`]).
+//!    In storage order it hands the task the
 //!    table block by block ([`IgdTask::step_block`]), each row read where
 //!    the block stores it ([`bismarck_storage::RowRef`]); a pass that runs a
 //!    per-step proximal operator, the MRS scan (which offers every row to its
@@ -63,8 +66,8 @@ use std::time::{Duration, Instant};
 use bismarck_storage::durable::parent_dir;
 use bismarck_storage::{segment_ranges, ScanOrder, StorageError, Tuple, TupleScan};
 use bismarck_uda::{
-    run_parts, run_sequential_while, scan_blocks_while, ConvergenceTest, EpochRecord,
-    TrainingHistory, WorkerPanic,
+    run_parts, run_sequential_while, scan_blocks_while, ConvergenceTest, EpochRecord, PassError,
+    TrainingHistory,
 };
 
 use crate::checkpoint::TrainingCheckpoint;
@@ -416,18 +419,28 @@ impl<'a, T: IgdTask> Trainer<'a, T> {
     }
 
     /// Full objective (`Σ_i f_i(w) + P(w)`) of a model over a tuple source.
+    ///
+    /// # Panics
+    ///
+    /// On a block of `data` that cannot be read: an entry point for tables
+    /// the caller built; the engine's loss statements go through
+    /// [`crate::frontend::loss`], which returns the error.
     pub fn objective<S: TupleScan + ?Sized>(&self, model: &[f64], data: &S) -> f64 {
-        objective(self.task, model, data)
+        objective(self.task, model, data).unwrap_or_else(|e| panic!("objective: {e}"))
     }
 
     /// Train on a table starting from the task's initial model.
     ///
     /// Infallible wrapper over [`Self::try_train`] preserving the historical
-    /// behavior: a failure (worker panic, exhausted divergence budget,
-    /// checkpoint I/O error) panics with the error message, exactly as the
-    /// pre-fault-tolerance trainer would have aborted. The one exception is a
-    /// cooperative interrupt, which returns the last completed epoch's model
-    /// — stopping on request is not a failure.
+    /// behavior: the one exception to a panic is a cooperative interrupt,
+    /// which returns the last completed epoch's model — stopping on request
+    /// is not a failure.
+    ///
+    /// # Panics
+    ///
+    /// On any other [`TrainError`] (worker panic, unreadable block,
+    /// exhausted divergence budget, checkpoint I/O error), with its message,
+    /// exactly as the pre-fault-tolerance trainer would have aborted.
     pub fn train<S: TupleScan + ?Sized>(&self, data: &S) -> TrainedModel {
         unwrap_trained(self.try_train(data))
     }
@@ -568,9 +581,8 @@ pub(crate) fn run_epochs<T: IgdTask, S: TupleScan + ?Sized>(
                     None => run_parts([current], |current| {
                         let aggregate = IgdAggregate::new(task, alpha, current);
                         run_sequential_while(&aggregate, data, order, &mut || keep_going())
-                            .map(|state| state.model.into_vec())
                     })
-                    .map(|mut passes| passes.remove(0)),
+                    .map(|mut passes| passes.remove(0).model.into_vec()),
                     Some(ParallelStrategy::PureUda { segments }) => {
                         run_pure_uda_epoch(task, data, current, alpha, segments, &keep_going)
                     }
@@ -600,19 +612,16 @@ pub(crate) fn run_epochs<T: IgdTask, S: TupleScan + ?Sized>(
                             reservoir,
                             &keep_going,
                         );
-                        pass.map(|finished| {
-                            finished.map(|(stepped, kept)| {
-                                sample = kept;
-                                stepped
-                            })
+                        pass.map(|(stepped, kept)| {
+                            sample = kept;
+                            stepped
                         })
                     }
                 };
                 gradient_duration += gradient_start.elapsed();
                 model = match pass {
-                    Ok(Some(stepped)) => stepped,
-                    Ok(None) => break 'run Some((epoch, interrupt(config, &good))),
-                    Err(panic) => break 'run Some((epoch, panic.into())),
+                    Ok(stepped) => stepped,
+                    Err(end) => break 'run Some((epoch, abort(config, &good, end))),
                 };
 
                 // 4. Evaluate the objective for the convergence test, isolated
@@ -628,9 +637,8 @@ pub(crate) fn run_epochs<T: IgdTask, S: TupleScan + ?Sized>(
                 );
                 loss_duration += loss_start.elapsed();
                 let loss = match pass {
-                    Ok(Some(loss)) => loss,
-                    Ok(None) => break 'run Some((epoch, interrupt(config, &good))),
-                    Err(panic) => break 'run Some((epoch, panic.into())),
+                    Ok(loss) => loss,
+                    Err(end) => break 'run Some((epoch, abort(config, &good, end))),
                 };
 
                 // 5. Divergence scan + recovery.
@@ -704,17 +712,20 @@ pub(crate) fn objective<T: IgdTask, S: TupleScan + ?Sized>(
     task: &T,
     model: &[f64],
     data: &S,
-) -> f64 {
+) -> Result<f64, StorageError> {
     let mut total = task.regularizer(model);
     let sink = &mut LossSink::Total(&mut total);
-    range_losses_while(task, model, data, (0, usize::MAX), &mut || true, sink);
-    total
+    data.scan_blocks(0, usize::MAX, &mut |block| {
+        task.add_losses(model, block, sink);
+        true
+    })?;
+    Ok(total)
 }
 
 /// Step 4, the loss pass of a run: [`objective`] read in `ranges`, the
 /// contiguous ranges of storage order that cover `data` (at least one), one
 /// part of [`run_parts`] each, polling `keep_going` between the blocks of
-/// each: `Ok(None)` once it says stop.
+/// each.
 ///
 /// The first range, on the calling thread, adds its terms onto the
 /// regularizer as it reads them. Each range after the first writes its
@@ -729,7 +740,7 @@ fn objective_while<T: IgdTask, S: TupleScan + ?Sized>(
     ranges: &[(usize, usize)],
     terms: &mut [f64],
     keep_going: &(dyn Fn() -> bool + Sync),
-) -> Result<Option<f64>, WorkerPanic> {
+) -> Result<f64, PassError> {
     let mut chunks = &mut *terms;
     let parts = ranges.iter().enumerate().map(|(i, &(start, end))| {
         let chunk = (i > 0).then(|| {
@@ -739,7 +750,7 @@ fn objective_while<T: IgdTask, S: TupleScan + ?Sized>(
         });
         ((start, end), chunk)
     });
-    let totals = run_parts(parts, |(range, chunk)| {
+    let totals = run_parts(parts, |((start, end), chunk)| {
         let mut total = 0.0;
         let mut sink = match chunk {
             None => {
@@ -748,28 +759,13 @@ fn objective_while<T: IgdTask, S: TupleScan + ?Sized>(
             }
             Some(chunk) => LossSink::Terms(chunk.iter_mut()),
         };
-        range_losses_while(task, model, data, range, &mut || keep_going(), &mut sink)
-            .then_some(total)
+        scan_blocks_while(data, start, end, &mut || keep_going(), &mut |block| {
+            task.add_losses(model, block, &mut sink);
+            Ok(true)
+        })?;
+        Ok(total)
     })?;
-    let totals: Option<Vec<f64>> = totals.into_iter().collect();
-    Ok(totals.map(|totals| terms.iter().fold(totals[0], |sum, term| sum + term)))
-}
-
-/// The loss pass's one loop: hand `sink` the loss term of each row of
-/// `start..end` in storage order, block by block through
-/// [`IgdTask::add_losses`], polling `keep_going` between blocks; `false` once
-/// it says stop.
-fn range_losses_while<T: IgdTask, S: TupleScan + ?Sized>(
-    task: &T,
-    model: &[f64],
-    data: &S,
-    (start, end): (usize, usize),
-    keep_going: &mut dyn FnMut() -> bool,
-    sink: &mut LossSink<'_>,
-) -> bool {
-    scan_blocks_while(data, start, end, keep_going, &mut |block| {
-        task.add_losses(model, block, sink)
-    })
+    Ok(terms.iter().fold(totals[0], |sum, term| sum + term))
 }
 
 /// Abort an attempt on a stop request: persist `good`, the run as of its
@@ -778,6 +774,23 @@ fn interrupt(config: &TrainerConfig, good: &TrainingCheckpoint) -> EpochAbort {
     match config.checkpoint.as_ref().map(|policy| policy.write(good)) {
         Some(Err(e)) => EpochAbort::Checkpoint(e),
         _ => EpochAbort::Interrupted,
+    }
+}
+
+/// Abort an attempt on a pass that did not finish: a stop is an
+/// [`interrupt`], a storage fault or a panicked part fails the run.
+fn abort(config: &TrainerConfig, good: &TrainingCheckpoint, end: PassError) -> EpochAbort {
+    match end {
+        PassError::Stopped => interrupt(config, good),
+        PassError::Storage(e) => EpochAbort::Storage(e),
+        PassError::Panicked {
+            failed_workers,
+            message,
+        } => EpochAbort::WorkerPanic {
+            failed_workers,
+            message,
+        },
+        PassError::Failed(never) => match never {},
     }
 }
 
@@ -842,8 +855,14 @@ pub(crate) fn load_checkpoint<T: IgdTask>(
 /// [`TrainError`] (which additionally carries the last-good model) once the
 /// partial history is available.
 pub(crate) enum EpochAbort {
-    WorkerPanic(WorkerPanic),
-    Diverged { retries: u32 },
+    WorkerPanic {
+        failed_workers: usize,
+        message: String,
+    },
+    Storage(StorageError),
+    Diverged {
+        retries: u32,
+    },
     Checkpoint(StorageError),
     Interrupted,
 }
@@ -851,13 +870,18 @@ pub(crate) enum EpochAbort {
 impl EpochAbort {
     fn into_train_error(self, epoch: usize, last_good: TrainedModel) -> TrainError {
         match self {
-            EpochAbort::WorkerPanic(WorkerPanic {
+            EpochAbort::WorkerPanic {
                 failed_workers,
                 message,
-            }) => TrainError::WorkerPanic {
+            } => TrainError::WorkerPanic {
                 epoch,
                 failed_workers,
                 message,
+                last_good: Box::new(last_good),
+            },
+            EpochAbort::Storage(error) => TrainError::Storage {
+                epoch,
+                error,
                 last_good: Box::new(last_good),
             },
             EpochAbort::Diverged { retries } => TrainError::Diverged {
@@ -871,12 +895,6 @@ impl EpochAbort {
                 last_good: Box::new(last_good),
             },
         }
-    }
-}
-
-impl From<WorkerPanic> for EpochAbort {
-    fn from(panic: WorkerPanic) -> Self {
-        EpochAbort::WorkerPanic(panic)
     }
 }
 

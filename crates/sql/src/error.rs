@@ -79,9 +79,17 @@ impl From<StorageError> for SqlError {
     }
 }
 
+/// A table an analytics call could not read is the storage error it was,
+/// as it is for a `SELECT`; every other failure of the call — a catalog
+/// lookup of its arguments included — is the call's own.
 impl From<FrontendError> for SqlError {
     fn from(e: FrontendError) -> Self {
-        SqlError::Analytics(e.to_string())
+        match e {
+            FrontendError::Storage(e @ (StorageError::Io(_) | StorageError::Corrupt(_))) => {
+                SqlError::Storage(e)
+            }
+            e => SqlError::Analytics(e.to_string()),
+        }
     }
 }
 
@@ -138,5 +146,10 @@ mod tests {
         let err: SqlError = FrontendError::InvalidInput("empty table".into()).into();
         assert!(matches!(err, SqlError::Analytics(_)));
         assert!(err.to_string().contains("empty table"));
+        let unknown = FrontendError::Storage(StorageError::UnknownTable("t".into()));
+        assert!(matches!(SqlError::from(unknown), SqlError::Analytics(_)));
+        let torn = StorageError::Corrupt("seg-000002.col: checksum mismatch".into());
+        let err: SqlError = FrontendError::Storage(torn.clone()).into();
+        assert_eq!(err, SqlError::Storage(torn));
     }
 }

@@ -491,7 +491,7 @@ fn arity_error(name: &str, expected: usize, got: usize) -> SqlError {
 /// folded in row order as the scan lends them; only `MIN`, `MAX` and a
 /// first-row expression keep one, and what they keep is charged to the
 /// statement's budget before it is kept.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub(crate) struct Accumulator {
     /// Rows (`COUNT(*)`) or non-NULL values seen.
     count: usize,

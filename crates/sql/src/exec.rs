@@ -9,20 +9,28 @@
 //!    wrong number of arguments or misplaces an aggregate fails the same way
 //!    over an empty table, a table whose rows are all filtered out, and a
 //!    full one.
-//! 2. **Scan once.** One pass over the table's blocks
-//!    ([`TupleScan::scan_blocks`]); each row is lent as a [`RowRef`] cursor,
-//!    so a columnar table decodes only the cells the expressions name and a
-//!    vector column reaches `PREDICT` / `DOT` / `DIM` / `NNZ` without being
-//!    copied. Per row: filter, then either
-//!    * **fold** (a `GROUP BY` or an aggregate): find the row's group
-//!      (first-appearance order, a linear lookup) and fold the row into the
-//!      group's [`Accumulator`]s — no input row is kept, and a select item
-//!      that is not an aggregate is the value on the group's first row; or
+//! 2. **Scan once.** One pass over the table's blocks through the block
+//!    loop training uses too, [`bismarck_uda::scan_blocks_while`], which
+//!    polls the statement's [`QueryGuard`] between blocks (a row-store block
+//!    is a 256-row page, a columnar one a segment) and returns a block the
+//!    table cannot read — a torn paged segment — as [`SqlError::Storage`].
+//!    Each row is lent as a [`RowRef`] cursor, so a columnar table decodes
+//!    only the cells the expressions name and a vector column reaches
+//!    `PREDICT` / `DOT` / `DIM` / `NNZ` without being copied. Per row:
+//!    filter, then either
+//!    * **fold** (a `GROUP BY` or an aggregate): the statement is one
+//!      [`Aggregate`], `GroupFold`, which [`run_sequential_while`] runs like
+//!      any other: its state is the group list, and a transition finds the
+//!      row's group (first-appearance order, a linear lookup; none without
+//!      `GROUP BY`) and folds the row into the group's [`Accumulator`]s — no
+//!      input row is kept, and a select item that is not an aggregate is
+//!      the value on the group's first row; or
 //!    * **project**: build the output row and its `ORDER BY` keys, once.
 //!
-//!    A `LIMIT` with neither `ORDER BY` nor grouping ends the scan as soon
-//!    as that many rows are kept; rows past that point are never read, nor
-//!    evaluated.
+//!    A `LIMIT` with neither `ORDER BY` nor grouping ends the scan from
+//!    inside the block as soon as that many rows are kept; rows past that
+//!    point are never read, nor evaluated. `CREATE TABLE … AS`, `SHUFFLE`
+//!    and `CLUSTER` read their rows as this `SELECT` does.
 //! 3. Groups become output rows, `ORDER BY` sorts (stably) or — `ORDER BY
 //!    RANDOM()` — shuffles the finished rows, `LIMIT` truncates.
 //!
@@ -40,6 +48,7 @@
 //! whole table), and an aggregate's argument is evaluated in row order
 //! across all groups, not group by group.
 
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::path::Path;
 use std::sync::Arc;
@@ -50,9 +59,10 @@ use bismarck_core::governor::{Governor, QueryGuard, ShutdownReport};
 use bismarck_core::serving::{ModelHandle, ModelSnapshot, ServingTask};
 use bismarck_core::TrainerConfig;
 use bismarck_storage::{
-    Column, ColumnarTable, DataType, Database, RecoveryReport, RowRef, Schema, StorageError,
-    StoredTable, Table, TupleScan, Value,
+    Column, ColumnarTable, DataType, Database, RecoveryReport, RowBlock, RowRef, Schema,
+    StorageError, StoredTable, Table, Value,
 };
+use bismarck_uda::{run_sequential_while, scan_blocks_while, Aggregate, PassError};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -73,8 +83,10 @@ use crate::result::QueryResult;
 /// unless the caller overrides the seed.
 const DEFAULT_SEED: u64 = 0xB15_AA5C;
 
-/// Row loops poll the statement's [`QueryGuard`] every this many rows, so a
-/// deadline or cancellation stops a scan within a bounded amount of work.
+/// Loops over rows a statement already holds (parsed `COPY` / `INSERT`
+/// rows, finished groups) poll its [`QueryGuard`] every this many rows, as
+/// a scan polls it between blocks (a row-store page holds as many), so a
+/// deadline or cancellation stops them within a bounded amount of work.
 const GUARD_CHECK_ROWS: usize = 256;
 
 /// An interactive SQL session: a catalog of tables plus the trainer
@@ -455,7 +467,7 @@ impl SqlSession {
             }
             CopyDirection::ToFile => {
                 let table = self.db.stored(&table_name)?;
-                std::fs::write(&path, bismarck_storage::csv::tuples_to_string(table))
+                std::fs::write(&path, bismarck_storage::csv::tuples_to_string(table)?)
                     .map_err(|e| SqlError::Evaluation(format!("cannot write '{path}': {e}")))?;
                 Ok(QueryResult::status_only(format!("COPY {}", table.len())))
             }
@@ -465,19 +477,21 @@ impl SqlSession {
     /// Physically rewrite a stored table in a new order (`SHUFFLE TABLE` /
     /// `CLUSTER TABLE ... BY`). This is the storage-side knob Section 3.2
     /// studies: the scan order of later training runs follows this layout.
+    /// The rows are read as `SELECT *` reads them.
     fn run_reorder(&mut self, table_name: String, reorder: Reorder) -> Result<QueryResult> {
-        let source = self.db.stored(&table_name)?;
         // The rewrite target keeps the layout; asking for it first refuses a
         // paged table before any row is read.
-        let mut rebuilt = source.empty_like()?;
-        let schema = source.schema();
-        let mut rows: Vec<Vec<Value>> = Vec::with_capacity(source.len());
-        scan_guarded(source, &self.guard, |row| {
-            let values: Vec<Value> = owned_cells(row).collect();
-            self.guard.reserve(approx_row_bytes(&values))?;
-            rows.push(values);
-            Ok(true)
-        })?;
+        let mut rebuilt = self.db.stored(&table_name)?.empty_like()?;
+        let mut rows = self
+            .run_table_select(SelectStatement {
+                items: vec![SelectItem::Wildcard],
+                from: Some(table_name),
+                filter: None,
+                group_by: Vec::new(),
+                order_by: Vec::new(),
+                limit: None,
+            })?
+            .rows;
         let status = match reorder {
             Reorder::Shuffle(seed) => {
                 match seed {
@@ -487,7 +501,7 @@ impl SqlSession {
                 format!("SHUFFLE {}", rows.len())
             }
             Reorder::Cluster { column, ascending } => {
-                let idx = schema.index_of(&column)?;
+                let idx = rebuilt.schema().index_of(&column)?;
                 rows.sort_by(|a, b| {
                     let ordering = compare_values(&a[idx], &b[idx]);
                     if ascending {
@@ -660,6 +674,7 @@ impl SqlSession {
         // Split borrows: the table is read-only while the RNG in `ctx` is
         // mutated by RANDOM().
         let SqlSession { db, ctx, guard, .. } = self;
+        let guard = &*guard;
         let source = db.stored(table_name)?;
         let plan = BoundSelect::bind(&select, source.schema(), ctx)?;
 
@@ -668,63 +683,46 @@ impl SqlSession {
             rows: Vec::new(),
             keys: Vec::new(),
         };
-        // (key, one accumulator per aggregate), in first-appearance order.
-        // The lookup is linear in the number of groups.
-        let mut groups: Vec<(Vec<Value>, Vec<Accumulator>)> = Vec::new();
-        if let Some(grouping) = &plan.grouping {
-            // Without GROUP BY all rows are one group, which exists even
-            // when there is no row (COUNT(*) over an empty table is 0).
-            if grouping.by.is_empty() {
-                groups.push((Vec::new(), grouping.accumulators()));
+        let keep_going = &mut || guard.check().is_ok();
+        match &plan.grouping {
+            Some(grouping) => {
+                let fold = GroupFold {
+                    filter: plan.filter.as_ref(),
+                    grouping,
+                    guard,
+                    scratch: RefCell::new((&mut *ctx, Vec::new())),
+                };
+                let groups = run_sequential_while(&fold, source, None, keep_going)
+                    .map_err(|end| scan_error(guard, end))?;
+                // One output row per group.
+                for (i, (_, accumulators)) in groups.into_iter().enumerate() {
+                    if i.is_multiple_of(GUARD_CHECK_ROWS) {
+                        guard.check()?;
+                    }
+                    let finished = accumulators
+                        .into_iter()
+                        .zip(&grouping.aggregates)
+                        .map(|(accumulator, aggregate)| accumulator.finish(aggregate))
+                        .collect::<Result<Vec<Value>>>()?;
+                    output.push(&plan, RowRef::Values(&[]), &finished, ctx)?;
+                }
             }
-        }
-        let mut key = Vec::new();
-        if plan.stop_after != Some(0) {
-            scan_guarded(source, guard, |row| {
-                if let Some(filter) = &plan.filter {
-                    if !is_truthy(filter.eval(row, &[], ctx)?.as_ref()) {
-                        return Ok(true);
+            None if plan.stop_after == Some(0) => {}
+            None => scan_blocks_while(source, 0, usize::MAX, keep_going, &mut |block| {
+                for row in block.rows() {
+                    if let Some(filter) = &plan.filter {
+                        if !is_truthy(filter.eval(row, &[], ctx)?.as_ref()) {
+                            continue;
+                        }
                     }
-                }
-                let Some(grouping) = &plan.grouping else {
                     output.push(&plan, row, &[], ctx)?;
-                    return Ok(plan
-                        .stop_after
-                        .is_none_or(|limit| output.rows.len() < limit));
-                };
-                key.clear();
-                for expr in &grouping.by {
-                    key.push(expr.eval(row, &[], ctx)?.into_owned());
-                }
-                let group = match groups.iter().position(|(existing, _)| *existing == key) {
-                    Some(group) => group,
-                    None => {
-                        guard.reserve(approx_row_bytes(&key))?;
-                        groups.push((std::mem::take(&mut key), grouping.accumulators()));
-                        groups.len() - 1
+                    if plan.stop_after == Some(output.rows.len()) {
+                        return Ok(false);
                     }
-                };
-                for (accumulator, aggregate) in groups[group].1.iter_mut().zip(&grouping.aggregates)
-                {
-                    accumulator.fold(aggregate, row, ctx, guard)?;
                 }
                 Ok(true)
-            })?;
-        }
-
-        // One output row per group.
-        if let Some(grouping) = &plan.grouping {
-            for (i, (_, accumulators)) in groups.into_iter().enumerate() {
-                if i.is_multiple_of(GUARD_CHECK_ROWS) {
-                    guard.check()?;
-                }
-                let finished = accumulators
-                    .into_iter()
-                    .zip(&grouping.aggregates)
-                    .map(|(accumulator, aggregate)| accumulator.finish(aggregate))
-                    .collect::<Result<Vec<Value>>>()?;
-                output.push(&plan, RowRef::Values(&[]), &finished, ctx)?;
-            }
+            })
+            .map_err(|end| scan_error(guard, end))?,
         }
 
         let Output { mut rows, keys, .. } = output;
@@ -831,10 +829,7 @@ struct Grouping {
 impl Grouping {
     /// Fresh state for one group.
     fn accumulators(&self) -> Vec<Accumulator> {
-        self.aggregates
-            .iter()
-            .map(|_| Accumulator::default())
-            .collect()
+        vec![Accumulator::default(); self.aggregates.len()]
     }
 }
 
@@ -993,34 +988,101 @@ fn owned_cells(row: RowRef<'_>) -> impl Iterator<Item = Value> + '_ {
     (0..row.arity()).map(move |col| row.value(col).into_owned())
 }
 
-/// Stream `source` in storage order through `visit`, one row cursor at a
-/// time, until it returns `Ok(false)` or an error; `guard` is polled every
-/// [`GUARD_CHECK_ROWS`] rows. (`TupleScan` is callback-based, so the error is
-/// threaded out of the closure here, once, instead of at every call site.)
-fn scan_guarded(
-    source: &StoredTable,
-    guard: &QueryGuard,
-    mut visit: impl FnMut(RowRef<'_>) -> Result<bool>,
-) -> Result<()> {
-    let mut outcome = Ok(true);
-    let mut scanned = 0usize;
-    source.scan_blocks(0, usize::MAX, &mut |block| {
-        for i in 0..block.len() {
-            if scanned.is_multiple_of(GUARD_CHECK_ROWS) {
-                if let Err(e) = guard.check() {
-                    outcome = Err(e.into());
-                    return false;
-                }
-            }
-            scanned += 1;
-            outcome = visit(block.row(i));
-            if !matches!(outcome, Ok(true)) {
-                return false;
+/// A grouped or aggregating `SELECT` as the aggregate the UDA drivers run,
+/// the bound statement itself: its state is the group list — each group's
+/// key and one [`Accumulator`] per reduction, in first-appearance order — and
+/// a transition filters a row, finds its group and folds the row into it.
+/// No input row is kept.
+struct GroupFold<'s> {
+    filter: Option<&'s BoundExpr>,
+    grouping: &'s Grouping,
+    guard: &'s QueryGuard,
+    /// The session's evaluation context and the key of the row being
+    /// folded, borrowed once per block.
+    scratch: RefCell<(&'s mut EvalContext, Vec<Value>)>,
+}
+
+/// The groups of a [`GroupFold`].
+type Groups = Vec<(Vec<Value>, Vec<Accumulator>)>;
+
+impl GroupFold<'_> {
+    fn fold(
+        &self,
+        groups: &mut Groups,
+        row: RowRef<'_>,
+        (ctx, key): &mut (&mut EvalContext, Vec<Value>),
+    ) -> Result<()> {
+        if let Some(filter) = self.filter {
+            if !is_truthy(filter.eval(row, &[], ctx)?.as_ref()) {
+                return Ok(());
             }
         }
-        true
-    });
-    outcome.map(|_| ())
+        // Without GROUP BY every row is in the one group; with it the
+        // lookup is linear in the number of groups.
+        let group = if self.grouping.by.is_empty() {
+            0
+        } else {
+            key.clear();
+            for expr in &self.grouping.by {
+                key.push(expr.eval(row, &[], ctx)?.into_owned());
+            }
+            match groups.iter().position(|(existing, _)| existing == key) {
+                Some(group) => group,
+                None => {
+                    self.guard.reserve(approx_row_bytes(key))?;
+                    groups.push((std::mem::take(key), self.grouping.accumulators()));
+                    groups.len() - 1
+                }
+            }
+        };
+        let accumulators = groups[group].1.iter_mut();
+        for (accumulator, aggregate) in accumulators.zip(&self.grouping.aggregates) {
+            accumulator.fold(aggregate, row, ctx, self.guard)?;
+        }
+        Ok(())
+    }
+}
+
+impl Aggregate for GroupFold<'_> {
+    type State = Groups;
+    type Output = Groups;
+    type Error = SqlError;
+
+    /// Without GROUP BY all rows are one group, which exists even when
+    /// there is no row (COUNT(*) over an empty table is 0).
+    fn initialize(&self) -> Groups {
+        match self.grouping.by.is_empty() {
+            true => vec![(Vec::new(), self.grouping.accumulators())],
+            false => Vec::new(),
+        }
+    }
+
+    fn transition(&self, groups: &mut Groups, row: RowRef<'_>) -> Result<()> {
+        self.fold(groups, row, &mut self.scratch.borrow_mut())
+    }
+
+    fn transition_block(&self, groups: &mut Groups, block: RowBlock<'_>) -> Result<()> {
+        let scratch = &mut *self.scratch.borrow_mut();
+        block
+            .rows()
+            .try_for_each(|row| self.fold(groups, row, scratch))
+    }
+
+    fn terminate(&self, groups: Groups) -> Groups {
+        groups
+    }
+}
+
+/// The error a statement's scan ended with: a stop is the violation of the
+/// guard that said stop. (The scan runs on the calling thread, outside any
+/// runner, so no part of it can have panicked.)
+fn scan_error(guard: &QueryGuard, end: PassError<SqlError>) -> SqlError {
+    match end {
+        PassError::Stopped => guard.check().err().map_or(SqlError::Cancelled, Into::into),
+        PassError::Storage(e) => e.into(),
+        PassError::Failed(e) => e,
+        PassError::Panicked { message, .. } => SqlError::Evaluation(message),
+    }
 }
 
 /// How `run_reorder` rewrites a table.

@@ -282,15 +282,14 @@ impl ColumnarTable {
     /// rows rather than kept as they are appended.
     fn legacy_widths(&self) -> Result<Vec<usize>, StorageError> {
         let mut widths = vec![0; self.schema.arity()];
-        self.walk_blocks(0, self.row_count, &mut |block| {
+        self.scan_blocks(0, self.row_count, &mut |block| {
             for (col, width) in widths.iter_mut().enumerate() {
                 if let Some(rows) = block.features(col) {
                     *width = (*width).max(rows.max_dimension());
                 }
             }
             true
-        })
-        .map_err(|(_, e)| e)?;
+        })?;
         Ok(widths)
     }
 
@@ -440,42 +439,6 @@ impl ColumnarTable {
         self.write_manifest()
     }
 
-    /// The one segment walk: rows `start..end` (clamped) in storage order as
-    /// (segment, row-run) pairs, each lent to `f` as a block over the
-    /// segment's chunks until `f` returns `false`. A sealed segment stays
-    /// pinned by its `Arc` while `f` runs; one that cannot be paged in ends
-    /// the walk with its index and the error.
-    fn walk_blocks(
-        &self,
-        start: usize,
-        end: usize,
-        f: &mut dyn FnMut(RowBlock<'_>) -> bool,
-    ) -> Result<(), (usize, StorageError)> {
-        let end = end.min(self.row_count);
-        let mut row = start.min(end);
-        while row < end {
-            let seg_idx = row / self.chunk_capacity;
-            let stop = end.min((seg_idx + 1) * self.chunk_capacity);
-            let pinned;
-            let segment = if seg_idx < self.sealed_count() {
-                pinned = self.sealed_segment(seg_idx).map_err(|e| (seg_idx, e))?;
-                &*pinned
-            } else {
-                &self.open
-            };
-            let block = RowBlock::Columns {
-                columns: &segment.columns,
-                first: row % self.chunk_capacity,
-                len: stop - row,
-            };
-            if !f(block) {
-                break;
-            }
-            row = stop;
-        }
-        Ok(())
-    }
-
     /// Stream the contiguous `f64` payload of dense-vector column `col`, one
     /// callback per segment. Each slice holds every row's feature entries
     /// back to back in storage order, so a dot-product or sum runs at memory
@@ -498,7 +461,7 @@ impl ColumnarTable {
             });
         }
         // The whole table is whole segments, so each block is a whole chunk.
-        self.walk_blocks(0, self.row_count, &mut |block| {
+        self.scan_blocks(0, self.row_count, &mut |block| {
             if let RowBlock::Columns { columns, .. } = block {
                 if let Some(data) = columns.get(col).and_then(ColumnChunk::dense_data) {
                     f(data);
@@ -506,23 +469,7 @@ impl ColumnarTable {
             }
             true
         })
-        .map_err(|(_, e)| e)
     }
-
-    /// Panic with a descriptive message on a paged read failure mid-scan.
-    ///
-    /// [`TupleScan`] has no error channel by design (the trainers' epoch
-    /// loops treat a mid-epoch fault like a worker fault and recover the
-    /// last-good model via `catch_unwind`), so an I/O error surfaces as a
-    /// panic rather than silently truncating the scan.
-    fn sealed_segment_or_panic(&self, idx: usize) -> Arc<Segment> {
-        self.sealed_segment(idx)
-            .unwrap_or_else(|e| scan_failed(idx, &e))
-    }
-}
-
-fn scan_failed(segment: usize, e: &StorageError) -> ! {
-    panic!("columnar scan failed to page in segment {segment}: {e}")
 }
 
 impl TupleScan for ColumnarTable {
@@ -534,13 +481,47 @@ impl TupleScan for ColumnarTable {
         self.widths.get(col).copied().unwrap_or(0)
     }
 
-    fn scan_blocks(&self, start: usize, end: usize, f: &mut dyn FnMut(RowBlock<'_>) -> bool) {
-        if let Err((segment, e)) = self.walk_blocks(start, end, f) {
-            scan_failed(segment, &e);
+    /// The one segment walk: rows `start..end` (clamped) in storage order as
+    /// (segment, row-run) pairs, each lent to `f` as a block over the
+    /// segment's chunks. A sealed segment stays pinned by its `Arc` while `f`
+    /// runs; one that cannot be paged in ends the walk with the pager's
+    /// error, which names its file.
+    fn scan_blocks(
+        &self,
+        start: usize,
+        end: usize,
+        f: &mut dyn FnMut(RowBlock<'_>) -> bool,
+    ) -> Result<(), StorageError> {
+        let end = end.min(self.row_count);
+        let mut row = start.min(end);
+        while row < end {
+            let seg_idx = row / self.chunk_capacity;
+            let stop = end.min((seg_idx + 1) * self.chunk_capacity);
+            let pinned;
+            let segment = if seg_idx < self.sealed_count() {
+                pinned = self.sealed_segment(seg_idx)?;
+                &*pinned
+            } else {
+                &self.open
+            };
+            let block = RowBlock::Columns {
+                columns: &segment.columns,
+                first: row % self.chunk_capacity,
+                len: stop - row,
+            };
+            if !f(block) {
+                break;
+            }
+            row = stop;
         }
+        Ok(())
     }
 
-    fn scan_tuples_permuted(&self, order: &[usize], f: &mut dyn FnMut(&Tuple)) {
+    fn scan_tuples_permuted(
+        &self,
+        order: &[usize],
+        f: &mut dyn FnMut(&Tuple),
+    ) -> Result<(), StorageError> {
         let mut scratch = Tuple::default();
         // Cache the last-touched segment so runs of nearby rows (and the
         // clustered case) do not take the pager lock once per tuple.
@@ -555,13 +536,14 @@ impl TupleScan for ColumnarTable {
                 self.open.read_row_into(off, &mut scratch);
             } else {
                 if current.as_ref().map(|(i, _)| *i) != Some(seg_idx) {
-                    current = Some((seg_idx, self.sealed_segment_or_panic(seg_idx)));
+                    current = Some((seg_idx, self.sealed_segment(seg_idx)?));
                 }
                 let (_, seg) = current.as_ref().expect("segment cached above");
                 seg.read_row_into(off, &mut scratch);
             }
             f(&scratch);
         }
+        Ok(())
     }
 }
 
@@ -643,20 +625,21 @@ mod tests {
 
         let order: Vec<usize> = (0..50).rev().chain([999]).collect();
         let mut seen = Vec::new();
-        t.scan_tuples_permuted(&order, &mut |tuple| seen.push(tuple.get_int(0).unwrap()));
+        t.scan_tuples_permuted(&order, &mut |tuple| seen.push(tuple.get_int(0).unwrap()))
+            .unwrap();
         assert_eq!(seen, (0..50).rev().collect::<Vec<i64>>());
 
-        let mut seen = Vec::new();
-        t.scan_tuples_range(6, 19, &mut |tuple| seen.push(tuple.get_int(0).unwrap()));
-        assert_eq!(seen, (6..19).collect::<Vec<i64>>());
-        assert_eq!(
-            {
-                let mut n = 0;
-                t.scan_tuples_range(30, 1000, &mut |_| n += 1);
-                n
-            },
-            20
-        );
+        let range = |start, end| {
+            let mut seen = Vec::new();
+            t.scan_blocks(start, end, &mut |block| {
+                seen.extend(block.rows().map(|row| row.get_int(0).unwrap()));
+                true
+            })
+            .unwrap();
+            seen
+        };
+        assert_eq!(range(6, 19), (6..19).collect::<Vec<i64>>());
+        assert_eq!(range(30, 1000).len(), 20);
     }
 
     #[test]
@@ -667,21 +650,22 @@ mod tests {
             rows.insert(row(i)).unwrap();
         }
         for table in [&columnar as &dyn TupleScan, &rows] {
-            let mut expected = Vec::new();
-            table.scan_tuples_range(3, 41, &mut |tuple| expected.push(tuple.clone()));
+            let expected: Vec<Tuple> = (3..41).map(|i| Tuple::new(row(i))).collect();
             let mut seen = 0;
-            table.scan_blocks(3, 41, &mut |block| {
-                for i in 0..block.len() {
-                    let (cursor, tuple) = (block.row(i), &expected[seen]);
-                    assert_eq!(cursor.arity(), tuple.values().len());
-                    for col in 0..tuple.values().len() {
-                        assert_eq!(&*cursor.value(col), &tuple.values()[col]);
-                        assert_eq!(cursor.feature_view(col), tuple.feature_view(col));
+            table
+                .scan_blocks(3, 41, &mut |block| {
+                    for i in 0..block.len() {
+                        let (cursor, tuple) = (block.row(i), &expected[seen]);
+                        assert_eq!(cursor.arity(), tuple.values().len());
+                        for col in 0..tuple.values().len() {
+                            assert_eq!(&*cursor.value(col), &tuple.values()[col]);
+                            assert_eq!(cursor.feature_view(col), tuple.feature_view(col));
+                        }
+                        seen += 1;
                     }
-                    seen += 1;
-                }
-                true
-            });
+                    true
+                })
+                .unwrap();
             assert_eq!(seen, expected.len());
         }
     }
@@ -690,11 +674,12 @@ mod tests {
     fn scan_while_stops_early() {
         let t = filled(8, 50);
         let mut seen = 0;
-        t.scan_tuples_while(&mut |_| {
-            seen += 1;
+        t.scan_blocks(0, usize::MAX, &mut |block| {
+            seen += block.len();
             seen < 13
-        });
-        assert_eq!(seen, 13);
+        })
+        .unwrap();
+        assert_eq!(seen, 16, "the walk ends with the block that said stop");
     }
 
     #[test]

@@ -243,15 +243,20 @@ pub fn table_from_str(name: &str, schema: Schema, text: &str) -> Result<Table, S
 }
 
 /// Render any tuple source (row-store or columnar) to the delimited text
-/// format (no header).
-pub fn tuples_to_string<S: TupleScan + ?Sized>(source: &S) -> String {
+/// format (no header); errors if a block of it cannot be read.
+pub fn tuples_to_string<S: TupleScan + ?Sized>(source: &S) -> Result<String, StorageError> {
     let mut out = String::new();
-    source.scan_tuples(&mut |tuple| {
-        let line: Vec<String> = tuple.values().iter().map(render_field).collect();
-        out.push_str(&line.join(","));
-        out.push('\n');
-    });
-    out
+    source.scan_blocks(0, usize::MAX, &mut |block| {
+        for row in block.rows() {
+            let line: Vec<String> = (0..row.arity())
+                .map(|col| render_field(&row.value(col)))
+                .collect();
+            out.push_str(&line.join(","));
+            out.push('\n');
+        }
+        true
+    })?;
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -279,7 +284,7 @@ mod tests {
     }
 
     fn roundtrip(t: &Table) -> Table {
-        table_from_str("back", t.schema().clone(), &tuples_to_string(t)).unwrap()
+        table_from_str("back", t.schema().clone(), &tuples_to_string(t).unwrap()).unwrap()
     }
 
     #[test]
@@ -296,7 +301,7 @@ mod tests {
             Some("bob")
         );
 
-        let rendered = tuples_to_string(&t);
+        let rendered = tuples_to_string(&t).unwrap();
         let t2 = table_from_str("t2", schema(), &rendered).unwrap();
         assert_eq!(t2.len(), 2);
         assert_eq!(
@@ -391,7 +396,7 @@ mod tests {
         let mut t = Table::new("t", schema);
         t.insert(vec![Value::Text("#hashtag".into()), Value::Int(1)])
             .unwrap();
-        let rendered = tuples_to_string(&t);
+        let rendered = tuples_to_string(&t).unwrap();
         let back = table_from_str("back", t.schema().clone(), &rendered).unwrap();
         assert_eq!(back.len(), 1);
         assert_eq!(

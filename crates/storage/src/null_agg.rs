@@ -55,6 +55,11 @@ impl NullAggregate {
     /// Run one full pass over a tuple source (row-store or columnar) and
     /// return the tuple count. This is the "single-iteration runtime of the
     /// NULL aggregate" measured in Tables 2 and 3.
+    ///
+    /// # Panics
+    ///
+    /// On a storage error: a baseline for tables the harness built itself,
+    /// not an engine path.
     pub fn run_epoch<S: TupleScan + ?Sized>(data: &S) -> usize {
         let mut agg = NullAggregate::new();
         data.scan_tuples(&mut |tuple| agg.transition(tuple));
@@ -62,9 +67,14 @@ impl NullAggregate {
     }
 
     /// Run one pass following an explicit row permutation.
+    ///
+    /// # Panics
+    ///
+    /// On a storage error, as [`NullAggregate::run_epoch`].
     pub fn run_epoch_permuted<S: TupleScan + ?Sized>(data: &S, order: &[usize]) -> usize {
         let mut agg = NullAggregate::new();
-        data.scan_tuples_permuted(order, &mut |tuple| agg.transition(tuple));
+        data.scan_tuples_permuted(order, &mut |tuple| agg.transition(tuple))
+            .unwrap_or_else(|e| panic!("NULL aggregate: {e}"));
         agg.terminate()
     }
 }

@@ -241,16 +241,23 @@ impl Pager {
         Ok(())
     }
 
+    /// Read segment `idx` from its file; a damaged file is an error that
+    /// names it, as an unreadable one is.
     fn load(&self, idx: usize) -> Result<Arc<Segment>, StorageError> {
         let path = self.seg_path(idx);
         let bytes = read_file(&path).map_err(|e| io_err(&path, e))?;
         self.bytes_read
             .fetch_add(bytes.len() as u64, Ordering::Relaxed);
-        let (_, payload) = unframe(FileKind::Segment, &bytes)?;
-        let mut r = Reader::new(payload);
-        let segment = Segment::decode(&mut r)?;
-        r.finish()?;
-        Ok(Arc::new(segment))
+        let decoded = unframe(FileKind::Segment, &bytes).and_then(|(_, payload)| {
+            let mut r = Reader::new(payload);
+            let segment = Segment::decode(&mut r)?;
+            r.finish()?;
+            Ok(segment)
+        });
+        decoded.map(Arc::new).map_err(|e| match e {
+            StorageError::Corrupt(msg) => corrupt(format!("{}: {msg}", path.display())),
+            other => other,
+        })
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, PagerInner> {
@@ -518,7 +525,10 @@ mod tests {
         bytes[mid] ^= 0x01;
         std::fs::write(&path, &bytes).unwrap();
         let pager = Pager::create(&dir, 1).unwrap();
-        assert!(matches!(pager.fetch(0), Err(StorageError::Corrupt(_))));
+        match pager.fetch(0) {
+            Err(StorageError::Corrupt(msg)) => assert!(msg.contains("seg-000000.col"), "{msg}"),
+            other => panic!("expected a corrupt segment, got {other:?}"),
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 }

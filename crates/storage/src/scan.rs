@@ -22,6 +22,7 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
 use crate::chunk::{ColumnChunk, ValidityBitmap};
+use crate::error::StorageError;
 use crate::tuple::Tuple;
 use crate::value::Value;
 
@@ -37,33 +38,34 @@ use crate::value::Value;
 /// gradient and loss passes — reads them straight out of a columnar block;
 /// whoever works a row at a time — every other training task, SQL `SELECT`
 /// — walks the block with [`RowBlock::rows`], [`RowRef`] cursors that read
-/// one cell where it is stored. The storage-order tuple scans
-/// (`scan_tuples`, `scan_tuples_while`, `scan_tuples_range`) are adapters
-/// over it for a caller that wants owned rows: they hand out a row-store
-/// block's tuples as they are and materialize each row of a columnar block
-/// into one reused scratch [`Tuple`]. Only
-/// [`TupleScan::scan_tuples_permuted`] is its own walk. The interface is
-/// callback-based (rather than returning iterators) because a paged segment
-/// is pinned only for the duration of one callback.
+/// one cell where it is stored. [`TupleScan::scan_tuples_permuted`] is the
+/// one other walk. The interface is callback-based (rather than returning
+/// iterators) because a paged segment is pinned only for the duration of
+/// one callback.
 ///
 /// [`TupleScan::vector_width`] is not a scan at all: a table keeps the widest
 /// vector of each column as rows are appended (a paged table writes it into
 /// its manifest), so dimension inference reads no row.
 ///
+/// # Errors
+///
+/// Both walks return the [`StorageError`] of a block they could not read: a
+/// paged segment whose file fails to load (I/O error, checksum mismatch),
+/// named in the error. The walk ends there, after the blocks it already
+/// handed over. The in-memory layouts always return `Ok`.
+///
+/// [`TupleScan::scan_tuples`] is the one adapter: every row in storage
+/// order as an owned-layout [`Tuple`], for the benchmark harness, the
+/// NULL-aggregate baseline and tests, which read tables they built
+/// themselves. It has no error channel and panics on a storage error; no
+/// engine path (training, SQL) calls it.
+///
 /// # Semantics shared by all implementations
 ///
 /// * `scan_tuples_permuted` silently skips out-of-range row ids, matching
 ///   `Table::scan_permuted`'s historical behaviour.
-/// * `scan_blocks` and `scan_tuples_range` clamp `end` to the row count and
-///   `start` to `end`; no block is empty.
-///
-/// # Panics
-///
-/// Paged implementations **panic** if a segment read fails mid-scan (I/O
-/// error or checksum mismatch) — the trait has no error channel by design,
-/// keeping the hot path free of `Result` plumbing. The training runtime
-/// runs every gradient and loss pass under `catch_unwind`, so a torn page
-/// surfaces as a worker fault with the last good model preserved.
+/// * `scan_blocks` clamps `end` to the row count and `start` to `end`; no
+///   block is empty.
 pub trait TupleScan: Sync {
     /// Number of rows the scan will visit.
     fn tuple_count(&self) -> usize;
@@ -74,37 +76,36 @@ pub trait TupleScan: Sync {
     fn vector_width(&self, col: usize) -> usize;
 
     /// Visit rows `start..end` (clamped) in storage order, one block per
-    /// physically contiguous run, until `f` returns `false` or rows run out.
-    fn scan_blocks(&self, start: usize, end: usize, f: &mut dyn FnMut(RowBlock<'_>) -> bool);
+    /// physically contiguous run, until `f` returns `false`, rows run out or
+    /// a block cannot be read.
+    fn scan_blocks(
+        &self,
+        start: usize,
+        end: usize,
+        f: &mut dyn FnMut(RowBlock<'_>) -> bool,
+    ) -> Result<(), StorageError>;
 
-    /// Visit rows in storage order until `f` returns `false` or rows run out.
-    fn scan_tuples_while(&self, f: &mut dyn FnMut(&Tuple) -> bool) {
+    /// Visit rows in the order given by `order`, skipping invalid ids, until
+    /// a row cannot be read.
+    fn scan_tuples_permuted(
+        &self,
+        order: &[usize],
+        f: &mut dyn FnMut(&Tuple),
+    ) -> Result<(), StorageError>;
+
+    /// Visit every row in storage order, each row of a columnar block
+    /// materialized into one reused scratch tuple.
+    ///
+    /// # Panics
+    ///
+    /// On a storage error (see the trait's docs).
+    fn scan_tuples(&self, f: &mut dyn FnMut(&Tuple)) {
         let mut scratch = Tuple::default();
         self.scan_blocks(0, usize::MAX, &mut |block| {
-            block.for_each_tuple(&mut scratch, f)
-        });
-    }
-
-    /// Visit every row in storage order.
-    fn scan_tuples(&self, f: &mut dyn FnMut(&Tuple)) {
-        self.scan_tuples_while(&mut |t| {
-            f(t);
+            block.for_each_tuple(&mut scratch, f);
             true
-        });
-    }
-
-    /// Visit rows in the order given by `order`, skipping invalid ids.
-    fn scan_tuples_permuted(&self, order: &[usize], f: &mut dyn FnMut(&Tuple));
-
-    /// Visit rows in `start..end` (clamped) in storage order.
-    fn scan_tuples_range(&self, start: usize, end: usize, f: &mut dyn FnMut(&Tuple)) {
-        let mut scratch = Tuple::default();
-        self.scan_blocks(start, end, &mut |block| {
-            block.for_each_tuple(&mut scratch, &mut |t| {
-                f(t);
-                true
-            })
-        });
+        })
+        .unwrap_or_else(|e| panic!("scan_tuples: {e}"));
     }
 }
 
@@ -143,7 +144,7 @@ impl<'a> RowBlock<'a> {
     /// copying. `None` when the block stores that column in a layout other
     /// than `DENSE_VEC` / `SPARSE_VEC` (or has no such column), and for a
     /// row-store block, whose tuples already lend their vectors out: the
-    /// caller then goes through [`RowBlock::for_each_tuple`], which is always
+    /// caller then reads its rows ([`RowBlock::rows`]), which is always
     /// available.
     pub fn features(&self, col: usize) -> Option<FeatureRows<'a>> {
         let RowBlock::Columns {
@@ -243,17 +244,16 @@ impl<'a> RowBlock<'a> {
         (0..block.len()).map(move |i| block.row(i))
     }
 
-    /// Hand every row to `f` as a tuple until it returns `false`; returns
-    /// whether the scan should go on. Rows of a columnar block are
+    /// Hand every row to `f` as a tuple. Rows of a columnar block are
     /// materialized one after the other into `scratch`, reusing its buffers.
-    pub fn for_each_tuple(&self, scratch: &mut Tuple, f: &mut dyn FnMut(&Tuple) -> bool) -> bool {
+    pub fn for_each_tuple(&self, scratch: &mut Tuple, f: &mut dyn FnMut(&Tuple)) {
         match *self {
-            RowBlock::Tuples(tuples) => tuples.iter().all(f),
+            RowBlock::Tuples(tuples) => tuples.iter().for_each(f),
             RowBlock::Columns {
                 columns,
                 first,
                 len,
-            } => (first..first + len).all(|row| {
+            } => (first..first + len).for_each(|row| {
                 materialize_row(columns, row, scratch);
                 f(scratch)
             }),
@@ -730,7 +730,8 @@ mod tests {
                     rows += 1;
                 }
                 true
-            });
+            })
+            .unwrap();
             assert_eq!(rows, table.len());
         }
     }

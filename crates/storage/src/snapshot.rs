@@ -145,7 +145,12 @@ mod tests {
         assert_eq!(tables[0].name(), "alpha");
         assert_eq!(tables[0].len(), 3);
         let mut last = None;
-        tables[0].scan_tuples_range(2, 3, &mut |t| last = t.get_double(1));
+        tables[0]
+            .scan_blocks(2, 3, &mut |block| {
+                last = block.row(0).get_double(1);
+                true
+            })
+            .unwrap();
         assert_eq!(last, Some(1.0));
         assert_eq!(tables[1].name(), "beta");
         assert!(tables[1].is_empty());

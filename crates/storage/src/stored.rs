@@ -178,8 +178,11 @@ impl StoredTable {
         push_string(out, self.name());
         push_schema(out, self.schema());
         out.extend_from_slice(&(self.len() as u64).to_le_bytes());
-        self.scan_tuples(&mut |tuple| push_row(out, tuple.values()));
-        Ok(())
+        let mut scratch = Tuple::default();
+        self.scan_blocks(0, usize::MAX, &mut |block| {
+            block.for_each_tuple(&mut scratch, &mut |tuple| push_row(out, tuple.values()));
+            true
+        })
     }
 
     /// Decode a table of layout `kind` (inverse of [`StoredTable::encode`]
@@ -275,11 +278,20 @@ impl TupleScan for StoredTable {
         self.layout().vector_width(col)
     }
 
-    fn scan_blocks(&self, start: usize, end: usize, f: &mut dyn FnMut(RowBlock<'_>) -> bool) {
+    fn scan_blocks(
+        &self,
+        start: usize,
+        end: usize,
+        f: &mut dyn FnMut(RowBlock<'_>) -> bool,
+    ) -> Result<(), StorageError> {
         self.layout().scan_blocks(start, end, f)
     }
 
-    fn scan_tuples_permuted(&self, order: &[usize], f: &mut dyn FnMut(&Tuple)) {
+    fn scan_tuples_permuted(
+        &self,
+        order: &[usize],
+        f: &mut dyn FnMut(&Tuple),
+    ) -> Result<(), StorageError> {
         self.layout().scan_tuples_permuted(order, f)
     }
 }

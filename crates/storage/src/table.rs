@@ -149,7 +149,12 @@ impl TupleScan for Table {
 
     /// One block per page: every page but the last is full, so row `r` is
     /// slot `r % PAGE_CAPACITY` of page `r / PAGE_CAPACITY`.
-    fn scan_blocks(&self, start: usize, end: usize, f: &mut dyn FnMut(RowBlock<'_>) -> bool) {
+    fn scan_blocks(
+        &self,
+        start: usize,
+        end: usize,
+        f: &mut dyn FnMut(RowBlock<'_>) -> bool,
+    ) -> Result<(), StorageError> {
         let end = end.min(self.row_count);
         let mut row = start.min(end);
         while row < end {
@@ -157,16 +162,20 @@ impl TupleScan for Table {
             let slot = row % PAGE_CAPACITY;
             let run = &page[slot..page.len().min(slot + (end - row))];
             if !f(RowBlock::Tuples(run)) {
-                return;
+                break;
             }
             row += run.len();
         }
+        Ok(())
     }
 
-    fn scan_tuples_permuted(&self, order: &[usize], f: &mut dyn FnMut(&Tuple)) {
-        for tuple in self.scan_permuted(order) {
-            f(tuple);
-        }
+    fn scan_tuples_permuted(
+        &self,
+        order: &[usize],
+        f: &mut dyn FnMut(&Tuple),
+    ) -> Result<(), StorageError> {
+        self.scan_permuted(order).for_each(f);
+        Ok(())
     }
 }
 

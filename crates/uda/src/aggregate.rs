@@ -1,6 +1,6 @@
 //! The developer-facing aggregate abstraction (Figure 3).
 
-use bismarck_storage::{RowBlock, Tuple};
+use bismarck_storage::{RowBlock, RowRef};
 
 /// A user-defined aggregate in the standard three-phase form, plus `merge`
 /// for shared-nothing parallelism.
@@ -15,18 +15,19 @@ use bismarck_storage::{RowBlock, Tuple};
 /// `State`):
 ///
 /// ```
-/// use bismarck_storage::{Tuple, Value};
+/// use bismarck_storage::{RowRef, Tuple, Value};
 /// use bismarck_uda::{Aggregate, CountAggregate};
 ///
 /// let agg = CountAggregate;
 /// let tuple = Tuple::new(vec![Value::Int(7)]);
+/// let row = RowRef::from(&tuple);
 ///
 /// // Two shared-nothing segments aggregate independently...
 /// let mut left = agg.initialize();
-/// agg.transition(&mut left, &tuple);
+/// let Ok(()) = agg.transition(&mut left, row);
 /// let mut right = agg.initialize();
-/// agg.transition(&mut right, &tuple);
-/// agg.transition(&mut right, &tuple);
+/// let Ok(()) = agg.transition(&mut right, row);
+/// let Ok(()) = agg.transition(&mut right, row);
 ///
 /// // ...and their states merge before terminate produces the output.
 /// agg.merge(&mut left, right);
@@ -37,27 +38,31 @@ pub trait Aggregate {
     type State;
     /// What `terminate` produces (usually the trained model).
     type Output;
+    /// What a transition can fail with: [`std::convert::Infallible`] for an
+    /// aggregate that cannot fail (IGD, `COUNT(*)`), so the drivers' error
+    /// paths compile away on its hot loop.
+    type Error;
 
     /// Create the initial aggregation state (e.g. a zero model or a model
     /// carried over from the previous epoch).
     fn initialize(&self) -> Self::State;
 
-    /// Fold one tuple into the state. For IGD this computes the gradient of
-    /// the objective on this example and takes one step (Equation 2).
-    fn transition(&self, state: &mut Self::State, tuple: &Tuple);
+    /// Fold one row, read where it is stored, into the state. For IGD this
+    /// computes the gradient of the objective on this example and takes one
+    /// step (Equation 2).
+    fn transition(&self, state: &mut Self::State, row: RowRef<'_>) -> Result<(), Self::Error>;
 
     /// Fold a block of consecutive rows into the state; the executors hand a
     /// storage-order pass over block by block. Must leave the state exactly
     /// as [`Aggregate::transition`] on each row in order would — which is
-    /// the default, each row of a columnar block materialized into one
-    /// scratch tuple. An aggregate that can read the rows where the block
-    /// stores them overrides it to skip that copy.
-    fn transition_block(&self, state: &mut Self::State, block: RowBlock<'_>) {
-        let mut scratch = Tuple::default();
-        block.for_each_tuple(&mut scratch, &mut |tuple| {
-            self.transition(state, tuple);
-            true
-        });
+    /// the default — and stop at the first error. An aggregate that can do
+    /// better on a whole block overrides it.
+    fn transition_block(
+        &self,
+        state: &mut Self::State,
+        block: RowBlock<'_>,
+    ) -> Result<(), Self::Error> {
+        block.rows().try_for_each(|row| self.transition(state, row))
     }
 
     /// Combine two states that were aggregated independently over disjoint
@@ -71,21 +76,25 @@ pub trait Aggregate {
     fn terminate(&self, state: Self::State) -> Self::Output;
 }
 
-/// A simple counting aggregate used in tests and as documentation of the
-/// trait's contract: `COUNT(*)` as a UDA.
+/// A simple counting aggregate used in tests, the benchmark harness and as
+/// documentation of the trait's contract: `COUNT(*)` as a UDA. SQL's own
+/// `COUNT(*)` is a reduction of the grouped-`SELECT` aggregate, which the
+/// same drivers run; it does not go through this type.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CountAggregate;
 
 impl Aggregate for CountAggregate {
     type State = u64;
     type Output = u64;
+    type Error = std::convert::Infallible;
 
     fn initialize(&self) -> u64 {
         0
     }
 
-    fn transition(&self, state: &mut u64, _tuple: &Tuple) {
+    fn transition(&self, state: &mut u64, _row: RowRef<'_>) -> Result<(), Self::Error> {
         *state += 1;
+        Ok(())
     }
 
     fn merge(&self, left: &mut u64, right: u64) {
@@ -117,7 +126,7 @@ mod tests {
         let agg = CountAggregate;
         let mut state = agg.initialize();
         for tup in t.scan() {
-            agg.transition(&mut state, tup);
+            let Ok(()) = agg.transition(&mut state, tup.into());
         }
         assert_eq!(agg.terminate(state), 3);
     }

@@ -14,7 +14,11 @@
 //! * execution strategies over a stored table: a sequential scan in a chosen
 //!   [`bismarck_storage::ScanOrder`] and a segmented, shared-nothing run that
 //!   aggregates each segment independently and merges the partial states;
-//!   both can be stopped between blocks (or slices of a permutation);
+//!   both can be stopped between blocks (or slices of a permutation), and
+//!   both end early with one [`PassError`] that says why: stopped, a block
+//!   storage could not read, a panicked part, or the aggregate's own error.
+//!   The block loop under them, [`scan_blocks_while`], is the one every
+//!   engine caller walks a table through, SQL included;
 //! * [`run_parts`], the one runner every pass of a training run starts its
 //!   threads and catches its panics through;
 //! * the [`ConvergenceTest`] whose verdict ends a run, and the per-epoch
@@ -36,6 +40,5 @@ pub use crate::convergence::ConvergenceTest;
 pub use crate::epoch::{EpochRecord, TrainingHistory};
 pub use crate::executor::{
     run_parts, run_segmented, run_segmented_parallel, run_sequential, run_sequential_while,
-    scan_blocks_while, scan_permuted_while, segment_workers, try_run_segmented_parallel,
-    WorkerPanic,
+    scan_blocks_while, scan_permuted_while, segment_workers, try_run_segmented_parallel, PassError,
 };

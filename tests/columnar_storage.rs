@@ -107,6 +107,20 @@ fn all_tuples<S: TupleScan + ?Sized>(source: &S) -> Vec<Vec<Value>> {
     out
 }
 
+/// Rows `start..end` (clamped) of `source` in storage order, each
+/// materialized from its block as `scan_tuples` hands it over.
+fn range_tuples<S: TupleScan + ?Sized>(source: &S, start: usize, end: usize) -> Vec<Vec<Value>> {
+    let mut out = Vec::new();
+    let mut scratch = Tuple::default();
+    source
+        .scan_blocks(start, end, &mut |block| {
+            block.for_each_tuple(&mut scratch, &mut |t| out.push(t.values().to_vec()));
+            true
+        })
+        .unwrap();
+    out
+}
+
 /// The widest vector of each of the first `arity` columns, found by reading
 /// every row: what [`TupleScan::vector_width`] must answer without reading
 /// one.
@@ -136,9 +150,9 @@ proptest! {
         chunk in 1usize..6,
     ) {
         let (table, columnar) = build_both(&rows, chunk);
-        let text = tuples_to_string(&table);
+        let text = tuples_to_string(&table).unwrap();
         // The rendered text must not depend on the physical layout.
-        prop_assert_eq!(&text, &tuples_to_string(&columnar));
+        prop_assert_eq!(&text, &tuples_to_string(&columnar).unwrap());
 
         // And parsing it back must be the identity.
         let back = table_from_str("t", mixed_schema(), &text).unwrap();
@@ -172,17 +186,13 @@ proptest! {
         }
         order.push(rows.len() + 3); // invalid id: skipped by both
         let mut from_row = Vec::new();
-        table.scan_tuples_permuted(&order, &mut |t| from_row.push(t.values().to_vec()));
+        table.scan_tuples_permuted(&order, &mut |t| from_row.push(t.values().to_vec())).unwrap();
         let mut from_col = Vec::new();
-        columnar.scan_tuples_permuted(&order, &mut |t| from_col.push(t.values().to_vec()));
+        columnar.scan_tuples_permuted(&order, &mut |t| from_col.push(t.values().to_vec())).unwrap();
         prop_assert_eq!(from_row, from_col);
 
         let (start, end) = bounds;
-        let mut from_row = Vec::new();
-        table.scan_tuples_range(start, end, &mut |t| from_row.push(t.values().to_vec()));
-        let mut from_col = Vec::new();
-        columnar.scan_tuples_range(start, end, &mut |t| from_col.push(t.values().to_vec()));
-        prop_assert_eq!(from_row, from_col);
+        prop_assert_eq!(range_tuples(&table, start, end), range_tuples(&columnar, start, end));
     }
 }
 
@@ -307,36 +317,40 @@ fn check_block_scan<S: TupleScan + ?Sized>(
         for (features, label) in EXAMPLE_PAIRS {
             let mut from_tuples = Vec::new();
             let mut width = 0;
-            reference.scan_tuples_range(start, end, &mut |t| {
+            for t in range_tuples(reference, start, end)
+                .into_iter()
+                .map(Tuple::new)
+            {
                 let x = t.feature_view(features);
                 width = width.max(x.map_or(0, |x| x.dimension()));
                 from_tuples.push(example_bits(x.zip(t.get_double(label))));
-            });
+            }
             let mut from_blocks = Vec::new();
             let mut block_width = 0;
             let mut scratch = Tuple::default();
-            source.scan_blocks(start, end, &mut |block| {
-                assert!(!block.is_empty(), "no block is empty");
-                match block.examples(features, label) {
-                    Some(rows) => {
-                        assert_eq!(rows.len(), block.len());
-                        from_blocks.extend(rows.iter().map(example_bits));
-                        let lent = block.features(features).unwrap();
-                        block_width = block_width.max(lent.max_dimension());
+            source
+                .scan_blocks(start, end, &mut |block| {
+                    assert!(!block.is_empty(), "no block is empty");
+                    match block.examples(features, label) {
+                        Some(rows) => {
+                            assert_eq!(rows.len(), block.len());
+                            from_blocks.extend(rows.iter().map(example_bits));
+                            let lent = block.features(features).unwrap();
+                            block_width = block_width.max(lent.max_dimension());
+                        }
+                        // Only the row store lends nothing: its tuples are the view.
+                        None => {
+                            assert!(matches!(block, RowBlock::Tuples(_)));
+                            block.for_each_tuple(&mut scratch, &mut |t| {
+                                let x = t.feature_view(features);
+                                block_width = block_width.max(x.map_or(0, |x| x.dimension()));
+                                from_blocks.push(example_bits(x.zip(t.get_double(label))));
+                            });
+                        }
                     }
-                    // Only the row store lends nothing: its tuples are the view.
-                    None => {
-                        assert!(matches!(block, RowBlock::Tuples(_)));
-                        block.for_each_tuple(&mut scratch, &mut |t| {
-                            let x = t.feature_view(features);
-                            block_width = block_width.max(x.map_or(0, |x| x.dimension()));
-                            from_blocks.push(example_bits(x.zip(t.get_double(label))));
-                            true
-                        });
-                    }
-                }
-                true
-            });
+                    true
+                })
+                .unwrap();
             prop_assert!(
                 from_tuples == from_blocks,
                 "rows {start}..{end}, columns ({features}, {label}): \
@@ -344,12 +358,11 @@ fn check_block_scan<S: TupleScan + ?Sized>(
             );
             prop_assert_eq!(width, block_width);
         }
-        // The tuple adapters over the same blocks agree with the row store.
-        let mut from_row = Vec::new();
-        reference.scan_tuples_range(start, end, &mut |t| from_row.push(t.values().to_vec()));
-        let mut from_source = Vec::new();
-        source.scan_tuples_range(start, end, &mut |t| from_source.push(t.values().to_vec()));
-        prop_assert_eq!(from_row, from_source);
+        // Tuples materialized from the same blocks agree with the row store.
+        prop_assert_eq!(
+            range_tuples(reference, start, end),
+            range_tuples(source, start, end)
+        );
     }
     Ok(())
 }
@@ -745,39 +758,75 @@ fn block_path_falls_back_per_tuple_and_surfaces_torn_segments() {
     probe.row_steps();
     std::fs::remove_dir_all(&text_dir).ok();
 
-    // Two good epochs, then segment 2 is torn behind a cold cache: the next
-    // run's first block scan panics inside the gradient pass, which surfaces
-    // as a worker fault carrying the model the run started from.
+    // Two good epochs of each deterministic-enough pass, checkpointed; then
+    // segment 2 is torn behind a cold cache. The resumed run's first block
+    // read of it fails inside the gradient pass, which ends the run with the
+    // storage error, carrying the model of the two good epochs.
     drop(paged);
-    let good = Trainer::new(&probe, train_config(ScanOrder::Clustered)).train(&columnar);
-    let segment = dir.join("seg-000002.col");
-    let mut bytes = std::fs::read(&segment).unwrap();
-    let middle = bytes.len() / 2;
-    bytes[middle] ^= 0xff;
-    std::fs::write(&segment, bytes).unwrap();
-    let torn = ColumnarTable::open_paged(&dir, TRAIN_CACHE).unwrap();
-    let err = Trainer::new(&probe, train_config(ScanOrder::Clustered))
-        .try_train_from(&torn, good.model.clone())
-        .expect_err("a torn segment must fail the run");
-    let TrainError::WorkerPanic {
-        epoch,
-        message,
-        last_good,
-        ..
-    } = err
-    else {
-        panic!("expected WorkerPanic, got {err:?}");
-    };
-    assert_eq!(epoch, 0);
-    assert!(message.contains("failed to page in segment 2"), "{message}");
-    assert_eq!(last_good.model, good.model);
-    assert_eq!(probe.row_steps(), 0, "the fault was on the block path");
+    let torn_passes = [
+        None,
+        Some(ParallelStrategy::PureUda { segments: 2 }),
+        Some(ParallelStrategy::SharedMemory {
+            workers: 2,
+            discipline: UpdateDiscipline::NoLock,
+        }),
+        Some(MRS_IO_ALONE),
+    ];
+    let checkpoint = |pass: Option<ParallelStrategy>| dir.join(format!("good-{pass:?}.ckpt"));
+    let two_epochs =
+        train_config(ScanOrder::Clustered).with_convergence(ConvergenceTest::FixedEpochs(2));
+    let good: Vec<TrainedModel> = torn_passes
+        .iter()
+        .map(|&pass| {
+            let config = two_epochs.clone().with_checkpoints(checkpoint(pass), 1);
+            train(&probe, pass, config, &columnar)
+        })
+        .collect();
+    tear_segment_2(&dir);
+    for (pass, good) in torn_passes.into_iter().zip(good) {
+        let torn = ColumnarTable::open_paged(&dir, TRAIN_CACHE).unwrap();
+        probe.row_steps();
+        let config = train_config(ScanOrder::Clustered);
+        let resumed = match pass {
+            None => Trainer::new(&probe, config).resume_from(&torn, checkpoint(pass)),
+            Some(strategy) => ParallelTrainer::new(&probe, config, strategy)
+                .resume_from(&torn, checkpoint(pass))
+                .map(|(trained, _)| trained),
+        };
+        let err = resumed.expect_err("a torn segment must fail the run");
+        let TrainError::Storage {
+            epoch,
+            error,
+            last_good,
+        } = err
+        else {
+            panic!("{pass:?}: expected a storage error, got {err:?}");
+        };
+        assert_eq!(epoch, 2, "{pass:?}");
+        assert!(
+            error.to_string().contains("seg-000002"),
+            "{pass:?}: {error}"
+        );
+        assert_eq!(last_good.model, good.model, "{pass:?}");
+        assert_eq!(
+            last_good.history.losses(),
+            good.history.losses(),
+            "{pass:?}"
+        );
+        // Only the MRS scan steps row by row; every other pass failed on
+        // the block path.
+        assert_eq!(
+            probe.row_steps() > 0,
+            pass == Some(MRS_IO_ALONE),
+            "{pass:?}"
+        );
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 
 /// A SQL training statement reads its table first in the gradient pass, so
-/// a torn segment of a paged table is a worker fault the statement returns
-/// as an error, and the session goes on answering.
+/// a torn segment of a paged table fails the statement with the storage
+/// error, and the session goes on answering.
 #[test]
 fn torn_segment_fails_a_sql_training_statement_with_an_error() {
     let (schema, rows) = training_rows(false);
@@ -790,28 +839,111 @@ fn torn_segment_fails_a_sql_training_statement_with_an_error() {
     session
         .execute_script("CREATE TABLE other (x INT); INSERT INTO other VALUES (1), (2)")
         .unwrap();
-    let segment = dir.join("seg-000002.col");
-    let mut bytes = std::fs::read(&segment).unwrap();
-    let middle = bytes.len() / 2;
-    bytes[middle] ^= 0x01;
-    std::fs::write(&segment, bytes).unwrap();
+    tear_segment_2(&dir);
 
     for statement in [
         "SELECT LRTrain('m', 'd', 'vec', 'label')",
         "SELECT SVMTrain('m', 'd', 'vec', 'label')",
     ] {
         match session.execute(statement) {
-            Err(SqlError::Analytics(message)) => assert!(
-                message.contains("failed to page in segment 2"),
-                "{statement}: {message}"
+            Err(SqlError::Storage(error)) => assert!(
+                error.to_string().contains("seg-000002"),
+                "{statement}: {error}"
             ),
-            other => panic!("{statement}: expected an analytics error, got {other:?}"),
+            other => panic!("{statement}: expected a storage error, got {other:?}"),
         }
     }
     let count = session.execute("SELECT COUNT(*) FROM other").unwrap();
     assert_eq!(count.single_value(), Some(&Value::Int(2)));
     assert!(!session.database().contains("m"));
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Flip one byte in the middle of segment 2 of the paged table at `dir`.
+fn tear_segment_2(dir: &std::path::Path) {
+    let segment = dir.join("seg-000002.col");
+    let mut bytes = std::fs::read(&segment).unwrap();
+    let middle = bytes.len() / 2;
+    bytes[middle] ^= 0x01;
+    std::fs::write(&segment, bytes).unwrap();
+}
+
+/// No storage fault reaches the caller as a panic: every statement that
+/// reads a torn paged table — a scan, an aggregate, a sort, `PREDICT`, a
+/// materialization, an export, each analytics call — returns the storage
+/// error naming the torn file, creates nothing, and leaves the session
+/// answering.
+#[test]
+fn every_statement_over_a_torn_paged_table_returns_a_storage_error() {
+    let (schema, rows) = training_rows(false);
+    let dir = temp_dir("torn_matrix");
+    drop(three_layouts(&schema, &rows, &dir));
+    // A SEQUENCE table of the same shape: one short labeled sequence a row.
+    let seq_dir = temp_dir("torn_matrix_seq");
+    let seq_schema = Schema::new(vec![Column::new("seq", DataType::Sequence)]).unwrap();
+    let mut sequences =
+        ColumnarTable::create_paged("s", seq_schema, &seq_dir, TRAIN_CHUNK, TRAIN_CACHE).unwrap();
+    sequences
+        .insert_all((0..TRAIN_ROWS).map(|i| {
+            let position =
+                |j: usize| (SparseVector::from_pairs(vec![(j % 4, 1.0)]), (j % 3) as u32);
+            vec![Value::Sequence((i..i + 3).map(position).collect())]
+        }))
+        .unwrap();
+    sequences.flush().unwrap();
+    drop(sequences);
+
+    let mut session = SqlSession::new();
+    for dir in [&dir, &seq_dir] {
+        let table = ColumnarTable::open_paged(dir, TRAIN_CACHE).unwrap();
+        session.register_columnar_table(table).unwrap();
+    }
+    session
+        .execute_script(
+            "CREATE TABLE other (x INT); INSERT INTO other VALUES (1), (2);
+             SELECT LRTrain('good', 'd', 'vec', 'label', 0.05, 1);
+             SELECT CRFTrain('crf', 's', 'seq', 0.05, 1)",
+        )
+        .unwrap();
+    // Reopened with cold caches, so every statement reads segment 2 anew.
+    for (dir, name) in [(&dir, "d"), (&seq_dir, "s")] {
+        tear_segment_2(dir);
+        let table = ColumnarTable::open_paged(dir, TRAIN_CACHE).unwrap();
+        assert_eq!(table.name(), name);
+        session.register_columnar_table(table).unwrap();
+    }
+    let export = temp_dir("torn_matrix_export.csv");
+    let statements = [
+        "SELECT * FROM d".to_string(),
+        "SELECT COUNT(*) FROM d".into(),
+        "SELECT label, COUNT(*) FROM d GROUP BY label".into(),
+        "SELECT id FROM d ORDER BY id DESC LIMIT 3".into(),
+        "SELECT PREDICT('good', vec) FROM d WHERE vec IS NOT NULL".into(),
+        "CREATE TABLE made AS SELECT id, label FROM d".into(),
+        format!("COPY d TO '{}'", export.display()),
+        "SELECT LRPredict('good', 'd', 'vec')".into(),
+        "SELECT LRLoss('good', 'd', 'vec', 'label')".into(),
+        "SELECT LRTrain('made', 'd', 'vec', 'label')".into(),
+        "SELECT CRFPredict('crf', 's', 'seq')".into(),
+    ];
+    for statement in &statements {
+        let outcome =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| session.execute(statement)));
+        match outcome {
+            Ok(Err(SqlError::Storage(error))) => assert!(
+                error.to_string().contains("seg-000002"),
+                "{statement}: {error}"
+            ),
+            Ok(other) => panic!("{statement}: expected a storage error, got {other:?}"),
+            Err(_) => panic!("{statement}: panicked"),
+        }
+        assert!(!session.database().contains("made"), "{statement}");
+        let count = session.execute("SELECT COUNT(*) FROM other").unwrap();
+        assert_eq!(count.single_value(), Some(&Value::Int(2)), "{statement}");
+    }
+    assert!(!export.exists());
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::remove_dir_all(&seq_dir).ok();
 }
 
 /// Exact I/O on any machine: a one-epoch training statement over a paged
@@ -836,7 +968,7 @@ fn one_epoch_sql_statement_pages_the_table_in_twice() {
     };
     let pass = |session: &SqlSession| {
         let (before, table) = (io(session), session.columnar_table("d").unwrap());
-        table.scan_blocks(0, usize::MAX, &mut |_| true);
+        table.scan_blocks(0, usize::MAX, &mut |_| true).unwrap();
         let after = io(session);
         [after[0] - before[0], after[1] - before[1]]
     };

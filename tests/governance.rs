@@ -32,7 +32,9 @@ use bismarck_core::{
 };
 use bismarck_datagen::{dense_classification, DenseClassificationConfig};
 use bismarck_sql::{SqlError, SqlSession};
-use bismarck_storage::{ColumnarTable, RowBlock, ScanOrder, Table, Tuple, TupleScan, Value};
+use bismarck_storage::{
+    ColumnarTable, RowBlock, ScanOrder, StorageError, Table, Tuple, TupleScan, Value,
+};
 use bismarck_uda::{segment_workers, ConvergenceTest};
 
 fn temp_dir(name: &str) -> PathBuf {
@@ -177,7 +179,12 @@ impl TupleScan for StopAt<'_> {
     fn vector_width(&self, col: usize) -> usize {
         self.inner.vector_width(col)
     }
-    fn scan_blocks(&self, start: usize, end: usize, f: &mut dyn FnMut(RowBlock<'_>) -> bool) {
+    fn scan_blocks(
+        &self,
+        start: usize,
+        end: usize,
+        f: &mut dyn FnMut(RowBlock<'_>) -> bool,
+    ) -> Result<(), StorageError> {
         self.inner.scan_blocks(start, end, &mut |block| {
             if !self.rows {
                 self.serve();
@@ -185,7 +192,11 @@ impl TupleScan for StopAt<'_> {
             f(block)
         })
     }
-    fn scan_tuples_permuted(&self, order: &[usize], f: &mut dyn FnMut(&Tuple)) {
+    fn scan_tuples_permuted(
+        &self,
+        order: &[usize],
+        f: &mut dyn FnMut(&Tuple),
+    ) -> Result<(), StorageError> {
         self.inner.scan_tuples_permuted(order, &mut |tuple| {
             if self.rows {
                 self.serve();

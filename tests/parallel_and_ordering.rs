@@ -171,7 +171,8 @@ fn mrs_beats_plain_subsampling_on_clustered_data() {
         StepSizeSchedule::Constant(0.2),
         ConvergenceTest::FixedEpochs(epochs),
         9,
-    );
+    )
+    .unwrap();
 
     // The full objective over all data: MRS sees every tuple, subsampling
     // only the buffer, so MRS should be at least as good (Figure 10(A)).
