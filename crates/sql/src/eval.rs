@@ -5,7 +5,7 @@
 //! position in the source schema, a function name into a [`ScalarFn`] (or,
 //! under [`BoundExpr::bind_grouped`], an aggregate into a slot of the group's
 //! [`Accumulator`]s) with its arity checked, and `PREDICT`'s model literal
-//! into the `Arc<ModelSnapshot>` the executor acquired for the statement.
+//! into an `Arc<ModelSnapshot>` through the statement's [`Models`].
 //! Unknown columns, functions and models, wrong arities and misplaced
 //! aggregates are therefore reported whether or not the table has a row.
 //! [`BoundExpr::eval`] then runs **once per row** and is the only function
@@ -34,10 +34,11 @@ use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::sync::Arc;
 
+use bismarck_core::frontend::load_model;
 use bismarck_core::governor::QueryGuard;
-use bismarck_core::serving::ModelSnapshot;
+use bismarck_core::serving::{ModelHandle, ModelSnapshot, ServingTask};
 use bismarck_linalg::{FeatureVectorRef, SparseVector};
-use bismarck_storage::{RowRef, Schema, Value};
+use bismarck_storage::{Database, RowRef, Schema, Value};
 use rand::rngs::StdRng;
 use rand::Rng;
 use rand::SeedableRng;
@@ -45,32 +46,62 @@ use rand::SeedableRng;
 use crate::ast::{AggregateFn, BinaryOp, Expr, UnaryOp};
 use crate::error::{Result, SqlError};
 
-/// Mutable evaluation context shared across a statement: the deterministic
-/// RNG backing `RANDOM()` and the per-statement model cache backing
-/// `PREDICT()`.
+/// Mutable evaluation context shared across a statement's rows: the
+/// deterministic RNG backing `RANDOM()` and the dense scratch of `PREDICT()`
+/// and `DOT()`.
 pub(crate) struct EvalContext {
     /// Session RNG; seeded so scripts are reproducible.
     pub rng: StdRng,
-    /// Model snapshots resolved for `PREDICT()` calls, keyed by model name.
-    /// The executor acquires each referenced model **once per statement**
-    /// before binding, and binding moves the snapshot into the `PREDICT`
-    /// node, so every row of a `SELECT` is scored against the same snapshot
-    /// even while training publishes new versions concurrently.
-    pub models: HashMap<String, Arc<ModelSnapshot>>,
     /// Dense scratch for `PREDICT('m', x1, x2, ...)` and `DOT`, so neither
     /// allocates per row.
     scratch: Vec<f64>,
 }
 
 impl EvalContext {
-    /// A context whose RNG stream is seeded with `seed` and whose model
-    /// cache starts empty.
+    /// A context whose RNG stream is seeded with `seed`.
     pub(crate) fn with_seed(seed: u64) -> Self {
         EvalContext {
             rng: StdRng::seed_from_u64(seed),
-            models: HashMap::new(),
             scratch: Vec::new(),
         }
+    }
+}
+
+/// Where the binder finds `PREDICT('name', ...)`'s model, lent by the
+/// session for one statement: a registered serving handle's latest snapshot
+/// (scored through the handle task's link), else the persisted model table
+/// of that name, loaded as a raw-score (identity link) model. `memo` keeps
+/// each snapshot for the rest of the statement, so all its `PREDICT`s — in
+/// every clause and every `VALUES` row — score one snapshot, loaded once,
+/// even while training publishes new versions.
+pub(crate) struct Models<'s> {
+    pub(crate) serving: &'s HashMap<String, ModelHandle>,
+    pub(crate) db: &'s Database,
+    pub(crate) memo: &'s mut HashMap<String, Arc<ModelSnapshot>>,
+}
+
+impl Models<'_> {
+    fn resolve(&mut self, name: &str) -> Result<Arc<ModelSnapshot>> {
+        if let Some(model) = self.memo.get(name) {
+            return Ok(Arc::clone(model));
+        }
+        let model = match self.serving.get(name) {
+            Some(handle) => handle.snapshot(),
+            None if self.db.contains(name) => {
+                let weights = load_model(self.db, name).map_err(|e| {
+                    SqlError::Evaluation(format!("cannot load model '{name}': {e}"))
+                })?;
+                Arc::new(ModelSnapshot::detached(ServingTask::LeastSquares, weights))
+            }
+            None => {
+                return Err(SqlError::Evaluation(format!(
+                    "unknown model '{name}': PREDICT() needs a registered \
+                     serving handle or a persisted model table of that name"
+                )))
+            }
+        };
+        self.memo.insert(name.to_owned(), Arc::clone(&model));
+        Ok(model)
     }
 }
 
@@ -118,7 +149,7 @@ const SCALAR_FUNCTIONS: &[(&str, ScalarFn, usize)] = &[
 ];
 
 /// An [`Expr`] with every name resolved against one schema and one
-/// statement's model cache; see the module docs.
+/// statement's [`Models`]; see the module docs.
 #[derive(Debug, Clone)]
 pub(crate) enum BoundExpr {
     /// A constant.
@@ -163,7 +194,7 @@ pub(crate) enum BoundExpr {
     /// `PREDICT('model', features)` (one feature expression: a vector) or
     /// `PREDICT('model', x1, x2, ...)` (several: the dense coordinates).
     Predict {
-        /// The snapshot the statement acquired for the model name.
+        /// The snapshot the statement resolved for the model name.
         model: Arc<ModelSnapshot>,
         /// The feature expression(s); never empty.
         features: Vec<BoundExpr>,
@@ -189,27 +220,23 @@ pub(crate) enum BoundAggregate {
 }
 
 /// What a [`BoundExpr`] may refer to while it is being bound.
-struct Binder<'b> {
+struct Binder<'b, 's> {
     /// The source table's schema; `None` for a query without `FROM`.
     schema: Option<&'b Schema>,
-    models: &'b HashMap<String, Arc<ModelSnapshot>>,
+    models: &'b mut Models<'s>,
 }
 
 impl BoundExpr {
     /// Bind a scalar expression against `schema` (`None`: there is no source
-    /// row, and a column reference is an error) and the models `ctx` holds.
-    /// An aggregate call is rejected; grouped select items and order keys go
-    /// through [`BoundExpr::bind_grouped`].
+    /// row, and a column reference is an error) and `models`. An aggregate
+    /// call is rejected; grouped select items and order keys go through
+    /// [`BoundExpr::bind_grouped`].
     pub(crate) fn bind(
         expr: &Expr,
         schema: Option<&Schema>,
-        ctx: &EvalContext,
+        models: &mut Models<'_>,
     ) -> Result<BoundExpr> {
-        Binder {
-            schema,
-            models: &ctx.models,
-        }
-        .scalar(expr)
+        Binder { schema, models }.scalar(expr)
     }
 
     /// Bind a select item or order key of a grouped `SELECT`: each aggregate
@@ -219,20 +246,24 @@ impl BoundExpr {
     pub(crate) fn bind_grouped(
         expr: &Expr,
         schema: &Schema,
-        ctx: &EvalContext,
+        models: &mut Models<'_>,
         aggregates: &mut Vec<BoundAggregate>,
     ) -> Result<BoundExpr> {
         Binder {
             schema: Some(schema),
-            models: &ctx.models,
+            models,
         }
         .grouped(expr, aggregates)
     }
 
     /// Bind `expr` against no schema and evaluate it once: the tableless
     /// `SELECT`, a computed `VALUES` position, an analytics-call argument.
-    pub(crate) fn eval_constant(expr: &Expr, ctx: &mut EvalContext) -> Result<Value> {
-        let bound = BoundExpr::bind(expr, None, ctx)?;
+    pub(crate) fn eval_constant(
+        expr: &Expr,
+        models: &mut Models<'_>,
+        ctx: &mut EvalContext,
+    ) -> Result<Value> {
+        let bound = BoundExpr::bind(expr, None, models)?;
         Ok(bound.eval(RowRef::Values(&[]), &[], ctx)?.into_owned())
     }
 
@@ -337,8 +368,8 @@ impl Lent<'_> {
     }
 }
 
-impl Binder<'_> {
-    fn scalar(&self, expr: &Expr) -> Result<BoundExpr> {
+impl Binder<'_, '_> {
+    fn scalar(&mut self, expr: &Expr) -> Result<BoundExpr> {
         Ok(match expr {
             Expr::Literal(value) => BoundExpr::Literal(value.clone()),
             Expr::Column(name) => {
@@ -407,14 +438,14 @@ impl Binder<'_> {
         })
     }
 
-    fn scalars(&self, exprs: &[Expr]) -> Result<Vec<BoundExpr>> {
+    fn scalars(&mut self, exprs: &[Expr]) -> Result<Vec<BoundExpr>> {
         exprs.iter().map(|expr| self.scalar(expr)).collect()
     }
 
     /// `PREDICT('model', features) | PREDICT('model', x1, x2, ...)` over its
-    /// bound arguments: the model is the one resolved once per statement (a
-    /// live serving handle's latest snapshot, or a persisted model table).
-    fn predict(&self, mut args: Vec<BoundExpr>) -> Result<BoundExpr> {
+    /// bound arguments, the model resolved through the statement's
+    /// [`Models`].
+    fn predict(&mut self, mut args: Vec<BoundExpr>) -> Result<BoundExpr> {
         if args.len() < 2 {
             return Err(SqlError::Analysis(format!(
                 "PREDICT() expects a model name and features, got {} argument(s)",
@@ -426,12 +457,7 @@ impl Binder<'_> {
                 "the first argument of PREDICT() must be a model name literal".into(),
             ));
         };
-        let model = self.models.get(model_name).cloned().ok_or_else(|| {
-            SqlError::Evaluation(format!(
-                "unknown model '{model_name}': PREDICT() needs a registered \
-                 serving handle or a persisted model table of that name"
-            ))
-        })?;
+        let model = self.models.resolve(model_name)?;
         args.remove(0);
         Ok(BoundExpr::Predict {
             model,
@@ -439,7 +465,7 @@ impl Binder<'_> {
         })
     }
 
-    fn grouped(&self, expr: &Expr, aggregates: &mut Vec<BoundAggregate>) -> Result<BoundExpr> {
+    fn grouped(&mut self, expr: &Expr, aggregates: &mut Vec<BoundAggregate>) -> Result<BoundExpr> {
         let aggregate = match expr {
             Expr::Unary { op, expr } => {
                 return Ok(BoundExpr::Unary {
@@ -826,13 +852,18 @@ fn predict(
 ) -> Result<f64> {
     if let [vector] = features {
         let vector = vector.lend(row, aggregates, ctx)?;
-        let view = vector.features().ok_or_else(|| {
-            SqlError::Evaluation(
-                "the second argument of PREDICT() must be a feature vector \
-                 (or pass the features as individual numbers)"
-                    .into(),
-            )
-        })?;
+        // A NULL vector has no features: it scores what `ARRAY[]` scores,
+        // as `…Predict` scores a NULL row.
+        let view = match &vector {
+            Lent::Value(value) if value.is_null() => FeatureVectorRef::Dense(&[]),
+            vector => vector.features().ok_or_else(|| {
+                SqlError::Evaluation(
+                    "the second argument of PREDICT() must be a feature vector \
+                     (or pass the features as individual numbers)"
+                        .into(),
+                )
+            })?,
+        };
         return Ok(model.predict(view));
     }
     // A nested variadic PREDICT finds the scratch taken and uses its own.
@@ -882,13 +913,29 @@ mod tests {
 
     /// Bind `expr` against `row`'s schema (none: a query without `FROM`)
     /// and evaluate it over that row: the one way these tests reach the
-    /// evaluator.
+    /// evaluator. No model is known.
     fn evaluate(
         expr: &Expr,
         row: Option<(&Schema, &[Value])>,
         ctx: &mut EvalContext,
     ) -> Result<Value> {
-        let bound = BoundExpr::bind(expr, row.map(|(schema, _)| schema), ctx)?;
+        evaluate_with(&mut HashMap::new(), expr, row, ctx)
+    }
+
+    /// [`evaluate`] with the statement's models already resolved to `memo`.
+    fn evaluate_with(
+        memo: &mut HashMap<String, Arc<ModelSnapshot>>,
+        expr: &Expr,
+        row: Option<(&Schema, &[Value])>,
+        ctx: &mut EvalContext,
+    ) -> Result<Value> {
+        let (serving, db) = (HashMap::new(), Database::new());
+        let models = &mut Models {
+            serving: &serving,
+            db: &db,
+            memo,
+        };
+        let bound = BoundExpr::bind(expr, row.map(|(schema, _)| schema), models)?;
         let values = row.map_or(&[][..], |(_, values)| values);
         Ok(bound.eval(RowRef::Values(values), &[], ctx)?.into_owned())
     }
@@ -902,8 +949,14 @@ mod tests {
         rows: &[Vec<Value>],
         ctx: &mut EvalContext,
     ) -> Result<Value> {
+        let (serving, db, mut memo) = (HashMap::new(), Database::new(), HashMap::new());
+        let models = &mut Models {
+            serving: &serving,
+            db: &db,
+            memo: &mut memo,
+        };
         let mut aggregates = Vec::new();
-        let bound = BoundExpr::bind_grouped(expr, schema, ctx, &mut aggregates)?;
+        let bound = BoundExpr::bind_grouped(expr, schema, models, &mut aggregates)?;
         let guard = QueryGuard::unlimited();
         let mut finished = Vec::new();
         for aggregate in &aggregates {
@@ -998,33 +1051,45 @@ mod tests {
 
     #[test]
     fn predict_scores_through_the_cached_snapshot() {
-        use bismarck_core::serving::ServingTask;
         let mut ctx = ctx();
-        ctx.models.insert(
-            "m".into(),
+        let mut memo = HashMap::from([(
+            "m".to_string(),
             Arc::new(ModelSnapshot::detached(
                 ServingTask::LeastSquares,
                 vec![2.0, -1.0],
             )),
-        );
+        )]);
+        let mut predict = |text: &str| evaluate_with(&mut memo, &expr(text), None, &mut ctx);
         assert_eq!(
-            evaluate(&expr("PREDICT('m', ARRAY[3.0, 4.0])"), None, &mut ctx).unwrap(),
+            predict("PREDICT('m', ARRAY[3.0, 4.0])").unwrap(),
             Value::Double(2.0)
         );
         // Variadic dense form and sparse features both work.
         assert_eq!(
-            evaluate(&expr("PREDICT('m', 3.0, 4.0)"), None, &mut ctx).unwrap(),
+            predict("PREDICT('m', 3.0, 4.0)").unwrap(),
             Value::Double(2.0)
         );
         assert_eq!(
-            evaluate(&expr("PREDICT('m', {0: 1.0})"), None, &mut ctx).unwrap(),
+            predict("PREDICT('m', {0: 1.0})").unwrap(),
             Value::Double(2.0)
         );
-        let err = evaluate(&expr("PREDICT('missing', 1.0)"), None, &mut ctx).unwrap_err();
+        // A NULL vector scores what no features score; a NULL coordinate is
+        // not a number.
+        assert_eq!(predict("PREDICT('m', NULL)").unwrap(), Value::Double(0.0));
+        assert_eq!(
+            predict("PREDICT('m', ARRAY[])").unwrap(),
+            Value::Double(0.0)
+        );
+        let err = predict("PREDICT('m', 1.0, NULL)").unwrap_err();
+        assert!(
+            err.to_string().contains("feature 2 is not numeric"),
+            "{err}"
+        );
+        let err = predict("PREDICT('missing', 1.0)").unwrap_err();
         assert!(err.to_string().contains("unknown model"), "{err}");
-        let err = evaluate(&expr("PREDICT('m')"), None, &mut ctx).unwrap_err();
+        let err = predict("PREDICT('m')").unwrap_err();
         assert!(err.to_string().contains("model name and features"), "{err}");
-        let err = evaluate(&expr("PREDICT(1, 2.0)"), None, &mut ctx).unwrap_err();
+        let err = predict("PREDICT(1, 2.0)").unwrap_err();
         assert!(err.to_string().contains("model name literal"), "{err}");
     }
 

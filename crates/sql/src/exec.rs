@@ -4,11 +4,12 @@
 //! # How a table `SELECT` runs: bind → scan → fold / project
 //!
 //! 1. **Bind once.** Every clause is bound against the table's schema and
-//!    the statement's model cache ([`BoundExpr`]) before a row is read, so a
-//!    statement that names an unknown column, function or model, passes a
-//!    wrong number of arguments or misplaces an aggregate fails the same way
-//!    over an empty table, a table whose rows are all filtered out, and a
-//!    full one.
+//!    the statement's [`Models`] ([`BoundExpr`]) before a row is read: a
+//!    `PREDICT`'s model is resolved where its call is bound, as a column
+//!    is. So a statement that names an unknown column, function or model,
+//!    passes a wrong number of arguments or misplaces an aggregate fails the
+//!    same way over an empty table, a table whose rows are all filtered out,
+//!    and a full one.
 //! 2. **Scan once.** One pass over the table's blocks through the block
 //!    loop training uses too, [`bismarck_uda::scan_blocks_while`], which
 //!    polls the statement's [`QueryGuard`] between blocks (a row-store block
@@ -54,9 +55,9 @@ use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
 
-use bismarck_core::frontend::{load_model, persist_model};
+use bismarck_core::frontend::persist_model;
 use bismarck_core::governor::{Governor, QueryGuard, ShutdownReport};
-use bismarck_core::serving::{ModelHandle, ModelSnapshot, ServingTask};
+use bismarck_core::serving::{ModelHandle, ModelSnapshot};
 use bismarck_core::TrainerConfig;
 use bismarck_storage::{
     Column, ColumnarTable, DataType, Database, RecoveryReport, RowBlock, RowRef, Schema,
@@ -74,7 +75,7 @@ use crate::ast::{
 use crate::error::{Result, SqlError};
 use crate::eval::{
     approx_value_bytes, compare_values, is_truthy, Accumulator, BoundAggregate, BoundExpr,
-    EvalContext,
+    EvalContext, Models,
 };
 use crate::parser::{parse_script, parse_statement};
 use crate::result::QueryResult;
@@ -99,6 +100,9 @@ pub struct SqlSession {
     /// Live serving handles addressable by `PREDICT('name', ...)`; resolved
     /// ahead of persisted model tables of the same name.
     serving: HashMap<String, ModelHandle>,
+    /// The models the running statement's `PREDICT`s have resolved, emptied
+    /// when a statement starts (see [`Models`]).
+    models: HashMap<String, Arc<ModelSnapshot>>,
     /// What [`SqlSession::open`] recovered from disk; `None` for in-memory
     /// sessions.
     recovery: Option<RecoveryReport>,
@@ -127,6 +131,7 @@ impl SqlSession {
             trainer_config: TrainerConfig::default(),
             ctx: EvalContext::with_seed(seed),
             serving: HashMap::new(),
+            models: HashMap::new(),
             recovery: None,
             guard: QueryGuard::unlimited(),
         }
@@ -198,7 +203,9 @@ impl SqlSession {
     /// snapshot — including while a trainer configured with the same handle
     /// (via [`TrainerConfig::with_serving`]) publishes epochs from another
     /// thread. Replaces any handle previously registered under the name and
-    /// shadows a persisted model table of the same name.
+    /// shadows a persisted model table of the same name. A statement binds
+    /// the snapshot that is latest when it first names the model and
+    /// scores every row with it.
     pub fn register_model_handle(&mut self, name: impl Into<String>, handle: ModelHandle) {
         self.serving.insert(name.into(), handle);
     }
@@ -286,8 +293,7 @@ impl SqlSession {
             if snapshot.version() == 0 {
                 continue;
             }
-            persist_model(&mut self.db, &name, snapshot.weights())
-                .map_err(|e| SqlError::Analytics(e.to_string()))?;
+            persist_model(&mut self.db, &name, snapshot.weights())?;
         }
         self.db.compact()?;
         Ok(report)
@@ -309,7 +315,7 @@ impl SqlSession {
     }
 
     fn dispatch(&mut self, statement: Statement) -> Result<QueryResult> {
-        self.prime_predict_models(&statement)?;
+        self.models.clear();
         match statement {
             Statement::CreateTable {
                 name,
@@ -568,7 +574,7 @@ impl SqlSession {
                     // A constant the parser read: the value moves into the
                     // row; only what needs computing is evaluated.
                     Expr::Literal(value) => value,
-                    expr => BoundExpr::eval_constant(&expr, &mut self.ctx)?,
+                    expr => self.eval_constant(&expr)?,
                 });
             }
             let full_row = match &column_indices {
@@ -631,7 +637,7 @@ impl SqlSession {
             };
             let mut arg_values = Vec::with_capacity(args.len());
             for arg in args {
-                arg_values.push(BoundExpr::eval_constant(arg, &mut self.ctx)?);
+                arg_values.push(self.eval_constant(arg)?);
             }
             // The guard rides into the trainers through the config: deadline
             // or cancellation ends the run at the next epoch boundary.
@@ -656,7 +662,7 @@ impl SqlSession {
                 }
                 SelectItem::Expr { expr, alias } => {
                     columns.push(alias.clone().unwrap_or_else(|| expr.default_name()));
-                    row.push(BoundExpr::eval_constant(expr, &mut self.ctx)?);
+                    row.push(self.eval_constant(expr)?);
                 }
             }
         }
@@ -671,12 +677,24 @@ impl SqlSession {
                 "SELECT over a table requires a FROM clause".into(),
             ));
         };
-        // Split borrows: the table is read-only while the RNG in `ctx` is
-        // mutated by RANDOM().
-        let SqlSession { db, ctx, guard, .. } = self;
-        let guard = &*guard;
+        // Split borrows: the table is read-only while binding fills the
+        // models' memo and RANDOM() draws from the RNG in `ctx`.
+        let SqlSession {
+            db,
+            ctx,
+            guard,
+            serving,
+            models,
+            ..
+        } = self;
+        let (db, guard) = (&*db, &*guard);
         let source = db.stored(table_name)?;
-        let plan = BoundSelect::bind(&select, source.schema(), ctx)?;
+        let models = &mut Models {
+            serving,
+            db,
+            memo: models,
+        };
+        let plan = BoundSelect::bind(&select, source.schema(), models)?;
 
         let mut output = Output {
             guard,
@@ -758,32 +776,14 @@ impl SqlSession {
         Ok(QueryResult::with_rows(plan.columns, rows))
     }
 
-    /// Resolve every model named by a `PREDICT()` call in the statement into
-    /// the evaluation context's snapshot cache, **once per statement**: a
-    /// registered serving handle yields its latest snapshot (scored through
-    /// the handle task's link function), a persisted model table is loaded
-    /// as a raw-score (identity link) model. Acquiring the snapshot up front
-    /// both amortizes its cost across the statement's rows and guarantees
-    /// all rows are scored against the same model version. Unknown names are
-    /// left unresolved and error when the `PREDICT()` call is bound.
-    fn prime_predict_models(&mut self, statement: &Statement) -> Result<()> {
-        self.ctx.models.clear();
-        let mut names = Vec::new();
-        collect_statement_predict_models(statement, &mut names);
-        for name in names {
-            if let Some(handle) = self.serving.get(&name) {
-                self.ctx.models.insert(name, handle.snapshot());
-            } else if self.db.contains(&name) {
-                let weights = load_model(&self.db, &name).map_err(|e| {
-                    SqlError::Evaluation(format!("cannot load model '{name}': {e}"))
-                })?;
-                self.ctx.models.insert(
-                    name,
-                    Arc::new(ModelSnapshot::detached(ServingTask::LeastSquares, weights)),
-                );
-            }
-        }
-        Ok(())
+    /// [`BoundExpr::eval_constant`] with the statement's models.
+    fn eval_constant(&mut self, expr: &Expr) -> Result<Value> {
+        let models = &mut Models {
+            serving: &self.serving,
+            db: &self.db,
+            memo: &mut self.models,
+        };
+        BoundExpr::eval_constant(expr, models, &mut self.ctx)
     }
 }
 
@@ -849,9 +849,13 @@ enum SortKey {
 }
 
 impl BoundSelect {
-    fn bind(select: &SelectStatement, schema: &Schema, ctx: &EvalContext) -> Result<BoundSelect> {
+    fn bind(
+        select: &SelectStatement,
+        schema: &Schema,
+        models: &mut Models<'_>,
+    ) -> Result<BoundSelect> {
         let filter = match &select.filter {
-            Some(predicate) => Some(BoundExpr::bind(predicate, Some(schema), ctx)?),
+            Some(predicate) => Some(BoundExpr::bind(predicate, Some(schema), models)?),
             None => None,
         };
         let grouped = !select.group_by.is_empty()
@@ -861,12 +865,12 @@ impl BoundSelect {
         let by = select
             .group_by
             .iter()
-            .map(|expr| BoundExpr::bind(expr, Some(schema), ctx))
+            .map(|expr| BoundExpr::bind(expr, Some(schema), models))
             .collect::<Result<Vec<_>>>()?;
         let mut aggregates = Vec::new();
         let mut bind_output = |expr: &Expr| match grouped {
-            true => BoundExpr::bind_grouped(expr, schema, ctx, &mut aggregates),
-            false => BoundExpr::bind(expr, Some(schema), ctx),
+            true => BoundExpr::bind_grouped(expr, schema, models, &mut aggregates),
+            false => BoundExpr::bind(expr, Some(schema), models),
         };
 
         let mut columns = Vec::new();
@@ -1098,77 +1102,6 @@ enum Reorder {
     },
 }
 
-/// Append the model names referenced by `PREDICT()` calls anywhere in the
-/// statement to `out` (deduplicated). Only text *literals* are collected —
-/// the model must be known before row-by-row evaluation starts, so a
-/// computed model name cannot be resolved and errors at evaluation time.
-fn collect_statement_predict_models(statement: &Statement, out: &mut Vec<String>) {
-    match statement {
-        Statement::Select(select) => collect_select_predict_models(select, out),
-        Statement::CreateTableAs { query, .. } => collect_select_predict_models(query, out),
-        Statement::Insert { rows, .. } => {
-            for row in rows {
-                for expr in row {
-                    collect_expr_predict_models(expr, out);
-                }
-            }
-        }
-        _ => {}
-    }
-}
-
-fn collect_select_predict_models(select: &SelectStatement, out: &mut Vec<String>) {
-    for item in &select.items {
-        if let SelectItem::Expr { expr, .. } = item {
-            collect_expr_predict_models(expr, out);
-        }
-    }
-    if let Some(filter) = &select.filter {
-        collect_expr_predict_models(filter, out);
-    }
-    for expr in &select.group_by {
-        collect_expr_predict_models(expr, out);
-    }
-    for key in &select.order_by {
-        collect_expr_predict_models(&key.expr, out);
-    }
-}
-
-fn collect_expr_predict_models(expr: &Expr, out: &mut Vec<String>) {
-    match expr {
-        Expr::Function { name, args } => {
-            if name.eq_ignore_ascii_case("predict") {
-                if let Some(Expr::Literal(Value::Text(model))) = args.first() {
-                    if !out.contains(model) {
-                        out.push(model.clone());
-                    }
-                }
-            }
-            for arg in args {
-                collect_expr_predict_models(arg, out);
-            }
-        }
-        Expr::Unary { expr, .. } => collect_expr_predict_models(expr, out),
-        Expr::Binary { left, right, .. } => {
-            collect_expr_predict_models(left, out);
-            collect_expr_predict_models(right, out);
-        }
-        Expr::IsNull { expr, .. } => collect_expr_predict_models(expr, out),
-        Expr::ArrayLiteral(items) => {
-            for item in items {
-                collect_expr_predict_models(item, out);
-            }
-        }
-        Expr::SparseLiteral(pairs) => {
-            for (index, value) in pairs {
-                collect_expr_predict_models(index, out);
-                collect_expr_predict_models(value, out);
-            }
-        }
-        Expr::Literal(_) | Expr::Column(_) | Expr::Wildcard => {}
-    }
-}
-
 /// [`approx_value_bytes`] over a row a statement keeps.
 fn approx_row_bytes(values: &[Value]) -> usize {
     values.iter().map(approx_value_bytes).sum()
@@ -1186,6 +1119,7 @@ fn order_by_is_random(order_by: &[OrderKey]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bismarck_core::serving::ServingTask;
 
     /// Run a statement that the test expects to succeed, panicking with the
     /// offending SQL text (not just the error) when it does not.
@@ -1616,6 +1550,95 @@ mod tests {
         assert_eq!(positives.single_value(), Some(&Value::Int(20)));
         let one = exec(&mut session, "SELECT PREDICT('m', 2.0, -1.0)");
         assert!(one.rows[0][0].as_double().unwrap() > 0.0);
+
+        // Every other place a PREDICT can stand binds its model too. `w`
+        // scores each row of `d` 5 × its label.
+        exec_script(
+            &mut session,
+            "CREATE TABLE w (idx INT, weight DOUBLE);
+             INSERT INTO w VALUES (0, 2.0), (1, -1.0);
+             CREATE TABLE scores (id INT, score DOUBLE)",
+        );
+        let by_sign = exec(
+            &mut session,
+            "SELECT PREDICT('w', vec) > 0 AS up, COUNT(*) FROM d \
+             GROUP BY PREDICT('w', vec) > 0 ORDER BY up",
+        );
+        let count = |up, n| vec![Value::Int(up), Value::Int(n)];
+        assert_eq!(by_sign.rows, vec![count(0, 20), count(1, 20)]);
+        let lowest = exec(
+            &mut session,
+            "SELECT id FROM d ORDER BY PREDICT('w', vec), id LIMIT 1",
+        );
+        assert_eq!(lowest.single_value(), Some(&Value::Int(1)));
+        exec(
+            &mut session,
+            "CREATE TABLE scored AS SELECT id, PREDICT('w', vec) AS s FROM d",
+        );
+        let total = exec(&mut session, "SELECT SUM(ABS(s)) FROM scored");
+        assert_eq!(total.single_value(), Some(&Value::Double(200.0)));
+        exec(
+            &mut session,
+            "INSERT INTO scores VALUES (1, PREDICT('w', ARRAY[3.0, 4.0])), (2, PREDICT('w', 1.0, 1.0))",
+        );
+        let inserted = exec(&mut session, "SELECT score FROM scores ORDER BY id");
+        assert_eq!(
+            inserted.rows,
+            vec![vec![Value::Double(2.0)], vec![Value::Double(1.0)]]
+        );
+        // An analytics-call argument: the step size 0.2 `m` was trained with.
+        exec(
+            &mut session,
+            "SELECT SVMTrain('m2', 'd', 'vec', 'label', PREDICT('w', 0.1, 0.0), 8)",
+        );
+        let weights = "SELECT weight FROM m ORDER BY idx";
+        let same = exec(&mut session, &weights.replace(" m ", " m2 "));
+        assert_eq!(same.rows, exec(&mut session, weights).rows);
+        // A script's statement after one that replaced the model scores the
+        // replacement.
+        let replaced = exec_script(
+            &mut session,
+            "SELECT PREDICT('w', 2.0, -1.0);
+             SELECT SVMTrain('w', 'd', 'vec', 'label', 0.2, 8);
+             SELECT PREDICT('w', 2.0, -1.0)",
+        );
+        assert_eq!(replaced[0].single_value(), Some(&Value::Double(5.0)));
+        assert_eq!(replaced[2].rows, one.rows);
+    }
+
+    /// All the `PREDICT`s of one statement score one snapshot: the model
+    /// table is loaded by the first call bound, and the others share it.
+    #[test]
+    fn every_predict_of_a_statement_binds_one_snapshot() {
+        let mut session = session_with_points();
+        exec_script(
+            &mut session,
+            "CREATE TABLE w (idx INT, weight DOUBLE); INSERT INTO w VALUES (0, 2.0), (1, -1.0)",
+        );
+        let Statement::Select(select) = parse_statement(
+            "SELECT PREDICT('w', x, 1.0) FROM points WHERE PREDICT('w', x, 0.0) > 0",
+        )
+        .unwrap() else {
+            panic!("not a SELECT")
+        };
+        let schema = session.db.stored("points").unwrap().schema();
+        let models = &mut Models {
+            serving: &session.serving,
+            db: &session.db,
+            memo: &mut session.models,
+        };
+        let plan = BoundSelect::bind(&select, schema, models).unwrap();
+        let (
+            Some(BoundExpr::Binary { left, .. }),
+            [BoundItem::Expr(BoundExpr::Predict { model: item, .. })],
+        ) = (&plan.filter, plan.items.as_slice())
+        else {
+            panic!("unexpected plan shape")
+        };
+        let BoundExpr::Predict { model: filter, .. } = &**left else {
+            panic!("the filter's left operand is not the PREDICT")
+        };
+        assert!(Arc::ptr_eq(item, filter));
     }
 
     #[test]

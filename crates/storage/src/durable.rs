@@ -16,9 +16,10 @@
 //! rename even though the data bytes made it to the platter.
 //!
 //! Every byte and every syscall in this module is routed through the
-//! `fault` hooks (compiled only under the `fault-injection` feature), so a
-//! test can fail, short-write, or "crash" the process at any byte boundary
-//! and then prove that recovery restores a consistent state.
+//! `fault` hooks, so a test can fail, short-write, or "crash" the process at
+//! any byte boundary and then prove that recovery restores a consistent
+//! state. A hook is one thread-local read of an `Option` before the write,
+//! fsync, create, rename or truncate it guards; reads have none.
 //!
 //! Every file replaced as a whole is one **frame** (`frame` / [`unframe`],
 //! layout in `docs/disk-format.md`): magic, format version, payload length,
@@ -35,22 +36,20 @@ use crate::error::StorageError;
 
 /// Fault-injection hooks for the durability layer.
 ///
-/// Compiled only with the `fault-injection` feature. The injector is a step
-/// counter of the thread that arms it: every *byte* that thread writes
-/// through the durable layer consumes one fault point, and every metadata
-/// operation it makes (create, sync, rename, truncate, directory create or
-/// sync) consumes one more. [`fault::armed`] runs a scenario with the
-/// injector armed at point `k`; when the counter reaches `k`, the in-flight
-/// operation fails — short-writing its buffer if it was a write — and, in
-/// [`fault::Mode::Crash`], every later operation fails too, which is exactly
-/// what a process that died at that instant would have done to the
-/// filesystem. Re-opening the database afterwards simulates the post-crash
-/// restart.
+/// The injector is a step counter of the thread that arms it: every *byte*
+/// that thread writes through the durable layer consumes one fault point,
+/// and every metadata operation it makes (create, sync, rename, truncate,
+/// directory create or sync) consumes one more. [`fault::armed`] runs a
+/// scenario with the injector armed at point `k`; when the counter reaches
+/// `k`, the in-flight operation fails — short-writing its buffer if it was a
+/// write — and, in [`fault::Mode::Crash`], every later operation fails too,
+/// which is exactly what a process that died at that instant would have
+/// done to the filesystem. Re-opening the database afterwards simulates the
+/// post-crash restart.
 ///
 /// Durable I/O on any other thread is neither counted nor failed, so tests
 /// arm side by side without serialising, and a scenario must do its durable
 /// I/O on the thread that arms.
-#[cfg(feature = "fault-injection")]
 pub mod fault {
     use std::cell::Cell;
     use std::io;
@@ -162,7 +161,6 @@ pub mod fault {
 /// Write `buf` to `file`, honouring the fault injector's byte-granular
 /// short-write decisions.
 pub(crate) fn write_all(file: &mut File, buf: &[u8]) -> io::Result<()> {
-    #[cfg(feature = "fault-injection")]
     if let Err(prefix) = fault::admit_write(buf.len()) {
         // The torn write: the prefix reaches the file, the rest — and every
         // fsync that would have made it durable — does not.
@@ -175,35 +173,30 @@ pub(crate) fn write_all(file: &mut File, buf: &[u8]) -> io::Result<()> {
 
 /// `fsync` a file's data and metadata.
 pub(crate) fn sync_file(file: &File) -> io::Result<()> {
-    #[cfg(feature = "fault-injection")]
     fault::metadata_op()?;
     file.sync_all()
 }
 
 /// Create (truncating) a file for writing.
 pub(crate) fn create_file(path: &Path) -> io::Result<File> {
-    #[cfg(feature = "fault-injection")]
     fault::metadata_op()?;
     File::create(path)
 }
 
 /// Open a file for appending without truncating it.
 pub(crate) fn open_append(path: &Path) -> io::Result<File> {
-    #[cfg(feature = "fault-injection")]
     fault::metadata_op()?;
     OpenOptions::new().read(true).write(true).open(path)
 }
 
 /// Atomically rename `from` over `to`.
 pub(crate) fn rename(from: &Path, to: &Path) -> io::Result<()> {
-    #[cfg(feature = "fault-injection")]
     fault::metadata_op()?;
     fs::rename(from, to)
 }
 
 /// Truncate an open file to `len` bytes.
 pub(crate) fn truncate_file(file: &File, len: u64) -> io::Result<()> {
-    #[cfg(feature = "fault-injection")]
     fault::metadata_op()?;
     file.set_len(len)
 }
@@ -212,7 +205,6 @@ pub(crate) fn truncate_file(file: &File, len: u64) -> io::Result<()> {
 /// platforms where directories cannot be opened for syncing this degrades to
 /// a no-op, matching what portable databases do.
 pub(crate) fn sync_dir(dir: &Path) -> io::Result<()> {
-    #[cfg(feature = "fault-injection")]
     fault::metadata_op()?;
     match File::open(dir) {
         Ok(d) => d.sync_all(),
@@ -231,7 +223,6 @@ pub(crate) fn create_dir(path: &Path) -> io::Result<()> {
     if path.is_dir() {
         return Ok(());
     }
-    #[cfg(feature = "fault-injection")]
     fault::metadata_op()?;
     fs::create_dir_all(path)?;
     match parent_dir(path) {
@@ -752,7 +743,6 @@ mod tests {
         assert_ne!(checksum64(&extended), expected, "zero-extended");
     }
 
-    #[cfg(feature = "fault-injection")]
     mod injector {
         use super::*;
         use crate::{Column, ColumnarTable, DataType, Database, Schema};

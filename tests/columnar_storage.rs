@@ -1,7 +1,7 @@
 //! Columnar chunked storage: text-format round-trip identity, scan
 //! equivalence against the row-store, and out-of-core training.
 //!
-//! Five claims are pinned here:
+//! Seven claims are pinned here:
 //!
 //! 1. `tuples_to_string` → `table_from_str` is the identity for every value
 //!    the storage layer can hold — including adversarial TEXT payloads full
@@ -28,9 +28,12 @@
 //!    training statement over a paged table reads it exactly as often as
 //!    its passes do — twice for one epoch, counted in misses and bytes —
 //!    and a torn segment fails the statement, not the caller.
+//! 7. A NULL feature vector scores what no features score, the link at 0,
+//!    in `PREDICT` as in `LRPredict`, over every layout.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
+use bismarck_core::serving::{ModelHandle, ServingTask};
 use bismarck_core::task::LossSink;
 use bismarck_core::tasks::{LeastSquaresTask, LogisticRegressionTask, SvmTask};
 use bismarck_core::{
@@ -944,6 +947,53 @@ fn every_statement_over_a_torn_paged_table_returns_a_storage_error() {
     assert!(!export.exists());
     std::fs::remove_dir_all(&dir).ok();
     std::fs::remove_dir_all(&seq_dir).ok();
+}
+
+/// `PREDICT` over a table with NULL `vec` rows scores them as `ARRAY[]`,
+/// the link at 0 — 0 through a persisted model (identity link), ½ through a
+/// logistic handle — and a logistic handle scores every row the bits
+/// `LRPredict` gives for the same weights, over every layout.
+#[test]
+fn predict_scores_a_null_vector_as_no_features() {
+    let (schema, rows) = training_rows(false);
+    let nulls = rows.iter().filter(|row| row[1].is_null()).count();
+    assert!(nulls > 0);
+    let dir = temp_dir("predict_null");
+    let (table, columnar, paged) = three_layouts(&schema, &rows, &dir);
+    let mut sessions = [SqlSession::new(), SqlSession::new(), SqlSession::new()];
+    sessions[0].register_table(table).unwrap();
+    sessions[1].register_columnar_table(columnar).unwrap();
+    sessions[2].register_columnar_table(paged).unwrap();
+    let weights = [0.5, -0.25, 1.0];
+    for (layout, session) in ["row", "columnar", "paged"].iter().zip(&mut sessions) {
+        session
+            .execute_script(
+                "CREATE TABLE m (idx INT, weight DOUBLE);
+                 INSERT INTO m VALUES (0, 0.5), (1, -0.25), (2, 1.0)",
+            )
+            .unwrap();
+        let handle = ModelHandle::new(ServingTask::Logistic, weights.len());
+        handle.publish(&weights).unwrap();
+        session.register_model_handle("h", handle);
+
+        let scored = session
+            .execute("SELECT PREDICT('m', vec), PREDICT('h', vec) FROM d WHERE vec IS NULL")
+            .unwrap();
+        assert_eq!(scored.len(), nulls, "{layout}");
+        for row in &scored.rows {
+            assert_eq!(row, &[Value::Double(0.0), Value::Double(0.5)], "{layout}");
+        }
+        let served = session.execute("SELECT PREDICT('h', vec) FROM d").unwrap();
+        let predicted = session
+            .execute("SELECT LRPredict('m', 'd', 'vec')")
+            .unwrap();
+        assert_eq!(served.len(), TRAIN_ROWS, "{layout}");
+        for (served, predicted) in served.rows.iter().zip(&predicted.rows) {
+            assert_eq!(served[0], predicted[1], "{layout}");
+        }
+    }
+    drop(sessions);
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Exact I/O on any machine: a one-epoch training statement over a paged

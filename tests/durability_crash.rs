@@ -9,8 +9,7 @@
 //! * the paper's user experience surviving a restart: train via
 //!   `SELECT SVMTrain(...)`, drop the session, reopen the directory, and
 //!   `SVMPredict(...)` must return identical predictions;
-//! * a byte-granular crash-point matrix (`--features fault-injection`):
-//!   every byte written and every metadata syscall is a crash point, and
+//! * a byte-granular crash-point matrix: every byte written and every metadata syscall is a crash point, and
 //!   recovery after a crash at *any* of them must restore a state some
 //!   prefix of the acknowledged operations explains — never anything torn.
 
@@ -621,9 +620,7 @@ fn directory_written_before_layouts_still_opens() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Byte-granular crash injection: only compiled with `--features
-/// fault-injection` (forwarded to `bismarck-storage`).
-#[cfg(feature = "fault-injection")]
+/// Byte-granular crash injection through `durable::fault`.
 mod crash_matrix {
     use super::*;
     use bismarck_storage::durable::fault::{self, Mode};

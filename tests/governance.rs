@@ -15,9 +15,10 @@
 //!   statement runs normally;
 //! * graceful shutdown — `Governor::shutdown` drains in-flight guards,
 //!   `SqlSession::shutdown` persists last-published serving models and
-//!   compacts the durable catalog; with `--features fault-injection`, a
-//!   crash at *every* byte-level fault point inside shutdown still leaves a
-//!   catalog that recovers to a consistent state.
+//!   compacts the durable catalog; a crash at *every* byte-level fault
+//!   point inside shutdown still leaves a catalog that recovers to a
+//!   consistent state, and a write fault while persisting is the storage
+//!   error it was.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -733,14 +734,13 @@ fn shutdown_cancels_outstanding_guards_and_reports_undrained_work() {
 }
 
 // ---------------------------------------------------------------------------
-// Shutdown under the byte-granular crash matrix (`--features
-// fault-injection`): a crash at any fault point inside
+// Shutdown under the byte-granular crash matrix: a crash at any fault point
+// inside
 // `SqlSession::shutdown`'s persist + compact sequence must leave a catalog
 // that recovers to a consistent state — either the pre-shutdown catalog or
 // one that additionally contains the persisted serving model.
 // ---------------------------------------------------------------------------
 
-#[cfg(feature = "fault-injection")]
 mod shutdown_crash_matrix {
     use super::*;
     use bismarck_storage::durable::fault::{self, Mode};
@@ -775,6 +775,24 @@ mod shutdown_crash_matrix {
         handle.publish(&[1.0, -2.0]).unwrap();
         session.register_model_handle("live", handle);
         (session, Governor::new(2))
+    }
+
+    /// A write that fails while shutdown persists a serving model is the
+    /// storage error, as it is when `…Train` persists one.
+    #[test]
+    fn a_write_fault_while_persisting_a_serving_model_is_a_storage_error() {
+        let dir = temp_dir("shutdown-persist-fault");
+        let (mut session, governor) = build(&dir);
+        let (outcome, run) = fault::armed(Mode::FailOnce, 0, || {
+            session.shutdown(&governor, Instant::now() + Duration::from_secs(5))
+        });
+        assert!(run.fired);
+        assert!(
+            matches!(outcome, Err(SqlError::Storage(StorageError::Io(_)))),
+            "{outcome:?}"
+        );
+        drop(session);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
