@@ -101,7 +101,7 @@ pub struct SqlSession {
     /// ahead of persisted model tables of the same name.
     serving: HashMap<String, ModelHandle>,
     /// The models the running statement's `PREDICT`s have resolved, emptied
-    /// when a statement starts (see [`Models`]).
+    /// when the statement ends (see [`Models`]), so no snapshot outlives it.
     models: HashMap<String, Arc<ModelSnapshot>>,
     /// What [`SqlSession::open`] recovered from disk; `None` for in-memory
     /// sessions.
@@ -307,6 +307,7 @@ impl SqlSession {
         // per statement and a budget error never poisons the session.
         let reserved_before = self.guard.budget().reserved();
         let result = self.dispatch(statement);
+        self.models.clear();
         let reserved_now = self.guard.budget().reserved();
         self.guard
             .budget()
@@ -315,7 +316,6 @@ impl SqlSession {
     }
 
     fn dispatch(&mut self, statement: Statement) -> Result<QueryResult> {
-        self.models.clear();
         match statement {
             Statement::CreateTable {
                 name,
@@ -1608,12 +1608,18 @@ mod tests {
 
     /// All the `PREDICT`s of one statement score one snapshot: the model
     /// table is loaded by the first call bound, and the others share it.
+    /// The session lets go of it when the statement ends.
     #[test]
     fn every_predict_of_a_statement_binds_one_snapshot() {
         let mut session = session_with_points();
         exec_script(
             &mut session,
-            "CREATE TABLE w (idx INT, weight DOUBLE); INSERT INTO w VALUES (0, 2.0), (1, -1.0)",
+            "CREATE TABLE w (idx INT, weight DOUBLE); INSERT INTO w VALUES (0, 2.0), (1, -1.0);
+             SELECT PREDICT('w', x, 1.0) FROM points",
+        );
+        assert!(
+            session.models.is_empty(),
+            "a finished statement keeps no snapshot"
         );
         let Statement::Select(select) = parse_statement(
             "SELECT PREDICT('w', x, 1.0) FROM points WHERE PREDICT('w', x, 0.0) > 0",

@@ -3,59 +3,20 @@
 //! allocation per *output* row (the row itself), and a statement that folds
 //! its rows — an aggregate, grouped or not — costs the same allocations
 //! however many rows it reads. Checked over the row, columnar and paged
-//! layouts. An `INSERT` whose `VALUES` rows call `PREDICT` loads a
-//! persisted model once per statement, not once per row.
+//! layouts.
 //!
-//! The counter is the global allocator's, kept per thread: a statement runs
-//! on the thread that executes it, and the tests of this binary, run side by
-//! side, do not count each other's allocations.
+//! One test, alone in its binary: the counter is the process's global
+//! allocator.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+mod counting;
+
 use std::path::{Path, PathBuf};
 
 use bismarck_core::serving::{ModelHandle, ServingTask};
 use bismarck_sql::SqlSession;
 use bismarck_storage::{Column, ColumnarTable, DataType, Schema, Table, Value};
 
-thread_local! {
-    /// Allocations (and reallocations) made by this thread.
-    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
-}
-
-/// Count one allocation of the calling thread. The counter is a `const`
-/// thread-local without a destructor, so touching it never allocates, and
-/// `try_with` skips a thread whose locals are already gone.
-fn count() {
-    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
-}
-
-struct Counting;
-
-// SAFETY: every call is forwarded unchanged to `System`, which upholds the
-// `GlobalAlloc` contract; `count` neither allocates nor panics.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
-        // SAFETY: the caller's `layout` is passed through as is.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System.alloc` / `System.realloc` above
-        // with this `layout`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
-        // SAFETY: as for `dealloc`, and `new_size` is the caller's.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: Counting = Counting;
+use counting::allocations;
 
 fn temp_dir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!(
@@ -117,13 +78,6 @@ fn select_session(rows: usize, layout: &str, dir: &Path) -> SqlSession {
     session
 }
 
-/// Allocations `sql` makes, and how many rows it returns.
-fn allocations(session: &mut SqlSession, sql: &str) -> (usize, usize) {
-    let before = ALLOCATIONS.get();
-    let result = session.execute(sql).unwrap();
-    (ALLOCATIONS.get() - before, result.len())
-}
-
 /// The same statements over `n` and `2n` rows, over every layout.
 #[test]
 fn a_select_allocates_per_output_row_and_nothing_per_input_row() {
@@ -173,61 +127,4 @@ fn a_select_allocates_per_output_row_and_nothing_per_input_row() {
         std::fs::remove_dir_all(&small_dir).ok();
         std::fs::remove_dir_all(&large_dir).ok();
     }
-}
-
-/// A session holding the four-weight model `m` — a persisted model table, or
-/// a registered serving handle — and an empty table `s` to insert into.
-fn insert_session(persisted: bool) -> SqlSession {
-    let mut session = SqlSession::with_seed(1);
-    session
-        .execute_script("CREATE TABLE s (id INT, score DOUBLE)")
-        .unwrap();
-    if persisted {
-        session
-            .execute_script(
-                "CREATE TABLE m (idx INT, weight DOUBLE);
-                 INSERT INTO m VALUES (0, 1.0), (1, 0.0), (2, 0.5), (3, -1.0)",
-            )
-            .unwrap();
-    } else {
-        let model = ModelHandle::new(ServingTask::LeastSquares, 4);
-        model.publish(&[1.0, 0.0, 0.5, -1.0]).unwrap();
-        session.register_model_handle("m", model);
-    }
-    session
-}
-
-/// `INSERT INTO s VALUES` of `rows` rows, each scored by `PREDICT('m', …)`.
-fn scoring_insert(rows: usize) -> String {
-    let values: Vec<String> = (0..rows)
-        .map(|i| format!("({i}, PREDICT('m', ARRAY[{i}.0, 1.0, -{i}.0, 0.5]))"))
-        .collect();
-    format!("INSERT INTO s VALUES {}", values.join(", "))
-}
-
-/// The same `INSERT`s of `n` and `2n` rows against a persisted model and
-/// against a handle, which needs no load: what the persisted model costs on
-/// top is its one load, so it does not grow with the rows.
-#[test]
-fn an_insert_loads_its_persisted_model_once() {
-    let n = 512;
-    let (small, large) = (scoring_insert(n), scoring_insert(2 * n));
-    let mut extra = Vec::new();
-    for sql in [&small, &large] {
-        let (persisted, _) = allocations(&mut insert_session(true), sql);
-        let (handle, _) = allocations(&mut insert_session(false), sql);
-        eprintln!(
-            "{} VALUES rows: {persisted} against the table, {handle} against the handle",
-            sql.matches("PREDICT").count()
-        );
-        assert!(
-            persisted > handle,
-            "loading the table allocates: {persisted} vs {handle}"
-        );
-        extra.push(persisted - handle);
-    }
-    assert_eq!(
-        extra[0], extra[1],
-        "the model table's extra allocations grew with the rows: {extra:?}"
-    );
 }

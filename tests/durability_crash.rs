@@ -9,9 +9,10 @@
 //! * the paper's user experience surviving a restart: train via
 //!   `SELECT SVMTrain(...)`, drop the session, reopen the directory, and
 //!   `SVMPredict(...)` must return identical predictions;
-//! * a byte-granular crash-point matrix: every byte written and every metadata syscall is a crash point, and
-//!   recovery after a crash at *any* of them must restore a state some
-//!   prefix of the acknowledged operations explains — never anything torn.
+//! * a byte-granular crash-point matrix: every byte written and every
+//!   metadata syscall is a crash point, and recovery after a crash at
+//!   *any* of them must restore a state some prefix of the acknowledged
+//!   operations explains — never anything torn.
 
 use std::path::PathBuf;
 

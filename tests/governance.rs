@@ -735,10 +735,9 @@ fn shutdown_cancels_outstanding_guards_and_reports_undrained_work() {
 
 // ---------------------------------------------------------------------------
 // Shutdown under the byte-granular crash matrix: a crash at any fault point
-// inside
-// `SqlSession::shutdown`'s persist + compact sequence must leave a catalog
-// that recovers to a consistent state — either the pre-shutdown catalog or
-// one that additionally contains the persisted serving model.
+// inside `SqlSession::shutdown`'s persist + compact sequence must leave a
+// catalog that recovers to a consistent state — either the pre-shutdown
+// catalog or one that additionally contains the persisted serving model.
 // ---------------------------------------------------------------------------
 
 mod shutdown_crash_matrix {
